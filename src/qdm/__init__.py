@@ -11,10 +11,10 @@ large enough.  All arithmetic is exact.
 """
 
 from .toric import (FanData, ChargeMatrix, FanError, NefBasisError, make_fan,
-                    parse_fan, charge_matrix, pairing, mori_generators,
+                    parse_fan, charge_matrix, mori_generators,
                     enumerate_degrees, in_cone, wall_relations)
 from .cohomology import CohomRing, CohomClass, build_ring, monomials
-from .ifunction import (GiventalSeries, LaurentH, StrictSignError, euler_ratio,
+from .ifunction import (GiventalSeries, StrictSignError, euler_ratio, check_ratio,
                         build_f, component, linear_factor, inverse_linear_factor)
 from .dmodule import (DiffOp, AppliedSeries, QuantumRelation, EmptyWindowError,
                       apply, gkz_operator, find_annihilators, in_span,
@@ -25,10 +25,10 @@ from .loop_model import (WeightSystem, CriticalData, ComponentAbsentError,
 
 __all__ = [
     "FanData", "ChargeMatrix", "FanError", "NefBasisError", "make_fan",
-    "parse_fan", "charge_matrix", "pairing", "mori_generators",
+    "parse_fan", "charge_matrix", "mori_generators",
     "enumerate_degrees", "in_cone", "wall_relations",
     "CohomRing", "CohomClass", "build_ring", "monomials",
-    "GiventalSeries", "LaurentH", "StrictSignError", "euler_ratio", "build_f",
+    "GiventalSeries", "StrictSignError", "euler_ratio", "check_ratio", "build_f",
     "component", "linear_factor", "inverse_linear_factor",
     "DiffOp", "AppliedSeries", "QuantumRelation", "EmptyWindowError", "apply",
     "gkz_operator", "find_annihilators", "in_span", "semiclassical",

@@ -82,6 +82,20 @@ def _parse_degrees(args, cm):
     return out
 
 
+def _parse_components(raw, size):
+    out = []
+    for part in raw.split(","):
+        try:
+            beta = int(part)
+        except ValueError:
+            raise ValueError("bad --components value %r" % raw) from None
+        if not 0 <= beta < size:
+            raise ValueError("--components index %d is outside the basis 0..%d"
+                             % (beta, size - 1))
+        out.append(beta)
+    return out
+
+
 def _parse_modes(raw):
     if raw is None:
         return None
@@ -131,12 +145,16 @@ def cmd_cohomology(args) -> tuple[dict, bool]:
 
 def cmd_ifunction(args) -> tuple[dict, bool]:
     fan, cm, ring = _load(args)
+    components = None
+    if args.components is not None:
+        components = _parse_components(args.components, len(ring.basis))
     gens = toric.mori_generators(fan, cm)
     series = ifunction.build_f(ring, cm, gens, args.max_degree,
                                allow_general_sign=args.allow_general_sign)
-    homogeneous = all(
-        series.coefficients[d].is_homogeneous(-2 * cm.c1_degree(d))
-        for d in series.degrees)
+    # reported as "homogeneous": a value at hbar = 1 is homogeneous by
+    # construction, so what is checked is the identity defining each R_d
+    homogeneous = all(ifunction.check_ratio(ring, cm, d, series.coefficients[d])
+                      for d in series.degrees)
     report = {
         "charge_matrix": [list(r) for r in cm.m],
         "max_degree": args.max_degree,
@@ -144,11 +162,10 @@ def cmd_ifunction(args) -> tuple[dict, bool]:
         "series": serialize.series_json(series),
         "homogeneous": homogeneous,
     }
-    if args.components is not None:
+    if components is not None:
         log_order = ring.top if args.log_order is None else args.log_order
         comps = {}
-        for part in args.components.split(","):
-            beta = int(part)
+        for beta in components:
             comp = ifunction.component(series, beta, log_order)
             comps[str(beta)] = serialize.component_json(comp, cm)
         report["components"] = comps
@@ -222,6 +239,11 @@ def cmd_loop_model(args) -> tuple[dict, bool]:
     if degrees is None:
         degrees = toric.enumerate_degrees(gens, cm, args.max_degree)
         degrees = [d for d in degrees if any(d)]
+    else:
+        for d in degrees:
+            if not toric.in_cone(d, gens):
+                raise ValueError("--degree %s is outside the Mori cone"
+                                 % ",".join(map(str, d)))
     modes = _parse_modes(args.modes)
     ok = True
     reports = []

@@ -89,10 +89,6 @@ class CohomClass:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def degree_part(self, deg):
-        return CohomClass(self.ring, {m: c for m, c in self.coeffs.items()
-                                      if sum(m) == deg})
-
     def max_degree(self):
         """Largest complex degree with a nonzero term; -1 for the zero class."""
         return max((sum(m) for m in self.coeffs), default=-1)
@@ -248,15 +244,6 @@ class CohomRing:
         """Integral over the fundamental class; fixed points integrate to 1."""
         return a.coeffs.get(self._point_mono, Fraction(0)) / self._point_factor
 
-    def point_class(self) -> CohomClass:
-        return CohomClass(self, {self._point_mono: self._point_factor})
-
-    def c1_class(self) -> CohomClass:
-        out = self.zero()
-        for k in range(self.n):
-            out = out + self.generator(k)
-        return out
-
     def omega_class(self, j) -> CohomClass:
         """The j-th nef basis class, written in the ray divisor generators."""
         if j not in self._omega_cache:
@@ -300,15 +287,3 @@ class CohomRing:
 
 def build_ring(fan: FanData, cm: ChargeMatrix) -> CohomRing:
     return CohomRing(fan, cm)
-
-
-def multiply(ring: CohomRing, a: CohomClass, b: CohomClass) -> CohomClass:
-    return ring.multiply(a, b)
-
-
-def integrate(ring: CohomRing, a: CohomClass) -> Fraction:
-    return ring.integrate(a)
-
-
-def dual_basis(ring: CohomRing):
-    return ring.dual_basis()

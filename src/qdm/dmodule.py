@@ -10,6 +10,11 @@ q^d the value P_e(omega + (d-e)*hbar, hbar) * R_{d-e}.  Because the series
 is truncated at anticanonical degree B, the result is only trustworthy on
 the window c1(d) <= B - max_e c1(e); degrees beyond it would need source
 coefficients that were cut off.
+
+Series values are classes at hbar = 1, one per weight (the weight rule is
+in the ifunction module).  An operator is therefore split by weight before
+it is evaluated: at hbar = 1, theta^t acting on q^d' is the class
+prod_j (omega_j + d'_j)^t_j, and every output class keeps its weight.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from math import comb
 
 from . import linalg
 from .cohomology import mono_key, monomials
-from .ifunction import GiventalSeries, LaurentH, linear_factor
+from .ifunction import GiventalSeries, linear_factor
 
 
 class EmptyWindowError(ValueError):
@@ -190,9 +195,10 @@ class AppliedSeries:
     """Result of applying an operator to a truncated series.
 
     Only degrees in the validity window c1(d) <= bound are kept; outside it
-    the truncation would silently drop contributions.  coefficients contains
-    every window degree where the result could be nonzero (zero values are
-    kept so the object can itself be differentiated again).
+    the truncation would silently drop contributions.  coefficients maps
+    every window degree where the result could be nonzero to its nonzero
+    parts {weight: class at hbar = 1} (possibly none), so the object can
+    itself be differentiated again.
     """
     ring: object
     cm: object
@@ -201,21 +207,26 @@ class AppliedSeries:
     coefficients: dict
 
     def is_zero(self) -> bool:
-        return all(self.coefficients[d].is_zero() for d in self.degrees)
+        return not any(self.coefficients[d] for d in self.degrees)
 
 
-def _eval_poly(ring, omegas, poly, dprime):
-    """P(omega + dprime*hbar, hbar) as a Laurent polynomial."""
-    l = len(dprime)
-    factors = [linear_factor(ring, omegas[j], dprime[j]) for j in range(l)]
-    total = LaurentH.zero(ring)
-    for (t, h), c in poly.items():
-        val = LaurentH.unit(ring).scale(c)
-        for j in range(l):
-            for _ in range(t[j]):
-                val = val * factors[j]
-        total = total + val.shift(h)
-    return total
+def _theta_values(ring, l):
+    """Memoized value(d, t) = prod_j (omega_j + d_j)^t_j: theta^t on q^d at
+    hbar = 1, up to the factor q^d."""
+    omegas = [ring.omega_class(j) for j in range(l)]
+    cache = {}
+
+    def value(d, t):
+        key = (d, t)
+        if key not in cache:
+            j = next((j for j, x in enumerate(t) if x), None)
+            if j is None:
+                cache[key] = ring.one()
+            else:
+                lower = t[:j] + (t[j] - 1,) + t[j + 1:]
+                cache[key] = value(d, lower) * linear_factor(ring, omegas[j], d[j])
+        return cache[key]
+    return value
 
 
 def apply(op: DiffOp, series) -> AppliedSeries:
@@ -226,7 +237,17 @@ def apply(op: DiffOp, series) -> AppliedSeries:
     if cap < 0:
         raise EmptyWindowError("operator q-support exceeds the series truncation "
                                "(bound %d)" % series.bound)
-    omegas = [ring.omega_class(j) for j in range(cm.l)]
+    if isinstance(series, AppliedSeries):
+        sources = series.coefficients
+    else:
+        sources = {d: {0: r} for d, r in series.coefficients.items()}
+    blocks = {}  # q-exponent -> {weight: {theta exponent: coefficient}}
+    for e, poly in op.terms.items():
+        c1_e = cm.c1_degree(e)
+        by_weight = blocks.setdefault(e, {})
+        for (t, h), c in poly.items():
+            by_weight.setdefault(c1_e + sum(t) + h, {})[t] = c
+    theta_value = _theta_values(ring, cm.l)
     out_degrees = set(series.degrees)
     for d in series.degrees:
         for e in op.terms:
@@ -234,19 +255,20 @@ def apply(op: DiffOp, series) -> AppliedSeries:
     valid = sorted((d for d in out_degrees if cm.c1_degree(d) <= cap),
                    key=lambda d: (cm.c1_degree(d), d))
     coeffs = {}
-    eval_cache = {}
     for d in valid:
-        acc = LaurentH.zero(ring)
-        for e, poly in op.terms.items():
+        acc = {}
+        for e, by_weight in blocks.items():
             dp = tuple(a - b for a, b in zip(d, e))
-            r = series.coefficients.get(dp)
-            if r is None:
+            parts = sources.get(dp)
+            if parts is None:
                 continue
-            key = (dp, e)
-            if key not in eval_cache:
-                eval_cache[key] = _eval_poly(ring, omegas, poly, dp)
-            acc = acc + eval_cache[key] * r
-        coeffs[d] = acc
+            for w, poly in by_weight.items():
+                val = ring.zero()
+                for t, c in poly.items():
+                    val = val + theta_value(dp, t).scale(c)
+                for w0, cls in parts.items():
+                    acc[w + w0] = acc.get(w + w0, ring.zero()) + val * cls
+        coeffs[d] = {w: c for w, c in acc.items() if not c.is_zero()}
     return AppliedSeries(ring, cm, cap, tuple(valid), coeffs)
 
 
@@ -318,31 +340,23 @@ def find_annihilators(series: GiventalSeries, theta_order: int, q_degree: int,
             if cm.c1_degree(dd) <= cap:
                 out_degrees.add(dd)
     valid = sorted(out_degrees, key=lambda d: (cm.c1_degree(d), d))
-    omegas = [ring.omega_class(j) for j in range(l)]
-
-    base_cache = {}  # (source degree, theta exponent) -> evaluated Laurent
-
-    def base_value(dp, t):
-        key = (dp, t)
-        if key not in base_cache:
-            poly = {(t, 0): Fraction(1)}
-            base_cache[key] = _eval_poly(ring, omegas, poly, dp) * series.coefficients[dp]
-        return base_cache[key]
+    theta_value = _theta_values(ring, l)
+    base_cache = {}  # (source degree, theta exponent) -> class at hbar = 1
 
     col_vectors = []
     row_keys = set()
     for (e, t, h) in columns:
+        weight = cm.c1_degree(e) + sum(t) + h
         vec = {}
         for d in valid:
             dp = tuple(a - b for a, b in zip(d, e))
             if dp not in series.coefficients:
                 continue
-            val = base_value(dp, t).shift(h)
-            for hh, cls in val.terms.items():
-                for mono, c in cls.coeffs.items():
-                    key = (d, hh, mono)
-                    vec[key] = vec.get(key, Fraction(0)) + c
-        vec = {k: v for k, v in vec.items() if v}
+            if (dp, t) not in base_cache:
+                base_cache[dp, t] = theta_value(dp, t) * series.coefficients[dp]
+            shift = weight - cm.c1_degree(d)
+            for mono, c in base_cache[dp, t].coeffs.items():
+                vec[d, shift - sum(mono), mono] = c
         col_vectors.append(vec)
         row_keys.update(vec)
     rows = sorted(row_keys,

@@ -6,10 +6,17 @@ is the stabilized ratio of equivariant Euler classes
     R_d = prod_{a_k > 0} prod_{nu=1}^{a_k} (alpha_k + nu*hbar)^{-1}
           * prod_{a_k < 0} prod_{nu=a_k+1}^{0} (alpha_k + nu*hbar),
 
-a finite Laurent polynomial in hbar because every alpha_k is nilpotent: the
-inverse of (alpha + nu*hbar) with nu != 0 is the terminating series
-(nu*hbar)^{-1} sum_m (-alpha/(nu*hbar))^m.  Note the nu = 0 factor alpha_k
-that appears in the numerator when a_k < 0.
+a finite Laurent polynomial in hbar because every alpha_k is nilpotent.
+Note the nu = 0 factor alpha_k that appears in the numerator when a_k < 0.
+
+Weight rule.  Give q^e the weight c1(e), its anticanonical degree, a class
+of complex degree k the weight k, and hbar and each theta_j the weight 1.
+Every term q^d R_d has weight 0, and an operator term q^e theta^t hbar^h has
+weight w = c1(e) + |t| + h.  A value of one weight is therefore stored as
+a single cohomology class at hbar = 1: in the q^d coefficient of weight w,
+the monomial m carries hbar^(w - c1(d) - deg m).  At hbar = 1 the inverse
+of (alpha + nu*hbar), nu != 0, is the terminating series
+sum_p (-alpha)^p / nu^(p+1).
 
 The full series F = exp((t.omega)/hbar) sum_d q^d R_d carries a symbolic
 exponential prefactor; it is kept unexpanded (a flag on the series) and only
@@ -31,126 +38,35 @@ class StrictSignError(ValueError):
     """A divisor pairs negatively with the degree and general signs are off."""
 
 
-class LaurentH:
-    """Finite Laurent polynomial in hbar with cohomology-class coefficients."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: CohomRing, terms):
-        self.ring = ring
-        self.terms = {h: c for h, c in terms.items() if not c.is_zero()}
-
-    @classmethod
-    def unit(cls, ring):
-        return cls(ring, {0: ring.one()})
-
-    @classmethod
-    def zero(cls, ring):
-        return cls(ring, {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, h) -> CohomClass:
-        return self.terms.get(h, self.ring.zero())
-
-    def support(self):
-        return sorted(self.terms)
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentH) or other.ring is not self.ring:
-            return NotImplemented
-        out = dict(self.terms)
-        for h, c in other.terms.items():
-            out[h] = out.get(h, self.ring.zero()) + c
-        return LaurentH(self.ring, out)
-
-    def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c):
-        c = Fraction(c)
-        return LaurentH(self.ring, {h: v.scale(c) for h, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentH):
-            if other.ring is not self.ring:
-                return NotImplemented
-            out = {}
-            for h1, c1 in self.terms.items():
-                for h2, c2 in other.terms.items():
-                    prod = c1 * c2
-                    if prod.is_zero():
-                        continue
-                    h = h1 + h2
-                    out[h] = out.get(h, self.ring.zero()) + prod
-            return LaurentH(self.ring, out)
-        if isinstance(other, CohomClass):
-            return LaurentH(self.ring, {h: c * other for h, c in self.terms.items()})
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def shift(self, h0: int):
-        """Multiply by hbar**h0."""
-        if h0 == 0:
-            return self
-        return LaurentH(self.ring, {h + h0: c for h, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, LaurentH) and self.ring is other.ring
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash(frozenset((h, frozenset(c.coeffs.items()))
-                              for h, c in self.terms.items()))
-
-    def is_homogeneous(self, weight: int) -> bool:
-        """Check 2*(complex degree) + 2*(hbar exponent) == weight on all terms."""
-        for h, cls in self.terms.items():
-            for mono in cls.coeffs:
-                if 2 * sum(mono) + 2 * h != weight:
-                    return False
-        return True
-
-    def __repr__(self):
-        if not self.terms:
-            return "LaurentH(0)"
-        return "LaurentH(%s)" % ", ".join("hbar^%d: %r" % (h, self.terms[h])
-                                          for h in sorted(self.terms))
+def linear_factor(ring: CohomRing, cls: CohomClass, nu: int) -> CohomClass:
+    """The factor (cls + nu*hbar) at hbar = 1."""
+    return cls + ring.one().scale(nu)
 
 
-def linear_factor(ring: CohomRing, cls: CohomClass, nu: int) -> LaurentH:
-    """The factor (cls + nu*hbar)."""
-    terms = {0: cls}
-    if nu:
-        terms[1] = ring.one().scale(nu)
-    return LaurentH(ring, terms)
-
-
-def inverse_linear_factor(ring: CohomRing, cls: CohomClass, nu: int) -> LaurentH:
-    """Exact inverse of (cls + nu*hbar); needs nu != 0 and cls nilpotent."""
-    assert nu != 0, "cannot invert a factor with vanishing hbar part"
-    terms = {}
+def inverse_linear_factor(ring: CohomRing, cls: CohomClass, nu: int) -> CohomClass:
+    """Exact inverse of (cls + nu*hbar) at hbar = 1; needs nu != 0 and cls
+    nilpotent of degree one."""
+    if nu == 0:
+        raise ValueError("cannot invert a factor with vanishing hbar part")
+    out = ring.zero()
     power = ring.one()
     p = 0
     while not power.is_zero():
-        terms[-p - 1] = power.scale(Fraction((-1) ** p, nu ** (p + 1)))
+        out = out + power.scale(Fraction((-1) ** p, nu ** (p + 1)))
         power = power * cls
         p += 1
-    return LaurentH(ring, terms)
+    return out
 
 
 def euler_ratio(ring: CohomRing, cm: ChargeMatrix, degree,
-                allow_general_sign: bool = False) -> LaurentH:
-    """The coefficient R_degree of the series.
+                allow_general_sign: bool = False) -> CohomClass:
+    """The coefficient R_degree of the series, at hbar = 1.
 
     With allow_general_sign=False a negative pairing raises StrictSignError;
     with it on, negative pairings contribute the finite numerator product
     including the nu = 0 factor alpha_k.
     """
-    out = LaurentH.unit(ring)
+    out = ring.one()
     for k in range(cm.n):
         a_k = cm.pairing(degree, k)
         if a_k == 0:
@@ -169,14 +85,34 @@ def euler_ratio(ring: CohomRing, cm: ChargeMatrix, degree,
     return out
 
 
+def check_ratio(ring: CohomRing, cm: ChargeMatrix, degree, ratio: CohomClass) -> bool:
+    """Does ratio satisfy the defining identity of R_degree?
+
+        R_d * prod_{a_k>0} prod_{nu=1}^{a_k} (alpha_k + nu*hbar)
+            = prod_{a_k<0} prod_{nu=a_k+1}^{0} (alpha_k + nu*hbar)
+
+    Only the factors are multiplied, never inverted, so the check does not
+    reuse the inverse series that built the ratio.
+    """
+    lhs, rhs = ratio, ring.one()
+    for k in range(cm.n):
+        a_k = cm.pairing(degree, k)
+        alpha = ring.generator(k)
+        for nu in range(1, a_k + 1):
+            lhs = lhs * linear_factor(ring, alpha, nu)
+        for nu in range(a_k + 1, 1):
+            rhs = rhs * linear_factor(ring, alpha, nu)
+    return lhs == rhs
+
+
 @dataclass(frozen=True, eq=False)
 class GiventalSeries:
     """Truncation of F = exp((t.omega)/hbar) sum_d q^d R_d.
 
     coefficients maps each Mori degree with anticanonical degree <= bound to
-    its Laurent coefficient; has_prefactor records that the symbolic
-    exponential prefactor multiplies the whole series (it is expanded only
-    inside component()).
+    R_d as a class at hbar = 1 (see the weight rule above); has_prefactor
+    records that the symbolic exponential prefactor multiplies the whole
+    series (it is expanded only inside component()).
     """
     ring: CohomRing
     cm: ChargeMatrix
@@ -192,12 +128,7 @@ def build_f(ring: CohomRing, cm: ChargeMatrix, gens, bound: int,
     """Assemble the series over all Mori degrees with c1-degree <= bound."""
     from .toric import enumerate_degrees
     degrees = tuple(enumerate_degrees(gens, cm, bound))
-    coeffs = {}
-    for d in degrees:
-        r = euler_ratio(ring, cm, d, allow_general_sign)
-        # scaling dimension bookkeeping: 2*deg + 2*hbar-exp = -2 <c1, d>
-        assert r.is_homogeneous(-2 * cm.c1_degree(d))
-        coeffs[d] = r
+    coeffs = {d: euler_ratio(ring, cm, d, allow_general_sign) for d in degrees}
     return GiventalSeries(ring, cm, bound, degrees, coeffs,
                           general_sign=allow_general_sign)
 
@@ -209,6 +140,11 @@ def component(series: GiventalSeries, beta: int, log_order: int):
     nilpotency order brings in monomials in the formal symbols L_j = log q_j.
     Returns {degree: {(log multi-exponent, hbar exponent): Fraction}} keeping
     log monomials up to total order log_order.
+
+    The dual class is homogeneous, so for each log monomial t only the part
+    of R_d of degree deg T_beta - |t| reaches the top degree.  Its hbar
+    exponent -c1(d) - deg T_beta + |t|, shifted by the 1/hbar^|t| of the
+    prefactor, is -c1(d) - deg T_beta for every t.
     """
     if log_order < 0:
         raise ValueError("log_order must be nonnegative")
@@ -218,7 +154,8 @@ def component(series: GiventalSeries, beta: int, log_order: int):
     if not 0 <= beta < len(basis_classes):
         raise IndexError("beta out of range for the cohomology basis")
     dual = duals[beta]
-    prefactor = {}
+    deg_beta = sum(ring.basis[beta])
+    weighted = {}  # log monomial t -> omega^t / t! * dual
     for total in range(min(log_order, ring.top) + 1):
         for t in monomials(l, total):
             cls = ring.one()
@@ -229,17 +166,15 @@ def component(series: GiventalSeries, beta: int, log_order: int):
                     cls = cls * ring.omega_class(j)
             if cls.is_zero():
                 continue
-            prefactor[t] = cls.scale(Fraction(1, denom))
+            weighted[t] = cls.scale(Fraction(1, denom)) * dual
     out = {}
     for d in series.degrees:
-        entry = {}
+        h = -series.cm.c1_degree(d) - deg_beta
         r_d = series.coefficients[d]
-        for t, wcls in prefactor.items():
-            shift = sum(t)
-            for h, cls in r_d.terms.items():
-                val = ring.integrate(wcls * cls * dual)
-                if val:
-                    key = (t, h - shift)
-                    entry[key] = entry.get(key, Fraction(0)) + val
-        out[d] = {k: v for k, v in sorted(entry.items()) if v}
+        entry = {}
+        for t, wcls in weighted.items():
+            val = ring.integrate(r_d * wcls)
+            if val:
+                entry[(t, h)] = val
+        out[d] = dict(sorted(entry.items()))
     return out

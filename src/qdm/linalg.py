@@ -37,11 +37,6 @@ def transpose(mat):
     return [list(col) for col in zip(*mat)]
 
 
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def hermite_form(rows):
     """Row Hermite normal form of an integer matrix.
 

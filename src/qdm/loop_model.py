@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import serialize
-from .cohomology import CohomRing
-from .ifunction import LaurentH, euler_ratio, inverse_linear_factor, linear_factor
+from .cohomology import CohomClass, CohomRing
+from .ifunction import euler_ratio, inverse_linear_factor, linear_factor
 from .toric import ChargeMatrix, FanData
 
 
@@ -103,12 +103,13 @@ def critical_component(fan: FanData, cm: ChargeMatrix, lam, degree,
                         WeightSystem(tuple(sorted(positive)), tuple(sorted(negative))))
 
 
-def euler_ratio_n(ring: CohomRing, cm: ChargeMatrix, degree, modes: int) -> LaurentH:
+def euler_ratio_n(ring: CohomRing, cm: ChargeMatrix, degree, modes: int) -> CohomClass:
     """Ratio of negative-bundle Euler classes e(E_d) / e(E_0) at cutoff N.
 
     The positive-weight index sets of the two components are compared and
     common (k, nu) pairs cancelled symbolically; only the finitely many
-    leftover denominator factors are inverted.
+    leftover denominator factors are inverted.  The ratio is returned as a
+    class at hbar = 1, like euler_ratio.
     """
     needed = min_modes(cm, degree)
     if modes < needed:
@@ -123,11 +124,10 @@ def euler_ratio_n(ring: CohomRing, cm: ChargeMatrix, degree, modes: int) -> Laur
             pos_d.add((k, nu))
         for nu in range(1, modes + 1):
             pos_0.add((k, nu))
-    out = LaurentH.unit(ring)
+    out = ring.one()
     for k, nu in sorted(pos_d - pos_0):
         out = out * linear_factor(ring, ring.generator(k), nu)
-    for k, nu in sorted(pos_0 - pos_d):
-        assert nu != 0  # zero modes never end up in a denominator
+    for k, nu in sorted(pos_0 - pos_d):  # nu >= 1, so every inverse exists
         out = out * inverse_linear_factor(ring, ring.generator(k), nu)
     return out
 
@@ -162,7 +162,7 @@ def check_stabilization(ring: CohomRing, cm: ChargeMatrix, degree, mode_values,
         "critical_value": serialize.frac_str(value),
         "mode_checks": per_mode,
         "stable": all_match,
-        "ratio": serialize.laurent_json(stable),
+        "ratio": serialize.laurent_json(stable, cm.c1_degree(degree)),
     }
     if weights is not None:
         report["weights"] = {

@@ -16,15 +16,6 @@ def frac_str(x) -> str:
     return str(Fraction(x))
 
 
-def parse_frac(value) -> Fraction:
-    """Accepts ints and 'p/q' strings (as used in the JSON formats)."""
-    if isinstance(value, bool):
-        raise ValueError("expected a rational, got a boolean")
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise ValueError("expected an integer or 'p/q' string, got %r" % (value,))
-
-
 def mono_str(mono) -> str:
     """Monomial in the ray divisor generators, e.g. '1', 'x1*x3^2'."""
     parts = []
@@ -42,12 +33,19 @@ def class_json(cls) -> dict:
             for m in sorted(cls.coeffs, key=mono_key)}
 
 
-def laurent_json(lh) -> list:
-    return [{"hbar": h, "class": class_json(lh.terms[h])} for h in sorted(lh.terms)]
+def laurent_json(cls, c1) -> list:
+    """A q^d coefficient of weight 0, given as its class at hbar = 1 and
+    c1 = c1(d), as [{hbar, class}] in ascending hbar.  By the weight rule
+    the monomial m carries hbar^(-c1 - deg m)."""
+    by_hbar = {}
+    for m in sorted(cls.coeffs, key=mono_key):
+        by_hbar.setdefault(-c1 - sum(m), {})[mono_str(m)] = frac_str(cls.coeffs[m])
+    return [{"hbar": h, "class": by_hbar[h]} for h in sorted(by_hbar)]
 
 
 def series_json(series) -> list:
-    return [{"degree": list(d), "terms": laurent_json(series.coefficients[d])}
+    return [{"degree": list(d),
+             "terms": laurent_json(series.coefficients[d], series.cm.c1_degree(d))}
             for d in series.degrees]
 
 

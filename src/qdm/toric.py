@@ -60,6 +60,7 @@ class ChargeMatrix:
         return len(self.m[0])
 
     def pairing(self, degree, k) -> int:
+        """<alpha_k, d> = sum_j m[j][k] d_j for the k-th ray divisor (0-based k)."""
         return sum(self.m[j][k] * degree[j] for j in range(self.l))
 
     def c1_degree(self, degree) -> int:
@@ -67,12 +68,31 @@ class ChargeMatrix:
         return sum(self.pairing(degree, k) for k in range(self.n))
 
 
+def parse_frac(value) -> Fraction:
+    """Accepts ints, Fractions and 'p/q' strings (as used in the JSON formats)."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
+        raise ValueError("expected an integer or 'p/q' string, got %r" % (value,))
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (value,)) from None
+
+
+def _int_tuple(values):
+    """The entries as a tuple of genuine integers; floats, strings and
+    booleans are rejected rather than truncated."""
+    out = tuple(values)
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in out):
+        raise ValueError("expected integers, got %r" % (list(out),))
+    return out
+
+
 def make_fan(rays, max_cones, nef_basis=None) -> FanData:
     """Validate raw fan data and freeze it into a FanData."""
     if not rays:
         raise FanError("fan has no rays")
     try:
-        rays_t = tuple(tuple(int(x) for x in ray) for ray in rays)
+        rays_t = tuple(_int_tuple(ray) for ray in rays)
     except (TypeError, ValueError):
         raise FanError("ray entries must be integers") from None
     dim = len(rays_t[0])
@@ -95,7 +115,10 @@ def make_fan(rays, max_cones, nef_basis=None) -> FanData:
         raise FanError("fan has no maximal cones")
     cones = []
     for cone in max_cones:
-        idx = tuple(int(k) for k in cone)
+        try:
+            idx = _int_tuple(cone)
+        except (TypeError, ValueError):
+            raise FanError("maximal cone indices must be integers") from None
         if len(set(idx)) != len(idx):
             raise FanError("maximal cone %r repeats a ray" % (list(cone),))
         if any(k < 0 or k >= n for k in idx):
@@ -126,9 +149,10 @@ def make_fan(rays, max_cones, nef_basis=None) -> FanData:
 
     nef = None
     if nef_basis is not None:
-        rows = []
-        for vec in nef_basis:
-            rows.append(tuple(Fraction(x) for x in vec))
+        try:
+            rows = [tuple(parse_frac(x) for x in vec) for vec in nef_basis]
+        except (TypeError, ValueError):
+            raise FanError("nef_basis entries must be integers or 'p/q' strings") from None
         if any(len(r) != n for r in rows):
             raise FanError("each nef_basis vector needs one coefficient per ray")
         if len(rows) != n - dim:
@@ -151,13 +175,7 @@ def parse_fan(text: str) -> FanData:
         raise FanError("unknown fan file keys: %s" % ", ".join(sorted(unknown)))
     if "rays" not in data or "max_cones" not in data:
         raise FanError("fan file needs 'rays' and 'max_cones'")
-    nef = None
-    if data.get("nef_basis") is not None:
-        try:
-            nef = [[Fraction(x) for x in row] for row in data["nef_basis"]]
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise FanError("nef_basis entries must be integers or 'p/q' strings") from None
-    return make_fan(data["rays"], data["max_cones"], nef)
+    return make_fan(data["rays"], data["max_cones"], data.get("nef_basis"))
 
 
 def _ray_matrix(fan: FanData):
@@ -289,19 +307,10 @@ def charge_matrix(fan: FanData) -> ChargeMatrix:
         if any(v.denominator != 1 for v in map(Fraction, row)):
             raise NefBasisError("charge matrix is not integral in the chosen basis")
         m_rows.append(tuple(int(v) for v in row))
-    cm = ChargeMatrix(tuple(m_rows))
-    # every row is a relation among the rays, and every wall class is effective
-    for j in range(l):
-        for nu in range(fan.dim):
-            assert sum(cm.m[j][k] * fan.rays[k][nu] for k in range(fan.n_rays)) == 0
-    return cm
-
-
-def pairing(cm: ChargeMatrix, degree, k) -> int:
-    """<alpha_k, d> = sum_j m[j][k] d_j for the k-th ray divisor (0-based k)."""
-    if not 0 <= k < cm.n:
-        raise IndexError("divisor index out of range")
-    return cm.pairing(degree, k)
+    if any(sum(row[k] * fan.rays[k][nu] for k in range(fan.n_rays))
+           for row in m_rows for nu in range(fan.dim)):
+        raise FanError("charge matrix rows are not relations among the rays")
+    return ChargeMatrix(tuple(m_rows))
 
 
 def in_cone(degree, gens) -> bool:

@@ -1,11 +1,13 @@
 """End-to-end command line checks: exit codes, determinism, report shape."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from qdm import ifunction
 from qdm.cli import main
 
 from conftest import FAN_DIR
@@ -55,6 +57,47 @@ def test_bad_modes_option(capsys):
     assert main(["loop-model", fan_path("p1"), "--modes", "zz"]) == 2
     assert "bad --modes" in capsys.readouterr().err
     assert main(["loop-model", fan_path("p1"), "--modes", "3..1"]) == 2
+
+
+P2_TEXT = '{"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]}'
+
+
+@pytest.mark.parametrize("fan_text, argv, message", [
+    ('{"rays": [[1.5, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]}',
+     ["cohomology"], "ray entries must be integers"),
+    ('{"rays": [[true, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]}',
+     ["cohomology"], "ray entries must be integers"),
+    ('{"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 0.7], [1, 2], [0, 2]]}',
+     ["cohomology"], "cone indices must be integers"),
+    ('{"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]],'
+     ' "nef_basis": [[true, 0, 0]]}', ["cohomology"], "nef_basis entries"),
+    (P2_TEXT, ["ifunction", "--components", "9"], "--components index 9"),
+    (P2_TEXT, ["ifunction", "--components", "0,x"], "bad --components"),
+    (P2_TEXT, ["loop-model", "--degree", "-1"], "outside the Mori cone"),
+])
+def test_bad_input_is_one_error_line(tmp_path, capfd, fan_text, argv, message):
+    fan = tmp_path / "fan.json"
+    fan.write_text(fan_text)
+    assert main([argv[0], str(fan)] + argv[1:]) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert message in lines[0]
+
+
+def test_corrupted_coefficient_fails_the_ratio_check(monkeypatch, capsys):
+    exact = ifunction.euler_ratio
+
+    def corrupted(ring, cm, degree, allow_general_sign=False):
+        r = exact(ring, cm, degree, allow_general_sign)
+        return r + ring.generator(0) if degree == (2,) else r
+
+    monkeypatch.setattr(ifunction, "euler_ratio", corrupted)
+    code, report = run_json(capsys, ["ifunction", fan_path("p1")])
+    assert code == 1
+    assert report["homogeneous"] is False
+    assert report["ok"] is False
 
 
 def test_insufficient_modes_is_a_verification_failure(capsys):
@@ -185,3 +228,38 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["total_dimension"] == 4
+
+
+# ---------------------------------------------------------------------------
+# golden reports: SHA-256 of stdout and the exit code, pinned from a
+# reference run, so any change to a report's bytes shows up here
+
+GOLDEN = [
+    ("cohomology", ["p1"], 0, "81f1789fada1a5c08b86da3ff2eef7dfb5c5532f58995828a5b9dfdc3fbfc1af"),
+    ("cohomology", ["p2"], 0, "6a9f86d69f0d50f45af7db8638be2a1237a6f1019691e3c6ba82192160690dad"),
+    ("cohomology", ["p3"], 0, "7aeb1b380173e4bce7c9e5c874547f5691ebdeb0e414b935bf50cd72bca0c04b"),
+    ("cohomology", ["p1xp1"], 0, "e1761109b701d81e7ee16a34d7d4c7c33ea927cf60364379526796ee002e148c"),
+    ("cohomology", ["hirzebruch1"], 0,
+     "a6e2fa6dbee75914a10afc83a487bd0100d6bc48c9fa7e59f20ac3bd8cda7d5b"),
+    ("cohomology", ["dp2"], 0, "29031ac825cd4946093d64c8e69dd39a72e7338c44cddc7d733779a8b27eb282"),
+    ("ifunction", ["p1"], 0, "dc40e3833cb3d2c226e56c9e0956c882a88f1c1497062aa2db3dbb08b6544f1d"),
+    ("ifunction", ["p2"], 0, "278e9645fb4296c202154b9d1c4f2cc8862a22812aa240d0c57d7aaf2a6fafcc"),
+    ("ifunction", ["p1xp1", "--components", "0"], 0,
+     "45c69b4640fa4af121e6469b2e4f3f774d15a24bd58be1e870993cfffb294ce5"),
+    ("ifunction", ["hirzebruch1", "--allow-general-sign"], 0,
+     "5e1fb1a56f705a8c94dac50130718acbc3e81e748f7cd0228f57a22d05bb7247"),
+    ("ifunction", ["p3", "--components", "0"], 0,
+     "647422b63686a6121a8070d1fe34a4ab9b0ff06c896615b05f3af9b34bda5e56"),
+    ("loop-model", ["p2"], 0, "90fc7d0501d0d0daddfe60a27b0298b07b7c7e9885ae76174e1ee07a895e2951"),
+    ("loop-model", ["p1xp1"], 0, "eadf228b450fa368dee5a54bec000345e1c60d12db65b57e1f962abd85ac0043"),
+    ("operators", ["p1"], 0, "b6b0580ec78431e82650d1b9fc97f8cba6e040c098039e7ac37ed7f8a89c3cfc"),
+    ("operators", ["p1xp1"], 0, "60bbd9f0887e407e5507a16153d51f768a2e932403ae5fdbd54f3e35b65260b7"),
+]
+
+
+@pytest.mark.parametrize("command, args, code, digest", GOLDEN,
+                         ids=[" ".join([c] + a) for c, a, _, _ in GOLDEN])
+def test_golden_report_digest(capsys, command, args, code, digest):
+    assert main([command, fan_path(args[0])] + args[1:]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

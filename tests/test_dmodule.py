@@ -16,6 +16,7 @@ from qdm import (
     in_span,
     semiclassical,
 )
+from qdm.serialize import laurent_json
 
 
 # ---------------------------------------------------------------------------
@@ -106,26 +107,53 @@ def test_apply_theta_projective_line(corpus):
     assert out.bound == 4
     assert out.degrees == ((0,), (1,), (2,))
     omega = ring.omega_class(0)
+    # theta has weight 1, so each output class is read back with c1(d) - 1
     # degree 0: theta picks out omega/hbar^0 from the prefactor shift
     c0 = out.coefficients[(0,)]
-    assert c0.support() == [0]
-    assert c0.coefficient(0) == omega
+    assert c0 == {1: omega}
+    assert laurent_json(c0[1], -1) == [{"hbar": 0, "class": {"x2": "1"}}]
     # degree 1: (omega + hbar) * (hbar^-2 - 2 omega hbar^-3) = hbar^-1 - omega hbar^-2
     c1 = out.coefficients[(1,)]
-    assert c1.support() == [-2, -1]
-    assert c1.coefficient(-1) == ring.one()
-    assert c1.coefficient(-2) == omega.scale(-1)
+    assert c1 == {1: ring.one() - omega}
+    assert laurent_json(c1[1], cm.c1_degree((1,)) - 1) == [
+        {"hbar": -2, "class": {"x2": "-1"}},
+        {"hbar": -1, "class": {"1": "1"}},
+    ]
 
 
 def test_apply_is_linear(corpus):
     _fan, cm, ring, gens = corpus["p1"]
     series = build_f(ring, cm, gens, 6)
     a = DiffOp.theta(1, 0) * DiffOp.theta(1, 0)
-    b = DiffOp.hbar(1) * DiffOp.theta(1, 0) + DiffOp.q_power(1, (1,)).scale(-3)
+    b = (DiffOp.hbar(1) * DiffOp.theta(1, 0) + DiffOp.q_power(1, (1,)).scale(-3)
+         + DiffOp.theta(1, 0))
     combined = apply(a + b, series)
     fa, fb = apply(a, series), apply(b, series)
+    # a has weight 2; b has weights 2, 2 (q has weight c1 = 2 on the line) and 1
     for d in combined.degrees:
-        assert combined.coefficients[d] == fa.coefficients[d] + fb.coefficients[d]
+        weights = set(fa.coefficients[d]) | set(fb.coefficients[d])
+        assert set(combined.coefficients[d]) <= weights
+        for w in weights:
+            want = (fa.coefficients[d].get(w, ring.zero())
+                    + fb.coefficients[d].get(w, ring.zero()))
+            assert combined.coefficients[d].get(w, ring.zero()) == want, (d, w)
+
+
+def test_apply_keeps_weights_apart(corpus):
+    # at hbar = 1 both theta - hbar and theta - 1 act on q^d R_d as
+    # (omega + d - 1) R_d; only the first is homogeneous (weight 1), the
+    # second has parts of weights 1 and 0 that must stay apart
+    _fan, cm, ring, gens = corpus["p1"]
+    series = build_f(ring, cm, gens, 4)
+    theta, hbar, one = DiffOp.theta(1, 0), DiffOp.hbar(1), DiffOp.identity(1)
+    homogeneous = apply(theta - hbar, series)
+    mixed = apply(theta - one, series)
+    for d in mixed.degrees:
+        r_d = series.coefficients[d]
+        assert set(homogeneous.coefficients[d]) == {1}, d
+        assert mixed.coefficients[d] == {0: r_d.scale(-1),
+                                         1: homogeneous.coefficients[d][1] + r_d}, d
+    assert not mixed.is_zero()
 
 
 def test_apply_composition_matches_nesting(corpus):
@@ -158,7 +186,7 @@ def test_apply_keeps_zero_coefficients(corpus):
     assert out.is_zero()
     assert out.degrees == ((0,), (1,), (2,))
     for d in out.degrees:
-        assert out.coefficients[d].is_zero()
+        assert out.coefficients[d] == {}
 
 
 # ---------------------------------------------------------------------------

@@ -5,56 +5,39 @@ from fractions import Fraction
 import pytest
 
 from qdm import (
-    LaurentH,
     StrictSignError,
     build_f,
+    check_ratio,
     component,
     enumerate_degrees,
     euler_ratio,
     inverse_linear_factor,
     linear_factor,
 )
+from qdm.serialize import laurent_json
 
-
-def one(ring):
-    return LaurentH.unit(ring)
+from conftest import ratio_at, rescaled
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in hbar
-
-
-def test_laurent_basics(corpus):
-    _fan, _cm, ring, _gens = corpus["p1"]
-    h = ring.generator(0)
-    a = LaurentH(ring, {0: ring.one(), -2: h.scale(3)})
-    assert a.support() == [-2, 0]
-    assert a.coefficient(0) == ring.one()
-    assert a.coefficient(-2) == h.scale(3)
-    assert a.coefficient(5).is_zero()
-    assert not a.is_zero()
-    assert LaurentH.zero(ring).is_zero()
-    assert a + LaurentH.zero(ring) == a
-    assert (a - a).is_zero()
-    assert a.scale(2) == a + a
-    assert a.shift(2).support() == [0, 2]
-    assert 2 * a == a.scale(2)
+# linear factors at hbar = 1
 
 
 def test_laurent_products(corpus):
+    # (h + hbar)(-h + 2 hbar) = -h^2 + h*hbar + 2 hbar^2 has weight 2; read
+    # back with c1 = -2, the monomial m carries hbar^(2 - deg m)
     _fan, _cm, ring, _gens = corpus["p2"]
     h = ring.generator(2)
-    a = linear_factor(ring, h, 1)          # h + hbar
-    b = linear_factor(ring, h.scale(-1), 2)  # -h + 2 hbar
-    prod = a * b
-    # (h + hbar)(-h + 2 hbar) = -h^2 + h*hbar + 2 hbar^2
-    assert prod.coefficient(0) == (h * h).scale(-1)
-    assert prod.coefficient(1) == h
-    assert prod.coefficient(2) == ring.one().scale(2)
-    # multiplication by a bare class and by a scalar
-    assert (a * h).coefficient(0) == h * h
-    assert (a * h).coefficient(1) == h
-    assert a * Fraction(1, 2) == a.scale(Fraction(1, 2))
+    a = linear_factor(ring, h, 1)
+    b = linear_factor(ring, h.scale(-1), 2)
+    assert a == h + ring.one()
+    assert a * b == (h * h).scale(-1) + h + ring.one().scale(2)
+    assert laurent_json(a * b, -2) == [
+        {"hbar": 0, "class": {"x3^2": "-1"}},
+        {"hbar": 1, "class": {"x3": "1"}},
+        {"hbar": 2, "class": {"1": "2"}},
+    ]
+    assert linear_factor(ring, h, 0) == h
 
 
 def test_inverse_linear_factor_multiplies_back(corpus):
@@ -64,20 +47,22 @@ def test_inverse_linear_factor_multiplies_back(corpus):
             for nu in (1, 2, -3):
                 cls = ring.generator(k)
                 inv = inverse_linear_factor(ring, cls, nu)
-                assert inv * linear_factor(ring, cls, nu) == one(ring), (name, k, nu)
+                assert inv * linear_factor(ring, cls, nu) == ring.one(), (name, k, nu)
 
 
 def test_inverse_linear_factor_needs_nonzero_hbar_part(corpus):
     _fan, _cm, ring, _gens = corpus["p1"]
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="vanishing hbar part"):
         inverse_linear_factor(ring, ring.generator(0), 0)
 
 
 def test_homogeneity_flag(corpus):
+    # check_ratio holds for the true ratio and fails once a coefficient changes
     _fan, cm, ring, _gens = corpus["p1"]
     r1 = euler_ratio(ring, cm, (1,))
-    assert r1.is_homogeneous(-4)
-    assert not r1.is_homogeneous(0)
+    assert check_ratio(ring, cm, (1,), r1)
+    assert not check_ratio(ring, cm, (1,), r1 + ring.generator(0))
+    assert not check_ratio(ring, cm, (2,), r1)
 
 
 # ---------------------------------------------------------------------------
@@ -88,16 +73,32 @@ def test_projective_line_ratio(corpus):
     # both pairings are 1, so R_1 = (hbar^-1 - H hbar^-2)^2 with H^2 = 0
     _fan, cm, ring, _gens = corpus["p1"]
     r1 = euler_ratio(ring, cm, (1,))
-    assert r1.support() == [-3, -2]
-    assert r1.coefficient(-2) == ring.one()
-    assert r1.coefficient(-3) == ring.generator(0).scale(-2)
+    assert r1 == ring.one() + ring.generator(0).scale(-2)
+    assert laurent_json(r1, cm.c1_degree((1,))) == [
+        {"hbar": -3, "class": {"x2": "-2"}},
+        {"hbar": -2, "class": {"1": "1"}},
+    ]
 
 
 def test_projective_line_ratio_degree_two(corpus):
     _fan, cm, ring, _gens = corpus["p1"]
     r2 = euler_ratio(ring, cm, (2,))
-    assert r2.coefficient(-4) == ring.one().scale(Fraction(1, 4))
-    assert r2.coefficient(-5) == ring.generator(0).scale(Fraction(-3, 4))
+    assert r2 == ring.one().scale(Fraction(1, 4)) + ring.generator(0).scale(Fraction(-3, 4))
+    assert laurent_json(r2, cm.c1_degree((2,))) == [
+        {"hbar": -5, "class": {"x2": "-3/4"}},
+        {"hbar": -4, "class": {"1": "1/4"}},
+    ]
+
+
+def test_projective_plane_ratio(corpus):
+    # R_1 = (H + hbar)^-3 = hbar^-3 - 3 H hbar^-4 + 6 H^2 hbar^-5
+    _fan, cm, ring, _gens = corpus["p2"]
+    r1 = euler_ratio(ring, cm, (1,))
+    assert laurent_json(r1, cm.c1_degree((1,))) == [
+        {"hbar": -5, "class": {"x3^2": "6"}},
+        {"hbar": -4, "class": {"x3": "-3"}},
+        {"hbar": -3, "class": {"1": "1"}},
+    ]
 
 
 def test_hirzebruch_ratio_with_negative_pairing(corpus):
@@ -105,10 +106,12 @@ def test_hirzebruch_ratio_with_negative_pairing(corpus):
     # class of the second ray, which reduces to x3 - x2
     _fan, cm, ring, _gens = corpus["hirzebruch1"]
     r = euler_ratio(ring, cm, (1, 0), allow_general_sign=True)
-    assert r.support() == [-3, -2]
-    assert r.coefficient(-2) == ring.generator(1)
-    assert r.coefficient(-2).coeffs == {(0, 0, 0, 1): 1, (0, 0, 1, 0): -1}
-    assert r.coefficient(-3).coeffs == {(0, 0, 0, 2): -2}
+    assert ring.generator(1).coeffs == {(0, 0, 0, 1): 1, (0, 0, 1, 0): -1}
+    assert r.coeffs == {(0, 0, 0, 1): 1, (0, 0, 1, 0): -1, (0, 0, 0, 2): -2}
+    assert laurent_json(r, cm.c1_degree((1, 0))) == [
+        {"hbar": -3, "class": {"x4^2": "-2"}},
+        {"hbar": -2, "class": {"x3": "-1", "x4": "1"}},
+    ]
 
 
 def test_strict_mode_rejects_negative_pairings(corpus):
@@ -127,7 +130,8 @@ def test_ratio_multiplies_back_to_sign_product(corpus):
         _fan, cm, ring, gens = corpus[name]
         for d in enumerate_degrees(gens, cm, 4):
             lhs = euler_ratio(ring, cm, d, allow_general_sign=general)
-            rhs = one(ring)
+            assert check_ratio(ring, cm, d, lhs), (name, d)
+            rhs = ring.one()
             for k in range(cm.n):
                 a_k = cm.pairing(d, k)
                 alpha = ring.generator(k)
@@ -149,15 +153,19 @@ def test_build_f_structure(corpus):
     assert series.degrees == tuple(enumerate_degrees(gens, cm, 4))
     assert series.has_prefactor
     assert not series.general_sign
-    assert series.coefficients[(0, 0)] == one(ring)
+    assert series.coefficients[(0, 0)] == ring.one()
 
 
 def test_build_f_homogeneity(corpus):
+    # R_d is homogeneous: its value at hbar = 2 or 3, built from the factors,
+    # is the hbar = 1 class with each monomial m scaled by hbar^(-c1 - deg m)
     for name, (_fan, cm, ring, gens) in corpus.items():
         series = build_f(ring, cm, gens, 6, allow_general_sign=True)
         for d in series.degrees:
-            weight = -2 * cm.c1_degree(d)
-            assert series.coefficients[d].is_homogeneous(weight), (name, d)
+            for hbar in (2, 3):
+                want = ratio_at(ring, cm, d, hbar)
+                got = rescaled(series.coefficients[d], cm.c1_degree(d), hbar)
+                assert got == want, (name, d, hbar)
 
 
 def test_component_projective_line(corpus):

@@ -6,6 +6,7 @@ import pytest
 
 from qdm import DiffOp, QuantumRelation, euler_ratio, gkz_operator, semiclassical
 from qdm import serialize
+from qdm.toric import parse_frac
 
 
 def test_frac_str():
@@ -16,15 +17,14 @@ def test_frac_str():
 
 
 def test_parse_frac():
-    assert serialize.parse_frac(3) == Fraction(3)
-    assert serialize.parse_frac("2/5") == Fraction(2, 5)
-    assert serialize.parse_frac("-7") == Fraction(-7)
-    with pytest.raises(ValueError):
-        serialize.parse_frac(True)
-    with pytest.raises(ValueError):
-        serialize.parse_frac(1.5)
+    assert parse_frac(3) == Fraction(3)
+    assert parse_frac("2/5") == Fraction(2, 5)
+    assert parse_frac("-7") == Fraction(-7)
+    for bad in (True, 1.5, None, [1], "x", "1/0"):
+        with pytest.raises(ValueError):
+            parse_frac(bad)
     value = Fraction(-22, 7)
-    assert serialize.parse_frac(serialize.frac_str(value)) == value
+    assert parse_frac(serialize.frac_str(value)) == value
 
 
 def test_mono_str():
@@ -44,7 +44,7 @@ def test_class_json_ordering(corpus):
 def test_laurent_json(corpus):
     _fan, cm, ring, _gens = corpus["p1"]
     r1 = euler_ratio(ring, cm, (1,))
-    assert serialize.laurent_json(r1) == [
+    assert serialize.laurent_json(r1, cm.c1_degree((1,))) == [
         {"hbar": -3, "class": {"x2": "-2"}},
         {"hbar": -2, "class": {"1": "1"}},
     ]

@@ -11,7 +11,6 @@ from qdm import (
     in_cone,
     make_fan,
     mori_generators,
-    pairing,
     parse_fan,
     wall_relations,
 )
@@ -50,8 +49,16 @@ def test_rejects_zero_ray():
 
 
 def test_rejects_non_integer_ray():
-    with pytest.raises(FanError, match="integers"):
-        make_fan([["a"], [-1]], [[0], [1]])
+    # entries are not coerced: int() would truncate 1.5 to 1 and accept True
+    for entry in ("a", 1.5, True, "1"):
+        with pytest.raises(FanError, match="integers"):
+            make_fan([[entry], [-1]], [[0], [1]])
+
+
+def test_rejects_non_integer_cone_index():
+    for cone in ([0, 0.7], [0, True], [0, "1"], 1):
+        with pytest.raises(FanError, match="cone indices must be integers"):
+            make_fan(P2_RAYS, [cone, [1, 2], [0, 2]])
 
 
 def test_rejects_mixed_ray_lengths():
@@ -126,11 +133,12 @@ def test_parse_rejects_missing_sections():
 
 
 def test_parse_rejects_bad_nef_entries():
-    text = ('{"rays": [[1, 0], [0, 1], [-1, -1]],'
-            ' "max_cones": [[0, 1], [1, 2], [0, 2]],'
-            ' "nef_basis": [["x", 0, 0]]}')
-    with pytest.raises(FanError, match="nef_basis entries"):
-        parse_fan(text)
+    for entry in ('"x"', "true", "0.5", "null", '"1/0"'):
+        text = ('{"rays": [[1, 0], [0, 1], [-1, -1]],'
+                ' "max_cones": [[0, 1], [1, 2], [0, 2]],'
+                ' "nef_basis": [[%s, 0, 0]]}' % entry)
+        with pytest.raises(FanError, match="nef_basis entries"):
+            parse_fan(text)
 
 
 def test_nef_basis_vector_length_checked():
@@ -240,10 +248,10 @@ def test_degree_six_del_pezzo_with_explicit_basis():
 
 def test_pairing_values(corpus):
     _fan, cm, _ring, _gens = corpus["p2"]
-    assert [pairing(cm, (2,), k) for k in range(3)] == [2, 2, 2]
+    assert [cm.pairing((2,), k) for k in range(3)] == [2, 2, 2]
     assert cm.c1_degree((2,)) == 6
     _fan, cm, _ring, _gens = corpus["hirzebruch1"]
-    assert [pairing(cm, (1, 1), k) for k in range(4)] == [1, 0, 1, 1]
+    assert [cm.pairing((1, 1), k) for k in range(4)] == [1, 0, 1, 1]
     assert cm.c1_degree((1, 0)) == 1
     assert cm.c1_degree((0, 1)) == 2
 
@@ -251,7 +259,7 @@ def test_pairing_values(corpus):
 def test_pairing_index_out_of_range(corpus):
     _fan, cm, _ring, _gens = corpus["p2"]
     with pytest.raises(IndexError):
-        pairing(cm, (1,), 3)
+        cm.pairing((1,), 3)
 
 
 # ---------------------------------------------------------------------------

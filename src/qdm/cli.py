@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -19,6 +20,8 @@ from .dmodule import EmptyWindowError
 from .ifunction import StrictSignError
 from .loop_model import ComponentAbsentError
 from .toric import FanError, NefBasisError
+
+_INT_FIELD = re.compile(r"-?[0-9]+")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,16 +69,20 @@ def _load(args):
     return fan, cm, ring
 
 
+def _int_field(part, option, raw):
+    """One integer field of an option value: an optional minus sign and
+    ASCII digits.  int() alone would also take '_', '+' and spaces."""
+    if not _INT_FIELD.fullmatch(part):
+        raise ValueError("bad %s value %r" % (option, raw))
+    return int(part)
+
+
 def _parse_degrees(args, cm):
     if args.degree is None:
         return None
     out = []
     for raw in args.degree:
-        parts = [p for p in raw.split(",") if p != ""]
-        try:
-            d = tuple(int(p) for p in parts)
-        except ValueError:
-            raise ValueError("bad --degree value %r" % raw) from None
+        d = tuple(_int_field(p, "--degree", raw) for p in raw.split(","))
         if len(d) != cm.l:
             raise ValueError("--degree needs %d comma-separated integers" % cm.l)
         out.append(d)
@@ -85,10 +92,7 @@ def _parse_degrees(args, cm):
 def _parse_components(raw, size):
     out = []
     for part in raw.split(","):
-        try:
-            beta = int(part)
-        except ValueError:
-            raise ValueError("bad --components value %r" % raw) from None
+        beta = _int_field(part, "--components", raw)
         if not 0 <= beta < size:
             raise ValueError("--components index %d is outside the basis 0..%d"
                              % (beta, size - 1))
@@ -99,18 +103,9 @@ def _parse_components(raw, size):
 def _parse_modes(raw):
     if raw is None:
         return None
-    text = raw.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        try:
-            lo, hi = int(lo), int(hi)
-        except ValueError:
-            raise ValueError("bad --modes value %r" % raw) from None
-    else:
-        try:
-            lo = hi = int(text)
-        except ValueError:
-            raise ValueError("bad --modes value %r" % raw) from None
+    lo, sep, hi = raw.strip().partition("..")
+    lo = _int_field(lo, "--modes", raw)
+    hi = _int_field(hi, "--modes", raw) if sep else lo
     if hi < lo:
         raise ValueError("--modes range is empty")
     return list(range(lo, hi + 1))
@@ -290,8 +285,12 @@ def main(argv=None) -> int:
     else:
         text = serialize.render_text(report) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print("error: cannot write the report: %s" % exc, file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if ok else 1

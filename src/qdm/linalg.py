@@ -2,12 +2,25 @@
 
 Everything operates on plain lists of Python ints or Fractions.  No floating
 point is introduced anywhere; results are exact.
+
+Rational elimination has one kernel, `_reduce`.  It clears each nonzero
+input row to coprime integers (`primitive_vector`); each pivot row then
+clears its column in every other row, above and below, by cross-
+multiplication followed by division by the row gcd.  It returns the integer
+rows of the reduced row echelon form and the pivot columns.  That form is
+unique, so `rref`, `nullspace`, `solve_columns` and `invert` read their
+Fraction answers off the integer rows, dividing by a pivot entry only
+where an answer needs it.
+
+`hermite_form`, `integer_kernel` and `int_det` stay outside the kernel:
+lattice work needs unimodular row transforms and a signed determinant,
+which rational row scaling does not preserve.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def vector_gcd(v) -> int:
@@ -18,7 +31,12 @@ def vector_gcd(v) -> int:
 
 
 def primitive_vector(v):
-    """Divide out the gcd and make the first nonzero entry positive."""
+    """The coprime integer vector on the ray of v, first nonzero entry positive.
+
+    Entries may be ints or Fractions.
+    """
+    den = lcm(*(x.denominator for x in v))
+    v = [x.numerator * (den // x.denominator) for x in v]
     g = vector_gcd(v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
@@ -122,84 +140,61 @@ def int_det(mat) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _reduce(rows, width):
+    """Fraction-free Gauss-Jordan elimination on the first width columns.
+
+    Returns (int_rows, pivot_columns): the rows of the reduced row echelon
+    form, each a coprime integer multiple of the Fraction one, with zero
+    rows dropped.
+    """
+    mat = [list(primitive_vector(row)) for row in rows if any(row)]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        if r == len(mat):
+            break
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        prow = mat[r]
+        a = prow[c]
+        for i, row in enumerate(mat):
+            b = row[c]
+            if b and i != r:
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                g = vector_gcd(row)
+                mat[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+    return mat[:len(pivots)], pivots
+
+
 def rref(rows, width):
     """Reduced row echelon form over exact rationals.
 
     Returns (reduced_rows, pivot_columns); zero rows are dropped.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(width):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def _scaled_int_row(row):
-    fr = [Fraction(x) for x in row]
-    if all(x == 0 for x in fr):
-        return None
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = vector_gcd(ints)
-    return [x // g for x in ints]
+    red, pivots = _reduce(rows, width)
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(red, pivots)], pivots
 
 
 def nullspace(rows, width):
     """Basis of the rational nullspace {x : rows @ x = 0}.
 
-    Forward elimination is fraction-free: every row is scaled to coprime
-    integers and updated by cross-multiplication followed by a gcd
-    reduction, so no division occurs before back substitution.
+    One vector per free column f, with x[f] = 1 and the other free
+    coordinates 0.
     """
-    mat = []
-    for row in rows:
-        scaled = _scaled_int_row(row)
-        if scaled is not None:
-            mat.append(scaled)
-    pivots = []
-    r = 0
-    for c in range(width):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(r + 1, len(mat)):
-            if mat[i][c]:
-                a, b = mat[r][c], mat[i][c]
-                mat[i] = [a * x - b * y for x, y in zip(mat[i], mat[r])]
-                g = vector_gcd(mat[i])
-                if g > 1:
-                    mat[i] = [x // g for x in mat[i]]
-        pivots.append((r, c))
-        r += 1
-        if r == len(mat):
-            break
-    pivot_cols = {c for _, c in pivots}
+    red, pivots = _reduce(rows, width)
+    pivot_set = set(pivots)
     basis = []
     for free in range(width):
-        if free in pivot_cols:
+        if free in pivot_set:
             continue
         x = [Fraction(0)] * width
         x[free] = Fraction(1)
-        for rr, cc in reversed(pivots):
-            s = sum((mat[rr][j] * x[j] for j in range(cc + 1, width)), Fraction(0))
-            x[cc] = -s / mat[rr][cc]
+        for row, c in zip(red, pivots):
+            if row[free]:
+                x[c] = Fraction(-row[free], row[c])
         basis.append(x)
     return basis
 
@@ -211,23 +206,22 @@ def solve_columns(cols, target):
     """
     if not cols:
         return [] if all(t == 0 for t in target) else None
-    height = len(cols[0])
-    rows = [[col[i] for col in cols] + [target[i]] for i in range(height)]
-    red, pivots = rref(rows, len(cols) + 1)
-    if len(cols) in pivots:
+    n = len(cols)
+    rows = [[col[i] for col in cols] + [target[i]] for i in range(len(cols[0]))]
+    red, pivots = _reduce(rows, n + 1)
+    if n in pivots:
         return None
-    x = [Fraction(0)] * len(cols)
+    x = [Fraction(0)] * n
     for row, c in zip(red, pivots):
-        x[c] = row[-1]
+        x[c] = Fraction(row[n], row[c])
     return x
 
 
 def invert(mat):
     """Exact inverse of a square matrix over the rationals, or None if singular."""
     n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(mat)]
-    red, pivots = rref(aug, 2 * n)
-    if pivots[:n] != list(range(n)):
+    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(mat)]
+    red, pivots = _reduce(aug, n)
+    if len(pivots) < n:
         return None
-    return [row[n:] for row in red[:n]]
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(red)]

@@ -19,7 +19,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
 
 from . import linalg
 
@@ -240,10 +239,7 @@ def _dual_cone_rays(wall_coords, l):
         null = linalg.nullspace([list(c) for c in sub], l)
         if len(null) != 1:
             continue
-        den = 1
-        for x in null[0]:
-            den = den * x.denominator // gcd(den, x.denominator)
-        cand = linalg.primitive_vector([int(x * den) for x in null[0]])
+        cand = linalg.primitive_vector(null[0])
         for sign in (1, -1):
             y = tuple(sign * x for x in cand)
             if all(sum(a * b for a, b in zip(y, c)) >= 0 for c in wall_coords):

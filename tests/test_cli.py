@@ -60,6 +60,8 @@ def test_bad_modes_option(capsys):
 
 
 P2_TEXT = '{"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]}'
+P1XP1_TEXT = ('{"rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],'
+              ' "max_cones": [[0, 2], [2, 1], [1, 3], [3, 0]]}')
 
 
 @pytest.mark.parametrize("fan_text, argv, message", [
@@ -74,8 +76,14 @@ P2_TEXT = '{"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0
     (P2_TEXT, ["ifunction", "--components", "9"], "--components index 9"),
     (P2_TEXT, ["ifunction", "--components", "0,x"], "bad --components"),
     (P2_TEXT, ["loop-model", "--degree", "-1"], "outside the Mori cone"),
+    (P1XP1_TEXT, ["loop-model", "--degree", "1,,0"], "bad --degree"),
+    (P1XP1_TEXT, ["loop-model", "--degree", "1_0,0"], "bad --degree"),
+    (P2_TEXT, ["loop-model", "--modes", "1_0"], "bad --modes"),
+    (P2_TEXT, ["cohomology", "--out", "no-such-dir/report.json"], "cannot write the report"),
+    (P2_TEXT, ["cohomology", "--out", "."], "cannot write the report"),
 ])
-def test_bad_input_is_one_error_line(tmp_path, capfd, fan_text, argv, message):
+def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capfd, fan_text, argv, message):
+    monkeypatch.chdir(tmp_path)  # so relative --out paths resolve inside tmp_path
     fan = tmp_path / "fan.json"
     fan.write_text(fan_text)
     assert main([argv[0], str(fan)] + argv[1:]) == 2
@@ -242,6 +250,9 @@ GOLDEN = [
     ("cohomology", ["hirzebruch1"], 0,
      "a6e2fa6dbee75914a10afc83a487bd0100d6bc48c9fa7e59f20ac3bd8cda7d5b"),
     ("cohomology", ["dp2"], 0, "29031ac825cd4946093d64c8e69dd39a72e7338c44cddc7d733779a8b27eb282"),
+    ("cohomology", ["p4"], 0, "87a7c5189a448f9907132d70d2c527b15e29c507804abfa13680a18a80b5b940"),
+    ("cohomology", ["p2xp2_sheared"], 0,
+     "4df8d553a07c0c096531919d25fdab71e121a6233274609a11ad1cedcc508f8d"),
     ("ifunction", ["p1"], 0, "dc40e3833cb3d2c226e56c9e0956c882a88f1c1497062aa2db3dbb08b6544f1d"),
     ("ifunction", ["p2"], 0, "278e9645fb4296c202154b9d1c4f2cc8862a22812aa240d0c57d7aaf2a6fafcc"),
     ("ifunction", ["p1xp1", "--components", "0"], 0,

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -115,3 +116,169 @@ def test_primitive_vector():
     assert linalg.primitive_vector([-3, 0]) == (1, 0)
     with pytest.raises(ValueError):
         linalg.primitive_vector([0, 0])
+    assert linalg.primitive_vector([Fraction(1, 2), Fraction(-1, 3)]) == (3, -2)
+    assert linalg.primitive_vector([0, Fraction(-4, 6), 2]) == (0, 1, -3)
+    assert linalg.primitive_vector([Fraction(6), 4]) == (3, 2)
+    assert all(type(x) is int for x in linalg.primitive_vector([Fraction(6), 4]))
+    with pytest.raises(ValueError):
+        linalg.primitive_vector([Fraction(0), 0])
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel against the Fraction Gauss-Jordan it replaced
+
+
+def reference_rref(rows, width):
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(width):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = mat[r][c]
+        mat[r] = [x / inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def reference_nullspace(rows, width):
+    """Fraction-free forward elimination, then Fraction back substitution."""
+    mat = []
+    for row in rows:
+        fr = [Fraction(x) for x in row]
+        if any(fr):
+            den = 1
+            for x in fr:
+                den = den * x.denominator // math.gcd(den, x.denominator)
+            ints = [int(x * den) for x in fr]
+            g = linalg.vector_gcd(ints)
+            mat.append([x // g for x in ints])
+    pivots = []
+    r = 0
+    for c in range(width):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        for i in range(r + 1, len(mat)):
+            if mat[i][c]:
+                a, b = mat[r][c], mat[i][c]
+                mat[i] = [a * x - b * y for x, y in zip(mat[i], mat[r])]
+                g = linalg.vector_gcd(mat[i])
+                if g > 1:
+                    mat[i] = [x // g for x in mat[i]]
+        pivots.append((r, c))
+        r += 1
+        if r == len(mat):
+            break
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for free in range(width):
+        if free in pivot_cols:
+            continue
+        x = [Fraction(0)] * width
+        x[free] = Fraction(1)
+        for rr, cc in reversed(pivots):
+            s = sum((mat[rr][j] * x[j] for j in range(cc + 1, width)), Fraction(0))
+            x[cc] = -s / mat[rr][cc]
+        basis.append(x)
+    return basis
+
+
+def reference_solve_columns(cols, target):
+    if not cols:
+        return [] if all(t == 0 for t in target) else None
+    height = len(cols[0])
+    rows = [[col[i] for col in cols] + [target[i]] for i in range(height)]
+    red, pivots = reference_rref(rows, len(cols) + 1)
+    if len(cols) in pivots:
+        return None
+    x = [Fraction(0)] * len(cols)
+    for row, c in zip(red, pivots):
+        x[c] = row[-1]
+    return x
+
+
+def reference_invert(mat):
+    n = len(mat)
+    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+           for i, row in enumerate(mat)]
+    red, pivots = reference_rref(aug, 2 * n)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in red[:n]]
+
+
+def assert_same(got, want):
+    """Equal entry for entry, and every entry a Fraction, as the reference."""
+    assert got == want
+    if got is not None:
+        flat = [x for row in got for x in row] if got and isinstance(got[0], list) else got
+        assert all(type(x) is Fraction for x in flat)
+
+
+def random_matrix(rng, height, width):
+    """Rank-deficient by construction half the time, with zero and repeated
+    rows mixed in, and Fraction, negative and int entries."""
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        if rng.random() < 0.5:
+            return rng.randrange(-7, 8)
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))
+
+    if rng.random() < 0.5 and min(height, width) > 1:
+        rank = rng.randrange(1, min(height, width))
+        left = [[entry() for _ in range(rank)] for _ in range(height)]
+        right = [[entry() for _ in range(width)] for _ in range(rank)]
+        mat = [[sum((a * b for a, b in zip(row, col)), 0) for col in zip(*right)]
+               for row in left]
+    else:
+        mat = [[entry() for _ in range(width)] for _ in range(height)]
+    if height > 1 and rng.random() < 0.3:
+        mat[rng.randrange(height)] = [0] * width
+    if height > 1 and rng.random() < 0.3:
+        mat[rng.randrange(height)] = list(mat[rng.randrange(height)])
+    return mat
+
+
+def test_kernel_matches_the_reference_eliminations():
+    rng = random.Random(20)
+    seen = {"tall": 0, "wide": 0, "square": 0, "rank_deficient": 0,
+            "inconsistent": 0, "singular": 0}
+    for trial in range(300):
+        height, width = rng.randrange(1, 8), rng.randrange(1, 8)
+        if trial % 3 == 0:
+            width = height
+        mat = random_matrix(rng, height, width)
+        seen["tall" if height > width else "wide" if height < width else "square"] += 1
+        red, pivots = linalg.rref(mat, width)
+        want_red, want_pivots = reference_rref(mat, width)
+        assert pivots == want_pivots
+        assert_same(red, want_red)
+        assert_same(linalg.nullspace(mat, width), reference_nullspace(mat, width))
+        seen["rank_deficient"] += len(pivots) < min(height, width)
+
+        cols = [list(c) for c in zip(*mat)]
+        if rng.random() < 0.5:
+            target = [sum((rng.randrange(-3, 4) * x for x in row), 0) for row in mat]
+        else:
+            target = [rng.randrange(-5, 6) for _ in range(height)]
+        sol = linalg.solve_columns(cols, target)
+        assert_same(sol, reference_solve_columns(cols, target))
+        seen["inconsistent"] += sol is None
+
+        if height == width:
+            inv = linalg.invert(mat)
+            assert_same(inv, reference_invert(mat))
+            seen["singular"] += inv is None
+    assert min(seen.values()) >= 10, seen

@@ -15,7 +15,7 @@ from .toric import (FanData, ChargeMatrix, FanError, NefBasisError, make_fan,
                     enumerate_degrees, in_cone, wall_relations)
 from .cohomology import CohomRing, CohomClass, build_ring, monomials
 from .ifunction import (GiventalSeries, StrictSignError, euler_ratio, check_ratio,
-                        build_f, component, linear_factor, inverse_linear_factor)
+                        build_f, component)
 from .dmodule import (DiffOp, AppliedSeries, QuantumRelation, EmptyWindowError,
                       apply, gkz_operator, find_annihilators, in_span,
                       semiclassical)
@@ -28,8 +28,8 @@ __all__ = [
     "parse_fan", "charge_matrix", "mori_generators",
     "enumerate_degrees", "in_cone", "wall_relations",
     "CohomRing", "CohomClass", "build_ring", "monomials",
-    "GiventalSeries", "StrictSignError", "euler_ratio", "check_ratio", "build_f",
-    "component", "linear_factor", "inverse_linear_factor",
+    "GiventalSeries", "StrictSignError", "euler_ratio", "check_ratio",
+    "build_f", "component",
     "DiffOp", "AppliedSeries", "QuantumRelation", "EmptyWindowError", "apply",
     "gkz_operator", "find_annihilators", "in_span", "semiclassical",
     "WeightSystem", "CriticalData", "ComponentAbsentError", "action_value",

@@ -9,6 +9,14 @@ span of relation multiples.  No Groebner machinery is needed or used.
 Integration is normalized so that the class of a torus-fixed point, the
 product prod_{k in sigma} x_k over any maximal cone sigma, integrates to 1;
 consistency of that normalization across all maximal cones is checked.
+
+Classes are sparse coefficient dicts over the graded monomial basis.
+Multiplication by a degree-one class L (a ray divisor alpha_k, a nef class
+omega_j) is a sparse matrix built lazily once per ring and L: its row for a
+basis monomial b is the reduced product L*b, read from the reduction table.
+times_linear applies L + nu in one pass.  divide_linear inverts it in one
+pass up the graded basis: L raises the degree by one, so the degree-i part
+of the solution is x_i = (v_i - L*x_{i-1}) / nu.
 """
 
 from __future__ import annotations
@@ -50,7 +58,8 @@ class CohomClass:
 
     def __init__(self, ring, coeffs):
         self.ring = ring
-        self.coeffs = {m: Fraction(c) for m, c in coeffs.items() if c}
+        self.coeffs = {m: c if type(c) is Fraction else Fraction(c)
+                       for m, c in coeffs.items() if c}
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -138,7 +147,11 @@ class CohomRing:
                            for m in self.basis_by_degree[d])
         self._point_mono = self.basis_by_degree[self.top][0]
         self._point_factor = self._normalize_point()
+        self._generators = tuple(
+            self.monomial_class(tuple(int(i == k) for i in range(self.n)))
+            for k in range(self.n))
         self._omega_cache = {}
+        self._linear_cache = {}
         self._dual_cache = None
 
     # -- construction ---------------------------------------------------
@@ -220,8 +233,7 @@ class CohomRing:
 
     def generator(self, k) -> CohomClass:
         """alpha_k, the class of the k-th ray divisor."""
-        e = tuple(1 if i == k else 0 for i in range(self.n))
-        return CohomClass(self, dict(self._table[e]))
+        return self._generators[k]
 
     def monomial_class(self, mono) -> CohomClass:
         if sum(mono) > self.top:
@@ -238,6 +250,47 @@ class CohomRing:
                 c12 = c1 * c2
                 for mb, r in self._table[prod].items():
                     out[mb] = out.get(mb, Fraction(0)) + c12 * r
+        return CohomClass(self, out)
+
+    def _linear(self, lin: CohomClass):
+        """Multiplication by the degree-one class lin, built once per class:
+        {b: ((mb, coeff), ...)} with row b the reduced product lin*b."""
+        key = frozenset(lin.coeffs.items())
+        if key not in self._linear_cache:
+            if any(sum(m) != 1 for m in lin.coeffs):
+                raise ValueError("multiplication matrices need a degree-one class")
+            rows = {}
+            for b in self.basis[:-1]:  # lin times the top monomial vanishes
+                row = self.zero()
+                for m, c in lin.coeffs.items():
+                    row = row + self.monomial_class(_mul_mono(m, b)).scale(c)
+                rows[b] = tuple(row.coeffs.items())
+            self._linear_cache[key] = rows
+        return self._linear_cache[key]
+
+    def times_linear(self, cls: CohomClass, lin: CohomClass, nu) -> CohomClass:
+        """(lin + nu) * cls for a degree-one class lin, in one sparse pass."""
+        rows = self._linear(lin)
+        out = {b: nu * c for b, c in cls.coeffs.items()}
+        for b, c in cls.coeffs.items():
+            for mb, r in rows.get(b, ()):
+                out[mb] = out.get(mb, 0) + c * r
+        return CohomClass(self, out)
+
+    def divide_linear(self, cls: CohomClass, lin: CohomClass, nu) -> CohomClass:
+        """(lin + nu)^-1 * cls for a degree-one class lin and nu != 0, solved
+        degree by degree up the graded basis."""
+        if nu == 0:
+            raise ValueError("cannot invert a factor with vanishing hbar part")
+        rows = self._linear(lin)
+        out = {}
+        spill = {}  # lin * (solution so far), on monomials not yet reached
+        for b in self.basis:
+            c = cls.coeffs.get(b, 0) - spill.get(b, 0)
+            if c:
+                out[b] = c = Fraction(c) / nu
+                for mb, r in rows.get(b, ()):
+                    spill[mb] = spill.get(mb, 0) + c * r
         return CohomClass(self, out)
 
     def integrate(self, a: CohomClass) -> Fraction:

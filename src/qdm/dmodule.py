@@ -13,8 +13,10 @@ coefficients that were cut off.
 
 Series values are classes at hbar = 1, one per weight (the weight rule is
 in the ifunction module).  An operator is therefore split by weight before
-it is evaluated: at hbar = 1, theta^t acting on q^d' is the class
-prod_j (omega_j + d'_j)^t_j, and every output class keeps its weight.
+it is evaluated, and every output class keeps its weight.  At hbar = 1,
+theta_j acting on q^d' cls gives q^d' (omega_j + d'_j) cls, so theta^t is a
+chain of |t| multiplications by degree-one classes (CohomRing.times_linear),
+memoized along the chain.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from math import comb
 
 from . import linalg
 from .cohomology import mono_key, monomials
-from .ifunction import GiventalSeries, linear_factor
+from .ifunction import GiventalSeries
 
 
 class EmptyWindowError(ValueError):
@@ -210,23 +212,24 @@ class AppliedSeries:
         return not any(self.coefficients[d] for d in self.degrees)
 
 
-def _theta_values(ring, l):
-    """Memoized value(d, t) = prod_j (omega_j + d_j)^t_j: theta^t on q^d at
-    hbar = 1, up to the factor q^d."""
+def _theta_images(ring, l, sources):
+    """Memoized image(d, w, t) = theta^t applied to q^d times the weight-w
+    part of sources[d], at hbar = 1 and up to the factor q^d:
+    prod_j (omega_j + d_j)^t_j * sources[d][w]."""
     omegas = [ring.omega_class(j) for j in range(l)]
     cache = {}
 
-    def value(d, t):
-        key = (d, t)
+    def image(d, w, t):
+        key = (d, w, t)
         if key not in cache:
             j = next((j for j, x in enumerate(t) if x), None)
             if j is None:
-                cache[key] = ring.one()
+                cache[key] = sources[d][w]
             else:
                 lower = t[:j] + (t[j] - 1,) + t[j + 1:]
-                cache[key] = value(d, lower) * linear_factor(ring, omegas[j], d[j])
+                cache[key] = ring.times_linear(image(d, w, lower), omegas[j], d[j])
         return cache[key]
-    return value
+    return image
 
 
 def apply(op: DiffOp, series) -> AppliedSeries:
@@ -247,7 +250,7 @@ def apply(op: DiffOp, series) -> AppliedSeries:
         by_weight = blocks.setdefault(e, {})
         for (t, h), c in poly.items():
             by_weight.setdefault(c1_e + sum(t) + h, {})[t] = c
-    theta_value = _theta_values(ring, cm.l)
+    image = _theta_images(ring, cm.l, sources)
     out_degrees = set(series.degrees)
     for d in series.degrees:
         for e in op.terms:
@@ -263,11 +266,11 @@ def apply(op: DiffOp, series) -> AppliedSeries:
             if parts is None:
                 continue
             for w, poly in by_weight.items():
-                val = ring.zero()
-                for t, c in poly.items():
-                    val = val + theta_value(dp, t).scale(c)
-                for w0, cls in parts.items():
-                    acc[w + w0] = acc.get(w + w0, ring.zero()) + val * cls
+                for w0 in parts:
+                    val = acc.get(w + w0, ring.zero())
+                    for t, c in poly.items():
+                        val = val + image(dp, w0, t).scale(c)
+                    acc[w + w0] = val
         coeffs[d] = {w: c for w, c in acc.items() if not c.is_zero()}
     return AppliedSeries(ring, cm, cap, tuple(valid), coeffs)
 
@@ -340,8 +343,7 @@ def find_annihilators(series: GiventalSeries, theta_order: int, q_degree: int,
             if cm.c1_degree(dd) <= cap:
                 out_degrees.add(dd)
     valid = sorted(out_degrees, key=lambda d: (cm.c1_degree(d), d))
-    theta_value = _theta_values(ring, l)
-    base_cache = {}  # (source degree, theta exponent) -> class at hbar = 1
+    image = _theta_images(ring, l, {d: {0: r} for d, r in series.coefficients.items()})
 
     col_vectors = []
     row_keys = set()
@@ -352,10 +354,8 @@ def find_annihilators(series: GiventalSeries, theta_order: int, q_degree: int,
             dp = tuple(a - b for a, b in zip(d, e))
             if dp not in series.coefficients:
                 continue
-            if (dp, t) not in base_cache:
-                base_cache[dp, t] = theta_value(dp, t) * series.coefficients[dp]
             shift = weight - cm.c1_degree(d)
-            for mono, c in base_cache[dp, t].coeffs.items():
+            for mono, c in image(dp, 0, t).coeffs.items():
                 vec[d, shift - sum(mono), mono] = c
         col_vectors.append(vec)
         row_keys.update(vec)

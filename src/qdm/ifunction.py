@@ -14,9 +14,9 @@ of complex degree k the weight k, and hbar and each theta_j the weight 1.
 Every term q^d R_d has weight 0, and an operator term q^e theta^t hbar^h has
 weight w = c1(e) + |t| + h.  A value of one weight is therefore stored as
 a single cohomology class at hbar = 1: in the q^d coefficient of weight w,
-the monomial m carries hbar^(w - c1(d) - deg m).  At hbar = 1 the inverse
-of (alpha + nu*hbar), nu != 0, is the terminating series
-sum_p (-alpha)^p / nu^(p+1).
+the monomial m carries hbar^(w - c1(d) - deg m).  At hbar = 1 each factor
+(alpha_k + nu*hbar) is multiplication by alpha_k + nu, and its inverse
+(nu != 0) is the graded one-pass solve CohomRing.divide_linear.
 
 The full series F = exp((t.omega)/hbar) sum_d q^d R_d carries a symbolic
 exponential prefactor; it is kept unexpanded (a flag on the series) and only
@@ -38,26 +38,6 @@ class StrictSignError(ValueError):
     """A divisor pairs negatively with the degree and general signs are off."""
 
 
-def linear_factor(ring: CohomRing, cls: CohomClass, nu: int) -> CohomClass:
-    """The factor (cls + nu*hbar) at hbar = 1."""
-    return cls + ring.one().scale(nu)
-
-
-def inverse_linear_factor(ring: CohomRing, cls: CohomClass, nu: int) -> CohomClass:
-    """Exact inverse of (cls + nu*hbar) at hbar = 1; needs nu != 0 and cls
-    nilpotent of degree one."""
-    if nu == 0:
-        raise ValueError("cannot invert a factor with vanishing hbar part")
-    out = ring.zero()
-    power = ring.one()
-    p = 0
-    while not power.is_zero():
-        out = out + power.scale(Fraction((-1) ** p, nu ** (p + 1)))
-        power = power * cls
-        p += 1
-    return out
-
-
 def euler_ratio(ring: CohomRing, cm: ChargeMatrix, degree,
                 allow_general_sign: bool = False) -> CohomClass:
     """The coefficient R_degree of the series, at hbar = 1.
@@ -74,14 +54,14 @@ def euler_ratio(ring: CohomRing, cm: ChargeMatrix, degree,
         alpha = ring.generator(k)
         if a_k > 0:
             for nu in range(1, a_k + 1):
-                out = out * inverse_linear_factor(ring, alpha, nu)
+                out = ring.divide_linear(out, alpha, nu)
         else:
             if not allow_general_sign:
                 raise StrictSignError(
                     "divisor %d pairs negatively (%d) with degree %r; "
                     "enable general signs to proceed" % (k, a_k, list(degree)))
             for nu in range(a_k + 1, 1):
-                out = out * linear_factor(ring, alpha, nu)
+                out = ring.times_linear(out, alpha, nu)
     return out
 
 
@@ -91,17 +71,18 @@ def check_ratio(ring: CohomRing, cm: ChargeMatrix, degree, ratio: CohomClass) ->
         R_d * prod_{a_k>0} prod_{nu=1}^{a_k} (alpha_k + nu*hbar)
             = prod_{a_k<0} prod_{nu=a_k+1}^{0} (alpha_k + nu*hbar)
 
-    Only the factors are multiplied, never inverted, so the check does not
-    reuse the inverse series that built the ratio.
+    Only the factors are multiplied, never inverted, and through the general
+    CohomRing.multiply rather than the multiplication matrices that built the
+    ratio, so a wrong matrix entry cannot cancel out of the check.
     """
     lhs, rhs = ratio, ring.one()
     for k in range(cm.n):
         a_k = cm.pairing(degree, k)
         alpha = ring.generator(k)
         for nu in range(1, a_k + 1):
-            lhs = lhs * linear_factor(ring, alpha, nu)
+            lhs = lhs * (alpha + ring.one().scale(nu))
         for nu in range(a_k + 1, 1):
-            rhs = rhs * linear_factor(ring, alpha, nu)
+            rhs = rhs * (alpha + ring.one().scale(nu))
     return lhs == rhs
 
 
@@ -155,7 +136,7 @@ def component(series: GiventalSeries, beta: int, log_order: int):
         raise IndexError("beta out of range for the cohomology basis")
     dual = duals[beta]
     deg_beta = sum(ring.basis[beta])
-    weighted = {}  # log monomial t -> omega^t / t! * dual
+    covectors = {}  # t -> nonzero [(b, integral of b * omega^t / t! * dual)]
     for total in range(min(log_order, ring.top) + 1):
         for t in monomials(l, total):
             cls = ring.one()
@@ -166,14 +147,16 @@ def component(series: GiventalSeries, beta: int, log_order: int):
                     cls = cls * ring.omega_class(j)
             if cls.is_zero():
                 continue
-            weighted[t] = cls.scale(Fraction(1, denom)) * dual
+            wcls = cls.scale(Fraction(1, denom)) * dual
+            covectors[t] = [(b, v) for b in ring.basis
+                            if (v := ring.integrate(ring.monomial_class(b) * wcls))]
     out = {}
     for d in series.degrees:
         h = -series.cm.c1_degree(d) - deg_beta
-        r_d = series.coefficients[d]
+        r_d = series.coefficients[d].coeffs
         entry = {}
-        for t, wcls in weighted.items():
-            val = ring.integrate(r_d * wcls)
+        for t, cov in covectors.items():
+            val = sum(c * r_d.get(b, 0) for b, c in cov)
             if val:
                 entry[(t, h)] = val
         out[d] = dict(sorted(entry.items()))

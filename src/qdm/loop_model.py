@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import serialize
 from .cohomology import CohomClass, CohomRing
-from .ifunction import euler_ratio, inverse_linear_factor, linear_factor
+from .ifunction import euler_ratio
 from .toric import ChargeMatrix, FanData
 
 
@@ -126,9 +126,9 @@ def euler_ratio_n(ring: CohomRing, cm: ChargeMatrix, degree, modes: int) -> Coho
             pos_0.add((k, nu))
     out = ring.one()
     for k, nu in sorted(pos_d - pos_0):
-        out = out * linear_factor(ring, ring.generator(k), nu)
+        out = ring.times_linear(out, ring.generator(k), nu)
     for k, nu in sorted(pos_0 - pos_d):  # nu >= 1, so every inverse exists
-        out = out * inverse_linear_factor(ring, ring.generator(k), nu)
+        out = ring.divide_linear(out, ring.generator(k), nu)
     return out
 
 

@@ -364,7 +364,10 @@ def enumerate_degrees(gens, cm: ChargeMatrix, bound: int):
 
     Every generator must have positive anticanonical degree (Fano-type
     positivity); otherwise the set is infinite and a ValueError is raised.
-    Output is sorted by (degree, coordinates).
+    Membership is tested against the facet normals of the cone, the extreme
+    rays of its dual; the generators must span, as the Mori generators of a
+    complete fan do, or a NefBasisError is raised.  Output is sorted by
+    (degree, coordinates).
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -382,11 +385,13 @@ def enumerate_degrees(gens, cm: ChargeMatrix, bound: int):
         hi = max(vals + [Fraction(0)])
         los.append(lo.numerator // lo.denominator)  # floor
         his.append(-((-hi.numerator) // hi.denominator))  # ceil
+    facets = _dual_cone_rays(gens, l)
     out = []
     box = [range(lo, hi + 1) for lo, hi in zip(los, his)]
     for d in product(*box):
         c1 = cm.c1_degree(d)
-        if 0 <= c1 <= bound and in_cone(d, gens):
+        if 0 <= c1 <= bound and all(sum(a * b for a, b in zip(y, d)) >= 0
+                                    for y in facets):
             out.append(tuple(d))
     out.sort(key=lambda d: (cm.c1_degree(d), d))
     return out

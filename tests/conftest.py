@@ -9,10 +9,55 @@ from qdm.cohomology import CohomClass
 FAN_DIR = Path(__file__).resolve().parent.parent / "fans"
 
 CORPUS = ["p1", "p2", "p3", "p1xp1", "hirzebruch1", "dp2"]
+SHIPPED = sorted(path.stem for path in FAN_DIR.glob("*.json"))
 
 
 def load_fan(name):
     return qdm.parse_fan((FAN_DIR / (name + ".json")).read_text())
+
+
+# The class arithmetic that multiplication matrices replaced, kept as the
+# oracle: every factor is a full class pushed through CohomRing.multiply, and
+# each inverse is the terminating series sum_p (-cls)^p / nu^(p+1).
+
+def reference_linear_factor(ring, cls, nu):
+    """The factor (cls + nu*hbar) at hbar = 1."""
+    return cls + ring.one().scale(nu)
+
+
+def reference_inverse_linear_factor(ring, cls, nu):
+    """Exact inverse of (cls + nu*hbar) at hbar = 1; needs nu != 0 and cls
+    nilpotent of degree one."""
+    if nu == 0:
+        raise ValueError("cannot invert a factor with vanishing hbar part")
+    out = ring.zero()
+    power = ring.one()
+    p = 0
+    while not power.is_zero():
+        out = out + power.scale(Fraction((-1) ** p, nu ** (p + 1)))
+        power = power * cls
+        p += 1
+    return out
+
+
+def reference_theta_values(ring, l):
+    """Memoized value(d, t) = prod_j (omega_j + d_j)^t_j: theta^t on q^d at
+    hbar = 1, up to the factor q^d."""
+    omegas = [ring.omega_class(j) for j in range(l)]
+    cache = {}
+
+    def value(d, t):
+        key = (d, t)
+        if key not in cache:
+            j = next((j for j, x in enumerate(t) if x), None)
+            if j is None:
+                cache[key] = ring.one()
+            else:
+                lower = t[:j] + (t[j] - 1,) + t[j + 1:]
+                cache[key] = value(d, lower) * reference_linear_factor(
+                    ring, omegas[j], d[j])
+        return cache[key]
+    return value
 
 
 def ratio_at(ring, cm, degree, hbar):
@@ -23,9 +68,9 @@ def ratio_at(ring, cm, degree, hbar):
         a_k = cm.pairing(degree, k)
         alpha = ring.generator(k)
         for nu in range(1, a_k + 1):
-            out = out * qdm.inverse_linear_factor(ring, alpha, nu * hbar)
+            out = out * reference_inverse_linear_factor(ring, alpha, nu * hbar)
         for nu in range(a_k + 1, 1):
-            out = out * qdm.linear_factor(ring, alpha, nu * hbar)
+            out = out * reference_linear_factor(ring, alpha, nu * hbar)
     return out
 
 
@@ -36,14 +81,24 @@ def rescaled(cls, c1, hbar):
                                  for m, c in cls.coeffs.items()})
 
 
-@pytest.fixture(scope="session")
-def corpus():
-    """name -> (fan, charge matrix, ring, mori generators) for the test fans."""
+def _built(names):
     out = {}
-    for name in CORPUS:
+    for name in names:
         fan = load_fan(name)
         cm = qdm.charge_matrix(fan)
         ring = qdm.build_ring(fan, cm)
         gens = qdm.mori_generators(fan, cm)
         out[name] = (fan, cm, ring, gens)
     return out
+
+
+@pytest.fixture(scope="session")
+def corpus():
+    """name -> (fan, charge matrix, ring, mori generators) for the test fans."""
+    return _built(CORPUS)
+
+
+@pytest.fixture(scope="session")
+def shipped():
+    """The same for every fan in fans/, the four-folds included."""
+    return _built(SHIPPED)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qdm import ifunction
+from qdm import cohomology, ifunction
 from qdm.cli import main
 
 from conftest import FAN_DIR
@@ -103,6 +103,26 @@ def test_corrupted_coefficient_fails_the_ratio_check(monkeypatch, capsys):
 
     monkeypatch.setattr(ifunction, "euler_ratio", corrupted)
     code, report = run_json(capsys, ["ifunction", fan_path("p1")])
+    assert code == 1
+    assert report["homogeneous"] is False
+    assert report["ok"] is False
+
+
+def test_corrupted_multiplication_matrix_fails_the_ratio_check(monkeypatch, capsys):
+    # check_ratio multiplies through CohomRing.multiply, so one wrong entry
+    # in the alpha_0 matrix that builds the ratios cannot pass it
+    exact = cohomology.CohomRing._linear
+
+    def corrupted(ring, lin):
+        rows = exact(ring, lin)
+        if lin != ring.generator(0):
+            return rows
+        unit = (0,) * ring.n
+        (mb, c), *rest = rows[unit]
+        return {**rows, unit: ((mb, c + 1), *rest)}
+
+    monkeypatch.setattr(cohomology.CohomRing, "_linear", corrupted)
+    code, report = run_json(capsys, ["ifunction", fan_path("p1xp1")])
     assert code == 1
     assert report["homogeneous"] is False
     assert report["ok"] is False
@@ -265,6 +285,14 @@ GOLDEN = [
     ("loop-model", ["p1xp1"], 0, "eadf228b450fa368dee5a54bec000345e1c60d12db65b57e1f962abd85ac0043"),
     ("operators", ["p1"], 0, "b6b0580ec78431e82650d1b9fc97f8cba6e040c098039e7ac37ed7f8a89c3cfc"),
     ("operators", ["p1xp1"], 0, "60bbd9f0887e407e5507a16153d51f768a2e932403ae5fdbd54f3e35b65260b7"),
+    ("loop-model", ["dp3"], 0, "71a8105955cb182b7279af8635b1b42b0f773db67f17f38a05d8772dfe1142b0"),
+    ("ifunction", ["dp3", "--allow-general-sign", "--components", "0,1,2"], 0,
+     "4dab4e6c5322c1cdce98f4cd10202d7a451e24a49fd9c2d522afd8a79515f692"),
+    ("loop-model", ["dp2", "--allow-general-sign", "--format", "text"], 0,
+     "41a31643bfbd8aa59094593cb97acc3ba896124585cb4654f7131ab8264ea6a9"),
+    ("operators", ["hirzebruch1", "--allow-general-sign"], 0,
+     "b7f99693ca9fe05fb3e04c0fff552d42ad120b8616b7d64e5c41e8ce0bda1b61"),
+    ("operators", ["p2xp1"], 1, "47e3722723c2c9e9184806e0841fe0d3a69900201babbf67244baafaac2f8733"),
 ]
 
 

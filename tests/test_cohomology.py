@@ -8,6 +8,8 @@ import pytest
 from qdm import CohomClass, CohomRing, build_ring, monomials
 from qdm.cohomology import mono_key
 
+from conftest import SHIPPED, reference_inverse_linear_factor, reference_linear_factor
+
 
 def degree_part(cls, deg):
     return CohomClass(cls.ring, {m: c for m, c in cls.coeffs.items() if sum(m) == deg})
@@ -207,3 +209,49 @@ def test_build_ring_function(corpus):
     fresh = build_ring(fan, cm)
     assert fresh.dims == ring.dims
     assert fresh.basis == ring.basis
+
+
+# ---------------------------------------------------------------------------
+# multiplication by degree-one classes through cached matrices
+
+
+def random_class(ring, rng):
+    return CohomClass(ring, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                             for m in ring.basis if rng.random() < 0.7})
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_linear_factors_match_the_reference_products(shipped, name):
+    # (lin + nu) * cls and its inverse, for every ray divisor and nef class,
+    # equal the products of full classes through CohomRing.multiply, with
+    # the inverse expanded as the terminating series
+    _fan, _cm, ring, _gens = shipped[name]
+    rng = random.Random("linear " + name)
+    lins = ([ring.generator(k) for k in range(ring.n)]
+            + [ring.omega_class(j) for j in range(ring.l)])
+    for i, lin in enumerate(lins):
+        for nu in range(-3, 4):
+            for cls in (ring.one(), random_class(ring, rng), random_class(ring, rng)):
+                prod = ring.times_linear(cls, lin, nu)
+                want = cls * reference_linear_factor(ring, lin, nu)
+                assert prod.coeffs == want.coeffs, (name, i, nu)
+                assert all(type(c) is Fraction for c in prod.coeffs.values())
+                if nu == 0:
+                    with pytest.raises(ValueError, match="vanishing hbar part"):
+                        ring.divide_linear(cls, lin, nu)
+                    continue
+                quot = ring.divide_linear(cls, lin, nu)
+                want = cls * reference_inverse_linear_factor(ring, lin, nu)
+                assert quot.coeffs == want.coeffs, (name, i, nu)
+                assert all(type(c) is Fraction for c in quot.coeffs.values())
+                assert ring.divide_linear(prod, lin, nu) == cls, (name, i, nu)
+
+
+def test_linear_factors_need_a_degree_one_class(corpus):
+    _fan, _cm, ring, _gens = corpus["p2"]
+    h = ring.generator(0)
+    for lin in (ring.one(), h * h, h + ring.one()):
+        with pytest.raises(ValueError, match="degree-one class"):
+            ring.times_linear(h, lin, 1)
+        with pytest.raises(ValueError, match="degree-one class"):
+            ring.divide_linear(h, lin, 1)

@@ -16,7 +16,10 @@ from qdm import (
     in_span,
     semiclassical,
 )
+from qdm.cohomology import monomials
 from qdm.serialize import laurent_json
+
+from conftest import SHIPPED, reference_theta_values
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +190,34 @@ def test_apply_keeps_zero_coefficients(corpus):
     assert out.degrees == ((0,), (1,), (2,))
     for d in out.degrees:
         assert out.coefficients[d] == {}
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_apply_theta_matches_the_reference_values(shipped, name):
+    # q^e theta^t applied to the series, and to a once-applied series with
+    # weight-1 parts, gives value(d - e, t) * (source at d - e) with
+    # value(d, t) = prod_j (omega_j + d_j)^t_j built from full class products
+    _fan, cm, ring, gens = shipped[name]
+    l = cm.l
+    series = build_f(ring, cm, gens, 2 * max(cm.c1_degree(g) for g in gens),
+                     allow_general_sign=True)
+    value = reference_theta_values(ring, l)
+    once = apply(DiffOp.theta(l, 0), series)
+    plain = {d: {0: r} for d, r in series.coefficients.items()}
+    for target, sources in ((series, plain), (once, once.coefficients)):
+        for e in ((0,) * l, gens[0]):
+            for t in [t for total in range(3) for t in monomials(l, total)]:
+                op = DiffOp(l, {e: {(t, 0): Fraction(1)}})
+                out = apply(op, target)
+                weight = cm.c1_degree(e) + sum(t)
+                for d in out.degrees:
+                    dp = tuple(a - b for a, b in zip(d, e))
+                    want = {}
+                    for w0, cls in sources.get(dp, {}).items():
+                        cls = value(dp, t) * cls
+                        if not cls.is_zero():
+                            want[weight + w0] = cls
+                    assert out.coefficients[d] == want, (name, e, t, d)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qdm import cohomology, ifunction, linalg, toric
 from qdm import (
     StrictSignError,
     build_f,
@@ -11,12 +12,10 @@ from qdm import (
     component,
     enumerate_degrees,
     euler_ratio,
-    inverse_linear_factor,
-    linear_factor,
 )
 from qdm.serialize import laurent_json
 
-from conftest import ratio_at, rescaled
+from conftest import load_fan, ratio_at, reference_linear_factor, rescaled
 
 
 # ---------------------------------------------------------------------------
@@ -28,32 +27,32 @@ def test_laurent_products(corpus):
     # back with c1 = -2, the monomial m carries hbar^(2 - deg m)
     _fan, _cm, ring, _gens = corpus["p2"]
     h = ring.generator(2)
-    a = linear_factor(ring, h, 1)
-    b = linear_factor(ring, h.scale(-1), 2)
+    a = ring.times_linear(ring.one(), h, 1)
+    ab = ring.times_linear(a, h.scale(-1), 2)
     assert a == h + ring.one()
-    assert a * b == (h * h).scale(-1) + h + ring.one().scale(2)
-    assert laurent_json(a * b, -2) == [
+    assert ab == (h * h).scale(-1) + h + ring.one().scale(2)
+    assert laurent_json(ab, -2) == [
         {"hbar": 0, "class": {"x3^2": "-1"}},
         {"hbar": 1, "class": {"x3": "1"}},
         {"hbar": 2, "class": {"1": "2"}},
     ]
-    assert linear_factor(ring, h, 0) == h
+    assert ring.times_linear(ring.one(), h, 0) == h
 
 
-def test_inverse_linear_factor_multiplies_back(corpus):
+def test_divide_linear_multiplies_back(corpus):
     for name in ("p1", "p2", "p3", "dp2"):
         _fan, _cm, ring, _gens = corpus[name]
         for k in (0, ring.n - 1):
             for nu in (1, 2, -3):
                 cls = ring.generator(k)
-                inv = inverse_linear_factor(ring, cls, nu)
-                assert inv * linear_factor(ring, cls, nu) == ring.one(), (name, k, nu)
+                inv = ring.divide_linear(ring.one(), cls, nu)
+                assert inv * (cls + ring.one().scale(nu)) == ring.one(), (name, k, nu)
 
 
-def test_inverse_linear_factor_needs_nonzero_hbar_part(corpus):
+def test_divide_linear_needs_nonzero_hbar_part(corpus):
     _fan, _cm, ring, _gens = corpus["p1"]
     with pytest.raises(ValueError, match="vanishing hbar part"):
-        inverse_linear_factor(ring, ring.generator(0), 0)
+        ring.divide_linear(ring.one(), ring.generator(0), 0)
 
 
 def test_homogeneity_flag(corpus):
@@ -136,9 +135,9 @@ def test_ratio_multiplies_back_to_sign_product(corpus):
                 a_k = cm.pairing(d, k)
                 alpha = ring.generator(k)
                 for nu in range(1, a_k + 1):
-                    lhs = lhs * linear_factor(ring, alpha, nu)
+                    lhs = lhs * reference_linear_factor(ring, alpha, nu)
                 for nu in range(a_k + 1, 1):
-                    rhs = rhs * linear_factor(ring, alpha, nu)
+                    rhs = rhs * reference_linear_factor(ring, alpha, nu)
             assert lhs == rhs, (name, d)
 
 
@@ -208,3 +207,44 @@ def test_component_argument_errors(corpus):
         component(series, 2, log_order=1)
     with pytest.raises(ValueError, match="nonnegative"):
         component(series, 0, log_order=-1)
+
+
+# ---------------------------------------------------------------------------
+# call counts of the hot paths (no timing)
+
+
+def test_series_build_takes_the_sparse_paths(monkeypatch):
+    # building the dP3 series at B = 6 neither multiplies full classes inside
+    # euler_ratio nor solves a linear system inside enumerate_degrees
+    fan = load_fan("dp3")
+    cm = toric.charge_matrix(fan)
+    ring = cohomology.build_ring(fan, cm)
+    gens = toric.mori_generators(fan, cm)
+    inside = []
+    counts = {"multiply": 0, "solve_columns": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if inside:
+                counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def entered(fn):
+        def wrapper(*args, **kwargs):
+            inside.append(fn.__name__)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    monkeypatch.setattr(cohomology.CohomRing, "multiply",
+                        counted("multiply", cohomology.CohomRing.multiply))
+    monkeypatch.setattr(linalg, "solve_columns",
+                        counted("solve_columns", linalg.solve_columns))
+    monkeypatch.setattr(ifunction, "euler_ratio", entered(ifunction.euler_ratio))
+    monkeypatch.setattr(toric, "enumerate_degrees", entered(toric.enumerate_degrees))
+    series = ifunction.build_f(ring, cm, gens, 6, allow_general_sign=True)
+    assert len(series.degrees) == 462
+    assert counts == {"multiply": 0, "solve_columns": 0}

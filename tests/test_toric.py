@@ -1,5 +1,9 @@
 """Fan validation, charge matrices, Mori generators, degree enumeration."""
 
+from fractions import Fraction
+from itertools import product
+from math import ceil, floor
+
 import pytest
 
 from qdm import (
@@ -15,7 +19,9 @@ from qdm import (
     wall_relations,
 )
 
-from conftest import load_fan
+from qdm.toric import _dual_cone_rays
+
+from conftest import SHIPPED, load_fan
 
 
 P2_RAYS = [[1, 0], [0, 1], [-1, -1]]
@@ -328,6 +334,28 @@ def test_enumerate_degrees_del_pezzo(corpus):
         key=lambda d: (sum(d), d))
     assert out == expected
     assert len(out) == 20
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_facet_normals_agree_with_in_cone(shipped, name):
+    # on every point of the bounding box enumerate_degrees scans at B = 6,
+    # the facet-normal test equals the Caratheodory test of in_cone
+    _fan, cm, _ring, gens = shipped[name]
+    bound = 6
+    facets = _dual_cone_rays(gens, cm.l)
+    box = []
+    for j in range(cm.l):
+        vals = [Fraction(bound * g[j], cm.c1_degree(g)) for g in gens] + [Fraction(0)]
+        box.append(range(floor(min(vals)), ceil(max(vals)) + 1))
+    inside = []
+    for d in product(*box):
+        member = in_cone(d, gens)
+        assert all(sum(a * b for a, b in zip(y, d)) >= 0 for y in facets) == member, \
+            (name, d)
+        if member and 0 <= cm.c1_degree(d) <= bound:
+            inside.append(d)
+    assert enumerate_degrees(gens, cm, bound) == sorted(
+        inside, key=lambda d: (cm.c1_degree(d), d))
 
 
 def test_enumerate_degrees_rejects_unbounded(corpus):

@@ -35,26 +35,33 @@ def build_parser() -> argparse.ArgumentParser:
             ("ifunction", "the Euler-ratio series and its components"),
             ("operators", "annihilating operators and quantum relations"),
             ("loop-model", "finite-mode critical data and stabilization")):
+        # each subcommand registers only the options its handler reads
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("fan", help="path to a fan JSON file")
-        cmd.add_argument("--max-degree", type=int, default=6, metavar="B",
-                         help="truncate at anticanonical degree B (default 6)")
-        cmd.add_argument("--theta-order", type=int, default=None, metavar="T",
-                         help="ansatz bound on theta order (default dim+1)")
-        cmd.add_argument("--q-degree", type=int, default=1, metavar="Q",
-                         help="ansatz bound on q degree (default 1)")
-        cmd.add_argument("--hbar-order", type=int, default=None, metavar="H",
-                         help="ansatz bound on hbar degree (default dim+1)")
-        cmd.add_argument("--modes", default=None, metavar="N0..N1",
-                         help="mode cutoff range for the loop model")
-        cmd.add_argument("--degree", action="append", default=None, metavar="d1,d2,...",
-                         help="curve degree (repeatable)")
-        cmd.add_argument("--components", default=None, metavar="b1,b2,...",
-                         help="basis indices of series components to expand")
-        cmd.add_argument("--log-order", type=int, default=None, metavar="L",
-                         help="log-monomial order kept in components (default dim)")
-        cmd.add_argument("--allow-general-sign", action="store_true",
-                         help="permit degrees pairing negatively with some divisor")
+        if name != "cohomology":
+            cmd.add_argument("--max-degree", type=int, default=6, metavar="B",
+                             help="truncate at anticanonical degree B (default 6)")
+            cmd.add_argument("--allow-general-sign", action="store_true",
+                             help="permit degrees pairing negatively with some divisor"
+                                  " (the loop model always does)")
+        if name == "operators":
+            cmd.add_argument("--theta-order", type=int, default=None, metavar="T",
+                             help="ansatz bound on theta order (default dim+1)")
+            cmd.add_argument("--q-degree", type=int, default=1, metavar="Q",
+                             help="ansatz bound on q degree (default 1)")
+            cmd.add_argument("--hbar-order", type=int, default=None, metavar="H",
+                             help="ansatz bound on hbar degree (default dim+1)")
+        if name in ("operators", "loop-model"):
+            cmd.add_argument("--degree", action="append", default=None,
+                             metavar="d1,d2,...", help="curve degree (repeatable)")
+        if name == "loop-model":
+            cmd.add_argument("--modes", default=None, metavar="N0..N1",
+                             help="mode cutoff range for the loop model")
+        if name == "ifunction":
+            cmd.add_argument("--components", default=None, metavar="b1,b2,...",
+                             help="basis indices of series components to expand")
+            cmd.add_argument("--log-order", type=int, default=None, metavar="L",
+                             help="log-monomial order kept in components (default dim)")
         cmd.add_argument("--format", choices=("json", "text"), default="json")
         cmd.add_argument("--out", default=None, metavar="PATH",
                          help="write the report to PATH instead of stdout")

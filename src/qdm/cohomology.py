@@ -98,10 +98,6 @@ class CohomClass:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def max_degree(self):
-        """Largest complex degree with a nonzero term; -1 for the zero class."""
-        return max((sum(m) for m in self.coeffs), default=-1)
-
     def integrate(self):
         return self.ring.integrate(self)
 
@@ -311,10 +307,6 @@ class CohomRing:
                     out = out + self.generator(k).scale(c)
             self._omega_cache[j] = out
         return self._omega_cache[j]
-
-    def coords(self, a: CohomClass):
-        """Coefficient vector of a over the graded monomial basis."""
-        return [a.coeffs.get(m, Fraction(0)) for m in self.basis]
 
     def dual_basis(self):
         """(T, T^) with T the graded monomial basis classes and

@@ -16,7 +16,9 @@ in the ifunction module).  An operator is therefore split by weight before
 it is evaluated, and every output class keeps its weight.  At hbar = 1,
 theta_j acting on q^d' cls gives q^d' (omega_j + d'_j) cls, so theta^t is a
 chain of |t| multiplications by degree-one classes (CohomRing.times_linear),
-memoized along the chain.
+memoized along the chain.  The annihilator search uses the same grading:
+it evaluates each q^e theta^t once and solves one block per weight, so
+hbar is never a coordinate of its matrices.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .cohomology import mono_key, monomials
+from .cohomology import monomials
 from .ifunction import GiventalSeries
 
 
@@ -315,65 +317,56 @@ def find_annihilators(series: GiventalSeries, theta_order: int, q_degree: int,
     """All operators within the bounds annihilating the series on its window.
 
     Ansatz: coefficients over the triples (q-exp e, theta-exp t, hbar-exp h)
-    with |e| <= q_degree, |t| <= theta_order, h <= hbar_order.  The exact
-    rational nullspace of the evaluation map is computed and returned in
-    reduced row echelon form over the ansatz coordinates (graded-lex order on
-    the triples), so the output basis is canonical.
+    with |e| <= q_degree, |t| <= theta_order, h <= hbar_order.  The term
+    (e, t, h) has weight c1(e) + |t| + h, and so do all its values, so the
+    evaluation map is block-diagonal by weight.  q^e theta^t is evaluated
+    once, at hbar = 1, as a vector over (degree, monomial); for each h that
+    vector is the column (e, t, h) of the block of its weight.  Each block's
+    exact rational nullspace is put in reduced row echelon form over its
+    columns in graded-lex order on the triples.  The blocks share no column,
+    so their rows, sorted by leading triple, are the reduced row echelon
+    form of the whole nullspace: the output basis is canonical.
     """
     if min(theta_order, q_degree, hbar_order) < 0:
         raise ValueError("ansatz bounds must be nonnegative")
     cm = series.cm
-    ring = series.ring
     l = cm.l
     q_exps = [e for tot in range(q_degree + 1) for e in monomials(l, tot)]
-    q_exps.sort(key=lambda e: (sum(e), e))
     t_exps = [t for tot in range(theta_order + 1) for t in monomials(l, tot)]
-    t_exps.sort(key=lambda t: (sum(t), t))
-    columns = [(e, t, h) for e in q_exps for t in t_exps
-               for h in range(hbar_order + 1)]
-    columns.sort(key=lambda c: _ansatz_key(*c))
     cap = series.bound - max(cm.c1_degree(e) for e in q_exps)
     if cap < 0:
         raise EmptyWindowError("q_degree %d exceeds the series truncation window"
                                % q_degree)
-    out_degrees = set()
-    for d in series.degrees:
-        for e in q_exps:
-            dd = tuple(a + b for a, b in zip(d, e))
-            if cm.c1_degree(dd) <= cap:
-                out_degrees.add(dd)
-    valid = sorted(out_degrees, key=lambda d: (cm.c1_degree(d), d))
-    image = _theta_images(ring, l, {d: {0: r} for d, r in series.coefficients.items()})
+    image = _theta_images(series.ring, l,
+                          {d: {0: r} for d, r in series.coefficients.items()})
 
-    col_vectors = []
-    row_keys = set()
-    for (e, t, h) in columns:
-        weight = cm.c1_degree(e) + sum(t) + h
-        vec = {}
-        for d in valid:
-            dp = tuple(a - b for a, b in zip(d, e))
-            if dp not in series.coefficients:
-                continue
-            shift = weight - cm.c1_degree(d)
-            for mono, c in image(dp, 0, t).coeffs.items():
-                vec[d, shift - sum(mono), mono] = c
-        col_vectors.append(vec)
-        row_keys.update(vec)
-    rows = sorted(row_keys,
-                  key=lambda k: (cm.c1_degree(k[0]), k[0], k[1], mono_key(k[2])))
-    matrix = [[vec.get(rk, Fraction(0)) for vec in col_vectors] for rk in rows]
-    null = linalg.nullspace(matrix, len(columns))
-    if not null:
-        return []
-    reduced, _ = linalg.rref([list(v) for v in null], len(columns))
-    ops = []
-    for vec in reduced:
-        terms = {}
-        for (e, t, h), c in zip(columns, vec):
-            if c:
-                terms.setdefault(e, {})[(t, h)] = c
-        ops.append(DiffOp(l, terms))
-    return ops
+    blocks = {}  # weight -> {(e, t, h): {(degree, monomial): coefficient}}
+    for e in q_exps:
+        shifted = [(dp, tuple(a + b for a, b in zip(dp, e))) for dp in series.degrees]
+        window = [(dp, d) for dp, d in shifted if cm.c1_degree(d) <= cap]
+        for t in t_exps:
+            vec = {}  # q^e theta^t applied to the series, on the window
+            for dp, d in window:
+                for mono, c in image(dp, 0, t).coeffs.items():
+                    vec[d, mono] = c
+            for h in range(hbar_order + 1):
+                blocks.setdefault(cm.c1_degree(e) + sum(t) + h, {})[e, t, h] = vec
+    found = []  # (leading triple's key, operator)
+    for block in blocks.values():
+        columns = sorted(block, key=lambda c: _ansatz_key(*c))
+        rows = sorted(set().union(*block.values()))  # eliminates faster sorted
+        matrix = [[block[c].get(k, Fraction(0)) for c in columns] for k in rows]
+        null = linalg.nullspace(matrix, len(columns))
+        if not null:
+            continue
+        reduced, pivots = linalg.rref(null, len(columns))
+        for vec, p in zip(reduced, pivots):
+            terms = {}
+            for (e, t, h), c in zip(columns, vec):
+                if c:
+                    terms.setdefault(e, {})[(t, h)] = c
+            found.append((_ansatz_key(*columns[p]), DiffOp(l, terms)))
+    return [op for _, op in sorted(found, key=lambda f: f[0])]
 
 
 def in_span(ops, candidate: DiffOp) -> bool:

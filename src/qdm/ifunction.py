@@ -19,14 +19,13 @@ the monomial m carries hbar^(w - c1(d) - deg m).  At hbar = 1 each factor
 (nu != 0) is the graded one-pass solve CohomRing.divide_linear.
 
 The full series F = exp((t.omega)/hbar) sum_d q^d R_d carries a symbolic
-exponential prefactor; it is kept unexpanded (a flag on the series) and only
-enters component(), where it contributes polynomial terms in the formal
-symbols L_j = log q_j.
+exponential prefactor; it is kept unexpanded, and only enters component(),
+where it contributes polynomial terms in the formal symbols L_j = log q_j.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -91,17 +90,15 @@ class GiventalSeries:
     """Truncation of F = exp((t.omega)/hbar) sum_d q^d R_d.
 
     coefficients maps each Mori degree with anticanonical degree <= bound to
-    R_d as a class at hbar = 1 (see the weight rule above); has_prefactor
-    records that the symbolic exponential prefactor multiplies the whole
-    series (it is expanded only inside component()).
+    R_d as a class at hbar = 1 (see the weight rule above).  The symbolic
+    exponential prefactor multiplies the whole series; it is expanded only
+    inside component().
     """
     ring: CohomRing
     cm: ChargeMatrix
     bound: int
     degrees: tuple
     coefficients: dict
-    general_sign: bool = False
-    has_prefactor: bool = field(default=True)
 
 
 def build_f(ring: CohomRing, cm: ChargeMatrix, gens, bound: int,
@@ -110,8 +107,7 @@ def build_f(ring: CohomRing, cm: ChargeMatrix, gens, bound: int,
     from .toric import enumerate_degrees
     degrees = tuple(enumerate_degrees(gens, cm, bound))
     coeffs = {d: euler_ratio(ring, cm, d, allow_general_sign) for d in degrees}
-    return GiventalSeries(ring, cm, bound, degrees, coeffs,
-                          general_sign=allow_general_sign)
+    return GiventalSeries(ring, cm, bound, degrees, coeffs)
 
 
 def component(series: GiventalSeries, beta: int, log_order: int):

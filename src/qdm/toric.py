@@ -230,10 +230,13 @@ def _coords_in_basis(basis_rows, vec):
     return tuple(int(x) for x in sol)
 
 
+def _spans(classes, l):
+    return linalg.rref([list(c) for c in classes], l)[1] == list(range(l))
+
+
 def _dual_cone_rays(wall_coords, l):
-    """Primitive extreme rays of {y : y . c >= 0 for all wall classes c}."""
-    if linalg.rref([list(c) for c in wall_coords], l)[1] != list(range(l)):
-        raise NefBasisError("curve classes do not span; cannot derive a nef basis")
+    """Primitive extreme rays of {y : y . c >= 0 for all wall classes c};
+    the classes must span."""
     found = set()
     for sub in combinations(wall_coords, l - 1):
         null = linalg.nullspace([list(c) for c in sub], l)
@@ -288,6 +291,8 @@ def charge_matrix(fan: FanData) -> ChargeMatrix:
                     raise NefBasisError("supplied nef_basis is not nef: a wall "
                                         "curve pairs negatively")
     else:
+        if not _spans(wall_coords, l):
+            raise NefBasisError("curve classes do not span; cannot derive a nef basis")
         y_rows = [list(y) for y in _dual_cone_rays(wall_coords, l)]
         if len(y_rows) != l:
             raise NefBasisError("nef cone is not simplicial (%d extreme rays, need %d); "
@@ -366,7 +371,7 @@ def enumerate_degrees(gens, cm: ChargeMatrix, bound: int):
     positivity); otherwise the set is infinite and a ValueError is raised.
     Membership is tested against the facet normals of the cone, the extreme
     rays of its dual; the generators must span, as the Mori generators of a
-    complete fan do, or a NefBasisError is raised.  Output is sorted by
+    complete fan do, or a ValueError is raised.  Output is sorted by
     (degree, coordinates).
     """
     if bound < 0:
@@ -374,6 +379,9 @@ def enumerate_degrees(gens, cm: ChargeMatrix, bound: int):
     if not gens:
         return [(0,) * cm.l]
     l = cm.l
+    if not _spans(gens, l):
+        raise ValueError("the generators do not span the curve lattice; the "
+                         "cone has no facet normals to test membership by")
     degs = [cm.c1_degree(g) for g in gens]
     if any(d <= 0 for d in degs):
         raise ValueError("a Mori generator has nonpositive anticanonical degree; "

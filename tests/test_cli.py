@@ -94,6 +94,18 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capfd, fan_text, arg
     assert message in lines[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "p1", "--max-degree", "4"],
+    ["ifunction", "p1", "--modes", "1..2"],
+    ["loop-model", "p1", "--theta-order", "2"],
+])
+def test_subcommand_rejects_options_it_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main([argv[0], fan_path(argv[1])] + argv[2:])
+    assert info.value.code == 2
+    assert "unrecognized arguments: " + argv[2] in capsys.readouterr().err
+
+
 def test_corrupted_coefficient_fails_the_ratio_check(monkeypatch, capsys):
     exact = ifunction.euler_ratio
 
@@ -293,6 +305,9 @@ GOLDEN = [
     ("operators", ["hirzebruch1", "--allow-general-sign"], 0,
      "b7f99693ca9fe05fb3e04c0fff552d42ad120b8616b7d64e5c41e8ce0bda1b61"),
     ("operators", ["p2xp1"], 1, "47e3722723c2c9e9184806e0841fe0d3a69900201babbf67244baafaac2f8733"),
+    ("operators", ["dp2", "--allow-general-sign"], 0,
+     "1f33768dd3c8a180c59ac7e54e9a4b54d96b36d403d6dcbc2b7e612e3e5adaf9"),
+    ("operators", ["p3"], 1, "7df039bbb819070735fac75a003a3d9c2f970820cbf7e5a5cd16c8b51f4c97a7"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -16,7 +17,9 @@ from qdm import (
     in_span,
     semiclassical,
 )
-from qdm.cohomology import monomials
+from qdm import linalg
+from qdm.cohomology import mono_key, monomials
+from qdm.dmodule import _ansatz_key, _theta_images
 from qdm.serialize import laurent_json
 
 from conftest import SHIPPED, reference_theta_values
@@ -321,6 +324,108 @@ def test_find_annihilators_empty_cases(corpus):
     small = build_f(ring, cm, gens, 2)
     with pytest.raises(EmptyWindowError):
         find_annihilators(small, 2, 2, 2)
+
+
+def reference_find_annihilators(series, theta_order, q_degree, hbar_order):
+    """The search as one global matrix, kept as the oracle: rows are
+    (degree, hbar exponent, monomial), every column (e, t, h) repeats the
+    evaluation of q^e theta^t, and the whole nullspace is reduced at once."""
+    if min(theta_order, q_degree, hbar_order) < 0:
+        raise ValueError("ansatz bounds must be nonnegative")
+    cm = series.cm
+    ring = series.ring
+    l = cm.l
+    q_exps = [e for tot in range(q_degree + 1) for e in monomials(l, tot)]
+    q_exps.sort(key=lambda e: (sum(e), e))
+    t_exps = [t for tot in range(theta_order + 1) for t in monomials(l, tot)]
+    t_exps.sort(key=lambda t: (sum(t), t))
+    columns = [(e, t, h) for e in q_exps for t in t_exps
+               for h in range(hbar_order + 1)]
+    columns.sort(key=lambda c: _ansatz_key(*c))
+    cap = series.bound - max(cm.c1_degree(e) for e in q_exps)
+    if cap < 0:
+        raise EmptyWindowError("q_degree %d exceeds the series truncation window"
+                               % q_degree)
+    out_degrees = set()
+    for d in series.degrees:
+        for e in q_exps:
+            dd = tuple(a + b for a, b in zip(d, e))
+            if cm.c1_degree(dd) <= cap:
+                out_degrees.add(dd)
+    valid = sorted(out_degrees, key=lambda d: (cm.c1_degree(d), d))
+    image = _theta_images(ring, l, {d: {0: r} for d, r in series.coefficients.items()})
+
+    col_vectors = []
+    row_keys = set()
+    for (e, t, h) in columns:
+        weight = cm.c1_degree(e) + sum(t) + h
+        vec = {}
+        for d in valid:
+            dp = tuple(a - b for a, b in zip(d, e))
+            if dp not in series.coefficients:
+                continue
+            shift = weight - cm.c1_degree(d)
+            for mono, c in image(dp, 0, t).coeffs.items():
+                vec[d, shift - sum(mono), mono] = c
+        col_vectors.append(vec)
+        row_keys.update(vec)
+    rows = sorted(row_keys,
+                  key=lambda k: (cm.c1_degree(k[0]), k[0], k[1], mono_key(k[2])))
+    matrix = [[vec.get(rk, Fraction(0)) for vec in col_vectors] for rk in rows]
+    null = linalg.nullspace(matrix, len(columns))
+    if not null:
+        return []
+    reduced, _ = linalg.rref([list(v) for v in null], len(columns))
+    ops = []
+    for vec in reduced:
+        terms = {}
+        for (e, t, h), c in zip(columns, vec):
+            if c:
+                terms.setdefault(e, {})[(t, h)] = c
+        ops.append(DiffOp(l, terms))
+    return ops
+
+
+# (theta_order, q_degree, hbar_order); None is dim + 1, the CLI default
+SEARCH_BOUNDS = [(2, 1, 2), (3, 0, 1), (1, 2, 0), (2, 1, 0), (None, 1, 1)]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_weight_blocks_match_the_reference_search(shipped, name):
+    # the window leaves room for the Mori generators beyond the q-support
+    _fan, cm, ring, gens = shipped[name]
+    l = cm.l
+    for theta_order, q_degree, hbar_order in SEARCH_BOUNDS:
+        if theta_order is None:
+            theta_order = ring.top + 1
+        top = max(cm.c1_degree(e) for tot in range(q_degree + 1)
+                  for e in monomials(l, tot))
+        bound = top + max(cm.c1_degree(g) for g in gens)
+        series = build_f(ring, cm, gens, bound, allow_general_sign=True)
+        args = (series, theta_order, q_degree, hbar_order)
+        want = reference_find_annihilators(*args)
+        got = find_annihilators(*args)
+        assert got == want, (name, args[1:])
+
+
+def test_search_solves_one_weight_block_at_a_time(corpus, monkeypatch):
+    _fan, cm, ring, gens = corpus["dp2"]
+    series = build_f(ring, cm, gens, 6, allow_general_sign=True)
+    theta_order, q_degree, hbar_order = 2, 1, 2
+    widths = []
+    nullspace = linalg.nullspace
+
+    def recorded(rows, width):
+        widths.append(width)
+        return nullspace(rows, width)
+
+    monkeypatch.setattr(linalg, "nullspace", recorded)
+    find_annihilators(series, theta_order, q_degree, hbar_order)
+    ansatz = ((hbar_order + 1) * comb(cm.l + q_degree, q_degree)
+              * comb(cm.l + theta_order, theta_order))
+    assert len(widths) > 1
+    assert max(widths) < ansatz
+    assert sum(widths) == ansatz
 
 
 def test_in_span():

@@ -364,6 +364,13 @@ def test_enumerate_degrees_rejects_unbounded(corpus):
         enumerate_degrees([(1,), (-1,)], cm, 4)
 
 
+def test_enumerate_degrees_names_generators_that_do_not_span(corpus):
+    _fan, cm, _ring, _gens = corpus["p1xp1"]
+    with pytest.raises(ValueError, match="generators do not span") as info:
+        enumerate_degrees([(1, 0)], cm, 4)
+    assert not isinstance(info.value, NefBasisError)
+
+
 def test_enumerate_degrees_rejects_negative_bound(corpus):
     _fan, cm, _ring, gens = corpus["p1"]
     with pytest.raises(ValueError, match="nonnegative"):

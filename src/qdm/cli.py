@@ -49,8 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="ansatz bound on theta order (default dim+1)")
             cmd.add_argument("--q-degree", type=int, default=1, metavar="Q",
                              help="ansatz bound on q degree (default 1)")
-            cmd.add_argument("--hbar-order", type=int, default=None, metavar="H",
-                             help="ansatz bound on hbar degree (default dim+1)")
         if name in ("operators", "loop-model"):
             cmd.add_argument("--degree", action="append", default=None,
                              metavar="d1,d2,...", help="curve degree (repeatable)")
@@ -181,7 +179,6 @@ def cmd_operators(args) -> tuple[dict, bool]:
     series = ifunction.build_f(ring, cm, gens, args.max_degree,
                                allow_general_sign=args.allow_general_sign)
     theta_order = (ring.top + 1) if args.theta_order is None else args.theta_order
-    hbar_order = (ring.top + 1) if args.hbar_order is None else args.hbar_order
     degrees = _parse_degrees(args, cm)
     if degrees is None:
         degrees = gens
@@ -204,7 +201,7 @@ def cmd_operators(args) -> tuple[dict, bool]:
             "classical_check": classical.is_zero(),
         })
         ok = ok and classical.is_zero()
-    anns = dmodule.find_annihilators(series, theta_order, args.q_degree, hbar_order)
+    anns = dmodule.find_annihilators(series, theta_order, args.q_degree)
     ann_entries = []
     for op in anns:
         applied = dmodule.apply(op, series)
@@ -225,8 +222,7 @@ def cmd_operators(args) -> tuple[dict, bool]:
     report = {
         "charge_matrix": [list(r) for r in cm.m],
         "max_degree": args.max_degree,
-        "ansatz": {"theta_order": theta_order, "q_degree": args.q_degree,
-                   "hbar_order": hbar_order},
+        "ansatz": {"theta_order": theta_order, "q_degree": args.q_degree},
         "gkz": gkz_entries,
         "annihilators": ann_entries,
         "ok": ok,

@@ -8,21 +8,20 @@ q^e P(theta + e*hbar), which is all the noncommutativity there is.
 Acting on the series F, the term q^e P_e contributes to the coefficient of
 q^d the value P_e(omega + (d-e)*hbar, hbar) * R_{d-e}.  Because the series
 is truncated at anticanonical degree B, the result is only trustworthy on
-the window c1(d) <= B - max_e c1(e); degrees beyond it would need source
-coefficients that were cut off.
+the window c1(d) <= B - max(0, max_e c1(e)) (_window_cap); degrees beyond
+it would need source coefficients that were cut off.
 
 Series values are classes at hbar = 1, one per weight (the weight rule is
 in the ifunction module).  An operator is therefore split by weight before
 it is evaluated, and every output class keeps its weight.  At hbar = 1,
 theta_j acting on q^d' cls gives q^d' (omega_j + d'_j) cls, so theta^t is a
 chain of |t| multiplications by degree-one classes (CohomRing.times_linear),
-memoized along the chain.  The annihilator search uses the same grading:
-it evaluates each q^e theta^t once and solves one block per weight, so
-hbar is never a coordinate of its matrices.
+memoized along the chain, once per series.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -234,25 +233,41 @@ def _theta_images(ring, l, sources):
     return image
 
 
-def apply(op: DiffOp, series) -> AppliedSeries:
-    """Apply a normal-ordered operator to a (possibly already applied) series."""
-    ring = series.ring
-    cm = series.cm
-    cap = series.bound - op.max_c1(cm)
+_IMAGES = weakref.WeakKeyDictionary()
+
+
+def _images(series):
+    """({degree: {weight: class}}, theta-image memo) of a series, built once
+    and shared by every apply on it and by the search.  Keyed by the series
+    itself (compared by identity), not by an id() a later one could reuse."""
+    if series not in _IMAGES:
+        sources = series.coefficients
+        if not isinstance(series, AppliedSeries):
+            sources = {d: {0: r} for d, r in sources.items()}
+        _IMAGES[series] = sources, _theta_images(series.ring, series.cm.l, sources)
+    return _IMAGES[series]
+
+
+def _window_cap(series, q_exps) -> int:
+    """Largest c1(d) where D.F is exact for D supported on q_exps."""
+    cap = series.bound - max([series.cm.c1_degree(e) for e in q_exps] + [0])
     if cap < 0:
         raise EmptyWindowError("operator q-support exceeds the series truncation "
                                "(bound %d)" % series.bound)
-    if isinstance(series, AppliedSeries):
-        sources = series.coefficients
-    else:
-        sources = {d: {0: r} for d, r in series.coefficients.items()}
+    return cap
+
+
+def apply(op: DiffOp, series) -> AppliedSeries:
+    """Apply a normal-ordered operator to a (possibly already applied) series."""
+    ring, cm = series.ring, series.cm
+    cap = _window_cap(series, op.terms)
+    sources, image = _images(series)
     blocks = {}  # q-exponent -> {weight: {theta exponent: coefficient}}
     for e, poly in op.terms.items():
         c1_e = cm.c1_degree(e)
         by_weight = blocks.setdefault(e, {})
         for (t, h), c in poly.items():
             by_weight.setdefault(c1_e + sum(t) + h, {})[t] = c
-    image = _theta_images(ring, cm.l, sources)
     out_degrees = set(series.degrees)
     for d in series.degrees:
         for e in op.terms:
@@ -312,60 +327,48 @@ def gkz_operator(cm, degree) -> DiffOp:
     return op - DiffOp(l, {tuple(degree): neg})
 
 
-def find_annihilators(series: GiventalSeries, theta_order: int, q_degree: int,
-                      hbar_order: int):
-    """All operators within the bounds annihilating the series on its window.
+def find_annihilators(series: GiventalSeries, theta_order: int, q_degree: int):
+    """A canonical Q[hbar]-basis of the homogeneous annihilators, on the
+    window, with |e| <= q_degree and |t| <= theta_order.
 
-    Ansatz: coefficients over the triples (q-exp e, theta-exp t, hbar-exp h)
-    with |e| <= q_degree, |t| <= theta_order, h <= hbar_order.  The term
-    (e, t, h) has weight c1(e) + |t| + h, and so do all its values, so the
-    evaluation map is block-diagonal by weight.  q^e theta^t is evaluated
-    once, at hbar = 1, as a vector over (degree, monomial); for each h that
-    vector is the column (e, t, h) of the block of its weight.  Each block's
-    exact rational nullspace is put in reduced row echelon form over its
-    columns in graded-lex order on the triples.  The blocks share no column,
-    so their rows, sorted by leading triple, are the reduced row echelon
-    form of the whole nullspace: the output basis is canonical.
+    Each column q^e theta^t, of pre-weight c1(e) + |t|, is evaluated once at
+    hbar = 1 over (degree, monomial).  A relation among columns of highest
+    pre-weight w lifts to the weight-w annihilator sum c q^e theta^t
+    hbar^(w - c1(e) - |t|), and every weight-w annihilator comes from one.
+    With columns in descending pre-weight, then graded-lex order, each row
+    of the reduced nullspace has its weight at its pivot, and the rows of
+    weight <= w span all relations of pre-weight <= w.  The lifted rows,
+    sorted by (weight, pivot), are the basis.
     """
-    if min(theta_order, q_degree, hbar_order) < 0:
+    if min(theta_order, q_degree) < 0:
         raise ValueError("ansatz bounds must be nonnegative")
     cm = series.cm
     l = cm.l
     q_exps = [e for tot in range(q_degree + 1) for e in monomials(l, tot)]
     t_exps = [t for tot in range(theta_order + 1) for t in monomials(l, tot)]
-    cap = series.bound - max(cm.c1_degree(e) for e in q_exps)
-    if cap < 0:
-        raise EmptyWindowError("q_degree %d exceeds the series truncation window"
-                               % q_degree)
-    image = _theta_images(series.ring, l,
-                          {d: {0: r} for d, r in series.coefficients.items()})
-
-    blocks = {}  # weight -> {(e, t, h): {(degree, monomial): coefficient}}
+    cap = _window_cap(series, q_exps)
+    image = _images(series)[1]
+    vectors = {}  # (e, t) -> q^e theta^t applied to the series, on the window
     for e in q_exps:
         shifted = [(dp, tuple(a + b for a, b in zip(dp, e))) for dp in series.degrees]
         window = [(dp, d) for dp, d in shifted if cm.c1_degree(d) <= cap]
         for t in t_exps:
-            vec = {}  # q^e theta^t applied to the series, on the window
-            for dp, d in window:
-                for mono, c in image(dp, 0, t).coeffs.items():
-                    vec[d, mono] = c
-            for h in range(hbar_order + 1):
-                blocks.setdefault(cm.c1_degree(e) + sum(t) + h, {})[e, t, h] = vec
-    found = []  # (leading triple's key, operator)
-    for block in blocks.values():
-        columns = sorted(block, key=lambda c: _ansatz_key(*c))
-        rows = sorted(set().union(*block.values()))  # eliminates faster sorted
-        matrix = [[block[c].get(k, Fraction(0)) for c in columns] for k in rows]
-        null = linalg.nullspace(matrix, len(columns))
-        if not null:
-            continue
-        reduced, pivots = linalg.rref(null, len(columns))
-        for vec, p in zip(reduced, pivots):
-            terms = {}
-            for (e, t, h), c in zip(columns, vec):
-                if c:
-                    terms.setdefault(e, {})[(t, h)] = c
-            found.append((_ansatz_key(*columns[p]), DiffOp(l, terms)))
+            vectors[e, t] = {(d, mono): c for dp, d in window
+                             for mono, c in image(dp, 0, t).coeffs.items()}
+    pre = {(e, t): cm.c1_degree(e) + sum(t) for e, t in vectors}
+    columns = sorted(vectors, key=lambda c: (-pre[c], _ansatz_key(*c, 0)))
+    rows = sorted(set().union(*vectors.values()))  # eliminates faster sorted
+    matrix = [[vectors[c].get(k, Fraction(0)) for c in columns] for k in rows]
+    null = linalg.nullspace(matrix, len(columns))
+    reduced, pivots = linalg.rref(null, len(columns))
+    found = []  # ((weight, pivot's key), operator)
+    for vec, p in zip(reduced, pivots):
+        weight = pre[columns[p]]
+        terms = {}
+        for (e, t), c in zip(columns, vec):
+            if c:
+                terms.setdefault(e, {})[(t, weight - pre[e, t])] = c
+        found.append(((weight, _ansatz_key(*columns[p], 0)), DiffOp(l, terms)))
     return [op for _, op in sorted(found, key=lambda f: f[0])]
 
 

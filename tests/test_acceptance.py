@@ -76,8 +76,7 @@ def test_criterion_2_annihilator_recovery(corpus, report_line):
         for name, n in PROJECTIVE_SPACES:
             _fan, cm, ring, gens = corpus[name]
             series = build_f(ring, cm, gens, 4 * (n + 1))
-            ops = find_annihilators(series, theta_order=n + 1, q_degree=1,
-                                    hbar_order=n + 1)
+            ops = find_annihilators(series, theta_order=n + 1, q_degree=1)
             assert ops, name
             for op in ops:
                 assert apply(op, series).is_zero(), name
@@ -95,15 +94,14 @@ def test_criterion_3_semiclassical_relations(corpus, report_line):
         for name, n in PROJECTIVE_SPACES:
             _fan, cm, ring, gens = corpus[name]
             series = build_f(ring, cm, gens, 4 * (n + 1))
-            ops = find_annihilators(series, theta_order=n + 1, q_degree=1,
-                                    hbar_order=n + 1)
+            ops = find_annihilators(series, theta_order=n + 1, q_degree=1)
             rel = semiclassical(ops[0])
             assert rel.terms == {((0,), (n + 1,)): Fraction(1),
                                  ((1,), (0,)): Fraction(-1)}, name
             assert rel.classical_value(ring).is_zero(), name
         _fan, cm, ring, gens = corpus["p1xp1"]
         series = build_f(ring, cm, gens, 8)
-        ops = find_annihilators(series, theta_order=2, q_degree=1, hbar_order=2)
+        ops = find_annihilators(series, theta_order=2, q_degree=1)
         for g, i in (((1, 0), 0), ((0, 1), 1)):
             box = gkz_operator(cm, g)
             assert in_span(ops, box), g

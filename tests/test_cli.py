@@ -1,6 +1,7 @@
 """End-to-end command line checks: exit codes, determinism, report shape."""
 
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -11,6 +12,8 @@ from qdm import cohomology, ifunction
 from qdm.cli import main
 
 from conftest import FAN_DIR
+
+LAYERS = FAN_DIR.parent / "perfbench" / "layers.py"
 
 
 def fan_path(name):
@@ -98,6 +101,7 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capfd, fan_text, arg
     ["cohomology", "p1", "--max-degree", "4"],
     ["ifunction", "p1", "--modes", "1..2"],
     ["loop-model", "p1", "--theta-order", "2"],
+    ["operators", "p1", "--hbar-order", "2"],
 ])
 def test_subcommand_rejects_options_it_does_not_read(capsys, argv):
     with pytest.raises(SystemExit) as info:
@@ -189,8 +193,7 @@ def test_ifunction_report(capsys):
 def test_operators_report(capsys):
     code, report = run_json(capsys, ["operators", fan_path("p1"),
                                      "--max-degree", "8",
-                                     "--theta-order", "2",
-                                     "--hbar-order", "2"])
+                                     "--theta-order", "2"])
     assert code == 0
     assert report["ok"] is True
     gkz = report["gkz"][0]
@@ -199,15 +202,14 @@ def test_operators_report(capsys):
     assert gkz["annihilates_series"] is True
     assert gkz["relation"] == "p1^2 - q1"
     assert gkz["classical_check"] is True
-    assert len(report["annihilators"]) == 3
+    assert len(report["annihilators"]) == 1
     assert all(e["verified"] for e in report["annihilators"])
     assert report["annihilators"][0]["text"] == "theta1^2 - q1"
 
 
 def test_operators_zero_ansatz(capsys):
     code, report = run_json(capsys, ["operators", fan_path("p1"),
-                                     "--theta-order", "0", "--q-degree", "0",
-                                     "--hbar-order", "0"])
+                                     "--theta-order", "0", "--q-degree", "0"])
     assert code == 0
     assert report["annihilators"] == []
     assert report["ok"] is True
@@ -270,6 +272,22 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["total_dimension"] == 4
 
 
+def test_benchmark_tracer_still_wraps_the_entry_points(capsys):
+    # the traced benchmark wraps module entry points by name; a renamed or
+    # deleted one must fail here, not silently drop out of its spans
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    tracer = layers.Tracer()
+    uninstall = layers.install(tracer)
+    try:
+        assert main(["operators", fan_path("p1")]) == 0
+    finally:
+        uninstall()
+    capsys.readouterr()
+    assert "dmodule.find_annihilators" in {span[0] for span in tracer.spans}
+
+
 # ---------------------------------------------------------------------------
 # golden reports: SHA-256 of stdout and the exit code, pinned from a
 # reference run, so any change to a report's bytes shows up here
@@ -295,19 +313,19 @@ GOLDEN = [
      "647422b63686a6121a8070d1fe34a4ab9b0ff06c896615b05f3af9b34bda5e56"),
     ("loop-model", ["p2"], 0, "90fc7d0501d0d0daddfe60a27b0298b07b7c7e9885ae76174e1ee07a895e2951"),
     ("loop-model", ["p1xp1"], 0, "eadf228b450fa368dee5a54bec000345e1c60d12db65b57e1f962abd85ac0043"),
-    ("operators", ["p1"], 0, "b6b0580ec78431e82650d1b9fc97f8cba6e040c098039e7ac37ed7f8a89c3cfc"),
-    ("operators", ["p1xp1"], 0, "60bbd9f0887e407e5507a16153d51f768a2e932403ae5fdbd54f3e35b65260b7"),
+    ("operators", ["p1"], 0, "1a2228ac22681e1bffc43861562c668607db84887b4d7c28694ed81fb683d72a"),
+    ("operators", ["p1xp1"], 0, "cc6250381c34b4f6c3e8836ebc642d5c05ee074077fb5325ffbb637c94dd195d"),
     ("loop-model", ["dp3"], 0, "71a8105955cb182b7279af8635b1b42b0f773db67f17f38a05d8772dfe1142b0"),
     ("ifunction", ["dp3", "--allow-general-sign", "--components", "0,1,2"], 0,
      "4dab4e6c5322c1cdce98f4cd10202d7a451e24a49fd9c2d522afd8a79515f692"),
     ("loop-model", ["dp2", "--allow-general-sign", "--format", "text"], 0,
      "41a31643bfbd8aa59094593cb97acc3ba896124585cb4654f7131ab8264ea6a9"),
     ("operators", ["hirzebruch1", "--allow-general-sign"], 0,
-     "b7f99693ca9fe05fb3e04c0fff552d42ad120b8616b7d64e5c41e8ce0bda1b61"),
-    ("operators", ["p2xp1"], 1, "47e3722723c2c9e9184806e0841fe0d3a69900201babbf67244baafaac2f8733"),
+     "1bdb0f6d92db9b0c1c152af5d0d0786e1ebd81f4d097739d6d0fa9ee91f911a4"),
+    ("operators", ["p2xp1"], 1, "9b95336e39705ab847b171146789272303a063ace716cbe16ef178876d5c5e80"),
     ("operators", ["dp2", "--allow-general-sign"], 0,
-     "1f33768dd3c8a180c59ac7e54e9a4b54d96b36d403d6dcbc2b7e612e3e5adaf9"),
-    ("operators", ["p3"], 1, "7df039bbb819070735fac75a003a3d9c2f970820cbf7e5a5cd16c8b51f4c97a7"),
+     "170519bcd0aaa5f868f403a834416ce7ac59415cf484cdfc72919d8801853051"),
+    ("operators", ["p3"], 1, "408c105ee34f298fe4ba42210173cbeb6599a643b244633173da81ccccf8cef7"),
 ]
 
 

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from qdm import (
+    AppliedSeries,
     DiffOp,
     EmptyWindowError,
     QuantumRelation,
@@ -223,6 +224,34 @@ def test_apply_theta_matches_the_reference_values(shipped, name):
                     assert out.coefficients[d] == want, (name, e, t, d)
 
 
+def test_theta_memo_is_shared_per_series(corpus, monkeypatch):
+    _fan, cm, ring, gens = corpus["p1xp1"]
+    series = build_f(ring, cm, gens, 6)
+    theta = DiffOp.theta(2, 0)
+    calls = []
+    times_linear = type(ring).times_linear
+
+    def counted(self, *args):
+        calls.append(args)
+        return times_linear(self, *args)
+
+    monkeypatch.setattr(type(ring), "times_linear", counted)
+    find_annihilators(series, 2, 0)
+    assert calls
+    before = len(calls)
+    once = apply(theta * theta, series)
+    assert apply(theta * theta, series).coefficients == once.coefficients
+    assert len(calls) == before  # the search already built every image
+    # each temporary series is dropped right after use, so the next one may
+    # sit at its address; it must still get a memo of its own
+    want = apply(theta, series).coefficients
+    for k in range(1, 9):
+        out = apply(theta, AppliedSeries(ring, cm, series.bound, series.degrees, {
+            d: {0: r.scale(k)} for d, r in series.coefficients.items()}))
+        for d, parts in want.items():
+            assert out.coefficients[d] == {w: c.scale(k) for w, c in parts.items()}, k
+
+
 # ---------------------------------------------------------------------------
 # box operators
 
@@ -286,17 +315,15 @@ def test_gkz_annihilates_series(corpus):
 def test_find_annihilators_projective_line(corpus):
     _fan, cm, ring, gens = corpus["p1"]
     series = build_f(ring, cm, gens, 8)
-    ops = find_annihilators(series, theta_order=2, q_degree=1, hbar_order=2)
-    g = gkz_operator(cm, (1,))
-    h = DiffOp.hbar(1)
-    assert ops == [g, h * g, h * h * g]
+    ops = find_annihilators(series, theta_order=2, q_degree=1)
+    assert ops == [gkz_operator(cm, (1,))]
 
 
 def test_find_annihilators_stable_under_more_data(corpus):
     _fan, cm, ring, gens = corpus["p1"]
     small = build_f(ring, cm, gens, 8)
     large = build_f(ring, cm, gens, 12)
-    bounds = dict(theta_order=2, q_degree=1, hbar_order=2)
+    bounds = dict(theta_order=2, q_degree=1)
     ops = find_annihilators(small, **bounds)
     assert ops == find_annihilators(large, **bounds)
     # operators found at the small truncation still kill the larger one
@@ -307,7 +334,7 @@ def test_find_annihilators_stable_under_more_data(corpus):
 def test_find_annihilators_product(corpus):
     _fan, cm, ring, gens = corpus["p1xp1"]
     series = build_f(ring, cm, gens, 8)
-    ops = find_annihilators(series, theta_order=2, q_degree=1, hbar_order=2)
+    ops = find_annihilators(series, theta_order=2, q_degree=1)
     assert ops
     for op in ops:
         assert apply(op, series).is_zero()
@@ -318,12 +345,12 @@ def test_find_annihilators_product(corpus):
 def test_find_annihilators_empty_cases(corpus):
     _fan, cm, ring, gens = corpus["p1"]
     series = build_f(ring, cm, gens, 8)
-    assert find_annihilators(series, 0, 0, 0) == []
+    assert find_annihilators(series, 0, 0) == []
     with pytest.raises(ValueError, match="nonnegative"):
-        find_annihilators(series, -1, 1, 1)
+        find_annihilators(series, -1, 1)
     small = build_f(ring, cm, gens, 2)
     with pytest.raises(EmptyWindowError):
-        find_annihilators(small, 2, 2, 2)
+        find_annihilators(small, 2, 2)
 
 
 def reference_find_annihilators(series, theta_order, q_degree, hbar_order):
@@ -386,12 +413,33 @@ def reference_find_annihilators(series, theta_order, q_degree, hbar_order):
     return ops
 
 
-# (theta_order, q_degree, hbar_order); None is dim + 1, the CLI default
+# (theta_order, q_degree, hbar_order); None is dim + 1, the CLI default.
+# hbar_order bounds only the reference search.
 SEARCH_BOUNDS = [(2, 1, 2), (3, 0, 1), (1, 2, 0), (2, 1, 0), (None, 1, 1)]
 
 
+def hbar_times(op, k):
+    return DiffOp(op.nvars, {e: {(t, h + k): c for (t, h), c in poly.items()}
+                             for e, poly in op.terms.items()})
+
+
+def spans(ops, targets):
+    """Is every target in_span(ops)?  Decided at once, by comparing ranks."""
+    keys = sorted({k for op in ops + targets for k in op.support_triples()},
+                  key=lambda k: _ansatz_key(*k))
+
+    def rank(group):
+        rows = [[op.coefficient(*k) for k in keys] for op in group]
+        return len(linalg.rref(rows, len(keys))[1])
+    return rank(ops + targets) == rank(ops)
+
+
+def weights(op, cm):
+    return {cm.c1_degree(e) + sum(t) + h for e, t, h in op.support_triples()}
+
+
 @pytest.mark.parametrize("name", SHIPPED)
-def test_weight_blocks_match_the_reference_search(shipped, name):
+def test_generators_span_the_reference_search(shipped, name):
     # the window leaves room for the Mori generators beyond the q-support
     _fan, cm, ring, gens = shipped[name]
     l = cm.l
@@ -402,16 +450,33 @@ def test_weight_blocks_match_the_reference_search(shipped, name):
                   for e in monomials(l, tot))
         bound = top + max(cm.c1_degree(g) for g in gens)
         series = build_f(ring, cm, gens, bound, allow_general_sign=True)
-        args = (series, theta_order, q_degree, hbar_order)
-        want = reference_find_annihilators(*args)
-        got = find_annihilators(*args)
-        assert got == want, (name, args[1:])
+        where = (name, theta_order, q_degree, hbar_order)
+        found = []  # (weight, generator)
+        for g in find_annihilators(series, theta_order, q_degree):
+            ws = weights(g, cm)
+            assert len(ws) == 1, (where, g)  # homogeneous
+            # no negative hbar exponent, and no generator is an hbar-multiple
+            assert min(h for _, _, h in g.support_triples()) == 0, (where, g)
+            found.append((ws.pop(), g))
+        reference = []
+        for r in reference_find_annihilators(series, theta_order, q_degree, hbar_order):
+            ws = weights(r, cm)
+            assert len(ws) == 1, (where, r)
+            reference.append((ws.pop(), r))
+        for w in {w for w, _ in found + reference}:
+            # (a) every reference operator is a Q[hbar]-combination of generators
+            lifted = [hbar_times(g, w - wg) for wg, g in found if wg <= w]
+            assert spans(lifted, [r for wr, r in reference if wr == w]), (where, w)
+            # (b) every generator within the reference's hbar bound is found there
+            within = [g for wg, g in found if wg == w
+                      and max(h for _, _, h in g.support_triples()) <= hbar_order]
+            assert spans([r for wr, r in reference if wr == w], within), (where, w)
 
 
-def test_search_solves_one_weight_block_at_a_time(corpus, monkeypatch):
+def test_search_solves_the_hbar_free_ansatz_once(corpus, monkeypatch):
     _fan, cm, ring, gens = corpus["dp2"]
     series = build_f(ring, cm, gens, 6, allow_general_sign=True)
-    theta_order, q_degree, hbar_order = 2, 1, 2
+    theta_order, q_degree = 2, 1
     widths = []
     nullspace = linalg.nullspace
 
@@ -420,12 +485,11 @@ def test_search_solves_one_weight_block_at_a_time(corpus, monkeypatch):
         return nullspace(rows, width)
 
     monkeypatch.setattr(linalg, "nullspace", recorded)
-    find_annihilators(series, theta_order, q_degree, hbar_order)
-    ansatz = ((hbar_order + 1) * comb(cm.l + q_degree, q_degree)
-              * comb(cm.l + theta_order, theta_order))
-    assert len(widths) > 1
-    assert max(widths) < ansatz
-    assert sum(widths) == ansatz
+    find_annihilators(series, theta_order, q_degree)
+    # one column per q^e theta^t: 4 * 10 = 40 on dp2 (l = 3)
+    ansatz = comb(cm.l + q_degree, q_degree) * comb(cm.l + theta_order, theta_order)
+    assert ansatz == 40
+    assert widths == [ansatz]
 
 
 def test_in_span():

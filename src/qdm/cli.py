@@ -113,6 +113,8 @@ def _parse_modes(raw):
     hi = _int_field(hi, "--modes", raw) if sep else lo
     if hi < lo:
         raise ValueError("--modes range is empty")
+    if lo < 0:
+        raise ValueError("--modes cutoffs must be nonnegative, got %r" % raw)
     return list(range(lo, hi + 1))
 
 
@@ -256,7 +258,7 @@ def cmd_loop_model(args) -> tuple[dict, bool]:
                             "error": "all requested cutoffs below N(d)"})
             ok = False
             continue
-        rep = loop_model.check_stabilization(ring, cm, d, usable, fan=fan)
+        rep = loop_model.check_stabilization(ring, cm, d, usable)
         if skipped:
             rep["skipped_modes"] = skipped
         reports.append(rep)

@@ -98,9 +98,6 @@ class CohomClass:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def integrate(self):
-        return self.ring.integrate(self)
-
     def __repr__(self):
         if not self.coeffs:
             return "CohomClass(0)"

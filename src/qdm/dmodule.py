@@ -181,10 +181,6 @@ class DiffOp:
     def coefficient(self, e, t, h) -> Fraction:
         return self.terms.get(tuple(e), {}).get((tuple(t), h), Fraction(0))
 
-    def max_c1(self, cm) -> int:
-        """Largest anticanonical degree over the q-support (0 if empty)."""
-        return max([cm.c1_degree(e) for e in self.terms] + [0])
-
     def __repr__(self):
         return "DiffOp(%d, %r)" % (self.nvars, self.terms)
 

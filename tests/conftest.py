@@ -102,3 +102,40 @@ def corpus():
 def shipped():
     """The same for every fan in fans/, the four-folds included."""
     return _built(SHIPPED)
+
+
+# The pair-list loop model that per-ray intervals replaced, kept as the
+# oracle: every transverse (k, nu) pair listed, and the finite-mode ratio
+# formed by cancelling the common pairs of components d and 0.
+
+def reference_weight_pairs(cm, degree, modes):
+    """(positive, negative): the sorted transverse (k, nu) pairs of the
+    degree-d component at cutoff N, split by the sign of nu - a_k."""
+    positive = []
+    negative = []
+    for k in range(cm.n):
+        a_k = cm.pairing(degree, k)
+        for nu in range(a_k + 1, modes + 1):
+            positive.append((k, nu))
+        for nu in range(-modes, a_k):
+            negative.append((k, nu))
+    return tuple(sorted(positive)), tuple(sorted(negative))
+
+
+def reference_euler_ratio_n(ring, cm, degree, modes):
+    """e(positive pairs of d) / e(positive pairs of 0) at cutoff N, with the
+    common pairs cancelled before anything is inverted."""
+    pos_d = set()
+    pos_0 = set()
+    for k in range(cm.n):
+        a_k = cm.pairing(degree, k)
+        for nu in range(a_k + 1, modes + 1):
+            pos_d.add((k, nu))
+        for nu in range(1, modes + 1):
+            pos_0.add((k, nu))
+    out = ring.one()
+    for k, nu in sorted(pos_d - pos_0):
+        out = ring.times_linear(out, ring.generator(k), nu)
+    for k, nu in sorted(pos_0 - pos_d):  # nu >= 1, so every inverse exists
+        out = ring.divide_linear(out, ring.generator(k), nu)
+    return out

@@ -96,13 +96,6 @@ def test_mismatched_variable_count_rejected():
         DiffOp.theta(1, 0) * DiffOp.theta(2, 0)
 
 
-def test_max_c1(corpus):
-    _fan, cm, _ring, _gens = corpus["p1xp1"]
-    op = DiffOp.q_power(2, (1, 1)) + DiffOp.theta(2, 0)
-    assert op.max_c1(cm) == 4
-    assert DiffOp.theta(2, 0).max_c1(cm) == 0
-
-
 # ---------------------------------------------------------------------------
 # applying operators to the series
 

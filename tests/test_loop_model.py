@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import (reference_euler_ratio_n, reference_linear_factor,
+                      reference_weight_pairs)
 from qdm import (
     ComponentAbsentError,
     action_value,
@@ -71,54 +73,87 @@ def test_min_modes(corpus):
 
 
 def test_critical_component_projective_plane(corpus):
-    fan, cm, _ring, _gens = corpus["p2"]
-    data = critical_component(fan, cm, None, (1,), 2)
+    _fan, cm, _ring, _gens = corpus["p2"]
+    data = critical_component(cm, None, (1,), 2)
     assert data.degree == (1,)
     assert data.modes == 2
     assert data.value == 1
-    assert data.weights.positive == ((0, 2), (1, 2), (2, 2))
-    assert data.weights.negative == tuple(sorted(
-        (k, nu) for k in range(3) for nu in (-2, -1, 0)))
+    assert data.weights.positive == ((2, 2),) * 3
+    assert data.weights.negative == ((-2, 0),) * 3
 
 
 def test_critical_component_weight_count(corpus):
     # each coordinate contributes 2N transverse modes; the frozen mode a_k
     # belongs to neither sign class
     for name in ("p2", "p1xp1", "hirzebruch1", "dp2"):
-        fan, cm, _ring, gens = corpus[name]
+        _fan, cm, _ring, gens = corpus[name]
         for d in enumerate_degrees(gens, cm, 4):
             n_cut = min_modes(cm, d) + 1
-            data = critical_component(fan, cm, None, d, n_cut)
-            pos, neg = set(data.weights.positive), set(data.weights.negative)
-            assert len(pos) + len(neg) == cm.n * 2 * n_cut, (name, d)
-            assert not pos & neg
-            for k in range(cm.n):
-                assert (k, cm.pairing(d, k)) not in pos | neg
+            data = critical_component(cm, None, d, n_cut)
+            for k, (pos, neg) in enumerate(zip(data.weights.positive,
+                                               data.weights.negative)):
+                a_k = cm.pairing(d, k)
+                sizes = [max(0, hi - lo + 1) for lo, hi in (pos, neg)]
+                assert sum(sizes) == 2 * n_cut, (name, d, k)
+                assert neg[1] < a_k < pos[0], (name, d, k)
 
 
 def test_critical_component_lam(corpus):
-    fan, cm, _ring, _gens = corpus["p1xp1"]
-    data = critical_component(fan, cm, [Fraction(5, 2), 3], (1, 2), 2)
+    _fan, cm, _ring, _gens = corpus["p1xp1"]
+    data = critical_component(cm, [Fraction(5, 2), 3], (1, 2), 2)
     assert data.value == Fraction(5, 2) + 6
     with pytest.raises(ValueError, match="one coefficient per nef"):
-        critical_component(fan, cm, [1], (1, 0), 2)
+        critical_component(cm, [1], (1, 0), 2)
     with pytest.raises(ValueError, match="wrong number"):
-        critical_component(fan, cm, None, (1,), 2)
-
-
-def test_critical_component_mismatched_fan(corpus):
-    fan = corpus["p2"][0]
-    cm = corpus["p1"][1]
-    with pytest.raises(ValueError, match="does not match"):
-        critical_component(fan, cm, None, (1,), 2)
+        critical_component(cm, None, (1,), 2)
 
 
 def test_component_absent_below_cutoff(corpus):
-    fan, cm, ring, _gens = corpus["p2"]
+    _fan, cm, ring, _gens = corpus["p2"]
     with pytest.raises(ComponentAbsentError, match="at least N = 1"):
-        critical_component(fan, cm, None, (1,), 0)
+        critical_component(cm, None, (1,), 0)
     with pytest.raises(ComponentAbsentError):
         euler_ratio_n(ring, cm, (2,), 1)
+
+
+def _degrees_and_cutoffs(shipped, extra):
+    """(name, cm, ring, d, N) for c1(d) <= 4 and N = N(d)..N(d)+extra."""
+    for name, (_fan, cm, ring, gens) in shipped.items():
+        for d in enumerate_degrees(gens, cm, 4):
+            base = min_modes(cm, d)
+            for n_cut in range(base, base + extra + 1):
+                yield name, cm, ring, d, n_cut
+
+
+def test_intervals_expand_to_reference_pairs(shipped):
+    for name, cm, _ring, d, n_cut in _degrees_and_cutoffs(shipped, 2):
+        weights = critical_component(cm, None, d, n_cut).weights
+        expanded = tuple(
+            tuple(sorted((k, nu) for k, (lo, hi) in enumerate(side)
+                         for nu in range(lo, hi + 1)))
+            for side in (weights.positive, weights.negative))
+        assert expanded == reference_weight_pairs(cm, d, n_cut), (name, d, n_cut)
+
+
+def test_finite_mode_ratio_matches_reference_cancellation(shipped):
+    for name, cm, ring, d, n_cut in _degrees_and_cutoffs(shipped, 2):
+        assert euler_ratio_n(ring, cm, d, n_cut) == \
+            reference_euler_ratio_n(ring, cm, d, n_cut), (name, d, n_cut)
+
+
+def test_finite_mode_ratio_times_degree_zero_euler_class(shipped):
+    # the finite-mode identity with nothing cancelled or inverted:
+    # R_d * prod_k prod_{nu=1}^{N} (alpha_k + nu) == prod_k prod_{nu=a_k+1}^{N} (alpha_k + nu)
+    for name, cm, ring, d, n_cut in _degrees_and_cutoffs(shipped, 1):
+        lhs = euler_ratio_n(ring, cm, d, n_cut)
+        rhs = ring.one()
+        for k in range(cm.n):
+            alpha = ring.generator(k)
+            for nu in range(1, n_cut + 1):
+                lhs = lhs * reference_linear_factor(ring, alpha, nu)
+            for nu in range(cm.pairing(d, k) + 1, n_cut + 1):
+                rhs = rhs * reference_linear_factor(ring, alpha, nu)
+        assert lhs == rhs, (name, d, n_cut)
 
 
 # ---------------------------------------------------------------------------
@@ -147,24 +182,25 @@ def test_finite_mode_ratio_hirzebruch_numerator(corpus):
 
 
 def test_check_stabilization_report(corpus):
-    fan, cm, ring, _gens = corpus["p1"]
-    report = check_stabilization(ring, cm, (1,), [2, 1, 2], fan=fan)
+    _fan, cm, ring, _gens = corpus["p1"]
+    report = check_stabilization(ring, cm, (1,), [2, 1, 2])
     assert report["degree"] == [1]
     assert report["min_modes"] == 1
     assert report["N_list"] == [1, 2]
     assert report["critical_value"] == "1"
-    assert [c["N"] for c in report["mode_checks"]] == [1, 2]
-    assert all(c["matches_stable"] for c in report["mode_checks"])
+    assert "mode_checks" not in report
     assert report["stable"] is True
-    assert "ratio" in report
-    assert sorted(map(tuple, report["weights"]["positive"])) == [(0, 2), (1, 2)]
+    assert report["ratio"] == laurent_json(euler_ratio(ring, cm, (1,)), 2)
+    assert report["weights"] == {"positive": [[2, 2], [2, 2]],
+                                 "negative": [[-2, 0], [-2, 0]]}
     json.dumps(report)  # must be serializable as-is
 
 
-def test_check_stabilization_without_fan_omits_weights(corpus):
+def test_check_stabilization_weights_at_largest_cutoff(corpus):
     _fan, cm, ring, _gens = corpus["p2"]
     report = check_stabilization(ring, cm, (1,), [1, 3])
-    assert "weights" not in report
+    assert report["weights"] == {"positive": [[2, 3]] * 3,
+                                 "negative": [[-3, 0]] * 3}
     assert report["stable"] is True
 
 
@@ -179,3 +215,5 @@ def test_check_stabilization_requires_enough_modes(corpus):
     _fan, cm, ring, _gens = corpus["p2"]
     with pytest.raises(ComponentAbsentError):
         check_stabilization(ring, cm, (2,), [1, 2])
+    with pytest.raises(ValueError, match="no mode cutoffs"):
+        check_stabilization(ring, cm, (2,), [])

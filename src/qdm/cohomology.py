@@ -1,10 +1,15 @@
 """Rational cohomology of a smooth complete toric variety, exactly.
 
 H*(M; Q) = Q[x_1..x_n] / (linear relations from the rays + Stanley-Reisner
-monomials of the fan).  The ring is graded by complex degree, generators sit
-in degree one, and everything vanishes above the top degree dim(M), so each
-graded piece can be computed once and for all by exact row reduction of the
-span of relation multiples.  No Groebner machinery is needed or used.
+monomials of the fan).  In reduced row echelon form each linear relation is
+led by one variable x_p; replacing x_p by its linear form in the l = n - dim
+free variables presents the ring on those.  It is graded by complex degree,
+generators sit in degree one, and everything vanishes above the top degree
+dim(M), so each graded piece is computed once and for all by exact row
+reduction of the relation multiples over the free monomials.  Columns run
+in mono_key order, lex with x_1 first, where x_p leads its relation, so the
+standard monomials, the basis, are those a reduction over all n variables
+gives.  No Groebner machinery is needed or used.
 
 Integration is normalized so that the class of a torus-fixed point, the
 product prod_{k in sigma} x_k over any maximal cone sigma, integrates to 1;
@@ -22,6 +27,7 @@ of the solution is x_i = (v_i - L*x_{i-1}) / nu.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, combinations_with_replacement
 
 from . import linalg
@@ -35,20 +41,29 @@ def mono_key(mono):
 
 def monomials(n, degree):
     """All exponent tuples in n variables of the given total degree, sorted."""
-    if degree == 0:
-        return [(0,) * n]
-    out = []
-    for combo in combinations_with_replacement(range(n), degree):
-        e = [0] * n
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    out.sort(key=mono_key)
-    return out
+    return _monomials_in(n, range(n), degree)
+
+
+def _monomials_in(n, variables, degree):
+    """The exponent tuples in n variables of the given total degree that
+    involve only the given variables, sorted by mono_key."""
+    return sorted((tuple(combo.count(i) for i in range(n))
+                   for combo in combinations_with_replacement(variables, degree)),
+                  key=mono_key)
 
 
 def _mul_mono(a, b):
     return tuple(x + y for x, y in zip(a, b))
+
+
+def _poly_mul(a, b):
+    """The product of two polynomials {exponent tuple: coeff}."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = _mul_mono(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
 
 
 class CohomClass:
@@ -118,12 +133,19 @@ class CohomRing:
         self.n = fan.n_rays
         self.top = fan.dim
         self.l = cm.l
-        self._nonfaces = self._minimal_nonfaces()
+        red, lead = linalg.rref([list(coords) for coords in zip(*fan.rays)], self.n)
+        free = [j for j in range(self.n) if j not in lead]
+        units = monomials(self.n, 1)
+        forms = [{u: Fraction(1)} for u in units]
+        for row, p in zip(red, lead):
+            forms[p] = {units[j]: -row[j] for j in free if row[j]}
+        relations = [(len(nf), reduce(_poly_mul, [forms[k] for k in nf]))
+                     for nf in self._minimal_nonfaces()]
+        free_monos = {deg: _monomials_in(self.n, free, deg) for deg in range(self.top + 2)}
         self._table = {}
         self.basis_by_degree = {}
-        ray_rows = [[ray[nu] for ray in fan.rays] for nu in range(fan.dim)]
         for deg in range(self.top + 2):
-            basis = self._build_degree(deg, ray_rows)
+            basis = self._build_degree(deg, free_monos, relations)
             if deg <= self.top:
                 self.basis_by_degree[deg] = basis
             elif basis:
@@ -139,10 +161,8 @@ class CohomRing:
         self.basis = tuple(m for d in range(self.top + 1)
                            for m in self.basis_by_degree[d])
         self._point_mono = self.basis_by_degree[self.top][0]
+        self._generators = tuple(CohomClass(self, form) for form in forms)
         self._point_factor = self._normalize_point()
-        self._generators = tuple(
-            self.monomial_class(tuple(int(i == k) for i in range(self.n)))
-            for k in range(self.n))
         self._omega_cache = {}
         self._linear_cache = {}
         self._dual_cache = None
@@ -162,59 +182,35 @@ class CohomRing:
                 nonfaces.append(s)
         return nonfaces
 
-    def _sr_divisible(self, mono):
-        support = {i for i, e in enumerate(mono) if e}
-        return any(nf <= support for nf in self._nonfaces)
-
-    def _build_degree(self, deg, ray_rows):
-        monos = monomials(self.n, deg)
-        alive = []
-        for m in monos:
-            if self._sr_divisible(m):
-                self._table[m] = {}
-            else:
-                alive.append(m)
-        index = {m: i for i, m in enumerate(alive)}
+    def _build_degree(self, deg, free_monos, relations):
+        """Row-reduce the degree-deg free monomials against the multiples of
+        the Stanley-Reisner relations; returns the basis of the degree."""
+        cols = free_monos[deg]
         rows = []
-        if deg >= 1:
-            lower = [m for m in monomials(self.n, deg - 1)
-                     if not self._sr_divisible(m)]
-            for coeffs in ray_rows:
-                for mu in lower:
-                    row = [0] * len(alive)
-                    for k in range(self.n):
-                        if coeffs[k]:
-                            j = index.get(_mul_mono(mu, tuple(1 if i == k else 0
-                                                              for i in range(self.n))))
-                            if j is not None:
-                                row[j] += coeffs[k]
-                    if any(row):
-                        rows.append(row)
-        red, pivots = linalg.rref(rows, len(alive))
+        for size, rel in relations:
+            for mu in free_monos.get(deg - size, ()):
+                multiple = _poly_mul(rel, {mu: 1})
+                rows.append([multiple.get(m, 0) for m in cols])
+        red, pivots = linalg.rref(rows, len(cols))
         pivset = set(pivots)
-        basis = [alive[j] for j in range(len(alive)) if j not in pivset]
+        basis = [cols[j] for j in range(len(cols)) if j not in pivset]
         for row, c in zip(red, pivots):
-            self._table[alive[c]] = {alive[j]: -row[j]
-                                     for j in range(len(alive))
-                                     if j not in pivset and row[j]}
+            self._table[cols[c]] = {cols[j]: -row[j] for j in range(len(cols))
+                                    if j not in pivset and row[j]}
         for m in basis:
             self._table[m] = {m: Fraction(1)}
         return basis
 
     def _normalize_point(self):
-        vals = []
+        vals = set()
         for cone in self.fan.max_cones:
-            e = [0] * self.n
+            point = self.one()
             for k in cone:
-                e[k] += 1
-            red = self._table[tuple(e)]
-            if set(red) - {self._point_mono}:
-                raise FanError("point class of a maximal cone does not reduce to "
-                               "the top basis monomial")
-            vals.append(red.get(self._point_mono, Fraction(0)))
-        if any(v == 0 for v in vals) or len(set(vals)) != 1:
+                point = point * self._generators[k]
+            vals.add(point.coeffs.get(self._point_mono, Fraction(0)))
+        if 0 in vals or len(vals) != 1:
             raise FanError("inconsistent point normalization across maximal cones")
-        return vals[0]
+        return vals.pop()
 
     # -- arithmetic ------------------------------------------------------
 
@@ -229,6 +225,7 @@ class CohomRing:
         return self._generators[k]
 
     def monomial_class(self, mono) -> CohomClass:
+        """The reduced class of a monomial in the free variables."""
         if sum(mono) > self.top:
             return self.zero()
         return CohomClass(self, dict(self._table[tuple(mono)]))

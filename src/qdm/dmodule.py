@@ -300,6 +300,8 @@ def gkz_operator(cm, degree) -> DiffOp:
     if any(x < 0 for x in degree):
         raise ValueError("degree has a negative coordinate; the operator would "
                          "not be polynomial in q")
+    if not any(degree):
+        raise ValueError("the zero degree has only the zero box operator")
     pos = _poly_one(l)
     neg = _poly_one(l)
     for k in range(cm.n):

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 import qdm
-from qdm.cohomology import CohomClass
+from qdm import linalg
+from qdm.cohomology import CohomClass, monomials
 
 FAN_DIR = Path(__file__).resolve().parent.parent / "fans"
 
@@ -139,3 +140,56 @@ def reference_euler_ratio_n(ring, cm, degree, modes):
     for k, nu in sorted(pos_0 - pos_d):  # nu >= 1, so every inverse exists
         out = ring.divide_linear(out, ring.generator(k), nu)
     return out
+
+
+# The reduction over all n ray variables that the free-variable presentation
+# replaced, kept as the oracle: every monomial of degree <= dim + 1 gets an
+# entry, the Stanley-Reisner divisible ones an empty one, and the rest are
+# row-reduced against the linear relations times the lower monomials.
+
+def reference_reduction_table(fan):
+    """(table, basis_by_degree): the reduced form {basis monomial: coeff} of
+    every n-variable monomial of degree <= dim + 1, and the standard
+    monomials of each degree <= dim."""
+    n = fan.n_rays
+    cones = [set(c) for c in fan.max_cones]
+    ray_rows = [[ray[nu] for ray in fan.rays] for nu in range(fan.dim)]
+
+    def sr_divisible(mono):
+        # divisible by a minimal nonface <=> the support lies in no maximal cone
+        support = {i for i, e in enumerate(mono) if e}
+        return not any(support <= c for c in cones)
+
+    table = {}
+    basis_by_degree = {}
+    for deg in range(fan.dim + 2):
+        alive = []
+        for m in monomials(n, deg):
+            if sr_divisible(m):
+                table[m] = {}
+            else:
+                alive.append(m)
+        index = {m: i for i, m in enumerate(alive)}
+        rows = []
+        if deg >= 1:
+            for coeffs in ray_rows:
+                for mu in monomials(n, deg - 1):
+                    if sr_divisible(mu):
+                        continue
+                    row = [0] * len(alive)
+                    for k in range(n):
+                        j = index.get(tuple(e + (i == k) for i, e in enumerate(mu)))
+                        if coeffs[k] and j is not None:
+                            row[j] += coeffs[k]
+                    rows.append(row)
+        red, pivots = linalg.rref(rows, len(alive))
+        pivset = set(pivots)
+        basis = [alive[j] for j in range(len(alive)) if j not in pivset]
+        for row, c in zip(red, pivots):
+            table[alive[c]] = {alive[j]: -row[j] for j in range(len(alive))
+                               if j not in pivset and row[j]}
+        for m in basis:
+            table[m] = {m: Fraction(1)}
+        if deg <= fan.dim:
+            basis_by_degree[deg] = basis
+    return table, basis_by_degree

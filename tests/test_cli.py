@@ -84,6 +84,7 @@ P1XP1_TEXT = ('{"rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],'
     (P2_TEXT, ["loop-model", "--modes", "1_0"], "bad --modes"),
     (P2_TEXT, ["loop-model", "--modes=-1"], "--modes cutoffs must be nonnegative"),
     (P2_TEXT, ["loop-model", "--modes=-2..1"], "--modes cutoffs must be nonnegative"),
+    (P1XP1_TEXT, ["operators", "--degree", "0,0"], "zero degree"),
     (P2_TEXT, ["cohomology", "--out", "no-such-dir/report.json"], "cannot write the report"),
     (P2_TEXT, ["cohomology", "--out", "."], "cannot write the report"),
 ])
@@ -289,12 +290,14 @@ def test_benchmark_tracer_still_wraps_the_entry_points(capsys):
     try:
         assert main(["operators", fan_path("p1")]) == 0
         assert main(["loop-model", fan_path("p1")]) == 0
+        assert main(["cohomology", fan_path("p1")]) == 0
     finally:
         uninstall()
     capsys.readouterr()
     names = {span[0] for span in tracer.spans}
     for name in ("dmodule.find_annihilators", "loop_model.check_stabilization",
-                 "loop_model.euler_ratio_n", "loop_model.critical_component"):
+                 "loop_model.euler_ratio_n", "loop_model.critical_component",
+                 "cohomology.build_ring", "cohomology.CohomRing.dual_basis"):
         assert name in names, name
 
 
@@ -313,6 +316,8 @@ GOLDEN = [
     ("cohomology", ["p4"], 0, "87a7c5189a448f9907132d70d2c527b15e29c507804abfa13680a18a80b5b940"),
     ("cohomology", ["p2xp2_sheared"], 0,
      "4df8d553a07c0c096531919d25fdab71e121a6233274609a11ad1cedcc508f8d"),
+    ("cohomology", ["p5"], 0, "8b1e457ed3e7da69829ad047b3ba9cbea54147986e663a598adc1014d920bcae"),
+    ("cohomology", ["p1x3"], 0, "e8db4b72e8a7470e834eedec477fc123f9161631f5fba1cc3a34da40734e47d2"),
     ("ifunction", ["p1"], 0, "dc40e3833cb3d2c226e56c9e0956c882a88f1c1497062aa2db3dbb08b6544f1d"),
     ("ifunction", ["p2"], 0, "278e9645fb4296c202154b9d1c4f2cc8862a22812aa240d0c57d7aaf2a6fafcc"),
     ("ifunction", ["p1xp1", "--components", "0"], 0,

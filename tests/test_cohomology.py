@@ -1,14 +1,16 @@
 """Exact cohomology rings: Betti numbers, intersection numbers, duality."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from qdm import CohomClass, CohomRing, build_ring, monomials
+from qdm import CohomClass, CohomRing, build_ring, linalg, monomials
 from qdm.cohomology import mono_key
 
-from conftest import SHIPPED, reference_inverse_linear_factor, reference_linear_factor
+from conftest import (SHIPPED, reference_inverse_linear_factor, reference_linear_factor,
+                      reference_reduction_table)
 
 
 def degree_part(cls, deg):
@@ -27,7 +29,7 @@ def test_mono_key_is_graded():
     assert mono_key((2, 0)) < mono_key((1, 1))
 
 
-def test_betti_numbers(corpus):
+def test_betti_numbers(shipped):
     expected = {
         "p1": (1, 1),
         "p2": (1, 1, 1),
@@ -35,9 +37,12 @@ def test_betti_numbers(corpus):
         "p1xp1": (1, 2, 1),
         "hirzebruch1": (1, 2, 1),
         "dp2": (1, 3, 1),
+        "p5": (1, 1, 1, 1, 1, 1),
+        "p1x3": (1, 3, 3, 1),
     }
-    for name, (fan, _cm, ring, _gens) in corpus.items():
-        assert ring.dims == expected[name], name
+    for name, betti in expected.items():
+        fan, _cm, ring, _gens = shipped[name]
+        assert ring.dims == betti, name
         assert sum(ring.dims) == len(fan.max_cones), name
 
 
@@ -100,17 +105,19 @@ def test_del_pezzo_self_intersections(corpus):
     assert squares == [0, -1, -1, -1, 0]
 
 
-def test_anticanonical_degrees(corpus):
+def test_anticanonical_degrees(shipped):
+    # P^5: 6^5; (P^1)^3: 3! * 2^3
     expected = {"p1": 2, "p2": 9, "p3": 64, "p1xp1": 8,
-                "hirzebruch1": 8, "dp2": 7}
-    for name, (_fan, _cm, ring, _gens) in corpus.items():
+                "hirzebruch1": 8, "dp2": 7, "p5": 7776, "p1x3": 48}
+    for name, degree in expected.items():
+        _fan, _cm, ring, _gens = shipped[name]
         c1 = ring.zero()
         for k in range(ring.n):
             c1 = c1 + ring.generator(k)
         power = ring.one()
         for _ in range(ring.top):
             power = power * c1
-        assert ring.integrate(power) == expected[name], name
+        assert ring.integrate(power) == degree, name
 
 
 def test_ray_classes_expand_in_nef_basis(corpus):
@@ -198,6 +205,37 @@ def test_build_ring_function(corpus):
     fresh = build_ring(fan, cm)
     assert fresh.dims == ring.dims
     assert fresh.basis == ring.basis
+
+
+# ---------------------------------------------------------------------------
+# the presentation on the free variables against the reduction over all n
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_free_variable_ring_matches_the_reference_reduction(shipped, name):
+    # same graded basis, and every n-variable monomial of degree <= dim + 1
+    # reduces to the product of its ray divisor classes
+    fan, _cm, ring, _gens = shipped[name]
+    table, basis_by_degree = reference_reduction_table(fan)
+    assert ring.basis_by_degree == basis_by_degree, name
+    for mono, reduced in table.items():
+        product = ring.one()
+        for k, e in enumerate(mono):
+            for _ in range(e):
+                product = product * ring.generator(k)
+        assert product == CohomClass(ring, reduced), (name, mono)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_reduction_table_holds_only_free_monomials(shipped, name):
+    # the rref pivots of the ray matrix lead the linear relations; the table
+    # has every monomial of degree <= dim + 1 in the l others, and no more
+    fan, cm, ring, _gens = shipped[name]
+    _red, lead = linalg.rref([[ray[nu] for ray in fan.rays] for nu in range(fan.dim)],
+                             fan.n_rays)
+    assert len(lead) == fan.dim, name
+    assert not [m for m in ring._table if any(m[p] for p in lead)], name
+    assert len(ring._table) == math.comb(cm.l + fan.dim + 1, cm.l), name
 
 
 # ---------------------------------------------------------------------------

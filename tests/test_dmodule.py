@@ -290,6 +290,13 @@ def test_gkz_rejects_negative_coordinates(corpus):
         gkz_operator(cm, (1, -1))
 
 
+def test_gkz_rejects_the_zero_degree(corpus):
+    # its box operator is 1 - q^0 = 0, which annihilates everything
+    _fan, cm, _ring, _gens = corpus["hirzebruch1"]
+    with pytest.raises(ValueError, match="zero degree"):
+        gkz_operator(cm, (0, 0))
+
+
 def test_gkz_annihilates_series(corpus):
     for name, general in (("p1", False), ("p2", False), ("p3", False),
                           ("p1xp1", False), ("hirzebruch1", True),

@@ -160,17 +160,6 @@ def test_finite_mode_ratio_times_degree_zero_euler_class(shipped):
 # stabilization
 
 
-def test_finite_mode_ratio_matches_stable_form(corpus):
-    for name, (_fan, cm, ring, gens) in corpus.items():
-        for d in enumerate_degrees(gens, cm, 4):
-            stable = euler_ratio(ring, cm, d, allow_general_sign=True)
-            base = min_modes(cm, d)
-            for n_cut in (base, base + 1, base + 2):
-                if n_cut == 0:
-                    continue
-                assert euler_ratio_n(ring, cm, d, n_cut) == stable, (name, d, n_cut)
-
-
 def test_finite_mode_ratio_hirzebruch_numerator(corpus):
     # for the section class the zero mode of the second coordinate survives
     # in the numerator: the ratio is x_1 / ((x_0 + hbar)(x_2 + hbar))

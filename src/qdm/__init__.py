@@ -17,8 +17,7 @@ from .cohomology import CohomRing, CohomClass, build_ring, monomials
 from .ifunction import (GiventalSeries, StrictSignError, euler_ratio, check_ratio,
                         build_f, component)
 from .dmodule import (DiffOp, AppliedSeries, QuantumRelation, EmptyWindowError,
-                      apply, gkz_operator, find_annihilators, in_span,
-                      semiclassical)
+                      apply, gkz_operator, find_annihilators, semiclassical)
 from .loop_model import (WeightSystem, CriticalData, ComponentAbsentError,
                          action_value, min_modes, critical_component,
                          euler_ratio_n, check_stabilization)
@@ -31,7 +30,7 @@ __all__ = [
     "GiventalSeries", "StrictSignError", "euler_ratio", "check_ratio",
     "build_f", "component",
     "DiffOp", "AppliedSeries", "QuantumRelation", "EmptyWindowError", "apply",
-    "gkz_operator", "find_annihilators", "in_span", "semiclassical",
+    "gkz_operator", "find_annihilators", "semiclassical",
     "WeightSystem", "CriticalData", "ComponentAbsentError", "action_value",
     "min_modes", "critical_component", "euler_ratio_n", "check_stabilization",
 ]

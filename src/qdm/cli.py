@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 
@@ -20,8 +19,6 @@ from .dmodule import EmptyWindowError
 from .ifunction import StrictSignError
 from .loop_model import ComponentAbsentError
 from .toric import FanError, NefBasisError
-
-_INT_FIELD = re.compile(r"-?[0-9]+")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,11 +72,15 @@ def _load(args):
 
 
 def _int_field(part, option, raw):
-    """One integer field of an option value: an optional minus sign and
-    ASCII digits.  int() alone would also take '_', '+' and spaces."""
-    if not _INT_FIELD.fullmatch(part):
-        raise ValueError("bad %s value %r" % (option, raw))
-    return int(part)
+    """One integer field of an option value: a string toric.parse_frac
+    accepts, without a denominator.  int() alone would also take '_', '+'
+    and spaces."""
+    if "/" not in part:
+        try:
+            return int(toric.parse_frac(part))
+        except ValueError:
+            pass
+    raise ValueError("bad %s value %r" % (option, raw))
 
 
 def _parse_degrees(args, cm):

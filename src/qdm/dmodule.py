@@ -370,17 +370,6 @@ def find_annihilators(series: GiventalSeries, theta_order: int, q_degree: int):
     return [op for _, op in sorted(found, key=lambda f: f[0])]
 
 
-def in_span(ops, candidate: DiffOp) -> bool:
-    """Is the candidate a rational combination of the given operators?"""
-    keys = set(candidate.support_triples())
-    for op in ops:
-        keys.update(op.support_triples())
-    keys = sorted(keys, key=lambda x: _ansatz_key(*x))
-    cols = [[op.coefficient(*k) for k in keys] for op in ops]
-    target = [candidate.coefficient(*k) for k in keys]
-    return linalg.solve_columns(cols, target) is not None
-
-
 class QuantumRelation:
     """Semiclassical shadow of an operator: a polynomial in p_1..p_l and q.
 

@@ -161,6 +161,4 @@ def render_text(data, indent: int = 0) -> str:
 def _scalar_text(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (dict, list)) and not value:
-        return "{}" if isinstance(value, dict) else "[]"
     return str(value)

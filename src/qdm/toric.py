@@ -11,16 +11,23 @@ chosen dual to a basis omega_1..omega_l of the nef cone, so that a curve
 class d has coordinates d_j = <omega_j, d> >= 0 exactly on the Mori cone, and
 the divisor class alpha_k of the k-th ray satisfies
 <alpha_k, d> = sum_j m[j][k] * d_j.
+
+The Mori cone has one description: the facet normals y of the cone its
+generators span (the extreme rays of its dual).  in_cone, mori_generators and
+enumerate_degrees all test classes d by y . d against them.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
 from . import linalg
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # the strings parse_frac reads
 
 
 class FanError(ValueError):
@@ -68,8 +75,10 @@ class ChargeMatrix:
 
 
 def parse_frac(value) -> Fraction:
-    """Accepts ints, Fractions and 'p/q' strings (as used in the JSON formats)."""
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
+    """Accepts ints, Fractions and 'p/q' strings (as used in the JSON formats):
+    ASCII digits with an optional minus sign and an optional '/' denominator."""
+    if (isinstance(value, bool) or not isinstance(value, (int, Fraction, str))
+            or isinstance(value, str) and not _RATIONAL.fullmatch(value)):
         raise ValueError("expected an integer or 'p/q' string, got %r" % (value,))
     try:
         return Fraction(value)
@@ -230,8 +239,12 @@ def _coords_in_basis(basis_rows, vec):
     return tuple(int(x) for x in sol)
 
 
-def _spans(classes, l):
-    return linalg.rref([list(c) for c in classes], l)[1] == list(range(l))
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _rank(classes, l):
+    return len(linalg.rref([list(c) for c in classes], l)[1])
 
 
 def _dual_cone_rays(wall_coords, l):
@@ -245,10 +258,20 @@ def _dual_cone_rays(wall_coords, l):
         cand = linalg.primitive_vector(null[0])
         for sign in (1, -1):
             y = tuple(sign * x for x in cand)
-            if all(sum(a * b for a, b in zip(y, c)) >= 0 for c in wall_coords):
+            if all(_dot(y, c) >= 0 for c in wall_coords):
                 found.add(y)
                 break
     return sorted(found)
+
+
+def _facet_normals(classes, l):
+    """Primitive inward facet normals of the cone the classes span: the
+    extreme rays of its dual.  The classes must span Q^l, or a ValueError is
+    raised; the cone is then described by y . d >= 0 for every normal y."""
+    if _rank(classes, l) < l:
+        raise ValueError("the generators do not span the curve lattice; the "
+                         "cone has no facet normals to test membership by")
+    return _dual_cone_rays(classes, l)
 
 
 def charge_matrix(fan: FanData) -> ChargeMatrix:
@@ -285,13 +308,11 @@ def charge_matrix(fan: FanData) -> ChargeMatrix:
         if abs(linalg.int_det(y_rows)) != 1:
             raise NefBasisError("supplied nef_basis is not a lattice basis "
                                 "of the divisor class lattice")
-        for y in y_rows:
-            for c in wall_coords:
-                if sum(a_ * b_ for a_, b_ in zip(y, c)) < 0:
-                    raise NefBasisError("supplied nef_basis is not nef: a wall "
-                                        "curve pairs negatively")
+        if any(_dot(y, c) < 0 for y in y_rows for c in wall_coords):
+            raise NefBasisError("supplied nef_basis is not nef: a wall "
+                                "curve pairs negatively")
     else:
-        if not _spans(wall_coords, l):
+        if _rank(wall_coords, l) < l:
             raise NefBasisError("curve classes do not span; cannot derive a nef basis")
         y_rows = [list(y) for y in _dual_cone_rays(wall_coords, l)]
         if len(y_rows) != l:
@@ -315,51 +336,31 @@ def charge_matrix(fan: FanData) -> ChargeMatrix:
 
 
 def in_cone(degree, gens) -> bool:
-    """Is degree a nonnegative rational combination of the generators?
-
-    Caratheodory reduction: it suffices to test subsets of generators of size
-    at most the ambient rank.
-    """
-    if all(x == 0 for x in degree):
-        return True
-    if not gens:
-        return False
-    l = len(degree)
-    target = list(degree)
-    for size in range(1, min(l, len(gens)) + 1):
-        for sub in combinations(gens, size):
-            sol = linalg.solve_columns([list(g) for g in sub], target)
-            if sol is not None and all(x >= 0 for x in sol):
-                return True
-    return False
+    """Is degree a nonnegative rational combination of the generators?  They
+    must span, as the Mori generators of a complete fan do, or a ValueError
+    is raised; degree is tested against the facet normals of their cone."""
+    return all(_dot(y, degree) >= 0 for y in _facet_normals(gens, len(degree)))
 
 
 def mori_generators(fan: FanData, cm: ChargeMatrix):
     """Extremal generators of the Mori cone in charge-matrix coordinates.
 
-    Wall curve classes generate the cone; after deduplication up to positive
-    scaling, classes expressible as nonnegative combinations of the others
-    are dropped, leaving one generator per extremal ray.
+    Wall curve classes generate the cone.  A primitive wall class is kept
+    when it lies on an extremal ray: the facet normals vanishing on it have
+    rank l - 1.  This leaves one generator per extremal ray.
     """
-    walls = wall_relations(fan)
     coords = set()
-    for rel in walls:
+    for rel in wall_relations(fan):
         c = _coords_in_basis(cm.m, rel)
         if c is None:
             raise FanError("wall curve class is not integral in the charge basis")
         if any(x < 0 for x in c):
             raise FanError("wall curve class pairs negatively with the nef basis")
         coords.add(linalg.primitive_vector(c))
-    gens = sorted(coords)
-    extremal = list(gens)
-    changed = True
-    while changed:
-        changed = False
-        for g in list(extremal):
-            others = [h for h in extremal if h != g]
-            if others and in_cone(g, others):
-                extremal.remove(g)
-                changed = True
+    l = cm.l
+    facets = _facet_normals(sorted(coords), l)
+    extremal = [g for g in coords
+                if _rank([y for y in facets if _dot(y, g) == 0], l) == l - 1]
     extremal.sort(key=lambda d: (cm.c1_degree(d), d))
     return extremal
 
@@ -367,21 +368,18 @@ def mori_generators(fan: FanData, cm: ChargeMatrix):
 def enumerate_degrees(gens, cm: ChargeMatrix, bound: int):
     """All Mori-cone lattice points with anticanonical degree <= bound.
 
-    Every generator must have positive anticanonical degree (Fano-type
-    positivity); otherwise the set is infinite and a ValueError is raised.
-    Membership is tested against the facet normals of the cone, the extreme
-    rays of its dual; the generators must span, as the Mori generators of a
-    complete fan do, or a ValueError is raised.  Output is sorted by
-    (degree, coordinates).
+    Membership is tested against the facet normals of the cone the
+    generators span; they must span, or a ValueError is raised.  Every
+    generator must have positive anticanonical degree (Fano-type positivity);
+    otherwise the set is infinite and a ValueError is raised.  Output is
+    sorted by (degree, coordinates).
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if not gens:
         return [(0,) * cm.l]
     l = cm.l
-    if not _spans(gens, l):
-        raise ValueError("the generators do not span the curve lattice; the "
-                         "cone has no facet normals to test membership by")
+    facets = _facet_normals(gens, l)
     degs = [cm.c1_degree(g) for g in gens]
     if any(d <= 0 for d in degs):
         raise ValueError("a Mori generator has nonpositive anticanonical degree; "
@@ -393,13 +391,11 @@ def enumerate_degrees(gens, cm: ChargeMatrix, bound: int):
         hi = max(vals + [Fraction(0)])
         los.append(lo.numerator // lo.denominator)  # floor
         his.append(-((-hi.numerator) // hi.denominator))  # ceil
-    facets = _dual_cone_rays(gens, l)
     out = []
     box = [range(lo, hi + 1) for lo, hi in zip(los, his)]
     for d in product(*box):
         c1 = cm.c1_degree(d)
-        if 0 <= c1 <= bound and all(sum(a * b for a, b in zip(y, d)) >= 0
-                                    for y in facets):
+        if 0 <= c1 <= bound and all(_dot(y, d) >= 0 for y in facets):
             out.append(tuple(d))
     out.sort(key=lambda d: (cm.c1_degree(d), d))
     return out

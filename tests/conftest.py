@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,8 @@ import pytest
 import qdm
 from qdm import linalg
 from qdm.cohomology import CohomClass, monomials
+from qdm.dmodule import _ansatz_key
+from qdm.toric import _coords_in_basis
 
 FAN_DIR = Path(__file__).resolve().parent.parent / "fans"
 
@@ -193,3 +196,53 @@ def reference_reduction_table(fan):
         if deg <= fan.dim:
             basis_by_degree[deg] = basis
     return table, basis_by_degree
+
+
+# The Mori-cone tests that facet normals replaced, kept as the oracle: a
+# Caratheodory search over generator subsets, and a pruning loop that drops
+# every wall class lying in the cone of the others.
+
+def reference_in_cone(degree, gens):
+    """Is degree a nonnegative rational combination of the generators?  It
+    suffices to test subsets of at most the ambient rank."""
+    if all(x == 0 for x in degree):
+        return True
+    if not gens:
+        return False
+    l = len(degree)
+    target = list(degree)
+    for size in range(1, min(l, len(gens)) + 1):
+        for sub in combinations(gens, size):
+            sol = linalg.solve_columns([list(g) for g in sub], target)
+            if sol is not None and all(x >= 0 for x in sol):
+                return True
+    return False
+
+
+def reference_mori_generators(fan, cm):
+    """The primitive wall classes, pruned until none lies in the cone of the
+    others, sorted by (c1, class)."""
+    extremal = sorted({linalg.primitive_vector(_coords_in_basis(cm.m, rel))
+                       for rel in qdm.wall_relations(fan)})
+    changed = True
+    while changed:
+        changed = False
+        for g in list(extremal):
+            others = [h for h in extremal if h != g]
+            if others and reference_in_cone(g, others):
+                extremal.remove(g)
+                changed = True
+    extremal.sort(key=lambda d: (cm.c1_degree(d), d))
+    return extremal
+
+
+def spans(ops, targets):
+    """Is every target a rational combination of the operators?  Decided at
+    once, by comparing ranks."""
+    keys = sorted({k for op in ops + targets for k in op.support_triples()},
+                  key=lambda k: _ansatz_key(*k))
+
+    def rank(group):
+        rows = [[op.coefficient(*k) for k in keys] for op in group]
+        return len(linalg.rref(rows, len(keys))[1])
+    return rank(ops + targets) == rank(ops)

@@ -87,6 +87,8 @@ P1XP1_TEXT = ('{"rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],'
     (P1XP1_TEXT, ["operators", "--degree", "0,0"], "zero degree"),
     (P2_TEXT, ["cohomology", "--out", "no-such-dir/report.json"], "cannot write the report"),
     (P2_TEXT, ["cohomology", "--out", "."], "cannot write the report"),
+    ('{"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]],'
+     ' "nef_basis": [["1.0", 0, 0]]}', ["cohomology"], "nef_basis entries"),
 ])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capfd, fan_text, argv, message):
     monkeypatch.chdir(tmp_path)  # so relative --out paths resolve inside tmp_path

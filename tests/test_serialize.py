@@ -20,7 +20,9 @@ def test_parse_frac():
     assert parse_frac(3) == Fraction(3)
     assert parse_frac("2/5") == Fraction(2, 5)
     assert parse_frac("-7") == Fraction(-7)
-    for bad in (True, 1.5, None, [1], "x", "1/0"):
+    assert parse_frac("10/10") == Fraction(1)
+    for bad in (True, 1.5, None, [1], "x", "1/0",
+                "1.0", "1e0", " 1 ", "+1", "1_0", "1/-2", "\u0663"):
         with pytest.raises(ValueError):
             parse_frac(bad)
     value = Fraction(-22, 7)

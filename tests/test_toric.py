@@ -19,9 +19,9 @@ from qdm import (
     wall_relations,
 )
 
-from qdm.toric import _dual_cone_rays
+from qdm.toric import _facet_normals
 
-from conftest import SHIPPED, load_fan
+from conftest import SHIPPED, load_fan, reference_in_cone, reference_mori_generators
 
 
 P2_RAYS = [[1, 0], [0, 1], [-1, -1]]
@@ -139,7 +139,8 @@ def test_parse_rejects_missing_sections():
 
 
 def test_parse_rejects_bad_nef_entries():
-    for entry in ('"x"', "true", "0.5", "null", '"1/0"'):
+    for entry in ('"x"', "true", "0.5", "null", '"1/0"',
+                  '"1.0"', '"1e0"', '" 1 "', '"+1"', '"1_0"'):
         text = ('{"rays": [[1, 0], [0, 1], [-1, -1]],'
                 ' "max_cones": [[0, 1], [1, 2], [0, 2]],'
                 ' "nef_basis": [[%s, 0, 0]]}' % entry)
@@ -296,11 +297,21 @@ def test_hirzebruch_drops_non_extremal_wall_class(corpus):
     assert (1, 1) not in gens
 
 
+@pytest.mark.parametrize("name", SHIPPED)
+def test_mori_generators_match_the_pruning_reference(shipped, name):
+    fan, cm, _ring, gens = shipped[name]
+    assert gens == reference_mori_generators(fan, cm)
+
+
 def test_in_cone_rational_combination():
     assert in_cone((1, 1), [(2, 0), (0, 2)])
     assert not in_cone((1, -1), [(1, 0), (0, 1)])
-    assert in_cone((0, 0), [])
-    assert not in_cone((1, 0), [])
+    assert in_cone((0, 0), [(1, 0), (0, 1), (1, 1)])
+    # the cone is described by its facet normals, so the generators must span
+    for degree, gens in (((0, 0), []), ((1, 0), []), ((1, 0), [(1, 0)]),
+                         ((2, 2), [(1, 1), (2, 2)])):
+        with pytest.raises(ValueError, match="do not span"):
+            in_cone(degree, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -339,19 +350,20 @@ def test_enumerate_degrees_del_pezzo(corpus):
 @pytest.mark.parametrize("name", SHIPPED)
 def test_facet_normals_agree_with_in_cone(shipped, name):
     # on every point of the bounding box enumerate_degrees scans at B = 6,
-    # the facet-normal test equals the Caratheodory test of in_cone
+    # the facet-normal test and in_cone equal the Caratheodory search
     _fan, cm, _ring, gens = shipped[name]
     bound = 6
-    facets = _dual_cone_rays(gens, cm.l)
+    facets = _facet_normals(gens, cm.l)
     box = []
     for j in range(cm.l):
         vals = [Fraction(bound * g[j], cm.c1_degree(g)) for g in gens] + [Fraction(0)]
         box.append(range(floor(min(vals)), ceil(max(vals)) + 1))
     inside = []
     for d in product(*box):
-        member = in_cone(d, gens)
+        member = reference_in_cone(d, gens)
         assert all(sum(a * b for a, b in zip(y, d)) >= 0 for y in facets) == member, \
             (name, d)
+        assert in_cone(d, gens) == member, (name, d)
         if member and 0 <= cm.c1_degree(d) <= bound:
             inside.append(d)
     assert enumerate_degrees(gens, cm, bound) == sorted(

@@ -14,10 +14,10 @@ from .toric import (FanData, ChargeMatrix, FanError, NefBasisError, make_fan,
                     parse_fan, charge_matrix, mori_generators,
                     enumerate_degrees, in_cone, wall_relations)
 from .cohomology import CohomRing, CohomClass, build_ring, monomials
-from .ifunction import (GiventalSeries, StrictSignError, euler_ratio, check_ratio,
-                        build_f, component)
-from .dmodule import (DiffOp, AppliedSeries, QuantumRelation, EmptyWindowError,
-                      apply, gkz_operator, find_annihilators, semiclassical)
+from .ifunction import (Series, StrictSignError, euler_ratio, check_ratio, build_f,
+                        component)
+from .dmodule import (DiffOp, QuantumRelation, EmptyWindowError, apply,
+                      gkz_operator, find_annihilators, semiclassical)
 from .loop_model import (WeightSystem, CriticalData, ComponentAbsentError,
                          action_value, min_modes, critical_component,
                          euler_ratio_n, check_stabilization)
@@ -27,9 +27,9 @@ __all__ = [
     "parse_fan", "charge_matrix", "mori_generators",
     "enumerate_degrees", "in_cone", "wall_relations",
     "CohomRing", "CohomClass", "build_ring", "monomials",
-    "GiventalSeries", "StrictSignError", "euler_ratio", "check_ratio",
+    "Series", "StrictSignError", "euler_ratio", "check_ratio",
     "build_f", "component",
-    "DiffOp", "AppliedSeries", "QuantumRelation", "EmptyWindowError", "apply",
+    "DiffOp", "QuantumRelation", "EmptyWindowError", "apply",
     "gkz_operator", "find_annihilators", "semiclassical",
     "WeightSystem", "CriticalData", "ComponentAbsentError", "action_value",
     "min_modes", "critical_component", "euler_ratio_n", "check_stabilization",

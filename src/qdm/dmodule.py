@@ -1,9 +1,15 @@
-"""Polynomial differential operators in theta_j = hbar q_j d/dq_j.
+"""Homogeneous polynomial differential operators in theta_j = hbar q_j d/dq_j.
 
 Operators are kept in normal order, q's to the left of theta's:
 D = sum_e q^e P_e(theta, hbar).  The commutator [theta_j, q_k] =
 delta_jk hbar q_k gives the composition rule P(theta) q^e =
 q^e P(theta + e*hbar), which is all the noncommutativity there is.
+
+Operators are homogeneous, stored at hbar = 1.  By the weight rule (in the
+ifunction module) q^e theta^t hbar^h has weight c1(e) + |t| + h, so in an
+operator of weight w the term q^e theta^t carries hbar^(w - c1(e) - |t|).
+Setting hbar = 1 is a ring homomorphism, one to one on each weight, so
+composition is theta -> theta + e at hbar = 1, with the weights added.
 
 Acting on the series F, the term q^e P_e contributes to the coefficient of
 q^d the value P_e(omega + (d-e)*hbar, hbar) * R_{d-e}.  Because the series
@@ -11,32 +17,29 @@ is truncated at anticanonical degree B, the result is only trustworthy on
 the window c1(d) <= B - max(0, max_e c1(e)) (_window_cap); degrees beyond
 it would need source coefficients that were cut off.
 
-Series values are classes at hbar = 1, one per weight (the weight rule is
-in the ifunction module).  An operator is therefore split by weight before
-it is evaluated, and every output class keeps its weight.  At hbar = 1,
-theta_j acting on q^d' cls gives q^d' (omega_j + d'_j) cls, so theta^t is a
-chain of |t| multiplications by degree-one classes (CohomRing.times_linear),
-memoized along the chain, once per series.
+Series values have one weight too, so the weight of D.F is the sum of the
+two.  At hbar = 1, theta_j acting on q^d' cls gives q^d' (omega_j + d'_j)
+cls, so theta^t is a chain of |t| multiplications by degree-one classes
+(CohomRing.times_linear), memoized along the chain, once per series.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from . import linalg
 from .cohomology import monomials
-from .ifunction import GiventalSeries
+from .ifunction import Series
 
 
 class EmptyWindowError(ValueError):
     """The operator's q-support exceeds the series truncation."""
 
 
-# -- commutative polynomials in (theta_1..theta_l, hbar) ------------------
-# represented as {(theta exponent tuple, hbar exponent): Fraction}
+# -- commutative polynomials in theta_1..theta_l, at hbar = 1 -------------
+# represented as {theta exponent tuple: Fraction}
 
 def _poly_add(p1, p2):
     out = dict(p1)
@@ -45,94 +48,97 @@ def _poly_add(p1, p2):
     return {k: c for k, c in out.items() if c}
 
 
-def _poly_scale(p, c):
-    c = Fraction(c)
-    return {k: v * c for k, v in p.items() if v * c}
-
-
 def _poly_mul(p1, p2):
     out = {}
-    for (t1, h1), c1 in p1.items():
-        for (t2, h2), c2 in p2.items():
-            key = (tuple(a + b for a, b in zip(t1, t2)), h1 + h2)
+    for t1, c1 in p1.items():
+        for t2, c2 in p2.items():
+            key = tuple(a + b for a, b in zip(t1, t2))
             out[key] = out.get(key, Fraction(0)) + c1 * c2
     return {k: c for k, c in out.items() if c}
 
 
-def _poly_one(l):
-    return {((0,) * l, 0): Fraction(1)}
-
-
-def _shift_poly(p, e, l):
-    """Substitute theta_j -> theta_j + e_j * hbar."""
-    if all(x == 0 for x in e):
+def _shift_poly(p, e):
+    """Substitute theta_j -> theta_j + e_j."""
+    if not any(e):
         return dict(p)
+    l = len(e)
     out = {}
-    for (t, h), c in p.items():
-        term = {((0,) * l, h): c}
+    for t, c in p.items():
+        term = {(0,) * l: c}
         for j in range(l):
-            if t[j] == 0:
-                continue
-            if e[j] == 0:
-                unit = tuple(t[j] if i == j else 0 for i in range(l))
-                term = _poly_mul(term, {(unit, 0): Fraction(1)})
-                continue
-            factor = {}
-            for i in range(t[j] + 1):
-                unit = tuple(i if jj == j else 0 for jj in range(l))
-                factor[(unit, t[j] - i)] = Fraction(comb(t[j], i) * e[j] ** (t[j] - i))
-            term = _poly_mul(term, factor)
+            if t[j]:
+                term = _poly_mul(term, {
+                    tuple(i if jj == j else 0 for jj in range(l)):
+                    Fraction(comb(t[j], i) * e[j] ** (t[j] - i))
+                    for i in range(t[j] + 1)})
         out = _poly_add(out, term)
     return out
 
 
 class DiffOp:
-    """Normal-ordered operator sum_e q^e P_e(theta, hbar)."""
+    """Normal-ordered operator sum_e q^e P_e(theta) of one weight, at hbar = 1.
 
-    __slots__ = ("nvars", "terms")
+    terms is {e: {t: c}}; the term q^e theta^t carries hbar^hbar_power(e, t),
+    which must be nonnegative.
+    """
 
-    def __init__(self, nvars, terms):
-        self.nvars = nvars
+    __slots__ = ("cm", "weight", "terms")
+
+    def __init__(self, cm, weight, terms):
+        self.cm = cm
+        self.weight = weight
         clean = {}
         for e, poly in terms.items():
-            poly = {k: Fraction(c) for k, c in poly.items() if c}
+            poly = {tuple(t): Fraction(c) for t, c in poly.items() if c}
             if poly:
+                e = tuple(e)
                 if any(x < 0 for x in e):
                     raise ValueError("q-exponents must be componentwise nonnegative")
-                clean[tuple(e)] = poly
+                if weight - cm.c1_degree(e) - max(map(sum, poly)) < 0:
+                    raise ValueError("a term of q^%r would carry a negative power of "
+                                     "hbar at weight %d" % (list(e), weight))
+                clean[e] = poly
         self.terms = clean
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars, {})
+    def zero(cls, cm):
+        return cls(cm, 0, {})
 
     @classmethod
-    def identity(cls, nvars):
-        return cls(nvars, {(0,) * nvars: _poly_one(nvars)})
+    def identity(cls, cm):
+        return cls(cm, 0, {(0,) * cm.l: {(0,) * cm.l: 1}})
 
     @classmethod
-    def theta(cls, nvars, j):
-        t = tuple(1 if i == j else 0 for i in range(nvars))
-        return cls(nvars, {(0,) * nvars: {(t, 0): Fraction(1)}})
+    def theta(cls, cm, j):
+        if not 0 <= j < cm.l:
+            raise IndexError("theta index %d out of range for %d variables" % (j, cm.l))
+        t = tuple(1 if i == j else 0 for i in range(cm.l))
+        return cls(cm, 1, {(0,) * cm.l: {t: 1}})
 
     @classmethod
-    def q_power(cls, nvars, e):
-        return cls(nvars, {tuple(e): _poly_one(nvars)})
+    def q_power(cls, cm, e):
+        return cls(cm, cm.c1_degree(e), {tuple(e): {(0,) * cm.l: 1}})
 
     @classmethod
-    def hbar(cls, nvars):
-        return cls(nvars, {(0,) * nvars: {((0,) * nvars, 1): Fraction(1)}})
+    def hbar(cls, cm):
+        return cls(cm, 1, {(0,) * cm.l: {(0,) * cm.l: 1}})
+
+    def hbar_power(self, e, t) -> int:
+        return self.weight - self.cm.c1_degree(e) - sum(t)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __add__(self, other):
-        if not isinstance(other, DiffOp) or other.nvars != self.nvars:
+        if not isinstance(other, DiffOp) or other.cm != self.cm:
             return NotImplemented
-        out = {e: dict(p) for e, p in self.terms.items()}
+        if other.weight != self.weight:
+            raise ValueError("cannot add operators of weights %d and %d"
+                             % (self.weight, other.weight))
+        out = dict(self.terms)
         for e, p in other.terms.items():
             out[e] = _poly_add(out.get(e, {}), p)
-        return DiffOp(self.nvars, out)
+        return DiffOp(self.cm, self.weight, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -141,90 +147,70 @@ class DiffOp:
         return self.scale(-1)
 
     def scale(self, c):
-        return DiffOp(self.nvars, {e: _poly_scale(p, c) for e, p in self.terms.items()})
+        c = Fraction(c)
+        return DiffOp(self.cm, self.weight,
+                      {e: {t: v * c for t, v in p.items()} for e, p in self.terms.items()})
 
     def __mul__(self, other):
         """Composition (self applied after other), or a scalar multiple."""
         if isinstance(other, DiffOp):
-            if other.nvars != self.nvars:
+            if other.cm != self.cm:
                 return NotImplemented
             out = {}
             for e1, p1 in self.terms.items():
                 for e2, p2 in other.terms.items():
-                    shifted = _shift_poly(p1, e2, self.nvars)
-                    prod = _poly_mul(shifted, p2)
+                    prod = _poly_mul(_shift_poly(p1, e2), p2)
                     key = tuple(a + b for a, b in zip(e1, e2))
                     out[key] = _poly_add(out.get(key, {}), prod)
-            return DiffOp(self.nvars, out)
+            return DiffOp(self.cm, self.weight + other.weight, out)
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def __eq__(self, other):
-        return (isinstance(other, DiffOp) and self.nvars == other.nvars
-                and self.terms == other.terms)
+        return (isinstance(other, DiffOp) and self.cm == other.cm
+                and self.weight == other.weight and self.terms == other.terms)
 
     def __hash__(self):
-        return hash(frozenset((e, frozenset(p.items()))
-                              for e, p in self.terms.items()))
+        return hash((self.weight, frozenset((e, frozenset(p.items()))
+                                            for e, p in self.terms.items())))
 
     def support_triples(self):
         """Sorted (q-exp, theta-exp, hbar-exp) triples carrying coefficients."""
-        triples = []
-        for e, poly in self.terms.items():
-            for (t, h) in poly:
-                triples.append((e, t, h))
-        triples.sort(key=lambda x: _ansatz_key(*x))
-        return triples
+        return sorted(((e, t, self.hbar_power(e, t))
+                       for e, poly in self.terms.items() for t in poly),
+                      key=lambda x: _ansatz_key(*x))
 
     def coefficient(self, e, t, h) -> Fraction:
-        return self.terms.get(tuple(e), {}).get((tuple(t), h), Fraction(0))
+        e, t = tuple(e), tuple(t)
+        if h != self.hbar_power(e, t):
+            return Fraction(0)
+        return self.terms.get(e, {}).get(t, Fraction(0))
 
     def __repr__(self):
-        return "DiffOp(%d, %r)" % (self.nvars, self.terms)
+        return "DiffOp(%r, %d, %r)" % (self.cm, self.weight, self.terms)
 
 
 def _ansatz_key(e, t, h):
     return (sum(e), e, sum(t), t, h)
 
 
-@dataclass(frozen=True, eq=False)
-class AppliedSeries:
-    """Result of applying an operator to a truncated series.
-
-    Only degrees in the validity window c1(d) <= bound are kept; outside it
-    the truncation would silently drop contributions.  coefficients maps
-    every window degree where the result could be nonzero to its nonzero
-    parts {weight: class at hbar = 1} (possibly none), so the object can
-    itself be differentiated again.
-    """
-    ring: object
-    cm: object
-    bound: int
-    degrees: tuple
-    coefficients: dict
-
-    def is_zero(self) -> bool:
-        return not any(self.coefficients[d] for d in self.degrees)
-
-
 def _theta_images(ring, l, sources):
-    """Memoized image(d, w, t) = theta^t applied to q^d times the weight-w
-    part of sources[d], at hbar = 1 and up to the factor q^d:
-    prod_j (omega_j + d_j)^t_j * sources[d][w]."""
+    """Memoized image(d, t) = theta^t applied to q^d sources[d], at hbar = 1
+    and up to the factor q^d: prod_j (omega_j + d_j)^t_j * sources[d]."""
     omegas = [ring.omega_class(j) for j in range(l)]
     cache = {}
 
-    def image(d, w, t):
-        key = (d, w, t)
+    def image(d, t):
+        key = (d, t)
         if key not in cache:
             j = next((j for j, x in enumerate(t) if x), None)
             if j is None:
-                cache[key] = sources[d][w]
+                cache[key] = sources[d]
             else:
                 lower = t[:j] + (t[j] - 1,) + t[j + 1:]
-                cache[key] = ring.times_linear(image(d, w, lower), omegas[j], d[j])
+                cache[key] = ring.times_linear(image(d, lower), omegas[j], d[j])
         return cache[key]
     return image
 
@@ -233,14 +219,11 @@ _IMAGES = weakref.WeakKeyDictionary()
 
 
 def _images(series):
-    """({degree: {weight: class}}, theta-image memo) of a series, built once
-    and shared by every apply on it and by the search.  Keyed by the series
-    itself (compared by identity), not by an id() a later one could reuse."""
+    """The theta-image memo of a series, built once and shared by every apply
+    on it and by the search.  Keyed by the series itself (compared by
+    identity), not by an id() a later one could reuse."""
     if series not in _IMAGES:
-        sources = series.coefficients
-        if not isinstance(series, AppliedSeries):
-            sources = {d: {0: r} for d, r in sources.items()}
-        _IMAGES[series] = sources, _theta_images(series.ring, series.cm.l, sources)
+        _IMAGES[series] = _theta_images(series.ring, series.cm.l, series.coefficients)
     return _IMAGES[series]
 
 
@@ -253,17 +236,17 @@ def _window_cap(series, q_exps) -> int:
     return cap
 
 
-def apply(op: DiffOp, series) -> AppliedSeries:
-    """Apply a normal-ordered operator to a (possibly already applied) series."""
+def apply(op: DiffOp, series: Series) -> Series:
+    """Apply a normal-ordered operator to a (possibly already applied) series.
+
+    The result has weight series.weight + op.weight and one class, possibly
+    zero, at every window degree where it could be nonzero.
+    """
+    if op.cm != series.cm:
+        raise ValueError("the operator and the series have different charge matrices")
     ring, cm = series.ring, series.cm
     cap = _window_cap(series, op.terms)
-    sources, image = _images(series)
-    blocks = {}  # q-exponent -> {weight: {theta exponent: coefficient}}
-    for e, poly in op.terms.items():
-        c1_e = cm.c1_degree(e)
-        by_weight = blocks.setdefault(e, {})
-        for (t, h), c in poly.items():
-            by_weight.setdefault(c1_e + sum(t) + h, {})[t] = c
+    image = _images(series)
     out_degrees = set(series.degrees)
     for d in series.degrees:
         for e in op.terms:
@@ -272,20 +255,14 @@ def apply(op: DiffOp, series) -> AppliedSeries:
                    key=lambda d: (cm.c1_degree(d), d))
     coeffs = {}
     for d in valid:
-        acc = {}
-        for e, by_weight in blocks.items():
+        val = ring.zero()
+        for e, poly in op.terms.items():
             dp = tuple(a - b for a, b in zip(d, e))
-            parts = sources.get(dp)
-            if parts is None:
-                continue
-            for w, poly in by_weight.items():
-                for w0 in parts:
-                    val = acc.get(w + w0, ring.zero())
-                    for t, c in poly.items():
-                        val = val + image(dp, w0, t).scale(c)
-                    acc[w + w0] = val
-        coeffs[d] = {w: c for w, c in acc.items() if not c.is_zero()}
-    return AppliedSeries(ring, cm, cap, tuple(valid), coeffs)
+            if dp in series.coefficients:
+                for t, c in poly.items():
+                    val = val + image(dp, t).scale(c)
+        coeffs[d] = val
+    return Series(ring, cm, cap, tuple(valid), coeffs, series.weight + op.weight)
 
 
 def gkz_operator(cm, degree) -> DiffOp:
@@ -294,7 +271,9 @@ def gkz_operator(cm, degree) -> DiffOp:
     With D_k = sum_j m[j][k] theta_j and a_k = <alpha_k, degree>:
 
         prod_{a_k>0} prod_{nu=0}^{a_k-1} (D_k - nu*hbar)
-        - q^degree * prod_{a_k<0} prod_{nu=0}^{-a_k-1} (D_k - nu*hbar).
+        - q^degree * prod_{a_k<0} prod_{nu=0}^{-a_k-1} (D_k - nu*hbar),
+
+    of weight sum_{a_k>0} a_k, built at hbar = 1.
     """
     l = cm.l
     if any(x < 0 for x in degree):
@@ -302,41 +281,42 @@ def gkz_operator(cm, degree) -> DiffOp:
                          "not be polynomial in q")
     if not any(degree):
         raise ValueError("the zero degree has only the zero box operator")
-    pos = _poly_one(l)
-    neg = _poly_one(l)
+    one = (0,) * l
+    pos = {one: Fraction(1)}
+    neg = {one: Fraction(1)}
+    weight = 0
     for k in range(cm.n):
         a_k = cm.pairing(degree, k)
-        if a_k == 0:
-            continue
-        d_k = {}
-        for j in range(l):
-            if cm.m[j][k]:
-                t = tuple(1 if i == j else 0 for i in range(l))
-                d_k[(t, 0)] = Fraction(cm.m[j][k])
+        d_k = {tuple(1 if i == j else 0 for i in range(l)): Fraction(cm.m[j][k])
+               for j in range(l) if cm.m[j][k]}
         for nu in range(abs(a_k)):
-            factor = dict(d_k)
-            if nu:
-                factor[((0,) * l, 1)] = Fraction(-nu)
+            factor = {**d_k, one: Fraction(-nu)} if nu else d_k
             if a_k > 0:
                 pos = _poly_mul(pos, factor)
             else:
                 neg = _poly_mul(neg, factor)
-    op = DiffOp(l, {(0,) * l: pos})
-    return op - DiffOp(l, {tuple(degree): neg})
+        weight += max(a_k, 0)
+    return DiffOp(cm, weight, {one: pos}) - DiffOp(cm, weight, {tuple(degree): neg})
 
 
-def find_annihilators(series: GiventalSeries, theta_order: int, q_degree: int):
+def find_annihilators(series: Series, theta_order: int, q_degree: int):
     """A canonical Q[hbar]-basis of the homogeneous annihilators, on the
     window, with |e| <= q_degree and |t| <= theta_order.
 
     Each column q^e theta^t, of pre-weight c1(e) + |t|, is evaluated once at
     hbar = 1 over (degree, monomial).  A relation among columns of highest
-    pre-weight w lifts to the weight-w annihilator sum c q^e theta^t
-    hbar^(w - c1(e) - |t|), and every weight-w annihilator comes from one.
-    With columns in descending pre-weight, then graded-lex order, each row
-    of the reduced nullspace has its weight at its pivot, and the rows of
-    weight <= w span all relations of pre-weight <= w.  The lifted rows,
-    sorted by (weight, pivot), are the basis.
+    pre-weight w is the weight-w annihilator sum c q^e theta^t at hbar = 1,
+    and every weight-w annihilator comes from one.  With columns in
+    descending pre-weight, then graded-lex order, each row of the reduced
+    nullspace has its weight at its pivot, and the rows of weight <= w span
+    all relations of pre-weight <= w.  The rows, sorted by (weight, pivot),
+    are the basis.
+
+    The nullspace is taken with the columns reversed: each basis vector,
+    read back in column order, then starts with a 1 at its own free column
+    and vanishes at every other vector's free column, so the vectors are
+    the reduced rows already, and their pivots are their first nonzero
+    entries.
     """
     if min(theta_order, q_degree) < 0:
         raise ValueError("ansatz bounds must be nonnegative")
@@ -345,28 +325,28 @@ def find_annihilators(series: GiventalSeries, theta_order: int, q_degree: int):
     q_exps = [e for tot in range(q_degree + 1) for e in monomials(l, tot)]
     t_exps = [t for tot in range(theta_order + 1) for t in monomials(l, tot)]
     cap = _window_cap(series, q_exps)
-    image = _images(series)[1]
+    image = _images(series)
     vectors = {}  # (e, t) -> q^e theta^t applied to the series, on the window
     for e in q_exps:
         shifted = [(dp, tuple(a + b for a, b in zip(dp, e))) for dp in series.degrees]
         window = [(dp, d) for dp, d in shifted if cm.c1_degree(d) <= cap]
         for t in t_exps:
             vectors[e, t] = {(d, mono): c for dp, d in window
-                             for mono, c in image(dp, 0, t).coeffs.items()}
+                             for mono, c in image(dp, t).coeffs.items()}
     pre = {(e, t): cm.c1_degree(e) + sum(t) for e, t in vectors}
     columns = sorted(vectors, key=lambda c: (-pre[c], _ansatz_key(*c, 0)))
     rows = sorted(set().union(*vectors.values()))  # eliminates faster sorted
-    matrix = [[vectors[c].get(k, Fraction(0)) for c in columns] for k in rows]
-    null = linalg.nullspace(matrix, len(columns))
-    reduced, pivots = linalg.rref(null, len(columns))
+    matrix = [[vectors[c].get(k, Fraction(0)) for c in reversed(columns)] for k in rows]
     found = []  # ((weight, pivot's key), operator)
-    for vec, p in zip(reduced, pivots):
+    for vec in linalg.nullspace(matrix, len(columns)):
+        vec = vec[::-1]
+        p = next(i for i, c in enumerate(vec) if c)
         weight = pre[columns[p]]
         terms = {}
         for (e, t), c in zip(columns, vec):
             if c:
-                terms.setdefault(e, {})[(t, weight - pre[e, t])] = c
-        found.append(((weight, _ansatz_key(*columns[p], 0)), DiffOp(l, terms)))
+                terms.setdefault(e, {})[t] = c
+        found.append(((weight, _ansatz_key(*columns[p], 0)), DiffOp(cm, weight, terms)))
     return [op for _, op in sorted(found, key=lambda f: f[0])]
 
 
@@ -417,10 +397,6 @@ class QuantumRelation:
 
 
 def semiclassical(op: DiffOp) -> QuantumRelation:
-    """Leading symbol at hbar -> 0, theta_j -> p_j."""
-    rel = {}
-    for e, poly in op.terms.items():
-        for (t, h), c in poly.items():
-            if h == 0:
-                rel[(e, t)] = rel.get((e, t), Fraction(0)) + c
-    return QuantumRelation(op.nvars, rel)
+    """Leading symbol at hbar -> 0, theta_j -> p_j: the terms free of hbar."""
+    return QuantumRelation(op.cm.l, {(e, t): c for e, poly in op.terms.items()
+                                     for t, c in poly.items() if op.hbar_power(e, t) == 0})

@@ -86,31 +86,36 @@ def check_ratio(ring: CohomRing, cm: ChargeMatrix, degree, ratio: CohomClass) ->
 
 
 @dataclass(frozen=True, eq=False)
-class GiventalSeries:
-    """Truncation of F = exp((t.omega)/hbar) sum_d q^d R_d.
+class Series:
+    """A truncated series sum_d q^d c_d of one weight.
 
-    coefficients maps each Mori degree with anticanonical degree <= bound to
-    R_d as a class at hbar = 1 (see the weight rule above).  The symbolic
-    exponential prefactor multiplies the whole series; it is expanded only
-    inside component().
+    coefficients maps each degree of the tuple degrees, all with
+    anticanonical degree <= bound, to c_d as a class at hbar = 1 (see the
+    weight rule above), possibly zero.  build_f gives the weight-0 series
+    F = exp((t.omega)/hbar) sum_d q^d R_d, whose symbolic exponential
+    prefactor is expanded only inside component(); dmodule.apply gives D.F.
     """
     ring: CohomRing
     cm: ChargeMatrix
     bound: int
     degrees: tuple
     coefficients: dict
+    weight: int
+
+    def is_zero(self) -> bool:
+        return all(self.coefficients[d].is_zero() for d in self.degrees)
 
 
 def build_f(ring: CohomRing, cm: ChargeMatrix, gens, bound: int,
-            allow_general_sign: bool = False) -> GiventalSeries:
+            allow_general_sign: bool = False) -> Series:
     """Assemble the series over all Mori degrees with c1-degree <= bound."""
     from .toric import enumerate_degrees
     degrees = tuple(enumerate_degrees(gens, cm, bound))
     coeffs = {d: euler_ratio(ring, cm, d, allow_general_sign) for d in degrees}
-    return GiventalSeries(ring, cm, bound, degrees, coeffs)
+    return Series(ring, cm, bound, degrees, coeffs, 0)
 
 
-def component(series: GiventalSeries, beta: int, log_order: int):
+def component(series: Series, beta: int, log_order: int):
     """Scalar component f_beta = <F, dual of the beta-th basis class>.
 
     Expanding the prefactor exp(sum_j L_j omega_j / hbar) through the
@@ -119,9 +124,10 @@ def component(series: GiventalSeries, beta: int, log_order: int):
     log monomials up to total order log_order.
 
     The dual class is homogeneous, so for each log monomial t only the part
-    of R_d of degree deg T_beta - |t| reaches the top degree.  Its hbar
-    exponent -c1(d) - deg T_beta + |t|, shifted by the 1/hbar^|t| of the
-    prefactor, is -c1(d) - deg T_beta for every t.
+    of c_d of degree deg T_beta - |t| reaches the top degree.  Its hbar
+    exponent w - c1(d) - deg T_beta + |t|, for a series of weight w (0 for
+    F), shifted by the 1/hbar^|t| of the prefactor, is w - c1(d) - deg T_beta
+    for every t.
     """
     if log_order < 0:
         raise ValueError("log_order must be nonnegative")
@@ -148,7 +154,7 @@ def component(series: GiventalSeries, beta: int, log_order: int):
                             if (v := ring.integrate(ring.monomial_class(b) * wcls))]
     out = {}
     for d in series.degrees:
-        h = -series.cm.c1_degree(d) - deg_beta
+        h = series.weight - series.cm.c1_degree(d) - deg_beta
         r_d = series.coefficients[d].coeffs
         entry = {}
         for t, cov in covectors.items():

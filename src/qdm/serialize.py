@@ -63,10 +63,9 @@ def op_json(op) -> list:
     """Operator as [{q: [...], terms: [{theta, hbar, coeff}]}], q-support sorted."""
     out = []
     for e in sorted(op.terms, key=lambda e: (sum(e), e)):
-        entries = [{"theta": list(t), "hbar": h, "coeff": frac_str(c)}
-                   for (t, h), c in sorted(op.terms[e].items(),
-                                           key=lambda kv: (sum(kv[0][0]), kv[0][0],
-                                                           kv[0][1]))]
+        entries = [{"theta": list(t), "hbar": op.hbar_power(e, t), "coeff": frac_str(c)}
+                   for t, c in sorted(op.terms[e].items(),
+                                      key=lambda kv: (sum(kv[0]), kv[0]))]
         out.append({"q": list(e), "terms": entries})
     return out
 

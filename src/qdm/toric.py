@@ -376,8 +376,6 @@ def enumerate_degrees(gens, cm: ChargeMatrix, bound: int):
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    if not gens:
-        return [(0,) * cm.l]
     l = cm.l
     facets = _facet_normals(gens, l)
     degs = [cm.c1_degree(g) for g in gens]

@@ -81,9 +81,10 @@ def test_criterion_2_annihilator_recovery(corpus, report_line):
             for op in ops:
                 assert apply(op, series).is_zero(), name
             box = gkz_operator(cm, (1,))
+            assert box.weight == n + 1, name
             assert box.terms == {
-                (0,): {((n + 1,), 0): Fraction(1)},
-                (1,): {((0,), 0): Fraction(-1)},
+                (0,): {(n + 1,): Fraction(1)},
+                (1,): {(0,): Fraction(-1)},
             }, name
             assert spans(ops, [box]), name
 

@@ -343,6 +343,13 @@ GOLDEN = [
     ("operators", ["dp2", "--allow-general-sign"], 0,
      "170519bcd0aaa5f868f403a834416ce7ac59415cf484cdfc72919d8801853051"),
     ("operators", ["p3"], 1, "408c105ee34f298fe4ba42210173cbeb6599a643b244633173da81ccccf8cef7"),
+    ("operators", ["dp3", "--allow-general-sign"], 0,
+     "21adb13b69551823669e8d2942f69feaff68a378bb67ef57b9712d670e4b962e"),
+    ("operators", ["dp2", "--allow-general-sign", "--format", "text"], 0,
+     "c631291858c22652038acc2616631d449780bee3bd2461b13ee2e078e874bcbe"),
+    ("operators", ["p2xp2_sheared", "--allow-general-sign", "--theta-order", "2",
+                   "--q-degree", "2"], 1,
+     "2d91437d642408e76b934c5ca1dd0ea517fcec4f2d4933ff54be755c0bdd176d"),
 ]
 
 

@@ -58,9 +58,9 @@ def test_op_str(corpus):
     # triples are graded by (q, theta, hbar), so low theta powers come first
     assert serialize.op_str(gkz_operator(cm, (2,))) == \
         "theta1^2*hbar^2 - 2*theta1^3*hbar + theta1^4 - q1^2"
-    assert serialize.op_str(DiffOp.zero(1)) == "0"
-    assert serialize.op_str(DiffOp.identity(1)) == "1"
-    assert serialize.op_str(DiffOp.hbar(1).scale(Fraction(1, 2))) == "1/2*hbar"
+    assert serialize.op_str(DiffOp.zero(cm)) == "0"
+    assert serialize.op_str(DiffOp.identity(cm)) == "1"
+    assert serialize.op_str(DiffOp.hbar(cm).scale(Fraction(1, 2))) == "1/2*hbar"
 
 
 def test_op_json(corpus):
@@ -69,6 +69,13 @@ def test_op_json(corpus):
     assert data == [
         {"q": [0], "terms": [{"theta": [2], "hbar": 0, "coeff": "1"}]},
         {"q": [1], "terms": [{"theta": [0], "hbar": 0, "coeff": "-1"}]},
+    ]
+    # theta^2 (theta - hbar)^2 - q^2: each hbar exponent follows from the weight 4
+    assert serialize.op_json(gkz_operator(cm, (2,))) == [
+        {"q": [0], "terms": [{"theta": [2], "hbar": 2, "coeff": "1"},
+                             {"theta": [3], "hbar": 1, "coeff": "-2"},
+                             {"theta": [4], "hbar": 0, "coeff": "1"}]},
+        {"q": [2], "terms": [{"theta": [0], "hbar": 0, "coeff": "-1"}]},
     ]
 
 

@@ -14,9 +14,8 @@ from .toric import (FanData, ChargeMatrix, FanError, NefBasisError, make_fan,
                     parse_fan, charge_matrix, mori_generators,
                     enumerate_degrees, in_cone, wall_relations)
 from .cohomology import CohomRing, CohomClass, build_ring, monomials
-from .ifunction import (Series, StrictSignError, euler_ratio, check_ratio, build_f,
-                        component)
-from .dmodule import (DiffOp, QuantumRelation, EmptyWindowError, apply,
+from .ifunction import Series, euler_ratio, check_ratio, build_f, component
+from .dmodule import (DiffOp, EmptyWindowError, apply,
                       gkz_operator, find_annihilators, semiclassical)
 from .loop_model import (WeightSystem, CriticalData, ComponentAbsentError,
                          action_value, min_modes, critical_component,
@@ -27,9 +26,8 @@ __all__ = [
     "parse_fan", "charge_matrix", "mori_generators",
     "enumerate_degrees", "in_cone", "wall_relations",
     "CohomRing", "CohomClass", "build_ring", "monomials",
-    "Series", "StrictSignError", "euler_ratio", "check_ratio",
-    "build_f", "component",
-    "DiffOp", "QuantumRelation", "EmptyWindowError", "apply",
+    "Series", "euler_ratio", "check_ratio", "build_f", "component",
+    "DiffOp", "EmptyWindowError", "apply",
     "gkz_operator", "find_annihilators", "semiclassical",
     "WeightSystem", "CriticalData", "ComponentAbsentError", "action_value",
     "min_modes", "critical_component", "euler_ratio_n", "check_stabilization",

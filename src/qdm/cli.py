@@ -16,7 +16,6 @@ from fractions import Fraction
 from . import dmodule, ifunction, loop_model, serialize, toric
 from .cohomology import build_ring
 from .dmodule import EmptyWindowError
-from .ifunction import StrictSignError
 from .loop_model import ComponentAbsentError
 from .toric import FanError, NefBasisError
 
@@ -36,15 +35,14 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("fan", help="path to a fan JSON file")
         if name != "cohomology":
-            cmd.add_argument("--max-degree", type=int, default=6, metavar="B",
+            cmd.add_argument("--max-degree", default="6", metavar="B",
                              help="truncate at anticanonical degree B (default 6)")
             cmd.add_argument("--allow-general-sign", action="store_true",
-                             help="permit degrees pairing negatively with some divisor"
-                                  " (the loop model always does)")
+                             help="accepted and ignored: general signs are always used")
         if name == "operators":
-            cmd.add_argument("--theta-order", type=int, default=None, metavar="T",
+            cmd.add_argument("--theta-order", default=None, metavar="T",
                              help="ansatz bound on theta order (default dim+1)")
-            cmd.add_argument("--q-degree", type=int, default=1, metavar="Q",
+            cmd.add_argument("--q-degree", default="1", metavar="Q",
                              help="ansatz bound on q degree (default 1)")
         if name in ("operators", "loop-model"):
             cmd.add_argument("--degree", action="append", default=None,
@@ -55,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "ifunction":
             cmd.add_argument("--components", default=None, metavar="b1,b2,...",
                              help="basis indices of series components to expand")
-            cmd.add_argument("--log-order", type=int, default=None, metavar="L",
+            cmd.add_argument("--log-order", default=None, metavar="L",
                              help="log-monomial order kept in components (default dim)")
         cmd.add_argument("--format", choices=("json", "text"), default="json")
         cmd.add_argument("--out", default=None, metavar="PATH",
@@ -81,6 +79,15 @@ def _int_field(part, option, raw):
         except ValueError:
             pass
     raise ValueError("bad %s value %r" % (option, raw))
+
+
+def _parse_int_options(args):
+    """Turn the integer options this subcommand has into ints, in place."""
+    for option in ("--max-degree", "--theta-order", "--q-degree", "--log-order"):
+        name = option[2:].replace("-", "_")
+        raw = getattr(args, name, None)
+        if raw is not None:
+            setattr(args, name, _int_field(raw, option, raw))
 
 
 def _parse_degrees(args, cm):
@@ -152,8 +159,7 @@ def cmd_ifunction(args) -> tuple[dict, bool]:
     if args.components is not None:
         components = _parse_components(args.components, len(ring.basis))
     gens = toric.mori_generators(fan, cm)
-    series = ifunction.build_f(ring, cm, gens, args.max_degree,
-                               allow_general_sign=args.allow_general_sign)
+    series = ifunction.build_f(ring, cm, gens, args.max_degree)
     # reported as "homogeneous": a value at hbar = 1 is homogeneous by
     # construction, so what is checked is the identity defining each R_d
     homogeneous = all(ifunction.check_ratio(ring, cm, d, series.coefficients[d])
@@ -179,8 +185,7 @@ def cmd_ifunction(args) -> tuple[dict, bool]:
 def cmd_operators(args) -> tuple[dict, bool]:
     fan, cm, ring = _load(args)
     gens = toric.mori_generators(fan, cm)
-    series = ifunction.build_f(ring, cm, gens, args.max_degree,
-                               allow_general_sign=args.allow_general_sign)
+    series = ifunction.build_f(ring, cm, gens, args.max_degree)
     theta_order = (ring.top + 1) if args.theta_order is None else args.theta_order
     degrees = _parse_degrees(args, cm)
     if degrees is None:
@@ -281,8 +286,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _parse_int_options(args)
         report, ok = _COMMANDS[args.command](args)
-    except (FanError, NefBasisError, StrictSignError, EmptyWindowError,
+    except (FanError, NefBasisError, EmptyWindowError,
             ComponentAbsentError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -188,6 +188,20 @@ class DiffOp:
             return Fraction(0)
         return self.terms.get(e, {}).get(t, Fraction(0))
 
+    def classical_value(self, ring):
+        """The q = 0, hbar-free terms at theta_j -> omega_j, in the classical
+        ring; zero when the operator annihilates the series."""
+        zero = (0,) * self.cm.l
+        out = ring.zero()
+        for t, c in self.terms.get(zero, {}).items():
+            if self.hbar_power(zero, t) == 0:
+                cls = ring.one().scale(c)
+                for j, tj in enumerate(t):
+                    for _ in range(tj):
+                        cls = cls * ring.omega_class(j)
+                out = out + cls
+        return out
+
     def __repr__(self):
         return "DiffOp(%r, %d, %r)" % (self.cm, self.weight, self.terms)
 
@@ -350,53 +364,10 @@ def find_annihilators(series: Series, theta_order: int, q_degree: int):
     return [op for _, op in sorted(found, key=lambda f: f[0])]
 
 
-class QuantumRelation:
-    """Semiclassical shadow of an operator: a polynomial in p_1..p_l and q.
-
-    Obtained by theta_j -> p_j and hbar -> 0; stored as
-    {(q-exponent, p-exponent): coefficient}.
-    """
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars, terms):
-        self.nvars = nvars
-        self.terms = {k: Fraction(c) for k, c in terms.items() if c}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, QuantumRelation) and self.nvars == other.nvars
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def at_q_zero(self):
-        """The pure p-polynomial part, as {p-exponent: coefficient}."""
-        return {t: c for (e, t), c in self.terms.items() if not any(e)}
-
-    def classical_value(self, ring):
-        """Evaluate the q = 0 part with p_j -> omega_j in the classical ring."""
-        out = ring.zero()
-        for t, c in self.at_q_zero().items():
-            cls = ring.one().scale(c)
-            for j, tj in enumerate(t):
-                for _ in range(tj):
-                    cls = cls * ring.omega_class(j)
-            out = out + cls
-        return out
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0][0]), kv[0][0],
-                                                          sum(kv[0][1]), kv[0][1]))
-
-    def __repr__(self):
-        return "QuantumRelation(%d, %r)" % (self.nvars, self.terms)
-
-
-def semiclassical(op: DiffOp) -> QuantumRelation:
-    """Leading symbol at hbar -> 0, theta_j -> p_j: the terms free of hbar."""
-    return QuantumRelation(op.cm.l, {(e, t): c for e, poly in op.terms.items()
-                                     for t, c in poly.items() if op.hbar_power(e, t) == 0})
+def semiclassical(op: DiffOp) -> DiffOp:
+    """The relation in quantum cohomology left by the limit hbar -> 0: the
+    terms of op free of hbar, as an operator of the same weight.  Read with
+    theta_j -> p_j it is a polynomial in p and q."""
+    return DiffOp(op.cm, op.weight, {e: {t: c for t, c in poly.items()
+                                         if op.hbar_power(e, t) == 0}
+                                     for e, poly in op.terms.items()})

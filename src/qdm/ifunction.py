@@ -33,34 +33,20 @@ from .cohomology import CohomClass, CohomRing, monomials
 from .toric import ChargeMatrix
 
 
-class StrictSignError(ValueError):
-    """A divisor pairs negatively with the degree and general signs are off."""
-
-
-def euler_ratio(ring: CohomRing, cm: ChargeMatrix, degree,
-                allow_general_sign: bool = False) -> CohomClass:
+def euler_ratio(ring: CohomRing, cm: ChargeMatrix, degree) -> CohomClass:
     """The coefficient R_degree of the series, at hbar = 1.
 
-    With allow_general_sign=False a negative pairing raises StrictSignError;
-    with it on, negative pairings contribute the finite numerator product
-    including the nu = 0 factor alpha_k.
+    Pairings of either sign are allowed: a negative one contributes the
+    finite numerator product, including the nu = 0 factor alpha_k.
     """
     out = ring.one()
     for k in range(cm.n):
         a_k = cm.pairing(degree, k)
-        if a_k == 0:
-            continue
         alpha = ring.generator(k)
-        if a_k > 0:
-            for nu in range(1, a_k + 1):
-                out = ring.divide_linear(out, alpha, nu)
-        else:
-            if not allow_general_sign:
-                raise StrictSignError(
-                    "divisor %d pairs negatively (%d) with degree %r; "
-                    "enable general signs to proceed" % (k, a_k, list(degree)))
-            for nu in range(a_k + 1, 1):
-                out = ring.times_linear(out, alpha, nu)
+        for nu in range(1, a_k + 1):
+            out = ring.divide_linear(out, alpha, nu)
+        for nu in range(a_k + 1, 1):
+            out = ring.times_linear(out, alpha, nu)
     return out
 
 
@@ -106,12 +92,12 @@ class Series:
         return all(self.coefficients[d].is_zero() for d in self.degrees)
 
 
-def build_f(ring: CohomRing, cm: ChargeMatrix, gens, bound: int,
-            allow_general_sign: bool = False) -> Series:
-    """Assemble the series over all Mori degrees with c1-degree <= bound."""
+def build_f(ring: CohomRing, cm: ChargeMatrix, gens, bound: int) -> Series:
+    """Assemble the series over all Mori degrees with c1-degree <= bound,
+    whatever the signs of their pairings with the divisors."""
     from .toric import enumerate_degrees
     degrees = tuple(enumerate_degrees(gens, cm, bound))
-    coeffs = {d: euler_ratio(ring, cm, d, allow_general_sign) for d in degrees}
+    coeffs = {d: euler_ratio(ring, cm, d) for d in degrees}
     return Series(ring, cm, bound, degrees, coeffs, 0)
 
 

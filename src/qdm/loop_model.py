@@ -11,7 +11,8 @@ Per ray, dividing the Euler class of [a_k+1, N] by that of [1, N], the
 interval of the component d = 0, leaves (alpha_k + nu*hbar)^-1 for nu in
 [1, a_k] and (alpha_k + nu*hbar) for nu in [a_k+1, 0], whatever the cutoff
 N >= N(d) = max_k |a_k| is.  So the finite-mode ratio is the stabilized
-coefficient R_d at every such cutoff and is computed once per degree.  The
+coefficient R_d at every such cutoff, pairings of either sign included, and
+is computed once per degree by ifunction.euler_ratio, the series' formula.  The
 "stable" flag of a stabilization report is ifunction.check_ratio: the
 product identity defining R_d, multiplied out through CohomRing.multiply
 and so independent of the multiplication matrices that built the ratio.
@@ -113,7 +114,7 @@ def euler_ratio_n(ring: CohomRing, cm: ChargeMatrix, degree, modes: int) -> Coho
     N >= N(d) is: the factors of R_d, so the ratio is euler_ratio's.
     """
     _require_modes(cm, degree, modes)
-    return euler_ratio(ring, cm, degree, allow_general_sign=True)
+    return euler_ratio(ring, cm, degree)
 
 
 def check_stabilization(ring: CohomRing, cm: ChargeMatrix, degree, mode_values,

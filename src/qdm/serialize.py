@@ -95,11 +95,10 @@ def _signed_join(rendered) -> str:
     return text or "0"
 
 
-def op_str(op) -> str:
-    """Human-readable operator, e.g. 'theta1^3 - q1'."""
+def _op_text(op, theta) -> str:
     rendered = []
     for (e, t, h) in op.support_triples():
-        factors = [s for s in (_power_str("q", e), _power_str("theta", t)) if s]
+        factors = [s for s in (_power_str("q", e), _power_str(theta, t)) if s]
         if h == 1:
             factors.append("hbar")
         elif h > 1:
@@ -108,13 +107,15 @@ def op_str(op) -> str:
     return _signed_join(rendered)
 
 
+def op_str(op) -> str:
+    """Human-readable operator, e.g. 'theta1^3 - q1'."""
+    return _op_text(op, "theta")
+
+
 def relation_str(rel) -> str:
-    """Human-readable quantum relation, e.g. 'p1^3 - q1'."""
-    rendered = []
-    for (e, t), c in rel.sorted_terms():
-        factors = [s for s in (_power_str("q", e), _power_str("p", t)) if s]
-        rendered.append((c, "*".join(factors)))
-    return _signed_join(rendered)
+    """Human-readable quantum relation, the operator semiclassical(op) with
+    p_j for theta_j, e.g. 'p1^3 - q1'."""
+    return _op_text(rel, "p")
 
 
 def _inline(value) -> str | None:

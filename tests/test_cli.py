@@ -8,12 +8,13 @@ import sys
 
 import pytest
 
-from qdm import cohomology, ifunction
+from qdm import cli, cohomology, ifunction
 from qdm.cli import main
 
 from conftest import FAN_DIR
 
 LAYERS = FAN_DIR.parent / "perfbench" / "layers.py"
+BENCHMARK = FAN_DIR.parent / "perfbench" / "run.py"
 
 
 def fan_path(name):
@@ -40,14 +41,6 @@ def test_malformed_fan_is_an_input_error(tmp_path, capsys):
     bad.write_text('{"rays": [[2], [-1]], "max_cones": [[0], [1]]}')
     assert main(["cohomology", str(bad)]) == 2
     assert "not primitive" in capsys.readouterr().err
-
-
-def test_strict_sign_violation_is_an_input_error(capsys):
-    assert main(["ifunction", fan_path("hirzebruch1")]) == 2
-    assert "pairs negatively" in capsys.readouterr().err
-    capsys.readouterr()
-    assert main(["ifunction", fan_path("hirzebruch1"),
-                 "--allow-general-sign"]) == 0
 
 
 def test_bad_degree_option(capsys):
@@ -82,6 +75,9 @@ P1XP1_TEXT = ('{"rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],'
     (P1XP1_TEXT, ["loop-model", "--degree", "1,,0"], "bad --degree"),
     (P1XP1_TEXT, ["loop-model", "--degree", "1_0,0"], "bad --degree"),
     (P2_TEXT, ["loop-model", "--modes", "1_0"], "bad --modes"),
+    (P2_TEXT, ["ifunction", "--max-degree", "1_0"], "bad --max-degree"),
+    (P2_TEXT, ["ifunction", "--max-degree", " +3"], "bad --max-degree"),
+    (P2_TEXT, ["operators", "--theta-order", "0_2"], "bad --theta-order"),
     (P2_TEXT, ["loop-model", "--modes=-1"], "--modes cutoffs must be nonnegative"),
     (P2_TEXT, ["loop-model", "--modes=-2..1"], "--modes cutoffs must be nonnegative"),
     (P1XP1_TEXT, ["operators", "--degree", "0,0"], "zero degree"),
@@ -115,11 +111,25 @@ def test_subcommand_rejects_options_it_does_not_read(capsys, argv):
     assert "unrecognized arguments: " + argv[2] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["ifunction", "hirzebruch1"],
+    ["operators", "hirzebruch1"],
+    ["loop-model", "dp2", "--format", "text"],
+])
+def test_general_sign_flag_changes_nothing(capsys, argv):
+    # general signs are always used; the flag is still accepted
+    full = [argv[0], fan_path(argv[1])] + argv[2:]
+    assert main(full) == 0
+    plain = capsys.readouterr().out
+    assert main(full + ["--allow-general-sign"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_corrupted_coefficient_fails_the_ratio_check(monkeypatch, capsys):
     exact = ifunction.euler_ratio
 
-    def corrupted(ring, cm, degree, allow_general_sign=False):
-        r = exact(ring, cm, degree, allow_general_sign)
+    def corrupted(ring, cm, degree):
+        r = exact(ring, cm, degree)
         return r + ring.generator(0) if degree == (2,) else r
 
     monkeypatch.setattr(ifunction, "euler_ratio", corrupted)
@@ -303,6 +313,22 @@ def test_benchmark_tracer_still_wraps_the_entry_points(capsys):
         assert name in names, name
 
 
+def test_benchmark_argv_still_parses(monkeypatch):
+    # the benchmark passes fixed CLI options; an option removed or made
+    # stricter under it must fail here, not in a benchmark run
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py prepends its dir
+    spec = importlib.util.spec_from_file_location("perfbench_run", BENCHMARK)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    parser = cli.build_parser()
+    argvs = [[sub, fan_path(fan)] + extra
+             for invocations in run.WORKLOADS.values()
+             for sub, fan, extra, _oracles in invocations]
+    assert len(argvs) == 13
+    for argv in argvs:
+        cli._parse_int_options(parser.parse_args(argv))
+
+
 # ---------------------------------------------------------------------------
 # golden reports: SHA-256 of stdout and the exit code, pinned from a
 # reference run, so any change to a report's bytes shows up here
@@ -324,7 +350,7 @@ GOLDEN = [
     ("ifunction", ["p2"], 0, "278e9645fb4296c202154b9d1c4f2cc8862a22812aa240d0c57d7aaf2a6fafcc"),
     ("ifunction", ["p1xp1", "--components", "0"], 0,
      "45c69b4640fa4af121e6469b2e4f3f774d15a24bd58be1e870993cfffb294ce5"),
-    ("ifunction", ["hirzebruch1", "--allow-general-sign"], 0,
+    ("ifunction", ["hirzebruch1"], 0,
      "5e1fb1a56f705a8c94dac50130718acbc3e81e748f7cd0228f57a22d05bb7247"),
     ("ifunction", ["p3", "--components", "0"], 0,
      "647422b63686a6121a8070d1fe34a4ab9b0ff06c896615b05f3af9b34bda5e56"),
@@ -333,21 +359,21 @@ GOLDEN = [
     ("operators", ["p1"], 0, "1a2228ac22681e1bffc43861562c668607db84887b4d7c28694ed81fb683d72a"),
     ("operators", ["p1xp1"], 0, "cc6250381c34b4f6c3e8836ebc642d5c05ee074077fb5325ffbb637c94dd195d"),
     ("loop-model", ["dp3"], 0, "6055d95e9d03fbc873d7996b28332d97f0ca02a7b1d750da845c7befc294d8c0"),
-    ("ifunction", ["dp3", "--allow-general-sign", "--components", "0,1,2"], 0,
+    ("ifunction", ["dp3", "--components", "0,1,2"], 0,
      "4dab4e6c5322c1cdce98f4cd10202d7a451e24a49fd9c2d522afd8a79515f692"),
-    ("loop-model", ["dp2", "--allow-general-sign", "--format", "text"], 0,
+    ("loop-model", ["dp2", "--format", "text"], 0,
      "b655eb14a3a159add8a2661d47d5ba2133dd4140d2cedc3c22b76ebe305fe983"),
-    ("operators", ["hirzebruch1", "--allow-general-sign"], 0,
+    ("operators", ["hirzebruch1"], 0,
      "1bdb0f6d92db9b0c1c152af5d0d0786e1ebd81f4d097739d6d0fa9ee91f911a4"),
     ("operators", ["p2xp1"], 1, "9b95336e39705ab847b171146789272303a063ace716cbe16ef178876d5c5e80"),
-    ("operators", ["dp2", "--allow-general-sign"], 0,
+    ("operators", ["dp2"], 0,
      "170519bcd0aaa5f868f403a834416ce7ac59415cf484cdfc72919d8801853051"),
     ("operators", ["p3"], 1, "408c105ee34f298fe4ba42210173cbeb6599a643b244633173da81ccccf8cef7"),
-    ("operators", ["dp3", "--allow-general-sign"], 0,
+    ("operators", ["dp3"], 0,
      "21adb13b69551823669e8d2942f69feaff68a378bb67ef57b9712d670e4b962e"),
-    ("operators", ["dp2", "--allow-general-sign", "--format", "text"], 0,
+    ("operators", ["dp2", "--format", "text"], 0,
      "c631291858c22652038acc2616631d449780bee3bd2461b13ee2e078e874bcbe"),
-    ("operators", ["p2xp2_sheared", "--allow-general-sign", "--theta-order", "2",
+    ("operators", ["p2xp2_sheared", "--theta-order", "2",
                    "--q-degree", "2"], 1,
      "2d91437d642408e76b934c5ca1dd0ea517fcec4f2d4933ff54be755c0bdd176d"),
 ]

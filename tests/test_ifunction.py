@@ -6,7 +6,6 @@ import pytest
 
 from qdm import cohomology, ifunction, linalg, toric
 from qdm import (
-    StrictSignError,
     build_f,
     check_ratio,
     component,
@@ -104,7 +103,7 @@ def test_hirzebruch_ratio_with_negative_pairing(corpus):
     # degree (1,0) pairs as (1,-1,1,0); the nu = 0 numerator factor is the
     # class of the second ray, which reduces to x3 - x2
     _fan, cm, ring, _gens = corpus["hirzebruch1"]
-    r = euler_ratio(ring, cm, (1, 0), allow_general_sign=True)
+    r = euler_ratio(ring, cm, (1, 0))
     assert ring.generator(1).coeffs == {(0, 0, 0, 1): 1, (0, 0, 1, 0): -1}
     assert r.coeffs == {(0, 0, 0, 1): 1, (0, 0, 1, 0): -1, (0, 0, 0, 2): -2}
     assert laurent_json(r, cm.c1_degree((1, 0))) == [
@@ -113,22 +112,13 @@ def test_hirzebruch_ratio_with_negative_pairing(corpus):
     ]
 
 
-def test_strict_mode_rejects_negative_pairings(corpus):
-    fan, cm, ring, gens = corpus["hirzebruch1"]
-    with pytest.raises(StrictSignError, match="pairs negatively"):
-        euler_ratio(ring, cm, (1, 0))
-    with pytest.raises(StrictSignError):
-        build_f(ring, cm, gens, 2)
-
-
 def test_ratio_multiplies_back_to_sign_product(corpus):
     # R_d * prod_{a_k>0} prod_{nu=1..a_k} (alpha_k + nu hbar)
     #     = prod_{a_k<0} prod_{nu=a_k+1..0} (alpha_k + nu hbar)
-    for name, general in (("p1", False), ("p2", False), ("p1xp1", False),
-                          ("hirzebruch1", True), ("dp2", True)):
+    for name in ("p1", "p2", "p1xp1", "hirzebruch1", "dp2"):
         _fan, cm, ring, gens = corpus[name]
         for d in enumerate_degrees(gens, cm, 4):
-            lhs = euler_ratio(ring, cm, d, allow_general_sign=general)
+            lhs = euler_ratio(ring, cm, d)
             assert check_ratio(ring, cm, d, lhs), (name, d)
             rhs = ring.one()
             for k in range(cm.n):
@@ -157,7 +147,7 @@ def test_build_f_homogeneity(corpus):
     # R_d is homogeneous: its value at hbar = 2 or 3, built from the factors,
     # is the hbar = 1 class with each monomial m scaled by hbar^(-c1 - deg m)
     for name, (_fan, cm, ring, gens) in corpus.items():
-        series = build_f(ring, cm, gens, 6, allow_general_sign=True)
+        series = build_f(ring, cm, gens, 6)
         for d in series.degrees:
             for hbar in (2, 3):
                 want = ratio_at(ring, cm, d, hbar)
@@ -243,6 +233,6 @@ def test_series_build_takes_the_sparse_paths(monkeypatch):
                         counted("solve_columns", linalg.solve_columns))
     monkeypatch.setattr(ifunction, "euler_ratio", entered(ifunction.euler_ratio))
     monkeypatch.setattr(toric, "enumerate_degrees", entered(toric.enumerate_degrees))
-    series = ifunction.build_f(ring, cm, gens, 6, allow_general_sign=True)
+    series = ifunction.build_f(ring, cm, gens, 6)
     assert len(series.degrees) == 462
     assert counts == {"multiply": 0, "solve_columns": 0}

@@ -167,7 +167,7 @@ def test_finite_mode_ratio_hirzebruch_numerator(corpus):
     ratio = euler_ratio_n(ring, cm, (1, 0), 1)
     by_hbar = {e["hbar"]: e["class"] for e in laurent_json(ratio, cm.c1_degree((1, 0)))}
     assert by_hbar[-2] == class_json(ring.generator(1))
-    assert ratio == euler_ratio(ring, cm, (1, 0), allow_general_sign=True)
+    assert ratio == euler_ratio(ring, cm, (1, 0))
 
 
 def test_check_stabilization_report(corpus):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qdm import DiffOp, QuantumRelation, euler_ratio, gkz_operator, semiclassical
+from qdm import DiffOp, euler_ratio, gkz_operator, semiclassical
 from qdm import serialize
 from qdm.toric import parse_frac
 
@@ -83,12 +83,11 @@ def test_relation_str(corpus):
     _fan, cm, _ring, _gens = corpus["p1"]
     assert serialize.relation_str(semiclassical(gkz_operator(cm, (1,)))) == \
         "p1^2 - q1"
+    assert serialize.relation_str(DiffOp.zero(cm)) == "0"
+    assert serialize.relation_str(DiffOp.identity(cm)) == "1"
     _fan, cm, _ring, _gens = corpus["hirzebruch1"]
     assert serialize.relation_str(semiclassical(gkz_operator(cm, (1, 0)))) == \
         "p1^2 - q1*p2 + q1*p1"
-    assert serialize.relation_str(QuantumRelation(1, {})) == "0"
-    assert serialize.relation_str(
-        QuantumRelation(1, {((0,), (0,)): Fraction(1)})) == "1"
 
 
 def test_render_text_scalars_and_inlining():

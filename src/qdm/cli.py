@@ -116,7 +116,7 @@ def _parse_components(raw, size):
 def _parse_modes(raw):
     if raw is None:
         return None
-    lo, sep, hi = raw.strip().partition("..")
+    lo, sep, hi = raw.partition("..")
     lo = _int_field(lo, "--modes", raw)
     hi = _int_field(hi, "--modes", raw) if sep else lo
     if hi < lo:

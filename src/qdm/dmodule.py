@@ -299,8 +299,7 @@ def gkz_operator(cm, degree) -> DiffOp:
     pos = {one: Fraction(1)}
     neg = {one: Fraction(1)}
     weight = 0
-    for k in range(cm.n):
-        a_k = cm.pairing(degree, k)
+    for k, a_k in enumerate(cm.pairings(degree)):
         d_k = {tuple(1 if i == j else 0 for i in range(l)): Fraction(cm.m[j][k])
                for j in range(l) if cm.m[j][k]}
         for nu in range(abs(a_k)):

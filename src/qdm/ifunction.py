@@ -18,6 +18,20 @@ the monomial m carries hbar^(w - c1(d) - deg m).  At hbar = 1 each factor
 (alpha_k + nu*hbar) is multiplication by alpha_k + nu, and its inverse
 (nu != 0) is the graded one-pass solve CohomRing.divide_linear.
 
+Sharing work across degrees.  R_d depends on d only through its pairings,
+and moving d by a unit vector e_j of the curve lattice gains or loses a few
+factors per ray: from pairings a to b, R is divided by (alpha_k + nu) for
+nu in (a_k, b_k] and multiplied by it for nu in (b_k, a_k].  euler_ratio
+memoizes R per ring and builds a new one from the cached R_{d -+ e_j} that
+needs the fewest linear passes, or from R_0 = 1, the direct product.  A step
+with a_k < 0 <= b_k on some ray is refused: it would divide by alpha_k,
+which is nilpotent.  check_ratio multiplies R_d by the products
+P+_k(a) = prod_{nu=1}^{a} (alpha_k + nu) for each a_k > 0 and compares with
+the product of P-_k(a) = prod_{nu=a+1}^{0} (alpha_k + nu) over a_k < 0.
+These are cached per ring too, each entry one CohomRing.multiply from its
+predecessor, so the check costs one product per nonzero pairing and still
+never reads the multiplication matrices that build R_d.
+
 The full series F = exp((t.omega)/hbar) sum_d q^d R_d carries a symbolic
 exponential prefactor; it is kept unexpanded, and only enters component(),
 where it contributes polynomial terms in the formal symbols L_j = log q_j.
@@ -25,6 +39,7 @@ where it contributes polynomial terms in the formal symbols L_j = log q_j.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -33,42 +48,102 @@ from .cohomology import CohomClass, CohomRing, monomials
 from .toric import ChargeMatrix
 
 
+class _RatioMemo:
+    """What euler_ratio and check_ratio keep for one ring, as coefficient
+    dicts: a CohomClass refers to its ring and would keep the weak key alive.
+
+        ratios   pairing vector (a_k)_k -> R_d for any d with those pairings
+        factors  (k, a) -> P+_k(a) = prod_{nu=1}^{a} (alpha_k + nu), a >= 0,
+                           P-_k(a) = prod_{nu=a+1}^{0} (alpha_k + nu), a <= 0
+
+    Both start from 1, at the zero pairing vector and at a = 0.
+    """
+
+    __slots__ = ("ratios", "factors")
+
+    def __init__(self, ring: CohomRing):
+        one = ring.one().coeffs
+        self.ratios = {(0,) * ring.n: one}
+        self.factors = {(k, 0): one for k in range(ring.n)}
+
+
+_MEMO = weakref.WeakKeyDictionary()  # CohomRing -> _RatioMemo
+
+
+def _memo(ring: CohomRing) -> _RatioMemo:
+    memo = _MEMO.get(ring)
+    if memo is None:
+        memo = _MEMO[ring] = _RatioMemo(ring)
+    return memo
+
+
 def euler_ratio(ring: CohomRing, cm: ChargeMatrix, degree) -> CohomClass:
-    """The coefficient R_degree of the series, at hbar = 1.
+    """The coefficient R_degree of the series, at hbar = 1, memoized per ring.
 
     Pairings of either sign are allowed: a negative one contributes the
-    finite numerator product, including the nu = 0 factor alpha_k.
+    finite numerator product, including the nu = 0 factor alpha_k.  A new
+    R_d is stepped from a cached R_p, p = d -+ e_j, or from R_0 = 1; see the
+    module docstring.
     """
-    out = ring.one()
-    for k in range(cm.n):
-        a_k = cm.pairing(degree, k)
-        alpha = ring.generator(k)
-        for nu in range(1, a_k + 1):
-            out = ring.divide_linear(out, alpha, nu)
-        for nu in range(a_k + 1, 1):
-            out = ring.times_linear(out, alpha, nu)
+    target = cm.pairings(degree)
+    ratios = _memo(ring).ratios
+    if target not in ratios:
+        start, cost = (0,) * cm.n, sum(map(abs, target))
+        for row in cm.m:
+            step = sum(map(abs, row))
+            if step >= cost:
+                continue
+            for sign in (1, -1):
+                near = tuple(b - sign * r for b, r in zip(target, row))
+                if near in ratios and not any(a < 0 <= b for a, b in zip(near, target)):
+                    start, cost = near, step
+                    break
+        out = CohomClass(ring, ratios[start])
+        for k, (a, b) in enumerate(zip(start, target)):
+            alpha = ring.generator(k)
+            for nu in range(a + 1, b + 1):
+                out = ring.divide_linear(out, alpha, nu)
+            for nu in range(b + 1, a + 1):
+                out = ring.times_linear(out, alpha, nu)
+        ratios[target] = out.coeffs
+    return CohomClass(ring, ratios[target])
+
+
+def _factor_product(ring: CohomRing, factors: dict, k: int, a: int) -> CohomClass:
+    """P+_k(a) for a > 0, P-_k(a) for a < 0 (see _RatioMemo), each missing
+    entry one CohomRing.multiply from its neighbour nearer to a = 0."""
+    step = 1 if a > 0 else -1
+    b = a
+    while (k, b) not in factors:
+        b -= step
+    out = CohomClass(ring, factors[(k, b)])
+    while b != a:
+        b += step
+        out = out * (ring.generator(k) + ring.one().scale(b if step > 0 else b + 1))
+        factors[(k, b)] = out.coeffs
     return out
 
 
 def check_ratio(ring: CohomRing, cm: ChargeMatrix, degree, ratio: CohomClass) -> bool:
     """Does ratio satisfy the defining identity of R_degree?
 
-        R_d * prod_{a_k>0} prod_{nu=1}^{a_k} (alpha_k + nu*hbar)
-            = prod_{a_k<0} prod_{nu=a_k+1}^{0} (alpha_k + nu*hbar)
+        R_d * prod_{a_k>0} P+_k(a_k) = prod_{a_k<0} P-_k(a_k)
 
-    Only the factors are multiplied, never inverted, and through the general
+    with P+_k(a) = prod_{nu=1}^{a} (alpha_k + nu*hbar) and
+    P-_k(a) = prod_{nu=a+1}^{0} (alpha_k + nu*hbar), cached per ring.  Only
+    the factors are multiplied, never inverted, and through the general
     CohomRing.multiply rather than the multiplication matrices that built the
     ratio, so a wrong matrix entry cannot cancel out of the check.
     """
-    lhs, rhs = ratio, ring.one()
-    for k in range(cm.n):
-        a_k = cm.pairing(degree, k)
-        alpha = ring.generator(k)
-        for nu in range(1, a_k + 1):
-            lhs = lhs * (alpha + ring.one().scale(nu))
-        for nu in range(a_k + 1, 1):
-            rhs = rhs * (alpha + ring.one().scale(nu))
-    return lhs == rhs
+    factors = _memo(ring).factors
+    lhs, rhs = ratio, None
+    for k, a in enumerate(cm.pairings(degree)):
+        if a > 0:
+            lhs = lhs * _factor_product(ring, factors, k, a)
+        elif a < 0:
+            p = _factor_product(ring, factors, k, a)
+            rhs = p if rhs is None else rhs * p
+    return lhs == (ring.one() if rhs is None else rhs)
 
 
 @dataclass(frozen=True, eq=False)

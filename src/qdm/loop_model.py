@@ -73,7 +73,7 @@ def action_value(mode_squares) -> Fraction:
 
 def min_modes(cm: ChargeMatrix, degree) -> int:
     """Smallest cutoff N whose model contains the component of this degree."""
-    return max([abs(cm.pairing(degree, k)) for k in range(cm.n)] + [0])
+    return max(map(abs, cm.pairings(degree)), default=0)
 
 
 def _require_modes(cm: ChargeMatrix, degree, modes: int) -> None:
@@ -99,7 +99,7 @@ def critical_component(cm: ChargeMatrix, lam, degree, modes: int) -> CriticalDat
         raise ValueError("degree has the wrong number of coordinates")
     _require_modes(cm, degree, modes)
     value = sum((d * s for d, s in zip(degree, lam)), Fraction(0))
-    frozen = [cm.pairing(degree, k) for k in range(cm.n)]
+    frozen = cm.pairings(degree)
     return CriticalData(tuple(degree), modes, value, WeightSystem(
         tuple((a_k + 1, modes) for a_k in frozen),
         tuple((-modes, a_k - 1) for a_k in frozen)))

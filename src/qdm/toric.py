@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
 from . import linalg
 
@@ -65,13 +66,20 @@ class ChargeMatrix:
     def n(self) -> int:
         return len(self.m[0])
 
+    def pairings(self, degree) -> tuple[int, ...]:
+        """(<alpha_k, d>)_k with <alpha_k, d> = sum_j m[j][k] d_j, one entry per
+        ray divisor."""
+        if len(degree) != self.l:
+            raise ValueError("degree needs %d coordinates, got %r" % (self.l, degree))
+        return tuple([sum(map(mul, col, degree)) for col in zip(*self.m)])
+
     def pairing(self, degree, k) -> int:
-        """<alpha_k, d> = sum_j m[j][k] d_j for the k-th ray divisor (0-based k)."""
-        return sum(self.m[j][k] * degree[j] for j in range(self.l))
+        """<alpha_k, d> for the k-th ray divisor (0-based k)."""
+        return self.pairings(degree)[k]
 
     def c1_degree(self, degree) -> int:
         """Pairing of the anticanonical class sum_k alpha_k with the degree."""
-        return sum(self.pairing(degree, k) for k in range(self.n))
+        return sum(self.pairings(degree))
 
 
 def parse_frac(value) -> Fraction:

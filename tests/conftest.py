@@ -64,6 +64,22 @@ def reference_theta_values(ring, l):
     return value
 
 
+# The direct product that the neighbour recurrence replaced, kept as the
+# oracle: every R_d built from 1 by its sum_k |a_k| factors, with no memo.
+
+def reference_euler_ratio(ring, cm, degree):
+    """R_degree at hbar = 1, one linear pass per factor (alpha_k + nu)."""
+    out = ring.one()
+    for k in range(cm.n):
+        a_k = cm.pairing(degree, k)
+        alpha = ring.generator(k)
+        for nu in range(1, a_k + 1):
+            out = ring.divide_linear(out, alpha, nu)
+        for nu in range(a_k + 1, 1):
+            out = ring.times_linear(out, alpha, nu)
+    return out
+
+
 def ratio_at(ring, cm, degree, hbar):
     """R_degree at the given integer value of hbar, straight from its factors
     (alpha_k + nu*hbar), independently of the weight rule."""

@@ -85,6 +85,8 @@ P1XP1_TEXT = ('{"rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],'
     (P2_TEXT, ["cohomology", "--out", "."], "cannot write the report"),
     ('{"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]],'
      ' "nef_basis": [["1.0", 0, 0]]}', ["cohomology"], "nef_basis entries"),
+    (P2_TEXT, ["loop-model", "--modes", " 3"], "bad --modes"),
+    (P2_TEXT, ["loop-model", "--modes", " 2..3 "], "bad --modes"),
 ])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capfd, fan_text, argv, message):
     monkeypatch.chdir(tmp_path)  # so relative --out paths resolve inside tmp_path
@@ -157,6 +159,51 @@ def test_corrupted_multiplication_matrix_fails_the_ratio_check(monkeypatch, caps
 
     monkeypatch.setattr(cohomology.CohomRing, "_linear", corrupted)
     code, report = run_json(capsys, [command, fan_path("p1xp1")])
+    assert code == 1
+    assert False in [entry[key] for entry in report.get("reports", [report])]
+    assert report["ok"] is False
+
+
+def _corrupt_memo_on_build(monkeypatch, corrupt):
+    # the ring the command builds gets its Euler-ratio memo seeded, and one
+    # entry corrupted, before the command reads it
+    exact = cli.build_ring
+
+    def build(fan, cm):
+        ring = exact(fan, cm)
+        corrupt(ring, cm, ifunction._memo(ring))
+        return ring
+
+    monkeypatch.setattr(cli, "build_ring", build)
+
+
+@pytest.mark.parametrize("command, key", [("ifunction", "homogeneous"),
+                                          ("loop-model", "stable")])
+@pytest.mark.parametrize("fan, k, a, wrong", [("p1", 0, 1, 2), ("hirzebruch1", 1, -1, 1)])
+def test_corrupted_factor_product_fails_the_ratio_check(monkeypatch, capsys, command,
+                                                        key, fan, k, a, wrong):
+    # the one-factor products P+_0(1) = alpha_0 + 1 on P1 and P-_1(-1) =
+    # alpha_1 on F1, each cached with its constant term off by one
+    def corrupt(ring, _cm, memo):
+        memo.factors[(k, a)] = (ring.generator(k) + ring.one().scale(wrong)).coeffs
+
+    _corrupt_memo_on_build(monkeypatch, corrupt)
+    code, report = run_json(capsys, [command, fan_path(fan)])
+    assert code == 1
+    assert False in [entry[key] for entry in report.get("reports", [report])]
+    assert report["ok"] is False
+
+
+@pytest.mark.parametrize("command, key", [("ifunction", "homogeneous"),
+                                          ("loop-model", "stable")])
+def test_corrupted_memoized_ratio_fails_the_ratio_check(monkeypatch, capsys,
+                                                        command, key):
+    def corrupt(ring, cm, memo):
+        exact = ifunction.euler_ratio(ring, cm, (2,))
+        memo.ratios[cm.pairings((2,))] = (exact + ring.generator(0)).coeffs
+
+    _corrupt_memo_on_build(monkeypatch, corrupt)
+    code, report = run_json(capsys, [command, fan_path("p1")])
     assert code == 1
     assert False in [entry[key] for entry in report.get("reports", [report])]
     assert report["ok"] is False

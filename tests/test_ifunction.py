@@ -1,6 +1,10 @@
 """Euler-class ratios and the hypergeometric series built from them."""
 
+import gc
+import random
+import weakref
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,7 +18,14 @@ from qdm import (
 )
 from qdm.serialize import laurent_json
 
-from conftest import load_fan, ratio_at, reference_linear_factor, rescaled
+from conftest import (
+    SHIPPED,
+    load_fan,
+    ratio_at,
+    reference_euler_ratio,
+    reference_linear_factor,
+    rescaled,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +142,69 @@ def test_ratio_multiplies_back_to_sign_product(corpus):
             assert lhs == rhs, (name, d)
 
 
+def _check_against_direct_product(fan, cm, degrees, label):
+    # sorted, reversed and shuffled requests, each on a fresh ring so that
+    # every order builds its own chain of cached neighbours
+    shuffled = sorted(degrees)
+    random.Random(7).shuffle(shuffled)
+    for order in (sorted(degrees), sorted(degrees, reverse=True), shuffled):
+        ring = cohomology.build_ring(fan, cm)
+        for d in order:
+            assert euler_ratio(ring, cm, d) == reference_euler_ratio(ring, cm, d), (label, d)
+        for d in order:  # now every request is a memo hit
+            assert euler_ratio(ring, cm, d) == reference_euler_ratio(ring, cm, d), (label, d)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_memoized_ratio_equals_the_direct_product(shipped, name):
+    fan, cm, _ring, gens = shipped[name]
+    _check_against_direct_product(fan, cm, enumerate_degrees(gens, cm, 6), name)
+
+
+@pytest.mark.parametrize("name", ["hirzebruch1", "dp3"])
+def test_memoized_ratio_off_the_mori_cone(shipped, name):
+    # every lattice point of a box, so that pairings of both signs and steps
+    # from -1 to 0 on some ray, which would need alpha_k^-1, both occur
+    fan, cm, _ring, _gens = shipped[name]
+    box = list(product(range(-2, 3), repeat=cm.l))
+    assert any(a < 0 for d in box for a in cm.pairings(d))
+    _check_against_direct_product(fan, cm, box, name)
+
+
+def test_step_through_a_vanishing_factor_is_refused(monkeypatch, shipped):
+    # on F1, (1, 0) pairs as (1, -1, 1, 0) and (1, 1) as (1, 0, 1, 1): the
+    # unit step between them costs 2 passes but would divide by alpha_1, so
+    # (1, 1) is built from 1 by its 3 factors instead
+    fan, cm, _ring, _gens = shipped["hirzebruch1"]
+    ring = cohomology.build_ring(fan, cm)
+    euler_ratio(ring, cm, (1, 0))
+    passes = []
+
+    def recorded(fn):
+        def wrapper(self, cls, lin, nu):
+            passes.append(nu)
+            return fn(self, cls, lin, nu)
+        return wrapper
+
+    for method in ("times_linear", "divide_linear"):
+        monkeypatch.setattr(cohomology.CohomRing, method,
+                            recorded(getattr(cohomology.CohomRing, method)))
+    got = euler_ratio(ring, cm, (1, 1))
+    assert passes == [1, 1, 1]
+    monkeypatch.undo()
+    assert got == reference_euler_ratio(ring, cm, (1, 1))
+
+
+def test_ratio_memo_does_not_keep_its_ring_alive(shipped):
+    fan, cm, _ring, _gens = shipped["p2"]
+    ring = cohomology.build_ring(fan, cm)
+    assert check_ratio(ring, cm, (2,), euler_ratio(ring, cm, (2,)))
+    dead = weakref.ref(ring)
+    del ring
+    gc.collect()
+    assert dead() is None
+
+
 # ---------------------------------------------------------------------------
 # the assembled series
 
@@ -236,3 +310,32 @@ def test_series_build_takes_the_sparse_paths(monkeypatch):
     series = ifunction.build_f(ring, cm, gens, 6)
     assert len(series.degrees) == 462
     assert counts == {"multiply": 0, "solve_columns": 0}
+
+
+def test_ratio_sweep_shares_work_across_degrees(monkeypatch):
+    # building and checking the dP3 series at B = 6 takes at most half of the
+    # 5,292 linear passes and 5,292 products that one direct product per
+    # degree and per check would
+    fan = load_fan("dp3")
+    cm = toric.charge_matrix(fan)
+    ring = cohomology.build_ring(fan, cm)
+    gens = toric.mori_generators(fan, cm)
+    counts = {"linear": 0, "multiply": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for method in ("times_linear", "divide_linear"):
+        monkeypatch.setattr(cohomology.CohomRing, method,
+                            counted("linear", getattr(cohomology.CohomRing, method)))
+    series = ifunction.build_f(ring, cm, gens, 6)
+    monkeypatch.setattr(cohomology.CohomRing, "multiply",
+                        counted("multiply", cohomology.CohomRing.multiply))
+    assert all(ifunction.check_ratio(ring, cm, d, series.coefficients[d])
+               for d in series.degrees)
+    assert len(series.degrees) == 462
+    assert counts["linear"] <= 2646, counts
+    assert counts["multiply"] <= 2646, counts

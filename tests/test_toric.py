@@ -259,6 +259,7 @@ def test_pairing_values(corpus):
     assert cm.c1_degree((2,)) == 6
     _fan, cm, _ring, _gens = corpus["hirzebruch1"]
     assert [cm.pairing((1, 1), k) for k in range(4)] == [1, 0, 1, 1]
+    assert cm.pairings((1, 0)) == (1, -1, 1, 0)
     assert cm.c1_degree((1, 0)) == 1
     assert cm.c1_degree((0, 1)) == 2
 
@@ -267,6 +268,13 @@ def test_pairing_index_out_of_range(corpus):
     _fan, cm, _ring, _gens = corpus["p2"]
     with pytest.raises(IndexError):
         cm.pairing((1,), 3)
+
+
+def test_pairings_need_one_coordinate_per_class(corpus):
+    _fan, cm, _ring, _gens = corpus["hirzebruch1"]
+    for degree in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match="degree needs 2 coordinates"):
+            cm.pairings(degree)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ Sharing work across degrees.  R_d depends on d only through its pairings,
 and moving d by a unit vector e_j of the curve lattice gains or loses a few
 factors per ray: from pairings a to b, R is divided by (alpha_k + nu) for
 nu in (a_k, b_k] and multiplied by it for nu in (b_k, a_k].  euler_ratio
-memoizes R per ring and builds a new one from the cached R_{d -+ e_j} that
+memoizes R per ring and builds a new one from the cached R_{d - e_j} that
 needs the fewest linear passes, or from R_0 = 1, the direct product.  A step
 with a_k < 0 <= b_k on some ray is refused: it would divide by alpha_k,
 which is nilpotent.  check_ratio multiplies R_d by the products
@@ -82,7 +82,7 @@ def euler_ratio(ring: CohomRing, cm: ChargeMatrix, degree) -> CohomClass:
 
     Pairings of either sign are allowed: a negative one contributes the
     finite numerator product, including the nu = 0 factor alpha_k.  A new
-    R_d is stepped from a cached R_p, p = d -+ e_j, or from R_0 = 1; see the
+    R_d is stepped from a cached R_p, p = d - e_j, or from R_0 = 1; see the
     module docstring.
     """
     target = cm.pairings(degree)
@@ -93,11 +93,9 @@ def euler_ratio(ring: CohomRing, cm: ChargeMatrix, degree) -> CohomClass:
             step = sum(map(abs, row))
             if step >= cost:
                 continue
-            for sign in (1, -1):
-                near = tuple(b - sign * r for b, r in zip(target, row))
-                if near in ratios and not any(a < 0 <= b for a, b in zip(near, target)):
-                    start, cost = near, step
-                    break
+            near = tuple(b - r for b, r in zip(target, row))
+            if near in ratios and not any(a < 0 <= b for a, b in zip(near, target)):
+                start, cost = near, step
         out = CohomClass(ring, ratios[start])
         for k, (a, b) in enumerate(zip(start, target)):
             alpha = ring.generator(k)

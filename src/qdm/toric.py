@@ -73,10 +73,6 @@ class ChargeMatrix:
             raise ValueError("degree needs %d coordinates, got %r" % (self.l, degree))
         return tuple([sum(map(mul, col, degree)) for col in zip(*self.m)])
 
-    def pairing(self, degree, k) -> int:
-        """<alpha_k, d> for the k-th ray divisor (0-based k)."""
-        return self.pairings(degree)[k]
-
     def c1_degree(self, degree) -> int:
         """Pairing of the anticanonical class sum_k alpha_k with the degree."""
         return sum(self.pairings(degree))

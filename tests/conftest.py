@@ -71,7 +71,7 @@ def reference_euler_ratio(ring, cm, degree):
     """R_degree at hbar = 1, one linear pass per factor (alpha_k + nu)."""
     out = ring.one()
     for k in range(cm.n):
-        a_k = cm.pairing(degree, k)
+        a_k = cm.pairings(degree)[k]
         alpha = ring.generator(k)
         for nu in range(1, a_k + 1):
             out = ring.divide_linear(out, alpha, nu)
@@ -85,7 +85,7 @@ def ratio_at(ring, cm, degree, hbar):
     (alpha_k + nu*hbar), independently of the weight rule."""
     out = ring.one()
     for k in range(cm.n):
-        a_k = cm.pairing(degree, k)
+        a_k = cm.pairings(degree)[k]
         alpha = ring.generator(k)
         for nu in range(1, a_k + 1):
             out = out * reference_inverse_linear_factor(ring, alpha, nu * hbar)
@@ -134,7 +134,7 @@ def reference_weight_pairs(cm, degree, modes):
     positive = []
     negative = []
     for k in range(cm.n):
-        a_k = cm.pairing(degree, k)
+        a_k = cm.pairings(degree)[k]
         for nu in range(a_k + 1, modes + 1):
             positive.append((k, nu))
         for nu in range(-modes, a_k):
@@ -148,7 +148,7 @@ def reference_euler_ratio_n(ring, cm, degree, modes):
     pos_d = set()
     pos_0 = set()
     for k in range(cm.n):
-        a_k = cm.pairing(degree, k)
+        a_k = cm.pairings(degree)[k]
         for nu in range(a_k + 1, modes + 1):
             pos_d.add((k, nu))
         for nu in range(1, modes + 1):

@@ -161,7 +161,7 @@ def test_criterion_5_ring_sanity(corpus, report_line):
             checked = set()
             for d in enumerate_degrees(gens, cm, 6):
                 for k in range(cm.n):
-                    for nu in range(1, cm.pairing(d, k) + 1):
+                    for nu in range(1, cm.pairings(d)[k] + 1):
                         if (k, nu) in checked:
                             continue
                         checked.add((k, nu))

@@ -92,7 +92,7 @@ def test_critical_component_weight_count(corpus):
             data = critical_component(cm, None, d, n_cut)
             for k, (pos, neg) in enumerate(zip(data.weights.positive,
                                                data.weights.negative)):
-                a_k = cm.pairing(d, k)
+                a_k = cm.pairings(d)[k]
                 sizes = [max(0, hi - lo + 1) for lo, hi in (pos, neg)]
                 assert sum(sizes) == 2 * n_cut, (name, d, k)
                 assert neg[1] < a_k < pos[0], (name, d, k)
@@ -151,7 +151,7 @@ def test_finite_mode_ratio_times_degree_zero_euler_class(shipped):
             alpha = ring.generator(k)
             for nu in range(1, n_cut + 1):
                 lhs = lhs * reference_linear_factor(ring, alpha, nu)
-            for nu in range(cm.pairing(d, k) + 1, n_cut + 1):
+            for nu in range(cm.pairings(d)[k] + 1, n_cut + 1):
                 rhs = rhs * reference_linear_factor(ring, alpha, nu)
         assert lhs == rhs, (name, d, n_cut)
 

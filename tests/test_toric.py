@@ -255,10 +255,10 @@ def test_degree_six_del_pezzo_with_explicit_basis():
 
 def test_pairing_values(corpus):
     _fan, cm, _ring, _gens = corpus["p2"]
-    assert [cm.pairing((2,), k) for k in range(3)] == [2, 2, 2]
+    assert cm.pairings((2,)) == (2, 2, 2)
     assert cm.c1_degree((2,)) == 6
     _fan, cm, _ring, _gens = corpus["hirzebruch1"]
-    assert [cm.pairing((1, 1), k) for k in range(4)] == [1, 0, 1, 1]
+    assert cm.pairings((1, 1)) == (1, 0, 1, 1)
     assert cm.pairings((1, 0)) == (1, -1, 1, 0)
     assert cm.c1_degree((1, 0)) == 1
     assert cm.c1_degree((0, 1)) == 2
@@ -266,8 +266,9 @@ def test_pairing_values(corpus):
 
 def test_pairing_index_out_of_range(corpus):
     _fan, cm, _ring, _gens = corpus["p2"]
+    assert len(cm.pairings((1,))) == cm.n == 3
     with pytest.raises(IndexError):
-        cm.pairing((1,), 3)
+        cm.pairings((1,))[3]
 
 
 def test_pairings_need_one_coordinate_per_class(corpus):

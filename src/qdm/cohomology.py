@@ -15,10 +15,16 @@ Integration is normalized so that the class of a torus-fixed point, the
 product prod_{k in sigma} x_k over any maximal cone sigma, integrates to 1;
 consistency of that normalization across all maximal cones is checked.
 
-Classes are sparse coefficient dicts over the graded monomial basis.
+A class is sparse: integer numerators num = {basis monomial: int} over one
+denominator den > 0, in lowest terms (gcd(den, *num) == 1, no zero entry;
+zero is ({}, 1)), so the kernels run on Python ints and normalize each
+result once, with one gcd.  coeffs is the Fraction view for readers.  The
+reduction table holds each free monomial as an integer row over its pivot
+entry; products of two basis monomials are read off it once per ring, over
+one ring-wide denominator, and memoized.
 Multiplication by a degree-one class L (a ray divisor alpha_k, a nef class
-omega_j) is a sparse matrix built lazily once per ring and L: its row for a
-basis monomial b is the reduced product L*b, read from the reduction table.
+omega_j) is a sparse integer matrix over one denominator, built lazily once
+per ring and L: its row for a basis monomial b is the reduced product L*b.
 times_linear applies L + nu in one pass.  divide_linear inverts it in one
 pass up the graded basis: L raises the degree by one, so the degree-i part
 of the solution is x_i = (v_i - L*x_{i-1}) / nu.
@@ -29,6 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, combinations_with_replacement
+from math import gcd, lcm
 
 from . import linalg
 from .toric import ChargeMatrix, FanData, FanError
@@ -67,59 +74,90 @@ def _poly_mul(a, b):
 
 
 class CohomClass:
-    """Ring element stored as exact coefficients over the monomial basis."""
+    """Ring element sum_m num[m] / den * m over the monomial basis, kept in
+    lowest terms (see the module docstring)."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "num", "den")
 
-    def __init__(self, ring, coeffs):
+    def __init__(self, ring, num, den=1):
+        """The class num / den, normalized.  num maps monomials to ints, or to
+        any rationals, whose denominators are first cleared into den."""
+        num = {m: c for m, c in num.items() if c}
+        try:
+            g = gcd(den, *num.values())
+        except TypeError:  # rational entries
+            num = {m: Fraction(c) for m, c in num.items()}
+            scale = lcm(*(c.denominator for c in num.values()))
+            num = {m: c.numerator * (scale // c.denominator) for m, c in num.items()}
+            den *= scale
+            g = gcd(den, *num.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = {m: c // g for m, c in num.items()}
+            den //= g
         self.ring = ring
-        self.coeffs = {m: c if type(c) is Fraction else Fraction(c)
-                       for m, c in coeffs.items() if c}
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """{monomial: Fraction}, a new dict on each access."""
+        den = self.den
+        return {m: Fraction(c, den) for m, c in self.num.items()}
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
         if not isinstance(other, CohomClass) or other.ring is not self.ring:
             return NotImplemented
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return CohomClass(self.ring, out)
+        g = gcd(self.den, other.den)
+        fa, fb = other.den // g, sign * (self.den // g)
+        out = {m: c * fa for m, c in self.num.items()}
+        for m, c in other.num.items():
+            out[m] = out.get(m, 0) + c * fb
+        return CohomClass(self.ring, out, self.den * fa)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return CohomClass(self.ring, {m: -c for m, c in self.coeffs.items()})
+        return CohomClass(self.ring, {m: -c for m, c in self.num.items()}, self.den)
 
     def scale(self, c):
-        return CohomClass(self.ring, {m: v * c for m, v in self.coeffs.items()})
+        if type(c) is not int:
+            c = Fraction(c)
+        p = c.numerator
+        return CohomClass(self.ring, {m: v * p for m, v in self.num.items()},
+                          self.den * c.denominator)
 
     def __mul__(self, other):
         if isinstance(other, CohomClass):
             if other.ring is not self.ring:
                 return NotImplemented
             return self.ring.multiply(self, other)
-        return self.scale(Fraction(other))
+        return self.scale(other)
 
     def __rmul__(self, other):
-        return self.scale(Fraction(other))
+        return self.scale(other)
 
     def __eq__(self, other):
         return (isinstance(other, CohomClass) and self.ring is other.ring
-                and self.coeffs == other.coeffs)
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self.den, frozenset(self.num.items())))
 
     def __repr__(self):
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "CohomClass(0)"
-        bits = []
-        for m in sorted(self.coeffs, key=mono_key):
-            bits.append("%s*%s" % (self.coeffs[m], m))
-        return "CohomClass(%s)" % " + ".join(bits)
+        return "CohomClass(%s)" % " + ".join(
+            "%s*%s" % (coeffs[m], m) for m in sorted(coeffs, key=mono_key))
 
 
 class CohomRing:
@@ -133,16 +171,18 @@ class CohomRing:
         self.n = fan.n_rays
         self.top = fan.dim
         self.l = cm.l
-        red, lead = linalg.rref([list(coords) for coords in zip(*fan.rays)], self.n)
+        red, lead = linalg._reduce([list(coords) for coords in zip(*fan.rays)], self.n)
         free = [j for j in range(self.n) if j not in lead]
         units = monomials(self.n, 1)
-        forms = [{u: Fraction(1)} for u in units]
+        forms = [({u: 1}, 1) for u in units]  # x_k = num / den in the free variables
         for row, p in zip(red, lead):
-            forms[p] = {units[j]: -row[j] for j in free if row[j]}
-        relations = [(len(nf), reduce(_poly_mul, [forms[k] for k in nf]))
+            forms[p] = ({units[j]: -row[j] for j in free if row[j]}, row[p])
+        # a relation times a nonzero constant spans the same rows
+        relations = [(len(nf), reduce(_poly_mul, [forms[k][0] for k in nf]))
                      for nf in self._minimal_nonfaces()]
         free_monos = {deg: _monomials_in(self.n, free, deg) for deg in range(self.top + 2)}
-        self._table = {}
+        self._table = {}  # free monomial -> (num, den), its reduced form
+        self._den = 1  # lcm of the table denominators
         self.basis_by_degree = {}
         for deg in range(self.top + 2):
             basis = self._build_degree(deg, free_monos, relations)
@@ -161,7 +201,8 @@ class CohomRing:
         self.basis = tuple(m for d in range(self.top + 1)
                            for m in self.basis_by_degree[d])
         self._point_mono = self.basis_by_degree[self.top][0]
-        self._generators = tuple(CohomClass(self, form) for form in forms)
+        self._pairs = {}  # (basis mono, basis mono) -> ((mb, r), ...) over _den
+        self._generators = tuple(CohomClass(self, num, den) for num, den in forms)
         self._point_factor = self._normalize_point()
         self._omega_cache = {}
         self._linear_cache = {}
@@ -184,21 +225,25 @@ class CohomRing:
 
     def _build_degree(self, deg, free_monos, relations):
         """Row-reduce the degree-deg free monomials against the multiples of
-        the Stanley-Reisner relations; returns the basis of the degree."""
+        the Stanley-Reisner relations; returns the basis of the degree.  A
+        pivot monomial reduces to -row[j] / row[pivot] on the free columns j
+        of its integer row."""
         cols = free_monos[deg]
         rows = []
         for size, rel in relations:
             for mu in free_monos.get(deg - size, ()):
                 multiple = _poly_mul(rel, {mu: 1})
                 rows.append([multiple.get(m, 0) for m in cols])
-        red, pivots = linalg.rref(rows, len(cols))
+        red, pivots = linalg._reduce(rows, len(cols))
         pivset = set(pivots)
         basis = [cols[j] for j in range(len(cols)) if j not in pivset]
         for row, c in zip(red, pivots):
-            self._table[cols[c]] = {cols[j]: -row[j] for j in range(len(cols))
-                                    if j not in pivset and row[j]}
+            sign = -1 if row[c] > 0 else 1
+            self._table[cols[c]] = ({cols[j]: sign * row[j] for j in range(len(cols))
+                                     if j not in pivset and row[j]}, -sign * row[c])
+            self._den = lcm(self._den, row[c])
         for m in basis:
-            self._table[m] = {m: Fraction(1)}
+            self._table[m] = ({m: 1}, 1)
         return basis
 
     def _normalize_point(self):
@@ -207,7 +252,7 @@ class CohomRing:
             point = self.one()
             for k in cone:
                 point = point * self._generators[k]
-            vals.add(point.coeffs.get(self._point_mono, Fraction(0)))
+            vals.add(Fraction(point.num.get(self._point_mono, 0), point.den))
         if 0 in vals or len(vals) != 1:
             raise FanError("inconsistent point normalization across maximal cones")
         return vals.pop()
@@ -218,7 +263,7 @@ class CohomRing:
         return CohomClass(self, {})
 
     def one(self) -> CohomClass:
-        return CohomClass(self, {(0,) * self.n: Fraction(1)})
+        return CohomClass(self, {(0,) * self.n: 1})
 
     def generator(self, k) -> CohomClass:
         """alpha_k, the class of the k-th ray divisor."""
@@ -228,78 +273,125 @@ class CohomRing:
         """The reduced class of a monomial in the free variables."""
         if sum(mono) > self.top:
             return self.zero()
-        return CohomClass(self, dict(self._table[tuple(mono)]))
+        return CohomClass(self, *self._table[tuple(mono)])
+
+    def _pair(self, m1, m2):
+        """The reduced product of two basis monomials as ((mb, r), ...) over
+        the ring-wide denominator _den, memoized."""
+        key = (m1, m2)
+        row = self._pairs.get(key)
+        if row is None:
+            prod = _mul_mono(m1, m2)
+            if sum(prod) > self.top:
+                row = ()
+            else:
+                num, den = self._table[prod]
+                f = self._den // den
+                row = tuple((mb, r * f) for mb, r in num.items())
+            self._pairs[key] = row
+        return row
 
     def multiply(self, a: CohomClass, b: CohomClass) -> CohomClass:
         out = {}
-        for m1, c1 in a.coeffs.items():
-            for m2, c2 in b.coeffs.items():
-                prod = _mul_mono(m1, m2)
-                if sum(prod) > self.top:
-                    continue
+        pairs, pair = self._pairs, self._pair
+        for m1, c1 in a.num.items():
+            for m2, c2 in b.num.items():
+                row = pairs.get((m1, m2))
+                if row is None:
+                    row = pair(m1, m2)
                 c12 = c1 * c2
-                for mb, r in self._table[prod].items():
-                    out[mb] = out.get(mb, Fraction(0)) + c12 * r
-        return CohomClass(self, out)
+                for mb, r in row:
+                    out[mb] = out.get(mb, 0) + c12 * r
+        return CohomClass(self, out, a.den * b.den * self._den)
+
+    def combination(self, terms) -> CohomClass:
+        """sum c * cls over the (c, cls) pairs, int or Fraction c, as one
+        class over the lcm of the term denominators."""
+        terms = [(c, cls) for c, cls in terms if c]
+        if any(cls.ring is not self for _, cls in terms):
+            raise ValueError("a term belongs to another ring")
+        den = lcm(*(c.denominator * cls.den for c, cls in terms))
+        out = {}
+        for c, cls in terms:
+            k = c.numerator * (den // (c.denominator * cls.den))
+            for m, v in cls.num.items():
+                out[m] = out.get(m, 0) + k * v
+        return CohomClass(self, out, den)
 
     def _linear(self, lin: CohomClass):
         """Multiplication by the degree-one class lin, built once per class:
-        {b: ((mb, coeff), ...)} with row b the reduced product lin*b."""
-        key = frozenset(lin.coeffs.items())
-        if key not in self._linear_cache:
-            if any(sum(m) != 1 for m in lin.coeffs):
+        (rows, den) with rows {b: ((mb, r), ...)}, the reduced product lin*b
+        being sum r / den * mb."""
+        entry = self._linear_cache.get(lin)
+        if entry is None:
+            if any(sum(m) != 1 for m in lin.num):
                 raise ValueError("multiplication matrices need a degree-one class")
             rows = {}
             for b in self.basis[:-1]:  # lin times the top monomial vanishes
-                row = self.zero()
-                for m, c in lin.coeffs.items():
-                    row = row + self.monomial_class(_mul_mono(m, b)).scale(c)
-                rows[b] = tuple(row.coeffs.items())
-            self._linear_cache[key] = rows
-        return self._linear_cache[key]
+                acc = {}
+                for m, c in lin.num.items():
+                    for mb, r in self._pair(m, b):
+                        acc[mb] = acc.get(mb, 0) + c * r
+                rows[b] = tuple((mb, r) for mb, r in acc.items() if r)
+            den = lin.den * self._den
+            g = gcd(den, *(r for row in rows.values() for _, r in row))
+            if g != 1:
+                rows = {b: tuple((mb, r // g) for mb, r in row) for b, row in rows.items()}
+                den //= g
+            entry = self._linear_cache[lin] = (rows, den)
+        return entry
 
     def times_linear(self, cls: CohomClass, lin: CohomClass, nu) -> CohomClass:
         """(lin + nu) * cls for a degree-one class lin, in one sparse pass."""
-        rows = self._linear(lin)
-        out = {b: nu * c for b, c in cls.coeffs.items()}
-        for b, c in cls.coeffs.items():
+        rows, den = self._linear(lin)
+        p, q = nu.numerator, nu.denominator
+        pd = p * den
+        out = {b: pd * c for b, c in cls.num.items()}
+        for b, c in cls.num.items():
+            c *= q
             for mb, r in rows.get(b, ()):
                 out[mb] = out.get(mb, 0) + c * r
-        return CohomClass(self, out)
+        return CohomClass(self, out, cls.den * den * q)
 
     def divide_linear(self, cls: CohomClass, lin: CohomClass, nu) -> CohomClass:
         """(lin + nu)^-1 * cls for a degree-one class lin and nu != 0, solved
-        degree by degree up the graded basis."""
+        degree by degree up the graded basis.
+
+        With lin = rows / den and nu = p / q, the degree-i part of the
+        solution has a denominator dividing cls.den * p^(i+1) * den^i, so
+        over the common cls.den * p * (p*den)^top its numerator is divisible
+        by (p*den)^(top-i), and each step divides exactly."""
         if nu == 0:
             raise ValueError("cannot invert a factor with vanishing hbar part")
-        rows = self._linear(lin)
+        rows, den = self._linear(lin)
+        p, q = nu.numerator, nu.denominator
+        step = p * den
+        lift = step ** self.top
+        num = cls.num
         out = {}
-        spill = {}  # lin * (solution so far), on monomials not yet reached
+        spill = {}  # lin * (solution so far) / (p*den), on monomials not yet reached
         for b in self.basis:
-            c = cls.coeffs.get(b, 0) - spill.get(b, 0)
+            c = num.get(b, 0) * lift - spill.get(b, 0)
             if c:
-                out[b] = c = Fraction(c) / nu
+                out[b] = c = q * c
+                c //= step
                 for mb, r in rows.get(b, ()):
                     spill[mb] = spill.get(mb, 0) + c * r
-        return CohomClass(self, out)
+        return CohomClass(self, out, cls.den * p * lift)
 
     def integrate(self, a: CohomClass) -> Fraction:
         """Integral over the fundamental class; fixed points integrate to 1."""
-        return a.coeffs.get(self._point_mono, Fraction(0)) / self._point_factor
+        return Fraction(a.num.get(self._point_mono, 0), a.den) / self._point_factor
 
     def omega_class(self, j) -> CohomClass:
         """The j-th nef basis class, written in the ray divisor generators."""
         if j not in self._omega_cache:
             cols = [[self.cm.m[i][k] for i in range(self.l)] for k in range(self.n)]
-            target = [Fraction(1 if i == j else 0) for i in range(self.l)]
+            target = [1 if i == j else 0 for i in range(self.l)]
             sol = linalg.solve_columns(cols, target)
             if sol is None:
                 raise ValueError("charge matrix rows are not independent")
-            out = self.zero()
-            for k, c in enumerate(sol):
-                if c:
-                    out = out + self.generator(k).scale(c)
-            self._omega_cache[j] = out
+            self._omega_cache[j] = self.combination(zip(sol, self._generators))
         return self._omega_cache[j]
 
     def dual_basis(self):
@@ -313,13 +405,8 @@ class CohomRing:
             inv = linalg.invert(pair)
             if inv is None:
                 raise FanError("Poincare pairing is degenerate; fan data is invalid")
-            duals = []
-            for j in range(size):
-                cls = self.zero()
-                for k in range(size):
-                    if inv[k][j]:
-                        cls = cls + t[k].scale(inv[k][j])
-                duals.append(cls)
+            duals = [self.combination((inv[k][j], t[k]) for k in range(size))
+                     for j in range(size)]
             self._dual_cache = (t, duals)
         return self._dual_cache
 

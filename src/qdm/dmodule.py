@@ -269,13 +269,12 @@ def apply(op: DiffOp, series: Series) -> Series:
                    key=lambda d: (cm.c1_degree(d), d))
     coeffs = {}
     for d in valid:
-        val = ring.zero()
+        terms = []
         for e, poly in op.terms.items():
             dp = tuple(a - b for a, b in zip(d, e))
             if dp in series.coefficients:
-                for t, c in poly.items():
-                    val = val + image(dp, t).scale(c)
-        coeffs[d] = val
+                terms.extend((c, image(dp, t)) for t, c in poly.items())
+        coeffs[d] = ring.combination(terms)
     return Series(ring, cm, cap, tuple(valid), coeffs, series.weight + op.weight)
 
 

@@ -40,17 +40,16 @@ where it contributes polynomial terms in the formal symbols L_j = log q_j.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .cohomology import CohomClass, CohomRing, monomials
 from .toric import ChargeMatrix
 
 
 class _RatioMemo:
-    """What euler_ratio and check_ratio keep for one ring, as coefficient
-    dicts: a CohomClass refers to its ring and would keep the weak key alive.
+    """What euler_ratio and check_ratio keep for one ring, as (num, den)
+    pairs: a CohomClass refers to its ring and would keep the weak key alive.
 
         ratios   pairing vector (a_k)_k -> R_d for any d with those pairings
         factors  (k, a) -> P+_k(a) = prod_{nu=1}^{a} (alpha_k + nu), a >= 0,
@@ -62,7 +61,7 @@ class _RatioMemo:
     __slots__ = ("ratios", "factors")
 
     def __init__(self, ring: CohomRing):
-        one = ring.one().coeffs
+        one = ({(0,) * ring.n: 1}, 1)
         self.ratios = {(0,) * ring.n: one}
         self.factors = {(k, 0): one for k in range(ring.n)}
 
@@ -96,15 +95,15 @@ def euler_ratio(ring: CohomRing, cm: ChargeMatrix, degree) -> CohomClass:
             near = tuple(b - r for b, r in zip(target, row))
             if near in ratios and not any(a < 0 <= b for a, b in zip(near, target)):
                 start, cost = near, step
-        out = CohomClass(ring, ratios[start])
+        out = CohomClass(ring, *ratios[start])
         for k, (a, b) in enumerate(zip(start, target)):
             alpha = ring.generator(k)
             for nu in range(a + 1, b + 1):
                 out = ring.divide_linear(out, alpha, nu)
             for nu in range(b + 1, a + 1):
                 out = ring.times_linear(out, alpha, nu)
-        ratios[target] = out.coeffs
-    return CohomClass(ring, ratios[target])
+        ratios[target] = (out.num, out.den)
+    return CohomClass(ring, *ratios[target])
 
 
 def _factor_product(ring: CohomRing, factors: dict, k: int, a: int) -> CohomClass:
@@ -114,11 +113,11 @@ def _factor_product(ring: CohomRing, factors: dict, k: int, a: int) -> CohomClas
     b = a
     while (k, b) not in factors:
         b -= step
-    out = CohomClass(ring, factors[(k, b)])
+    out = CohomClass(ring, *factors[(k, b)])
     while b != a:
         b += step
         out = out * (ring.generator(k) + ring.one().scale(b if step > 0 else b + 1))
-        factors[(k, b)] = out.coeffs
+        factors[(k, b)] = (out.num, out.den)
     return out
 
 
@@ -144,7 +143,6 @@ def check_ratio(ring: CohomRing, cm: ChargeMatrix, degree, ratio: CohomClass) ->
     return lhs == (ring.one() if rhs is None else rhs)
 
 
-@dataclass(frozen=True, eq=False)
 class Series:
     """A truncated series sum_d q^d c_d of one weight.
 
@@ -153,13 +151,21 @@ class Series:
     weight rule above), possibly zero.  build_f gives the weight-0 series
     F = exp((t.omega)/hbar) sum_d q^d R_d, whose symbolic exponential
     prefactor is expanded only inside component(); dmodule.apply gives D.F.
+    Series compare by identity and are weakly referenceable, so memos can
+    key on them.
     """
-    ring: CohomRing
-    cm: ChargeMatrix
-    bound: int
-    degrees: tuple
-    coefficients: dict
-    weight: int
+
+    __slots__ = ("ring", "cm", "bound", "degrees", "coefficients", "weight",
+                 "__weakref__")
+
+    def __init__(self, ring: CohomRing, cm: ChargeMatrix, bound: int, degrees: tuple,
+                 coefficients: dict, weight: int):
+        self.ring = ring
+        self.cm = cm
+        self.bound = bound
+        self.degrees = degrees
+        self.coefficients = coefficients
+        self.weight = weight
 
     def is_zero(self) -> bool:
         return all(self.coefficients[d].is_zero() for d in self.degrees)
@@ -197,7 +203,7 @@ def component(series: Series, beta: int, log_order: int):
         raise IndexError("beta out of range for the cohomology basis")
     dual = duals[beta]
     deg_beta = sum(ring.basis[beta])
-    covectors = {}  # t -> nonzero [(b, integral of b * omega^t / t! * dual)]
+    covectors = {}  # t -> (nonzero [(b, num)], den): integral of b * omega^t / t! * dual
     for total in range(min(log_order, ring.top) + 1):
         for t in monomials(l, total):
             cls = ring.one()
@@ -209,16 +215,20 @@ def component(series: Series, beta: int, log_order: int):
             if cls.is_zero():
                 continue
             wcls = cls.scale(Fraction(1, denom)) * dual
-            covectors[t] = [(b, v) for b in ring.basis
-                            if (v := ring.integrate(ring.monomial_class(b) * wcls))]
+            cov = [(b, v) for b in ring.basis
+                   if (v := ring.integrate(ring.monomial_class(b) * wcls))]
+            cden = lcm(*(v.denominator for _, v in cov))
+            covectors[t] = ([(b, v.numerator * (cden // v.denominator)) for b, v in cov],
+                            cden)
     out = {}
     for d in series.degrees:
         h = series.weight - series.cm.c1_degree(d) - deg_beta
-        r_d = series.coefficients[d].coeffs
+        r_d = series.coefficients[d]
+        num, den = r_d.num, r_d.den
         entry = {}
-        for t, cov in covectors.items():
-            val = sum(c * r_d.get(b, 0) for b, c in cov)
+        for t, (cov, cden) in covectors.items():
+            val = sum(c * num.get(b, 0) for b, c in cov)
             if val:
-                entry[(t, h)] = val
+                entry[(t, h)] = Fraction(val, cden * den)
         out[d] = dict(sorted(entry.items()))
     return out

@@ -10,7 +10,7 @@ multiplication followed by division by the row gcd.  It returns the integer
 rows of the reduced row echelon form and the pivot columns.  That form is
 unique, so `rref`, `nullspace`, `solve_columns` and `invert` read their
 Fraction answers off the integer rows, dividing by a pivot entry only
-where an answer needs it.
+where an answer needs it; `CohomRing` keeps the integer rows themselves.
 
 `hermite_form`, `integer_kernel` and `int_det` stay outside the kernel:
 lattice work needs unimodular row transforms and a signed determinant,
@@ -24,10 +24,8 @@ from math import gcd, lcm
 
 
 def vector_gcd(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
+    """The nonnegative gcd of the integer entries; 0 when all are 0 or v is empty."""
+    return gcd(*v)
 
 
 def primitive_vector(v):

@@ -20,7 +20,7 @@ and so independent of the multiplication matrices that built the ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import serialize
@@ -33,20 +33,18 @@ class ComponentAbsentError(ValueError):
     """The mode cutoff N is too small for the requested critical component."""
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class WeightSystem(namedtuple("WeightSystem", ("positive", "negative"))):
     """Transverse modes at a critical component: one (lo, hi) interval of nu
     per ray in each sign class, indexed by the ray; lo > hi means empty."""
-    positive: tuple
-    negative: tuple
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CriticalData:
-    degree: tuple
-    modes: int
-    value: Fraction
-    weights: WeightSystem
+class CriticalData(namedtuple("CriticalData", ("degree", "modes", "value", "weights"))):
+    """A critical component: its degree, mode cutoff N, critical value (a
+    Fraction) and WeightSystem."""
+
+    __slots__ = ()
 
 
 def action_value(mode_squares) -> Fraction:

@@ -29,8 +29,8 @@ def mono_str(mono) -> str:
 
 def class_json(cls) -> dict:
     """A cohomology class as {monomial string: 'p/q'}, graded-lex ordered."""
-    return {mono_str(m): frac_str(cls.coeffs[m])
-            for m in sorted(cls.coeffs, key=mono_key)}
+    coeffs = cls.coeffs
+    return {mono_str(m): str(coeffs[m]) for m in sorted(coeffs, key=mono_key)}
 
 
 def laurent_json(cls, c1) -> list:
@@ -38,8 +38,9 @@ def laurent_json(cls, c1) -> list:
     c1 = c1(d), as [{hbar, class}] in ascending hbar.  By the weight rule
     the monomial m carries hbar^(-c1 - deg m)."""
     by_hbar = {}
-    for m in sorted(cls.coeffs, key=mono_key):
-        by_hbar.setdefault(-c1 - sum(m), {})[mono_str(m)] = frac_str(cls.coeffs[m])
+    coeffs = cls.coeffs
+    for m in sorted(coeffs, key=mono_key):
+        by_hbar.setdefault(-c1 - sum(m), {})[mono_str(m)] = str(coeffs[m])
     return [{"hbar": h, "class": by_hbar[h]} for h in sorted(by_hbar)]
 
 

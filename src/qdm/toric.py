@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
@@ -39,11 +39,12 @@ class NefBasisError(ValueError):
     """No suitable nef basis could be found or the supplied one is invalid."""
 
 
-@dataclass(frozen=True)
-class FanData:
-    rays: tuple[tuple[int, ...], ...]
-    max_cones: tuple[tuple[int, ...], ...]
-    nef_basis: tuple[tuple[Fraction, ...], ...] | None = None
+class FanData(namedtuple("FanData", ("rays", "max_cones", "nef_basis"),
+                         defaults=(None,))):
+    """rays: tuple of int tuples; max_cones: tuple of sorted ray-index
+    tuples; nef_basis: None or one tuple of Fractions per nef class."""
+
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -54,9 +55,23 @@ class FanData:
         return len(self.rays)
 
 
-@dataclass(frozen=True)
 class ChargeMatrix:
-    m: tuple[tuple[int, ...], ...]
+    """The l x n integer matrix m, a tuple of rows, compared by value."""
+
+    __slots__ = ("m", "_c1_row")
+
+    def __init__(self, m):
+        self.m = m
+        self._c1_row = tuple(map(sum, m))  # <sum_k alpha_k, e_j> for each j
+
+    def __eq__(self, other):
+        return isinstance(other, ChargeMatrix) and self.m == other.m
+
+    def __hash__(self):
+        return hash(self.m)
+
+    def __repr__(self):
+        return "ChargeMatrix(m=%r)" % (self.m,)
 
     @property
     def l(self) -> int:
@@ -66,16 +81,21 @@ class ChargeMatrix:
     def n(self) -> int:
         return len(self.m[0])
 
+    def _check_length(self, degree):
+        if len(degree) != self.l:
+            raise ValueError("degree needs %d coordinates, got %r" % (self.l, degree))
+
     def pairings(self, degree) -> tuple[int, ...]:
         """(<alpha_k, d>)_k with <alpha_k, d> = sum_j m[j][k] d_j, one entry per
         ray divisor."""
-        if len(degree) != self.l:
-            raise ValueError("degree needs %d coordinates, got %r" % (self.l, degree))
+        self._check_length(degree)
         return tuple([sum(map(mul, col, degree)) for col in zip(*self.m)])
 
     def c1_degree(self, degree) -> int:
-        """Pairing of the anticanonical class sum_k alpha_k with the degree."""
-        return sum(self.pairings(degree))
+        """Pairing of the anticanonical class sum_k alpha_k with the degree:
+        the dot product of the degree with the row sums of m."""
+        self._check_length(degree)
+        return sum(map(mul, self._c1_row, degree))
 
 
 def parse_frac(value) -> Fraction:

@@ -64,6 +64,66 @@ def reference_theta_values(ring, l):
     return value
 
 
+# The Fraction kernels that integer numerators over one denominator
+# replaced, kept as the oracle.  They read the reduced forms off a
+# reference_reduction_table (below), not off the ring's own table, and
+# return coefficient dicts {basis monomial: Fraction}.
+
+def _mono_product(m1, m2):
+    return tuple(x + y for x, y in zip(m1, m2))
+
+
+def reference_multiply(table, top, a, b):
+    """a * b, every product of basis monomials reduced through the table."""
+    out = {}
+    for m1, c1 in a.coeffs.items():
+        for m2, c2 in b.coeffs.items():
+            prod = _mono_product(m1, m2)
+            if sum(prod) > top:
+                continue
+            c12 = c1 * c2
+            for mb, r in table[prod].items():
+                out[mb] = out.get(mb, Fraction(0)) + c12 * r
+    return {m: c for m, c in out.items() if c}
+
+
+def _reference_linear_rows(table, basis, lin):
+    """{b: ((mb, coeff), ...)}, row b the reduced product lin*b."""
+    rows = {}
+    for b in basis[:-1]:
+        row = {}
+        for m, c in lin.coeffs.items():
+            for mb, r in table[_mono_product(m, b)].items():
+                row[mb] = row.get(mb, Fraction(0)) + c * r
+        rows[b] = tuple((mb, r) for mb, r in row.items() if r)
+    return rows
+
+
+def reference_times_linear(table, basis, cls, lin, nu):
+    """(lin + nu) * cls for a degree-one class lin, in one sparse pass."""
+    rows = _reference_linear_rows(table, basis, lin)
+    out = {b: nu * c for b, c in cls.coeffs.items()}
+    for b, c in cls.coeffs.items():
+        for mb, r in rows.get(b, ()):
+            out[mb] = out.get(mb, 0) + c * r
+    return {m: Fraction(c) for m, c in out.items() if c}
+
+
+def reference_divide_linear(table, basis, cls, lin, nu):
+    """(lin + nu)^-1 * cls, solved degree by degree up the graded basis."""
+    rows = _reference_linear_rows(table, basis, lin)
+    coeffs = cls.coeffs
+    out = {}
+    spill = {}
+    for b in basis:
+        c = coeffs.get(b, 0) - spill.get(b, 0)
+        if c:
+            out[b] = c = Fraction(c) / nu
+            for mb, r in rows.get(b, ()):
+                spill[mb] = spill.get(mb, 0) + c * r
+    return out
+
+
 # The direct product that the neighbour recurrence replaced, kept as the
 # oracle: every R_d built from 1 by its sum_k |a_k| factors, with no memo.
 

@@ -150,12 +150,12 @@ def test_corrupted_multiplication_matrix_fails_the_ratio_check(monkeypatch, caps
     exact = cohomology.CohomRing._linear
 
     def corrupted(ring, lin):
-        rows = exact(ring, lin)
+        rows, den = exact(ring, lin)
         if lin != ring.generator(0):
-            return rows
+            return rows, den
         unit = (0,) * ring.n
         (mb, c), *rest = rows[unit]
-        return {**rows, unit: ((mb, c + 1), *rest)}
+        return {**rows, unit: ((mb, c + 1), *rest)}, den
 
     monkeypatch.setattr(cohomology.CohomRing, "_linear", corrupted)
     code, report = run_json(capsys, [command, fan_path("p1xp1")])
@@ -185,7 +185,8 @@ def test_corrupted_factor_product_fails_the_ratio_check(monkeypatch, capsys, com
     # the one-factor products P+_0(1) = alpha_0 + 1 on P1 and P-_1(-1) =
     # alpha_1 on F1, each cached with its constant term off by one
     def corrupt(ring, _cm, memo):
-        memo.factors[(k, a)] = (ring.generator(k) + ring.one().scale(wrong)).coeffs
+        wrong_factor = ring.generator(k) + ring.one().scale(wrong)
+        memo.factors[(k, a)] = (wrong_factor.num, wrong_factor.den)
 
     _corrupt_memo_on_build(monkeypatch, corrupt)
     code, report = run_json(capsys, [command, fan_path(fan)])
@@ -200,7 +201,8 @@ def test_corrupted_memoized_ratio_fails_the_ratio_check(monkeypatch, capsys,
                                                         command, key):
     def corrupt(ring, cm, memo):
         exact = ifunction.euler_ratio(ring, cm, (2,))
-        memo.ratios[cm.pairings((2,))] = (exact + ring.generator(0)).coeffs
+        wrong = exact + ring.generator(0)
+        memo.ratios[cm.pairings((2,))] = (wrong.num, wrong.den)
 
     _corrupt_memo_on_build(monkeypatch, corrupt)
     code, report = run_json(capsys, [command, fan_path("p1")])

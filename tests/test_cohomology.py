@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from qdm import CohomClass, CohomRing, build_ring, linalg, monomials
+from qdm import (CohomClass, CohomRing, build_ring, charge_matrix, linalg, make_fan,
+                 monomials)
 from qdm.cohomology import mono_key
 
-from conftest import (SHIPPED, reference_inverse_linear_factor, reference_linear_factor,
-                      reference_reduction_table)
+from conftest import (SHIPPED, reference_divide_linear, reference_inverse_linear_factor,
+                      reference_linear_factor, reference_multiply,
+                      reference_reduction_table, reference_times_linear)
 
 
 def degree_part(cls, deg):
@@ -282,3 +284,85 @@ def test_linear_factors_need_a_degree_one_class(corpus):
             ring.times_linear(h, lin, 1)
         with pytest.raises(ValueError, match="degree-one class"):
             ring.divide_linear(h, lin, 1)
+
+
+# ---------------------------------------------------------------------------
+# integer numerators over one denominator against the Fraction kernels
+
+
+NUS = (1, -1, 3, -4, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3), Fraction(-7, 4))
+
+
+def check_kernels_against_the_reference(fan, ring, name):
+    # multiply, times_linear and divide_linear against the Fraction bodies
+    # they replaced, on seeded classes with non-integral coefficients and
+    # for negative and non-integral nu
+    table, _basis = reference_reduction_table(fan)
+    rng = random.Random("kernels " + name)
+    lins = ([ring.generator(k) for k in range(ring.n)]
+            + [ring.omega_class(j) for j in range(ring.l)]
+            + [ring.generator(0).scale(Fraction(2, 3))
+               - ring.omega_class(0).scale(Fraction(5, 2))])
+    classes = [ring.one()] + [random_class(ring, rng) for _ in range(4)]
+    for a in classes:
+        for b in classes:
+            assert (a * b).coeffs == reference_multiply(table, ring.top, a, b), name
+    for i, lin in enumerate(lins):
+        for nu in NUS:
+            cls = rng.choice(classes)
+            prod = ring.times_linear(cls, lin, nu)
+            want = reference_times_linear(table, ring.basis, cls, lin, nu)
+            assert prod.coeffs == want, (name, i, nu)
+            quot = ring.divide_linear(cls, lin, nu)
+            want = reference_divide_linear(table, ring.basis, cls, lin, nu)
+            assert quot.coeffs == want, (name, i, nu)
+            assert ring.divide_linear(prod, lin, nu) == cls, (name, i, nu)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_kernels_match_the_fraction_reference(shipped, name):
+    fan, _cm, ring, _gens = shipped[name]
+    check_kernels_against_the_reference(fan, ring, name)
+
+
+@pytest.mark.parametrize("a", [2, 3])
+def test_kernels_match_the_fraction_reference_off_unit_pivots(a):
+    # the Hirzebruch surface F_a in this ray order reduces with pivot
+    # entries a, so the reduction table has a denominator other than 1
+    fan = make_fan([[1, 0], [0, 1], [-1, a], [0, -1]], [[0, 1], [1, 2], [2, 3], [3, 0]])
+    ring = build_ring(fan, charge_matrix(fan))
+    assert ring._den == a
+    check_kernels_against_the_reference(fan, ring, "F%d" % a)
+
+
+def assert_canonical(cls):
+    assert cls.den > 0
+    assert math.gcd(cls.den, *cls.num.values()) == 1
+    assert all(type(c) is int and c for c in cls.num.values())
+    assert all(type(c) is Fraction for c in cls.coeffs.values())
+
+
+@pytest.mark.parametrize("name", ["p2", "hirzebruch1", "dp3"])
+def test_classes_are_in_lowest_terms(shipped, name):
+    _fan, _cm, ring, _gens = shipped[name]
+    rng = random.Random("canonical " + name)
+    zero = ring.zero()
+    assert (zero.num, zero.den) == ({}, 1)
+    cancelled = CohomClass(ring, {ring.basis[-1]: 0}, -6)
+    assert (cancelled.num, cancelled.den) == ({}, 1)
+    for _ in range(6):
+        a, b = random_class(ring, rng), random_class(ring, rng)
+        results = [a, a + b, a - a, a * b, a.scale(Fraction(-4, 9)), -b,
+                   ring.times_linear(a, ring.generator(0), Fraction(-3, 2)),
+                   ring.divide_linear(b, ring.omega_class(0), -2),
+                   ring.combination([(Fraction(2, 3), a), (-6, b)])]
+        for cls in results:
+            assert_canonical(cls)
+        assert (a - a) == zero and (a - a).is_zero()
+        # the same class from scaled numerators and a negative denominator
+        same = CohomClass(ring, {m: -6 * c for m, c in a.num.items()}, -6 * a.den)
+        assert same == a and hash(same) == hash(a)
+        assert CohomClass(ring, a.coeffs) == a
+        assert a.coeffs == {m: Fraction(c, a.den) for m, c in a.num.items()}
+        assert ring.combination([(Fraction(2, 3), a), (-6, b)]) == (
+            a.scale(Fraction(2, 3)) + b.scale(-6))

@@ -111,6 +111,15 @@ def test_invert():
     assert linalg.invert([[1, 2], [2, 4]]) is None
 
 
+def test_vector_gcd():
+    assert linalg.vector_gcd([]) == 0
+    assert linalg.vector_gcd([0, 0, 0]) == 0
+    assert linalg.vector_gcd([-4, 6]) == 2
+    assert linalg.vector_gcd((0, -7)) == 7
+    assert linalg.vector_gcd([-3, -9, 0]) == 3
+    assert linalg.vector_gcd([5]) == 5
+
+
 def test_primitive_vector():
     assert linalg.primitive_vector([2, -4, 6]) == (1, -2, 3)
     assert linalg.primitive_vector([-3, 0]) == (1, 0)

@@ -1,6 +1,9 @@
 """Rules the package source keeps, checked on its syntax trees."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,3 +17,13 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, "%s has assert statements on lines %s" % (path.name, lines)
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # every CLI process pays its imports; neither module is needed
+    code = ("import sys, qdm.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -6,7 +6,7 @@ stabilized Euler-class ratios is assembled degree by degree; differential
 operators in theta_j = hbar q_j d/dq_j that annihilate it are found by an
 exact nullspace search, and their hbar -> 0 symbols give quantum-ring
 relations.  A finite-dimensional loop model reproduces the same ratios from
-critical-component weight systems and stabilizes once the mode cutoff is
+critical-component mode intervals and stabilizes once the mode cutoff is
 large enough.  All arithmetic is exact.
 """
 
@@ -17,9 +17,8 @@ from .cohomology import CohomRing, CohomClass, build_ring, monomials
 from .ifunction import Series, euler_ratio, check_ratio, build_f, component
 from .dmodule import (DiffOp, EmptyWindowError, apply,
                       gkz_operator, find_annihilators, semiclassical)
-from .loop_model import (WeightSystem, CriticalData, ComponentAbsentError,
-                         action_value, min_modes, critical_component,
-                         euler_ratio_n, check_stabilization)
+from .loop_model import (CriticalData, ComponentAbsentError, min_modes,
+                         critical_component, euler_ratio_n, check_stabilization)
 
 __all__ = [
     "FanData", "ChargeMatrix", "FanError", "NefBasisError", "make_fan",
@@ -29,8 +28,8 @@ __all__ = [
     "Series", "euler_ratio", "check_ratio", "build_f", "component",
     "DiffOp", "EmptyWindowError", "apply",
     "gkz_operator", "find_annihilators", "semiclassical",
-    "WeightSystem", "CriticalData", "ComponentAbsentError", "action_value",
-    "min_modes", "critical_component", "euler_ratio_n", "check_stabilization",
+    "CriticalData", "ComponentAbsentError", "min_modes", "critical_component",
+    "euler_ratio_n", "check_stabilization",
 ]
 
 __version__ = "0.1.0"

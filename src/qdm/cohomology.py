@@ -63,14 +63,15 @@ def _mul_mono(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _poly_mul(a, b):
-    """The product of two polynomials {exponent tuple: coeff}."""
+def poly_mul(a, b):
+    """The product of two polynomials {exponent tuple: coeff}, without zero
+    coefficients."""
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             m = _mul_mono(m1, m2)
             out[m] = out.get(m, 0) + c1 * c2
-    return out
+    return {m: c for m, c in out.items() if c}
 
 
 class CohomClass:
@@ -178,7 +179,7 @@ class CohomRing:
         for row, p in zip(red, lead):
             forms[p] = ({units[j]: -row[j] for j in free if row[j]}, row[p])
         # a relation times a nonzero constant spans the same rows
-        relations = [(len(nf), reduce(_poly_mul, [forms[k][0] for k in nf]))
+        relations = [(len(nf), reduce(poly_mul, [forms[k][0] for k in nf]))
                      for nf in self._minimal_nonfaces()]
         free_monos = {deg: _monomials_in(self.n, free, deg) for deg in range(self.top + 2)}
         self._table = {}  # free monomial -> (num, den), its reduced form
@@ -232,7 +233,7 @@ class CohomRing:
         rows = []
         for size, rel in relations:
             for mu in free_monos.get(deg - size, ()):
-                multiple = _poly_mul(rel, {mu: 1})
+                multiple = poly_mul(rel, {mu: 1})
                 rows.append([multiple.get(m, 0) for m in cols])
         red, pivots = linalg._reduce(rows, len(cols))
         pivset = set(pivots)

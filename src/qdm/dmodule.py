@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .cohomology import monomials
+from .cohomology import monomials, poly_mul
 from .ifunction import Series
 
 
@@ -48,15 +48,6 @@ def _poly_add(p1, p2):
     return {k: c for k, c in out.items() if c}
 
 
-def _poly_mul(p1, p2):
-    out = {}
-    for t1, c1 in p1.items():
-        for t2, c2 in p2.items():
-            key = tuple(a + b for a, b in zip(t1, t2))
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return {k: c for k, c in out.items() if c}
-
-
 def _shift_poly(p, e):
     """Substitute theta_j -> theta_j + e_j."""
     if not any(e):
@@ -67,7 +58,7 @@ def _shift_poly(p, e):
         term = {(0,) * l: c}
         for j in range(l):
             if t[j]:
-                term = _poly_mul(term, {
+                term = poly_mul(term, {
                     tuple(i if jj == j else 0 for jj in range(l)):
                     Fraction(comb(t[j], i) * e[j] ** (t[j] - i))
                     for i in range(t[j] + 1)})
@@ -159,7 +150,7 @@ class DiffOp:
             out = {}
             for e1, p1 in self.terms.items():
                 for e2, p2 in other.terms.items():
-                    prod = _poly_mul(_shift_poly(p1, e2), p2)
+                    prod = poly_mul(_shift_poly(p1, e2), p2)
                     key = tuple(a + b for a, b in zip(e1, e2))
                     out[key] = _poly_add(out.get(key, {}), prod)
             return DiffOp(self.cm, self.weight + other.weight, out)
@@ -304,9 +295,9 @@ def gkz_operator(cm, degree) -> DiffOp:
         for nu in range(abs(a_k)):
             factor = {**d_k, one: Fraction(-nu)} if nu else d_k
             if a_k > 0:
-                pos = _poly_mul(pos, factor)
+                pos = poly_mul(pos, factor)
             else:
-                neg = _poly_mul(neg, factor)
+                neg = poly_mul(neg, factor)
         weight += max(a_k, 0)
     return DiffOp(cm, weight, {one: pos}) - DiffOp(cm, weight, {tuple(degree): neg})
 

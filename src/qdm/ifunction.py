@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .cohomology import CohomClass, CohomRing, monomials
-from .toric import ChargeMatrix
+from .toric import ChargeMatrix, enumerate_degrees
 
 
 class _RatioMemo:
@@ -174,7 +174,6 @@ class Series:
 def build_f(ring: CohomRing, cm: ChargeMatrix, gens, bound: int) -> Series:
     """Assemble the series over all Mori degrees with c1-degree <= bound,
     whatever the signs of their pairings with the divisors."""
-    from .toric import enumerate_degrees
     degrees = tuple(enumerate_degrees(gens, cm, bound))
     coeffs = {d: euler_ratio(ring, cm, d) for d in degrees}
     return Series(ring, cm, bound, degrees, coeffs, 0)

@@ -23,11 +23,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def vector_gcd(v) -> int:
-    """The nonnegative gcd of the integer entries; 0 when all are 0 or v is empty."""
-    return gcd(*v)
-
-
 def primitive_vector(v):
     """The coprime integer vector on the ray of v, first nonzero entry positive.
 
@@ -35,7 +30,7 @@ def primitive_vector(v):
     """
     den = lcm(*(x.denominator for x in v))
     v = [x.numerator * (den // x.denominator) for x in v]
-    g = vector_gcd(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     w = [x // g for x in v]
@@ -43,14 +38,6 @@ def primitive_vector(v):
     if lead < 0:
         w = [-x for x in w]
     return tuple(w)
-
-
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def transpose(mat):
-    return [list(col) for col in zip(*mat)]
 
 
 def hermite_form(rows):
@@ -61,7 +48,7 @@ def hermite_form(rows):
     """
     h = [list(r) for r in rows]
     m = len(h)
-    u = identity_matrix(m)
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     if m == 0 or not h[0]:
         return h, u
     width = len(h[0])
@@ -106,7 +93,7 @@ def integer_kernel(mat):
     """
     if not mat or not mat[0]:
         raise ValueError("matrix must be nonempty")
-    at = transpose(mat)
+    at = [list(col) for col in zip(*mat)]
     h, u = hermite_form(at)
     ker = [u[i] for i in range(len(at)) if all(x == 0 for x in h[i])]
     if not ker:
@@ -161,7 +148,7 @@ def _reduce(rows, width):
             b = row[c]
             if b and i != r:
                 row = [a * x - b * y for x, y in zip(row, prow)]
-                g = vector_gcd(row)
+                g = gcd(*row)
                 mat[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
     return mat[:len(pivots)], pivots

@@ -1,4 +1,4 @@
-"""Finite-mode loop spaces: action values, critical components, stabilization.
+"""Finite-mode loop spaces: critical values, mode intervals, stabilization.
 
 Loops in the k-th homogeneous coordinate carry Fourier modes nu = -N..N, and
 the circle acts on the (k, nu) line with equivariant Euler class
@@ -21,52 +21,23 @@ and so independent of the multiplication matrices that built the ratio.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from . import serialize
 from .cohomology import CohomClass, CohomRing
 from .ifunction import check_ratio, euler_ratio
-from .toric import ChargeMatrix
+from .toric import ChargeMatrix, _int_tuple
 
 
 class ComponentAbsentError(ValueError):
     """The mode cutoff N is too small for the requested critical component."""
 
 
-class WeightSystem(namedtuple("WeightSystem", ("positive", "negative"))):
-    """Transverse modes at a critical component: one (lo, hi) interval of nu
-    per ray in each sign class, indexed by the ray; lo > hi means empty."""
+class CriticalData(namedtuple("CriticalData", ("value", "positive", "negative"))):
+    """A critical component: its critical value and its transverse modes, one
+    (lo, hi) interval of nu per ray in each sign class, indexed by the ray;
+    lo > hi means empty."""
 
     __slots__ = ()
-
-
-class CriticalData(namedtuple("CriticalData", ("degree", "modes", "value", "weights"))):
-    """A critical component: its degree, mode cutoff N, critical value (a
-    Fraction) and WeightSystem."""
-
-    __slots__ = ()
-
-
-def action_value(mode_squares) -> Fraction:
-    """Quadratic action (1/2) sum_k sum_nu nu * |a_nu^k|^2.
-
-    mode_squares: one row per homogeneous coordinate holding the 2N+1 squared
-    moduli |a_nu^k|^2 in mode order nu = -N..N.  Rows must share the same odd
-    length.
-    """
-    if not mode_squares:
-        raise ValueError("no mode coefficients given")
-    width = len(mode_squares[0])
-    if width % 2 != 1:
-        raise ValueError("each row must have odd length 2N+1")
-    if any(len(row) != width for row in mode_squares):
-        raise ValueError("all rows must have the same length")
-    n_modes = (width - 1) // 2
-    total = Fraction(0)
-    for row in mode_squares:
-        for i, sq in enumerate(row):
-            total += (i - n_modes) * Fraction(sq)
-    return total / 2
 
 
 def min_modes(cm: ChargeMatrix, degree) -> int:
@@ -75,6 +46,7 @@ def min_modes(cm: ChargeMatrix, degree) -> int:
 
 
 def _require_modes(cm: ChargeMatrix, degree, modes: int) -> None:
+    _int_tuple((modes,))
     needed = min_modes(cm, degree)
     if modes < needed:
         raise ComponentAbsentError(
@@ -82,25 +54,14 @@ def _require_modes(cm: ChargeMatrix, degree, modes: int) -> None:
             % (list(degree), needed, modes))
 
 
-def critical_component(cm: ChargeMatrix, lam, degree, modes: int) -> CriticalData:
-    """Critical value and transverse weight intervals of the degree-d component.
-
-    lam gives the coefficients of the symplectic form in the nef basis
-    (defaults to all ones); the critical value is sum_j d_j lam_j.
-    """
-    if lam is None:
-        lam = [Fraction(1)] * cm.l
-    lam = [Fraction(x) for x in lam]
-    if len(lam) != cm.l:
-        raise ValueError("lam needs one coefficient per nef basis class")
-    if len(degree) != cm.l:
-        raise ValueError("degree has the wrong number of coordinates")
+def critical_component(cm: ChargeMatrix, degree, modes: int) -> CriticalData:
+    """Critical value sum_j d_j (the symplectic form is the sum of the nef
+    basis classes) and transverse weight intervals of the degree-d component."""
     _require_modes(cm, degree, modes)
-    value = sum((d * s for d, s in zip(degree, lam)), Fraction(0))
     frozen = cm.pairings(degree)
-    return CriticalData(tuple(degree), modes, value, WeightSystem(
-        tuple((a_k + 1, modes) for a_k in frozen),
-        tuple((-modes, a_k - 1) for a_k in frozen)))
+    return CriticalData(sum(degree),
+                        tuple((a_k + 1, modes) for a_k in frozen),
+                        tuple((-modes, a_k - 1) for a_k in frozen))
 
 
 def euler_ratio_n(ring: CohomRing, cm: ChargeMatrix, degree, modes: int) -> CohomClass:
@@ -115,20 +76,19 @@ def euler_ratio_n(ring: CohomRing, cm: ChargeMatrix, degree, modes: int) -> Coho
     return euler_ratio(ring, cm, degree)
 
 
-def check_stabilization(ring: CohomRing, cm: ChargeMatrix, degree, mode_values,
-                        lam=None) -> dict:
+def check_stabilization(ring: CohomRing, cm: ChargeMatrix, degree, mode_values) -> dict:
     """Finite-mode ratio and critical data of one degree over the cutoffs N.
 
-    mode_values: the cutoffs N, each >= N(degree).  The ratio is taken at the
-    smallest, the weight intervals at the largest.  Returns a JSON-ready
-    report whose "stable" records whether the ratio satisfies the product
-    identity of R_d; a failure is recorded, not raised.
+    mode_values: the cutoffs N, ints each >= N(degree).  The ratio is taken
+    at the smallest, the weight intervals at the largest.  Returns a
+    JSON-ready report whose "stable" records whether the ratio satisfies the
+    product identity of R_d; a failure is recorded, not raised.
     """
-    mode_values = sorted(set(int(x) for x in mode_values))
+    mode_values = sorted(set(_int_tuple(mode_values)))
     if not mode_values:
         raise ValueError("no mode cutoffs given")
     ratio = euler_ratio_n(ring, cm, degree, mode_values[0])
-    data = critical_component(cm, lam, degree, mode_values[-1])
+    data = critical_component(cm, degree, mode_values[-1])
     return {
         "degree": list(degree),
         "min_modes": min_modes(cm, degree),
@@ -136,6 +96,6 @@ def check_stabilization(ring: CohomRing, cm: ChargeMatrix, degree, mode_values,
         "critical_value": serialize.frac_str(data.value),
         "stable": check_ratio(ring, cm, degree, ratio),
         "ratio": serialize.laurent_json(ratio, cm.c1_degree(degree)),
-        "weights": {"positive": [list(w) for w in data.weights.positive],
-                    "negative": [list(w) for w in data.weights.negative]},
+        "weights": {"positive": [list(w) for w in data.positive],
+                    "negative": [list(w) for w in data.negative]},
     }

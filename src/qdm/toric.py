@@ -24,6 +24,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 from operator import mul
 
 from . import linalg
@@ -135,7 +136,7 @@ def make_fan(rays, max_cones, nef_basis=None) -> FanData:
     for i, ray in enumerate(rays_t):
         if all(x == 0 for x in ray):
             raise FanError("ray %d is the zero vector" % i)
-        if linalg.vector_gcd(ray) != 1:
+        if gcd(*ray) != 1:
             raise FanError("ray %d is not primitive: %r" % (i, list(ray)))
     if len(set(rays_t)) != len(rays_t):
         raise FanError("duplicate rays")

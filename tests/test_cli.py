@@ -425,6 +425,13 @@ GOLDEN = [
     ("operators", ["p2xp2_sheared", "--theta-order", "2",
                    "--q-degree", "2"], 1,
      "2d91437d642408e76b934c5ca1dd0ea517fcec4f2d4933ff54be755c0bdd176d"),
+    ("loop-model", ["hirzebruch1", "--degree", "1,0", "--degree", "2,1",
+                    "--modes", "1..3"], 0,
+     "794f255aab9322daef81a9a3854b5c9f8d33c96482407c0426cf17e1fa20780a"),
+    ("loop-model", ["p2", "--degree", "2", "--modes", "1"], 1,
+     "f157829e99e3d06d67422611bb6a5c41c83c577c42c1dca76ab955945b08088a"),
+    ("loop-model", ["p5", "--modes", "0..2"], 0,
+     "5ee2bb050c947bfd8aff336bacfc545c83793cb90cc23c2a371be5ff53278b2b"),
 ]
 
 

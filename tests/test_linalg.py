@@ -111,15 +111,6 @@ def test_invert():
     assert linalg.invert([[1, 2], [2, 4]]) is None
 
 
-def test_vector_gcd():
-    assert linalg.vector_gcd([]) == 0
-    assert linalg.vector_gcd([0, 0, 0]) == 0
-    assert linalg.vector_gcd([-4, 6]) == 2
-    assert linalg.vector_gcd((0, -7)) == 7
-    assert linalg.vector_gcd([-3, -9, 0]) == 3
-    assert linalg.vector_gcd([5]) == 5
-
-
 def test_primitive_vector():
     assert linalg.primitive_vector([2, -4, 6]) == (1, -2, 3)
     assert linalg.primitive_vector([-3, 0]) == (1, 0)
@@ -169,7 +160,7 @@ def reference_nullspace(rows, width):
             for x in fr:
                 den = den * x.denominator // math.gcd(den, x.denominator)
             ints = [int(x * den) for x in fr]
-            g = linalg.vector_gcd(ints)
+            g = math.gcd(*ints)
             mat.append([x // g for x in ints])
     pivots = []
     r = 0
@@ -182,7 +173,7 @@ def reference_nullspace(rows, width):
             if mat[i][c]:
                 a, b = mat[r][c], mat[i][c]
                 mat[i] = [a * x - b * y for x, y in zip(mat[i], mat[r])]
-                g = linalg.vector_gcd(mat[i])
+                g = math.gcd(*mat[i])
                 if g > 1:
                     mat[i] = [x // g for x in mat[i]]
         pivots.append((r, c))

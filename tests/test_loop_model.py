@@ -1,7 +1,6 @@
 """Finite-mode loop-space data and stabilization of Euler-class ratios."""
 
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -9,7 +8,6 @@ from conftest import (reference_euler_ratio_n, reference_linear_factor,
                       reference_weight_pairs)
 from qdm import (
     ComponentAbsentError,
-    action_value,
     check_stabilization,
     critical_component,
     enumerate_degrees,
@@ -18,42 +16,6 @@ from qdm import (
     min_modes,
 )
 from qdm.serialize import class_json, laurent_json
-
-
-# ---------------------------------------------------------------------------
-# the quadratic action
-
-
-def test_action_value_single_modes():
-    # one coordinate, cutoff N=1, unit mass in mode +1
-    assert action_value([[0, 0, 1]]) == Fraction(1, 2)
-    assert action_value([[1, 0, 0]]) == Fraction(-1, 2)
-    assert action_value([[0, 1, 0]]) == 0
-    # the degree-one component on the line freezes both coordinates in mode 1
-    assert action_value([[0, 0, 1], [0, 0, 1]]) == 1
-
-
-def test_action_value_is_linear():
-    rows_a = [[1, 2, 0, 0, 3]]
-    rows_b = [[0, 1, 1, 4, 0]]
-    summed = [[a + b for a, b in zip(rows_a[0], rows_b[0])]]
-    assert action_value(summed) == action_value(rows_a) + action_value(rows_b)
-    doubled = [[2 * x for x in rows_a[0]]]
-    assert action_value(doubled) == 2 * action_value(rows_a)
-
-
-def test_action_value_exact_fractions():
-    assert action_value([[Fraction(1, 3), 0, Fraction(1, 5)]]) == \
-        Fraction(-1, 6) + Fraction(1, 10)
-
-
-def test_action_value_input_errors():
-    with pytest.raises(ValueError, match="no mode"):
-        action_value([])
-    with pytest.raises(ValueError, match="odd length"):
-        action_value([[0, 1]])
-    with pytest.raises(ValueError, match="same length"):
-        action_value([[0, 0, 1], [0, 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -74,12 +36,10 @@ def test_min_modes(corpus):
 
 def test_critical_component_projective_plane(corpus):
     _fan, cm, _ring, _gens = corpus["p2"]
-    data = critical_component(cm, None, (1,), 2)
-    assert data.degree == (1,)
-    assert data.modes == 2
+    data = critical_component(cm, (1,), 2)
     assert data.value == 1
-    assert data.weights.positive == ((2, 2),) * 3
-    assert data.weights.negative == ((-2, 0),) * 3
+    assert data.positive == ((2, 2),) * 3
+    assert data.negative == ((-2, 0),) * 3
 
 
 def test_critical_component_weight_count(corpus):
@@ -89,29 +49,27 @@ def test_critical_component_weight_count(corpus):
         _fan, cm, _ring, gens = corpus[name]
         for d in enumerate_degrees(gens, cm, 4):
             n_cut = min_modes(cm, d) + 1
-            data = critical_component(cm, None, d, n_cut)
-            for k, (pos, neg) in enumerate(zip(data.weights.positive,
-                                               data.weights.negative)):
+            data = critical_component(cm, d, n_cut)
+            for k, (pos, neg) in enumerate(zip(data.positive, data.negative)):
                 a_k = cm.pairings(d)[k]
                 sizes = [max(0, hi - lo + 1) for lo, hi in (pos, neg)]
                 assert sum(sizes) == 2 * n_cut, (name, d, k)
                 assert neg[1] < a_k < pos[0], (name, d, k)
 
 
-def test_critical_component_lam(corpus):
-    _fan, cm, _ring, _gens = corpus["p1xp1"]
-    data = critical_component(cm, [Fraction(5, 2), 3], (1, 2), 2)
-    assert data.value == Fraction(5, 2) + 6
-    with pytest.raises(ValueError, match="one coefficient per nef"):
-        critical_component(cm, [1], (1, 0), 2)
-    with pytest.raises(ValueError, match="wrong number"):
-        critical_component(cm, None, (1,), 2)
+def test_critical_value_and_degree_length(corpus):
+    # the symplectic form is the sum of the nef basis classes
+    _fan, cm, ring, _gens = corpus["p1xp1"]
+    assert critical_component(cm, (1, 2), 2).value == 3
+    assert check_stabilization(ring, cm, (1, 2), [2])["critical_value"] == "3"
+    with pytest.raises(ValueError, match="degree needs 2 coordinates"):
+        critical_component(cm, (1,), 2)
 
 
 def test_component_absent_below_cutoff(corpus):
     _fan, cm, ring, _gens = corpus["p2"]
     with pytest.raises(ComponentAbsentError, match="at least N = 1"):
-        critical_component(cm, None, (1,), 0)
+        critical_component(cm, (1,), 0)
     with pytest.raises(ComponentAbsentError):
         euler_ratio_n(ring, cm, (2,), 1)
 
@@ -127,11 +85,11 @@ def _degrees_and_cutoffs(shipped, extra):
 
 def test_intervals_expand_to_reference_pairs(shipped):
     for name, cm, _ring, d, n_cut in _degrees_and_cutoffs(shipped, 2):
-        weights = critical_component(cm, None, d, n_cut).weights
+        data = critical_component(cm, d, n_cut)
         expanded = tuple(
             tuple(sorted((k, nu) for k, (lo, hi) in enumerate(side)
                          for nu in range(lo, hi + 1)))
-            for side in (weights.positive, weights.negative))
+            for side in (data.positive, data.negative))
         assert expanded == reference_weight_pairs(cm, d, n_cut), (name, d, n_cut)
 
 
@@ -193,16 +151,23 @@ def test_check_stabilization_weights_at_largest_cutoff(corpus):
     assert report["stable"] is True
 
 
-def test_check_stabilization_lam(corpus):
-    _fan, cm, ring, _gens = corpus["p1xp1"]
-    report = check_stabilization(ring, cm, (1, 2), [2], lam=[3, Fraction(1, 2)])
-    assert report["critical_value"] == "4"
-    assert report["min_modes"] == 2
-
-
 def test_check_stabilization_requires_enough_modes(corpus):
     _fan, cm, ring, _gens = corpus["p2"]
     with pytest.raises(ComponentAbsentError):
         check_stabilization(ring, cm, (2,), [1, 2])
     with pytest.raises(ValueError, match="no mode cutoffs"):
         check_stabilization(ring, cm, (2,), [])
+
+
+def test_cutoffs_must_be_integers(corpus):
+    # a float, a string or a bool cutoff is refused, never truncated
+    _fan, cm, ring, _gens = corpus["p2"]
+    with pytest.raises(ValueError, match="expected integers"):
+        check_stabilization(ring, cm, (1,), [1.9, "3", True])
+    for bad in (1.9, "3", True):
+        with pytest.raises(ValueError, match="expected integers"):
+            check_stabilization(ring, cm, (1,), [2, bad])
+    with pytest.raises(ValueError, match="expected integers"):
+        critical_component(cm, (1,), 2.5)
+    with pytest.raises(ValueError, match="expected integers"):
+        euler_ratio_n(ring, cm, (1,), True)

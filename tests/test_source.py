@@ -2,13 +2,15 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qdm"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qdm"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -27,3 +29,35 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def _names(tree):
+    """The names a syntax tree reads, looks up as attributes or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_module_function_has_a_caller():
+    # a function only the tests or the package exports reach is code the
+    # program does not need; the README's examples and the benchmark's
+    # traced entry points count as callers
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    used = {name for tree in trees.values() for name in _names(tree)}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M):
+        used.update(_names(ast.parse(block)))
+    layers = ast.parse((ROOT / "perfbench" / "layers.py").read_text(encoding="utf-8"))
+    functions = next(ast.literal_eval(node.value) for node in layers.body
+                     if isinstance(node, ast.Assign)
+                     and any(getattr(t, "id", None) == "FUNCTIONS" for t in node.targets))
+    used.update(name for names in functions.values() for name in names)
+    unused = ["%s.%s" % (module, node.name) for module, tree in trees.items()
+              for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name not in used]
+    assert not unused, "functions with no caller: %s" % unused

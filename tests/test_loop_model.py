@@ -159,15 +159,25 @@ def test_check_stabilization_requires_enough_modes(corpus):
         check_stabilization(ring, cm, (2,), [])
 
 
+# a float, a string or a bool cutoff is refused, never truncated
+
+
 def test_cutoffs_must_be_integers(corpus):
-    # a float, a string or a bool cutoff is refused, never truncated
     _fan, cm, ring, _gens = corpus["p2"]
     with pytest.raises(ValueError, match="expected integers"):
         check_stabilization(ring, cm, (1,), [1.9, "3", True])
     for bad in (1.9, "3", True):
         with pytest.raises(ValueError, match="expected integers"):
             check_stabilization(ring, cm, (1,), [2, bad])
+
+
+def test_critical_component_refuses_a_float_cutoff(corpus):
+    _fan, cm, _ring, _gens = corpus["p2"]
     with pytest.raises(ValueError, match="expected integers"):
         critical_component(cm, (1,), 2.5)
+
+
+def test_euler_ratio_n_refuses_a_bool_cutoff(corpus):
+    _fan, cm, ring, _gens = corpus["p2"]
     with pytest.raises(ValueError, match="expected integers"):
         euler_ratio_n(ring, cm, (1,), True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import dmodule, ifunction, loop_model, serialize, toric
 from .cohomology import build_ring
@@ -159,10 +158,10 @@ def cmd_ifunction(args) -> tuple[dict, bool]:
     if args.components is not None:
         components = _parse_components(args.components, len(ring.basis))
     gens = toric.mori_generators(fan, cm)
-    series = ifunction.build_f(ring, cm, gens, args.max_degree)
+    series = ifunction.build_f(ring, gens, args.max_degree)
     # reported as "homogeneous": a value at hbar = 1 is homogeneous by
     # construction, so what is checked is the identity defining each R_d
-    homogeneous = all(ifunction.check_ratio(ring, cm, d, series.coefficients[d])
+    homogeneous = all(ifunction.check_ratio(ring, d, series.coefficients[d])
                       for d in series.degrees)
     report = {
         "charge_matrix": [list(r) for r in cm.m],
@@ -176,7 +175,7 @@ def cmd_ifunction(args) -> tuple[dict, bool]:
         comps = {}
         for beta in components:
             comp = ifunction.component(series, beta, log_order)
-            comps[str(beta)] = serialize.component_json(comp, cm)
+            comps[str(beta)] = serialize.component_json(comp)
         report["components"] = comps
     report["ok"] = homogeneous
     return report, homogeneous
@@ -185,7 +184,7 @@ def cmd_ifunction(args) -> tuple[dict, bool]:
 def cmd_operators(args) -> tuple[dict, bool]:
     fan, cm, ring = _load(args)
     gens = toric.mori_generators(fan, cm)
-    series = ifunction.build_f(ring, cm, gens, args.max_degree)
+    series = ifunction.build_f(ring, gens, args.max_degree)
     theta_order = (ring.top + 1) if args.theta_order is None else args.theta_order
     degrees = _parse_degrees(args, cm)
     if degrees is None:
@@ -264,7 +263,7 @@ def cmd_loop_model(args) -> tuple[dict, bool]:
                             "error": "all requested cutoffs below N(d)"})
             ok = False
             continue
-        rep = loop_model.check_stabilization(ring, cm, d, usable)
+        rep = loop_model.check_stabilization(ring, d, usable)
         if skipped:
             rep["skipped_modes"] = skipped
         reports.append(rep)

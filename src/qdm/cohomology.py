@@ -38,7 +38,7 @@ from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 
 from . import linalg
-from .toric import ChargeMatrix, FanData, FanError
+from .toric import ChargeMatrix, FanData, FanError, _check_relations
 
 
 def mono_key(mono):
@@ -167,6 +167,7 @@ class CohomRing:
     def __init__(self, fan: FanData, cm: ChargeMatrix):
         if cm.n != fan.n_rays:
             raise ValueError("charge matrix does not match the fan")
+        _check_relations(fan, cm.m)
         self.fan = fan
         self.cm = cm
         self.n = fan.n_rays
@@ -208,6 +209,9 @@ class CohomRing:
         self._omega_cache = {}
         self._linear_cache = {}
         self._dual_cache = None
+        one = self.one()  # the Euler-ratio memos, see the ifunction module
+        self.ratios = {(0,) * self.n: one}
+        self.factor_products = {(k, 0): one for k in range(self.n)}
 
     # -- construction ---------------------------------------------------
 

@@ -20,12 +20,11 @@ it would need source coefficients that were cut off.
 Series values have one weight too, so the weight of D.F is the sum of the
 two.  At hbar = 1, theta_j acting on q^d' cls gives q^d' (omega_j + d'_j)
 cls, so theta^t is a chain of |t| multiplications by degree-one classes
-(CohomRing.times_linear), memoized along the chain, once per series.
+(CohomRing.times_linear), memoized along the chain in series.images.
 """
 
 from __future__ import annotations
 
-import weakref
 from fractions import Fraction
 from math import comb
 
@@ -201,11 +200,12 @@ def _ansatz_key(e, t, h):
     return (sum(e), e, sum(t), t, h)
 
 
-def _theta_images(ring, l, sources):
-    """Memoized image(d, t) = theta^t applied to q^d sources[d], at hbar = 1
-    and up to the factor q^d: prod_j (omega_j + d_j)^t_j * sources[d]."""
-    omegas = [ring.omega_class(j) for j in range(l)]
-    cache = {}
+def _theta_images(series):
+    """image(d, t) = theta^t applied to q^d c_d, at hbar = 1 and up to the
+    factor q^d: prod_j (omega_j + d_j)^t_j * c_d.  It is memoized in
+    series.images, shared by every apply on the series and by the search."""
+    ring, sources, cache = series.ring, series.coefficients, series.images
+    omegas = [ring.omega_class(j) for j in range(ring.l)]
 
     def image(d, t):
         key = (d, t)
@@ -220,21 +220,9 @@ def _theta_images(ring, l, sources):
     return image
 
 
-_IMAGES = weakref.WeakKeyDictionary()
-
-
-def _images(series):
-    """The theta-image memo of a series, built once and shared by every apply
-    on it and by the search.  Keyed by the series itself (compared by
-    identity), not by an id() a later one could reuse."""
-    if series not in _IMAGES:
-        _IMAGES[series] = _theta_images(series.ring, series.cm.l, series.coefficients)
-    return _IMAGES[series]
-
-
 def _window_cap(series, q_exps) -> int:
     """Largest c1(d) where D.F is exact for D supported on q_exps."""
-    cap = series.bound - max([series.cm.c1_degree(e) for e in q_exps] + [0])
+    cap = series.bound - max([series.ring.cm.c1_degree(e) for e in q_exps] + [0])
     if cap < 0:
         raise EmptyWindowError("operator q-support exceeds the series truncation "
                                "(bound %d)" % series.bound)
@@ -247,11 +235,11 @@ def apply(op: DiffOp, series: Series) -> Series:
     The result has weight series.weight + op.weight and one class, possibly
     zero, at every window degree where it could be nonzero.
     """
-    if op.cm != series.cm:
+    ring, cm = series.ring, series.ring.cm
+    if op.cm != cm:
         raise ValueError("the operator and the series have different charge matrices")
-    ring, cm = series.ring, series.cm
     cap = _window_cap(series, op.terms)
-    image = _images(series)
+    image = _theta_images(series)
     out_degrees = set(series.degrees)
     for d in series.degrees:
         for e in op.terms:
@@ -266,7 +254,7 @@ def apply(op: DiffOp, series: Series) -> Series:
             if dp in series.coefficients:
                 terms.extend((c, image(dp, t)) for t, c in poly.items())
         coeffs[d] = ring.combination(terms)
-    return Series(ring, cm, cap, tuple(valid), coeffs, series.weight + op.weight)
+    return Series(ring, cap, tuple(valid), coeffs, series.weight + op.weight)
 
 
 def gkz_operator(cm, degree) -> DiffOp:
@@ -323,12 +311,12 @@ def find_annihilators(series: Series, theta_order: int, q_degree: int):
     """
     if min(theta_order, q_degree) < 0:
         raise ValueError("ansatz bounds must be nonnegative")
-    cm = series.cm
+    cm = series.ring.cm
     l = cm.l
     q_exps = [e for tot in range(q_degree + 1) for e in monomials(l, tot)]
     t_exps = [t for tot in range(theta_order + 1) for t in monomials(l, tot)]
     cap = _window_cap(series, q_exps)
-    image = _images(series)
+    image = _theta_images(series)
     vectors = {}  # (e, t) -> q^e theta^t applied to the series, on the window
     for e in q_exps:
         shifted = [(dp, tuple(a + b for a, b in zip(dp, e))) for dp in series.degrees]

@@ -32,6 +32,11 @@ These are cached per ring too, each entry one CohomRing.multiply from its
 predecessor, so the check costs one product per nonzero pairing and still
 never reads the multiplication matrices that build R_d.
 
+The ring owns both memos, which hold classes returned without copying:
+ring.ratios maps a pairing vector (a_k)_k to R_d for any d with those
+pairings, and ring.factor_products maps (k, a) to P+_k(a) for a >= 0 and to
+P-_k(a) for a <= 0.  The ring seeds them with 1, at (0, ..., 0) and at a = 0.
+
 The full series F = exp((t.omega)/hbar) sum_d q^d R_d carries a symbolic
 exponential prefactor; it is kept unexpanded, and only enters component(),
 where it contributes polynomial terms in the formal symbols L_j = log q_j.
@@ -39,44 +44,14 @@ where it contributes polynomial terms in the formal symbols L_j = log q_j.
 
 from __future__ import annotations
 
-import weakref
 from fractions import Fraction
 from math import factorial, lcm
 
 from .cohomology import CohomClass, CohomRing, monomials
-from .toric import ChargeMatrix, enumerate_degrees
+from .toric import enumerate_degrees
 
 
-class _RatioMemo:
-    """What euler_ratio and check_ratio keep for one ring, as (num, den)
-    pairs: a CohomClass refers to its ring and would keep the weak key alive.
-
-        ratios   pairing vector (a_k)_k -> R_d for any d with those pairings
-        factors  (k, a) -> P+_k(a) = prod_{nu=1}^{a} (alpha_k + nu), a >= 0,
-                           P-_k(a) = prod_{nu=a+1}^{0} (alpha_k + nu), a <= 0
-
-    Both start from 1, at the zero pairing vector and at a = 0.
-    """
-
-    __slots__ = ("ratios", "factors")
-
-    def __init__(self, ring: CohomRing):
-        one = ({(0,) * ring.n: 1}, 1)
-        self.ratios = {(0,) * ring.n: one}
-        self.factors = {(k, 0): one for k in range(ring.n)}
-
-
-_MEMO = weakref.WeakKeyDictionary()  # CohomRing -> _RatioMemo
-
-
-def _memo(ring: CohomRing) -> _RatioMemo:
-    memo = _MEMO.get(ring)
-    if memo is None:
-        memo = _MEMO[ring] = _RatioMemo(ring)
-    return memo
-
-
-def euler_ratio(ring: CohomRing, cm: ChargeMatrix, degree) -> CohomClass:
+def euler_ratio(ring: CohomRing, degree) -> CohomClass:
     """The coefficient R_degree of the series, at hbar = 1, memoized per ring.
 
     Pairings of either sign are allowed: a negative one contributes the
@@ -84,8 +59,9 @@ def euler_ratio(ring: CohomRing, cm: ChargeMatrix, degree) -> CohomClass:
     R_d is stepped from a cached R_p, p = d - e_j, or from R_0 = 1; see the
     module docstring.
     """
+    cm = ring.cm
     target = cm.pairings(degree)
-    ratios = _memo(ring).ratios
+    ratios = ring.ratios
     if target not in ratios:
         start, cost = (0,) * cm.n, sum(map(abs, target))
         for row in cm.m:
@@ -95,33 +71,34 @@ def euler_ratio(ring: CohomRing, cm: ChargeMatrix, degree) -> CohomClass:
             near = tuple(b - r for b, r in zip(target, row))
             if near in ratios and not any(a < 0 <= b for a, b in zip(near, target)):
                 start, cost = near, step
-        out = CohomClass(ring, *ratios[start])
+        out = ratios[start]
         for k, (a, b) in enumerate(zip(start, target)):
             alpha = ring.generator(k)
             for nu in range(a + 1, b + 1):
                 out = ring.divide_linear(out, alpha, nu)
             for nu in range(b + 1, a + 1):
                 out = ring.times_linear(out, alpha, nu)
-        ratios[target] = (out.num, out.den)
-    return CohomClass(ring, *ratios[target])
+        ratios[target] = out
+    return ratios[target]
 
 
-def _factor_product(ring: CohomRing, factors: dict, k: int, a: int) -> CohomClass:
-    """P+_k(a) for a > 0, P-_k(a) for a < 0 (see _RatioMemo), each missing
-    entry one CohomRing.multiply from its neighbour nearer to a = 0."""
+def _factor_product(ring: CohomRing, k: int, a: int) -> CohomClass:
+    """P+_k(a) for a > 0, P-_k(a) for a < 0 (see the module docstring), each
+    missing entry one CohomRing.multiply from its neighbour nearer to a = 0."""
+    factors = ring.factor_products
     step = 1 if a > 0 else -1
     b = a
     while (k, b) not in factors:
         b -= step
-    out = CohomClass(ring, *factors[(k, b)])
+    out = factors[(k, b)]
     while b != a:
         b += step
         out = out * (ring.generator(k) + ring.one().scale(b if step > 0 else b + 1))
-        factors[(k, b)] = (out.num, out.den)
+        factors[(k, b)] = out
     return out
 
 
-def check_ratio(ring: CohomRing, cm: ChargeMatrix, degree, ratio: CohomClass) -> bool:
+def check_ratio(ring: CohomRing, degree, ratio: CohomClass) -> bool:
     """Does ratio satisfy the defining identity of R_degree?
 
         R_d * prod_{a_k>0} P+_k(a_k) = prod_{a_k<0} P-_k(a_k)
@@ -132,13 +109,12 @@ def check_ratio(ring: CohomRing, cm: ChargeMatrix, degree, ratio: CohomClass) ->
     CohomRing.multiply rather than the multiplication matrices that built the
     ratio, so a wrong matrix entry cannot cancel out of the check.
     """
-    factors = _memo(ring).factors
     lhs, rhs = ratio, None
-    for k, a in enumerate(cm.pairings(degree)):
+    for k, a in enumerate(ring.cm.pairings(degree)):
         if a > 0:
-            lhs = lhs * _factor_product(ring, factors, k, a)
+            lhs = lhs * _factor_product(ring, k, a)
         elif a < 0:
-            p = _factor_product(ring, factors, k, a)
+            p = _factor_product(ring, k, a)
             rhs = p if rhs is None else rhs * p
     return lhs == (ring.one() if rhs is None else rhs)
 
@@ -151,32 +127,30 @@ class Series:
     weight rule above), possibly zero.  build_f gives the weight-0 series
     F = exp((t.omega)/hbar) sum_d q^d R_d, whose symbolic exponential
     prefactor is expanded only inside component(); dmodule.apply gives D.F.
-    Series compare by identity and are weakly referenceable, so memos can
-    key on them.
+    images, empty at first, is the memo dmodule fills with theta-images.
     """
 
-    __slots__ = ("ring", "cm", "bound", "degrees", "coefficients", "weight",
-                 "__weakref__")
+    __slots__ = ("ring", "bound", "degrees", "coefficients", "weight", "images")
 
-    def __init__(self, ring: CohomRing, cm: ChargeMatrix, bound: int, degrees: tuple,
+    def __init__(self, ring: CohomRing, bound: int, degrees: tuple,
                  coefficients: dict, weight: int):
         self.ring = ring
-        self.cm = cm
         self.bound = bound
         self.degrees = degrees
         self.coefficients = coefficients
         self.weight = weight
+        self.images = {}
 
     def is_zero(self) -> bool:
         return all(self.coefficients[d].is_zero() for d in self.degrees)
 
 
-def build_f(ring: CohomRing, cm: ChargeMatrix, gens, bound: int) -> Series:
+def build_f(ring: CohomRing, gens, bound: int) -> Series:
     """Assemble the series over all Mori degrees with c1-degree <= bound,
     whatever the signs of their pairings with the divisors."""
-    degrees = tuple(enumerate_degrees(gens, cm, bound))
-    coeffs = {d: euler_ratio(ring, cm, d) for d in degrees}
-    return Series(ring, cm, bound, degrees, coeffs, 0)
+    degrees = tuple(enumerate_degrees(gens, ring.cm, bound))
+    coeffs = {d: euler_ratio(ring, d) for d in degrees}
+    return Series(ring, bound, degrees, coeffs, 0)
 
 
 def component(series: Series, beta: int, log_order: int):
@@ -196,7 +170,7 @@ def component(series: Series, beta: int, log_order: int):
     if log_order < 0:
         raise ValueError("log_order must be nonnegative")
     ring = series.ring
-    l = series.cm.l
+    l = ring.l
     basis_classes, duals = ring.dual_basis()
     if not 0 <= beta < len(basis_classes):
         raise IndexError("beta out of range for the cohomology basis")
@@ -221,7 +195,7 @@ def component(series: Series, beta: int, log_order: int):
                             cden)
     out = {}
     for d in series.degrees:
-        h = series.weight - series.cm.c1_degree(d) - deg_beta
+        h = series.weight - ring.cm.c1_degree(d) - deg_beta
         r_d = series.coefficients[d]
         num, den = r_d.num, r_d.den
         entry = {}

@@ -46,6 +46,7 @@ def min_modes(cm: ChargeMatrix, degree) -> int:
 
 
 def _require_modes(cm: ChargeMatrix, degree, modes: int) -> None:
+    _int_tuple(degree)
     _int_tuple((modes,))
     needed = min_modes(cm, degree)
     if modes < needed:
@@ -64,7 +65,7 @@ def critical_component(cm: ChargeMatrix, degree, modes: int) -> CriticalData:
                         tuple((-modes, a_k - 1) for a_k in frozen))
 
 
-def euler_ratio_n(ring: CohomRing, cm: ChargeMatrix, degree, modes: int) -> CohomClass:
+def euler_ratio_n(ring: CohomRing, degree, modes: int) -> CohomClass:
     """Ratio of the positive-weight Euler classes of components d and 0 at
     cutoff N, as a class at hbar = 1 like euler_ratio.
 
@@ -72,11 +73,11 @@ def euler_ratio_n(ring: CohomRing, cm: ChargeMatrix, degree, modes: int) -> Coho
     nu in [1, a_k] and (alpha_k + nu*hbar) for nu in [a_k+1, 0], whatever
     N >= N(d) is: the factors of R_d, so the ratio is euler_ratio's.
     """
-    _require_modes(cm, degree, modes)
-    return euler_ratio(ring, cm, degree)
+    _require_modes(ring.cm, degree, modes)
+    return euler_ratio(ring, degree)
 
 
-def check_stabilization(ring: CohomRing, cm: ChargeMatrix, degree, mode_values) -> dict:
+def check_stabilization(ring: CohomRing, degree, mode_values) -> dict:
     """Finite-mode ratio and critical data of one degree over the cutoffs N.
 
     mode_values: the cutoffs N, ints each >= N(degree).  The ratio is taken
@@ -87,15 +88,15 @@ def check_stabilization(ring: CohomRing, cm: ChargeMatrix, degree, mode_values) 
     mode_values = sorted(set(_int_tuple(mode_values)))
     if not mode_values:
         raise ValueError("no mode cutoffs given")
-    ratio = euler_ratio_n(ring, cm, degree, mode_values[0])
-    data = critical_component(cm, degree, mode_values[-1])
+    ratio = euler_ratio_n(ring, degree, mode_values[0])
+    data = critical_component(ring.cm, degree, mode_values[-1])
     return {
         "degree": list(degree),
-        "min_modes": min_modes(cm, degree),
+        "min_modes": min_modes(ring.cm, degree),
         "N_list": mode_values,
         "critical_value": serialize.frac_str(data.value),
-        "stable": check_ratio(ring, cm, degree, ratio),
-        "ratio": serialize.laurent_json(ratio, cm.c1_degree(degree)),
+        "stable": check_ratio(ring, degree, ratio),
+        "ratio": serialize.laurent_json(ratio, ring.cm.c1_degree(degree)),
         "weights": {"positive": [list(w) for w in data.positive],
                     "negative": [list(w) for w in data.negative]},
     }

@@ -34,9 +34,9 @@ def class_json(cls) -> dict:
 
 
 def laurent_json(cls, c1) -> list:
-    """A q^d coefficient of weight 0, given as its class at hbar = 1 and
-    c1 = c1(d), as [{hbar, class}] in ascending hbar.  By the weight rule
-    the monomial m carries hbar^(-c1 - deg m)."""
+    """A q^d coefficient of weight w, given as its class at hbar = 1 and
+    c1 = c1(d) - w, as [{hbar, class}] in ascending hbar.  By the weight rule
+    the monomial m carries hbar^(w - c1(d) - deg m) = hbar^(-c1 - deg m)."""
     by_hbar = {}
     coeffs = cls.coeffs
     for m in sorted(coeffs, key=mono_key):
@@ -45,19 +45,20 @@ def laurent_json(cls, c1) -> list:
 
 
 def series_json(series) -> list:
+    """Each q^d coefficient by laurent_json, at c1(d) - series.weight."""
+    c1 = series.ring.cm.c1_degree
     return [{"degree": list(d),
-             "terms": laurent_json(series.coefficients[d], series.cm.c1_degree(d))}
+             "terms": laurent_json(series.coefficients[d], c1(d) - series.weight)}
             for d in series.degrees]
 
 
-def component_json(comp, cm) -> list:
-    """component() output as [{degree, terms: [{log, hbar, coeff}]}]."""
-    out = []
-    for d in sorted(comp, key=lambda d: (cm.c1_degree(d), d)):
-        terms = [{"log": list(t), "hbar": h, "coeff": frac_str(c)}
-                 for (t, h), c in sorted(comp[d].items())]
-        out.append({"degree": list(d), "terms": terms})
-    return out
+def component_json(comp) -> list:
+    """component() output, in its degree order, as
+    [{degree, terms: [{log, hbar, coeff}]}]."""
+    return [{"degree": list(d),
+             "terms": [{"log": list(t), "hbar": h, "coeff": frac_str(c)}
+                       for (t, h), c in sorted(entry.items())]}
+            for d, entry in comp.items()]
 
 
 def op_json(op) -> list:

@@ -299,6 +299,13 @@ def _facet_normals(classes, l):
     return _dual_cone_rays(classes, l)
 
 
+def _check_relations(fan: FanData, rows) -> None:
+    """Raise a FanError unless every row is a relation among the rays."""
+    if any(sum(row[k] * fan.rays[k][nu] for k in range(fan.n_rays))
+           for row in rows for nu in range(fan.dim)):
+        raise FanError("charge matrix rows are not relations among the rays")
+
+
 def charge_matrix(fan: FanData) -> ChargeMatrix:
     """Charge matrix of the fan, rows dual to a nef lattice basis.
 
@@ -354,9 +361,7 @@ def charge_matrix(fan: FanData) -> ChargeMatrix:
         if any(v.denominator != 1 for v in map(Fraction, row)):
             raise NefBasisError("charge matrix is not integral in the chosen basis")
         m_rows.append(tuple(int(v) for v in row))
-    if any(sum(row[k] * fan.rays[k][nu] for k in range(fan.n_rays))
-           for row in m_rows for nu in range(fan.dim)):
-        raise FanError("charge matrix rows are not relations among the rays")
+    _check_relations(fan, m_rows)
     return ChargeMatrix(tuple(m_rows))
 
 

@@ -60,7 +60,7 @@ def test_criterion_1_closed_form_series(corpus, report_line):
         for name, n in PROJECTIVE_SPACES:
             start = time.monotonic()
             _fan, cm, ring, gens = corpus[name]
-            series = build_f(ring, cm, gens, 6 * (n + 1))
+            series = build_f(ring, gens, 6 * (n + 1))
             f0 = component(series, 0, log_order=0)
             assert sorted(f0) == [(d,) for d in range(7)]
             for d in range(7):
@@ -75,7 +75,7 @@ def test_criterion_2_annihilator_recovery(corpus, report_line):
     with report_line(2, label):
         for name, n in PROJECTIVE_SPACES:
             _fan, cm, ring, gens = corpus[name]
-            series = build_f(ring, cm, gens, 4 * (n + 1))
+            series = build_f(ring, gens, 4 * (n + 1))
             ops = find_annihilators(series, theta_order=n + 1, q_degree=1)
             assert ops, name
             for op in ops:
@@ -94,14 +94,14 @@ def test_criterion_3_semiclassical_relations(corpus, report_line):
     with report_line(3, label):
         for name, n in PROJECTIVE_SPACES:
             _fan, cm, ring, gens = corpus[name]
-            series = build_f(ring, cm, gens, 4 * (n + 1))
+            series = build_f(ring, gens, 4 * (n + 1))
             ops = find_annihilators(series, theta_order=n + 1, q_degree=1)
             rel = semiclassical(ops[0])
             assert rel.terms == {(0,): {(n + 1,): Fraction(1)},
                                  (1,): {(0,): Fraction(-1)}}, name
             assert rel.classical_value(ring).is_zero(), name
         _fan, cm, ring, gens = corpus["p1xp1"]
-        series = build_f(ring, cm, gens, 8)
+        series = build_f(ring, gens, 8)
         ops = find_annihilators(series, theta_order=2, q_degree=1)
         for g, i in (((1, 0), 0), ((0, 1), 1)):
             box = gkz_operator(cm, g)
@@ -121,14 +121,14 @@ def test_criterion_4_loop_space_stabilization(corpus, report_line):
             _fan, cm, ring, gens = corpus[name]
             for d in enumerate_degrees(gens, cm, 6):
                 n_min = min_modes(cm, d)
-                report = check_stabilization(ring, cm, d, range(n_min, n_min + 4))
+                report = check_stabilization(ring, d, range(n_min, n_min + 4))
                 assert report["stable"] is True, (name, d)
                 for n_cut in range(n_min, n_min + 4):
-                    assert euler_ratio_n(ring, cm, d, n_cut) == \
+                    assert euler_ratio_n(ring, d, n_cut) == \
                         reference_euler_ratio_n(ring, cm, d, n_cut), (name, d, n_cut)
                 if n_min > 0:
                     with pytest.raises(ComponentAbsentError):
-                        euler_ratio_n(ring, cm, d, n_min - 1)
+                        euler_ratio_n(ring, d, n_min - 1)
             elapsed = time.monotonic() - start
             assert elapsed < 5.0, (name, elapsed)
 
@@ -175,7 +175,7 @@ def test_criterion_6_homogeneity(corpus, report_line):
     label = "every series term satisfies 2*deg + 2*hbar = -2<c1, d>"
     with report_line(6, label):
         for name, (_fan, cm, ring, gens) in corpus.items():
-            series = build_f(ring, cm, gens, 6)
+            series = build_f(ring, gens, 6)
             for d in series.degrees:
                 c1 = cm.c1_degree(d)
                 r_d = series.coefficients[d]
@@ -191,7 +191,7 @@ def test_criterion_7_gkz_annihilation(corpus, report_line):
     label = "box operators of all Mori generators annihilate the series"
     with report_line(7, label):
         for name, (_fan, cm, ring, gens) in corpus.items():
-            series = build_f(ring, cm, gens, 8)
+            series = build_f(ring, gens, 8)
             for g in gens:
                 out = apply(gkz_operator(cm, g), series)
                 assert out.is_zero(), (name, g)

@@ -130,8 +130,8 @@ def test_general_sign_flag_changes_nothing(capsys, argv):
 def test_corrupted_coefficient_fails_the_ratio_check(monkeypatch, capsys):
     exact = ifunction.euler_ratio
 
-    def corrupted(ring, cm, degree):
-        r = exact(ring, cm, degree)
+    def corrupted(ring, degree):
+        r = exact(ring, degree)
         return r + ring.generator(0) if degree == (2,) else r
 
     monkeypatch.setattr(ifunction, "euler_ratio", corrupted)
@@ -165,13 +165,13 @@ def test_corrupted_multiplication_matrix_fails_the_ratio_check(monkeypatch, caps
 
 
 def _corrupt_memo_on_build(monkeypatch, corrupt):
-    # the ring the command builds gets its Euler-ratio memo seeded, and one
-    # entry corrupted, before the command reads it
+    # the ring the command builds gets one entry of its Euler-ratio memos
+    # corrupted before the command reads it
     exact = cli.build_ring
 
     def build(fan, cm):
         ring = exact(fan, cm)
-        corrupt(ring, cm, ifunction._memo(ring))
+        corrupt(ring)
         return ring
 
     monkeypatch.setattr(cli, "build_ring", build)
@@ -184,9 +184,8 @@ def test_corrupted_factor_product_fails_the_ratio_check(monkeypatch, capsys, com
                                                         key, fan, k, a, wrong):
     # the one-factor products P+_0(1) = alpha_0 + 1 on P1 and P-_1(-1) =
     # alpha_1 on F1, each cached with its constant term off by one
-    def corrupt(ring, _cm, memo):
-        wrong_factor = ring.generator(k) + ring.one().scale(wrong)
-        memo.factors[(k, a)] = (wrong_factor.num, wrong_factor.den)
+    def corrupt(ring):
+        ring.factor_products[(k, a)] = ring.generator(k) + ring.one().scale(wrong)
 
     _corrupt_memo_on_build(monkeypatch, corrupt)
     code, report = run_json(capsys, [command, fan_path(fan)])
@@ -199,10 +198,9 @@ def test_corrupted_factor_product_fails_the_ratio_check(monkeypatch, capsys, com
                                           ("loop-model", "stable")])
 def test_corrupted_memoized_ratio_fails_the_ratio_check(monkeypatch, capsys,
                                                         command, key):
-    def corrupt(ring, cm, memo):
-        exact = ifunction.euler_ratio(ring, cm, (2,))
-        wrong = exact + ring.generator(0)
-        memo.ratios[cm.pairings((2,))] = (wrong.num, wrong.den)
+    def corrupt(ring):
+        exact = ifunction.euler_ratio(ring, (2,))
+        ring.ratios[ring.cm.pairings((2,))] = exact + ring.generator(0)
 
     _corrupt_memo_on_build(monkeypatch, corrupt)
     code, report = run_json(capsys, [command, fan_path("p1")])

@@ -191,6 +191,10 @@ def test_mismatched_charge_matrix_rejected(corpus):
     cm_p1 = corpus["p1"][1]
     with pytest.raises(ValueError, match="does not match"):
         CohomRing(fan_p2, cm_p1)
+    # F1 has as many rays as P1xP1, but its charge matrix rows are not
+    # relations among the rays of P1xP1
+    with pytest.raises(ValueError, match="not relations among the rays"):
+        build_ring(corpus["p1xp1"][0], corpus["hirzebruch1"][1])
 
 
 def test_cross_ring_arithmetic_rejected(corpus):

@@ -139,7 +139,7 @@ def test_mismatched_charge_matrix_rejected(corpus):
 
 def test_apply_theta_projective_line(corpus):
     _fan, cm, ring, gens = corpus["p1"]
-    series = build_f(ring, cm, gens, 4)
+    series = build_f(ring, gens, 4)
     assert series.weight == 0
     out = apply(DiffOp.theta(cm, 0), series)
     assert out.bound == 4
@@ -164,7 +164,7 @@ def test_apply_rejects_an_operator_of_another_charge_matrix(corpus):
     # zip would truncate e = (1, 1) to (1,) and return a wrong series
     _fan, cm, ring, gens = corpus["p1"]
     other = corpus["p1xp1"][1]
-    series = build_f(ring, cm, gens, 4)
+    series = build_f(ring, gens, 4)
     for op in (DiffOp.q_power(other, (1, 1)), DiffOp.theta(other, 1)):
         with pytest.raises(ValueError, match="different charge matrices"):
             apply(op, series)
@@ -172,7 +172,7 @@ def test_apply_rejects_an_operator_of_another_charge_matrix(corpus):
 
 def test_apply_is_linear(corpus):
     _fan, cm, ring, gens = corpus["p1"]
-    series = build_f(ring, cm, gens, 6)
+    series = build_f(ring, gens, 6)
     theta, hbar = DiffOp.theta(cm, 0), DiffOp.hbar(cm)
     a = theta * theta
     # all of weight 2: q has weight c1 = 2 on the line
@@ -188,7 +188,7 @@ def test_apply_is_linear(corpus):
 def test_apply_theta_minus_hbar(corpus):
     # theta - hbar acts on q^d R_d as (omega + d - 1) R_d at hbar = 1
     _fan, cm, ring, gens = corpus["p1"]
-    series = build_f(ring, cm, gens, 4)
+    series = build_f(ring, gens, 4)
     out = apply(DiffOp.theta(cm, 0) - DiffOp.hbar(cm), series)
     assert out.weight == 1
     omega = ring.omega_class(0)
@@ -200,7 +200,7 @@ def test_apply_theta_minus_hbar(corpus):
 
 def test_apply_composition_matches_nesting(corpus):
     _fan, cm, ring, gens = corpus["p1"]
-    series = build_f(ring, cm, gens, 6)
+    series = build_f(ring, gens, 6)
     a = DiffOp.theta(cm, 0)
     b = DiffOp.q_power(cm, (1,)) - DiffOp.theta(cm, 0) * DiffOp.theta(cm, 0)
     once = apply(a * b, series)
@@ -216,7 +216,7 @@ def test_component_reads_the_series_weight(corpus):
     # hbar F stores the classes of F, one weight higher: each hbar exponent
     # of its components is one more
     _fan, cm, ring, gens = corpus["p2"]
-    series = build_f(ring, cm, gens, 6)
+    series = build_f(ring, gens, 6)
     shifted = apply(DiffOp.hbar(cm), series)
     assert shifted.weight == 1
     for beta in range(len(ring.basis)):
@@ -227,7 +227,7 @@ def test_component_reads_the_series_weight(corpus):
 
 def test_apply_window_shrinks_with_q_support(corpus):
     _fan, cm, ring, gens = corpus["p1"]
-    series = build_f(ring, cm, gens, 4)
+    series = build_f(ring, gens, 4)
     out = apply(DiffOp.q_power(cm, (1,)), series)
     assert out.bound == 2
     assert out.degrees == ((0,), (1,))
@@ -237,7 +237,7 @@ def test_apply_window_shrinks_with_q_support(corpus):
 
 def test_apply_keeps_zero_coefficients(corpus):
     _fan, cm, ring, gens = corpus["p1"]
-    series = build_f(ring, cm, gens, 6)
+    series = build_f(ring, gens, 6)
     out = apply(gkz_operator(cm, (1,)), series)
     assert out.is_zero()
     assert out.degrees == ((0,), (1,), (2,))
@@ -252,7 +252,7 @@ def test_apply_theta_matches_the_reference_values(shipped, name):
     # value(d, t) = prod_j (omega_j + d_j)^t_j built from full class products
     _fan, cm, ring, gens = shipped[name]
     l = cm.l
-    series = build_f(ring, cm, gens, 2 * max(cm.c1_degree(g) for g in gens))
+    series = build_f(ring, gens, 2 * max(cm.c1_degree(g) for g in gens))
     value = reference_theta_values(ring, l)
     once = apply(DiffOp.theta(cm, 0), series)
     for target in (series, once):
@@ -271,7 +271,7 @@ def test_apply_theta_matches_the_reference_values(shipped, name):
 
 def test_theta_memo_is_shared_per_series(corpus, monkeypatch):
     _fan, cm, ring, gens = corpus["p1xp1"]
-    series = build_f(ring, cm, gens, 6)
+    series = build_f(ring, gens, 6)
     theta = DiffOp.theta(cm, 0)
     calls = []
     times_linear = type(ring).times_linear
@@ -291,10 +291,21 @@ def test_theta_memo_is_shared_per_series(corpus, monkeypatch):
     # sit at its address; it must still get a memo of its own
     want = apply(theta, series).coefficients
     for k in range(1, 9):
-        out = apply(theta, Series(ring, cm, series.bound, series.degrees, {
+        out = apply(theta, Series(ring, series.bound, series.degrees, {
             d: r.scale(k) for d, r in series.coefficients.items()}, 0))
         for d, cls in want.items():
             assert out.coefficients[d] == cls.scale(k), k
+
+
+def test_each_series_starts_with_its_own_theta_memo(corpus):
+    _fan, cm, ring, gens = corpus["p1xp1"]
+    series = build_f(ring, gens, 4)
+    assert series.images == {}
+    applied = apply(DiffOp.theta(cm, 0), series)
+    assert series.images
+    assert applied.images == {}
+    again = build_f(ring, gens, 4)
+    assert again.images == {}
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +368,7 @@ def test_gkz_rejects_the_zero_degree(corpus):
 def test_gkz_annihilates_series(corpus):
     for name in ("p1", "p2", "p3", "p1xp1", "hirzebruch1", "dp2"):
         fan, cm, ring, gens = corpus[name]
-        series = build_f(ring, cm, gens, 6)
+        series = build_f(ring, gens, 6)
         for g in gens:
             out = apply(gkz_operator(cm, g), series)
             assert out.is_zero(), (name, g)
@@ -369,15 +380,15 @@ def test_gkz_annihilates_series(corpus):
 
 def test_find_annihilators_projective_line(corpus):
     _fan, cm, ring, gens = corpus["p1"]
-    series = build_f(ring, cm, gens, 8)
+    series = build_f(ring, gens, 8)
     ops = find_annihilators(series, theta_order=2, q_degree=1)
     assert ops == [gkz_operator(cm, (1,))]
 
 
 def test_find_annihilators_stable_under_more_data(corpus):
     _fan, cm, ring, gens = corpus["p1"]
-    small = build_f(ring, cm, gens, 8)
-    large = build_f(ring, cm, gens, 12)
+    small = build_f(ring, gens, 8)
+    large = build_f(ring, gens, 12)
     bounds = dict(theta_order=2, q_degree=1)
     ops = find_annihilators(small, **bounds)
     assert ops == find_annihilators(large, **bounds)
@@ -388,7 +399,7 @@ def test_find_annihilators_stable_under_more_data(corpus):
 
 def test_find_annihilators_product(corpus):
     _fan, cm, ring, gens = corpus["p1xp1"]
-    series = build_f(ring, cm, gens, 8)
+    series = build_f(ring, gens, 8)
     ops = find_annihilators(series, theta_order=2, q_degree=1)
     assert ops
     for op in ops:
@@ -398,11 +409,11 @@ def test_find_annihilators_product(corpus):
 
 def test_find_annihilators_empty_cases(corpus):
     _fan, cm, ring, gens = corpus["p1"]
-    series = build_f(ring, cm, gens, 8)
+    series = build_f(ring, gens, 8)
     assert find_annihilators(series, 0, 0) == []
     with pytest.raises(ValueError, match="nonnegative"):
         find_annihilators(series, -1, 1)
-    small = build_f(ring, cm, gens, 2)
+    small = build_f(ring, gens, 2)
     with pytest.raises(EmptyWindowError):
         find_annihilators(small, 2, 2)
 
@@ -413,7 +424,7 @@ def reference_find_annihilators(series, theta_order, q_degree, hbar_order):
     evaluation of q^e theta^t, and the whole nullspace is reduced at once."""
     if min(theta_order, q_degree, hbar_order) < 0:
         raise ValueError("ansatz bounds must be nonnegative")
-    cm = series.cm
+    cm = series.ring.cm
     ring = series.ring
     l = cm.l
     q_exps = [e for tot in range(q_degree + 1) for e in monomials(l, tot)]
@@ -434,7 +445,9 @@ def reference_find_annihilators(series, theta_order, q_degree, hbar_order):
             if cm.c1_degree(dd) <= cap:
                 out_degrees.add(dd)
     valid = sorted(out_degrees, key=lambda d: (cm.c1_degree(d), d))
-    image = _theta_images(ring, l, series.coefficients)
+    # a memo of its own, not the one the search under test fills
+    image = _theta_images(Series(ring, series.bound, series.degrees,
+                                 series.coefficients, series.weight))
 
     col_vectors = []
     row_keys = set()
@@ -491,7 +504,7 @@ def test_generators_span_the_reference_search(shipped, name):
         top = max(cm.c1_degree(e) for tot in range(q_degree + 1)
                   for e in monomials(l, tot))
         bound = top + max(cm.c1_degree(g) for g in gens)
-        series = build_f(ring, cm, gens, bound)
+        series = build_f(ring, gens, bound)
         where = (name, theta_order, q_degree, hbar_order)
         found = []  # (weight, generator)
         for g in find_annihilators(series, theta_order, q_degree):
@@ -512,7 +525,7 @@ def test_generators_span_the_reference_search(shipped, name):
 
 def test_search_solves_the_hbar_free_ansatz_once(corpus, monkeypatch):
     _fan, cm, ring, gens = corpus["dp2"]
-    series = build_f(ring, cm, gens, 6)
+    series = build_f(ring, gens, 6)
     theta_order, q_degree = 2, 1
     widths = []
     reductions = []

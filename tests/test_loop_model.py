@@ -61,7 +61,7 @@ def test_critical_value_and_degree_length(corpus):
     # the symplectic form is the sum of the nef basis classes
     _fan, cm, ring, _gens = corpus["p1xp1"]
     assert critical_component(cm, (1, 2), 2).value == 3
-    assert check_stabilization(ring, cm, (1, 2), [2])["critical_value"] == "3"
+    assert check_stabilization(ring, (1, 2), [2])["critical_value"] == "3"
     with pytest.raises(ValueError, match="degree needs 2 coordinates"):
         critical_component(cm, (1,), 2)
 
@@ -71,7 +71,7 @@ def test_component_absent_below_cutoff(corpus):
     with pytest.raises(ComponentAbsentError, match="at least N = 1"):
         critical_component(cm, (1,), 0)
     with pytest.raises(ComponentAbsentError):
-        euler_ratio_n(ring, cm, (2,), 1)
+        euler_ratio_n(ring, (2,), 1)
 
 
 def _degrees_and_cutoffs(shipped, extra):
@@ -95,7 +95,7 @@ def test_intervals_expand_to_reference_pairs(shipped):
 
 def test_finite_mode_ratio_matches_reference_cancellation(shipped):
     for name, cm, ring, d, n_cut in _degrees_and_cutoffs(shipped, 2):
-        assert euler_ratio_n(ring, cm, d, n_cut) == \
+        assert euler_ratio_n(ring, d, n_cut) == \
             reference_euler_ratio_n(ring, cm, d, n_cut), (name, d, n_cut)
 
 
@@ -103,7 +103,7 @@ def test_finite_mode_ratio_times_degree_zero_euler_class(shipped):
     # the finite-mode identity with nothing cancelled or inverted:
     # R_d * prod_k prod_{nu=1}^{N} (alpha_k + nu) == prod_k prod_{nu=a_k+1}^{N} (alpha_k + nu)
     for name, cm, ring, d, n_cut in _degrees_and_cutoffs(shipped, 1):
-        lhs = euler_ratio_n(ring, cm, d, n_cut)
+        lhs = euler_ratio_n(ring, d, n_cut)
         rhs = ring.one()
         for k in range(cm.n):
             alpha = ring.generator(k)
@@ -122,22 +122,22 @@ def test_finite_mode_ratio_hirzebruch_numerator(corpus):
     # for the section class the zero mode of the second coordinate survives
     # in the numerator: the ratio is x_1 / ((x_0 + hbar)(x_2 + hbar))
     _fan, cm, ring, _gens = corpus["hirzebruch1"]
-    ratio = euler_ratio_n(ring, cm, (1, 0), 1)
+    ratio = euler_ratio_n(ring, (1, 0), 1)
     by_hbar = {e["hbar"]: e["class"] for e in laurent_json(ratio, cm.c1_degree((1, 0)))}
     assert by_hbar[-2] == class_json(ring.generator(1))
-    assert ratio == euler_ratio(ring, cm, (1, 0))
+    assert ratio == euler_ratio(ring, (1, 0))
 
 
 def test_check_stabilization_report(corpus):
     _fan, cm, ring, _gens = corpus["p1"]
-    report = check_stabilization(ring, cm, (1,), [2, 1, 2])
+    report = check_stabilization(ring, (1,), [2, 1, 2])
     assert report["degree"] == [1]
     assert report["min_modes"] == 1
     assert report["N_list"] == [1, 2]
     assert report["critical_value"] == "1"
     assert "mode_checks" not in report
     assert report["stable"] is True
-    assert report["ratio"] == laurent_json(euler_ratio(ring, cm, (1,)), 2)
+    assert report["ratio"] == laurent_json(euler_ratio(ring, (1,)), 2)
     assert report["weights"] == {"positive": [[2, 2], [2, 2]],
                                  "negative": [[-2, 0], [-2, 0]]}
     json.dumps(report)  # must be serializable as-is
@@ -145,7 +145,7 @@ def test_check_stabilization_report(corpus):
 
 def test_check_stabilization_weights_at_largest_cutoff(corpus):
     _fan, cm, ring, _gens = corpus["p2"]
-    report = check_stabilization(ring, cm, (1,), [1, 3])
+    report = check_stabilization(ring, (1,), [1, 3])
     assert report["weights"] == {"positive": [[2, 3]] * 3,
                                  "negative": [[-3, 0]] * 3}
     assert report["stable"] is True
@@ -154,9 +154,9 @@ def test_check_stabilization_weights_at_largest_cutoff(corpus):
 def test_check_stabilization_requires_enough_modes(corpus):
     _fan, cm, ring, _gens = corpus["p2"]
     with pytest.raises(ComponentAbsentError):
-        check_stabilization(ring, cm, (2,), [1, 2])
+        check_stabilization(ring, (2,), [1, 2])
     with pytest.raises(ValueError, match="no mode cutoffs"):
-        check_stabilization(ring, cm, (2,), [])
+        check_stabilization(ring, (2,), [])
 
 
 # a float, a string or a bool cutoff is refused, never truncated
@@ -165,10 +165,10 @@ def test_check_stabilization_requires_enough_modes(corpus):
 def test_cutoffs_must_be_integers(corpus):
     _fan, cm, ring, _gens = corpus["p2"]
     with pytest.raises(ValueError, match="expected integers"):
-        check_stabilization(ring, cm, (1,), [1.9, "3", True])
+        check_stabilization(ring, (1,), [1.9, "3", True])
     for bad in (1.9, "3", True):
         with pytest.raises(ValueError, match="expected integers"):
-            check_stabilization(ring, cm, (1,), [2, bad])
+            check_stabilization(ring, (1,), [2, bad])
 
 
 def test_critical_component_refuses_a_float_cutoff(corpus):
@@ -180,4 +180,16 @@ def test_critical_component_refuses_a_float_cutoff(corpus):
 def test_euler_ratio_n_refuses_a_bool_cutoff(corpus):
     _fan, cm, ring, _gens = corpus["p2"]
     with pytest.raises(ValueError, match="expected integers"):
-        euler_ratio_n(ring, cm, (1,), True)
+        euler_ratio_n(ring, (1,), True)
+
+
+def test_degree_entries_must_be_integers(corpus):
+    # a float degree once gave the critical value 1.5 and the interval
+    # (2.5, 2), and a bool one the critical value "1"
+    _fan, cm, ring, _gens = corpus["p2"]
+    with pytest.raises(ValueError, match="expected integers"):
+        critical_component(cm, (1.5,), 2)
+    with pytest.raises(ValueError, match="expected integers"):
+        check_stabilization(ring, (True,), [2])
+    with pytest.raises(ValueError, match="expected integers"):
+        euler_ratio_n(ring, (1.5,), 2)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qdm import DiffOp, euler_ratio, gkz_operator, semiclassical
+from qdm import DiffOp, apply, build_f, euler_ratio, gkz_operator, semiclassical
 from qdm import serialize
 from qdm.toric import parse_frac
 
@@ -45,11 +45,25 @@ def test_class_json_ordering(corpus):
 
 def test_laurent_json(corpus):
     _fan, cm, ring, _gens = corpus["p1"]
-    r1 = euler_ratio(ring, cm, (1,))
+    r1 = euler_ratio(ring, (1,))
     assert serialize.laurent_json(r1, cm.c1_degree((1,))) == [
         {"hbar": -3, "class": {"x2": "-2"}},
         {"hbar": -2, "class": {"1": "1"}},
     ]
+
+
+def test_series_json_reads_the_series_weight(corpus):
+    # hbar * F has weight 1 and the same classes at hbar = 1 as F, so each of
+    # its terms sits one power of hbar higher
+    _fan, cm, ring, gens = corpus["p2"]
+    series = build_f(ring, gens, 6)
+    shifted = apply(DiffOp.hbar(cm), series)
+    assert shifted.weight == 1
+    want = [{"degree": entry["degree"],
+             "terms": [{"hbar": term["hbar"] + 1, "class": term["class"]}
+                       for term in entry["terms"]]}
+            for entry in serialize.series_json(series)]
+    assert serialize.series_json(shifted) == want
 
 
 def test_op_str(corpus):

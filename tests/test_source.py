@@ -61,3 +61,21 @@ def test_every_module_function_has_a_caller():
               for node in tree.body
               if isinstance(node, ast.FunctionDef) and node.name not in used]
     assert not unused, "functions with no caller: %s" % unused
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    # __init__.py imports to re-export; every other module reads what it
+    # imports, apart from the __future__ switch
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = sorted(imported - read)
+    assert not unused, "%s imports %s without reading them" % (path.name, unused)

@@ -6,7 +6,9 @@ led by one variable x_p; replacing x_p by its linear form in the l = n - dim
 free variables presents the ring on those.  It is graded by complex degree,
 generators sit in degree one, and everything vanishes above the top degree
 dim(M), so each graded piece is computed once and for all by exact row
-reduction of the relation multiples over the free monomials.  Columns run
+reduction of the relation multiples over the free monomials.  Each multiple
+is built as a sparse row, its monomials shifted to column indices, and goes
+to linalg's sparse kernel as it is.  Columns run
 in mono_key order, lex with x_1 first, where x_p leads its relation, so the
 standard monomials, the basis, are those a reduction over all n variables
 gives.  No Groebner machinery is needed or used.
@@ -173,12 +175,12 @@ class CohomRing:
         self.n = fan.n_rays
         self.top = fan.dim
         self.l = cm.l
-        red, lead = linalg._reduce([list(coords) for coords in zip(*fan.rays)], self.n)
+        red, lead = linalg._reduce(linalg._sparse(zip(*fan.rays)), self.n)
         free = [j for j in range(self.n) if j not in lead]
         units = monomials(self.n, 1)
         forms = [({u: 1}, 1) for u in units]  # x_k = num / den in the free variables
         for row, p in zip(red, lead):
-            forms[p] = ({units[j]: -row[j] for j in free if row[j]}, row[p])
+            forms[p] = ({units[j]: -row[j] for j in free if j in row}, row[p])
         # a relation times a nonzero constant spans the same rows
         relations = [(len(nf), reduce(poly_mul, [forms[k][0] for k in nf]))
                      for nf in self._minimal_nonfaces()]
@@ -231,21 +233,19 @@ class CohomRing:
     def _build_degree(self, deg, free_monos, relations):
         """Row-reduce the degree-deg free monomials against the multiples of
         the Stanley-Reisner relations; returns the basis of the degree.  A
-        pivot monomial reduces to -row[j] / row[pivot] on the free columns j
-        of its integer row."""
+        multiple rel * mu is a sparse row: each monomial of rel, shifted by
+        mu, is a column index.  A pivot monomial reduces to -row[j] / row[c]
+        on the free columns j of its integer row, whose pivot row[c] > 0."""
         cols = free_monos[deg]
-        rows = []
-        for size, rel in relations:
-            for mu in free_monos.get(deg - size, ()):
-                multiple = poly_mul(rel, {mu: 1})
-                rows.append([multiple.get(m, 0) for m in cols])
+        index = {m: j for j, m in enumerate(cols)}
+        rows = [{index[_mul_mono(m, mu)]: c for m, c in rel.items()}
+                for size, rel in relations for mu in free_monos.get(deg - size, ())]
         red, pivots = linalg._reduce(rows, len(cols))
         pivset = set(pivots)
         basis = [cols[j] for j in range(len(cols)) if j not in pivset]
         for row, c in zip(red, pivots):
-            sign = -1 if row[c] > 0 else 1
-            self._table[cols[c]] = ({cols[j]: sign * row[j] for j in range(len(cols))
-                                     if j not in pivset and row[j]}, -sign * row[c])
+            self._table[cols[c]] = ({cols[j]: -row[j] for j in sorted(row) if j != c},
+                                    row[c])
             self._den = lcm(self._den, row[c])
         for m in basis:
             self._table[m] = ({m: 1}, 1)

@@ -3,14 +3,18 @@
 Everything operates on plain lists of Python ints or Fractions.  No floating
 point is introduced anywhere; results are exact.
 
-Rational elimination has one kernel, `_reduce`.  It clears each nonzero
-input row to coprime integers (`primitive_vector`); each pivot row then
-clears its column in every other row, above and below, by cross-
-multiplication followed by division by the row gcd.  It returns the integer
-rows of the reduced row echelon form and the pivot columns.  That form is
-unique, so `rref`, `nullspace`, `solve_columns` and `invert` read their
-Fraction answers off the integer rows, dividing by a pivot entry only
-where an answer needs it; `CohomRing` keeps the integer rows themselves.
+Rational elimination has one kernel, `_reduce`, on sparse rows
+{column: entry}.  It clears each nonzero input row to coprime integers.
+For each column in turn the pivot is the sparsest remaining row with a
+nonzero entry there, ties going to the lower index; only the rows, above
+and below, that have the column are updated, by cross-multiplication, and
+each updated row is divided once by its gcd.  It returns the integer rows of
+the reduced row echelon form, pivot entries positive, and the pivot
+columns.  That form is unique, so the result does not depend on the order
+of the input rows, and `rref`, `nullspace`, `solve_columns` and `invert`,
+which convert their dense rows to sparse ones, read their Fraction answers
+off the integer rows, dividing by a pivot entry only where an answer needs
+it; `CohomRing` builds sparse rows itself and keeps the integer rows.
 
 `hermite_form`, `integer_kernel` and `int_det` stay outside the kernel:
 lattice work needs unimodular row transforms and a signed determinant,
@@ -125,33 +129,62 @@ def int_det(mat) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _sparse(rows):
+    """Dense rows as sparse rows {column: entry}, zero entries left out."""
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
 def _reduce(rows, width):
-    """Fraction-free Gauss-Jordan elimination on the first width columns.
+    """Fraction-free Gauss-Jordan elimination of sparse rows {column: entry}
+    (ints or Fractions) on the first width columns.
 
     Returns (int_rows, pivot_columns): the rows of the reduced row echelon
-    form, each a coprime integer multiple of the Fraction one, with zero
-    rows dropped.
+    form as sparse rows, each the coprime integer multiple of the Fraction
+    one with a positive pivot entry, in pivot order; zero rows are dropped.
+    Both are unique, so they do not depend on the order of the input rows.
     """
-    mat = [list(primitive_vector(row)) for row in rows if any(row)]
+    rest = [dict(zip(row, primitive_vector(list(row.values())))) for row in rows if row]
+    done = []
     pivots = []
     for c in range(width):
-        r = len(pivots)
-        if r == len(mat):
+        if not rest:
             break
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if piv is None:
+        hits = [i for i, row in enumerate(rest) if c in row]
+        if not hits:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        prow = mat[r]
+        p = min(hits, key=lambda i: len(rest[i]))  # min keeps the lowest tie
+        prow = rest[p]
         a = prow[c]
-        for i, row in enumerate(mat):
-            b = row[c]
-            if b and i != r:
-                row = [a * x - b * y for x, y in zip(row, prow)]
-                g = gcd(*row)
-                mat[i] = [x // g for x in row] if g > 1 else row
+        for i in hits:
+            if i != p:
+                rest[i] = _eliminate(rest[i], prow, a, c)
+        for i, row in enumerate(done):
+            if c in row:
+                done[i] = _eliminate(row, prow, a, c)
+        rest = [row for i, row in enumerate(rest) if row and i != p]
+        done.append(prow)
         pivots.append(c)
-    return mat[:len(pivots)], pivots
+    for i, (row, c) in enumerate(zip(done, pivots)):
+        if row[c] < 0:
+            done[i] = {j: -x for j, x in row.items()}
+    return done, pivots
+
+
+def _eliminate(row, prow, a, c):
+    """a * row - row[c] * prow, which vanishes in column c, over its gcd;
+    a is prow[c]."""
+    b = row[c]
+    out = {j: a * x for j, x in row.items()}
+    for j, y in prow.items():
+        v = out.get(j, 0) - b * y
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    if not out:
+        return out
+    g = gcd(*out.values())
+    return {j: x // g for j, x in out.items()} if g > 1 else out
 
 
 def rref(rows, width):
@@ -159,8 +192,10 @@ def rref(rows, width):
 
     Returns (reduced_rows, pivot_columns); zero rows are dropped.
     """
-    red, pivots = _reduce(rows, width)
-    return [[Fraction(x, row[c]) for x in row] for row, c in zip(red, pivots)], pivots
+    size = len(rows[0]) if rows else width
+    red, pivots = _reduce(_sparse(rows), width)
+    return [[Fraction(row.get(j, 0), row[c]) for j in range(size)]
+            for row, c in zip(red, pivots)], pivots
 
 
 def nullspace(rows, width):
@@ -169,19 +204,18 @@ def nullspace(rows, width):
     One vector per free column f, with x[f] = 1 and the other free
     coordinates 0.
     """
-    red, pivots = _reduce(rows, width)
+    red, pivots = _reduce(_sparse(rows), width)
     pivot_set = set(pivots)
-    basis = []
+    basis = {}
     for free in range(width):
-        if free in pivot_set:
-            continue
-        x = [Fraction(0)] * width
-        x[free] = Fraction(1)
-        for row, c in zip(red, pivots):
-            if row[free]:
-                x[c] = Fraction(-row[free], row[c])
-        basis.append(x)
-    return basis
+        if free not in pivot_set:
+            x = basis[free] = [Fraction(0)] * width
+            x[free] = Fraction(1)
+    for row, c in zip(red, pivots):
+        for j, v in row.items():
+            if j in basis:  # the free columns, those past width left out
+                basis[j][c] = Fraction(-v, row[c])
+    return list(basis.values())
 
 
 def solve_columns(cols, target):
@@ -193,12 +227,12 @@ def solve_columns(cols, target):
         return [] if all(t == 0 for t in target) else None
     n = len(cols)
     rows = [[col[i] for col in cols] + [target[i]] for i in range(len(cols[0]))]
-    red, pivots = _reduce(rows, n + 1)
+    red, pivots = _reduce(_sparse(rows), n + 1)
     if n in pivots:
         return None
     x = [Fraction(0)] * n
     for row, c in zip(red, pivots):
-        x[c] = Fraction(row[n], row[c])
+        x[c] = Fraction(row.get(n, 0), row[c])
     return x
 
 
@@ -206,7 +240,8 @@ def invert(mat):
     """Exact inverse of a square matrix over the rationals, or None if singular."""
     n = len(mat)
     aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(mat)]
-    red, pivots = _reduce(aug, n)
+    red, pivots = _reduce(_sparse(aug), n)
     if len(pivots) < n:
         return None
-    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(red)]
+    return [[Fraction(row.get(n + j, 0), row[i]) for j in range(n)]
+            for i, row in enumerate(red)]

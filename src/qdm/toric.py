@@ -12,6 +12,13 @@ class d has coordinates d_j = <omega_j, d> >= 0 exactly on the Mori cone, and
 the divisor class alpha_k of the k-th ray satisfies
 <alpha_k, d> = sum_j m[j][k] * d_j.
 
+Every wall tau, shared by the maximal cones cone(u, tau) and cone(u', tau),
+gives a relation u + u' + sum_i b_i v_i = 0 among the rays.  make_fan
+computes these wall relations once per fan, in integers, from one inverse
+per maximal cone, and the fan holds them; charge_matrix and mori_generators
+read them, and find each class's coordinates in a lattice basis by dot
+products with one inverse per basis.
+
 The Mori cone has one description: the facet normals y of the cone its
 generators span (the extreme rays of its dual).  in_cone, mori_generators and
 enumerate_degrees all test classes d by y . d against them.
@@ -24,7 +31,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from . import linalg
@@ -40,10 +47,12 @@ class NefBasisError(ValueError):
     """No suitable nef basis could be found or the supplied one is invalid."""
 
 
-class FanData(namedtuple("FanData", ("rays", "max_cones", "nef_basis"),
-                         defaults=(None,))):
+class FanData(namedtuple("FanData", ("rays", "max_cones", "nef_basis",
+                                     "wall_relations"))):
     """rays: tuple of int tuples; max_cones: tuple of sorted ray-index
-    tuples; nef_basis: None or one tuple of Fractions per nef class."""
+    tuples; nef_basis: None or one tuple of Fractions per nef class;
+    wall_relations: the relation of each wall, as wall_relations returns
+    them."""
 
     __slots__ = ()
 
@@ -171,14 +180,15 @@ def make_fan(rays, max_cones, nef_basis=None) -> FanData:
         raise FanError("every ray must appear in some maximal cone")
 
     # Completeness proxy: each wall (codim-1 face) lies in exactly two cones.
-    wall_count = {}
-    for cone in cones:
+    walls = {}
+    for ci, cone in enumerate(cones):
         for wall in combinations(cone, dim - 1):
-            wall_count[wall] = wall_count.get(wall, 0) + 1
-    bad = [w for w, c in wall_count.items() if c != 2]
+            walls.setdefault(wall, []).append(ci)
+    bad = [w for w, c in walls.items() if len(c) != 2]
     if bad:
         raise FanError("fan is not complete: wall %r lies in %d maximal cones"
-                       % (list(bad[0]), wall_count[bad[0]]))
+                       % (list(bad[0]), len(walls[bad[0]])))
+    relations = _wall_relations(rays_t, cones, walls)
 
     nef = None
     if nef_basis is not None:
@@ -191,7 +201,7 @@ def make_fan(rays, max_cones, nef_basis=None) -> FanData:
         if len(rows) != n - dim:
             raise FanError("nef_basis must contain exactly %d vectors" % (n - dim))
         nef = tuple(rows)
-    return FanData(rays_t, tuple(cones), nef)
+    return FanData(rays_t, tuple(cones), nef, relations)
 
 
 def parse_fan(text: str) -> FanData:
@@ -216,52 +226,78 @@ def _ray_matrix(fan: FanData):
     return [[ray[nu] for ray in fan.rays] for nu in range(fan.dim)]
 
 
+def _wall_relations(rays, cones, walls):
+    """The deduplicated relations of the walls {wall: [ci, cj]}, in wall
+    order (see wall_relations).
+
+    The rays of a unimodular cone sigma are a lattice basis, so the rows of
+    A_sigma^-1, the U of A_sigma's Hermite form, give any vector's integer
+    coordinates in it; each cone is inverted once.  For the wall tau of
+    sigma = cone(u, tau) and sigma' = cone(u', tau), u' = x_u u + sum_i x_i
+    v_i, and the wall spans a hyperplane exactly when x_u = -1; the relation
+    is then u + u' - sum_i x_i v_i = 0.
+    """
+    inverses = {}
+    rels = {}
+    for wall, (ci, cj) in sorted(walls.items()):
+        sigma = cones[ci]
+        if ci not in inverses:
+            inverses[ci] = linalg.hermite_form([rays[k] for k in sigma])[1]
+        u = next(k for k in sigma if k not in wall)
+        up = next(k for k in cones[cj] if k not in wall)
+        x = [sum(map(mul, rays[up], col)) for col in zip(*inverses[ci])]
+        rel = [0] * len(rays)
+        rel[up] = 1
+        for k, xk in zip(sigma, x):
+            rel[k] -= xk
+        if rel[u] != 1:
+            raise FanError("wall %r does not span a hyperplane" % (list(wall),))
+        rels.setdefault(tuple(rel), None)
+    return tuple(rels)
+
+
 def wall_relations(fan: FanData):
     """One integer relation vector per wall of the fan.
 
     For a wall shared by cones sigma = cone(u, tau) and sigma' = cone(u', tau)
     the relation u + u' + sum_i b_i v_i = 0 (v_i the rays of tau) defines a
     curve class r with r_u = r_u' = 1 and r_{v_i} = b_i.  Returned
-    deduplicated, as vectors in Z^n.
+    deduplicated, as vectors in Z^n, in the order of their first wall;
+    make_fan computes them once per fan.
     """
-    n = fan.n_rays
-    walls = {}
-    for ci, cone in enumerate(fan.max_cones):
-        for wall in combinations(cone, fan.dim - 1):
-            walls.setdefault(wall, []).append(ci)
-    rels = []
-    seen = set()
-    for wall, (ci, cj) in sorted(walls.items()):
-        u = next(k for k in fan.max_cones[ci] if k not in wall)
-        up = next(k for k in fan.max_cones[cj] if k not in wall)
-        target = [-(fan.rays[u][nu] + fan.rays[up][nu]) for nu in range(fan.dim)]
-        cols = [list(fan.rays[k]) for k in wall]
-        sol = linalg.solve_columns(cols, target) if wall else []
-        if sol is None:
-            raise FanError("wall %r does not span a hyperplane" % (list(wall),))
-        rel = [0] * n
-        rel[u] += 1
-        rel[up] += 1
-        for k, b in zip(wall, sol):
-            if b.denominator != 1:
-                # cannot happen for a unimodular cone; guards invalid input
-                raise FanError("non-integral wall relation on wall %r" % (list(wall),))
-            rel[k] += int(b)
-        key = tuple(rel)
-        if key not in seen:
-            seen.add(key)
-            rels.append(key)
-    return rels
+    return list(fan.wall_relations)
 
 
-def _coords_in_basis(basis_rows, vec):
-    """Integer coordinates of vec in the lattice basis given by basis_rows."""
-    sol = linalg.solve_columns([list(r) for r in basis_rows], list(vec))
-    if sol is None:
-        return None
-    if any(x.denominator != 1 for x in sol):
-        return None
-    return tuple(int(x) for x in sol)
+def _lattice_coords(basis_rows):
+    """The solver for integer coordinates in the lattice basis given by the
+    independent rows basis_rows: a function taking a vector to its
+    coordinate tuple, or to None when it has none.
+
+    The rows are inverted once on their pivot columns P, as integers over
+    one denominator; a vector's coordinates are then dot products with its
+    entries on P, checked for integrality and for reproducing the vector.
+    """
+    basis = [list(r) for r in basis_rows]
+    _, pivots = linalg._reduce(linalg._sparse(basis), len(basis[0]))
+    if len(pivots) != len(basis):
+        raise ValueError("lattice basis rows are not independent")
+    inv = linalg.invert([[row[p] for p in pivots] for row in basis])
+    den = lcm(*(x.denominator for row in inv for x in row))
+    cols = list(zip(*[[x.numerator * (den // x.denominator) for x in row]
+                      for row in inv]))
+
+    def coords(vec):
+        entries = [vec[p] for p in pivots]
+        x = []
+        for col in cols:
+            q, r = divmod(sum(map(mul, entries, col)), den)
+            if r:
+                return None
+            x.append(q)
+        if any(sum(map(mul, x, col)) != v for col, v in zip(zip(*basis), vec)):
+            return None
+        return tuple(x)
+    return coords
 
 
 def _dot(u, v):
@@ -319,10 +355,10 @@ def charge_matrix(fan: FanData) -> ChargeMatrix:
     l = fan.n_rays - fan.dim
     if len(kernel) != l:
         raise FanError("rays do not span the ambient lattice")
-    walls = wall_relations(fan)
+    coords_of = _lattice_coords(kernel)
     wall_coords = []
-    for rel in walls:
-        coords = _coords_in_basis(kernel, rel)
+    for rel in wall_relations(fan):
+        coords = coords_of(rel)
         if coords is None:
             raise FanError("wall relation is not in the relation lattice")
         wall_coords.append(coords)
@@ -380,8 +416,9 @@ def mori_generators(fan: FanData, cm: ChargeMatrix):
     rank l - 1.  This leaves one generator per extremal ray.
     """
     coords = set()
+    coords_of = _lattice_coords(cm.m)
     for rel in wall_relations(fan):
-        c = _coords_in_basis(cm.m, rel)
+        c = coords_of(rel)
         if c is None:
             raise FanError("wall curve class is not integral in the charge basis")
         if any(x < 0 for x in c):

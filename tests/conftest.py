@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ import qdm
 from qdm import linalg
 from qdm.cohomology import CohomClass, monomials
 from qdm.dmodule import _ansatz_key
-from qdm.toric import _coords_in_basis
+from qdm.toric import FanError
 
 FAN_DIR = Path(__file__).resolve().parent.parent / "fans"
 
@@ -184,6 +185,29 @@ def shipped():
     return _built(SHIPPED)
 
 
+# The quantum period from the rays alone: it reads no charge matrix, Mori
+# cone or ring, so it checks the degree window and the unit coefficients of
+# the R_d independently (Coates-Corti-Galkin-Kasprzyk; Givental's mirror
+# theorem).
+
+def reference_quantum_period(fan, top):
+    """[constant term of f^m for m = 0..top], f = sum_k x^{v_k} the Laurent
+    polynomial of the rays.  It equals m! * sum over c1(d) = m of the unit
+    coefficient of R_d."""
+    zero = (0,) * fan.dim
+    power = {zero: 1}
+    out = [1]
+    for _ in range(top):
+        step = {}
+        for e, c in power.items():
+            for ray in fan.rays:
+                key = tuple(a + b for a, b in zip(e, ray))
+                step[key] = step.get(key, 0) + c
+        power = step
+        out.append(power.get(zero, 0))
+    return out
+
+
 # The pair-list loop model that per-ray intervals replaced, kept as the
 # oracle: every transverse (k, nu) pair listed, and the finite-mode ratio
 # formed by cancelling the common pairs of components d and 0.
@@ -274,6 +298,74 @@ def reference_reduction_table(fan):
     return table, basis_by_degree
 
 
+# The per-wall derivation that one inverse per maximal cone replaced, kept
+# as the oracle: each wall's relation solved from its own rays, and each
+# class's coordinates solved against the whole lattice basis, by Fraction
+# elimination.
+
+def reference_wall_relations(fan):
+    """One relation u + u' + sum_i b_i v_i = 0 per wall, b solved over the
+    wall's rays, deduplicated in sorted wall order."""
+    walls = {}
+    for ci, cone in enumerate(fan.max_cones):
+        for wall in combinations(cone, fan.dim - 1):
+            walls.setdefault(wall, []).append(ci)
+    rels = []
+    for wall, (ci, cj) in sorted(walls.items()):
+        u = next(k for k in fan.max_cones[ci] if k not in wall)
+        up = next(k for k in fan.max_cones[cj] if k not in wall)
+        target = [-(fan.rays[u][nu] + fan.rays[up][nu]) for nu in range(fan.dim)]
+        sol = linalg.solve_columns([list(fan.rays[k]) for k in wall], target) if wall else []
+        if sol is None:
+            raise FanError("wall %r does not span a hyperplane" % (list(wall),))
+        rel = [0] * fan.n_rays
+        rel[u] += 1
+        rel[up] += 1
+        for k, b in zip(wall, sol):
+            rel[k] += int(b)
+        if tuple(rel) not in rels:
+            rels.append(tuple(rel))
+    return rels
+
+
+def reference_coords_in_basis(basis_rows, vec):
+    """Integer coordinates of vec in the lattice basis given by basis_rows,
+    or None."""
+    sol = linalg.solve_columns([list(r) for r in basis_rows], list(vec))
+    if sol is None or any(x.denominator != 1 for x in sol):
+        return None
+    return tuple(int(x) for x in sol)
+
+
+# The dense kernel that sparse rows replaced, kept as the oracle: rows
+# cleared to coprime integers, the first row with a nonzero entry as the
+# pivot, every other row updated by cross-multiplication over its gcd.
+
+def reference_reduce(rows, width):
+    """(int_rows, pivot_columns) of the reduced row echelon form of dense
+    rows, each row a coprime integer multiple of the Fraction one."""
+    mat = [list(linalg.primitive_vector(row)) for row in rows if any(row)]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        if r == len(mat):
+            break
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        prow = mat[r]
+        a = prow[c]
+        for i, row in enumerate(mat):
+            b = row[c]
+            if b and i != r:
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                mat[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+    return mat[:len(pivots)], pivots
+
+
 # The Mori-cone tests that facet normals replaced, kept as the oracle: a
 # Caratheodory search over generator subsets, and a pruning loop that drops
 # every wall class lying in the cone of the others.
@@ -298,8 +390,8 @@ def reference_in_cone(degree, gens):
 def reference_mori_generators(fan, cm):
     """The primitive wall classes, pruned until none lies in the cone of the
     others, sorted by (c1, class)."""
-    extremal = sorted({linalg.primitive_vector(_coords_in_basis(cm.m, rel))
-                       for rel in qdm.wall_relations(fan)})
+    extremal = sorted({linalg.primitive_vector(reference_coords_in_basis(cm.m, rel))
+                       for rel in reference_wall_relations(fan)})
     changed = True
     while changed:
         changed = False

@@ -85,6 +85,10 @@ P1XP1_TEXT = ('{"rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],'
     (P2_TEXT, ["cohomology", "--out", "."], "cannot write the report"),
     ('{"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]],'
      ' "nef_basis": [["1.0", 0, 0]]}', ["cohomology"], "nef_basis entries"),
+    # unimodular cones, each wall in two of them, but the cones folded over
+    # wall [0]: only the wall relation catches it
+    ('{"rays": [[1, 0], [1, 1], [0, 1]], "max_cones": [[0, 1], [1, 2], [0, 2]]}',
+     ["cohomology"], "wall [0] does not span a hyperplane"),
     (P2_TEXT, ["loop-model", "--modes", " 3"], "bad --modes"),
     (P2_TEXT, ["loop-model", "--modes", " 2..3 "], "bad --modes"),
 ])

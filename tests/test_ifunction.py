@@ -5,6 +5,7 @@ import random
 import weakref
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
 
@@ -24,6 +25,7 @@ from conftest import (
     ratio_at,
     reference_euler_ratio,
     reference_linear_factor,
+    reference_quantum_period,
     rescaled,
 )
 
@@ -346,3 +348,48 @@ def test_ratio_sweep_shares_work_across_degrees(monkeypatch):
     assert len(series.degrees) == 462
     assert counts["linear"] <= 2646, counts
     assert counts["multiply"] <= 2646, counts
+
+
+# ---------------------------------------------------------------------------
+# the quantum period, an oracle from the rays alone
+
+PERIOD_ORDER = 8
+
+
+def period_terms(series, degrees):
+    """m! * sum over the given degrees d with c1(d) = m of the unit
+    coefficient of R_d, for m = 0..PERIOD_ORDER."""
+    cm = series.ring.cm
+    unit = (0,) * cm.n
+    sums = [Fraction(0)] * (PERIOD_ORDER + 1)
+    for d in degrees:
+        sums[cm.c1_degree(d)] += series.coefficients[d].coeffs.get(unit, 0)
+    return [factorial(m) * x for m, x in enumerate(sums)]
+
+
+def test_quantum_period_closed_forms():
+    # P^2: (3k)! / k!^3 at m = 3k; dP3's period sequence
+    assert reference_quantum_period(load_fan("p2"), 6) == [1, 0, 0, 6, 0, 0, 90]
+    assert reference_quantum_period(load_fan("dp3"), 8) == [
+        1, 0, 6, 12, 90, 360, 2040, 10080, 54810]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_series_matches_the_quantum_period(shipped, name):
+    fan, _cm, ring, gens = shipped[name]
+    series = build_f(ring, gens, PERIOD_ORDER)
+    want = reference_quantum_period(fan, PERIOD_ORDER)
+    assert period_terms(series, series.degrees) == want
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_quantum_period_fails_without_a_window_degree(shipped, name):
+    # the mutation: drop the highest degree with a nonzero unit coefficient
+    fan, _cm, ring, gens = shipped[name]
+    series = build_f(ring, gens, PERIOD_ORDER)
+    want = reference_quantum_period(fan, PERIOD_ORDER)
+    unit = (0,) * ring.n
+    dropped = max(d for d in series.degrees
+                  if d != (0,) * ring.l and series.coefficients[d].coeffs.get(unit))
+    mutated = [d for d in series.degrees if d != dropped]
+    assert period_terms(series, mutated) != want

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import qdm
 from qdm import linalg
+
+from conftest import SHIPPED, load_fan, reference_reduce
 
 
 def mat_mul(a, b):
@@ -282,3 +285,97 @@ def test_kernel_matches_the_reference_eliminations():
             assert_same(inv, reference_invert(mat))
             seen["singular"] += inv is None
     assert min(seen.values()) >= 10, seen
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernel against the dense one it replaced
+
+
+def fraction_form(red, pivots):
+    """The dense integer rows of a kernel result, each divided by its pivot."""
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(red, pivots)], pivots
+
+
+def assert_kernel_result(rows, width):
+    """_reduce agrees with reference_reduce as a Fraction echelon form, and
+    its rows are coprime integers with positive pivots."""
+    size = len(rows[0]) if rows else width
+    red, pivots = linalg._reduce(linalg._sparse(rows), width)
+    want = reference_reduce(rows, width)
+    got_rows = [[row.get(j, 0) for j in range(size)] for row in red]
+    assert fraction_form(got_rows, pivots) == fraction_form(*want)
+    for row, c in zip(red, pivots):
+        assert all(type(x) is int and x for x in row.values())
+        assert math.gcd(*row.values()) == 1 and row[c] > 0
+    return red, pivots
+
+
+def kernel_cases(rng):
+    """Seeded dense matrices, with every shape the kernel must handle."""
+    yield [], 3
+    yield [[0]], 1
+    yield [[5]], 1
+    yield [[Fraction(-2, 3)]], 1
+    yield [[0, 0, 0], [0, 0, 0]], 3
+    yield [[1, 2, 3], [1, 2, 3], [2, 4, 6]], 3
+    for trial in range(200):
+        height, width = rng.randrange(1, 9), rng.randrange(1, 9)
+        mat = random_matrix(rng, height, width)
+        if trial % 2:  # integer entries only
+            mat = [[x.numerator * 3 // x.denominator if isinstance(x, Fraction) else x
+                    for x in row] for row in mat]
+        yield mat, width
+
+
+def ring_build_matrices(name):
+    """Every (rows, width) the charge matrix and ring build of a shipped fan
+    pass to the kernel, as dense integer rows."""
+    calls = []
+    kernel = linalg._reduce
+
+    def recording(rows, width):
+        rows = list(rows)
+        size = max([width] + [c + 1 for row in rows for c in row])
+        calls.append(([[row.get(j, 0) for j in range(size)] for row in rows], width))
+        return kernel(rows, width)
+
+    fan = load_fan(name)
+    linalg._reduce = recording
+    try:
+        qdm.build_ring(fan, qdm.charge_matrix(fan))
+    finally:
+        linalg._reduce = kernel
+    return calls
+
+
+def test_sparse_kernel_matches_the_dense_reference():
+    rng = random.Random(16)
+    seen = {"empty": 0, "zero_rows": 0, "duplicate_rows": 0, "rank_deficient": 0}
+    for mat, width in kernel_cases(rng):
+        _, pivots = assert_kernel_result(mat, width)
+        nonzero = [tuple(row) for row in mat if any(row)]
+        seen["empty"] += not nonzero
+        seen["zero_rows"] += len(nonzero) < len(mat)
+        seen["duplicate_rows"] += len(set(nonzero)) < len(nonzero)
+        seen["rank_deficient"] += len(pivots) < min(len(mat), width)
+    assert min(seen.values()) >= 3, seen
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_sparse_kernel_matches_the_dense_reference_on_fan_relations(name):
+    calls = ring_build_matrices(name)
+    assert len(calls) > 2
+    for rows, width in calls:
+        assert_kernel_result(rows, width)
+
+
+def test_kernel_output_does_not_depend_on_row_order():
+    rng = random.Random(17)
+    cases = list(kernel_cases(rng)) + ring_build_matrices("p1x3") \
+        + ring_build_matrices("dp3")
+    for mat, width in cases:
+        want = linalg._reduce(linalg._sparse(mat), width)
+        for _ in range(3):
+            shuffled = list(mat)
+            rng.shuffle(shuffled)
+            assert linalg._reduce(linalg._sparse(shuffled), width) == want

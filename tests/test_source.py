@@ -79,3 +79,63 @@ def test_every_import_is_read(path):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     unused = sorted(imported - read)
     assert not unused, "%s imports %s without reading them" % (path.name, unused)
+
+
+_MEMO_CALLS = {"dict", "list", "set", "WeakKeyDictionary", "WeakValueDictionary"}
+_MEMO_DECORATORS = {"cache", "lru_cache"}
+
+
+def _callee(node):
+    """The name a call or decorator expression invokes, or None."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def module_memos(tree):
+    """Lines holding a process-wide memo: a module-level name bound to an
+    empty dict, list or set or to a weak dictionary, or a function anywhere
+    under a functools cache decorator."""
+    lines = []
+    for node in tree.body:
+        value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+        if value is None:
+            continue
+        empty = isinstance(value, (ast.Dict, ast.List, ast.Set)) and not (
+            getattr(value, "keys", None) or getattr(value, "elts", None))
+        call = isinstance(value, ast.Call) and _callee(value) in _MEMO_CALLS and (
+            _callee(value).startswith("Weak") or not (value.args or value.keywords))
+        if empty or call:
+            lines.append(node.lineno)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines += [d.lineno for d in node.decorator_list
+                      if _callee(d) in _MEMO_DECORATORS]
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("_MEMO = {}", [1]),
+    ("_SEEN: set = set()", [1]),
+    ("_ROWS = []\nclass C:\n    cache = {}", [1]),
+    ("import weakref\n_RINGS = weakref.WeakKeyDictionary()", [2]),
+    ("from weakref import WeakValueDictionary\n_R = WeakValueDictionary()", [2]),
+    ("import functools\n@functools.lru_cache(maxsize=None)\ndef f(x):\n    return x", [2]),
+    ("from functools import cache\nclass C:\n    @cache\n    def f(self):\n        pass",
+     [3]),
+    ("_COMMANDS = {'a': 1}\n__all__ = ['a']\n_PAIRS = dict(a=1)", []),
+    ("def f():\n    memo = {}\n    return memo", []),
+])
+def test_module_memo_detector(source, lines):
+    assert module_memos(ast.parse(source)) == lines
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_memo(path):
+    # state belongs to the object that owns it (the ring, the series); a
+    # module-level memo is shared by every caller in the process
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = module_memos(tree)
+    assert not lines, "%s has module-level memos on lines %s" % (path.name, lines)

@@ -1,5 +1,7 @@
 """Fan validation, charge matrices, Mori generators, degree enumeration."""
 
+import json
+import random
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor
@@ -19,9 +21,18 @@ from qdm import (
     wall_relations,
 )
 
-from qdm.toric import _facet_normals
+from qdm import toric
+from qdm.toric import _facet_normals, _lattice_coords
 
-from conftest import SHIPPED, load_fan, reference_in_cone, reference_mori_generators
+from conftest import (
+    FAN_DIR,
+    SHIPPED,
+    load_fan,
+    reference_coords_in_basis,
+    reference_in_cone,
+    reference_mori_generators,
+    reference_wall_relations,
+)
 
 
 P2_RAYS = [[1, 0], [0, 1], [-1, -1]]
@@ -181,6 +192,51 @@ def test_wall_relations_hirzebruch():
             assert sum(r * fan.rays[k][nu] for k, r in enumerate(rel)) == 0
 
 
+def test_lattice_coords():
+    coords_of = _lattice_coords([(1, 1, 0), (0, 2, 2)])
+    assert coords_of((2, 0, -2)) == (2, -1)
+    assert coords_of((0, 1, 1)) is None  # in the span only over Q
+    assert coords_of((0, 0, 1)) is None  # outside the span
+    with pytest.raises(ValueError, match="not independent"):
+        _lattice_coords([(1, 2), (2, 4)])
+
+
+def same_fan_copies(name):
+    """The shipped fan's data, then copies with a seeded subset of the ray
+    coordinates negated and the maximal cones shuffled: the same variety,
+    with the same ray order."""
+    data = json.loads((FAN_DIR / (name + ".json")).read_text())
+    yield data
+    for seed in range(1, 4):
+        rng = random.Random("%d:%s" % (seed, name))
+        signs = [rng.choice((1, -1)) for _ in data["rays"][0]]
+        copy = dict(data, rays=[[s * x for s, x in zip(signs, ray)] for ray in data["rays"]],
+                    max_cones=[list(c) for c in data["max_cones"]])
+        rng.shuffle(copy["max_cones"])
+        yield copy
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_setup_matches_the_per_wall_reference(monkeypatch, name):
+    # wall relations from one inverse per cone, and coordinates from one
+    # inverse per lattice basis, agree with the per-wall solves they replaced
+    want = None
+    for data in same_fan_copies(name):
+        fan = make_fan(data["rays"], data["max_cones"], data.get("nef_basis"))
+        assert wall_relations(fan) == reference_wall_relations(fan)
+        cm = charge_matrix(fan)
+        gens = mori_generators(fan, cm)
+        assert gens == reference_mori_generators(fan, cm)
+        with monkeypatch.context() as patched:
+            patched.setattr(toric, "wall_relations", reference_wall_relations)
+            patched.setattr(toric, "_lattice_coords", lambda basis: (
+                lambda vec: reference_coords_in_basis(basis, vec)))
+            assert charge_matrix(fan) == cm
+            assert mori_generators(fan, cm) == gens
+        want = want or (cm, gens)
+        assert (cm, gens) == want
+
+
 # ---------------------------------------------------------------------------
 # charge matrices (frozen for the bundled fans)
 
@@ -298,10 +354,9 @@ def test_mori_generators_values(corpus):
 
 def test_hirzebruch_drops_non_extremal_wall_class(corpus):
     # the wall class (1,1) = section + fiber is a sum of the two generators
-    from qdm.toric import _coords_in_basis
-
     fan, cm, _ring, gens = corpus["hirzebruch1"]
-    wall_coords = {_coords_in_basis(cm.m, rel) for rel in wall_relations(fan)}
+    coords_of = _lattice_coords(cm.m)
+    wall_coords = {coords_of(rel) for rel in wall_relations(fan)}
     assert wall_coords == {(1, 0), (0, 1), (1, 1)}
     assert (1, 1) not in gens
 

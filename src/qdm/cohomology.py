@@ -115,12 +115,7 @@ class CohomClass:
     def _combine(self, other, sign):
         if not isinstance(other, CohomClass) or other.ring is not self.ring:
             return NotImplemented
-        g = gcd(self.den, other.den)
-        fa, fb = other.den // g, sign * (self.den // g)
-        out = {m: c * fa for m, c in self.num.items()}
-        for m, c in other.num.items():
-            out[m] = out.get(m, 0) + c * fb
-        return CohomClass(self.ring, out, self.den * fa)
+        return self.ring.combination(((1, self), (sign, other)))
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -338,12 +333,7 @@ class CohomRing:
                     for mb, r in self._pair(m, b):
                         acc[mb] = acc.get(mb, 0) + c * r
                 rows[b] = tuple((mb, r) for mb, r in acc.items() if r)
-            den = lin.den * self._den
-            g = gcd(den, *(r for row in rows.values() for _, r in row))
-            if g != 1:
-                rows = {b: tuple((mb, r // g) for mb, r in row) for b, row in rows.items()}
-                den //= g
-            entry = self._linear_cache[lin] = (rows, den)
+            entry = self._linear_cache[lin] = (rows, lin.den * self._den)
         return entry
 
     def times_linear(self, cls: CohomClass, lin: CohomClass, nu) -> CohomClass:

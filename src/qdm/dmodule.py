@@ -9,13 +9,16 @@ Operators are homogeneous, stored at hbar = 1.  By the weight rule (in the
 ifunction module) q^e theta^t hbar^h has weight c1(e) + |t| + h, so in an
 operator of weight w the term q^e theta^t carries hbar^(w - c1(e) - |t|).
 Setting hbar = 1 is a ring homomorphism, one to one on each weight, so
-composition is theta -> theta + e at hbar = 1, with the weights added.
+composition is theta -> theta + e at hbar = 1, with the weights added.  The
+box operators (gkz_operator) are composed in this operator algebra from
+theta, hbar and q^e.
 
 Acting on the series F, the term q^e P_e contributes to the coefficient of
 q^d the value P_e(omega + (d-e)*hbar, hbar) * R_{d-e}.  Because the series
 is truncated at anticanonical degree B, the result is only trustworthy on
 the window c1(d) <= B - max(0, max_e c1(e)) (_window_cap); degrees beyond
-it would need source coefficients that were cut off.
+it would need source coefficients that were cut off.  apply and the search
+both read where q^e moves each coefficient inside the window off _shifted.
 
 Series values have one weight too, so the weight of D.F is the sum of the
 two.  At hbar = 1, theta_j acting on q^d' cls gives q^d' (omega_j + d'_j)
@@ -229,6 +232,14 @@ def _window_cap(series, q_exps) -> int:
     return cap
 
 
+def _shifted(series, e, cap):
+    """The pairs (d', d' + e) over the series degrees d' with c1(d' + e) <= cap:
+    where q^e moves each coefficient of the series, inside the window."""
+    c1 = series.ring.cm.c1_degree
+    return [(dp, d) for dp in series.degrees
+            for d in [tuple(a + b for a, b in zip(dp, e))] if c1(d) <= cap]
+
+
 def apply(op: DiffOp, series: Series) -> Series:
     """Apply a normal-ordered operator to a (possibly already applied) series.
 
@@ -240,20 +251,12 @@ def apply(op: DiffOp, series: Series) -> Series:
         raise ValueError("the operator and the series have different charge matrices")
     cap = _window_cap(series, op.terms)
     image = _theta_images(series)
-    out_degrees = set(series.degrees)
-    for d in series.degrees:
-        for e in op.terms:
-            out_degrees.add(tuple(a + b for a, b in zip(d, e)))
-    valid = sorted((d for d in out_degrees if cm.c1_degree(d) <= cap),
-                   key=lambda d: (cm.c1_degree(d), d))
-    coeffs = {}
-    for d in valid:
-        terms = []
-        for e, poly in op.terms.items():
-            dp = tuple(a - b for a, b in zip(d, e))
-            if dp in series.coefficients:
-                terms.extend((c, image(dp, t)) for t, c in poly.items())
-        coeffs[d] = ring.combination(terms)
+    terms = {d: [] for _, d in _shifted(series, (0,) * cm.l, cap)}
+    for e, poly in op.terms.items():
+        for dp, d in _shifted(series, e, cap):
+            terms.setdefault(d, []).extend((c, image(dp, t)) for t, c in poly.items())
+    valid = sorted(terms, key=lambda d: (cm.c1_degree(d), d))
+    coeffs = {d: ring.combination(terms[d]) for d in valid}
     return Series(ring, cap, tuple(valid), coeffs, series.weight + op.weight)
 
 
@@ -265,29 +268,25 @@ def gkz_operator(cm, degree) -> DiffOp:
         prod_{a_k>0} prod_{nu=0}^{a_k-1} (D_k - nu*hbar)
         - q^degree * prod_{a_k<0} prod_{nu=0}^{-a_k-1} (D_k - nu*hbar),
 
-    of weight sum_{a_k>0} a_k, built at hbar = 1.
+    of weight sum_{a_k>0} a_k, composed in the operator algebra.
     """
-    l = cm.l
     if any(x < 0 for x in degree):
         raise ValueError("degree has a negative coordinate; the operator would "
                          "not be polynomial in q")
     if not any(degree):
         raise ValueError("the zero degree has only the zero box operator")
-    one = (0,) * l
-    pos = {one: Fraction(1)}
-    neg = {one: Fraction(1)}
-    weight = 0
+    l = cm.l
+    hbar = DiffOp.hbar(cm)
+    pos = neg = DiffOp.identity(cm)
     for k, a_k in enumerate(cm.pairings(degree)):
-        d_k = {tuple(1 if i == j else 0 for i in range(l)): Fraction(cm.m[j][k])
-               for j in range(l) if cm.m[j][k]}
+        d_k = DiffOp(cm, 1, {(0,) * l: {tuple(int(i == j) for i in range(l)): cm.m[j][k]
+                                        for j in range(l)}})
         for nu in range(abs(a_k)):
-            factor = {**d_k, one: Fraction(-nu)} if nu else d_k
             if a_k > 0:
-                pos = poly_mul(pos, factor)
+                pos = pos * (d_k - hbar * nu)
             else:
-                neg = poly_mul(neg, factor)
-        weight += max(a_k, 0)
-    return DiffOp(cm, weight, {one: pos}) - DiffOp(cm, weight, {tuple(degree): neg})
+                neg = neg * (d_k - hbar * nu)
+    return pos - DiffOp.q_power(cm, degree) * neg
 
 
 def find_annihilators(series: Series, theta_order: int, q_degree: int):
@@ -319,8 +318,7 @@ def find_annihilators(series: Series, theta_order: int, q_degree: int):
     image = _theta_images(series)
     vectors = {}  # (e, t) -> q^e theta^t applied to the series, on the window
     for e in q_exps:
-        shifted = [(dp, tuple(a + b for a, b in zip(dp, e))) for dp in series.degrees]
-        window = [(dp, d) for dp, d in shifted if cm.c1_degree(d) <= cap]
+        window = _shifted(series, e, cap)
         for t in t_exps:
             vectors[e, t] = {(d, mono): c for dp, d in window
                              for mono, c in image(dp, t).coeffs.items()}

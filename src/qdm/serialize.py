@@ -18,13 +18,7 @@ def frac_str(x) -> str:
 
 def mono_str(mono) -> str:
     """Monomial in the ray divisor generators, e.g. '1', 'x1*x3^2'."""
-    parts = []
-    for i, e in enumerate(mono):
-        if e == 1:
-            parts.append("x%d" % (i + 1))
-        elif e > 1:
-            parts.append("x%d^%d" % (i + 1, e))
-    return "*".join(parts) if parts else "1"
+    return _power_str("x", mono) or "1"
 
 
 def class_json(cls) -> dict:

@@ -16,8 +16,14 @@ Every wall tau, shared by the maximal cones cone(u, tau) and cone(u', tau),
 gives a relation u + u' + sum_i b_i v_i = 0 among the rays.  make_fan
 computes these wall relations once per fan, in integers, from one inverse
 per maximal cone, and the fan holds them; charge_matrix and mori_generators
-read them, and find each class's coordinates in a lattice basis by dot
-products with one inverse per basis.
+read them.
+
+Lattice work runs on Hermite forms, in integers.  A square integer matrix
+has determinant +-1 exactly when its Hermite form is the identity, and the
+transform is then its inverse (_unimodular_inverse): it inverts each maximal
+cone and the nef basis.  Coordinates in a lattice basis are read off the
+echelon rows of its Hermite form (_lattice_coords).  int_det only words the
+error for a cone that is not unimodular.
 
 The Mori cone has one description: the facet normals y of the cone its
 generators span (the extreme rays of its dual).  in_cone, mori_generators and
@@ -31,7 +37,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from . import linalg
@@ -156,6 +162,7 @@ def make_fan(rays, max_cones, nef_basis=None) -> FanData:
     if not max_cones:
         raise FanError("fan has no maximal cones")
     cones = []
+    inverses = {}  # sorted maximal cone -> the inverse of its ray matrix
     for cone in max_cones:
         try:
             idx = _int_tuple(cone)
@@ -167,11 +174,13 @@ def make_fan(rays, max_cones, nef_basis=None) -> FanData:
             raise FanError("maximal cone %r has an out-of-range ray index" % (list(cone),))
         if len(idx) != dim:
             raise FanError("maximal cone %r is not full dimensional" % (list(cone),))
-        det = linalg.int_det([list(rays_t[k]) for k in idx])
-        if det not in (1, -1):
+        sigma = tuple(sorted(idx))
+        inverses[sigma] = _unimodular_inverse([rays_t[k] for k in sigma])
+        if inverses[sigma] is None:
+            det = linalg.int_det([rays_t[k] for k in idx])
             raise FanError("maximal cone %r is not unimodular (det %d); the variety "
                            "would be singular" % (list(cone), det))
-        cones.append(tuple(sorted(idx)))
+        cones.append(sigma)
     if len(set(cones)) != len(cones):
         raise FanError("duplicate maximal cones")
 
@@ -181,14 +190,14 @@ def make_fan(rays, max_cones, nef_basis=None) -> FanData:
 
     # Completeness proxy: each wall (codim-1 face) lies in exactly two cones.
     walls = {}
-    for ci, cone in enumerate(cones):
+    for cone in cones:
         for wall in combinations(cone, dim - 1):
-            walls.setdefault(wall, []).append(ci)
+            walls.setdefault(wall, []).append(cone)
     bad = [w for w, c in walls.items() if len(c) != 2]
     if bad:
         raise FanError("fan is not complete: wall %r lies in %d maximal cones"
                        % (list(bad[0]), len(walls[bad[0]])))
-    relations = _wall_relations(rays_t, cones, walls)
+    relations = _wall_relations(rays_t, inverses, walls)
 
     nef = None
     if nef_basis is not None:
@@ -226,26 +235,35 @@ def _ray_matrix(fan: FanData):
     return [[ray[nu] for ray in fan.rays] for nu in range(fan.dim)]
 
 
-def _wall_relations(rays, cones, walls):
-    """The deduplicated relations of the walls {wall: [ci, cj]}, in wall
-    order (see wall_relations).
+def _unimodular_inverse(rows):
+    """The inverse of a square matrix as integer rows, when it is an integer
+    matrix of determinant +-1, else None.
+
+    Exactly then is its Hermite form H = U A the identity, and U = A^-1.
+    Rows of Fractions are accepted: U A = I makes A = U^-1 integral.
+    """
+    h, u = linalg.hermite_form(rows)
+    if h != [[int(i == j) for j in range(len(h))] for i in range(len(h))]:
+        return None
+    return u
+
+
+def _wall_relations(rays, inverses, walls):
+    """The deduplicated relations of the walls {wall: [sigma, sigma']}, in
+    wall order (see wall_relations); inverses maps each maximal cone to the
+    inverse of its ray matrix.
 
     The rays of a unimodular cone sigma are a lattice basis, so the rows of
-    A_sigma^-1, the U of A_sigma's Hermite form, give any vector's integer
-    coordinates in it; each cone is inverted once.  For the wall tau of
-    sigma = cone(u, tau) and sigma' = cone(u', tau), u' = x_u u + sum_i x_i
-    v_i, and the wall spans a hyperplane exactly when x_u = -1; the relation
-    is then u + u' - sum_i x_i v_i = 0.
+    A_sigma^-1 give any vector's integer coordinates in it.  For the wall
+    tau of sigma = cone(u, tau) and sigma' = cone(u', tau), u' = x_u u +
+    sum_i x_i v_i, and the wall spans a hyperplane exactly when x_u = -1;
+    the relation is then u + u' - sum_i x_i v_i = 0.
     """
-    inverses = {}
     rels = {}
-    for wall, (ci, cj) in sorted(walls.items()):
-        sigma = cones[ci]
-        if ci not in inverses:
-            inverses[ci] = linalg.hermite_form([rays[k] for k in sigma])[1]
+    for wall, (sigma, sigma_p) in sorted(walls.items()):
         u = next(k for k in sigma if k not in wall)
-        up = next(k for k in cones[cj] if k not in wall)
-        x = [sum(map(mul, rays[up], col)) for col in zip(*inverses[ci])]
+        up = next(k for k in sigma_p if k not in wall)
+        x = [sum(map(mul, rays[up], col)) for col in zip(*inverses[sigma])]
         rel = [0] * len(rays)
         rel[up] = 1
         for k, xk in zip(sigma, x):
@@ -273,30 +291,30 @@ def _lattice_coords(basis_rows):
     independent rows basis_rows: a function taking a vector to its
     coordinate tuple, or to None when it has none.
 
-    The rows are inverted once on their pivot columns P, as integers over
-    one denominator; a vector's coordinates are then dot products with its
-    entries on P, checked for integrality and for reproducing the vector.
+    With H = U B the Hermite form of the basis B, a vector is reduced by
+    the echelon rows of H, each step an exact integer division at the row's
+    pivot.  It lies in the lattice when the divisions are exact and nothing
+    is left; the quotients c are its coordinates in the rows of H, and c U
+    those in B.
     """
-    basis = [list(r) for r in basis_rows]
-    _, pivots = linalg._reduce(linalg._sparse(basis), len(basis[0]))
-    if len(pivots) != len(basis):
+    h, u = linalg.hermite_form(basis_rows)
+    if not any(h[-1]):
         raise ValueError("lattice basis rows are not independent")
-    inv = linalg.invert([[row[p] for p in pivots] for row in basis])
-    den = lcm(*(x.denominator for row in inv for x in row))
-    cols = list(zip(*[[x.numerator * (den // x.denominator) for x in row]
-                      for row in inv]))
+    steps = [(next(j for j, x in enumerate(row) if x), row) for row in h]
+    cols = list(zip(*u))
 
     def coords(vec):
-        entries = [vec[p] for p in pivots]
-        x = []
-        for col in cols:
-            q, r = divmod(sum(map(mul, entries, col)), den)
+        rest = list(vec)
+        c = []
+        for p, row in steps:
+            q, r = divmod(rest[p], row[p])
             if r:
                 return None
-            x.append(q)
-        if any(sum(map(mul, x, col)) != v for col, v in zip(zip(*basis), vec)):
+            rest = [a - q * b for a, b in zip(rest, row)]
+            c.append(q)
+        if any(rest):
             return None
-        return tuple(x)
+        return tuple(sum(map(mul, c, col)) for col in cols)
     return coords
 
 
@@ -305,7 +323,7 @@ def _dot(u, v):
 
 
 def _rank(classes, l):
-    return len(linalg.rref([list(c) for c in classes], l)[1])
+    return len(linalg._reduce(linalg._sparse(classes), l)[1])
 
 
 def _dual_cone_rays(wall_coords, l):
@@ -365,15 +383,10 @@ def charge_matrix(fan: FanData) -> ChargeMatrix:
     wall_coords = sorted(set(wall_coords))
 
     if fan.nef_basis is not None:
-        y_rows = []
-        for vec in fan.nef_basis:
-            y = [sum(Fraction(kernel[i][k]) * vec[k] for k in range(fan.n_rays))
-                 for i in range(l)]
-            if any(x.denominator != 1 for x in y):
-                raise NefBasisError("supplied nef_basis is not a lattice basis "
-                                    "of the divisor class lattice")
-            y_rows.append([int(x) for x in y])
-        if abs(linalg.int_det(y_rows)) != 1:
+        y_rows = [[sum(kernel[i][k] * vec[k] for k in range(fan.n_rays)) for i in range(l)]
+                  for vec in fan.nef_basis]
+        y_inv = _unimodular_inverse(y_rows)
+        if y_inv is None:
             raise NefBasisError("supplied nef_basis is not a lattice basis "
                                 "of the divisor class lattice")
         if any(_dot(y, c) < 0 for y in y_rows for c in wall_coords):
@@ -386,17 +399,13 @@ def charge_matrix(fan: FanData) -> ChargeMatrix:
         if len(y_rows) != l:
             raise NefBasisError("nef cone is not simplicial (%d extreme rays, need %d); "
                                 "supply an explicit nef_basis" % (len(y_rows), l))
-        if abs(linalg.int_det(y_rows)) != 1:
+        y_inv = _unimodular_inverse(y_rows)
+        if y_inv is None:
             raise NefBasisError("nef cone generators do not form a lattice basis; "
                                 "supply an explicit nef_basis")
-    y_inv = linalg.invert(y_rows)
-    x = [[y_inv[j][i] for j in range(l)] for i in range(l)]  # (Y^T)^{-1}
-    m_rows = []
-    for i in range(l):
-        row = [sum(x[i][j] * kernel[j][k] for j in range(l)) for k in range(fan.n_rays)]
-        if any(v.denominator != 1 for v in map(Fraction, row)):
-            raise NefBasisError("charge matrix is not integral in the chosen basis")
-        m_rows.append(tuple(int(v) for v in row))
+    # m = (Y^-1)^T K, in integers
+    m_rows = [tuple(sum(inv_row[i] * ker[k] for inv_row, ker in zip(y_inv, kernel))
+                    for k in range(fan.n_rays)) for i in range(l)]
     _check_relations(fan, m_rows)
     return ChargeMatrix(tuple(m_rows))
 
@@ -404,7 +413,12 @@ def charge_matrix(fan: FanData) -> ChargeMatrix:
 def in_cone(degree, gens) -> bool:
     """Is degree a nonnegative rational combination of the generators?  They
     must span, as the Mori generators of a complete fan do, or a ValueError
-    is raised; degree is tested against the facet normals of their cone."""
+    is raised, and have as many coordinates as the degree; degree is tested
+    against the facet normals of their cone."""
+    other = next((g for g in gens if len(g) != len(degree)), None)
+    if other is not None:
+        raise ValueError("degree %r has length %d, a generator length %d"
+                         % (tuple(degree), len(degree), len(other)))
     return all(_dot(y, degree) >= 0 for y in _facet_normals(gens, len(degree)))
 
 
@@ -449,15 +463,12 @@ def enumerate_degrees(gens, cm: ChargeMatrix, bound: int):
     if any(d <= 0 for d in degs):
         raise ValueError("a Mori generator has nonpositive anticanonical degree; "
                          "the degree set is unbounded")
-    los, his = [], []
-    for j in range(l):
-        vals = [Fraction(bound * g[j], d) for g, d in zip(gens, degs)]
-        lo = min(vals + [Fraction(0)])
-        hi = max(vals + [Fraction(0)])
-        los.append(lo.numerator // lo.denominator)  # floor
-        his.append(-((-hi.numerator) // hi.denominator))  # ceil
+    # the cone's points with c1 <= bound lie in the hull of 0 and the
+    # g * bound / c1(g), so each coordinate lies between their floor and ceiling
+    box = [range(min([0] + [bound * g[j] // d for g, d in zip(gens, degs)]),
+                 max([0] + [-(-bound * g[j] // d) for g, d in zip(gens, degs)]) + 1)
+           for j in range(l)]
     out = []
-    box = [range(lo, hi + 1) for lo, hi in zip(los, his)]
     for d in product(*box):
         c1 = cm.c1_degree(d)
         if 0 <= c1 <= bound and all(_dot(y, d) >= 0 for y in facets):

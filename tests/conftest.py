@@ -7,8 +7,8 @@ import pytest
 
 import qdm
 from qdm import linalg
-from qdm.cohomology import CohomClass, monomials
-from qdm.dmodule import _ansatz_key
+from qdm.cohomology import CohomClass, monomials, poly_mul
+from qdm.dmodule import DiffOp, _ansatz_key
 from qdm.toric import FanError
 
 FAN_DIR = Path(__file__).resolve().parent.parent / "fans"
@@ -402,6 +402,32 @@ def reference_mori_generators(fan, cm):
                 changed = True
     extremal.sort(key=lambda d: (cm.c1_degree(d), d))
     return extremal
+
+
+# The box operator as dict-polynomial products, which the operator algebra
+# replaced, kept as the oracle: each side of the box is multiplied out in
+# theta at hbar = 1 and put into one normal-ordered operator.
+
+def reference_gkz_operator(cm, degree):
+    """prod_{a_k>0} prod_{nu<a_k} (D_k - nu) - q^degree prod_{a_k<0}
+    prod_{nu<-a_k} (D_k - nu), D_k = sum_j m[j][k] theta_j, of weight
+    sum_{a_k>0} a_k."""
+    l = cm.l
+    one = (0,) * l
+    pos = {one: Fraction(1)}
+    neg = {one: Fraction(1)}
+    weight = 0
+    for k, a_k in enumerate(cm.pairings(degree)):
+        d_k = {tuple(1 if i == j else 0 for i in range(l)): Fraction(cm.m[j][k])
+               for j in range(l) if cm.m[j][k]}
+        for nu in range(abs(a_k)):
+            factor = {**d_k, one: Fraction(-nu)} if nu else d_k
+            if a_k > 0:
+                pos = poly_mul(pos, factor)
+            else:
+                neg = poly_mul(neg, factor)
+        weight += max(a_k, 0)
+    return DiffOp(cm, weight, {one: pos, tuple(degree): {t: -c for t, c in neg.items()}})
 
 
 def spans(ops, targets):

@@ -89,6 +89,11 @@ P1XP1_TEXT = ('{"rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],'
     # wall [0]: only the wall relation catches it
     ('{"rays": [[1, 0], [1, 1], [0, 1]], "max_cones": [[0, 1], [1, 2], [0, 2]]}',
      ["cohomology"], "wall [0] does not span a hyperplane"),
+    ('{"rays": [], "max_cones": [[0]]}', ["cohomology"], "fan has no rays"),
+    ('{"rays": [[]], "max_cones": [[0]]}', ["cohomology"],
+     "rays must have at least one coordinate"),
+    ('{"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": []}', ["cohomology"],
+     "fan has no maximal cones"),
     (P2_TEXT, ["loop-model", "--modes", " 3"], "bad --modes"),
     (P2_TEXT, ["loop-model", "--modes", " 2..3 "], "bad --modes"),
 ])
@@ -434,6 +439,42 @@ GOLDEN = [
      "f157829e99e3d06d67422611bb6a5c41c83c577c42c1dca76ab955945b08088a"),
     ("loop-model", ["p5", "--modes", "0..2"], 0,
      "5ee2bb050c947bfd8aff336bacfc545c83793cb90cc23c2a371be5ff53278b2b"),
+    # with the entries above, every subcommand's default run on every shipped
+    # fan; operators p4 and p5 exit 1 on the window bug, like p3 and p2xp1
+    ("cohomology", ["dp3"], 0, "a1c249253a789387ddb8d29f5f6d8cfad443f9b3979f0860c510fb1ba0a26396"),
+    ("cohomology", ["p2xp1"], 0,
+     "8abeecee226daceb2782e7463f343d674a1333c86cf74b1b86fece744ebcc0b4"),
+    ("ifunction", ["dp2"], 0, "97f69f5cbdc423ebbfd88d00032148a831cf6b6c7c4ed7b506613618096ea3ca"),
+    ("ifunction", ["dp3"], 0, "db9864c127b8bd2858d3612c9ee081e544caac432bd1f4e5aa8e933ac91894e7"),
+    ("ifunction", ["p1x3"], 0, "6cae229e88bd8f7da739cf498f9848ab7adaadda8961d87bc035029e1cac99d5"),
+    ("ifunction", ["p1xp1"], 0,
+     "1ad56614ca3f1c51e4132597cb7c235c7a2ae35ddc139f6e55043a269b3ee283"),
+    ("ifunction", ["p2xp1"], 0,
+     "3882a0e74e22b1d0781a675cc5596238374e2ecd468e7baf93d9319e0c97fcfd"),
+    ("ifunction", ["p2xp2_sheared"], 0,
+     "ec20a3d68aa441386545cc2fbd04902b023874619a3db71dd01b27e6e81749a6"),
+    ("ifunction", ["p3"], 0, "d77d8eaaf3d4b99f965ec8e1da46e372bbbda8c364d8880c6bf05ee55eda2bce"),
+    ("ifunction", ["p4"], 0, "0c16c4b250ff6eccf8b531c8069c1078d6adb35a0c2b7bea82eb2a0715a2553e"),
+    ("ifunction", ["p5"], 0, "84981d7f27f4370eef08936965712512c33a5183ce48fe581cddf4abf59b8285"),
+    ("loop-model", ["dp2"], 0, "d723f55acd2eb274e55646379a03a6f1132c8617a7f66050f91229fac4155693"),
+    ("loop-model", ["hirzebruch1"], 0,
+     "2cf116791b9057121db68e9cc33357a832835a19f55ad4372a73e62d12fbd59b"),
+    ("loop-model", ["p1"], 0, "7e9d129d46e61dc5c04a50f68915eba286192f9cd8058ddb59ed1d8b8393ad86"),
+    ("loop-model", ["p1x3"], 0,
+     "ac5b689db7e50176d5f648a6a0e41d68c044ccd0ac9eb82c40b542816b8047d2"),
+    ("loop-model", ["p2xp1"], 0,
+     "a952d26c6c633c4f52853841cf7fb6b5507bee6b6a9d349687250b06e3e6b658"),
+    ("loop-model", ["p2xp2_sheared"], 0,
+     "47c9536d4ac98dc155120ea73c3d66b1f136c1a60815012bfe6b99f646b6b483"),
+    ("loop-model", ["p3"], 0, "9e7bb0b67e23f052c8f5940e035488d8d9f7b2ecbafb46e43df765b0aa80b080"),
+    ("loop-model", ["p4"], 0, "70e71f37150f79d17fa138eb653180e12692637e1c442c3594ac902fb6cf5608"),
+    ("loop-model", ["p5"], 0, "d2afc273e2f07a02500b8ce4074f71192f50a68baee0bf8afcf0ee49365b0b7c"),
+    ("operators", ["p1x3"], 0, "ef066c0c578479688727d34c582f3b5d53ffe2063a57ecbfa661e0610f65e646"),
+    ("operators", ["p2"], 0, "c93f71c3d71a2aeaab1262289045ad641b6333dff7f92f83552d4ed51470ff64"),
+    ("operators", ["p2xp2_sheared"], 0,
+     "8643e2bc0872805fc0f37bf380cf2044f1014145153e705ca35ea117c3fb0692"),
+    ("operators", ["p4"], 1, "52af0fbd97c6e7faa54a971fda2a54426db0eaa4d304d61dd09ce92f430178a4"),
+    ("operators", ["p5"], 1, "074a208fc8bf13e449ffdd098d5f7ccdcf5bc7d92d8f72117d35d94b1ee966be"),
 ]
 
 

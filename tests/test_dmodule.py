@@ -22,7 +22,7 @@ from qdm.cohomology import mono_key, monomials
 from qdm.dmodule import _ansatz_key, _theta_images
 from qdm.serialize import laurent_json
 
-from conftest import SHIPPED, reference_theta_values, spans
+from conftest import SHIPPED, reference_gkz_operator, reference_theta_values, spans
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +350,19 @@ def test_gkz_hirzebruch(corpus):
         (0, 0): {(0, 2): Fraction(1), (1, 1): Fraction(-1)},
         (0, 1): {(0, 0): Fraction(-1)},
     }
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_gkz_matches_the_polynomial_products(shipped, name):
+    # the box operators composed in the operator algebra equal the ones
+    # multiplied out as polynomials in theta, on every Mori generator, its
+    # double and every pairwise sum
+    _fan, cm, _ring, gens = shipped[name]
+    degrees = list(gens) + [tuple(2 * x for x in g) for g in gens]
+    degrees += [tuple(a + b for a, b in zip(g, h))
+                for i, g in enumerate(gens) for h in gens[i + 1:]]
+    for d in degrees:
+        assert gkz_operator(cm, d) == reference_gkz_operator(cm, d), (name, d)
 
 
 def test_gkz_rejects_negative_coordinates(corpus):

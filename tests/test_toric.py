@@ -21,7 +21,7 @@ from qdm import (
     wall_relations,
 )
 
-from qdm import toric
+from qdm import linalg, toric
 from qdm.toric import _facet_normals, _lattice_coords
 
 from conftest import (
@@ -108,10 +108,20 @@ def test_rejects_lower_dimensional_cone():
         make_fan(P2_RAYS, [[0], [1, 2], [0, 2]])
 
 
-def test_rejects_singular_cone():
+@pytest.mark.parametrize("rays, cones, message", [
     # cone((-1,-2),(1,0)) has index two in the lattice
-    with pytest.raises(FanError, match="not unimodular"):
-        make_fan([[1, 0], [0, 1], [-1, -2]], [[0, 1], [1, 2], [2, 0]])
+    ([[1, 0], [0, 1], [-1, -2]], [[0, 1], [1, 2], [2, 0]],
+     "maximal cone [2, 0] is not unimodular (det 2)"),
+    # the determinant is taken with the rays in the order the cone lists them
+    ([[1, 0], [1, 2], [-1, -1]], [[1, 0], [1, 2], [2, 0]],
+     "maximal cone [1, 0] is not unimodular (det -2)"),
+    ([[1, 0], [1, 2], [-1, -1]], [[0, 1], [1, 2], [2, 0]],
+     "maximal cone [0, 1] is not unimodular (det 2)"),
+])
+def test_rejects_singular_cone(rays, cones, message):
+    with pytest.raises(FanError) as info:
+        make_fan(rays, cones)
+    assert str(info.value) == message + "; the variety would be singular"
 
 
 def test_rejects_duplicate_cones():
@@ -201,6 +211,38 @@ def test_lattice_coords():
         _lattice_coords([(1, 2), (2, 4)])
 
 
+def _random_unimodular(rng, n):
+    """A seeded product of elementary integer row operations, row swaps and
+    sign flips: an n x n integer matrix of determinant +-1."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(4 * n):
+        i, j, k = rng.randrange(n), rng.randrange(n), rng.randint(-3, 3)
+        if i != j:
+            a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+            a[i], a[j] = a[j], a[i]
+        if rng.random() < 0.3:
+            a[i] = [-x for x in a[i]]
+    return a
+
+
+def test_unimodular_inverse_matches_the_rational_inverse():
+    rng = random.Random(20)
+    for trial in range(60):
+        n = 1 + trial % 5
+        a = _random_unimodular(rng, n)
+        assert toric._unimodular_inverse(a) == linalg.invert(a), a
+        # determinant +-2: one row doubled; 0: one row a multiple of another
+        r = rng.randrange(n)
+        doubled = [[2 * x for x in row] if i == r else row for i, row in enumerate(a)]
+        singular = [[0]] if n == 1 else a[:-1] + [[2 * x for x in a[0]]]
+        assert abs(linalg.int_det(doubled)) == 2 and linalg.int_det(singular) == 0
+        assert toric._unimodular_inverse(doubled) is None
+        assert toric._unimodular_inverse(singular) is None
+    # a rational matrix has an integer unimodular inverse only if it is integral
+    assert toric._unimodular_inverse([[Fraction(1, 2)]]) is None
+    assert toric._unimodular_inverse([[Fraction(1), Fraction(1, 2)], [0, 1]]) is None
+
+
 def same_fan_copies(name):
     """The shipped fan's data, then copies with a seeded subset of the ray
     coordinates negated and the maximal cones shuffled: the same variety,
@@ -283,6 +325,11 @@ def test_supplied_nef_basis_must_be_nef():
 def test_supplied_nef_basis_must_be_lattice_basis():
     fan = make_fan(P2_RAYS, P2_CONES, nef_basis=[["1/2", 0, 0]])
     with pytest.raises(NefBasisError, match="lattice basis"):
+        charge_matrix(fan)
+    # integral classes, but of index two in the divisor class lattice
+    p1xp1 = load_fan("p1xp1")
+    fan = make_fan(p1xp1.rays, p1xp1.max_cones, nef_basis=[[2, 0, 0, 0], [0, 0, 1, 0]])
+    with pytest.raises(NefBasisError, match="supplied nef_basis is not a lattice basis"):
         charge_matrix(fan)
 
 
@@ -376,6 +423,10 @@ def test_in_cone_rational_combination():
                          ((2, 2), [(1, 1), (2, 2)])):
         with pytest.raises(ValueError, match="do not span"):
             in_cone(degree, gens)
+    # a degree of another length is refused, not truncated to the shorter one
+    for degree in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match="length %d, a generator length 2" % len(degree)):
+            in_cone(degree, [(1, 0), (0, 1)])
 
 
 # ---------------------------------------------------------------------------

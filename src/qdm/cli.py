@@ -14,9 +14,6 @@ import sys
 
 from . import dmodule, ifunction, loop_model, serialize, toric
 from .cohomology import build_ring
-from .dmodule import EmptyWindowError
-from .loop_model import ComponentAbsentError
-from .toric import FanError, NefBasisError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,8 +284,7 @@ def main(argv=None) -> int:
     try:
         _parse_int_options(args)
         report, ok = _COMMANDS[args.command](args)
-    except (FanError, NefBasisError, EmptyWindowError,
-            ComponentAbsentError, ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     if args.format == "json":

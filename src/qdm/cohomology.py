@@ -40,7 +40,7 @@ from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 
 from . import linalg
-from .toric import ChargeMatrix, FanData, FanError, _check_relations
+from .toric import ChargeMatrix, FanData, FanError
 
 
 def mono_key(mono):
@@ -164,7 +164,8 @@ class CohomRing:
     def __init__(self, fan: FanData, cm: ChargeMatrix):
         if cm.n != fan.n_rays:
             raise ValueError("charge matrix does not match the fan")
-        _check_relations(fan, cm.m)
+        if any(sum(a * x for a, x in zip(row, col)) for row in cm.m for col in zip(*fan.rays)):
+            raise FanError("charge matrix rows are not relations among the rays")
         self.fan = fan
         self.cm = cm
         self.n = fan.n_rays

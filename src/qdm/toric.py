@@ -21,9 +21,22 @@ read them.
 Lattice work runs on Hermite forms, in integers.  A square integer matrix
 has determinant +-1 exactly when its Hermite form is the identity, and the
 transform is then its inverse (_unimodular_inverse): it inverts each maximal
-cone and the nef basis.  Coordinates in a lattice basis are read off the
-echelon rows of its Hermite form (_lattice_coords).  int_det only words the
-error for a cone that is not unimodular.
+cone, the nef basis, and one l x l block of the charge matrix.  int_det only
+words the error for a cone that is not unimodular.
+
+Relations are read in outside coordinates: their entries on the l rays
+outside the first maximal cone.  That cone's rays are a lattice basis, so a
+relation is fixed by those entries, and any l integers are the entries of
+one (the other divisors are a basis of Pic; Fulton 1993, 3.4).  So the
+kernel's block K_N on the outside rays is unimodular, and so is the charge
+matrix's block m_N exactly when its rows are a basis of the relation
+lattice; a wall class r has coordinates r_N . m_N^-1.
+
+Three checks could not fail and are not made: make_fan's unimodular cones
+make the rays span the lattice, the wall relations are integer relations by
+construction, and m = (Y^-1)^T K is an integer combination of kernel rows.
+CohomRing alone checks that charge matrix rows are relations, which guards
+a ChargeMatrix built by hand.
 
 The Mori cone has one description: the facet normals y of the cone its
 generators span (the extreme rays of its dual).  in_cone, mori_generators and
@@ -159,6 +172,8 @@ def make_fan(rays, max_cones, nef_basis=None) -> FanData:
     if n <= dim:
         raise FanError("a complete fan in dimension %d needs more than %d rays" % (dim, dim))
 
+    if not isinstance(max_cones, (list, tuple)):
+        raise FanError("max_cones must be a list of maximal cones")
     if not max_cones:
         raise FanError("fan has no maximal cones")
     cones = []
@@ -286,40 +301,18 @@ def wall_relations(fan: FanData):
     return list(fan.wall_relations)
 
 
-def _lattice_coords(basis_rows):
-    """The solver for integer coordinates in the lattice basis given by the
-    independent rows basis_rows: a function taking a vector to its
-    coordinate tuple, or to None when it has none.
-
-    With H = U B the Hermite form of the basis B, a vector is reduced by
-    the echelon rows of H, each step an exact integer division at the row's
-    pivot.  It lies in the lattice when the divisions are exact and nothing
-    is left; the quotients c are its coordinates in the rows of H, and c U
-    those in B.
-    """
-    h, u = linalg.hermite_form(basis_rows)
-    if not any(h[-1]):
-        raise ValueError("lattice basis rows are not independent")
-    steps = [(next(j for j, x in enumerate(row) if x), row) for row in h]
-    cols = list(zip(*u))
-
-    def coords(vec):
-        rest = list(vec)
-        c = []
-        for p, row in steps:
-            q, r = divmod(rest[p], row[p])
-            if r:
-                return None
-            rest = [a - q * b for a, b in zip(rest, row)]
-            c.append(q)
-        if any(rest):
-            return None
-        return tuple(sum(map(mul, c, col)) for col in cols)
-    return coords
-
-
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
+
+
+def _outside(fan: FanData):
+    """The indices of the l rays outside the first maximal cone."""
+    return [k for k in range(fan.n_rays) if k not in fan.max_cones[0]]
+
+
+def _columns(rows, cols):
+    """The rows restricted to the given columns."""
+    return [[row[k] for k in cols] for row in rows]
 
 
 def _rank(classes, l):
@@ -353,13 +346,6 @@ def _facet_normals(classes, l):
     return _dual_cone_rays(classes, l)
 
 
-def _check_relations(fan: FanData, rows) -> None:
-    """Raise a FanError unless every row is a relation among the rays."""
-    if any(sum(row[k] * fan.rays[k][nu] for k in range(fan.n_rays))
-           for row in rows for nu in range(fan.dim)):
-        raise FanError("charge matrix rows are not relations among the rays")
-
-
 def charge_matrix(fan: FanData) -> ChargeMatrix:
     """Charge matrix of the fan, rows dual to a nef lattice basis.
 
@@ -368,34 +354,28 @@ def charge_matrix(fan: FanData) -> ChargeMatrix:
     rays must form a lattice basis; otherwise a NefBasisError asks for an
     explicit basis.  A supplied nef_basis is validated instead.
     """
-    a = _ray_matrix(fan)
-    kernel = linalg.integer_kernel(a)
+    kernel = linalg.integer_kernel(_ray_matrix(fan))
     l = fan.n_rays - fan.dim
-    if len(kernel) != l:
-        raise FanError("rays do not span the ambient lattice")
-    coords_of = _lattice_coords(kernel)
-    wall_coords = []
-    for rel in wall_relations(fan):
-        coords = coords_of(rel)
-        if coords is None:
-            raise FanError("wall relation is not in the relation lattice")
-        wall_coords.append(coords)
-    wall_coords = sorted(set(wall_coords))
-
+    walls = wall_relations(fan)
     if fan.nef_basis is not None:
-        y_rows = [[sum(kernel[i][k] * vec[k] for k in range(fan.n_rays)) for i in range(l)]
-                  for vec in fan.nef_basis]
+        y_rows = [[_dot(ker, vec) for ker in kernel] for vec in fan.nef_basis]
         y_inv = _unimodular_inverse(y_rows)
         if y_inv is None:
             raise NefBasisError("supplied nef_basis is not a lattice basis "
                                 "of the divisor class lattice")
-        if any(_dot(y, c) < 0 for y in y_rows for c in wall_coords):
+        if any(_dot(vec, r) < 0 for vec in fan.nef_basis for r in walls):
             raise NefBasisError("supplied nef_basis is not nef: a wall "
                                 "curve pairs negatively")
     else:
+        out = _outside(fan)
+        wall_coords = sorted(set(map(tuple, _columns(walls, out))))
         if _rank(wall_coords, l) < l:
             raise NefBasisError("curve classes do not span; cannot derive a nef basis")
-        y_rows = [list(y) for y in _dual_cone_rays(wall_coords, l)]
+        # a nef ray y_N in outside coordinates is the class K_N . y_N, and
+        # K_N is unimodular, so it stays primitive
+        kernel_out = _columns(kernel, out)
+        y_rows = sorted([_dot(ker, y) for ker in kernel_out]
+                        for y in _dual_cone_rays(wall_coords, l))
         if len(y_rows) != l:
             raise NefBasisError("nef cone is not simplicial (%d extreme rays, need %d); "
                                 "supply an explicit nef_basis" % (len(y_rows), l))
@@ -406,7 +386,6 @@ def charge_matrix(fan: FanData) -> ChargeMatrix:
     # m = (Y^-1)^T K, in integers
     m_rows = [tuple(sum(inv_row[i] * ker[k] for inv_row, ker in zip(y_inv, kernel))
                     for k in range(fan.n_rays)) for i in range(l)]
-    _check_relations(fan, m_rows)
     return ChargeMatrix(tuple(m_rows))
 
 
@@ -429,12 +408,13 @@ def mori_generators(fan: FanData, cm: ChargeMatrix):
     when it lies on an extremal ray: the facet normals vanishing on it have
     rank l - 1.  This leaves one generator per extremal ray.
     """
+    out = _outside(fan)
+    m_inv = _unimodular_inverse(_columns(cm.m, out))
+    if m_inv is None:
+        raise FanError("charge matrix rows are not a basis of the relation lattice")
     coords = set()
-    coords_of = _lattice_coords(cm.m)
-    for rel in wall_relations(fan):
-        c = coords_of(rel)
-        if c is None:
-            raise FanError("wall curve class is not integral in the charge basis")
+    for rel in _columns(wall_relations(fan), out):
+        c = tuple(_dot(rel, col) for col in zip(*m_inv))
         if any(x < 0 for x in c):
             raise FanError("wall curve class pairs negatively with the nef basis")
         coords.add(linalg.primitive_vector(c))

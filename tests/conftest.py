@@ -1,3 +1,5 @@
+import json
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -19,6 +21,21 @@ SHIPPED = sorted(path.stem for path in FAN_DIR.glob("*.json"))
 
 def load_fan(name):
     return qdm.parse_fan((FAN_DIR / (name + ".json")).read_text())
+
+
+def same_fan_copies(name):
+    """The shipped fan's data, then copies with a seeded subset of the ray
+    coordinates negated and the maximal cones shuffled: the same variety,
+    with the same ray order."""
+    data = json.loads((FAN_DIR / (name + ".json")).read_text())
+    yield data
+    for seed in range(1, 4):
+        rng = random.Random("%d:%s" % (seed, name))
+        signs = [rng.choice((1, -1)) for _ in data["rays"][0]]
+        copy = dict(data, rays=[[s * x for s, x in zip(signs, ray)] for ray in data["rays"]],
+                    max_cones=[list(c) for c in data["max_cones"]])
+        rng.shuffle(copy["max_cones"])
+        yield copy
 
 
 # The class arithmetic that multiplication matrices replaced, kept as the

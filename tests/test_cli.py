@@ -5,20 +5,34 @@ import importlib.util
 import json
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 
 from qdm import cli, cohomology, ifunction
 from qdm.cli import main
 
-from conftest import FAN_DIR
+from conftest import FAN_DIR, SHIPPED, same_fan_copies
 
 LAYERS = FAN_DIR.parent / "perfbench" / "layers.py"
 BENCHMARK = FAN_DIR.parent / "perfbench" / "run.py"
+BENCH_FANS = FAN_DIR.parent / "perfbench" / "fans.json"
 
 
 def fan_path(name):
     return str(FAN_DIR / ("%s.json" % name))
+
+
+def golden_fan_path(name, tmp_path):
+    """The shipped fan's path or, for a benchmark fan that fans/ lacks, its
+    rays, max_cones and nef_basis written to tmp_path."""
+    if (FAN_DIR / ("%s.json" % name)).exists():
+        return fan_path(name)
+    data = json.loads(BENCH_FANS.read_text())[name]
+    path = tmp_path / ("%s.json" % name)
+    path.write_text(json.dumps({key: data[key] for key in ("rays", "max_cones", "nef_basis")
+                                if key in data}))
+    return str(path)
 
 
 def run_json(capsys, argv):
@@ -96,6 +110,15 @@ P1XP1_TEXT = ('{"rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],'
      "fan has no maximal cones"),
     (P2_TEXT, ["loop-model", "--modes", " 3"], "bad --modes"),
     (P2_TEXT, ["loop-model", "--modes", " 2..3 "], "bad --modes"),
+    ('{"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": 3}', ["cohomology"],
+     "max_cones must be a list"),
+    ('{"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": 3.5}', ["cohomology"],
+     "max_cones must be a list"),
+    ('{"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": true}', ["cohomology"],
+     "max_cones must be a list"),
+    # sizes past a machine index: the degree box and the mode range
+    (P2_TEXT, ["ifunction", "--max-degree", "100000000000000000000000"], "too large"),
+    (P2_TEXT, ["loop-model", "--modes", "0..100000000000000000000000"], "too large"),
 ])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capfd, fan_text, argv, message):
     monkeypatch.chdir(tmp_path)  # so relative --out paths resolve inside tmp_path
@@ -330,6 +353,24 @@ def test_output_is_deterministic(tmp_path, argv):
     json.loads(out1.read_text())
 
 
+@pytest.mark.parametrize("name", SHIPPED)
+def test_seeded_copies_give_the_same_reports(tmp_path, capsys, name):
+    # two seeded copies: ray signs flipped and cones shuffled, as in the
+    # benchmark's seeded inputs; the same variety, so the same report apart
+    # from "rays", whichever cone comes first
+    paths = []
+    for i, data in enumerate(islice(same_fan_copies(name), 3)):
+        paths.append(tmp_path / ("%d.json" % i))
+        paths[-1].write_text(json.dumps(data))
+    for command in ("cohomology", "ifunction", "loop-model"):
+        reports = []
+        for path in paths:
+            code, report = run_json(capsys, [command, str(path)])
+            report.pop("rays", None)
+            reports.append((code, report))
+        assert reports[1] == reports[0] and reports[2] == reports[0], command
+
+
 def test_out_file_suppresses_stdout(tmp_path, capsys):
     target = tmp_path / "report.json"
     assert main(["cohomology", fan_path("p1"), "--out", str(target)]) == 0
@@ -475,12 +516,16 @@ GOLDEN = [
      "8643e2bc0872805fc0f37bf380cf2044f1014145153e705ca35ea117c3fb0692"),
     ("operators", ["p4"], 1, "52af0fbd97c6e7faa54a971fda2a54426db0eaa4d304d61dd09ce92f430178a4"),
     ("operators", ["p5"], 1, "074a208fc8bf13e449ffdd098d5f7ccdcf5bc7d92d8f72117d35d94b1ee966be"),
+    # the ring-build fans that fans/ lacks, from perfbench/fans.json: both
+    # derive their nef basis, so the nef-ray sort fixes their row order
+    ("cohomology", ["p1x4"], 0, "3721e7176af9a47ce6d0aa397eb7a135e5f4839b5d9cdd9ce637872de3d4a62a"),
+    ("cohomology", ["p2xp2"], 0, "06b2f8158d5409921a8d67e8d94665e0c2232aec8d5ecb3c921514a4629c54d4"),
 ]
 
 
 @pytest.mark.parametrize("command, args, code, digest", GOLDEN,
                          ids=[" ".join([c] + a) for c, a, _, _ in GOLDEN])
-def test_golden_report_digest(capsys, command, args, code, digest):
-    assert main([command, fan_path(args[0])] + args[1:]) == code
+def test_golden_report_digest(capsys, tmp_path, command, args, code, digest):
+    assert main([command, golden_fan_path(args[0], tmp_path)] + args[1:]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

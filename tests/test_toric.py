@@ -1,7 +1,7 @@
 """Fan validation, charge matrices, Mori generators, degree enumeration."""
 
-import json
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor
@@ -22,16 +22,16 @@ from qdm import (
 )
 
 from qdm import linalg, toric
-from qdm.toric import _facet_normals, _lattice_coords
+from qdm.toric import _facet_normals
 
 from conftest import (
-    FAN_DIR,
     SHIPPED,
     load_fan,
     reference_coords_in_basis,
     reference_in_cone,
     reference_mori_generators,
     reference_wall_relations,
+    same_fan_copies,
 )
 
 
@@ -202,15 +202,6 @@ def test_wall_relations_hirzebruch():
             assert sum(r * fan.rays[k][nu] for k, r in enumerate(rel)) == 0
 
 
-def test_lattice_coords():
-    coords_of = _lattice_coords([(1, 1, 0), (0, 2, 2)])
-    assert coords_of((2, 0, -2)) == (2, -1)
-    assert coords_of((0, 1, 1)) is None  # in the span only over Q
-    assert coords_of((0, 0, 1)) is None  # outside the span
-    with pytest.raises(ValueError, match="not independent"):
-        _lattice_coords([(1, 2), (2, 4)])
-
-
 def _random_unimodular(rng, n):
     """A seeded product of elementary integer row operations, row swaps and
     sign flips: an n x n integer matrix of determinant +-1."""
@@ -243,25 +234,31 @@ def test_unimodular_inverse_matches_the_rational_inverse():
     assert toric._unimodular_inverse([[Fraction(1), Fraction(1, 2)], [0, 1]]) is None
 
 
-def same_fan_copies(name):
-    """The shipped fan's data, then copies with a seeded subset of the ray
-    coordinates negated and the maximal cones shuffled: the same variety,
-    with the same ray order."""
-    data = json.loads((FAN_DIR / (name + ".json")).read_text())
-    yield data
-    for seed in range(1, 4):
-        rng = random.Random("%d:%s" % (seed, name))
-        signs = [rng.choice((1, -1)) for _ in data["rays"][0]]
-        copy = dict(data, rays=[[s * x for s, x in zip(signs, ray)] for ray in data["rays"]],
-                    max_cones=[list(c) for c in data["max_cones"]])
-        rng.shuffle(copy["max_cones"])
-        yield copy
+@pytest.mark.parametrize("name", SHIPPED)
+def test_wall_coordinates_match_the_lattice_solve(monkeypatch, name):
+    # mori_generators reads each wall class's coordinates off its entries on
+    # the rays outside the first maximal cone; shuffled cones change that cone
+    primitive = linalg.primitive_vector
+    for data in same_fan_copies(name):
+        fan = make_fan(data["rays"], data["max_cones"], data.get("nef_basis"))
+        cm = charge_matrix(fan)
+        seen = []
+
+        def spy(vec):
+            if sys._getframe(1).f_code is toric.mori_generators.__code__:
+                seen.append(tuple(vec))
+            return primitive(vec)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(linalg, "primitive_vector", spy)
+            mori_generators(fan, cm)
+        assert seen == [reference_coords_in_basis(cm.m, rel) for rel in wall_relations(fan)]
 
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_setup_matches_the_per_wall_reference(monkeypatch, name):
-    # wall relations from one inverse per cone, and coordinates from one
-    # inverse per lattice basis, agree with the per-wall solves they replaced
+    # wall relations from one inverse per cone agree with the per-wall
+    # solves they replaced
     want = None
     for data in same_fan_copies(name):
         fan = make_fan(data["rays"], data["max_cones"], data.get("nef_basis"))
@@ -271,8 +268,6 @@ def test_setup_matches_the_per_wall_reference(monkeypatch, name):
         assert gens == reference_mori_generators(fan, cm)
         with monkeypatch.context() as patched:
             patched.setattr(toric, "wall_relations", reference_wall_relations)
-            patched.setattr(toric, "_lattice_coords", lambda basis: (
-                lambda vec: reference_coords_in_basis(basis, vec)))
             assert charge_matrix(fan) == cm
             assert mori_generators(fan, cm) == gens
         want = want or (cm, gens)
@@ -402,10 +397,16 @@ def test_mori_generators_values(corpus):
 def test_hirzebruch_drops_non_extremal_wall_class(corpus):
     # the wall class (1,1) = section + fiber is a sum of the two generators
     fan, cm, _ring, gens = corpus["hirzebruch1"]
-    coords_of = _lattice_coords(cm.m)
-    wall_coords = {coords_of(rel) for rel in wall_relations(fan)}
+    wall_coords = {reference_coords_in_basis(cm.m, rel) for rel in wall_relations(fan)}
     assert wall_coords == {(1, 0), (0, 1), (1, 1)}
     assert (1, 1) not in gens
+
+
+def test_mori_generators_reject_a_charge_matrix_of_a_sublattice():
+    # rows that are relations but span an index-2 sublattice of them
+    fan = load_fan("p1xp1")
+    with pytest.raises(FanError, match="not a basis of the relation lattice"):
+        mori_generators(fan, ChargeMatrix(((2, 2, 0, 0), (0, 0, 1, 1))))
 
 
 @pytest.mark.parametrize("name", SHIPPED)

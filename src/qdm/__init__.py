@@ -10,7 +10,7 @@ critical-component mode intervals and stabilizes once the mode cutoff is
 large enough.  All arithmetic is exact.
 """
 
-from .toric import (FanData, ChargeMatrix, FanError, NefBasisError, make_fan,
+from .toric import (FanData, ChargeMatrix, MoriCone, FanError, NefBasisError, make_fan,
                     parse_fan, charge_matrix, mori_generators,
                     enumerate_degrees, in_cone, wall_relations)
 from .cohomology import CohomRing, CohomClass, build_ring, monomials
@@ -21,7 +21,7 @@ from .loop_model import (CriticalData, ComponentAbsentError, min_modes,
                          critical_component, euler_ratio_n, check_stabilization)
 
 __all__ = [
-    "FanData", "ChargeMatrix", "FanError", "NefBasisError", "make_fan",
+    "FanData", "ChargeMatrix", "MoriCone", "FanError", "NefBasisError", "make_fan",
     "parse_fan", "charge_matrix", "mori_generators",
     "enumerate_degrees", "in_cone", "wall_relations",
     "CohomRing", "CohomClass", "build_ring", "monomials",

@@ -62,28 +62,35 @@ def _load(args):
         fan = toric.parse_fan(fh.read())
     cm = toric.charge_matrix(fan)
     ring = build_ring(fan, cm)
-    return fan, cm, ring
+    return fan, cm, ring, toric.mori_generators(fan, cm)
 
 
 def _int_field(part, option, raw):
     """One integer field of an option value: a string toric.parse_frac
-    accepts, without a denominator.  int() alone would also take '_', '+'
-    and spaces."""
+    accepts, without a denominator, of size at most sys.maxsize (a range's
+    limit).  int() alone would also take '_', '+' and spaces."""
     if "/" not in part:
         try:
-            return int(toric.parse_frac(part))
+            value = int(toric.parse_frac(part))
         except ValueError:
             pass
+        else:
+            if abs(value) > sys.maxsize:
+                raise ValueError("%s value %r is too large" % (option, raw))
+            return value
     raise ValueError("bad %s value %r" % (option, raw))
 
 
 def _parse_int_options(args):
-    """Turn the integer options this subcommand has into ints, in place."""
+    """Turn the integer options this subcommand has into ints >= 0, in place."""
     for option in ("--max-degree", "--theta-order", "--q-degree", "--log-order"):
         name = option[2:].replace("-", "_")
         raw = getattr(args, name, None)
         if raw is not None:
-            setattr(args, name, _int_field(raw, option, raw))
+            value = _int_field(raw, option, raw)
+            if value < 0:
+                raise ValueError("%s must be nonnegative, got %r" % (option, raw))
+            setattr(args, name, value)
 
 
 def _parse_degrees(args, cm):
@@ -123,8 +130,7 @@ def _parse_modes(raw):
 
 
 def cmd_cohomology(args) -> tuple[dict, bool]:
-    fan, cm, ring = _load(args)
-    gens = toric.mori_generators(fan, cm)
+    fan, cm, ring, cone = _load(args)
     duals = ring.dual_basis()[1]
     pairing_blocks = {}
     for deg in range(ring.top + 1):
@@ -137,7 +143,7 @@ def cmd_cohomology(args) -> tuple[dict, bool]:
     report = {
         "rays": [list(r) for r in fan.rays],
         "charge_matrix": [list(r) for r in cm.m],
-        "mori_generators": [list(g) for g in gens],
+        "mori_generators": [list(g) for g in cone.generators],
         "dimensions": list(ring.dims),
         "total_dimension": sum(ring.dims),
         "basis": {str(d): [serialize.mono_str(m) for m in ring.basis_by_degree[d]]
@@ -150,12 +156,11 @@ def cmd_cohomology(args) -> tuple[dict, bool]:
 
 
 def cmd_ifunction(args) -> tuple[dict, bool]:
-    fan, cm, ring = _load(args)
+    _fan, cm, ring, cone = _load(args)
     components = None
     if args.components is not None:
         components = _parse_components(args.components, len(ring.basis))
-    gens = toric.mori_generators(fan, cm)
-    series = ifunction.build_f(ring, gens, args.max_degree)
+    series = ifunction.build_f(ring, cone, args.max_degree)
     # reported as "homogeneous": a value at hbar = 1 is homogeneous by
     # construction, so what is checked is the identity defining each R_d
     homogeneous = all(ifunction.check_ratio(ring, d, series.coefficients[d])
@@ -179,13 +184,12 @@ def cmd_ifunction(args) -> tuple[dict, bool]:
 
 
 def cmd_operators(args) -> tuple[dict, bool]:
-    fan, cm, ring = _load(args)
-    gens = toric.mori_generators(fan, cm)
-    series = ifunction.build_f(ring, gens, args.max_degree)
+    _fan, cm, ring, cone = _load(args)
+    series = ifunction.build_f(ring, cone, args.max_degree)
     theta_order = (ring.top + 1) if args.theta_order is None else args.theta_order
     degrees = _parse_degrees(args, cm)
     if degrees is None:
-        degrees = gens
+        degrees = cone.generators
     ok = True
     gkz_entries = []
     for d in degrees:
@@ -235,15 +239,14 @@ def cmd_operators(args) -> tuple[dict, bool]:
 
 
 def cmd_loop_model(args) -> tuple[dict, bool]:
-    fan, cm, ring = _load(args)
-    gens = toric.mori_generators(fan, cm)
+    _fan, cm, ring, cone = _load(args)
     degrees = _parse_degrees(args, cm)
     if degrees is None:
-        degrees = toric.enumerate_degrees(gens, cm, args.max_degree)
+        degrees = toric.enumerate_degrees(cone, cm, args.max_degree)
         degrees = [d for d in degrees if any(d)]
     else:
         for d in degrees:
-            if not toric.in_cone(d, gens):
+            if not toric.in_cone(d, cone):
                 raise ValueError("--degree %s is outside the Mori cone"
                                  % ",".join(map(str, d)))
     modes = _parse_modes(args.modes)

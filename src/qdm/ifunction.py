@@ -48,7 +48,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .cohomology import CohomClass, CohomRing, monomials
-from .toric import enumerate_degrees
+from .toric import MoriCone, enumerate_degrees
 
 
 def euler_ratio(ring: CohomRing, degree) -> CohomClass:
@@ -145,10 +145,10 @@ class Series:
         return all(self.coefficients[d].is_zero() for d in self.degrees)
 
 
-def build_f(ring: CohomRing, gens, bound: int) -> Series:
-    """Assemble the series over all Mori degrees with c1-degree <= bound,
-    whatever the signs of their pairings with the divisors."""
-    degrees = tuple(enumerate_degrees(gens, ring.cm, bound))
+def build_f(ring: CohomRing, cone: MoriCone, bound: int) -> Series:
+    """Assemble the series over all degrees of the Mori cone with c1-degree
+    <= bound, whatever the signs of their pairings with the divisors."""
+    degrees = tuple(enumerate_degrees(cone, ring.cm, bound))
     coeffs = {d: euler_ratio(ring, d) for d in degrees}
     return Series(ring, bound, degrees, coeffs, 0)
 

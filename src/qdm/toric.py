@@ -38,9 +38,11 @@ construction, and m = (Y^-1)^T K is an integer combination of kernel rows.
 CohomRing alone checks that charge matrix rows are relations, which guards
 a ChargeMatrix built by hand.
 
-The Mori cone has one description: the facet normals y of the cone its
-generators span (the extreme rays of its dual).  in_cone, mori_generators and
-enumerate_degrees all test classes d by y . d against them.
+The Mori cone has one description, derived once per fan: the facet normals
+y of the cone the wall classes span, i.e. the nef cone's extreme rays.
+make_fan finds them in outside coordinates; a derived nef basis is read off
+them, and mori_generators maps them to charge coordinates for in_cone and
+enumerate_degrees, which test classes d by y . d >= 0.
 """
 
 from __future__ import annotations
@@ -67,11 +69,12 @@ class NefBasisError(ValueError):
 
 
 class FanData(namedtuple("FanData", ("rays", "max_cones", "nef_basis",
-                                     "wall_relations"))):
+                                     "wall_relations", "mori_normals"))):
     """rays: tuple of int tuples; max_cones: tuple of sorted ray-index
     tuples; nef_basis: None or one tuple of Fractions per nef class;
     wall_relations: the relation of each wall, as wall_relations returns
-    them."""
+    them; mori_normals: the Mori cone's primitive facet normals in outside
+    coordinates, sorted (the nef cone's extreme rays there)."""
 
     __slots__ = ()
 
@@ -82,6 +85,12 @@ class FanData(namedtuple("FanData", ("rays", "max_cones", "nef_basis",
     @property
     def n_rays(self) -> int:
         return len(self.rays)
+
+
+# The Mori cone in charge-matrix coordinates: generators, one primitive class
+# per extremal ray, sorted by (c1, class), and normals, its primitive inward
+# facet normals y, sorted; d lies in it exactly when y . d >= 0 for every y.
+MoriCone = namedtuple("MoriCone", ("generators", "normals"))
 
 
 class ChargeMatrix:
@@ -225,7 +234,12 @@ def make_fan(rays, max_cones, nef_basis=None) -> FanData:
         if len(rows) != n - dim:
             raise FanError("nef_basis must contain exactly %d vectors" % (n - dim))
         nef = tuple(rows)
-    return FanData(rays_t, tuple(cones), nef, relations)
+    l = n - dim
+    wall_coords = sorted(set(map(tuple, _columns(relations, _outside(n, cones[0])))))
+    if _rank(wall_coords, l) < l:
+        raise FanError("the wall curve classes do not span the relation lattice")
+    return FanData(rays_t, tuple(cones), nef, relations,
+                   tuple(_dual_cone_rays(wall_coords, l)))
 
 
 def parse_fan(text: str) -> FanData:
@@ -305,9 +319,9 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _outside(fan: FanData):
-    """The indices of the l rays outside the first maximal cone."""
-    return [k for k in range(fan.n_rays) if k not in fan.max_cones[0]]
+def _outside(n, cone):
+    """The indices of the rays 0..n-1 outside the cone."""
+    return [k for k in range(n) if k not in cone]
 
 
 def _columns(rows, cols):
@@ -336,16 +350,6 @@ def _dual_cone_rays(wall_coords, l):
     return sorted(found)
 
 
-def _facet_normals(classes, l):
-    """Primitive inward facet normals of the cone the classes span: the
-    extreme rays of its dual.  The classes must span Q^l, or a ValueError is
-    raised; the cone is then described by y . d >= 0 for every normal y."""
-    if _rank(classes, l) < l:
-        raise ValueError("the generators do not span the curve lattice; the "
-                         "cone has no facet normals to test membership by")
-    return _dual_cone_rays(classes, l)
-
-
 def charge_matrix(fan: FanData) -> ChargeMatrix:
     """Charge matrix of the fan, rows dual to a nef lattice basis.
 
@@ -356,26 +360,20 @@ def charge_matrix(fan: FanData) -> ChargeMatrix:
     """
     kernel = linalg.integer_kernel(_ray_matrix(fan))
     l = fan.n_rays - fan.dim
-    walls = wall_relations(fan)
     if fan.nef_basis is not None:
         y_rows = [[_dot(ker, vec) for ker in kernel] for vec in fan.nef_basis]
         y_inv = _unimodular_inverse(y_rows)
         if y_inv is None:
             raise NefBasisError("supplied nef_basis is not a lattice basis "
                                 "of the divisor class lattice")
-        if any(_dot(vec, r) < 0 for vec in fan.nef_basis for r in walls):
+        if any(_dot(vec, r) < 0 for vec in fan.nef_basis for r in wall_relations(fan)):
             raise NefBasisError("supplied nef_basis is not nef: a wall "
                                 "curve pairs negatively")
     else:
-        out = _outside(fan)
-        wall_coords = sorted(set(map(tuple, _columns(walls, out))))
-        if _rank(wall_coords, l) < l:
-            raise NefBasisError("curve classes do not span; cannot derive a nef basis")
         # a nef ray y_N in outside coordinates is the class K_N . y_N, and
         # K_N is unimodular, so it stays primitive
-        kernel_out = _columns(kernel, out)
-        y_rows = sorted([_dot(ker, y) for ker in kernel_out]
-                        for y in _dual_cone_rays(wall_coords, l))
+        kernel_out = _columns(kernel, _outside(fan.n_rays, fan.max_cones[0]))
+        y_rows = sorted([_dot(ker, y) for ker in kernel_out] for y in fan.mori_normals)
         if len(y_rows) != l:
             raise NefBasisError("nef cone is not simplicial (%d extreme rays, need %d); "
                                 "supply an explicit nef_basis" % (len(y_rows), l))
@@ -389,27 +387,27 @@ def charge_matrix(fan: FanData) -> ChargeMatrix:
     return ChargeMatrix(tuple(m_rows))
 
 
-def in_cone(degree, gens) -> bool:
-    """Is degree a nonnegative rational combination of the generators?  They
-    must span, as the Mori generators of a complete fan do, or a ValueError
-    is raised, and have as many coordinates as the degree; degree is tested
-    against the facet normals of their cone."""
-    other = next((g for g in gens if len(g) != len(degree)), None)
+def in_cone(degree, cone: MoriCone) -> bool:
+    """Is degree in the cone, y . degree >= 0 for each of its facet normals
+    y?  The degree must have as many coordinates as the cone's classes."""
+    other = next((g for g in cone.generators if len(g) != len(degree)), None)
     if other is not None:
         raise ValueError("degree %r has length %d, a generator length %d"
                          % (tuple(degree), len(degree), len(other)))
-    return all(_dot(y, degree) >= 0 for y in _facet_normals(gens, len(degree)))
+    return all(_dot(y, degree) >= 0 for y in cone.normals)
 
 
-def mori_generators(fan: FanData, cm: ChargeMatrix):
-    """Extremal generators of the Mori cone in charge-matrix coordinates.
+def mori_generators(fan: FanData, cm: ChargeMatrix) -> MoriCone:
+    """The Mori cone in charge-matrix coordinates.
 
-    Wall curve classes generate the cone.  A primitive wall class is kept
-    when it lies on an extremal ray: the facet normals vanishing on it have
-    rank l - 1.  This leaves one generator per extremal ray.
+    A wall class c has outside coordinates r_N = c . m_N, so a fan normal y
+    pairs with it as y . r_N = (m_N y) . c: the cone's normals are the m_N y,
+    primitive as m_N is unimodular.  A primitive wall class is kept when it
+    lies on an extremal ray: the normals vanishing on it have rank l - 1.
     """
-    out = _outside(fan)
-    m_inv = _unimodular_inverse(_columns(cm.m, out))
+    out = _outside(fan.n_rays, fan.max_cones[0])
+    m_out = _columns(cm.m, out)
+    m_inv = _unimodular_inverse(m_out)
     if m_inv is None:
         raise FanError("charge matrix rows are not a basis of the relation lattice")
     coords = set()
@@ -419,26 +417,24 @@ def mori_generators(fan: FanData, cm: ChargeMatrix):
             raise FanError("wall curve class pairs negatively with the nef basis")
         coords.add(linalg.primitive_vector(c))
     l = cm.l
-    facets = _facet_normals(sorted(coords), l)
+    normals = sorted(tuple(_dot(row, y) for row in m_out) for y in fan.mori_normals)
     extremal = [g for g in coords
-                if _rank([y for y in facets if _dot(y, g) == 0], l) == l - 1]
+                if _rank([y for y in normals if _dot(y, g) == 0], l) == l - 1]
     extremal.sort(key=lambda d: (cm.c1_degree(d), d))
-    return extremal
+    return MoriCone(tuple(extremal), tuple(normals))
 
 
-def enumerate_degrees(gens, cm: ChargeMatrix, bound: int):
+def enumerate_degrees(cone: MoriCone, cm: ChargeMatrix, bound: int):
     """All Mori-cone lattice points with anticanonical degree <= bound.
 
-    Membership is tested against the facet normals of the cone the
-    generators span; they must span, or a ValueError is raised.  Every
-    generator must have positive anticanonical degree (Fano-type positivity);
+    Membership is tested against the cone's facet normals.  Every generator
+    must have positive anticanonical degree (Fano-type positivity);
     otherwise the set is infinite and a ValueError is raised.  Output is
     sorted by (degree, coordinates).
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    l = cm.l
-    facets = _facet_normals(gens, l)
+    gens = cone.generators
     degs = [cm.c1_degree(g) for g in gens]
     if any(d <= 0 for d in degs):
         raise ValueError("a Mori generator has nonpositive anticanonical degree; "
@@ -447,11 +443,11 @@ def enumerate_degrees(gens, cm: ChargeMatrix, bound: int):
     # g * bound / c1(g), so each coordinate lies between their floor and ceiling
     box = [range(min([0] + [bound * g[j] // d for g, d in zip(gens, degs)]),
                  max([0] + [-(-bound * g[j] // d) for g, d in zip(gens, degs)]) + 1)
-           for j in range(l)]
+           for j in range(cm.l)]
     out = []
     for d in product(*box):
         c1 = cm.c1_degree(d)
-        if 0 <= c1 <= bound and all(_dot(y, d) >= 0 for y in facets):
+        if 0 <= c1 <= bound and all(_dot(y, d) >= 0 for y in cone.normals):
             out.append(tuple(d))
     out.sort(key=lambda d: (cm.c1_degree(d), d))
     return out

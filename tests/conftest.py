@@ -14,6 +14,7 @@ from qdm.dmodule import DiffOp, _ansatz_key
 from qdm.toric import FanError
 
 FAN_DIR = Path(__file__).resolve().parent.parent / "fans"
+BENCH_FANS = FAN_DIR.parent / "perfbench" / "fans.json"
 
 CORPUS = ["p1", "p2", "p3", "p1xp1", "hirzebruch1", "dp2"]
 SHIPPED = sorted(path.stem for path in FAN_DIR.glob("*.json"))
@@ -21,6 +22,12 @@ SHIPPED = sorted(path.stem for path in FAN_DIR.glob("*.json"))
 
 def load_fan(name):
     return qdm.parse_fan((FAN_DIR / (name + ".json")).read_text())
+
+
+def load_bench_fan(name):
+    """A fan of the benchmark's fans.json, which fans/ may lack."""
+    data = json.loads(BENCH_FANS.read_text())[name]
+    return qdm.make_fan(data["rays"], data["max_cones"], data.get("nef_basis"))
 
 
 def same_fan_copies(name):
@@ -185,14 +192,14 @@ def _built(names):
         fan = load_fan(name)
         cm = qdm.charge_matrix(fan)
         ring = qdm.build_ring(fan, cm)
-        gens = qdm.mori_generators(fan, cm)
-        out[name] = (fan, cm, ring, gens)
+        cone = qdm.mori_generators(fan, cm)
+        out[name] = (fan, cm, ring, cone)
     return out
 
 
 @pytest.fixture(scope="session")
 def corpus():
-    """name -> (fan, charge matrix, ring, mori generators) for the test fans."""
+    """name -> (fan, charge matrix, ring, Mori cone) for the test fans."""
     return _built(CORPUS)
 
 

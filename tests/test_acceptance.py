@@ -59,8 +59,8 @@ def test_criterion_1_closed_form_series(corpus, report_line):
     with report_line(1, label):
         for name, n in PROJECTIVE_SPACES:
             start = time.monotonic()
-            _fan, cm, ring, gens = corpus[name]
-            series = build_f(ring, gens, 6 * (n + 1))
+            _fan, cm, ring, cone = corpus[name]
+            series = build_f(ring, cone, 6 * (n + 1))
             f0 = component(series, 0, log_order=0)
             assert sorted(f0) == [(d,) for d in range(7)]
             for d in range(7):
@@ -74,8 +74,8 @@ def test_criterion_2_annihilator_recovery(corpus, report_line):
     label = "annihilator search recovers theta^(n+1) - q and verifies each op"
     with report_line(2, label):
         for name, n in PROJECTIVE_SPACES:
-            _fan, cm, ring, gens = corpus[name]
-            series = build_f(ring, gens, 4 * (n + 1))
+            _fan, cm, ring, cone = corpus[name]
+            series = build_f(ring, cone, 4 * (n + 1))
             ops = find_annihilators(series, theta_order=n + 1, q_degree=1)
             assert ops, name
             for op in ops:
@@ -93,15 +93,15 @@ def test_criterion_3_semiclassical_relations(corpus, report_line):
     label = "semiclassical limits give p^(n+1) = q and p_i^2 = q_i"
     with report_line(3, label):
         for name, n in PROJECTIVE_SPACES:
-            _fan, cm, ring, gens = corpus[name]
-            series = build_f(ring, gens, 4 * (n + 1))
+            _fan, cm, ring, cone = corpus[name]
+            series = build_f(ring, cone, 4 * (n + 1))
             ops = find_annihilators(series, theta_order=n + 1, q_degree=1)
             rel = semiclassical(ops[0])
             assert rel.terms == {(0,): {(n + 1,): Fraction(1)},
                                  (1,): {(0,): Fraction(-1)}}, name
             assert rel.classical_value(ring).is_zero(), name
-        _fan, cm, ring, gens = corpus["p1xp1"]
-        series = build_f(ring, gens, 8)
+        _fan, cm, ring, cone = corpus["p1xp1"]
+        series = build_f(ring, cone, 8)
         ops = find_annihilators(series, theta_order=2, q_degree=1)
         for g, i in (((1, 0), 0), ((0, 1), 1)):
             box = gkz_operator(cm, g)
@@ -118,8 +118,8 @@ def test_criterion_4_loop_space_stabilization(corpus, report_line):
     with report_line(4, label):
         for name in ("p2", "p1xp1"):
             start = time.monotonic()
-            _fan, cm, ring, gens = corpus[name]
-            for d in enumerate_degrees(gens, cm, 6):
+            _fan, cm, ring, cone = corpus[name]
+            for d in enumerate_degrees(cone, cm, 6):
                 n_min = min_modes(cm, d)
                 report = check_stabilization(ring, d, range(n_min, n_min + 4))
                 assert report["stable"] is True, (name, d)
@@ -144,7 +144,7 @@ def test_criterion_5_ring_sanity(corpus, report_line):
             "hirzebruch1": (1, 2, 1),
             "dp2": (1, 3, 1),
         }
-        for name, (fan, cm, ring, gens) in corpus.items():
+        for name, (fan, cm, ring, cone) in corpus.items():
             assert ring.dims == expected[name], name
             assert sum(ring.dims) == len(fan.max_cones), name
             t, duals = ring.dual_basis()
@@ -159,7 +159,7 @@ def test_criterion_5_ring_sanity(corpus, report_line):
                 assert rel.is_zero(), (name, nu)
             # every inversion used by the degree-6 run multiplies back to 1
             checked = set()
-            for d in enumerate_degrees(gens, cm, 6):
+            for d in enumerate_degrees(cone, cm, 6):
                 for k in range(cm.n):
                     for nu in range(1, cm.pairings(d)[k] + 1):
                         if (k, nu) in checked:
@@ -174,8 +174,8 @@ def test_criterion_5_ring_sanity(corpus, report_line):
 def test_criterion_6_homogeneity(corpus, report_line):
     label = "every series term satisfies 2*deg + 2*hbar = -2<c1, d>"
     with report_line(6, label):
-        for name, (_fan, cm, ring, gens) in corpus.items():
-            series = build_f(ring, gens, 6)
+        for name, (_fan, cm, ring, cone) in corpus.items():
+            series = build_f(ring, cone, 6)
             for d in series.degrees:
                 c1 = cm.c1_degree(d)
                 r_d = series.coefficients[d]
@@ -190,9 +190,9 @@ def test_criterion_6_homogeneity(corpus, report_line):
 def test_criterion_7_gkz_annihilation(corpus, report_line):
     label = "box operators of all Mori generators annihilate the series"
     with report_line(7, label):
-        for name, (_fan, cm, ring, gens) in corpus.items():
-            series = build_f(ring, gens, 8)
-            for g in gens:
+        for name, (_fan, cm, ring, cone) in corpus.items():
+            series = build_f(ring, cone, 8)
+            for g in cone.generators:
                 out = apply(gkz_operator(cm, g), series)
                 assert out.is_zero(), (name, g)
                 assert out.degrees, (name, g)  # the window must be non-empty

@@ -9,14 +9,13 @@ from itertools import islice
 
 import pytest
 
-from qdm import cli, cohomology, ifunction
+from qdm import cli, cohomology, ifunction, toric
 from qdm.cli import main
 
-from conftest import FAN_DIR, SHIPPED, same_fan_copies
+from conftest import BENCH_FANS, FAN_DIR, SHIPPED, same_fan_copies
 
 LAYERS = FAN_DIR.parent / "perfbench" / "layers.py"
 BENCHMARK = FAN_DIR.parent / "perfbench" / "run.py"
-BENCH_FANS = FAN_DIR.parent / "perfbench" / "fans.json"
 
 
 def fan_path(name):
@@ -117,8 +116,16 @@ P1XP1_TEXT = ('{"rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],'
     ('{"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": true}', ["cohomology"],
      "max_cones must be a list"),
     # sizes past a machine index: the degree box and the mode range
-    (P2_TEXT, ["ifunction", "--max-degree", "100000000000000000000000"], "too large"),
-    (P2_TEXT, ["loop-model", "--modes", "0..100000000000000000000000"], "too large"),
+    (P2_TEXT, ["ifunction", "--max-degree", "100000000000000000000000"],
+     "--max-degree value '100000000000000000000000' is too large"),
+    (P2_TEXT, ["loop-model", "--modes", "0..100000000000000000000000"],
+     "--modes value '0..100000000000000000000000' is too large"),
+    # a negative bound is named by its option, not by the library call it reaches
+    (P2_TEXT, ["ifunction", "--max-degree=-1"], "--max-degree must be nonnegative, got '-1'"),
+    (P2_TEXT, ["operators", "--theta-order=-1"], "--theta-order must be nonnegative, got '-1'"),
+    (P2_TEXT, ["operators", "--q-degree=-2"], "--q-degree must be nonnegative, got '-2'"),
+    (P2_TEXT, ["ifunction", "--components", "0", "--log-order=-1"],
+     "--log-order must be nonnegative, got '-1'"),
 ])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capfd, fan_text, argv, message):
     monkeypatch.chdir(tmp_path)  # so relative --out paths resolve inside tmp_path
@@ -386,6 +393,32 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["total_dimension"] == 4
+
+
+# p2 derives its nef basis, dp3 supplies one; two Mori-cone degrees of each
+CONE_DEGREES = {"p2": ["1", "2"], "dp3": ["0,0,0,1", "1,1,0,0"]}
+
+
+@pytest.mark.parametrize("name", sorted(CONE_DEGREES))
+@pytest.mark.parametrize("command", ["cohomology", "ifunction", "operators",
+                                     "loop-model", "loop-model --degree"])
+def test_one_mori_cone_derivation_per_run(monkeypatch, capsys, name, command):
+    # make_fan derives the cone's facet normals; the charge matrix, the
+    # generators, the degree enumeration and each --degree test reuse them
+    calls = []
+    derive = toric._dual_cone_rays
+
+    def spy(*args):
+        calls.append(args)
+        return derive(*args)
+
+    monkeypatch.setattr(toric, "_dual_cone_rays", spy)
+    argv = [command.split()[0], fan_path(name)]
+    if command.endswith("--degree"):
+        argv += [arg for d in CONE_DEGREES[name] for arg in ("--degree", d)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_benchmark_tracer_still_wraps_the_entry_points(capsys):

@@ -43,18 +43,18 @@ def test_betti_numbers(shipped):
         "p1x3": (1, 3, 3, 1),
     }
     for name, betti in expected.items():
-        fan, _cm, ring, _gens = shipped[name]
+        fan, _cm, ring, _cone = shipped[name]
         assert ring.dims == betti, name
         assert sum(ring.dims) == len(fan.max_cones), name
 
 
 def test_projective_plane_basis_monomials(corpus):
-    _fan, _cm, ring, _gens = corpus["p2"]
+    _fan, _cm, ring, _cone = corpus["p2"]
     assert ring.basis == ((0, 0, 0), (0, 0, 1), (0, 0, 2))
 
 
 def test_fixed_points_integrate_to_one(corpus):
-    for name, (fan, _cm, ring, _gens) in corpus.items():
+    for name, (fan, _cm, ring, _cone) in corpus.items():
         points = []
         for cone in fan.max_cones:
             cls = ring.one()
@@ -68,7 +68,7 @@ def test_fixed_points_integrate_to_one(corpus):
 
 
 def test_linear_relations_vanish(corpus):
-    for name, (fan, _cm, ring, _gens) in corpus.items():
+    for name, (fan, _cm, ring, _cone) in corpus.items():
         for nu in range(fan.dim):
             rel = ring.zero()
             for k in range(fan.n_rays):
@@ -85,7 +85,7 @@ def test_stanley_reisner_products_vanish(corpus):
         "dp2": [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)],
     }
     for name, faces in nonfaces.items():
-        _fan, _cm, ring, _gens = corpus[name]
+        _fan, _cm, ring, _cone = corpus[name]
         for face in faces:
             cls = ring.one()
             for k in face:
@@ -94,14 +94,14 @@ def test_stanley_reisner_products_vanish(corpus):
 
 
 def test_hirzebruch_self_intersections(corpus):
-    _fan, _cm, ring, _gens = corpus["hirzebruch1"]
+    _fan, _cm, ring, _cone = corpus["hirzebruch1"]
     squares = [ring.integrate(ring.generator(k) * ring.generator(k))
                for k in range(4)]
     assert squares == [0, -1, 0, 1]
 
 
 def test_del_pezzo_self_intersections(corpus):
-    _fan, _cm, ring, _gens = corpus["dp2"]
+    _fan, _cm, ring, _cone = corpus["dp2"]
     squares = [ring.integrate(ring.generator(k) * ring.generator(k))
                for k in range(5)]
     assert squares == [0, -1, -1, -1, 0]
@@ -112,7 +112,7 @@ def test_anticanonical_degrees(shipped):
     expected = {"p1": 2, "p2": 9, "p3": 64, "p1xp1": 8,
                 "hirzebruch1": 8, "dp2": 7, "p5": 7776, "p1x3": 48}
     for name, degree in expected.items():
-        _fan, _cm, ring, _gens = shipped[name]
+        _fan, _cm, ring, _cone = shipped[name]
         c1 = ring.zero()
         for k in range(ring.n):
             c1 = c1 + ring.generator(k)
@@ -123,7 +123,7 @@ def test_anticanonical_degrees(shipped):
 
 
 def test_ray_classes_expand_in_nef_basis(corpus):
-    for name, (_fan, cm, ring, _gens) in corpus.items():
+    for name, (_fan, cm, ring, _cone) in corpus.items():
         for k in range(cm.n):
             combo = ring.zero()
             for j in range(cm.l):
@@ -134,13 +134,13 @@ def test_ray_classes_expand_in_nef_basis(corpus):
 
 def test_mori_generators_have_nonnegative_coordinates(corpus):
     # the coordinates of a curve class are its pairings with the nef basis
-    for name, (_fan, cm, _ring, gens) in corpus.items():
-        for g in gens:
+    for name, (_fan, cm, _ring, cone) in corpus.items():
+        for g in cone.generators:
             assert all(x >= 0 for x in g), (name, g)
 
 
 def test_dual_basis_pairing(corpus):
-    for name, (_fan, _cm, ring, _gens) in corpus.items():
+    for name, (_fan, _cm, ring, _cone) in corpus.items():
         t, duals = ring.dual_basis()
         assert len(t) == len(duals) == sum(ring.dims)
         for i, ti in enumerate(t):
@@ -152,7 +152,7 @@ def test_dual_basis_pairing(corpus):
 def test_ring_axioms_on_random_classes(corpus):
     rng = random.Random(19)
     for name in ("p1xp1", "dp2"):
-        _fan, _cm, ring, _gens = corpus[name]
+        _fan, _cm, ring, _cone = corpus[name]
 
         def rand_class():
             out = ring.zero()
@@ -172,7 +172,7 @@ def test_ring_axioms_on_random_classes(corpus):
 
 
 def test_degree_part_and_max_degree(corpus):
-    _fan, _cm, ring, _gens = corpus["p2"]
+    _fan, _cm, ring, _cone = corpus["p2"]
     h = ring.generator(0)
     mixed = ring.one() + h + (h * h).scale(5)
     assert max(sum(m) for m in mixed.coeffs) == 2
@@ -181,7 +181,7 @@ def test_degree_part_and_max_degree(corpus):
 
 
 def test_multiplication_truncates_above_top(corpus):
-    _fan, _cm, ring, _gens = corpus["p1"]
+    _fan, _cm, ring, _cone = corpus["p1"]
     h = ring.generator(0)
     assert (h * h).is_zero()
 
@@ -207,7 +207,7 @@ def test_cross_ring_arithmetic_rejected(corpus):
 
 
 def test_build_ring_function(corpus):
-    fan, cm, ring, _gens = corpus["p1"]
+    fan, cm, ring, _cone = corpus["p1"]
     fresh = build_ring(fan, cm)
     assert fresh.dims == ring.dims
     assert fresh.basis == ring.basis
@@ -221,7 +221,7 @@ def test_build_ring_function(corpus):
 def test_free_variable_ring_matches_the_reference_reduction(shipped, name):
     # same graded basis, and every n-variable monomial of degree <= dim + 1
     # reduces to the product of its ray divisor classes
-    fan, _cm, ring, _gens = shipped[name]
+    fan, _cm, ring, _cone = shipped[name]
     table, basis_by_degree = reference_reduction_table(fan)
     assert ring.basis_by_degree == basis_by_degree, name
     for mono, reduced in table.items():
@@ -236,7 +236,7 @@ def test_free_variable_ring_matches_the_reference_reduction(shipped, name):
 def test_reduction_table_holds_only_free_monomials(shipped, name):
     # the rref pivots of the ray matrix lead the linear relations; the table
     # has every monomial of degree <= dim + 1 in the l others, and no more
-    fan, cm, ring, _gens = shipped[name]
+    fan, cm, ring, _cone = shipped[name]
     _red, lead = linalg.rref([[ray[nu] for ray in fan.rays] for nu in range(fan.dim)],
                              fan.n_rays)
     assert len(lead) == fan.dim, name
@@ -258,7 +258,7 @@ def test_linear_factors_match_the_reference_products(shipped, name):
     # (lin + nu) * cls and its inverse, for every ray divisor and nef class,
     # equal the products of full classes through CohomRing.multiply, with
     # the inverse expanded as the terminating series
-    _fan, _cm, ring, _gens = shipped[name]
+    _fan, _cm, ring, _cone = shipped[name]
     rng = random.Random("linear " + name)
     lins = ([ring.generator(k) for k in range(ring.n)]
             + [ring.omega_class(j) for j in range(ring.l)])
@@ -281,7 +281,7 @@ def test_linear_factors_match_the_reference_products(shipped, name):
 
 
 def test_linear_factors_need_a_degree_one_class(corpus):
-    _fan, _cm, ring, _gens = corpus["p2"]
+    _fan, _cm, ring, _cone = corpus["p2"]
     h = ring.generator(0)
     for lin in (ring.one(), h * h, h + ring.one()):
         with pytest.raises(ValueError, match="degree-one class"):
@@ -325,7 +325,7 @@ def check_kernels_against_the_reference(fan, ring, name):
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_kernels_match_the_fraction_reference(shipped, name):
-    fan, _cm, ring, _gens = shipped[name]
+    fan, _cm, ring, _cone = shipped[name]
     check_kernels_against_the_reference(fan, ring, name)
 
 
@@ -348,7 +348,7 @@ def assert_canonical(cls):
 
 @pytest.mark.parametrize("name", ["p2", "hirzebruch1", "dp3"])
 def test_classes_are_in_lowest_terms(shipped, name):
-    _fan, _cm, ring, _gens = shipped[name]
+    _fan, _cm, ring, _cone = shipped[name]
     rng = random.Random("canonical " + name)
     zero = ring.zero()
     assert (zero.num, zero.den) == ({}, 1)

@@ -138,8 +138,8 @@ def test_mismatched_charge_matrix_rejected(corpus):
 
 
 def test_apply_theta_projective_line(corpus):
-    _fan, cm, ring, gens = corpus["p1"]
-    series = build_f(ring, gens, 4)
+    _fan, cm, ring, cone = corpus["p1"]
+    series = build_f(ring, cone, 4)
     assert series.weight == 0
     out = apply(DiffOp.theta(cm, 0), series)
     assert out.bound == 4
@@ -162,17 +162,17 @@ def test_apply_theta_projective_line(corpus):
 
 def test_apply_rejects_an_operator_of_another_charge_matrix(corpus):
     # zip would truncate e = (1, 1) to (1,) and return a wrong series
-    _fan, cm, ring, gens = corpus["p1"]
+    _fan, cm, ring, cone = corpus["p1"]
     other = corpus["p1xp1"][1]
-    series = build_f(ring, gens, 4)
+    series = build_f(ring, cone, 4)
     for op in (DiffOp.q_power(other, (1, 1)), DiffOp.theta(other, 1)):
         with pytest.raises(ValueError, match="different charge matrices"):
             apply(op, series)
 
 
 def test_apply_is_linear(corpus):
-    _fan, cm, ring, gens = corpus["p1"]
-    series = build_f(ring, gens, 6)
+    _fan, cm, ring, cone = corpus["p1"]
+    series = build_f(ring, cone, 6)
     theta, hbar = DiffOp.theta(cm, 0), DiffOp.hbar(cm)
     a = theta * theta
     # all of weight 2: q has weight c1 = 2 on the line
@@ -187,8 +187,8 @@ def test_apply_is_linear(corpus):
 
 def test_apply_theta_minus_hbar(corpus):
     # theta - hbar acts on q^d R_d as (omega + d - 1) R_d at hbar = 1
-    _fan, cm, ring, gens = corpus["p1"]
-    series = build_f(ring, gens, 4)
+    _fan, cm, ring, cone = corpus["p1"]
+    series = build_f(ring, cone, 4)
     out = apply(DiffOp.theta(cm, 0) - DiffOp.hbar(cm), series)
     assert out.weight == 1
     omega = ring.omega_class(0)
@@ -199,8 +199,8 @@ def test_apply_theta_minus_hbar(corpus):
 
 
 def test_apply_composition_matches_nesting(corpus):
-    _fan, cm, ring, gens = corpus["p1"]
-    series = build_f(ring, gens, 6)
+    _fan, cm, ring, cone = corpus["p1"]
+    series = build_f(ring, cone, 6)
     a = DiffOp.theta(cm, 0)
     b = DiffOp.q_power(cm, (1,)) - DiffOp.theta(cm, 0) * DiffOp.theta(cm, 0)
     once = apply(a * b, series)
@@ -215,8 +215,8 @@ def test_apply_composition_matches_nesting(corpus):
 def test_component_reads_the_series_weight(corpus):
     # hbar F stores the classes of F, one weight higher: each hbar exponent
     # of its components is one more
-    _fan, cm, ring, gens = corpus["p2"]
-    series = build_f(ring, gens, 6)
+    _fan, cm, ring, cone = corpus["p2"]
+    series = build_f(ring, cone, 6)
     shifted = apply(DiffOp.hbar(cm), series)
     assert shifted.weight == 1
     for beta in range(len(ring.basis)):
@@ -226,8 +226,8 @@ def test_component_reads_the_series_weight(corpus):
 
 
 def test_apply_window_shrinks_with_q_support(corpus):
-    _fan, cm, ring, gens = corpus["p1"]
-    series = build_f(ring, gens, 4)
+    _fan, cm, ring, cone = corpus["p1"]
+    series = build_f(ring, cone, 4)
     out = apply(DiffOp.q_power(cm, (1,)), series)
     assert out.bound == 2
     assert out.degrees == ((0,), (1,))
@@ -236,8 +236,8 @@ def test_apply_window_shrinks_with_q_support(corpus):
 
 
 def test_apply_keeps_zero_coefficients(corpus):
-    _fan, cm, ring, gens = corpus["p1"]
-    series = build_f(ring, gens, 6)
+    _fan, cm, ring, cone = corpus["p1"]
+    series = build_f(ring, cone, 6)
     out = apply(gkz_operator(cm, (1,)), series)
     assert out.is_zero()
     assert out.degrees == ((0,), (1,), (2,))
@@ -250,13 +250,13 @@ def test_apply_theta_matches_the_reference_values(shipped, name):
     # q^e theta^t applied to the series, and to a once-applied series of
     # weight 1, gives value(d - e, t) * (source at d - e) with
     # value(d, t) = prod_j (omega_j + d_j)^t_j built from full class products
-    _fan, cm, ring, gens = shipped[name]
+    _fan, cm, ring, cone = shipped[name]
     l = cm.l
-    series = build_f(ring, gens, 2 * max(cm.c1_degree(g) for g in gens))
+    series = build_f(ring, cone, 2 * max(cm.c1_degree(g) for g in cone.generators))
     value = reference_theta_values(ring, l)
     once = apply(DiffOp.theta(cm, 0), series)
     for target in (series, once):
-        for e in ((0,) * l, gens[0]):
+        for e in ((0,) * l, cone.generators[0]):
             for t in [t for total in range(3) for t in monomials(l, total)]:
                 weight = cm.c1_degree(e) + sum(t)
                 out = apply(DiffOp(cm, weight, {e: {t: Fraction(1)}}), target)
@@ -270,8 +270,8 @@ def test_apply_theta_matches_the_reference_values(shipped, name):
 
 
 def test_theta_memo_is_shared_per_series(corpus, monkeypatch):
-    _fan, cm, ring, gens = corpus["p1xp1"]
-    series = build_f(ring, gens, 6)
+    _fan, cm, ring, cone = corpus["p1xp1"]
+    series = build_f(ring, cone, 6)
     theta = DiffOp.theta(cm, 0)
     calls = []
     times_linear = type(ring).times_linear
@@ -298,13 +298,13 @@ def test_theta_memo_is_shared_per_series(corpus, monkeypatch):
 
 
 def test_each_series_starts_with_its_own_theta_memo(corpus):
-    _fan, cm, ring, gens = corpus["p1xp1"]
-    series = build_f(ring, gens, 4)
+    _fan, cm, ring, cone = corpus["p1xp1"]
+    series = build_f(ring, cone, 4)
     assert series.images == {}
     applied = apply(DiffOp.theta(cm, 0), series)
     assert series.images
     assert applied.images == {}
-    again = build_f(ring, gens, 4)
+    again = build_f(ring, cone, 4)
     assert again.images == {}
 
 
@@ -314,7 +314,7 @@ def test_each_series_starts_with_its_own_theta_memo(corpus):
 
 def test_gkz_projective_spaces(corpus):
     for name, power in (("p1", 2), ("p2", 3), ("p3", 4)):
-        _fan, cm, _ring, _gens = corpus[name]
+        _fan, cm, _ring, _cone = corpus[name]
         op = gkz_operator(cm, (1,))
         assert op.weight == power, name
         assert op.terms == {
@@ -325,7 +325,7 @@ def test_gkz_projective_spaces(corpus):
 
 def test_gkz_with_multiplicity(corpus):
     # degree 2 on the line: theta(theta - hbar) from each of the two rays
-    _fan, cm, _ring, _gens = corpus["p1"]
+    _fan, cm, _ring, _cone = corpus["p1"]
     op = gkz_operator(cm, (2,))
     assert op.weight == 4
     assert op.terms == {
@@ -337,7 +337,7 @@ def test_gkz_with_multiplicity(corpus):
 
 
 def test_gkz_hirzebruch(corpus):
-    _fan, cm, _ring, _gens = corpus["hirzebruch1"]
+    _fan, cm, _ring, _cone = corpus["hirzebruch1"]
     section = gkz_operator(cm, (1, 0))
     assert section.weight == 2
     assert section.terms == {
@@ -357,7 +357,8 @@ def test_gkz_matches_the_polynomial_products(shipped, name):
     # the box operators composed in the operator algebra equal the ones
     # multiplied out as polynomials in theta, on every Mori generator, its
     # double and every pairwise sum
-    _fan, cm, _ring, gens = shipped[name]
+    _fan, cm, _ring, cone = shipped[name]
+    gens = cone.generators
     degrees = list(gens) + [tuple(2 * x for x in g) for g in gens]
     degrees += [tuple(a + b for a, b in zip(g, h))
                 for i, g in enumerate(gens) for h in gens[i + 1:]]
@@ -366,23 +367,23 @@ def test_gkz_matches_the_polynomial_products(shipped, name):
 
 
 def test_gkz_rejects_negative_coordinates(corpus):
-    _fan, cm, _ring, _gens = corpus["hirzebruch1"]
+    _fan, cm, _ring, _cone = corpus["hirzebruch1"]
     with pytest.raises(ValueError, match="negative coordinate"):
         gkz_operator(cm, (1, -1))
 
 
 def test_gkz_rejects_the_zero_degree(corpus):
     # its box operator is 1 - q^0 = 0, which annihilates everything
-    _fan, cm, _ring, _gens = corpus["hirzebruch1"]
+    _fan, cm, _ring, _cone = corpus["hirzebruch1"]
     with pytest.raises(ValueError, match="zero degree"):
         gkz_operator(cm, (0, 0))
 
 
 def test_gkz_annihilates_series(corpus):
     for name in ("p1", "p2", "p3", "p1xp1", "hirzebruch1", "dp2"):
-        fan, cm, ring, gens = corpus[name]
-        series = build_f(ring, gens, 6)
-        for g in gens:
+        fan, cm, ring, cone = corpus[name]
+        series = build_f(ring, cone, 6)
+        for g in cone.generators:
             out = apply(gkz_operator(cm, g), series)
             assert out.is_zero(), (name, g)
 
@@ -392,16 +393,16 @@ def test_gkz_annihilates_series(corpus):
 
 
 def test_find_annihilators_projective_line(corpus):
-    _fan, cm, ring, gens = corpus["p1"]
-    series = build_f(ring, gens, 8)
+    _fan, cm, ring, cone = corpus["p1"]
+    series = build_f(ring, cone, 8)
     ops = find_annihilators(series, theta_order=2, q_degree=1)
     assert ops == [gkz_operator(cm, (1,))]
 
 
 def test_find_annihilators_stable_under_more_data(corpus):
-    _fan, cm, ring, gens = corpus["p1"]
-    small = build_f(ring, gens, 8)
-    large = build_f(ring, gens, 12)
+    _fan, cm, ring, cone = corpus["p1"]
+    small = build_f(ring, cone, 8)
+    large = build_f(ring, cone, 12)
     bounds = dict(theta_order=2, q_degree=1)
     ops = find_annihilators(small, **bounds)
     assert ops == find_annihilators(large, **bounds)
@@ -411,8 +412,8 @@ def test_find_annihilators_stable_under_more_data(corpus):
 
 
 def test_find_annihilators_product(corpus):
-    _fan, cm, ring, gens = corpus["p1xp1"]
-    series = build_f(ring, gens, 8)
+    _fan, cm, ring, cone = corpus["p1xp1"]
+    series = build_f(ring, cone, 8)
     ops = find_annihilators(series, theta_order=2, q_degree=1)
     assert ops
     for op in ops:
@@ -421,12 +422,12 @@ def test_find_annihilators_product(corpus):
 
 
 def test_find_annihilators_empty_cases(corpus):
-    _fan, cm, ring, gens = corpus["p1"]
-    series = build_f(ring, gens, 8)
+    _fan, cm, ring, cone = corpus["p1"]
+    series = build_f(ring, cone, 8)
     assert find_annihilators(series, 0, 0) == []
     with pytest.raises(ValueError, match="nonnegative"):
         find_annihilators(series, -1, 1)
-    small = build_f(ring, gens, 2)
+    small = build_f(ring, cone, 2)
     with pytest.raises(EmptyWindowError):
         find_annihilators(small, 2, 2)
 
@@ -509,15 +510,15 @@ def hbar_times(op, k):
 @pytest.mark.parametrize("name", SHIPPED)
 def test_generators_span_the_reference_search(shipped, name):
     # the window leaves room for the Mori generators beyond the q-support
-    _fan, cm, ring, gens = shipped[name]
+    _fan, cm, ring, cone = shipped[name]
     l = cm.l
     for theta_order, q_degree, hbar_order in SEARCH_BOUNDS:
         if theta_order is None:
             theta_order = ring.top + 1
         top = max(cm.c1_degree(e) for tot in range(q_degree + 1)
                   for e in monomials(l, tot))
-        bound = top + max(cm.c1_degree(g) for g in gens)
-        series = build_f(ring, gens, bound)
+        bound = top + max(cm.c1_degree(g) for g in cone.generators)
+        series = build_f(ring, cone, bound)
         where = (name, theta_order, q_degree, hbar_order)
         found = []  # (weight, generator)
         for g in find_annihilators(series, theta_order, q_degree):
@@ -537,8 +538,8 @@ def test_generators_span_the_reference_search(shipped, name):
 
 
 def test_search_solves_the_hbar_free_ansatz_once(corpus, monkeypatch):
-    _fan, cm, ring, gens = corpus["dp2"]
-    series = build_f(ring, gens, 6)
+    _fan, cm, ring, cone = corpus["dp2"]
+    series = build_f(ring, cone, 6)
     theta_order, q_degree = 2, 1
     widths = []
     reductions = []
@@ -578,7 +579,7 @@ def test_in_span(corpus):
 
 
 def test_semiclassical_projective_line(corpus):
-    _fan, cm, ring, _gens = corpus["p1"]
+    _fan, cm, ring, _cone = corpus["p1"]
     rel = semiclassical(gkz_operator(cm, (1,)))
     assert rel.terms == {(0,): {(2,): Fraction(1)}, (1,): {(0,): Fraction(-1)}}
     assert rel.terms[(0,)] == {(2,): Fraction(1)}  # the q = 0 part
@@ -586,7 +587,7 @@ def test_semiclassical_projective_line(corpus):
 
 
 def test_semiclassical_drops_hbar_terms(corpus):
-    _fan, cm, _ring, _gens = corpus["p1"]
+    _fan, cm, _ring, _cone = corpus["p1"]
     op = gkz_operator(cm, (2,))
     rel = semiclassical(op)
     # theta^2(theta - hbar)^2 - q^2 loses the hbar cross terms
@@ -598,7 +599,7 @@ def test_semiclassical_drops_hbar_terms(corpus):
 
 
 def test_semiclassical_hirzebruch(corpus):
-    _fan, cm, ring, _gens = corpus["hirzebruch1"]
+    _fan, cm, ring, _cone = corpus["hirzebruch1"]
     rel = semiclassical(gkz_operator(cm, (1, 0)))
     assert rel.terms == {
         (0, 0): {(2, 0): Fraction(1)},
@@ -609,7 +610,7 @@ def test_semiclassical_hirzebruch(corpus):
 
 
 def test_semiclassical_identity_not_a_relation(corpus):
-    _fan, cm, ring, _gens = corpus["p1"]
+    _fan, cm, ring, _cone = corpus["p1"]
     rel = semiclassical(DiffOp.identity(cm))
     assert not rel.is_zero()
     assert rel.classical_value(ring) == ring.one()

@@ -37,7 +37,7 @@ from conftest import (
 def test_laurent_products(corpus):
     # (h + hbar)(-h + 2 hbar) = -h^2 + h*hbar + 2 hbar^2 has weight 2; read
     # back with c1 = -2, the monomial m carries hbar^(2 - deg m)
-    _fan, _cm, ring, _gens = corpus["p2"]
+    _fan, _cm, ring, _cone = corpus["p2"]
     h = ring.generator(2)
     a = ring.times_linear(ring.one(), h, 1)
     ab = ring.times_linear(a, h.scale(-1), 2)
@@ -53,7 +53,7 @@ def test_laurent_products(corpus):
 
 def test_divide_linear_multiplies_back(corpus):
     for name in ("p1", "p2", "p3", "dp2"):
-        _fan, _cm, ring, _gens = corpus[name]
+        _fan, _cm, ring, _cone = corpus[name]
         for k in (0, ring.n - 1):
             for nu in (1, 2, -3):
                 cls = ring.generator(k)
@@ -62,14 +62,14 @@ def test_divide_linear_multiplies_back(corpus):
 
 
 def test_divide_linear_needs_nonzero_hbar_part(corpus):
-    _fan, _cm, ring, _gens = corpus["p1"]
+    _fan, _cm, ring, _cone = corpus["p1"]
     with pytest.raises(ValueError, match="vanishing hbar part"):
         ring.divide_linear(ring.one(), ring.generator(0), 0)
 
 
 def test_homogeneity_flag(corpus):
     # check_ratio holds for the true ratio and fails once a coefficient changes
-    _fan, cm, ring, _gens = corpus["p1"]
+    _fan, cm, ring, _cone = corpus["p1"]
     r1 = euler_ratio(ring, (1,))
     assert check_ratio(ring, (1,), r1)
     assert not check_ratio(ring, (1,), r1 + ring.generator(0))
@@ -82,7 +82,7 @@ def test_homogeneity_flag(corpus):
 
 def test_projective_line_ratio(corpus):
     # both pairings are 1, so R_1 = (hbar^-1 - H hbar^-2)^2 with H^2 = 0
-    _fan, cm, ring, _gens = corpus["p1"]
+    _fan, cm, ring, _cone = corpus["p1"]
     r1 = euler_ratio(ring, (1,))
     assert r1 == ring.one() + ring.generator(0).scale(-2)
     assert laurent_json(r1, cm.c1_degree((1,))) == [
@@ -92,7 +92,7 @@ def test_projective_line_ratio(corpus):
 
 
 def test_projective_line_ratio_degree_two(corpus):
-    _fan, cm, ring, _gens = corpus["p1"]
+    _fan, cm, ring, _cone = corpus["p1"]
     r2 = euler_ratio(ring, (2,))
     assert r2 == ring.one().scale(Fraction(1, 4)) + ring.generator(0).scale(Fraction(-3, 4))
     assert laurent_json(r2, cm.c1_degree((2,))) == [
@@ -103,7 +103,7 @@ def test_projective_line_ratio_degree_two(corpus):
 
 def test_projective_plane_ratio(corpus):
     # R_1 = (H + hbar)^-3 = hbar^-3 - 3 H hbar^-4 + 6 H^2 hbar^-5
-    _fan, cm, ring, _gens = corpus["p2"]
+    _fan, cm, ring, _cone = corpus["p2"]
     r1 = euler_ratio(ring, (1,))
     assert laurent_json(r1, cm.c1_degree((1,))) == [
         {"hbar": -5, "class": {"x3^2": "6"}},
@@ -115,7 +115,7 @@ def test_projective_plane_ratio(corpus):
 def test_hirzebruch_ratio_with_negative_pairing(corpus):
     # degree (1,0) pairs as (1,-1,1,0); the nu = 0 numerator factor is the
     # class of the second ray, which reduces to x3 - x2
-    _fan, cm, ring, _gens = corpus["hirzebruch1"]
+    _fan, cm, ring, _cone = corpus["hirzebruch1"]
     r = euler_ratio(ring, (1, 0))
     assert ring.generator(1).coeffs == {(0, 0, 0, 1): 1, (0, 0, 1, 0): -1}
     assert r.coeffs == {(0, 0, 0, 1): 1, (0, 0, 1, 0): -1, (0, 0, 0, 2): -2}
@@ -129,8 +129,8 @@ def test_ratio_multiplies_back_to_sign_product(corpus):
     # R_d * prod_{a_k>0} prod_{nu=1..a_k} (alpha_k + nu hbar)
     #     = prod_{a_k<0} prod_{nu=a_k+1..0} (alpha_k + nu hbar)
     for name in ("p1", "p2", "p1xp1", "hirzebruch1", "dp2"):
-        _fan, cm, ring, gens = corpus[name]
-        for d in enumerate_degrees(gens, cm, 4):
+        _fan, cm, ring, cone = corpus[name]
+        for d in enumerate_degrees(cone, cm, 4):
             lhs = euler_ratio(ring, d)
             assert check_ratio(ring, d, lhs), (name, d)
             rhs = ring.one()
@@ -159,15 +159,15 @@ def _check_against_direct_product(fan, cm, degrees, label):
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_memoized_ratio_equals_the_direct_product(shipped, name):
-    fan, cm, _ring, gens = shipped[name]
-    _check_against_direct_product(fan, cm, enumerate_degrees(gens, cm, 6), name)
+    fan, cm, _ring, cone = shipped[name]
+    _check_against_direct_product(fan, cm, enumerate_degrees(cone, cm, 6), name)
 
 
 @pytest.mark.parametrize("name", ["hirzebruch1", "dp3"])
 def test_memoized_ratio_off_the_mori_cone(shipped, name):
     # every lattice point of a box, so that pairings of both signs and steps
     # from -1 to 0 on some ray, which would need alpha_k^-1, both occur
-    fan, cm, _ring, _gens = shipped[name]
+    fan, cm, _ring, _cone = shipped[name]
     box = list(product(range(-2, 3), repeat=cm.l))
     assert any(a < 0 for d in box for a in cm.pairings(d))
     _check_against_direct_product(fan, cm, box, name)
@@ -177,7 +177,7 @@ def test_step_through_a_vanishing_factor_is_refused(monkeypatch, shipped):
     # on F1, (1, 0) pairs as (1, -1, 1, 0) and (1, 1) as (1, 0, 1, 1): the
     # unit step between them costs 2 passes but would divide by alpha_1, so
     # (1, 1) is built from 1 by its 3 factors instead
-    fan, cm, _ring, _gens = shipped["hirzebruch1"]
+    fan, cm, _ring, _cone = shipped["hirzebruch1"]
     ring = cohomology.build_ring(fan, cm)
     euler_ratio(ring, (1, 0))
     passes = []
@@ -198,7 +198,7 @@ def test_step_through_a_vanishing_factor_is_refused(monkeypatch, shipped):
 
 
 def test_ratio_memo_does_not_keep_its_ring_alive(shipped):
-    fan, cm, _ring, _gens = shipped["p2"]
+    fan, cm, _ring, _cone = shipped["p2"]
     ring = cohomology.build_ring(fan, cm)
     assert check_ratio(ring, (2,), euler_ratio(ring, (2,)))
     dead = weakref.ref(ring)
@@ -208,7 +208,7 @@ def test_ratio_memo_does_not_keep_its_ring_alive(shipped):
 
 
 def test_ratio_memo_hit_is_the_cached_class(corpus):
-    _fan, cm, ring, _gens = corpus["p1xp1"]
+    _fan, cm, ring, _cone = corpus["p1xp1"]
     r = euler_ratio(ring, (1, 1))
     assert euler_ratio(ring, (1, 1)) is r
     assert ring.ratios[cm.pairings((1, 1))] is r
@@ -219,18 +219,18 @@ def test_ratio_memo_hit_is_the_cached_class(corpus):
 
 
 def test_build_f_structure(corpus):
-    _fan, cm, ring, gens = corpus["p1xp1"]
-    series = build_f(ring, gens, 4)
+    _fan, cm, ring, cone = corpus["p1xp1"]
+    series = build_f(ring, cone, 4)
     assert series.bound == 4
-    assert series.degrees == tuple(enumerate_degrees(gens, cm, 4))
+    assert series.degrees == tuple(enumerate_degrees(cone, cm, 4))
     assert series.coefficients[(0, 0)] == ring.one()
 
 
 def test_build_f_homogeneity(corpus):
     # R_d is homogeneous: its value at hbar = 2 or 3, built from the factors,
     # is the hbar = 1 class with each monomial m scaled by hbar^(-c1 - deg m)
-    for name, (_fan, cm, ring, gens) in corpus.items():
-        series = build_f(ring, gens, 6)
+    for name, (_fan, cm, ring, cone) in corpus.items():
+        series = build_f(ring, cone, 6)
         for d in series.degrees:
             for hbar in (2, 3):
                 want = ratio_at(ring, cm, d, hbar)
@@ -239,8 +239,8 @@ def test_build_f_homogeneity(corpus):
 
 
 def test_component_projective_line(corpus):
-    _fan, cm, ring, gens = corpus["p1"]
-    series = build_f(ring, gens, 4)
+    _fan, cm, ring, cone = corpus["p1"]
+    series = build_f(ring, cone, 4)
     f0 = component(series, 0, log_order=1)
     assert f0 == {
         (0,): {((0,), 0): Fraction(1)},
@@ -253,8 +253,8 @@ def test_component_projective_line(corpus):
 
 
 def test_component_log_order_truncation(corpus):
-    _fan, cm, ring, gens = corpus["p1"]
-    series = build_f(ring, gens, 2)
+    _fan, cm, ring, cone = corpus["p1"]
+    series = build_f(ring, cone, 2)
     f1 = component(series, 1, log_order=0)
     assert f1[(0,)] == {}
     assert f1[(1,)] == {((0,), -3): Fraction(-2)}
@@ -262,8 +262,8 @@ def test_component_log_order_truncation(corpus):
 
 def test_component_projective_plane_closed_form(corpus):
     # the dual of the identity picks out the scalar 1/(d!)^3 hbar^{-3d}
-    _fan, cm, ring, gens = corpus["p2"]
-    series = build_f(ring, gens, 9)
+    _fan, cm, ring, cone = corpus["p2"]
+    series = build_f(ring, cone, 9)
     f0 = component(series, 0, log_order=0)
     import math
     for d in range(4):
@@ -272,8 +272,8 @@ def test_component_projective_plane_closed_form(corpus):
 
 
 def test_component_argument_errors(corpus):
-    _fan, cm, ring, gens = corpus["p1"]
-    series = build_f(ring, gens, 2)
+    _fan, cm, ring, cone = corpus["p1"]
+    series = build_f(ring, cone, 2)
     with pytest.raises(IndexError):
         component(series, 2, log_order=1)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -290,7 +290,7 @@ def test_series_build_takes_the_sparse_paths(monkeypatch):
     fan = load_fan("dp3")
     cm = toric.charge_matrix(fan)
     ring = cohomology.build_ring(fan, cm)
-    gens = toric.mori_generators(fan, cm)
+    cone = toric.mori_generators(fan, cm)
     inside = []
     counts = {"multiply": 0, "solve_columns": 0}
 
@@ -315,8 +315,8 @@ def test_series_build_takes_the_sparse_paths(monkeypatch):
     monkeypatch.setattr(linalg, "solve_columns",
                         counted("solve_columns", linalg.solve_columns))
     monkeypatch.setattr(ifunction, "euler_ratio", entered(ifunction.euler_ratio))
-    monkeypatch.setattr(toric, "enumerate_degrees", entered(toric.enumerate_degrees))
-    series = ifunction.build_f(ring, gens, 6)
+    monkeypatch.setattr(ifunction, "enumerate_degrees", entered(toric.enumerate_degrees))
+    series = ifunction.build_f(ring, cone, 6)
     assert len(series.degrees) == 462
     assert counts == {"multiply": 0, "solve_columns": 0}
 
@@ -328,7 +328,7 @@ def test_ratio_sweep_shares_work_across_degrees(monkeypatch):
     fan = load_fan("dp3")
     cm = toric.charge_matrix(fan)
     ring = cohomology.build_ring(fan, cm)
-    gens = toric.mori_generators(fan, cm)
+    cone = toric.mori_generators(fan, cm)
     counts = {"linear": 0, "multiply": 0}
 
     def counted(name, fn):
@@ -340,7 +340,7 @@ def test_ratio_sweep_shares_work_across_degrees(monkeypatch):
     for method in ("times_linear", "divide_linear"):
         monkeypatch.setattr(cohomology.CohomRing, method,
                             counted("linear", getattr(cohomology.CohomRing, method)))
-    series = ifunction.build_f(ring, gens, 6)
+    series = ifunction.build_f(ring, cone, 6)
     monkeypatch.setattr(cohomology.CohomRing, "multiply",
                         counted("multiply", cohomology.CohomRing.multiply))
     assert all(ifunction.check_ratio(ring, d, series.coefficients[d])
@@ -376,8 +376,8 @@ def test_quantum_period_closed_forms():
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_series_matches_the_quantum_period(shipped, name):
-    fan, _cm, ring, gens = shipped[name]
-    series = build_f(ring, gens, PERIOD_ORDER)
+    fan, _cm, ring, cone = shipped[name]
+    series = build_f(ring, cone, PERIOD_ORDER)
     want = reference_quantum_period(fan, PERIOD_ORDER)
     assert period_terms(series, series.degrees) == want
 
@@ -385,8 +385,8 @@ def test_series_matches_the_quantum_period(shipped, name):
 @pytest.mark.parametrize("name", SHIPPED)
 def test_quantum_period_fails_without_a_window_degree(shipped, name):
     # the mutation: drop the highest degree with a nonzero unit coefficient
-    fan, _cm, ring, gens = shipped[name]
-    series = build_f(ring, gens, PERIOD_ORDER)
+    fan, _cm, ring, cone = shipped[name]
+    series = build_f(ring, cone, PERIOD_ORDER)
     want = reference_quantum_period(fan, PERIOD_ORDER)
     unit = (0,) * ring.n
     dropped = max(d for d in series.degrees

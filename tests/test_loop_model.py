@@ -23,19 +23,19 @@ from qdm.serialize import class_json, laurent_json
 
 
 def test_min_modes(corpus):
-    _fan, cm, _ring, _gens = corpus["p1"]
+    _fan, cm, _ring, _cone = corpus["p1"]
     assert min_modes(cm, (0,)) == 0
     assert min_modes(cm, (1,)) == 1
     assert min_modes(cm, (3,)) == 3
-    _fan, cm, _ring, _gens = corpus["hirzebruch1"]
+    _fan, cm, _ring, _cone = corpus["hirzebruch1"]
     assert min_modes(cm, (1, 0)) == 1
     assert min_modes(cm, (2, 1)) == 2
-    _fan, cm, _ring, _gens = corpus["dp2"]
+    _fan, cm, _ring, _cone = corpus["dp2"]
     assert min_modes(cm, (1, 1, 0)) == 2
 
 
 def test_critical_component_projective_plane(corpus):
-    _fan, cm, _ring, _gens = corpus["p2"]
+    _fan, cm, _ring, _cone = corpus["p2"]
     data = critical_component(cm, (1,), 2)
     assert data.value == 1
     assert data.positive == ((2, 2),) * 3
@@ -46,8 +46,8 @@ def test_critical_component_weight_count(corpus):
     # each coordinate contributes 2N transverse modes; the frozen mode a_k
     # belongs to neither sign class
     for name in ("p2", "p1xp1", "hirzebruch1", "dp2"):
-        _fan, cm, _ring, gens = corpus[name]
-        for d in enumerate_degrees(gens, cm, 4):
+        _fan, cm, _ring, cone = corpus[name]
+        for d in enumerate_degrees(cone, cm, 4):
             n_cut = min_modes(cm, d) + 1
             data = critical_component(cm, d, n_cut)
             for k, (pos, neg) in enumerate(zip(data.positive, data.negative)):
@@ -59,7 +59,7 @@ def test_critical_component_weight_count(corpus):
 
 def test_critical_value_and_degree_length(corpus):
     # the symplectic form is the sum of the nef basis classes
-    _fan, cm, ring, _gens = corpus["p1xp1"]
+    _fan, cm, ring, _cone = corpus["p1xp1"]
     assert critical_component(cm, (1, 2), 2).value == 3
     assert check_stabilization(ring, (1, 2), [2])["critical_value"] == "3"
     with pytest.raises(ValueError, match="degree needs 2 coordinates"):
@@ -67,7 +67,7 @@ def test_critical_value_and_degree_length(corpus):
 
 
 def test_component_absent_below_cutoff(corpus):
-    _fan, cm, ring, _gens = corpus["p2"]
+    _fan, cm, ring, _cone = corpus["p2"]
     with pytest.raises(ComponentAbsentError, match="at least N = 1"):
         critical_component(cm, (1,), 0)
     with pytest.raises(ComponentAbsentError):
@@ -76,8 +76,8 @@ def test_component_absent_below_cutoff(corpus):
 
 def _degrees_and_cutoffs(shipped, extra):
     """(name, cm, ring, d, N) for c1(d) <= 4 and N = N(d)..N(d)+extra."""
-    for name, (_fan, cm, ring, gens) in shipped.items():
-        for d in enumerate_degrees(gens, cm, 4):
+    for name, (_fan, cm, ring, cone) in shipped.items():
+        for d in enumerate_degrees(cone, cm, 4):
             base = min_modes(cm, d)
             for n_cut in range(base, base + extra + 1):
                 yield name, cm, ring, d, n_cut
@@ -121,7 +121,7 @@ def test_finite_mode_ratio_times_degree_zero_euler_class(shipped):
 def test_finite_mode_ratio_hirzebruch_numerator(corpus):
     # for the section class the zero mode of the second coordinate survives
     # in the numerator: the ratio is x_1 / ((x_0 + hbar)(x_2 + hbar))
-    _fan, cm, ring, _gens = corpus["hirzebruch1"]
+    _fan, cm, ring, _cone = corpus["hirzebruch1"]
     ratio = euler_ratio_n(ring, (1, 0), 1)
     by_hbar = {e["hbar"]: e["class"] for e in laurent_json(ratio, cm.c1_degree((1, 0)))}
     assert by_hbar[-2] == class_json(ring.generator(1))
@@ -129,7 +129,7 @@ def test_finite_mode_ratio_hirzebruch_numerator(corpus):
 
 
 def test_check_stabilization_report(corpus):
-    _fan, cm, ring, _gens = corpus["p1"]
+    _fan, cm, ring, _cone = corpus["p1"]
     report = check_stabilization(ring, (1,), [2, 1, 2])
     assert report["degree"] == [1]
     assert report["min_modes"] == 1
@@ -144,7 +144,7 @@ def test_check_stabilization_report(corpus):
 
 
 def test_check_stabilization_weights_at_largest_cutoff(corpus):
-    _fan, cm, ring, _gens = corpus["p2"]
+    _fan, cm, ring, _cone = corpus["p2"]
     report = check_stabilization(ring, (1,), [1, 3])
     assert report["weights"] == {"positive": [[2, 3]] * 3,
                                  "negative": [[-3, 0]] * 3}
@@ -152,7 +152,7 @@ def test_check_stabilization_weights_at_largest_cutoff(corpus):
 
 
 def test_check_stabilization_requires_enough_modes(corpus):
-    _fan, cm, ring, _gens = corpus["p2"]
+    _fan, cm, ring, _cone = corpus["p2"]
     with pytest.raises(ComponentAbsentError):
         check_stabilization(ring, (2,), [1, 2])
     with pytest.raises(ValueError, match="no mode cutoffs"):
@@ -163,7 +163,7 @@ def test_check_stabilization_requires_enough_modes(corpus):
 
 
 def test_cutoffs_must_be_integers(corpus):
-    _fan, cm, ring, _gens = corpus["p2"]
+    _fan, cm, ring, _cone = corpus["p2"]
     with pytest.raises(ValueError, match="expected integers"):
         check_stabilization(ring, (1,), [1.9, "3", True])
     for bad in (1.9, "3", True):
@@ -172,13 +172,13 @@ def test_cutoffs_must_be_integers(corpus):
 
 
 def test_critical_component_refuses_a_float_cutoff(corpus):
-    _fan, cm, _ring, _gens = corpus["p2"]
+    _fan, cm, _ring, _cone = corpus["p2"]
     with pytest.raises(ValueError, match="expected integers"):
         critical_component(cm, (1,), 2.5)
 
 
 def test_euler_ratio_n_refuses_a_bool_cutoff(corpus):
-    _fan, cm, ring, _gens = corpus["p2"]
+    _fan, cm, ring, _cone = corpus["p2"]
     with pytest.raises(ValueError, match="expected integers"):
         euler_ratio_n(ring, (1,), True)
 
@@ -186,7 +186,7 @@ def test_euler_ratio_n_refuses_a_bool_cutoff(corpus):
 def test_degree_entries_must_be_integers(corpus):
     # a float degree once gave the critical value 1.5 and the interval
     # (2.5, 2), and a bool one the critical value "1"
-    _fan, cm, ring, _gens = corpus["p2"]
+    _fan, cm, ring, _cone = corpus["p2"]
     with pytest.raises(ValueError, match="expected integers"):
         critical_component(cm, (1.5,), 2)
     with pytest.raises(ValueError, match="expected integers"):

@@ -36,7 +36,7 @@ def test_mono_str():
 
 
 def test_class_json_ordering(corpus):
-    _fan, _cm, ring, _gens = corpus["p2"]
+    _fan, _cm, ring, _cone = corpus["p2"]
     cls = ring.one().scale(2) + ring.generator(0)
     data = serialize.class_json(cls)
     assert data == {"1": "2", "x3": "1"}
@@ -44,7 +44,7 @@ def test_class_json_ordering(corpus):
 
 
 def test_laurent_json(corpus):
-    _fan, cm, ring, _gens = corpus["p1"]
+    _fan, cm, ring, _cone = corpus["p1"]
     r1 = euler_ratio(ring, (1,))
     assert serialize.laurent_json(r1, cm.c1_degree((1,))) == [
         {"hbar": -3, "class": {"x2": "-2"}},
@@ -55,8 +55,8 @@ def test_laurent_json(corpus):
 def test_series_json_reads_the_series_weight(corpus):
     # hbar * F has weight 1 and the same classes at hbar = 1 as F, so each of
     # its terms sits one power of hbar higher
-    _fan, cm, ring, gens = corpus["p2"]
-    series = build_f(ring, gens, 6)
+    _fan, cm, ring, cone = corpus["p2"]
+    series = build_f(ring, cone, 6)
     shifted = apply(DiffOp.hbar(cm), series)
     assert shifted.weight == 1
     want = [{"degree": entry["degree"],
@@ -67,7 +67,7 @@ def test_series_json_reads_the_series_weight(corpus):
 
 
 def test_op_str(corpus):
-    _fan, cm, _ring, _gens = corpus["p1"]
+    _fan, cm, _ring, _cone = corpus["p1"]
     assert serialize.op_str(gkz_operator(cm, (1,))) == "theta1^2 - q1"
     # triples are graded by (q, theta, hbar), so low theta powers come first
     assert serialize.op_str(gkz_operator(cm, (2,))) == \
@@ -78,7 +78,7 @@ def test_op_str(corpus):
 
 
 def test_op_json(corpus):
-    _fan, cm, _ring, _gens = corpus["p1"]
+    _fan, cm, _ring, _cone = corpus["p1"]
     data = serialize.op_json(gkz_operator(cm, (1,)))
     assert data == [
         {"q": [0], "terms": [{"theta": [2], "hbar": 0, "coeff": "1"}]},
@@ -94,12 +94,12 @@ def test_op_json(corpus):
 
 
 def test_relation_str(corpus):
-    _fan, cm, _ring, _gens = corpus["p1"]
+    _fan, cm, _ring, _cone = corpus["p1"]
     assert serialize.relation_str(semiclassical(gkz_operator(cm, (1,)))) == \
         "p1^2 - q1"
     assert serialize.relation_str(DiffOp.zero(cm)) == "0"
     assert serialize.relation_str(DiffOp.identity(cm)) == "1"
-    _fan, cm, _ring, _gens = corpus["hirzebruch1"]
+    _fan, cm, _ring, _cone = corpus["hirzebruch1"]
     assert serialize.relation_str(semiclassical(gkz_operator(cm, (1, 0)))) == \
         "p1^2 - q1*p2 + q1*p1"
 

@@ -1,6 +1,9 @@
-"""Rules the package source keeps, checked on its syntax trees."""
+"""Rules the package source keeps, checked on its syntax trees, and the
+names and calls the frozen benchmark needs from it."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -11,6 +14,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "qdm"
+PERFBENCH = ROOT / "perfbench"
+
+
+def _perfbench_module(name):
+    """perfbench/<name>.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("perfbench_" + name,
+                                                  PERFBENCH / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -139,3 +152,24 @@ def test_no_module_level_memo(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = module_memos(tree)
     assert not lines, "%s has module-level memos on lines %s" % (path.name, lines)
+
+
+def test_the_benchmark_still_resolves(monkeypatch):
+    # the frozen benchmark looks its traced entry points up by name
+    # (layers.install) and times parse_fan, charge_matrix, mori_generators
+    # and build_ring as its set-up (run.setup_once); a refactor that renames
+    # one or changes its arguments must fail here, not in a benchmark run
+    layers = _perfbench_module("layers")
+    for layer, names in layers.FUNCTIONS.items():
+        module = importlib.import_module("qdm." + layer)
+        for name in names:
+            assert callable(getattr(module, name, None)), "qdm.%s.%s" % (layer, name)
+    for layer, (cls_name, names) in layers.METHODS.items():
+        cls = getattr(importlib.import_module("qdm." + layer), cls_name)
+        for name in names:
+            assert callable(cls.__dict__.get(name)), "qdm.%s.%s.%s" % (layer, cls_name, name)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py prepends its dir
+    run = _perfbench_module("run")
+    # p2 derives its nef basis, dp3 supplies one
+    texts = [(ROOT / "fans" / (name + ".json")).read_text() for name in ("p2", "dp3")]
+    assert run.setup_once(texts) > 0

@@ -11,6 +11,7 @@ import pytest
 from qdm import (
     ChargeMatrix,
     FanError,
+    MoriCone,
     NefBasisError,
     charge_matrix,
     enumerate_degrees,
@@ -22,10 +23,10 @@ from qdm import (
 )
 
 from qdm import linalg, toric
-from qdm.toric import _facet_normals
 
 from conftest import (
     SHIPPED,
+    load_bench_fan,
     load_fan,
     reference_coords_in_basis,
     reference_in_cone,
@@ -264,14 +265,16 @@ def test_setup_matches_the_per_wall_reference(monkeypatch, name):
         fan = make_fan(data["rays"], data["max_cones"], data.get("nef_basis"))
         assert wall_relations(fan) == reference_wall_relations(fan)
         cm = charge_matrix(fan)
-        gens = mori_generators(fan, cm)
-        assert gens == reference_mori_generators(fan, cm)
+        cone = mori_generators(fan, cm)
+        assert list(cone.generators) == reference_mori_generators(fan, cm)
         with monkeypatch.context() as patched:
             patched.setattr(toric, "wall_relations", reference_wall_relations)
             assert charge_matrix(fan) == cm
-            assert mori_generators(fan, cm) == gens
-        want = want or (cm, gens)
-        assert (cm, gens) == want
+            assert mori_generators(fan, cm) == cone
+        # a shuffled first cone changes the outside coordinates of the fan's
+        # normals, not the cone they give in charge coordinates
+        want = want or (cm, cone)
+        assert (cm, cone) == want
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +290,14 @@ def test_charge_matrix_values(corpus):
         "hirzebruch1": {(1, -1, 1, 0), (0, 1, 0, 1)},
         "dp2": {(0, 0, 1, -1, 1), (1, -1, 1, 0, 0), (0, 1, -1, 1, 0)},
     }
-    for name, (fan, cm, _ring, _gens) in corpus.items():
+    for name, (fan, cm, _ring, _cone) in corpus.items():
         assert set(cm.m) == expected[name], name
         assert cm.l == fan.n_rays - fan.dim
         assert cm.n == fan.n_rays
 
 
 def test_charge_matrix_rows_are_relations(corpus):
-    for name, (fan, cm, _ring, _gens) in corpus.items():
+    for name, (fan, cm, _ring, _cone) in corpus.items():
         for row in cm.m:
             for nu in range(fan.dim):
                 assert sum(row[k] * fan.rays[k][nu]
@@ -341,9 +344,9 @@ def test_degree_six_del_pezzo_with_explicit_basis():
     for row in cm.m:
         for nu in range(fan.dim):
             assert sum(row[k] * fan.rays[k][nu] for k in range(fan.n_rays)) == 0
-    gens = mori_generators(fan, cm)
-    assert gens == [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0),
-                    (1, 0, 0, 1), (1, 0, 1, 0), (1, 1, 0, 0)]
+    gens = mori_generators(fan, cm).generators
+    assert gens == ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0),
+                    (1, 0, 0, 1), (1, 0, 1, 0), (1, 1, 0, 0))
     assert [cm.c1_degree(g) for g in gens] == [1] * 6
 
 
@@ -352,10 +355,10 @@ def test_degree_six_del_pezzo_with_explicit_basis():
 
 
 def test_pairing_values(corpus):
-    _fan, cm, _ring, _gens = corpus["p2"]
+    _fan, cm, _ring, _cone = corpus["p2"]
     assert cm.pairings((2,)) == (2, 2, 2)
     assert cm.c1_degree((2,)) == 6
-    _fan, cm, _ring, _gens = corpus["hirzebruch1"]
+    _fan, cm, _ring, _cone = corpus["hirzebruch1"]
     assert cm.pairings((1, 1)) == (1, 0, 1, 1)
     assert cm.pairings((1, 0)) == (1, -1, 1, 0)
     assert cm.c1_degree((1, 0)) == 1
@@ -363,14 +366,14 @@ def test_pairing_values(corpus):
 
 
 def test_pairing_index_out_of_range(corpus):
-    _fan, cm, _ring, _gens = corpus["p2"]
+    _fan, cm, _ring, _cone = corpus["p2"]
     assert len(cm.pairings((1,))) == cm.n == 3
     with pytest.raises(IndexError):
         cm.pairings((1,))[3]
 
 
 def test_pairings_need_one_coordinate_per_class(corpus):
-    _fan, cm, _ring, _gens = corpus["hirzebruch1"]
+    _fan, cm, _ring, _cone = corpus["hirzebruch1"]
     for degree in ((1,), (1, 0, 0)):
         with pytest.raises(ValueError, match="degree needs 2 coordinates"):
             cm.pairings(degree)
@@ -389,17 +392,17 @@ def test_mori_generators_values(corpus):
         "hirzebruch1": [(1, 0), (0, 1)],
         "dp2": [(0, 0, 1), (0, 1, 0), (1, 0, 0)],
     }
-    for name, (fan, cm, _ring, gens) in corpus.items():
-        assert gens == expected[name], name
-        assert gens == mori_generators(fan, cm), name
+    for name, (fan, cm, _ring, cone) in corpus.items():
+        assert cone.generators == tuple(expected[name]), name
+        assert cone == mori_generators(fan, cm), name
 
 
 def test_hirzebruch_drops_non_extremal_wall_class(corpus):
     # the wall class (1,1) = section + fiber is a sum of the two generators
-    fan, cm, _ring, gens = corpus["hirzebruch1"]
+    fan, cm, _ring, cone = corpus["hirzebruch1"]
     wall_coords = {reference_coords_in_basis(cm.m, rel) for rel in wall_relations(fan)}
     assert wall_coords == {(1, 0), (0, 1), (1, 1)}
-    assert (1, 1) not in gens
+    assert (1, 1) not in cone.generators
 
 
 def test_mori_generators_reject_a_charge_matrix_of_a_sublattice():
@@ -411,23 +414,31 @@ def test_mori_generators_reject_a_charge_matrix_of_a_sublattice():
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_mori_generators_match_the_pruning_reference(shipped, name):
-    fan, cm, _ring, gens = shipped[name]
-    assert gens == reference_mori_generators(fan, cm)
+    fan, cm, _ring, cone = shipped[name]
+    assert list(cone.generators) == reference_mori_generators(fan, cm)
 
 
-def test_in_cone_rational_combination():
-    assert in_cone((1, 1), [(2, 0), (0, 2)])
-    assert not in_cone((1, -1), [(1, 0), (0, 1)])
-    assert in_cone((0, 0), [(1, 0), (0, 1), (1, 1)])
-    # the cone is described by its facet normals, so the generators must span
-    for degree, gens in (((0, 0), []), ((1, 0), []), ((1, 0), [(1, 0)]),
-                         ((2, 2), [(1, 1), (2, 2)])):
-        with pytest.raises(ValueError, match="do not span"):
-            in_cone(degree, gens)
+@pytest.mark.parametrize("name", [name for name in SHIPPED if load_fan(name).nef_basis is None]
+                         + ["p1x4", "p2xp2"])
+def test_a_derived_nef_basis_makes_the_mori_cone_the_orthant(name):
+    # the charge rows are dual to the nef rays, so the Mori cone, dual to
+    # the nef cone, has the l unit vectors as its facet normals
+    fan = load_fan(name) if name in SHIPPED else load_bench_fan(name)
+    cone = mori_generators(fan, charge_matrix(fan))
+    l = fan.n_rays - fan.dim
+    assert cone.normals == tuple(sorted(tuple(int(i == j) for j in range(l))
+                                        for i in range(l)))
+
+
+def test_in_cone_rational_combination(corpus):
+    cone = corpus["p1xp1"][3]
+    assert in_cone((1, 1), cone)
+    assert not in_cone((1, -1), cone)
+    assert in_cone((0, 0), cone)
     # a degree of another length is refused, not truncated to the shorter one
     for degree in ((1,), (1, 0, 0)):
         with pytest.raises(ValueError, match="length %d, a generator length 2" % len(degree)):
-            in_cone(degree, [(1, 0), (0, 1)])
+            in_cone(degree, cone)
 
 
 # ---------------------------------------------------------------------------
@@ -435,25 +446,25 @@ def test_in_cone_rational_combination():
 
 
 def test_enumerate_degrees_projective_plane(corpus):
-    _fan, cm, _ring, gens = corpus["p2"]
-    assert enumerate_degrees(gens, cm, 6) == [(0,), (1,), (2,)]
-    assert enumerate_degrees(gens, cm, 0) == [(0,)]
+    _fan, cm, _ring, cone = corpus["p2"]
+    assert enumerate_degrees(cone, cm, 6) == [(0,), (1,), (2,)]
+    assert enumerate_degrees(cone, cm, 0) == [(0,)]
 
 
 def test_enumerate_degrees_product(corpus):
-    _fan, cm, _ring, gens = corpus["p1xp1"]
-    assert enumerate_degrees(gens, cm, 4) == [
+    _fan, cm, _ring, cone = corpus["p1xp1"]
+    assert enumerate_degrees(cone, cm, 4) == [
         (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
 
 
 def test_enumerate_degrees_hirzebruch(corpus):
-    _fan, cm, _ring, gens = corpus["hirzebruch1"]
-    assert enumerate_degrees(gens, cm, 2) == [(0, 0), (1, 0), (0, 1), (2, 0)]
+    _fan, cm, _ring, cone = corpus["hirzebruch1"]
+    assert enumerate_degrees(cone, cm, 2) == [(0, 0), (1, 0), (0, 1), (2, 0)]
 
 
 def test_enumerate_degrees_del_pezzo(corpus):
-    _fan, cm, _ring, gens = corpus["dp2"]
-    out = enumerate_degrees(gens, cm, 3)
+    _fan, cm, _ring, cone = corpus["dp2"]
+    out = enumerate_degrees(cone, cm, 3)
     # Mori cone is the positive octant here; the cut-off is the total degree
     expected = sorted(
         ((a, b, c) for a in range(4) for b in range(4) for c in range(4)
@@ -466,10 +477,11 @@ def test_enumerate_degrees_del_pezzo(corpus):
 @pytest.mark.parametrize("name", SHIPPED)
 def test_facet_normals_agree_with_in_cone(shipped, name):
     # on every point of the bounding box enumerate_degrees scans at B = 6,
-    # the facet-normal test and in_cone equal the Caratheodory search
-    _fan, cm, _ring, gens = shipped[name]
+    # the facet-normal test and in_cone equal the Caratheodory search over
+    # the pruned wall classes, so neither side reads the cone under test
+    fan, cm, _ring, cone = shipped[name]
+    gens = reference_mori_generators(fan, cm)
     bound = 6
-    facets = _facet_normals(gens, cm.l)
     box = []
     for j in range(cm.l):
         vals = [Fraction(bound * g[j], cm.c1_degree(g)) for g in gens] + [Fraction(0)]
@@ -477,30 +489,23 @@ def test_facet_normals_agree_with_in_cone(shipped, name):
     inside = []
     for d in product(*box):
         member = reference_in_cone(d, gens)
-        assert all(sum(a * b for a, b in zip(y, d)) >= 0 for y in facets) == member, \
+        assert all(sum(a * b for a, b in zip(y, d)) >= 0 for y in cone.normals) == member, \
             (name, d)
-        assert in_cone(d, gens) == member, (name, d)
+        assert in_cone(d, cone) == member, (name, d)
         if member and 0 <= cm.c1_degree(d) <= bound:
             inside.append(d)
-    assert enumerate_degrees(gens, cm, bound) == sorted(
+    assert enumerate_degrees(cone, cm, bound) == sorted(
         inside, key=lambda d: (cm.c1_degree(d), d))
 
 
 def test_enumerate_degrees_rejects_unbounded(corpus):
-    _fan, cm, _ring, _gens = corpus["p1"]
+    _fan, cm, _ring, _cone = corpus["p1"]
+    # the cone spanned by 1 and -1 is the whole line, with no facet normals
     with pytest.raises(ValueError, match="unbounded"):
-        enumerate_degrees([(1,), (-1,)], cm, 4)
-
-
-def test_enumerate_degrees_names_generators_that_do_not_span(corpus):
-    _fan, cm, _ring, _gens = corpus["p1xp1"]
-    for gens in ([(1, 0)], []):
-        with pytest.raises(ValueError, match="generators do not span") as info:
-            enumerate_degrees(gens, cm, 4)
-        assert not isinstance(info.value, NefBasisError), gens
+        enumerate_degrees(MoriCone(((1,), (-1,)), ()), cm, 4)
 
 
 def test_enumerate_degrees_rejects_negative_bound(corpus):
-    _fan, cm, _ring, gens = corpus["p1"]
+    _fan, cm, _ring, cone = corpus["p1"]
     with pytest.raises(ValueError, match="nonnegative"):
-        enumerate_degrees(gens, cm, -1)
+        enumerate_degrees(cone, cm, -1)

@@ -15,6 +15,10 @@ import sys
 from . import dmodule, ifunction, loop_model, serialize, toric
 from .cohomology import build_ring
 
+# A --modes range lists at most this many cutoffs: the report repeats each
+# one per degree, and the range is refused before any list is built.
+MAX_MODE_CUTOFFS = 1000
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -45,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
                              metavar="d1,d2,...", help="curve degree (repeatable)")
         if name == "loop-model":
             cmd.add_argument("--modes", default=None, metavar="N0..N1",
-                             help="mode cutoff range for the loop model")
+                             help="mode cutoff range for the loop model, at most "
+                                  "%d cutoffs" % MAX_MODE_CUTOFFS)
         if name == "ifunction":
             cmd.add_argument("--components", default=None, metavar="b1,b2,...",
                              help="basis indices of series components to expand")
@@ -126,6 +131,9 @@ def _parse_modes(raw):
         raise ValueError("--modes range is empty")
     if lo < 0:
         raise ValueError("--modes cutoffs must be nonnegative, got %r" % raw)
+    if hi - lo >= MAX_MODE_CUTOFFS:
+        raise ValueError("--modes range %r lists %d cutoffs, more than %d"
+                         % (raw, hi - lo + 1, MAX_MODE_CUTOFFS))
     return list(range(lo, hi + 1))
 
 

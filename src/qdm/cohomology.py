@@ -305,19 +305,22 @@ class CohomRing:
                     out[mb] = out.get(mb, 0) + c12 * r
         return CohomClass(self, out, a.den * b.den * self._den)
 
-    def combination(self, terms) -> CohomClass:
-        """sum c * cls over the (c, cls) pairs, int or Fraction c, as one
-        class over the lcm of the term denominators."""
+    def combination(self, terms, den=1) -> CohomClass:
+        """sum c * cls over the (c, cls) pairs, int or Fraction c, divided by
+        the int den > 0, as one class over den times the lcm of the term
+        denominators."""
         terms = [(c, cls) for c, cls in terms if c]
-        if any(cls.ring is not self for _, cls in terms):
-            raise ValueError("a term belongs to another ring")
-        den = lcm(*(c.denominator * cls.den for c, cls in terms))
+        for _, cls in terms:
+            if cls.ring is not self:
+                raise ValueError("a term belongs to another ring")
+        common = lcm(*[c.denominator * cls.den for c, cls in terms])
         out = {}
+        get = out.get
         for c, cls in terms:
-            k = c.numerator * (den // (c.denominator * cls.den))
+            k = c.numerator * (common // (c.denominator * cls.den))
             for m, v in cls.num.items():
-                out[m] = out.get(m, 0) + k * v
-        return CohomClass(self, out, den)
+                out[m] = get(m, 0) + k * v
+        return CohomClass(self, out, common * den)
 
     def _linear(self, lin: CohomClass):
         """Multiplication by the degree-one class lin, built once per class:

@@ -11,25 +11,40 @@ operator of weight w the term q^e theta^t carries hbar^(w - c1(e) - |t|).
 Setting hbar = 1 is a ring homomorphism, one to one on each weight, so
 composition is theta -> theta + e at hbar = 1, with the weights added.  The
 box operators (gkz_operator) are composed in this operator algebra from
-theta, hbar and q^e.
+theta, hbar and q^e.  Like a cohomology class, an operator holds integer
+numerators num = {e: {t: int}} over one denominator den > 0, in lowest
+terms; terms and coefficient are Fraction views for readers.
 
 Acting on the series F, the term q^e P_e contributes to the coefficient of
 q^d the value P_e(omega + (d-e)*hbar, hbar) * R_{d-e}.  Because the series
 is truncated at anticanonical degree B, the result is only trustworthy on
 the window c1(d) <= B - max(0, max_e c1(e)) (_window_cap); degrees beyond
 it would need source coefficients that were cut off.  apply and the search
-both read where q^e moves each coefficient inside the window off _shifted.
+both read where q^e moves each coefficient inside the window off _shifted,
+which the series memoizes per e in series.windows: the c1 of each series
+degree is found once, and a window is a prefix of the degrees in ascending
+c1.
 
 Series values have one weight too, so the weight of D.F is the sum of the
 two.  At hbar = 1, theta_j acting on q^d' cls gives q^d' (omega_j + d'_j)
 cls, so theta^t is a chain of |t| multiplications by degree-one classes
 (CohomRing.times_linear), memoized along the chain in series.images.
+
+Both apply and the search stay on Python ints from the theta-images to the
+operators.  apply feeds an operator's numerators to CohomRing.combination
+and divides by its denominator once per degree.  The search scales each
+ansatz column by the lcm of its images' denominators, so the columns are
+integer vectors; they are transposed into the sparse integer rows that
+linalg.nullspace takes, and the scale is undone when an operator is read
+back.  Scaling columns changes no pivot, so the reduced basis is the same.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
+from operator import add, itemgetter
 
 from . import linalg
 from .cohomology import monomials, poly_mul
@@ -41,12 +56,12 @@ class EmptyWindowError(ValueError):
 
 
 # -- commutative polynomials in theta_1..theta_l, at hbar = 1 -------------
-# represented as {theta exponent tuple: Fraction}
+# represented as {theta exponent tuple: int}
 
 def _poly_add(p1, p2):
     out = dict(p1)
     for k, c in p2.items():
-        out[k] = out.get(k, Fraction(0)) + c
+        out[k] = out.get(k, 0) + c
     return {k: c for k, c in out.items() if c}
 
 
@@ -62,7 +77,7 @@ def _shift_poly(p, e):
             if t[j]:
                 term = poly_mul(term, {
                     tuple(i if jj == j else 0 for jj in range(l)):
-                    Fraction(comb(t[j], i) * e[j] ** (t[j] - i))
+                    comb(t[j], i) * e[j] ** (t[j] - i)
                     for i in range(t[j] + 1)})
         out = _poly_add(out, term)
     return out
@@ -71,18 +86,21 @@ def _shift_poly(p, e):
 class DiffOp:
     """Normal-ordered operator sum_e q^e P_e(theta) of one weight, at hbar = 1.
 
-    terms is {e: {t: c}}; the term q^e theta^t carries hbar^hbar_power(e, t),
-    which must be nonnegative.
+    num is {e: {t: int}} over the int den > 0, in lowest terms; the term
+    q^e theta^t carries hbar^hbar_power(e, t), which must be nonnegative.
     """
 
-    __slots__ = ("cm", "weight", "terms")
+    __slots__ = ("cm", "weight", "num", "den")
 
-    def __init__(self, cm, weight, terms):
+    def __init__(self, cm, weight, terms, den=1):
+        """The operator terms / den, normalized.  terms is {e: {t: c}} with
+        int c, or any rationals, whose denominators are first cleared into
+        den."""
         self.cm = cm
         self.weight = weight
-        clean = {}
+        num = {}
         for e, poly in terms.items():
-            poly = {tuple(t): Fraction(c) for t, c in poly.items() if c}
+            poly = {tuple(t): c for t, c in poly.items() if c}
             if poly:
                 e = tuple(e)
                 if any(x < 0 for x in e):
@@ -90,8 +108,23 @@ class DiffOp:
                 if weight - cm.c1_degree(e) - max(map(sum, poly)) < 0:
                     raise ValueError("a term of q^%r would carry a negative power of "
                                      "hbar at weight %d" % (list(e), weight))
-                clean[e] = poly
-        self.terms = clean
+                num[e] = poly
+        try:
+            g = gcd(den, *(c for poly in num.values() for c in poly.values()))
+        except TypeError:  # rational entries
+            num = {e: {t: Fraction(c) for t, c in poly.items()} for e, poly in num.items()}
+            scale = lcm(*(c.denominator for poly in num.values() for c in poly.values()))
+            num = {e: {t: c.numerator * (scale // c.denominator) for t, c in poly.items()}
+                   for e, poly in num.items()}
+            den *= scale
+            g = gcd(den, *(c for poly in num.values() for c in poly.values()))
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = {e: {t: c // g for t, c in poly.items()} for e, poly in num.items()}
+            den //= g
+        self.num = num
+        self.den = den
 
     @classmethod
     def zero(cls, cm):
@@ -116,11 +149,18 @@ class DiffOp:
     def hbar(cls, cm):
         return cls(cm, 1, {(0,) * cm.l: {(0,) * cm.l: 1}})
 
+    @property
+    def terms(self):
+        """{e: {t: Fraction}}, a new dict on each access."""
+        den = self.den
+        return {e: {t: Fraction(c, den) for t, c in poly.items()}
+                for e, poly in self.num.items()}
+
     def hbar_power(self, e, t) -> int:
         return self.weight - self.cm.c1_degree(e) - sum(t)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __add__(self, other):
         if not isinstance(other, DiffOp) or other.cm != self.cm:
@@ -128,10 +168,12 @@ class DiffOp:
         if other.weight != self.weight:
             raise ValueError("cannot add operators of weights %d and %d"
                              % (self.weight, other.weight))
-        out = dict(self.terms)
-        for e, p in other.terms.items():
-            out[e] = _poly_add(out.get(e, {}), p)
-        return DiffOp(self.cm, self.weight, out)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {e: {t: a * c for t, c in p.items()} for e, p in self.num.items()}
+        for e, p in other.num.items():
+            out[e] = _poly_add(out.get(e, {}), {t: b * c for t, c in p.items()})
+        return DiffOp(self.cm, self.weight, out, den)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -140,9 +182,12 @@ class DiffOp:
         return self.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
+        if type(c) is not int:
+            c = Fraction(c)
+        p = c.numerator
         return DiffOp(self.cm, self.weight,
-                      {e: {t: v * c for t, v in p.items()} for e, p in self.terms.items()})
+                      {e: {t: v * p for t, v in poly.items()} for e, poly in self.num.items()},
+                      self.den * c.denominator)
 
     def __mul__(self, other):
         """Composition (self applied after other), or a scalar multiple."""
@@ -150,12 +195,12 @@ class DiffOp:
             if other.cm != self.cm:
                 return NotImplemented
             out = {}
-            for e1, p1 in self.terms.items():
-                for e2, p2 in other.terms.items():
+            for e1, p1 in self.num.items():
+                for e2, p2 in other.num.items():
                     prod = poly_mul(_shift_poly(p1, e2), p2)
-                    key = tuple(a + b for a, b in zip(e1, e2))
+                    key = tuple(map(add, e1, e2))
                     out[key] = _poly_add(out.get(key, {}), prod)
-            return DiffOp(self.cm, self.weight + other.weight, out)
+            return DiffOp(self.cm, self.weight + other.weight, out, self.den * other.den)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -163,37 +208,38 @@ class DiffOp:
 
     def __eq__(self, other):
         return (isinstance(other, DiffOp) and self.cm == other.cm
-                and self.weight == other.weight and self.terms == other.terms)
+                and self.weight == other.weight and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.weight, frozenset((e, frozenset(p.items()))
-                                            for e, p in self.terms.items())))
+        return hash((self.weight, self.den, frozenset((e, frozenset(p.items()))
+                                                      for e, p in self.num.items())))
 
     def support_triples(self):
         """Sorted (q-exp, theta-exp, hbar-exp) triples carrying coefficients."""
         return sorted(((e, t, self.hbar_power(e, t))
-                       for e, poly in self.terms.items() for t in poly),
+                       for e, poly in self.num.items() for t in poly),
                       key=lambda x: _ansatz_key(*x))
 
     def coefficient(self, e, t, h) -> Fraction:
         e, t = tuple(e), tuple(t)
         if h != self.hbar_power(e, t):
             return Fraction(0)
-        return self.terms.get(e, {}).get(t, Fraction(0))
+        return Fraction(self.num.get(e, {}).get(t, 0), self.den)
 
     def classical_value(self, ring):
         """The q = 0, hbar-free terms at theta_j -> omega_j, in the classical
         ring; zero when the operator annihilates the series."""
         zero = (0,) * self.cm.l
-        out = ring.zero()
-        for t, c in self.terms.get(zero, {}).items():
+        terms = []
+        for t, c in self.num.get(zero, {}).items():
             if self.hbar_power(zero, t) == 0:
-                cls = ring.one().scale(c)
+                cls = ring.one()
                 for j, tj in enumerate(t):
                     for _ in range(tj):
                         cls = cls * ring.omega_class(j)
-                out = out + cls
-        return out
+                terms.append((c, cls))
+        return ring.combination(terms, self.den)
 
     def __repr__(self):
         return "DiffOp(%r, %d, %r)" % (self.cm, self.weight, self.terms)
@@ -211,15 +257,17 @@ def _theta_images(series):
     omegas = [ring.omega_class(j) for j in range(ring.l)]
 
     def image(d, t):
-        key = (d, t)
-        if key not in cache:
+        try:
+            return cache[d, t]
+        except KeyError:
             j = next((j for j, x in enumerate(t) if x), None)
             if j is None:
-                cache[key] = sources[d]
+                out = sources[d]
             else:
                 lower = t[:j] + (t[j] - 1,) + t[j + 1:]
-                cache[key] = ring.times_linear(image(d, lower), omegas[j], d[j])
-        return cache[key]
+                out = ring.times_linear(image(d, lower), omegas[j], d[j])
+            cache[d, t] = out
+            return out
     return image
 
 
@@ -233,11 +281,27 @@ def _window_cap(series, q_exps) -> int:
 
 
 def _shifted(series, e, cap):
-    """The pairs (d', d' + e) over the series degrees d' with c1(d' + e) <= cap:
-    where q^e moves each coefficient of the series, inside the window."""
-    c1 = series.ring.cm.c1_degree
-    return [(dp, d) for dp in series.degrees
-            for d in [tuple(a + b for a, b in zip(dp, e))] if c1(d) <= cap]
+    """The triples (c1(d), d', d = d' + e) over the series degrees d' with
+    c1(d) <= cap: where q^e moves each coefficient of the series, inside the
+    window.
+
+    series.windows memoizes, per e, the triples of every series degree in
+    ascending c1(d), so a window is a prefix.  The zero shift's entry, made
+    first, holds the c1 of each series degree; another e adds c1(e) to it.
+    """
+    windows = series.windows
+    moved = windows.get(e)
+    if moved is None:
+        c1 = series.ring.cm.c1_degree
+        zero = (0,) * len(e)
+        base = windows.get(zero)
+        if base is None:
+            base = windows[zero] = sorted(((c1(d), d, d) for d in series.degrees),
+                                          key=itemgetter(0))
+        shift = c1(e)
+        moved = windows[e] = base if e == zero else [
+            (c + shift, dp, tuple(map(add, dp, e))) for c, dp, _ in base]
+    return moved[:bisect_right(moved, cap, key=itemgetter(0))]
 
 
 def apply(op: DiffOp, series: Series) -> Series:
@@ -249,14 +313,17 @@ def apply(op: DiffOp, series: Series) -> Series:
     ring, cm = series.ring, series.ring.cm
     if op.cm != cm:
         raise ValueError("the operator and the series have different charge matrices")
-    cap = _window_cap(series, op.terms)
+    cap = _window_cap(series, op.num)
     image = _theta_images(series)
-    terms = {d: [] for _, d in _shifted(series, (0,) * cm.l, cap)}
-    for e, poly in op.terms.items():
-        for dp, d in _shifted(series, e, cap):
-            terms.setdefault(d, []).extend((c, image(dp, t)) for t, c in poly.items())
-    valid = sorted(terms, key=lambda d: (cm.c1_degree(d), d))
-    coeffs = {d: ring.combination(terms[d]) for d in valid}
+    c1 = {d: c for c, _, d in _shifted(series, (0,) * cm.l, cap)}
+    terms = {d: [] for d in c1}
+    for e, poly in op.num.items():
+        poly = list(poly.items())
+        for c, dp, d in _shifted(series, e, cap):
+            c1[d] = c
+            terms.setdefault(d, []).extend([(v, image(dp, t)) for t, v in poly])
+    valid = sorted(terms, key=lambda d: (c1[d], d))
+    coeffs = {d: ring.combination(terms[d], op.den) for d in valid}
     return Series(ring, cap, tuple(valid), coeffs, series.weight + op.weight)
 
 
@@ -302,6 +369,12 @@ def find_annihilators(series: Series, theta_order: int, q_degree: int):
     all relations of pre-weight <= w.  The rows, sorted by (weight, pivot),
     are the basis.
 
+    A column is assembled from the theta-images' integer numerators, each
+    scaled to the lcm of the column's image denominators, and goes straight
+    into sparse integer rows keyed by (degree, monomial).  A nullspace vector
+    y of the scaled columns is x = y * scale of the true ones, and scaling a
+    column moves no pivot, so reading x back gives the same operators.
+
     The nullspace is taken with the columns reversed: each basis vector,
     read back in column order, then starts with a 1 at its own free column
     and vanishes at every other vector's free column, so the vectors are
@@ -316,26 +389,36 @@ def find_annihilators(series: Series, theta_order: int, q_degree: int):
     t_exps = [t for tot in range(theta_order + 1) for t in monomials(l, tot)]
     cap = _window_cap(series, q_exps)
     image = _theta_images(series)
-    vectors = {}  # (e, t) -> q^e theta^t applied to the series, on the window
-    for e in q_exps:
-        window = _shifted(series, e, cap)
-        for t in t_exps:
-            vectors[e, t] = {(d, mono): c for dp, d in window
-                             for mono, c in image(dp, t).coeffs.items()}
-    pre = {(e, t): cm.c1_degree(e) + sum(t) for e, t in vectors}
-    columns = sorted(vectors, key=lambda c: (-pre[c], _ansatz_key(*c, 0)))
-    rows = sorted(set().union(*vectors.values()))  # eliminates faster sorted
-    matrix = [[vectors[c].get(k, Fraction(0)) for c in reversed(columns)] for k in rows]
+    pre = {(e, t): cm.c1_degree(e) + sum(t) for e in q_exps for t in t_exps}
+    columns = sorted(pre, key=lambda c: (-pre[c], _ansatz_key(*c, 0)))
+    width = len(columns)
+    rows = {}  # (degree, monomial) -> {reversed column index: int}
+    scales = []  # the lcm of each column's image denominators
+    for i, (e, t) in enumerate(columns):
+        images = [(d, image(dp, t)) for _, dp, d in _shifted(series, e, cap)]
+        scale = lcm(*(cls.den for _, cls in images))
+        scales.append(scale)
+        col = width - 1 - i
+        for d, cls in images:
+            f = scale // cls.den
+            for mono, v in cls.num.items():
+                row = rows.get((d, mono))
+                if row is None:
+                    rows[d, mono] = {col: f * v}
+                else:
+                    row[col] = f * v
     found = []  # ((weight, pivot's key), operator)
-    for vec in linalg.nullspace(matrix, len(columns)):
-        vec = vec[::-1]
-        p = next(i for i, c in enumerate(vec) if c)
-        weight = pre[columns[p]]
+    # rows sorted by key: the elimination runs faster on them
+    for vec, den in linalg.nullspace([rows[k] for k in sorted(rows)], width):
+        vec.reverse()
+        p = next(i for i, c in enumerate(vec) if c)  # vec[p] == den
         terms = {}
-        for (e, t), c in zip(columns, vec):
+        for (e, t), c, scale in zip(columns, vec, scales):
             if c:
-                terms.setdefault(e, {})[t] = c
-        found.append(((weight, _ansatz_key(*columns[p], 0)), DiffOp(cm, weight, terms)))
+                terms.setdefault(e, {})[t] = c * scale
+        lead = columns[p]
+        found.append(((pre[lead], _ansatz_key(*lead, 0)),
+                      DiffOp(cm, pre[lead], terms, den * scales[p])))
     return [op for _, op in sorted(found, key=lambda f: f[0])]
 
 
@@ -345,4 +428,4 @@ def semiclassical(op: DiffOp) -> DiffOp:
     theta_j -> p_j it is a polynomial in p and q."""
     return DiffOp(op.cm, op.weight, {e: {t: c for t, c in poly.items()
                                          if op.hbar_power(e, t) == 0}
-                                     for e, poly in op.terms.items()})
+                                     for e, poly in op.num.items()}, op.den)

@@ -11,10 +11,13 @@ and below, that have the column are updated, by cross-multiplication, and
 each updated row is divided once by its gcd.  It returns the integer rows of
 the reduced row echelon form, pivot entries positive, and the pivot
 columns.  That form is unique, so the result does not depend on the order
-of the input rows, and `rref`, `nullspace`, `solve_columns` and `invert`,
-which convert their dense rows to sparse ones, read their Fraction answers
-off the integer rows, dividing by a pivot entry only where an answer needs
-it; `CohomRing` builds sparse rows itself and keeps the integer rows.
+of the input rows.  `rref`, `solve_columns` and `invert` convert their
+dense rows to sparse ones and read their Fraction answers off the integer
+rows, dividing by a pivot entry only where an answer needs it.  `nullspace`
+takes sparse rows, as `_reduce` does, and stays on Python ints: each basis
+vector is integer numerators over one denominator, in lowest terms.
+`CohomRing` and the annihilator search build sparse rows themselves, and
+`CohomRing` keeps the integer rows.
 
 `hermite_form`, `integer_kernel` and `int_det` stay outside the kernel:
 lattice work needs unimodular row transforms and a signed determinant,
@@ -143,7 +146,7 @@ def _reduce(rows, width):
     one with a positive pivot entry, in pivot order; zero rows are dropped.
     Both are unique, so they do not depend on the order of the input rows.
     """
-    rest = [dict(zip(row, primitive_vector(list(row.values())))) for row in rows if row]
+    rest = [_coprime(row) for row in rows if row]
     done = []
     pivots = []
     for c in range(width):
@@ -170,11 +173,26 @@ def _reduce(rows, width):
     return done, pivots
 
 
+def _coprime(row):
+    """A nonzero sparse row as coprime integers: over the gcd of its int
+    entries, or primitive_vector's multiple if an entry is rational."""
+    try:
+        g = gcd(*row.values())
+    except TypeError:  # rational entries
+        return dict(zip(row, primitive_vector(list(row.values()))))
+    return {j: x // g for j, x in row.items()} if g > 1 else dict(row)
+
+
 def _eliminate(row, prow, a, c):
     """a * row - row[c] * prow, which vanishes in column c, over its gcd;
-    a is prow[c]."""
+    a is prow[c].  When a divides row[c] it is row - (row[c] / a) * prow,
+    the same row up to sign, which the final pivot signs settle."""
     b = row[c]
-    out = {j: a * x for j, x in row.items()}
+    if b % a:
+        out = {j: a * x for j, x in row.items()}
+    else:
+        out = dict(row)
+        b //= a
     for j, y in prow.items():
         v = out.get(j, 0) - b * y
         if v:
@@ -199,23 +217,32 @@ def rref(rows, width):
 
 
 def nullspace(rows, width):
-    """Basis of the rational nullspace {x : rows @ x = 0}.
+    """Basis of the rational nullspace {x : rows @ x = 0} of sparse rows
+    {column: entry} (ints or Fractions) on the first width columns.
 
     One vector per free column f, with x[f] = 1 and the other free
-    coordinates 0.
+    coordinates 0, as (num, den): a list of width integer numerators over one
+    denominator den > 0, in lowest terms, so num[f] == den.
     """
-    red, pivots = _reduce(_sparse(rows), width)
+    red, pivots = _reduce(rows, width)
     pivot_set = set(pivots)
-    basis = {}
-    for free in range(width):
-        if free not in pivot_set:
-            x = basis[free] = [Fraction(0)] * width
-            x[free] = Fraction(1)
+    hits = {f: [] for f in range(width) if f not in pivot_set}
     for row, c in zip(red, pivots):
         for j, v in row.items():
-            if j in basis:  # the free columns, those past width left out
-                basis[j][c] = Fraction(-v, row[c])
-    return list(basis.values())
+            if j in hits:  # the free columns, those past width left out
+                hits[j].append((c, v, row[c]))
+    basis = []
+    for f, entries in hits.items():
+        den = lcm(*(p for _, _, p in entries))
+        x = [0] * width
+        x[f] = den
+        for c, v, p in entries:
+            x[c] = -v * (den // p)
+        g = gcd(*x)
+        if g > 1:
+            x = [v // g for v in x]
+        basis.append((x, x[f]))
+    return basis
 
 
 def solve_columns(cols, target):

@@ -58,9 +58,11 @@ def component_json(comp) -> list:
 def op_json(op) -> list:
     """Operator as [{q: [...], terms: [{theta, hbar, coeff}]}], q-support sorted."""
     out = []
-    for e in sorted(op.terms, key=lambda e: (sum(e), e)):
-        entries = [{"theta": list(t), "hbar": op.hbar_power(e, t), "coeff": frac_str(c)}
-                   for t, c in sorted(op.terms[e].items(),
+    den = op.den
+    for e in sorted(op.num, key=lambda e: (sum(e), e)):
+        entries = [{"theta": list(t), "hbar": op.hbar_power(e, t),
+                    "coeff": str(Fraction(c, den))}
+                   for t, c in sorted(op.num[e].items(),
                                       key=lambda kv: (sum(kv[0]), kv[0]))]
         out.append({"q": list(e), "terms": entries})
     return out

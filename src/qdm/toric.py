@@ -338,10 +338,10 @@ def _dual_cone_rays(wall_coords, l):
     the classes must span."""
     found = set()
     for sub in combinations(wall_coords, l - 1):
-        null = linalg.nullspace([list(c) for c in sub], l)
+        null = linalg.nullspace(linalg._sparse(sub), l)
         if len(null) != 1:
             continue
-        cand = linalg.primitive_vector(null[0])
+        cand = linalg.primitive_vector(null[0][0])
         for sign in (1, -1):
             y = tuple(sign * x for x in cand)
             if all(_dot(y, c) >= 0 for c in wall_coords):

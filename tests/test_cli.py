@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from itertools import islice
@@ -66,6 +67,12 @@ def test_bad_modes_option(capsys):
     assert main(["loop-model", fan_path("p1"), "--modes", "zz"]) == 2
     assert "bad --modes" in capsys.readouterr().err
     assert main(["loop-model", fan_path("p1"), "--modes", "3..1"]) == 2
+    # the longest range allowed runs; one more cutoff is refused
+    assert cli.MAX_MODE_CUTOFFS == 1000
+    assert main(["loop-model", fan_path("p1"), "--modes", "5..1004"]) == 0
+    assert json.loads(capsys.readouterr().out)["reports"][0]["N_list"] == list(range(5, 1005))
+    assert main(["loop-model", fan_path("p1"), "--modes", "5..1005"]) == 2
+    assert "--modes range '5..1005' lists 1001 cutoffs" in capsys.readouterr().err
 
 
 P2_TEXT = '{"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]}'
@@ -120,6 +127,11 @@ P1XP1_TEXT = ('{"rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],'
      "--max-degree value '100000000000000000000000' is too large"),
     (P2_TEXT, ["loop-model", "--modes", "0..100000000000000000000000"],
      "--modes value '0..100000000000000000000000' is too large"),
+    # a range within a machine index but too long to list
+    (P2_TEXT, ["loop-model", "--modes", "0..4000000000"],
+     "--modes range '0..4000000000' lists 4000000001 cutoffs, more than 1000"),
+    (P2_TEXT, ["loop-model", "--modes", "0..9223372036854775807"],
+     "--modes range '0..9223372036854775807' lists 9223372036854775808 cutoffs"),
     # a negative bound is named by its option, not by the library call it reaches
     (P2_TEXT, ["ifunction", "--max-degree=-1"], "--max-degree must be nonnegative, got '-1'"),
     (P2_TEXT, ["operators", "--theta-order=-1"], "--theta-order must be nonnegative, got '-1'"),
@@ -443,13 +455,18 @@ def test_benchmark_tracer_still_wraps_the_entry_points(capsys):
         assert name in names, name
 
 
-def test_benchmark_argv_still_parses(monkeypatch):
-    # the benchmark passes fixed CLI options; an option removed or made
-    # stricter under it must fail here, not in a benchmark run
+def load_benchmark(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # run.py prepends its dir
     spec = importlib.util.spec_from_file_location("perfbench_run", BENCHMARK)
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
+    return run
+
+
+def test_benchmark_argv_still_parses(monkeypatch):
+    # the benchmark passes fixed CLI options; an option removed or made
+    # stricter under it must fail here, not in a benchmark run
+    run = load_benchmark(monkeypatch)
     parser = cli.build_parser()
     argvs = [[sub, fan_path(fan)] + extra
              for invocations in run.WORKLOADS.values()
@@ -562,3 +579,23 @@ def test_golden_report_digest(capsys, tmp_path, command, args, code, digest):
     assert main([command, golden_fan_path(args[0], tmp_path)] + args[1:]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_benchmark_entry_point_gives_the_golden_reports(monkeypatch, tmp_path):
+    # the benchmark spawns `python -m qdm.cli`, not main(): run its
+    # annihilator-search invocations that way, flags included, against the
+    # digests above (--allow-general-sign changes no byte)
+    golden = {(command, tuple(args)): (code, digest) for command, args, code, digest in GOLDEN}
+    invocations = load_benchmark(monkeypatch).WORKLOADS["annihilator-search"]
+    assert len(invocations) == 5
+    src = str(FAN_DIR.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for sub, fan, extra, _oracles in invocations:
+        code, digest = golden[sub, tuple([fan] + [a for a in extra
+                                                  if a != "--allow-general-sign"])]
+        proc = subprocess.run([sys.executable, "-m", "qdm.cli", sub,
+                               golden_fan_path(fan, tmp_path)] + extra,
+                              capture_output=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (code, b""), (fan, extra)
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest, (fan, extra)

@@ -17,7 +17,7 @@ from qdm import (
     gkz_operator,
     semiclassical,
 )
-from qdm import linalg
+from qdm import cohomology, dmodule, linalg
 from qdm.cohomology import mono_key, monomials
 from qdm.dmodule import _ansatz_key, _theta_images
 from qdm.serialize import laurent_json
@@ -480,10 +480,10 @@ def reference_find_annihilators(series, theta_order, q_degree, hbar_order):
     rows = sorted(row_keys,
                   key=lambda k: (cm.c1_degree(k[0]), k[0], k[1], mono_key(k[2])))
     matrix = [[vec.get(rk, Fraction(0)) for vec in col_vectors] for rk in rows]
-    null = linalg.nullspace(matrix, len(columns))
+    null = linalg.nullspace(linalg._sparse(matrix), len(columns))
     if not null:
         return []
-    reduced, _ = linalg.rref([list(v) for v in null], len(columns))
+    reduced, _ = linalg.rref([num for num, _ in null], len(columns))
     ops = []
     for vec in reduced:
         terms = {}
@@ -561,6 +561,28 @@ def test_search_solves_the_hbar_free_ansatz_once(corpus, monkeypatch):
     assert ansatz == 40
     assert widths == [ansatz]
     assert reductions == []  # the nullspace basis is the reduced basis already
+
+
+def test_search_and_apply_build_no_fraction(corpus, monkeypatch):
+    # from the theta-images to the operators and their check, dmodule, linalg
+    # and the class kernels stay on Python ints; rendering may build Fractions
+    _fan, cm, ring, cone = corpus["dp2"]
+    series = build_f(ring, cone, 6)  # the CLI defaults: B = 6, |t| <= dim + 1, |e| <= 1
+    for j in range(cm.l):
+        ring.omega_class(j)  # ring set-up, solved once per ring over the rationals
+    expected = find_annihilators(build_f(ring, cone, 6), ring.top + 1, 1)
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was built: %r" % (args,))
+
+    for module in (dmodule, linalg, cohomology):
+        monkeypatch.setattr(module, "Fraction", refuse)
+    ops = find_annihilators(series, ring.top + 1, 1)
+    applied = [apply(op, series) for op in ops]
+    monkeypatch.undo()
+    assert ops == expected and len(ops) == 17
+    assert all(a.is_zero() for a in applied)
+    assert all(type(c) is int for op in ops for p in op.num.values() for c in p.values())
 
 
 def test_in_span(corpus):

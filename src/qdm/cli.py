@@ -258,24 +258,8 @@ def cmd_loop_model(args) -> tuple[dict, bool]:
                 raise ValueError("--degree %s is outside the Mori cone"
                                  % ",".join(map(str, d)))
     modes = _parse_modes(args.modes)
-    ok = True
-    reports = []
-    for d in degrees:
-        n_min = loop_model.min_modes(cm, d)
-        wanted = modes if modes is not None else list(range(n_min, n_min + 4))
-        usable = [n for n in wanted if n >= n_min]
-        skipped = [n for n in wanted if n < n_min]
-        if not usable:
-            reports.append({"degree": list(d), "min_modes": n_min,
-                            "skipped_modes": skipped, "stable": False,
-                            "error": "all requested cutoffs below N(d)"})
-            ok = False
-            continue
-        rep = loop_model.check_stabilization(ring, d, usable)
-        if skipped:
-            rep["skipped_modes"] = skipped
-        reports.append(rep)
-        ok = ok and rep["stable"]
+    reports = [loop_model.check_stabilization(ring, d, modes) for d in degrees]
+    ok = all(rep["stable"] for rep in reports)
     report = {"charge_matrix": [list(r) for r in cm.m],
               "reports": reports, "ok": ok}
     return report, ok

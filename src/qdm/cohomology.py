@@ -38,6 +38,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
+from operator import add
 
 from . import linalg
 from .toric import ChargeMatrix, FanData, FanError
@@ -61,8 +62,9 @@ def _monomials_in(n, variables, degree):
                   key=mono_key)
 
 
-def _mul_mono(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+def add_exponents(a, b):
+    """The exponent tuple of the product of two monomials."""
+    return tuple(map(add, a, b))
 
 
 def poly_mul(a, b):
@@ -71,7 +73,7 @@ def poly_mul(a, b):
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m = _mul_mono(m1, m2)
+            m = add_exponents(m1, m2)
             out[m] = out.get(m, 0) + c1 * c2
     return {m: c for m, c in out.items() if c}
 
@@ -151,11 +153,11 @@ class CohomClass:
         return hash((self.den, frozenset(self.num.items())))
 
     def __repr__(self):
-        coeffs = self.coeffs
-        if not coeffs:
+        if not self.num:
             return "CohomClass(0)"
         return "CohomClass(%s)" % " + ".join(
-            "%s*%s" % (coeffs[m], m) for m in sorted(coeffs, key=mono_key))
+            "%s*%s" % (Fraction(self.num[m], self.den), m)
+            for m in sorted(self.num, key=mono_key))
 
 
 class CohomRing:
@@ -234,7 +236,7 @@ class CohomRing:
         on the free columns j of its integer row, whose pivot row[c] > 0."""
         cols = free_monos[deg]
         index = {m: j for j, m in enumerate(cols)}
-        rows = [{index[_mul_mono(m, mu)]: c for m, c in rel.items()}
+        rows = [{index[add_exponents(m, mu)]: c for m, c in rel.items()}
                 for size, rel in relations for mu in free_monos.get(deg - size, ())]
         red, pivots = linalg._reduce(rows, len(cols))
         pivset = set(pivots)
@@ -282,7 +284,7 @@ class CohomRing:
         key = (m1, m2)
         row = self._pairs.get(key)
         if row is None:
-            prod = _mul_mono(m1, m2)
+            prod = add_exponents(m1, m2)
             if sum(prod) > self.top:
                 row = ()
             else:
@@ -392,6 +394,15 @@ class CohomRing:
                 raise ValueError("charge matrix rows are not independent")
             self._omega_cache[j] = self.combination(zip(sol, self._generators))
         return self._omega_cache[j]
+
+    def omega_power(self, t) -> CohomClass:
+        """prod_j omega_j^t_j, theta^t at q = 0 in the classical ring, one
+        multiply per factor."""
+        cls = self.one()
+        for j, tj in enumerate(t):
+            for _ in range(tj):
+                cls = cls * self.omega_class(j)
+        return cls
 
     def dual_basis(self):
         """(T, T^) with T the graded monomial basis classes and

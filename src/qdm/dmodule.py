@@ -44,10 +44,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import add, itemgetter
+from operator import itemgetter
 
 from . import linalg
-from .cohomology import monomials, poly_mul
+from .cohomology import add_exponents, monomials, poly_mul
 from .ifunction import Series
 
 
@@ -198,7 +198,7 @@ class DiffOp:
             for e1, p1 in self.num.items():
                 for e2, p2 in other.num.items():
                     prod = poly_mul(_shift_poly(p1, e2), p2)
-                    key = tuple(map(add, e1, e2))
+                    key = add_exponents(e1, e2)
                     out[key] = _poly_add(out.get(key, {}), prod)
             return DiffOp(self.cm, self.weight + other.weight, out, self.den * other.den)
         return self.scale(other)
@@ -215,11 +215,16 @@ class DiffOp:
         return hash((self.weight, self.den, frozenset((e, frozenset(p.items()))
                                                       for e, p in self.num.items())))
 
+    def walk(self):
+        """Sorted (q-exp, theta-exp, hbar-exp, numerator) quadruples, one per
+        term; each coefficient is numerator / den."""
+        return sorted(((e, t, self.hbar_power(e, t), c)
+                       for e, poly in self.num.items() for t, c in poly.items()),
+                      key=lambda x: _ansatz_key(*x[:3]))
+
     def support_triples(self):
         """Sorted (q-exp, theta-exp, hbar-exp) triples carrying coefficients."""
-        return sorted(((e, t, self.hbar_power(e, t))
-                       for e, poly in self.num.items() for t in poly),
-                      key=lambda x: _ansatz_key(*x))
+        return [term[:3] for term in self.walk()]
 
     def coefficient(self, e, t, h) -> Fraction:
         e, t = tuple(e), tuple(t)
@@ -231,18 +236,12 @@ class DiffOp:
         """The q = 0, hbar-free terms at theta_j -> omega_j, in the classical
         ring; zero when the operator annihilates the series."""
         zero = (0,) * self.cm.l
-        terms = []
-        for t, c in self.num.get(zero, {}).items():
-            if self.hbar_power(zero, t) == 0:
-                cls = ring.one()
-                for j, tj in enumerate(t):
-                    for _ in range(tj):
-                        cls = cls * ring.omega_class(j)
-                terms.append((c, cls))
-        return ring.combination(terms, self.den)
+        return ring.combination(((c, ring.omega_power(t))
+                                 for t, c in self.num.get(zero, {}).items()
+                                 if self.hbar_power(zero, t) == 0), self.den)
 
     def __repr__(self):
-        return "DiffOp(%r, %d, %r)" % (self.cm, self.weight, self.terms)
+        return "DiffOp(%r, %d, %r, %d)" % (self.cm, self.weight, self.num, self.den)
 
 
 def _ansatz_key(e, t, h):
@@ -300,7 +299,7 @@ def _shifted(series, e, cap):
                                           key=itemgetter(0))
         shift = c1(e)
         moved = windows[e] = base if e == zero else [
-            (c + shift, dp, tuple(map(add, dp, e))) for c, dp, _ in base]
+            (c + shift, dp, add_exponents(dp, e)) for c, dp, _ in base]
     return moved[:bisect_right(moved, cap, key=itemgetter(0))]
 
 

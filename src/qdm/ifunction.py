@@ -45,7 +45,7 @@ where it contributes polynomial terms in the formal symbols L_j = log q_j.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 from .cohomology import CohomClass, CohomRing, monomials
 from .toric import MoriCone, enumerate_degrees
@@ -182,15 +182,10 @@ def component(series: Series, beta: int, log_order: int):
     covectors = {}  # t -> (nonzero [(b, num)], den): integral of b * omega^t / t! * dual
     for total in range(min(log_order, ring.top) + 1):
         for t in monomials(l, total):
-            cls = ring.one()
-            denom = 1
-            for j, tj in enumerate(t):
-                denom *= factorial(tj)
-                for _ in range(tj):
-                    cls = cls * ring.omega_class(j)
+            cls = ring.omega_power(t)
             if cls.is_zero():
                 continue
-            wcls = cls.scale(Fraction(1, denom)) * dual
+            wcls = cls.scale(Fraction(1, prod(map(factorial, t)))) * dual
             cov = [(b, v) for b in ring.basis
                    if (v := ring.integrate(ring.monomial_class(b) * wcls))]
             cden = lcm(*(v.denominator for _, v in cov))

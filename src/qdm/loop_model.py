@@ -77,26 +77,39 @@ def euler_ratio_n(ring: CohomRing, degree, modes: int) -> CohomClass:
     return euler_ratio(ring, degree)
 
 
-def check_stabilization(ring: CohomRing, degree, mode_values) -> dict:
+def check_stabilization(ring: CohomRing, degree, mode_values=None) -> dict:
     """Finite-mode ratio and critical data of one degree over the cutoffs N.
 
-    mode_values: the cutoffs N, ints each >= N(degree).  The ratio is taken
-    at the smallest, the weight intervals at the largest.  Returns a
-    JSON-ready report whose "stable" records whether the ratio satisfies the
-    product identity of R_d; a failure is recorded, not raised.
+    mode_values: the requested cutoffs N, ints; None asks for N(d)..N(d)+3.
+    Those below N(d) are reported as "skipped_modes".  The ratio is taken at
+    the smallest usable cutoff, the weight intervals at the largest.
+    Returns a JSON-ready report whose "stable" records whether the ratio
+    satisfies the product identity of R_d; a failure, or no usable cutoff,
+    is recorded, not raised.
     """
+    needed = min_modes(ring.cm, _int_tuple(degree))
+    if mode_values is None:
+        mode_values = range(needed, needed + 4)
     mode_values = sorted(set(_int_tuple(mode_values)))
     if not mode_values:
         raise ValueError("no mode cutoffs given")
-    ratio = euler_ratio_n(ring, degree, mode_values[0])
-    data = critical_component(ring.cm, degree, mode_values[-1])
-    return {
+    skipped = [n for n in mode_values if n < needed]
+    usable = mode_values[len(skipped):]
+    if not usable:
+        return {"degree": list(degree), "min_modes": needed, "skipped_modes": skipped,
+                "stable": False, "error": "all requested cutoffs below N(d)"}
+    ratio = euler_ratio_n(ring, degree, usable[0])
+    data = critical_component(ring.cm, degree, usable[-1])
+    report = {
         "degree": list(degree),
-        "min_modes": min_modes(ring.cm, degree),
-        "N_list": mode_values,
+        "min_modes": needed,
+        "N_list": usable,
         "critical_value": serialize.frac_str(data.value),
         "stable": check_ratio(ring, degree, ratio),
         "ratio": serialize.laurent_json(ratio, ring.cm.c1_degree(degree)),
         "weights": {"positive": [list(w) for w in data.positive],
                     "negative": [list(w) for w in data.negative]},
     }
+    if skipped:
+        report["skipped_modes"] = skipped
+    return report

@@ -8,12 +8,16 @@ terms as "p/q", integers without the denominator.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 from .cohomology import mono_key
 
 
-def frac_str(x) -> str:
-    return str(Fraction(x))
+def frac_str(num, den=1) -> str:
+    """num / den in lowest terms as 'p/q', or 'p' when integral; every
+    rational in a report is printed here."""
+    return str(Fraction(num, den))
 
 
 def mono_str(mono) -> str:
@@ -23,8 +27,8 @@ def mono_str(mono) -> str:
 
 def class_json(cls) -> dict:
     """A cohomology class as {monomial string: 'p/q'}, graded-lex ordered."""
-    coeffs = cls.coeffs
-    return {mono_str(m): str(coeffs[m]) for m in sorted(coeffs, key=mono_key)}
+    num, den = cls.num, cls.den
+    return {mono_str(m): frac_str(num[m], den) for m in sorted(num, key=mono_key)}
 
 
 def laurent_json(cls, c1) -> list:
@@ -32,9 +36,9 @@ def laurent_json(cls, c1) -> list:
     c1 = c1(d) - w, as [{hbar, class}] in ascending hbar.  By the weight rule
     the monomial m carries hbar^(w - c1(d) - deg m) = hbar^(-c1 - deg m)."""
     by_hbar = {}
-    coeffs = cls.coeffs
-    for m in sorted(coeffs, key=mono_key):
-        by_hbar.setdefault(-c1 - sum(m), {})[mono_str(m)] = str(coeffs[m])
+    num, den = cls.num, cls.den
+    for m in sorted(num, key=mono_key):
+        by_hbar.setdefault(-c1 - sum(m), {})[mono_str(m)] = frac_str(num[m], den)
     return [{"hbar": h, "class": by_hbar[h]} for h in sorted(by_hbar)]
 
 
@@ -57,15 +61,10 @@ def component_json(comp) -> list:
 
 def op_json(op) -> list:
     """Operator as [{q: [...], terms: [{theta, hbar, coeff}]}], q-support sorted."""
-    out = []
     den = op.den
-    for e in sorted(op.num, key=lambda e: (sum(e), e)):
-        entries = [{"theta": list(t), "hbar": op.hbar_power(e, t),
-                    "coeff": str(Fraction(c, den))}
-                   for t, c in sorted(op.num[e].items(),
-                                      key=lambda kv: (sum(kv[0]), kv[0]))]
-        out.append({"q": list(e), "terms": entries})
-    return out
+    return [{"q": list(e), "terms": [{"theta": list(t), "hbar": h, "coeff": frac_str(c, den)}
+                                     for _, t, h, c in terms]}
+            for e, terms in groupby(op.walk(), itemgetter(0))]
 
 
 def _power_str(sym, exps) -> str:
@@ -78,31 +77,24 @@ def _power_str(sym, exps) -> str:
     return "*".join(parts)
 
 
-def _signed_join(rendered) -> str:
-    """Join (coefficient, monomial-string) pairs into a readable polynomial."""
-    text = ""
-    for coeff, mono in rendered:
-        sign = "-" if coeff < 0 else "+"
-        mag = abs(coeff)
-        body = mono if mag == 1 and mono else (frac_str(mag) if not mono
-                                               else "%s*%s" % (frac_str(mag), mono))
-        if not text:
-            text = body if sign == "+" else "-" + body
-        else:
-            text += " %s %s" % (sign, body)
-    return text or "0"
-
-
 def _op_text(op, theta) -> str:
-    rendered = []
-    for (e, t, h) in op.support_triples():
+    """The terms of op as a signed sum, a magnitude 1 left off a monomial."""
+    den = op.den
+    text = ""
+    for e, t, h, c in op.walk():
         factors = [s for s in (_power_str("q", e), _power_str(theta, t)) if s]
         if h == 1:
             factors.append("hbar")
         elif h > 1:
             factors.append("hbar^%d" % h)
-        rendered.append((op.coefficient(e, t, h), "*".join(factors)))
-    return _signed_join(rendered)
+        if abs(c) != den or not factors:
+            factors.insert(0, frac_str(abs(c), den))
+        body = "*".join(factors)
+        if text:
+            text += (" - " if c < 0 else " + ") + body
+        else:
+            text = "-" + body if c < 0 else body
+    return text or "0"
 
 
 def op_str(op) -> str:

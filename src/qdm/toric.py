@@ -71,7 +71,8 @@ class NefBasisError(ValueError):
 class FanData(namedtuple("FanData", ("rays", "max_cones", "nef_basis",
                                      "wall_relations", "mori_normals"))):
     """rays: tuple of int tuples; max_cones: tuple of sorted ray-index
-    tuples; nef_basis: None or one tuple of Fractions per nef class;
+    tuples; nef_basis: None or one tuple per nef class, each entry an int,
+    or a Fraction when it is not integral;
     wall_relations: the relation of each wall, as wall_relations returns
     them; mori_normals: the Mori cone's primitive facet normals in outside
     coordinates, sorted (the nef cone's extreme rays there)."""
@@ -226,7 +227,8 @@ def make_fan(rays, max_cones, nef_basis=None) -> FanData:
     nef = None
     if nef_basis is not None:
         try:
-            rows = [tuple(parse_frac(x) for x in vec) for vec in nef_basis]
+            rows = [tuple(c.numerator if c.denominator == 1 else c
+                          for c in map(parse_frac, vec)) for vec in nef_basis]
         except (TypeError, ValueError):
             raise FanError("nef_basis entries must be integers or 'p/q' strings") from None
         if any(len(r) != n for r in rows):

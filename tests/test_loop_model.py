@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import (reference_euler_ratio_n, reference_linear_factor,
+from conftest import (FAN_DIR, reference_euler_ratio_n, reference_linear_factor,
                       reference_weight_pairs)
 from qdm import (
     ComponentAbsentError,
@@ -15,6 +15,7 @@ from qdm import (
     euler_ratio_n,
     min_modes,
 )
+from qdm.cli import main
 from qdm.serialize import class_json, laurent_json
 
 
@@ -151,12 +152,33 @@ def test_check_stabilization_weights_at_largest_cutoff(corpus):
     assert report["stable"] is True
 
 
-def test_check_stabilization_requires_enough_modes(corpus):
+def test_check_stabilization_requires_enough_modes(corpus, capsys):
+    # cutoffs below N(d) are skipped, and with none left the report is the
+    # CLI's error entry; only an empty request raises
     _fan, cm, ring, _cone = corpus["p2"]
-    with pytest.raises(ComponentAbsentError):
-        check_stabilization(ring, (2,), [1, 2])
+    report = check_stabilization(ring, (2,), [1, 2, 3])
+    assert report["N_list"] == [2, 3]
+    assert report["skipped_modes"] == [1]
+    assert report["stable"] is True
+    assert "skipped_modes" not in check_stabilization(ring, (2,), [2, 3])
+    error = {"degree": [2], "min_modes": 2, "skipped_modes": [0, 1],
+             "stable": False, "error": "all requested cutoffs below N(d)"}
+    assert check_stabilization(ring, (2,), [1, 0]) == error
+    assert main(["loop-model", str(FAN_DIR / "p2.json"), "--degree", "2",
+                 "--modes", "0..1"]) == 1
+    assert json.loads(capsys.readouterr().out)["reports"] == [error]
     with pytest.raises(ValueError, match="no mode cutoffs"):
         check_stabilization(ring, (2,), [])
+
+
+def test_check_stabilization_default_cutoffs_are_the_cli_entry(corpus, capsys):
+    _fan, cm, ring, cone = corpus["dp2"]
+    assert main(["loop-model", str(FAN_DIR / "dp2.json"), "--max-degree", "3"]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    degrees = [d for d in enumerate_degrees(cone, cm, 3) if any(d)]
+    assert reports == [check_stabilization(ring, d) for d in degrees]
+    assert [r["N_list"] for r in reports] == \
+        [list(range(min_modes(cm, d), min_modes(cm, d) + 4)) for d in degrees]
 
 
 # a float, a string or a bool cutoff is refused, never truncated

@@ -130,3 +130,70 @@ def test_render_text_long_lists_go_multiline():
     text = serialize.render_text(data)
     assert text.splitlines()[0] == "big:"
     assert text.count("\n") >= 2
+
+
+# Rational and unit coefficients: no shipped fan's operator has a non-unit
+# rational coefficient, so no golden report covers these renderings.
+
+
+def _rational_op(cm):
+    """-3/2 hbar^2 + theta hbar - theta^2 + 2/3 q on P^1, of weight 2."""
+    return DiffOp(cm, 2, {(0,): {(0,): Fraction(-3, 2), (1,): 1, (2,): -1},
+                          (1,): {(0,): Fraction(2, 3)}})
+
+
+def test_op_str_rational_coefficients(corpus):
+    _fan, cm, _ring, _cone = corpus["p1"]
+    op = _rational_op(cm)
+    assert serialize.op_str(op) == "-3/2*hbar^2 + theta1*hbar - theta1^2 + 2/3*q1"
+    assert serialize.op_str(op.scale(-1)) == \
+        "3/2*hbar^2 - theta1*hbar + theta1^2 - 2/3*q1"
+    mixed = DiffOp(cm, 2, {(0,): {(1,): Fraction(5, 4), (2,): -1}, (1,): {(0,): 1}})
+    assert serialize.op_str(mixed) == "5/4*theta1*hbar - theta1^2 + q1"
+    for c, text in ((Fraction(-5, 3), "-5/3"), (Fraction(7, 4), "7/4"),
+                    (-1, "-1"), (1, "1")):
+        assert serialize.op_str(DiffOp(cm, 0, {(0,): {(0,): c}})) == text
+
+
+def test_relation_str_rational_coefficients(corpus):
+    _fan, cm, _ring, _cone = corpus["p1"]
+    assert serialize.relation_str(semiclassical(_rational_op(cm))) == "-p1^2 + 2/3*q1"
+    assert serialize.relation_str(semiclassical(_rational_op(cm).scale(-1))) == \
+        "p1^2 - 2/3*q1"
+    for c, text in ((Fraction(-5, 3), "-5/3"), (Fraction(7, 4), "7/4"), (-1, "-1")):
+        assert serialize.relation_str(DiffOp(cm, 0, {(0,): {(0,): c}})) == text
+
+
+def test_op_json_rational_coefficients(corpus):
+    _fan, cm, _ring, _cone = corpus["p1"]
+    assert serialize.op_json(_rational_op(cm)) == [
+        {"q": [0], "terms": [{"theta": [0], "hbar": 2, "coeff": "-3/2"},
+                             {"theta": [1], "hbar": 1, "coeff": "1"},
+                             {"theta": [2], "hbar": 0, "coeff": "-1"}]},
+        {"q": [1], "terms": [{"theta": [0], "hbar": 0, "coeff": "2/3"}]},
+    ]
+    assert serialize.op_json(DiffOp(cm, 0, {(0,): {(0,): Fraction(-5, 3)}})) == [
+        {"q": [0], "terms": [{"theta": [0], "hbar": 0, "coeff": "-5/3"}]}]
+    assert serialize.op_json(DiffOp.identity(cm).scale(-1)) == [
+        {"q": [0], "terms": [{"theta": [0], "hbar": 0, "coeff": "-1"}]}]
+    assert serialize.op_json(DiffOp.zero(cm)) == []
+
+
+def test_class_and_laurent_json_rational_coefficients(corpus):
+    _fan, _cm, ring, _cone = corpus["p2"]
+    x = ring.generator(0)
+    cls = ring.one().scale(Fraction(-3, 2)) + x.scale(Fraction(2, 4)) + x * x
+    assert serialize.class_json(cls) == {"1": "-3/2", "x3": "1/2", "x3^2": "1"}
+    assert serialize.laurent_json(cls, 1) == [
+        {"hbar": -3, "class": {"x3^2": "1"}},
+        {"hbar": -2, "class": {"x3": "1/2"}},
+        {"hbar": -1, "class": {"1": "-3/2"}},
+    ]
+    unit = x.scale(Fraction(-1, 3)) - ring.one()
+    assert serialize.class_json(unit) == {"1": "-1", "x3": "-1/3"}
+    assert serialize.laurent_json(unit, 0) == [
+        {"hbar": -1, "class": {"x3": "-1/3"}},
+        {"hbar": 0, "class": {"1": "-1"}},
+    ]
+    assert serialize.class_json(ring.zero()) == {}
+    assert serialize.laurent_json(ring.zero(), 1) == []

@@ -173,3 +173,68 @@ def test_the_benchmark_still_resolves(monkeypatch):
     # p2 derives its nef basis, dp3 supplies one
     texts = [(ROOT / "fans" / (name + ".json")).read_text() for name in ("p2", "dp3")]
     assert run.setup_once(texts) > 0
+
+
+def _owners(tree, match):
+    """The name of the innermost function around each node that matches,
+    '' at module level."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if match(node):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+    visit(tree, "")
+    return found
+
+
+def _adds_exponents(node):
+    """map(add, a, b), or a comprehension x + y for x, y in zip(a, b)."""
+    if isinstance(node, ast.Call) and _callee(node) == "map":
+        return bool(node.args) and _callee(node.args[0]) == "add"
+    if isinstance(node, (ast.GeneratorExp, ast.ListComp)):
+        elt, gen = node.elt, node.generators[0]
+        return (isinstance(elt, ast.BinOp) and isinstance(elt.op, ast.Add)
+                and isinstance(gen.iter, ast.Call) and _callee(gen.iter) == "zip")
+    return False
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+@pytest.mark.parametrize("source, owners", [
+    ("def f(a, b):\n    return tuple(map(add, a, b))", ["f"]),
+    ("def g(a, b):\n    return tuple(x + y for x, y in zip(a, b))", ["g"]),
+    ("s = [x + y for x, y in zip(a, b)]", [""]),
+    ("def h(a, b):\n    return sum(x * y for x, y in zip(a, b)), list(map(abs, a))", []),
+])
+def test_exponent_addition_detector(source, owners):
+    assert _owners(ast.parse(source), _adds_exponents) == owners
+
+
+def test_exponent_tuples_are_added_by_one_helper():
+    owners = {module: _owners(tree, _adds_exponents) for module, tree in _trees().items()}
+    assert owners.pop("cohomology") == ["add_exponents"]
+    assert not any(owners.values()), owners
+
+
+def test_package_reads_no_fraction_view():
+    # coeffs, terms and coefficient() rebuild Fractions from the integer
+    # numerators; they are kept for the tests, the README and the oracles
+    views = {"coeffs", "terms", "coefficient"}
+    reads = {module: _owners(tree, lambda node: isinstance(node, ast.Attribute)
+                             and node.attr in views)
+             for module, tree in _trees().items()}
+    assert not any(reads.values()), reads
+
+
+def test_serialize_builds_fractions_in_one_formatter():
+    tree = _trees()["serialize"]
+    owners = _owners(tree, lambda node: isinstance(node, ast.Call)
+                     and _callee(node) == "Fraction")
+    assert owners == ["frac_str"]

@@ -314,6 +314,20 @@ def test_supplied_nef_basis_matches_default():
     assert averaged == default
 
 
+def test_integral_nef_basis_entries_are_ints():
+    # integer arithmetic in charge_matrix; a rational entry stays a Fraction
+    fan = load_fan("dp3")
+    assert all(type(c) is int for vec in fan.nef_basis for c in vec)
+    as_fractions = fan._replace(nef_basis=tuple(tuple(map(Fraction, vec))
+                                                for vec in fan.nef_basis))
+    assert charge_matrix(fan) == charge_matrix(as_fractions)
+    assert charge_matrix(fan).m == ((-1, 1, -1, 1, -1, 1), (1, -1, 1, 0, 0, 0),
+                                    (0, 0, 1, -1, 1, 0), (1, 0, 0, 0, 1, -1))
+    averaged = make_fan(P2_RAYS, P2_CONES, nef_basis=[["1/3", "1/3", 1]]).nef_basis
+    assert averaged == ((Fraction(1, 3), Fraction(1, 3), 1),)
+    assert [type(c) for c in averaged[0]] == [Fraction, Fraction, int]
+
+
 def test_supplied_nef_basis_must_be_nef():
     fan = make_fan(P2_RAYS, P2_CONES, nef_basis=[[-1, 0, 0]])
     with pytest.raises(NefBasisError, match="pairs negatively"):

@@ -82,7 +82,7 @@ class CohomClass:
     """Ring element sum_m num[m] / den * m over the monomial basis, kept in
     lowest terms (see the module docstring)."""
 
-    __slots__ = ("ring", "num", "den")
+    __slots__ = ("ring", "num", "den", "_hash")
 
     def __init__(self, ring, num, den=1):
         """The class num / den, normalized.  num maps monomials to ints, or to
@@ -150,7 +150,13 @@ class CohomClass:
                 and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.den, frozenset(self.num.items())))
+        # a class is never changed after __init__, so its hash is taken once:
+        # the ring's per-class caches look the same class up many times
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.den, frozenset(self.num.items())))
+            return self._hash
 
     def __repr__(self):
         if not self.num:

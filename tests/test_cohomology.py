@@ -290,6 +290,21 @@ def test_linear_factors_need_a_degree_one_class(corpus):
             ring.divide_linear(h, lin, 1)
 
 
+def test_equal_linear_classes_share_one_matrix():
+    # the multiplication matrices are cached per class value, not per
+    # object: an equal class built apart finds the entry the first made
+    fan = make_fan([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [2, 0]])
+    ring = build_ring(fan, charge_matrix(fan))
+    h = ring.generator(0)
+    copy = CohomClass(ring, {m: 2 * c for m, c in h.num.items()}, 2 * h.den)
+    assert copy is not h and copy == h and hash(copy) == hash(h)
+    assert copy != h * 2
+    before = len(ring._linear_cache)
+    assert ring.times_linear(ring.one(), h, 3) == ring.times_linear(ring.one(), copy, 3)
+    assert ring._linear(copy) is ring._linear(h)
+    assert len(ring._linear_cache) == before + 1
+
+
 # ---------------------------------------------------------------------------
 # integer numerators over one denominator against the Fraction kernels
 

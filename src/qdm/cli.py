@@ -117,6 +117,8 @@ def _parse_components(raw, size):
         if not 0 <= beta < size:
             raise ValueError("--components index %d is outside the basis 0..%d"
                              % (beta, size - 1))
+        if beta in out:
+            raise ValueError("--components index %d is repeated" % beta)
         out.append(beta)
     return out
 
@@ -139,15 +141,11 @@ def _parse_modes(raw):
 
 def cmd_cohomology(args) -> tuple[dict, bool]:
     fan, cm, ring, cone = _load(args)
-    duals = ring.dual_basis()[1]
     pairing_blocks = {}
     for deg in range(ring.top + 1):
-        rows = ring.basis_by_degree[deg]
-        cols = ring.basis_by_degree[ring.top - deg]
-        block = [[serialize.frac_str(ring.integrate(
-            ring.monomial_class(a) * ring.monomial_class(b))) for b in cols]
-            for a in rows]
-        pairing_blocks["%d,%d" % (deg, ring.top - deg)] = block
+        rows, den = ring.pairing(deg)
+        pairing_blocks["%d,%d" % (deg, ring.top - deg)] = [
+            [serialize.frac_str(r, den) for r in row] for row in rows]
     report = {
         "rays": [list(r) for r in fan.rays],
         "charge_matrix": [list(r) for r in cm.m],
@@ -156,7 +154,7 @@ def cmd_cohomology(args) -> tuple[dict, bool]:
         "total_dimension": sum(ring.dims),
         "basis": {str(d): [serialize.mono_str(m) for m in ring.basis_by_degree[d]]
                   for d in range(ring.top + 1)},
-        "dual_basis": [serialize.class_json(c) for c in duals],
+        "dual_basis": [serialize.class_json(c) for c in ring.dual_basis()[1]],
         "pairing": pairing_blocks,
         "ok": True,
     }

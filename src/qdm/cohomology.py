@@ -15,7 +15,10 @@ gives.  No Groebner machinery is needed or used.
 
 Integration is normalized so that the class of a torus-fixed point, the
 product prod_{k in sigma} x_k over any maximal cone sigma, integrates to 1;
-consistency of that normalization across all maximal cones is checked.
+consistency of that normalization across all maximal cones is checked.  The
+Poincare pairing vanishes off complementary degrees, so it is the blocks
+pairing(deg), each read off the reduction table once per ring; the dual
+basis inverts them block by block.
 
 A class is sparse: integer numerators num = {basis monomial: int} over one
 denominator den > 0, in lowest terms (gcd(den, *num) == 1, no zero entry;
@@ -38,7 +41,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 
 from . import linalg
 from .toric import ChargeMatrix, FanData, FanError
@@ -214,6 +217,7 @@ class CohomRing:
         self._point_factor = self._normalize_point()
         self._omega_cache = {}
         self._linear_cache = {}
+        self._pairing_cache = {}
         self._dual_cache = None
         one = self.one()  # the Euler-ratio memos, see the ifunction module
         self.ratios = {(0,) * self.n: one}
@@ -258,9 +262,7 @@ class CohomRing:
     def _normalize_point(self):
         vals = set()
         for cone in self.fan.max_cones:
-            point = self.one()
-            for k in cone:
-                point = point * self._generators[k]
+            point = reduce(mul, [self._generators[k] for k in cone], self.one())
             vals.add(Fraction(point.num.get(self._point_mono, 0), point.den))
         if 0 in vals or len(vals) != 1:
             raise FanError("inconsistent point normalization across maximal cones")
@@ -404,25 +406,41 @@ class CohomRing:
     def omega_power(self, t) -> CohomClass:
         """prod_j omega_j^t_j, theta^t at q = 0 in the classical ring, one
         multiply per factor."""
-        cls = self.one()
-        for j, tj in enumerate(t):
-            for _ in range(tj):
-                cls = cls * self.omega_class(j)
-        return cls
+        return reduce(mul, [self.omega_class(j) for j, tj in enumerate(t) for _ in range(tj)],
+                      self.one())
+
+    def pairing(self, deg):
+        """The Poincare pairing block (rows, den), memoized: rows[i][j] / den
+        is the integral of b_i * b'_j over the basis monomials b_i of degree
+        deg and b'_j of degree top - deg.  Each product is read off the
+        reduction table, where its only basis monomial is the point's."""
+        block = self._pairing_cache.get(deg)
+        if block is None:
+            f = 1 / self._point_factor  # a Fraction: f.denominator > 0
+            cols = self.basis_by_degree[self.top - deg]
+            rows = tuple(tuple(f.numerator * sum(r for _, r in self._pair(a, b)) for b in cols)
+                         for a in self.basis_by_degree[deg])
+            block = self._pairing_cache[deg] = (rows, f.denominator * self._den)
+        return block
 
     def dual_basis(self):
         """(T, T^) with T the graded monomial basis classes and
-        integrate(T_i * T^j) = delta_ij."""
+        integrate(T_i * T^j) = delta_ij.  The pairing vanishes off
+        complementary degrees, so the duals of the degree-deg basis classes
+        are the basis classes of degree top - deg times the inverse of the
+        degree-deg pairing block."""
         if self._dual_cache is None:
             t = [self.monomial_class(m) for m in self.basis]
-            size = len(t)
-            pair = [[self.integrate(t[i] * t[j]) for j in range(size)]
-                    for i in range(size)]
-            inv = linalg.invert(pair)
-            if inv is None:
-                raise FanError("Poincare pairing is degenerate; fan data is invalid")
-            duals = [self.combination((inv[k][j], t[k]) for k in range(size))
-                     for j in range(size)]
+            duals = []
+            for deg in range(self.top + 1):
+                rows, den = self.pairing(deg)
+                co = [self.monomial_class(m) for m in self.basis_by_degree[self.top - deg]]
+                inv = linalg.invert(rows)
+                if inv is None:
+                    raise FanError("Poincare pairing block %d,%d is degenerate; "
+                                   "fan data is invalid" % (deg, self.top - deg))
+                duals += [self.combination((den * inv[k][j], c) for k, c in enumerate(co))
+                          for j in range(len(rows))]
             self._dual_cache = (t, duals)
         return self._dual_cache
 

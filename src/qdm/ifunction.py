@@ -45,7 +45,7 @@ where it contributes polynomial terms in the formal symbols L_j = log q_j.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, prod
 
 from .cohomology import CohomClass, CohomRing, monomials
 from .toric import MoriCone, enumerate_degrees
@@ -173,33 +173,27 @@ def component(series: Series, beta: int, log_order: int):
     if log_order < 0:
         raise ValueError("log_order must be nonnegative")
     ring = series.ring
-    l = ring.l
     basis_classes, duals = ring.dual_basis()
     if not 0 <= beta < len(basis_classes):
         raise IndexError("beta out of range for the cohomology basis")
     dual = duals[beta]
     deg_beta = sum(ring.basis[beta])
-    covectors = {}  # t -> (nonzero [(b, num)], den): integral of b * omega^t / t! * dual
-    for total in range(min(log_order, ring.top) + 1):
-        for t in monomials(l, total):
-            cls = ring.omega_power(t)
-            if cls.is_zero():
-                continue
-            wcls = cls.scale(Fraction(1, prod(map(factorial, t)))) * dual
-            cov = [(b, v) for b in ring.basis
-                   if (v := ring.integrate(ring.monomial_class(b) * wcls))]
-            cden = lcm(*(v.denominator for _, v in cov))
-            covectors[t] = ([(b, v.numerator * (cden // v.denominator)) for b, v in cov],
-                            cden)
+    covectors = {}  # t -> ([(b, num)], den): integral of b * omega^t / t! * dual
+    for total in range(min(log_order, deg_beta) + 1):
+        # b has degree deg_beta - |t|: its covector is the pairing block's
+        # row times the coordinates of omega^t * dual
+        rows, pden = ring.pairing(deg_beta - total)
+        cols = ring.basis_by_degree[ring.top - deg_beta + total]
+        for t in monomials(ring.l, total):
+            wcls = ring.omega_power(t) * dual
+            cov = [(b, v) for b, row in zip(ring.basis_by_degree[deg_beta - total], rows)
+                   if (v := sum(r * wcls.num.get(c, 0) for r, c in zip(row, cols)))]
+            covectors[t] = (cov, pden * wcls.den * prod(map(factorial, t)))
     out = {}
     for d in series.degrees:
         h = series.weight - ring.cm.c1_degree(d) - deg_beta
-        r_d = series.coefficients[d]
-        num, den = r_d.num, r_d.den
-        entry = {}
-        for t, (cov, cden) in covectors.items():
-            val = sum(c * num.get(b, 0) for b, c in cov)
-            if val:
-                entry[(t, h)] = Fraction(val, cden * den)
+        num, den = series.coefficients[d].num, series.coefficients[d].den
+        entry = {(t, h): Fraction(val, cden * den) for t, (cov, cden) in covectors.items()
+                 if (val := sum(c * num.get(b, 0) for b, c in cov))}
         out[d] = dict(sorted(entry.items()))
     return out

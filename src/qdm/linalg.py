@@ -264,8 +264,11 @@ def solve_columns(cols, target):
 
 
 def invert(mat):
-    """Exact inverse of a square matrix over the rationals, or None if singular."""
+    """Exact inverse of a square matrix over the rationals, or None if it is
+    singular or not square."""
     n = len(mat)
+    if any(len(row) != n for row in mat):
+        return None
     aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(mat)]
     red, pivots = _reduce(_sparse(aug), n)
     if len(pivots) < n:

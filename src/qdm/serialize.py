@@ -108,19 +108,23 @@ def relation_str(rel) -> str:
     return _op_text(rel, "p")
 
 
-def _inline(value) -> str | None:
-    """Compact one-line form for scalars and shallow lists, else None."""
-    if not isinstance(value, (dict, list)):
+def _inline(value, budget=60) -> str | None:
+    """Compact one-line form for scalars, empty dicts and lists whose parts
+    have fewer than budget characters in all, else None.  It stops at the
+    first part that cannot inline or spends the budget, and a part gets only
+    what is left of it."""
+    if isinstance(value, dict):
+        return None if value else "{}"
+    if not isinstance(value, list):
         return _scalar_text(value)
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        parts = [_inline(v) for v in value]
-        if all(p is not None for p in parts) and sum(len(p) for p in parts) < 60:
-            return "[%s]" % ", ".join(parts)
-    if isinstance(value, dict) and not value:
-        return "{}"
-    return None
+    parts = []
+    for v in value:
+        part = _inline(v, budget)
+        if part is None or len(part) >= budget:
+            return None
+        budget -= len(part)
+        parts.append(part)
+    return "[%s]" % ", ".join(parts)
 
 
 def render_text(data, indent: int = 0) -> str:

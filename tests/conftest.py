@@ -2,7 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import factorial, gcd, prod
 from pathlib import Path
 
 import pytest
@@ -207,6 +207,65 @@ def corpus():
 def shipped():
     """The same for every fan in fans/, the four-folds included."""
     return _built(SHIPPED)
+
+
+# The pairing paths that one block per degree (CohomRing.pairing) replaced,
+# kept as the oracle: the full chi x chi Gram matrix of integrals of basis
+# products, inverted at once, and each component covector integrated basis
+# class by basis class.
+
+def reference_dual_basis(ring):
+    """(T, T^) from the inverse of the whole Gram matrix of integrals."""
+    t = [ring.monomial_class(m) for m in ring.basis]
+    size = len(t)
+    gram = [[ring.integrate(t[i] * t[j]) for j in range(size)] for i in range(size)]
+    inv = linalg.invert(gram)
+    if inv is None:
+        raise FanError("Poincare pairing is degenerate; fan data is invalid")
+    return t, [ring.combination((inv[k][j], t[k]) for k in range(size))
+               for j in range(size)]
+
+
+def reference_component(series, beta, log_order, duals):
+    """f_beta with every covector entry the integral of b * omega^t / t! *
+    duals[beta], for duals from reference_dual_basis."""
+    ring = series.ring
+    dual = duals[beta]
+    deg_beta = sum(ring.basis[beta])
+    covectors = {}
+    for total in range(min(log_order, ring.top) + 1):
+        for t in monomials(ring.l, total):
+            cls = ring.omega_power(t)
+            if cls.is_zero():
+                continue
+            wcls = cls.scale(Fraction(1, prod(map(factorial, t)))) * dual
+            covectors[t] = [(b, v) for b in ring.basis
+                            if (v := ring.integrate(ring.monomial_class(b) * wcls))]
+    out = {}
+    for d in series.degrees:
+        h = series.weight - ring.cm.c1_degree(d) - deg_beta
+        coeffs = series.coefficients[d].coeffs
+        entry = {}
+        for t, cov in covectors.items():
+            val = sum(v * coeffs.get(b, 0) for b, v in cov)
+            if val:
+                entry[(t, h)] = val
+        out[d] = dict(sorted(entry.items()))
+    return out
+
+
+def product_fan(*names):
+    """The fan of the product of shipped fans: block rays, and the products
+    of their maximal cones."""
+    datas = [json.loads((FAN_DIR / (name + ".json")).read_text()) for name in names]
+    dims = [len(data["rays"][0]) for data in datas]
+    rays, cones = [], [[]]
+    for i, data in enumerate(datas):
+        shift = len(rays)
+        rays += [[0] * sum(dims[:i]) + list(ray) + [0] * sum(dims[i + 1:])
+                 for ray in data["rays"]]
+        cones = [c + [shift + k for k in cone] for c in cones for cone in data["max_cones"]]
+    return qdm.make_fan(rays, cones)
 
 
 # The quantum period from the rays alone: it reads no charge matrix, Mori

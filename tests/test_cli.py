@@ -91,6 +91,9 @@ P1XP1_TEXT = ('{"rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],'
      ' "nef_basis": [[true, 0, 0]]}', ["cohomology"], "nef_basis entries"),
     (P2_TEXT, ["ifunction", "--components", "9"], "--components index 9"),
     (P2_TEXT, ["ifunction", "--components", "0,x"], "bad --components"),
+    # a repeated index is refused, not merged into one entry
+    (P2_TEXT, ["ifunction", "--components", "0,0"], "--components index 0 is repeated"),
+    (P2_TEXT, ["ifunction", "--components", "2,1,2"], "--components index 2 is repeated"),
     (P2_TEXT, ["loop-model", "--degree", "-1"], "outside the Mori cone"),
     (P1XP1_TEXT, ["loop-model", "--degree", "1,,0"], "bad --degree"),
     (P1XP1_TEXT, ["loop-model", "--degree", "1_0,0"], "bad --degree"),
@@ -149,6 +152,25 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capfd, fan_text, arg
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
     assert message in lines[0]
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("cohomology", []),
+    ("ifunction", ["--components", "1"]),
+])
+def test_a_singular_pairing_block_is_an_input_error(monkeypatch, capfd, command, argv):
+    # the dual basis inverts each block; a singular one names its degree
+    original = cohomology.CohomRing.pairing
+
+    def singular(self, deg):
+        rows, den = original(self, deg)
+        return (((0,) * len(rows[0]),) + rows[1:] if deg == 1 else rows), den
+    monkeypatch.setattr(cohomology.CohomRing, "pairing", singular)
+    assert main([command, fan_path("p1xp1")] + argv) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: Poincare pairing block 1,1 is degenerate; "
+                            "fan data is invalid\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,10 +9,12 @@ import pytest
 from qdm import (CohomClass, CohomRing, build_ring, charge_matrix, linalg, make_fan,
                  monomials)
 from qdm.cohomology import mono_key
+from qdm.toric import FanError
 
-from conftest import (SHIPPED, reference_divide_linear, reference_inverse_linear_factor,
-                      reference_linear_factor, reference_multiply,
-                      reference_reduction_table, reference_times_linear)
+from conftest import (SHIPPED, load_fan, product_fan, reference_divide_linear, reference_dual_basis,
+                      reference_inverse_linear_factor, reference_linear_factor,
+                      reference_multiply, reference_reduction_table,
+                      reference_times_linear)
 
 
 def degree_part(cls, deg):
@@ -385,3 +387,63 @@ def test_classes_are_in_lowest_terms(shipped, name):
         assert a.coeffs == {m: Fraction(c, a.den) for m, c in a.num.items()}
         assert ring.combination([(Fraction(2, 3), a), (-6, b)]) == (
             a.scale(Fraction(2, 3)) + b.scale(-6))
+
+
+# ---------------------------------------------------------------------------
+# the Poincare pairing, one block per degree
+
+
+def _fresh_ring(fan):
+    return build_ring(fan, charge_matrix(fan))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_pairing_blocks_are_the_integrals_of_basis_products(shipped, name):
+    _fan, _cm, ring, _cone = shipped[name]
+    for deg in range(ring.top + 1):
+        rows, den = ring.pairing(deg)
+        assert den > 0 and isinstance(den, int), (name, deg)
+        assert all(isinstance(r, int) for row in rows for r in row), (name, deg)
+        assert [[Fraction(r, den) for r in row] for row in rows] == [
+            [ring.integrate(ring.monomial_class(a) * ring.monomial_class(b))
+             for b in ring.basis_by_degree[ring.top - deg]]
+            for a in ring.basis_by_degree[deg]], (name, deg)
+        assert ring.pairing(deg) is ring.pairing(deg)
+        # Poincare duality: the block of the complementary degree is the transpose
+        other, oden = ring.pairing(ring.top - deg)
+        assert [[Fraction(r, oden) for r in row] for row in zip(*other)] == [
+            [Fraction(r, den) for r in row] for row in rows], (name, deg)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_dual_basis_matches_the_gram_inversion(shipped, name):
+    _fan, _cm, ring, _cone = shipped[name]
+    assert ring.dual_basis() == reference_dual_basis(ring), name
+
+
+def test_dual_basis_matches_the_gram_inversion_on_products():
+    # (P1)^5: chi = 32, pairing blocks of sizes 1, 5, 10, 10, 5, 1
+    ring = _fresh_ring(product_fan(*["p1"] * 5))
+    assert [len(ring.pairing(deg)[0]) for deg in range(6)] == [1, 5, 10, 10, 5, 1]
+    assert ring.dual_basis() == reference_dual_basis(ring)
+    # F1 x P1: blocks 1,2 and 2,1 are not symmetric matrices, so a dual
+    # basis read off the transposed inverse fails here
+    ring = _fresh_ring(product_fan("hirzebruch1", "p1"))
+    rows = ring.pairing(1)[0]
+    assert [list(r) for r in rows] != [list(c) for c in zip(*rows)]
+    assert ring.dual_basis() == reference_dual_basis(ring)
+
+
+@pytest.mark.parametrize("deg", [0, 1, 2])
+def test_a_singular_pairing_block_names_its_degree(monkeypatch, deg):
+    original = CohomRing.pairing
+
+    def singular(self, d):
+        rows, den = original(self, d)
+        if d == deg:  # the first row of the block becomes zero
+            rows = (tuple(0 for _ in rows[0]),) + rows[1:]
+        return rows, den
+    monkeypatch.setattr(CohomRing, "pairing", singular)
+    ring = _fresh_ring(load_fan("p1xp1"))
+    with pytest.raises(FanError, match="pairing block %d,%d is degenerate" % (deg, 2 - deg)):
+        ring.dual_basis()

@@ -22,7 +22,10 @@ from qdm.serialize import laurent_json
 from conftest import (
     SHIPPED,
     load_fan,
+    product_fan,
     ratio_at,
+    reference_component,
+    reference_dual_basis,
     reference_euler_ratio,
     reference_linear_factor,
     reference_quantum_period,
@@ -269,6 +272,35 @@ def test_component_projective_plane_closed_form(corpus):
     for d in range(4):
         want = Fraction(1, math.factorial(d) ** 3)
         assert f0[(d,)] == {((0,), -3 * d): want}, d
+
+
+def _components_match_the_reference(ring, cone, bound):
+    """Every component f_beta at every log order 0..top+1, item for item and
+    in order, against the per-basis integrals."""
+    series = build_f(ring, cone, bound)
+    duals = reference_dual_basis(ring)[1]
+    for beta in range(len(ring.basis)):
+        for log_order in range(ring.top + 2):
+            want = reference_component(series, beta, log_order, duals)
+            got = component(series, beta, log_order)
+            assert [(d, list(e.items())) for d, e in got.items()] == [
+                (d, list(e.items())) for d, e in want.items()], (beta, log_order)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_components_match_the_per_basis_integrals(shipped, name):
+    _fan, _cm, ring, cone = shipped[name]
+    _components_match_the_reference(ring, cone, 6)
+
+
+@pytest.mark.parametrize("names", [["p1"] * 5, ["hirzebruch1", "p1"]],
+                         ids=["p1^5", "hirzebruch1xp1"])
+def test_components_match_the_per_basis_integrals_on_products(names):
+    # (P1)^5 has chi = 32; F1 x P1 has pairing blocks that are not symmetric
+    fan = product_fan(*names)
+    cm = toric.charge_matrix(fan)
+    ring = cohomology.build_ring(fan, cm)
+    _components_match_the_reference(ring, toric.mori_generators(fan, cm), 4)
 
 
 def test_component_argument_errors(corpus):

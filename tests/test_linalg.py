@@ -137,6 +137,10 @@ def test_invert():
     inv = linalg.invert([[1, 1], [0, 1]])
     assert inv == [[1, -1], [0, 1]]
     assert linalg.invert([[1, 2], [2, 4]]) is None
+    # a block that is not square has no inverse
+    assert linalg.invert([[1, 2]]) is None
+    assert linalg.invert([[1], [2]]) is None
+    assert linalg.invert([[], []]) is None
 
 
 def test_primitive_vector():

@@ -1,5 +1,6 @@
 """Stable renderings: fractions, monomials, operators, text reports."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,60 @@ def test_render_text_long_lists_go_multiline():
     text = serialize.render_text(data)
     assert text.splitlines()[0] == "big:"
     assert text.count("\n") >= 2
+
+
+def reference_inline(value):
+    """The inline rule as first written: every part rendered, then the
+    parts' total length compared with 60."""
+    if not isinstance(value, (dict, list)):
+        return serialize._scalar_text(value)
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        parts = [reference_inline(v) for v in value]
+        if all(p is not None for p in parts) and sum(len(p) for p in parts) < 60:
+            return "[%s]" % ", ".join(parts)
+    if isinstance(value, dict) and not value:
+        return "{}"
+    return None
+
+
+def _random_value(rng, depth):
+    kind = rng.randrange(6 if depth else 3)
+    if kind == 0:
+        return rng.choice([True, False, None, "x" * rng.randrange(30)])
+    if kind in (1, 2):
+        return rng.randrange(-10 ** rng.randrange(12), 10 ** rng.randrange(12))
+    if kind == 3:
+        return {} if rng.random() < 0.5 else {"k": _random_value(rng, depth - 1)}
+    return [_random_value(rng, depth - 1) for _ in range(rng.randrange(8))]
+
+
+def test_inline_matches_the_render_everything_rule():
+    rng = random.Random(25)
+    for _ in range(2000):
+        value = _random_value(rng, 4)
+        assert serialize._inline(value) == reference_inline(value), value
+
+
+def test_inline_stops_at_the_first_part_that_cannot_inline(monkeypatch):
+    seen = []
+    original = serialize._inline
+
+    def counting(value, budget=60):
+        seen.append(value)
+        return original(value, budget)
+    monkeypatch.setattr(serialize, "_inline", counting)
+    deep = [[list(range(5))] * 5] * 5
+    assert serialize._inline([{"a": 1}, deep]) is None
+    assert seen == [[{"a": 1}, deep], {"a": 1}]
+    # the budget is spent on the first part: the second gets what is left
+    seen.clear()
+    assert serialize._inline(["x" * 59, deep]) is None
+    assert seen == [["x" * 59, deep], "x" * 59, deep, deep[0], deep[0][0], 0]
+    # the parts' lengths, 57 + len("[7]"), must stay under 60
+    assert serialize._inline(["x" * 57, [7]]) is None
+    assert serialize._inline(["x" * 56, [7]]) == "[%s, [7]]" % ("x" * 56)
 
 
 # Rational and unit coefficients: no shipped fan's operator has a non-unit

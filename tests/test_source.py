@@ -238,3 +238,17 @@ def test_serialize_builds_fractions_in_one_formatter():
     owners = _owners(tree, lambda node: isinstance(node, ast.Call)
                      and _callee(node) == "Fraction")
     assert owners == ["frac_str"]
+
+
+def test_the_poincare_pairing_has_one_owner():
+    # CohomRing.pairing reads each block off the reduction table; the dual
+    # basis, the cohomology report and the series components read the
+    # blocks, and no other module integrates a product or reads _pair
+    builds = {module: _owners(tree, lambda node: isinstance(node, ast.Call)
+                              and _callee(node) in ("integrate", "_pair"))
+              for module, tree in _trees().items() if module != "cohomology"}
+    assert not any(builds.values()), builds
+    for module in ("cli", "ifunction"):
+        readers = _owners(_trees()[module], lambda node: isinstance(node, ast.Call)
+                          and _callee(node) == "pairing")
+        assert readers, "%s does not read CohomRing.pairing" % module

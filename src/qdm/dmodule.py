@@ -16,11 +16,10 @@ numerators num = {e: {t: int}} over one denominator den > 0, in lowest
 terms; terms and coefficient are Fraction views for readers.
 
 Acting on the series F, the term q^e P_e contributes to the coefficient of
-q^d the value P_e(omega + (d-e)*hbar, hbar) * R_{d-e}.  Because the series
-is truncated at anticanonical degree B, the result is only trustworthy on
-the window c1(d) <= B - max(0, max_e c1(e)) (_window_cap); degrees beyond
-it would need source coefficients that were cut off.  apply and the search
-both read where q^e moves each coefficient inside the window off _shifted,
+q^d the value P_e(omega + (d-e)*hbar, hbar) * R_{d-e}.  The series is
+truncated at anticanonical degree B, so D.F is exact only on a window of
+degrees, stated once in _window_cap; apply and the search both read it.
+They read where q^e moves each coefficient inside the window off _shifted,
 which the series memoizes per e in series.windows: the c1 of each series
 degree is found once, and a window is a prefix of the degrees in ascending
 c1.
@@ -271,9 +270,17 @@ def _theta_images(series):
 
 
 def _window_cap(series, q_exps) -> int:
-    """Largest c1(d) where D.F is exact for D supported on q_exps."""
-    cap = series.bound - max([series.ring.cm.c1_degree(e) for e in q_exps] + [0])
-    if cap < 0:
+    """The one window rule: D.F is exact on c1(d) <= cap for D supported on
+    q_exps, with cap = B + min(0, min_e c1(e)).
+
+    The q^d coefficient of D.F reads only R_{d-e}, and c1(d - e) <= B holds
+    for every e once c1(d) <= cap; R vanishes off the Mori cone, so the
+    truncated series holds every source coefficient it needs.  A term with
+    c1(e) > cap is refused: no degree of the window would test it.
+    """
+    c1 = [series.ring.cm.c1_degree(e) for e in q_exps]
+    cap = series.bound + min(c1 + [0])
+    if any(c > cap for c in c1):
         raise EmptyWindowError("operator q-support exceeds the series truncation "
                                "(bound %d)" % series.bound)
     return cap

@@ -341,7 +341,8 @@ def test_operators_report(capsys):
     assert gkz["relation"] == "p1^2 - q1"
     assert gkz["classical_check"] is True
     assert len(report["annihilators"]) == 1
-    assert all(e["verified"] for e in report["annihilators"])
+    # the search's own output is not re-applied: it is exact on the window
+    assert all("verified" not in e for e in report["annihilators"])
     assert report["annihilators"][0]["text"] == "theta1^2 - q1"
 
 
@@ -351,6 +352,39 @@ def test_operators_zero_ansatz(capsys):
     assert code == 0
     assert report["annihilators"] == []
     assert report["ok"] is True
+
+
+def annihilator_texts(capsys, argv):
+    code, report = run_json(capsys, ["operators", fan_path(argv[0])] + argv[1:])
+    assert (code, report["ok"]) == (0, True), argv
+    return [e["text"] for e in report["annihilators"]]
+
+
+@pytest.mark.parametrize("argv, texts", [
+    # the window used to be narrower for the search than for its check, and
+    # these lists held operators that do not kill the series
+    (["p2"], ["theta1^3 - q1"]),
+    (["p3", "--theta-order", "1"], []),
+    (["p1", "--theta-order", "2", "--q-degree", "2"],
+     ["theta1^2 - q1", "q1*theta1^2 - q1^2"]),
+])
+def test_operators_lists_only_annihilators(capsys, argv, texts):
+    assert annihilator_texts(capsys, argv) == texts
+
+
+@pytest.mark.parametrize("name", [n for n in SHIPPED if n not in ("p3", "p4", "p5")])
+def test_operators_second_q_degree_passes(capsys, name):
+    annihilator_texts(capsys, [name, "--q-degree", "2"])
+
+
+@pytest.mark.parametrize("argv", [["p3", "--q-degree", "2"], ["p4", "--q-degree", "2"],
+                                  ["p5", "--q-degree", "2"], ["p3", "--max-degree", "3"]])
+def test_operators_refuses_q_support_past_the_window(capsys, argv):
+    # c1(q1^2) is 8, 10 and 12 on P^3, P^4 and P^5; c1(q1) = 4 on P^3
+    assert main(["operators", fan_path(argv[0])] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "q-support exceeds the series truncation" in captured.err
 
 
 def test_loop_model_report(capsys):
@@ -525,26 +559,26 @@ GOLDEN = [
      "647422b63686a6121a8070d1fe34a4ab9b0ff06c896615b05f3af9b34bda5e56"),
     ("loop-model", ["p2"], 0, "6d58c3895156557250bb2c6c22054b3bc7cd8a43c600db69096098d75b902622"),
     ("loop-model", ["p1xp1"], 0, "da7266121b51b5226fb1f6bbbab9ef4652383e181d2d1d26c518901d0658f0f6"),
-    ("operators", ["p1"], 0, "1a2228ac22681e1bffc43861562c668607db84887b4d7c28694ed81fb683d72a"),
-    ("operators", ["p1xp1"], 0, "cc6250381c34b4f6c3e8836ebc642d5c05ee074077fb5325ffbb637c94dd195d"),
+    ("operators", ["p1"], 0, "3835b40b2c0d03f098d898421d23d4a5ca9fcaaca2aaf3acb73c4d87cbabfca6"),
+    ("operators", ["p1xp1"], 0, "78c2dbba1002d826129ee0f738d50373df9b3b26f7e830055eda703868d7e9df"),
     ("loop-model", ["dp3"], 0, "6055d95e9d03fbc873d7996b28332d97f0ca02a7b1d750da845c7befc294d8c0"),
     ("ifunction", ["dp3", "--components", "0,1,2"], 0,
      "4dab4e6c5322c1cdce98f4cd10202d7a451e24a49fd9c2d522afd8a79515f692"),
     ("loop-model", ["dp2", "--format", "text"], 0,
      "b655eb14a3a159add8a2661d47d5ba2133dd4140d2cedc3c22b76ebe305fe983"),
     ("operators", ["hirzebruch1"], 0,
-     "1bdb0f6d92db9b0c1c152af5d0d0786e1ebd81f4d097739d6d0fa9ee91f911a4"),
-    ("operators", ["p2xp1"], 1, "9b95336e39705ab847b171146789272303a063ace716cbe16ef178876d5c5e80"),
+     "f373ba4a59213927c45d1d8b6b25c81b552023ee9919aa837b503cc45712ad7b"),
+    ("operators", ["p2xp1"], 0, "9063803dbdfeecd37209daa1cd3f33cb600d6506d7b4ce07699c0ab746b6a5d8"),
     ("operators", ["dp2"], 0,
-     "170519bcd0aaa5f868f403a834416ce7ac59415cf484cdfc72919d8801853051"),
-    ("operators", ["p3"], 1, "408c105ee34f298fe4ba42210173cbeb6599a643b244633173da81ccccf8cef7"),
+     "2418808b7dae067e20813f7bb3c8055d6cbea094e159d695e52d44b526901248"),
+    ("operators", ["p3"], 0, "e9a1229ac28836a132913b05ad515d3dd3e90a4908a8c8d266fb7855f3546321"),
     ("operators", ["dp3"], 0,
-     "21adb13b69551823669e8d2942f69feaff68a378bb67ef57b9712d670e4b962e"),
+     "a4f11cbde6d4d9eb35d45186e17815232f0d796bdc3068e25786bcd9ae7df8de"),
     ("operators", ["dp2", "--format", "text"], 0,
-     "c631291858c22652038acc2616631d449780bee3bd2461b13ee2e078e874bcbe"),
+     "a3a101b3c432b00a0f1b5cd16f5f63687d58da5dfe89a483dfeef681aab57bc3"),
     ("operators", ["p2xp2_sheared", "--theta-order", "2",
-                   "--q-degree", "2"], 1,
-     "2d91437d642408e76b934c5ca1dd0ea517fcec4f2d4933ff54be755c0bdd176d"),
+                   "--q-degree", "2"], 0,
+     "35e2ef25a9ecb7753e195eb75ae090e00d84c3c26be738f822f9b8f7fcfe83c6"),
     ("loop-model", ["hirzebruch1", "--degree", "1,0", "--degree", "2,1",
                     "--modes", "1..3"], 0,
      "794f255aab9322daef81a9a3854b5c9f8d33c96482407c0426cf17e1fa20780a"),
@@ -553,7 +587,7 @@ GOLDEN = [
     ("loop-model", ["p5", "--modes", "0..2"], 0,
      "5ee2bb050c947bfd8aff336bacfc545c83793cb90cc23c2a371be5ff53278b2b"),
     # with the entries above, every subcommand's default run on every shipped
-    # fan; operators p4 and p5 exit 1 on the window bug, like p3 and p2xp1
+    # fan; each of them exits 0
     ("cohomology", ["dp3"], 0, "a1c249253a789387ddb8d29f5f6d8cfad443f9b3979f0860c510fb1ba0a26396"),
     ("cohomology", ["p2xp1"], 0,
      "8abeecee226daceb2782e7463f343d674a1333c86cf74b1b86fece744ebcc0b4"),
@@ -582,12 +616,12 @@ GOLDEN = [
     ("loop-model", ["p3"], 0, "9e7bb0b67e23f052c8f5940e035488d8d9f7b2ecbafb46e43df765b0aa80b080"),
     ("loop-model", ["p4"], 0, "70e71f37150f79d17fa138eb653180e12692637e1c442c3594ac902fb6cf5608"),
     ("loop-model", ["p5"], 0, "d2afc273e2f07a02500b8ce4074f71192f50a68baee0bf8afcf0ee49365b0b7c"),
-    ("operators", ["p1x3"], 0, "ef066c0c578479688727d34c582f3b5d53ffe2063a57ecbfa661e0610f65e646"),
-    ("operators", ["p2"], 0, "c93f71c3d71a2aeaab1262289045ad641b6333dff7f92f83552d4ed51470ff64"),
+    ("operators", ["p1x3"], 0, "da39ac388892540c9dea479badeef4dc3d64d0d29a06125e9f7e5663dc737eed"),
+    ("operators", ["p2"], 0, "864a065d639c41f835af95a366afad1e5b60fd80344b3a45adf5ab9c2d52f3f5"),
     ("operators", ["p2xp2_sheared"], 0,
-     "8643e2bc0872805fc0f37bf380cf2044f1014145153e705ca35ea117c3fb0692"),
-    ("operators", ["p4"], 1, "52af0fbd97c6e7faa54a971fda2a54426db0eaa4d304d61dd09ce92f430178a4"),
-    ("operators", ["p5"], 1, "074a208fc8bf13e449ffdd098d5f7ccdcf5bc7d92d8f72117d35d94b1ee966be"),
+     "dcf3f3dc79df1290c2eacc806a242fb46d3ecdcc1708d22c6b11a343dbc0742b"),
+    ("operators", ["p4"], 0, "a1f50856058aa44de852734a3425c7c8838dfae4cd96f00a96e98230f99558df"),
+    ("operators", ["p5"], 0, "1d7fa6cf9d607a9a56a0c10387bf4de0e0eb1086c4dc0838828387161f054fa4"),
     # the ring-build fans that fans/ lacks, from perfbench/fans.json: both
     # derive their nef basis, so the nef-ray sort fixes their row order
     ("cohomology", ["p1x4"], 0, "3721e7176af9a47ce6d0aa397eb7a135e5f4839b5d9cdd9ce637872de3d4a62a"),

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,8 +20,9 @@ from qdm import (
 )
 from qdm import cohomology, dmodule, linalg
 from qdm.cohomology import mono_key, monomials
-from qdm.dmodule import _ansatz_key, _theta_images
-from qdm.serialize import laurent_json
+from qdm.dmodule import _ansatz_key, _theta_images, _window_cap
+from qdm.serialize import laurent_json, op_str
+from qdm.toric import ChargeMatrix
 
 from conftest import SHIPPED, reference_gkz_operator, reference_theta_values, spans
 
@@ -225,14 +227,45 @@ def test_component_reads_the_series_weight(corpus):
         assert component(shifted, beta, 2) == want, beta
 
 
-def test_apply_window_shrinks_with_q_support(corpus):
+def test_apply_window_is_the_bound_for_nef_q_support(corpus):
+    # c1(e) >= 0 on the line, so q^e leaves the window at c1(d) <= B; a
+    # q-exponent past the window is refused, since no degree would test it
     _fan, cm, ring, cone = corpus["p1"]
     series = build_f(ring, cone, 4)
     out = apply(DiffOp.q_power(cm, (1,)), series)
-    assert out.bound == 2
-    assert out.degrees == ((0,), (1,))
-    with pytest.raises(EmptyWindowError):
+    assert out.bound == 4
+    assert out.degrees == ((0,), (1,), (2,))
+    assert out.coefficients[(0,)] == ring.zero()
+    for d in ((1,), (2,)):
+        assert out.coefficients[d] == series.coefficients[(d[0] - 1,)], d
+    assert apply(DiffOp.q_power(cm, (2,)), series).bound == 4
+    with pytest.raises(EmptyWindowError, match="exceeds the series truncation"):
         apply(DiffOp.q_power(cm, (3,)), series)
+
+
+def _stub_series(bound, m):
+    """Just what _window_cap reads: the truncation and the charge matrix."""
+    return SimpleNamespace(bound=bound, ring=SimpleNamespace(cm=ChargeMatrix(m)))
+
+
+def test_window_cap_is_the_bound_lowered_by_negative_c1():
+    # row sums (-1, 3): c1(q1) = -1 and c1(q2) = 3
+    series = _stub_series(5, ((1, 1, -3), (1, 1, 1)))
+    assert _window_cap(series, []) == 5
+    assert _window_cap(series, [(0, 0), (0, 1)]) == 5  # c1(e) >= 0 keeps B
+    assert _window_cap(series, [(0, 0), (1, 0), (0, 1)]) == 4
+    assert _window_cap(series, [(2, 0), (1, 1)]) == 3  # c1 = -2 and 2
+    assert _window_cap(series, [(1, 0), (1, 1)]) == 4  # c1(q1 q2) = 2 <= 4
+
+
+def test_window_cap_refuses_a_term_past_the_window():
+    series = _stub_series(5, ((1, 1, -3), (1, 1, 1)))
+    assert _window_cap(series, [(0, 0), (1, 2)]) == 5  # c1(q1 q2^2) = 5 = B
+    # next to q1 the window ends at 4, so c1 = 5 is tested nowhere
+    with pytest.raises(EmptyWindowError, match=r"exceeds the series truncation \(bound 5\)"):
+        _window_cap(series, [(1, 0), (1, 2)])
+    with pytest.raises(EmptyWindowError, match="exceeds the series truncation"):
+        _window_cap(series, [(0, 2)])  # c1 = 6 > B
 
 
 def test_apply_keeps_zero_coefficients(corpus):
@@ -240,7 +273,8 @@ def test_apply_keeps_zero_coefficients(corpus):
     series = build_f(ring, cone, 6)
     out = apply(gkz_operator(cm, (1,)), series)
     assert out.is_zero()
-    assert out.degrees == ((0,), (1,), (2,))
+    assert out.bound == 6
+    assert out.degrees == ((0,), (1,), (2,), (3,))
     for d in out.degrees:
         assert out.coefficients[d] == ring.zero()
 
@@ -448,8 +482,9 @@ def reference_find_annihilators(series, theta_order, q_degree, hbar_order):
     columns = [(e, t, h) for e in q_exps for t in t_exps
                for h in range(hbar_order + 1)]
     columns.sort(key=lambda c: _ansatz_key(*c))
-    cap = series.bound - max(cm.c1_degree(e) for e in q_exps)
-    if cap < 0:
+    c1s = [cm.c1_degree(e) for e in q_exps]
+    cap = series.bound + min(0, min(c1s))
+    if max(c1s) > cap:
         raise EmptyWindowError("q_degree %d exceeds the series truncation window"
                                % q_degree)
     out_degrees = set()
@@ -535,6 +570,44 @@ def test_generators_span_the_reference_search(shipped, name):
             within = [g for wg, g in found if wg == w
                       and max(h for _, _, h in g.support_triples()) <= hbar_order]
             assert spans([r for wr, r in reference if wr == w], within), (where, w)
+
+
+# (fan, theta_order, q_degree) at B = 6; None is dim + 1, the CLI default
+CHECKED_SEARCHES = [(name, None, 1) for name in SHIPPED] + [
+    ("p1", 2, 2), ("p2xp2_sheared", 2, 2)]
+
+
+@pytest.mark.parametrize("name, theta_order, q_degree", CHECKED_SEARCHES)
+def test_found_operators_kill_the_series_on_the_window(shipped, name, theta_order,
+                                                       q_degree):
+    # the search and apply share the window, so each operator read back from
+    # the scaled, reversed nullspace columns must apply to zero
+    _fan, _cm, ring, cone = shipped[name]
+    series = build_f(ring, cone, 6)
+    if theta_order is None:
+        theta_order = ring.top + 1
+    for op in find_annihilators(series, theta_order, q_degree):
+        assert apply(op, series).is_zero(), (name, op_str(op))
+
+
+# operators found at B = 6 that a series longer by the largest Mori generator
+# refutes: each vanishes on the window's degrees only
+TRUNCATION_ARTIFACTS = {
+    ("p2xp1", "q2*theta1^4 - q1*theta2^3*hbar^2 - 2*q1*theta1*theta2^3*hbar"),
+    ("p3", "q1*theta1^4"),
+    ("p4", "q1*theta1^5"),
+    ("p5", "q1*theta1^6"),
+}
+
+
+def test_a_longer_series_refutes_only_the_known_artifacts(shipped):
+    failing = set()
+    for name in SHIPPED:
+        _fan, cm, ring, cone = shipped[name]
+        ops = find_annihilators(build_f(ring, cone, 6), ring.top + 1, 1)
+        longer = build_f(ring, cone, 6 + max(cm.c1_degree(g) for g in cone.generators))
+        failing.update((name, op_str(op)) for op in ops if not apply(op, longer).is_zero())
+    assert failing == TRUNCATION_ARTIFACTS
 
 
 def test_search_solves_the_hbar_free_ansatz_once(corpus, monkeypatch):

@@ -252,3 +252,13 @@ def test_the_poincare_pairing_has_one_owner():
         readers = _owners(_trees()[module], lambda node: isinstance(node, ast.Call)
                           and _callee(node) == "pairing")
         assert readers, "%s does not read CohomRing.pairing" % module
+
+
+def test_one_window_rule_reads_the_truncation():
+    # where D.F is exact follows from the series truncation alone, and
+    # _window_cap is where that is stated; no other code reads a bound
+    reads = {module: _owners(tree, lambda node: isinstance(node, ast.Attribute)
+                             and node.attr == "bound" and isinstance(node.ctx, ast.Load))
+             for module, tree in _trees().items()}
+    assert set(reads.pop("dmodule")) == {"_window_cap"}
+    assert not any(reads.values()), reads

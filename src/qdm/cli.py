@@ -9,7 +9,6 @@ verification failed, 2 on bad input.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import dmodule, ifunction, loop_model, serialize, toric
@@ -275,7 +274,7 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     if args.format == "json":
-        text = json.dumps(report, indent=2) + "\n"
+        text = serialize.render_json(report) + "\n"
     else:
         text = serialize.render_text(report) + "\n"
     if args.out:

@@ -1,7 +1,10 @@
 """Rational cohomology of a smooth complete toric variety, exactly.
 
 H*(M; Q) = Q[x_1..x_n] / (linear relations from the rays + Stanley-Reisner
-monomials of the fan).  In reduced row echelon form each linear relation is
+monomials of the fan).  The Stanley-Reisner generators are the products
+prod_{k in P} x_k over the fan's primitive collections P, its minimal
+nonfaces, which make_fan finds once per fan (FanData.primitive_collections).
+In reduced row echelon form each linear relation is
 led by one variable x_p; replacing x_p by its linear form in the l = n - dim
 free variables presents the ring on those.  It is graded by complex degree,
 generators sit in degree one, and everything vanishes above the top degree
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 from operator import add, mul
 
@@ -59,10 +61,22 @@ def monomials(n, degree):
 
 def _monomials_in(n, variables, degree):
     """The exponent tuples in n variables of the given total degree that
-    involve only the given variables, sorted by mono_key."""
-    return sorted((tuple(combo.count(i) for i in range(n))
-                   for combo in combinations_with_replacement(variables, degree)),
-                  key=mono_key)
+    involve only the given variables, sorted by mono_key.
+
+    Within a degree mono_key is descending lex order.  So each head, a
+    prefix with the degree it leaves, is extended by the next variable's
+    exponent from that degree down, and the last variable takes the rest."""
+    variables = sorted(variables)
+    if not variables:
+        return [(0,) * n] if degree == 0 else []
+    ends = variables[1:] + [n]
+    heads = [((0,) * variables[0], degree)]
+    for v, end in zip(variables[:-1], ends):
+        gap = (0,) * (end - v - 1)  # the positions up to the next variable
+        heads = [(head + (a,) + gap, left - a) for head, left in heads
+                 for a in range(left, -1, -1)]
+    gap = (0,) * (n - variables[-1] - 1)
+    return [head + (left,) + gap for head, left in heads]
 
 
 def add_exponents(a, b):
@@ -190,7 +204,7 @@ class CohomRing:
             forms[p] = ({units[j]: -row[j] for j in free if j in row}, row[p])
         # a relation times a nonzero constant spans the same rows
         relations = [(len(nf), reduce(poly_mul, [forms[k][0] for k in nf]))
-                     for nf in self._minimal_nonfaces()]
+                     for nf in fan.primitive_collections]
         free_monos = {deg: _monomials_in(self.n, free, deg) for deg in range(self.top + 2)}
         self._table = {}  # free monomial -> (num, den), its reduced form
         self._den = 1  # lcm of the table denominators
@@ -225,19 +239,6 @@ class CohomRing:
 
     # -- construction ---------------------------------------------------
 
-    def _minimal_nonfaces(self):
-        cones = [frozenset(c) for c in self.fan.max_cones]
-        nonfaces = []
-        for size in range(2, self.n + 1):
-            for combo in combinations(range(self.n), size):
-                s = frozenset(combo)
-                if any(s <= c for c in cones):
-                    continue
-                if any(nf < s for nf in nonfaces):
-                    continue
-                nonfaces.append(s)
-        return nonfaces
-
     def _build_degree(self, deg, free_monos, relations):
         """Row-reduce the degree-deg free monomials against the multiples of
         the Stanley-Reisner relations; returns the basis of the degree.  A
@@ -260,9 +261,17 @@ class CohomRing:
         return basis
 
     def _normalize_point(self):
+        """The integral of the point monomial, from prod_{k in sigma} x_k over
+        every maximal cone sigma, which must all agree.  Cones in sorted
+        order share prefixes, and each prefix product is formed once."""
         vals = set()
-        for cone in self.fan.max_cones:
-            point = reduce(mul, [self._generators[k] for k in cone], self.one())
+        gens = self._generators
+        products = {(k,): g for k, g in enumerate(gens)}
+        for cone in sorted(self.fan.max_cones):
+            for i in range(2, len(cone) + 1):
+                if cone[:i] not in products:
+                    products[cone[:i]] = self.multiply(products[cone[:i - 1]], gens[cone[i - 1]])
+            point = products[cone]
             vals.add(Fraction(point.num.get(self._point_mono, 0), point.den))
         if 0 in vals or len(vals) != 1:
             raise FanError("inconsistent point normalization across maximal cones")

@@ -6,12 +6,18 @@ point is introduced anywhere; results are exact.
 Rational elimination has one kernel, `_reduce`, on sparse rows
 {column: entry}.  It clears each nonzero input row to coprime integers.
 For each column in turn the pivot is the sparsest remaining row with a
-nonzero entry there, ties going to the lower index; only the rows, above
-and below, that have the column are updated, by cross-multiplication, and
-each updated row is divided once by its gcd.  It returns the integer rows of
-the reduced row echelon form, pivot entries positive, and the pivot
-columns.  That form is unique, so the result does not depend on the order
-of the input rows.  `rref`, `solve_columns` and `invert` convert their
+nonzero entry there, ties going to the row that came first in the input.
+The remaining rows are kept in buckets by leading column, so the rows
+that have the column are read off its bucket, not found by a scan; only
+they are updated, by cross-multiplication, and each updated row is divided
+once by its gcd.  The pivot rows are then back-substituted, last pivot
+first.  It returns the integer rows of the reduced row echelon form, pivot
+entries positive, and the pivot columns.  That form is unique, so the
+result does not depend on the order of the input rows or on the pivot
+rule; the rule only sets how large the integers grow on the way.  (The
+entries past width are unique unless a combination of the rows is zero on
+the first width columns but not past them; no caller reads the rows of
+such a matrix.)  `rref`, `solve_columns` and `invert` convert their
 dense rows to sparse ones and read their Fraction answers off the integer
 rows, dividing by a pivot entry only where an answer needs it.  `nullspace`
 takes sparse rows, as `_reduce` does, and stays on Python ints: each basis
@@ -145,31 +151,54 @@ def _reduce(rows, width):
     form as sparse rows, each the coprime integer multiple of the Fraction
     one with a positive pivot entry, in pivot order; zero rows are dropped.
     Both are unique, so they do not depend on the order of the input rows.
+
+    The rows not yet used as pivots sit in buckets by leading column: when
+    column c comes up, the columns before it are cleared, so its bucket
+    holds every row with an entry there.  A cleared row moves to the bucket
+    of its new leading column, found by probing the next few columns and
+    else by min.  The pivot rows are back-substituted once at the end, last
+    pivot first: each is then cleared only by rows that hold no other pivot
+    column, so a clearing never brings a pivot column back.
     """
     rest = [_coprime(row) for row in rows if row]
+    buckets = {}  # leading column -> indices into rest, lowest input first
+    for i, row in enumerate(rest):
+        buckets.setdefault(min(row), []).append(i)
     done = []
     pivots = []
     for c in range(width):
-        if not rest:
-            break
-        hits = [i for i, row in enumerate(rest) if c in row]
-        if not hits:
+        hits = buckets.pop(c, None)
+        if hits is None:
+            if not buckets:
+                break
             continue
-        p = min(hits, key=lambda i: len(rest[i]))  # min keeps the lowest tie
-        prow = rest[p]
-        a = prow[c]
-        for i in hits:
-            if i != p:
-                rest[i] = _eliminate(rest[i], prow, a, c)
-        for i, row in enumerate(done):
-            if c in row:
-                done[i] = _eliminate(row, prow, a, c)
-        rest = [row for i, row in enumerate(rest) if row and i != p]
+        if len(hits) == 1:
+            prow = rest[hits[0]]
+        else:
+            p = min(hits, key=lambda i: (len(rest[i]), i))
+            prow = rest[p]
+            a = prow[c]
+            for i in hits:
+                if i != p:
+                    row = rest[i] = _eliminate(rest[i], prow, a, c)
+                    if row:
+                        lead = c + 1
+                        while lead not in row:
+                            lead += 1
+                            if lead > c + 8:
+                                lead = min(row)
+                                break
+                        buckets.setdefault(lead, []).append(i)
         done.append(prow)
         pivots.append(c)
-    for i, (row, c) in enumerate(zip(done, pivots)):
-        if row[c] < 0:
-            done[i] = {j: -x for j, x in row.items()}
+    index = {c: i for i, c in enumerate(pivots)}
+    for i in range(len(done) - 1, -1, -1):
+        row, c = done[i], pivots[i]
+        if len(row) > 1:
+            for j in sorted(j for j in row if j in index and j != c):
+                prow = done[index[j]]
+                row = _eliminate(row, prow, prow[j], j)
+        done[i] = {j: -x for j, x in row.items()} if row[c] < 0 else row
     return done, pivots
 
 

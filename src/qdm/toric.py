@@ -14,15 +14,25 @@ the divisor class alpha_k of the k-th ray satisfies
 
 Every wall tau, shared by the maximal cones cone(u, tau) and cone(u', tau),
 gives a relation u + u' + sum_i b_i v_i = 0 among the rays.  make_fan
-computes these wall relations once per fan, in integers, from one inverse
-per maximal cone, and the fan holds them; charge_matrix and mori_generators
-read them.
+computes these wall relations once per fan, in integers, and the fan holds
+them; charge_matrix and mori_generators read them.  One walk across the
+walls gives both the relations and every cone's inverse: it inverts the
+first maximal cone, and crossing a wall from sigma to sigma' reads the
+coordinates x of u' in sigma, which give the wall's relation and sigma''s
+inverse by an exact integer update (_cone_inverses).  A cone the walk
+cannot reach is inverted directly.  Errors keep the order in which the
+cones are listed: the first listed cone that is not unimodular is named.
+
+The fan also holds its primitive collections, the minimal sets of rays
+that span no cone (Batyrev 1991).  They are read off the face set, level
+by level, since each is a nonface whose one-smaller subsets are faces, of
+at most dim + 1 rays; they are the Stanley-Reisner generators of the ring.
 
 Lattice work runs on Hermite forms, in integers.  A square integer matrix
 has determinant +-1 exactly when its Hermite form is the identity, and the
-transform is then its inverse (_unimodular_inverse): it inverts each maximal
-cone, the nef basis, and one l x l block of the charge matrix.  int_det only
-words the error for a cone that is not unimodular.
+transform is then its inverse (_unimodular_inverse): it inverts the first
+maximal cone, the nef basis, and one l x l block of the charge matrix.
+int_det only words the error for a cone that is not unimodular.
 
 Relations are read in outside coordinates: their entries on the l rays
 outside the first maximal cone.  That cone's rays are a lattice basis, so a
@@ -69,13 +79,16 @@ class NefBasisError(ValueError):
 
 
 class FanData(namedtuple("FanData", ("rays", "max_cones", "nef_basis",
-                                     "wall_relations", "mori_normals"))):
+                                     "wall_relations", "mori_normals",
+                                     "primitive_collections"))):
     """rays: tuple of int tuples; max_cones: tuple of sorted ray-index
     tuples; nef_basis: None or one tuple per nef class, each entry an int,
     or a Fraction when it is not integral;
     wall_relations: the relation of each wall, as wall_relations returns
     them; mori_normals: the Mori cone's primitive facet normals in outside
-    coordinates, sorted (the nef cone's extreme rays there)."""
+    coordinates, sorted (the nef cone's extreme rays there);
+    primitive_collections: the minimal sets of rays that span no cone, as
+    sorted ray-index tuples, by size and then lexicographically."""
 
     __slots__ = ()
 
@@ -186,26 +199,24 @@ def make_fan(rays, max_cones, nef_basis=None) -> FanData:
         raise FanError("max_cones must be a list of maximal cones")
     if not max_cones:
         raise FanError("fan has no maximal cones")
-    cones = []
-    inverses = {}  # sorted maximal cone -> the inverse of its ray matrix
-    for cone in max_cones:
-        try:
-            idx = _int_tuple(cone)
-        except (TypeError, ValueError):
-            raise FanError("maximal cone indices must be integers") from None
-        if len(set(idx)) != len(idx):
-            raise FanError("maximal cone %r repeats a ray" % (list(cone),))
-        if any(k < 0 or k >= n for k in idx):
-            raise FanError("maximal cone %r has an out-of-range ray index" % (list(cone),))
-        if len(idx) != dim:
-            raise FanError("maximal cone %r is not full dimensional" % (list(cone),))
-        sigma = tuple(sorted(idx))
-        inverses[sigma] = _unimodular_inverse([rays_t[k] for k in sigma])
-        if inverses[sigma] is None:
-            det = linalg.int_det([rays_t[k] for k in idx])
-            raise FanError("maximal cone %r is not unimodular (det %d); the variety "
-                           "would be singular" % (list(cone), det))
-        cones.append(sigma)
+    listed = []  # each cone's ray indices in the order the fan lists them
+    try:
+        for cone in max_cones:
+            listed.append(_cone_indices(cone, n, dim))
+    except FanError as exc:
+        # the cones are read in order, so a singular cone listed before the
+        # bad one is named first
+        inverses = _cone_inverses(rays_t, [tuple(sorted(idx)) for idx in listed], {})[0]
+        raise (_singular_cone(rays_t, listed, inverses) or exc) from None
+    cones = [tuple(sorted(idx)) for idx in listed]
+    walls = {}  # wall (codim-1 face) -> the maximal cones that hold it
+    for cone in cones:
+        for wall in combinations(cone, dim - 1):
+            walls.setdefault(wall, []).append(cone)
+    inverses, crossed = _cone_inverses(rays_t, cones, walls)
+    singular = _singular_cone(rays_t, listed, inverses)
+    if singular is not None:
+        raise singular
     if len(set(cones)) != len(cones):
         raise FanError("duplicate maximal cones")
 
@@ -214,15 +225,11 @@ def make_fan(rays, max_cones, nef_basis=None) -> FanData:
         raise FanError("every ray must appear in some maximal cone")
 
     # Completeness proxy: each wall (codim-1 face) lies in exactly two cones.
-    walls = {}
-    for cone in cones:
-        for wall in combinations(cone, dim - 1):
-            walls.setdefault(wall, []).append(cone)
     bad = [w for w, c in walls.items() if len(c) != 2]
     if bad:
         raise FanError("fan is not complete: wall %r lies in %d maximal cones"
                        % (list(bad[0]), len(walls[bad[0]])))
-    relations = _wall_relations(rays_t, inverses, walls)
+    relations = _wall_relations(n, walls, crossed)
 
     nef = None
     if nef_basis is not None:
@@ -241,7 +248,8 @@ def make_fan(rays, max_cones, nef_basis=None) -> FanData:
     if _rank(wall_coords, l) < l:
         raise FanError("the wall curve classes do not span the relation lattice")
     return FanData(rays_t, tuple(cones), nef, relations,
-                   tuple(_dual_cone_rays(wall_coords, l)))
+                   tuple(_dual_cone_rays(wall_coords, l)),
+                   _primitive_collections(cones, n, dim))
 
 
 def parse_fan(text: str) -> FanData:
@@ -279,30 +287,136 @@ def _unimodular_inverse(rows):
     return u
 
 
-def _wall_relations(rays, inverses, walls):
-    """The deduplicated relations of the walls {wall: [sigma, sigma']}, in
-    wall order (see wall_relations); inverses maps each maximal cone to the
-    inverse of its ray matrix.
+def _cone_indices(cone, n, dim):
+    """The maximal cone's ray indices as listed; a FanError unless they are
+    dim distinct indices of the n rays."""
+    try:
+        idx = _int_tuple(cone)
+    except (TypeError, ValueError):
+        raise FanError("maximal cone indices must be integers") from None
+    if len(set(idx)) != len(idx):
+        raise FanError("maximal cone %r repeats a ray" % (list(cone),))
+    if any(k < 0 or k >= n for k in idx):
+        raise FanError("maximal cone %r has an out-of-range ray index" % (list(cone),))
+    if len(idx) != dim:
+        raise FanError("maximal cone %r is not full dimensional" % (list(cone),))
+    return idx
 
-    The rays of a unimodular cone sigma are a lattice basis, so the rows of
-    A_sigma^-1 give any vector's integer coordinates in it.  For the wall
-    tau of sigma = cone(u, tau) and sigma' = cone(u', tau), u' = x_u u +
-    sum_i x_i v_i, and the wall spans a hyperplane exactly when x_u = -1;
-    the relation is then u + u' - sum_i x_i v_i = 0.
+
+def _cone_inverses(rays, cones, walls):
+    """(inverses, crossed) from walks across the walls.
+
+    inverses maps each sorted maximal cone to the inverse of its ray matrix,
+    as {ray: column}, or to None when the cone is not unimodular.  A walk
+    starts at the first cone not yet reached, which is inverted by its
+    Hermite form; walls maps a wall to the cones that hold it, and only a
+    wall of two distinct cones is crossed.  The columns of A_sigma^-1 give
+    any vector's integer coordinates in the rays of sigma; crossing the wall
+    tau from sigma = cone(u, tau) to sigma' = cone(u', tau) reads
+    u' = x_u u + sum_i x_i v_i, and crossed maps tau to (u, u', x).  Then
+    det sigma' = +-x_u det sigma, so sigma' is unimodular exactly when
+    x_u = +-1, and its inverse is an integer update: the column of u' is
+    x_u times the column of u, and the column of v_i loses x_i x_u times it.
+    """
+    dim = len(rays[0])
+    inverses = {}
+    crossed = {}
+    for start in cones:
+        if start in inverses:
+            continue
+        inv = _unimodular_inverse([rays[k] for k in start])
+        inverses[start] = None if inv is None else dict(zip(start, zip(*inv)))
+        queue = [start] if inv is not None else []
+        for sigma in queue:
+            cols = inverses[sigma]
+            total = sum(sigma)
+            # the i-th wall of a sorted cone leaves out its (dim - 1 - i)-th ray
+            for i, wall in enumerate(combinations(sigma, dim - 1)):
+                if wall in crossed:
+                    continue
+                pair = walls.get(wall, ())
+                if len(pair) != 2 or pair[0] == pair[1]:
+                    continue
+                sigma_p = pair[1] if pair[0] == sigma else pair[0]
+                u = sigma[dim - 1 - i]
+                up = sum(sigma_p) - total + u  # the ray of sigma' off the wall
+                ray = rays[up]
+                x = {k: sum(map(mul, ray, col)) for k, col in cols.items()}
+                crossed[wall] = (u, up, x)
+                if sigma_p in inverses:
+                    continue
+                xu = x[u]
+                if xu in (1, -1):
+                    cu = cols[u]
+                    new = {k: tuple([a - x[k] * xu * b for a, b in zip(col, cu)])
+                           for k, col in cols.items() if k != u}
+                    new[up] = tuple([xu * b for b in cu])
+                    inverses[sigma_p] = new
+                    queue.append(sigma_p)
+                else:
+                    inverses[sigma_p] = None
+    return inverses, crossed
+
+
+def _singular_cone(rays, listed, inverses):
+    """The FanError naming the first listed cone that is not unimodular, with
+    its determinant in listed order, or None when there is none."""
+    for idx in listed:
+        if inverses[tuple(sorted(idx))] is None:
+            det = linalg.int_det([rays[k] for k in idx])
+            return FanError("maximal cone %r is not unimodular (det %d); the variety "
+                            "would be singular" % (list(idx), det))
+    return None
+
+
+def _wall_relations(n, walls, crossed):
+    """The deduplicated relations of the walls, in sorted wall order (see
+    wall_relations), from the coordinates _cone_inverses read.
+
+    The wall spans a hyperplane exactly when x_u = -1; the relation is then
+    u + u' - sum_i x_i v_i = 0, the same from either side of the wall.
     """
     rels = {}
-    for wall, (sigma, sigma_p) in sorted(walls.items()):
-        u = next(k for k in sigma if k not in wall)
-        up = next(k for k in sigma_p if k not in wall)
-        x = [sum(map(mul, rays[up], col)) for col in zip(*inverses[sigma])]
-        rel = [0] * len(rays)
+    for wall in sorted(walls):
+        u, up, x = crossed[wall]
+        rel = [0] * n
         rel[up] = 1
-        for k, xk in zip(sigma, x):
+        for k, xk in x.items():
             rel[k] -= xk
         if rel[u] != 1:
             raise FanError("wall %r does not span a hyperplane" % (list(wall),))
         rels.setdefault(tuple(rel), None)
     return tuple(rels)
+
+
+def _primitive_collections(cones, n, dim):
+    """The fan's primitive collections, its minimal nonfaces, sorted by size
+    and then lexicographically.
+
+    A collection is a nonface whose one-smaller subsets are all faces, so it
+    has at most dim + 1 rays.  The candidates of each size join two faces of
+    the size below that share all but their last ray (every ray is a face).
+    """
+    faces = {face for cone in cones for size in range(2, dim + 1)
+             for face in combinations(cone, size)}
+    out = []
+    level = [(k,) for k in range(n)]  # the faces of the size below, sorted
+    for size in range(2, dim + 2):
+        groups = {}
+        for face in level:
+            groups.setdefault(face[:-1], []).append(face[-1])
+        level = []
+        for prefix, lasts in groups.items():
+            for i, a in enumerate(lasts, 1):
+                for b in lasts[i:]:
+                    if size > 2 and (a, b) not in faces:
+                        continue  # cand would hold a nonface pair
+                    cand = prefix + (a, b)
+                    if cand in faces:
+                        level.append(cand)
+                    elif all(cand[:j] + cand[j + 1:] in faces for j in range(size - 2)):
+                        out.append(cand)
+    return tuple(out)
 
 
 def wall_relations(fan: FanData):
@@ -318,7 +432,7 @@ def wall_relations(fan: FanData):
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _outside(n, cone):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from qdm.toric import FanError
 
 FAN_DIR = Path(__file__).resolve().parent.parent / "fans"
 BENCH_FANS = FAN_DIR.parent / "perfbench" / "fans.json"
+BENCH_CHECKS = FAN_DIR.parent / "perfbench" / "checks.py"
 
 CORPUS = ["p1", "p2", "p3", "p1xp1", "hirzebruch1", "dp2"]
 SHIPPED = sorted(path.stem for path in FAN_DIR.glob("*.json"))
@@ -28,6 +30,19 @@ def load_bench_fan(name):
     """A fan of the benchmark's fans.json, which fans/ may lack."""
     data = json.loads(BENCH_FANS.read_text())[name]
     return qdm.make_fan(data["rays"], data["max_cones"], data.get("nef_basis"))
+
+
+def seeded_bench_fans(seeds=range(4)):
+    """(name, seed, fan) for every fan of the benchmark's fans.json, as the
+    benchmark hands it to the program at each seed (checks.seeded_fan)."""
+    spec = importlib.util.spec_from_file_location("perfbench_checks", BENCH_CHECKS)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    for name, data in json.loads(BENCH_FANS.read_text()).items():
+        for seed in seeds:
+            seeded = checks.seeded_fan(name, data, seed)
+            yield name, seed, qdm.make_fan(seeded["rays"], seeded["max_cones"],
+                                           seeded.get("nef_basis"))
 
 
 def same_fan_copies(name):
@@ -379,6 +394,23 @@ def reference_reduction_table(fan):
         if deg <= fan.dim:
             basis_by_degree[deg] = basis
     return table, basis_by_degree
+
+
+# The subset walk that primitive collections read off the face set replaced,
+# kept as the oracle: every set of two or more rays is tested against every
+# maximal cone, smallest first.
+
+def reference_primitive_collections(fan):
+    """The minimal sets of rays that lie in no maximal cone, as frozensets."""
+    cones = [frozenset(c) for c in fan.max_cones]
+    nonfaces = []
+    for size in range(2, fan.n_rays + 1):
+        for combo in combinations(range(fan.n_rays), size):
+            s = frozenset(combo)
+            if any(s <= c for c in cones) or any(nf < s for nf in nonfaces):
+                continue
+            nonfaces.append(s)
+    return nonfaces
 
 
 # The per-wall derivation that one inverse per maximal cone replaced, kept

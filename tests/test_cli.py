@@ -10,7 +10,7 @@ from itertools import islice
 
 import pytest
 
-from qdm import cli, cohomology, ifunction, toric
+from qdm import cli, cohomology, ifunction, serialize, toric
 from qdm.cli import main
 
 from conftest import BENCH_FANS, FAN_DIR, SHIPPED, same_fan_copies
@@ -635,6 +635,18 @@ def test_golden_report_digest(capsys, tmp_path, command, args, code, digest):
     assert main([command, golden_fan_path(args[0], tmp_path)] + args[1:]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command, args", [(c, a) for c, a, _, _ in GOLDEN],
+                         ids=[" ".join([c] + a) for c, a, _, _ in GOLDEN])
+def test_report_writer_matches_json_dumps(tmp_path, command, args):
+    # the report writer replaced json.dumps(report, indent=2); a text run's
+    # report is compared too, though it is printed by render_text
+    parsed = cli.build_parser().parse_args([command, golden_fan_path(args[0], tmp_path)]
+                                           + args[1:])
+    cli._parse_int_options(parsed)
+    report, _ = cli._COMMANDS[command](parsed)
+    assert serialize.render_json(report) == json.dumps(report, indent=2)
 
 
 def test_benchmark_entry_point_gives_the_golden_reports(monkeypatch, tmp_path):

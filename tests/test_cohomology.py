@@ -3,12 +3,13 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from qdm import (CohomClass, CohomRing, build_ring, charge_matrix, linalg, make_fan,
                  monomials)
-from qdm.cohomology import mono_key
+from qdm.cohomology import _monomials_in, mono_key
 from qdm.toric import FanError
 
 from conftest import (SHIPPED, load_fan, product_fan, reference_divide_linear, reference_dual_basis,
@@ -26,6 +27,19 @@ def test_monomials_sorted_x1_heavy_first():
     assert monomials(2, 2) == [(2, 0), (1, 1), (0, 2)]
     assert monomials(3, 2)[0] == (2, 0, 0)
     assert monomials(3, 2)[-1] == (0, 0, 2)
+
+
+def test_monomials_in_match_the_sorted_counts():
+    # _monomials_in builds mono_key order directly; the oracle counts the
+    # exponents of every multiset of the variables and sorts
+    for n in range(1, 7):
+        for degree in range(5):
+            for size in range(n + 1):
+                for variables in combinations(range(n), size):
+                    want = sorted((tuple(combo.count(i) for i in range(n)) for combo
+                                   in combinations_with_replacement(variables, degree)),
+                                  key=mono_key)
+                    assert _monomials_in(n, variables, degree) == want, (n, variables)
 
 
 def test_mono_key_is_graded():
@@ -186,6 +200,16 @@ def test_multiplication_truncates_above_top(corpus):
     _fan, _cm, ring, _cone = corpus["p1"]
     h = ring.generator(0)
     assert (h * h).is_zero()
+
+
+@pytest.mark.parametrize("bad", [(0, 1), (2, 3)])
+def test_point_normalization_reads_every_cone(corpus, bad):
+    # the cone products share prefixes but still cover every maximal cone:
+    # a listed "cone" whose rays meet in no point is caught wherever it sorts
+    fan, cm = corpus["p1xp1"][:2]
+    cones = tuple(c for c in fan.max_cones if c != (0, 3)) + (bad,)
+    with pytest.raises(FanError, match="inconsistent point normalization"):
+        CohomRing(fan._replace(max_cones=cones), cm)
 
 
 def test_mismatched_charge_matrix_rejected(corpus):

@@ -7,7 +7,7 @@ import pytest
 import qdm
 from qdm import linalg
 
-from conftest import SHIPPED, load_fan, reference_reduce
+from conftest import SHIPPED, load_bench_fan, load_fan, reference_reduce
 
 
 def mat_mul(a, b):
@@ -356,9 +356,9 @@ def kernel_cases(rng):
         yield mat, width
 
 
-def ring_build_matrices(name):
-    """Every (rows, width) the charge matrix and ring build of a shipped fan
-    pass to the kernel, as dense integer rows."""
+def ring_build_matrices(fan):
+    """Every (rows, width) the charge matrix and ring build of the fan pass
+    to the kernel, as dense integer rows."""
     calls = []
     kernel = linalg._reduce
 
@@ -368,7 +368,6 @@ def ring_build_matrices(name):
         calls.append(([[row.get(j, 0) for j in range(size)] for row in rows], width))
         return kernel(rows, width)
 
-    fan = load_fan(name)
     linalg._reduce = recording
     try:
         qdm.build_ring(fan, qdm.charge_matrix(fan))
@@ -392,16 +391,42 @@ def test_sparse_kernel_matches_the_dense_reference():
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_sparse_kernel_matches_the_dense_reference_on_fan_relations(name):
-    calls = ring_build_matrices(name)
+    calls = ring_build_matrices(load_fan(name))
     assert len(calls) > 2
     for rows, width in calls:
         assert_kernel_result(rows, width)
 
 
+@pytest.mark.parametrize("name", ["p1x4", "p2xp2"])
+def test_sparse_kernel_matches_the_dense_reference_on_benchmark_rings(name):
+    for rows, width in ring_build_matrices(load_bench_fan(name)):
+        assert_kernel_result(rows, width)
+
+
+def test_buckets_by_leading_column_match_the_dense_reference():
+    # rows crowded onto few leading columns, so each bucket holds many rows
+    # and clearing one moves it a short or a long way
+    rng = random.Random(27)
+    ranked = 0
+    for trial in range(150):
+        width = rng.randrange(2, 14)
+        rows = []
+        for _ in range(rng.randrange(1, 16)):
+            lead = rng.choice((0, 0, 1, width // 2))
+            row = [0] * width
+            row[lead] = rng.choice((1, -1, 2, 3, Fraction(1, 2)))
+            for _ in range(rng.randrange(0, 4)):
+                row[rng.randrange(lead, width)] = rng.randrange(-4, 5)
+            rows.append(row)
+        _, pivots = assert_kernel_result(rows, width)
+        ranked += len(pivots) > 1
+    assert ranked > 50
+
+
 def test_kernel_output_does_not_depend_on_row_order():
     rng = random.Random(17)
-    cases = list(kernel_cases(rng)) + ring_build_matrices("p1x3") \
-        + ring_build_matrices("dp3")
+    cases = list(kernel_cases(rng)) + ring_build_matrices(load_fan("p1x3")) \
+        + ring_build_matrices(load_fan("dp3"))
     for mat, width in cases:
         want = linalg._reduce(linalg._sparse(mat), width)
         for _ in range(3):

@@ -1,5 +1,6 @@
 """Stable renderings: fractions, monomials, operators, text reports."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -28,6 +29,26 @@ def test_parse_frac():
             parse_frac(bad)
     value = Fraction(-22, 7)
     assert parse_frac(serialize.frac_str(value)) == value
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], "", 0, None, True, False, [[]], {"a": {}}, [{}, [], {"b": []}],
+    {"x": [1, True, 0, False, None]},  # bool next to int
+    {"non-ASCII \u00e9\u4e2d\U0001f600": "\u00fc", "\u2028": ["\ud800"]},
+    ["\x00\x01\x1f\x7f", "\t\n\r\b\f", "\"quoted\"", "back\\slash", "/"],
+    [-10 ** 40, 10 ** 40, -1, -(2 ** 64) + 1],
+    {"deep": [[[{"k": [[], {}, "", 0]}]]], "after": 1},
+])
+def test_render_json_matches_json_dumps(value):
+    assert serialize.render_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, (1, 2), {1: "a"}, {None: 1}, {"a": {2}}, [Fraction(1, 2)], b"x", [[float("nan")]],
+])
+def test_render_json_refuses_what_no_report_holds(value):
+    with pytest.raises(TypeError):
+        serialize.render_json(value)
 
 
 def test_mono_str():

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import SHIPPED, load_fan, product_fan
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "qdm"
 PERFBENCH = ROOT / "perfbench"
@@ -262,3 +264,26 @@ def test_one_window_rule_reads_the_truncation():
              for module, tree in _trees().items()}
     assert set(reads.pop("dmodule")) == {"_window_cap"}
     assert not any(reads.values()), reads
+
+
+def test_make_fan_runs_one_hermite_form(monkeypatch):
+    # make_fan inverts its first maximal cone and reaches the others across
+    # walls, and the ring reads the fan's primitive collections: neither
+    # per-cone Hermite forms nor the 2^n subset walk may come back
+    from qdm import cohomology, linalg
+    calls = []
+    hermite = linalg.hermite_form
+
+    def counting(rows):
+        calls.append(len(rows))
+        return hermite(rows)
+
+    monkeypatch.setattr(linalg, "hermite_form", counting)
+    for name in SHIPPED:
+        calls.clear()
+        fan = load_fan(name)
+        assert calls == [fan.dim], name
+    calls.clear()
+    product_fan(*["p1"] * 6)
+    assert calls == [6]
+    assert not hasattr(cohomology.CohomRing, "_minimal_nonfaces")

@@ -3,7 +3,7 @@
 import random
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import ceil, floor
 
 import pytest
@@ -28,11 +28,14 @@ from conftest import (
     SHIPPED,
     load_bench_fan,
     load_fan,
+    product_fan,
     reference_coords_in_basis,
     reference_in_cone,
     reference_mori_generators,
+    reference_primitive_collections,
     reference_wall_relations,
     same_fan_copies,
+    seeded_bench_fans,
 )
 
 
@@ -123,6 +126,54 @@ def test_rejects_singular_cone(rays, cones, message):
     with pytest.raises(FanError) as info:
         make_fan(rays, cones)
     assert str(info.value) == message + "; the variety would be singular"
+
+
+# A hexagon-like fan with two singular cones, [0, 1] and [3, 4]: the wall
+# walk from the first listed cone may reach either one first.
+TWO_SINGULAR = [[1, 0], [1, 2], [0, 1], [-1, 0], [-1, -2], [0, -1]]
+
+
+@pytest.mark.parametrize("rays, cones, message", [
+    (TWO_SINGULAR, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]],
+     "maximal cone [0, 1] is not unimodular (det 2)"),
+    (TWO_SINGULAR, [[2, 3], [3, 4], [4, 5], [5, 0], [0, 1], [1, 2]],
+     "maximal cone [3, 4] is not unimodular (det 2)"),
+    (TWO_SINGULAR, [[2, 3], [4, 3], [4, 5], [5, 0], [1, 0], [1, 2]],
+     "maximal cone [4, 3] is not unimodular (det -2)"),
+    (TWO_SINGULAR, [[5, 0], [1, 2], [1, 0], [4, 3], [2, 3], [4, 5]],
+     "maximal cone [1, 0] is not unimodular (det -2)"),
+    # singular and incomplete: the singular cone is named
+    ([[1, 0], [1, 2], [-1, 0]], [[0, 1], [1, 2]],
+     "maximal cone [0, 1] is not unimodular (det 2)"),
+    ([[1, 0], [1, 2], [-1, 0]], [[1, 2], [0, 1]],
+     "maximal cone [1, 2] is not unimodular (det 2)"),
+    # a singular cone listed before a malformed one or a duplicate is named
+    ([[1, 0], [1, 2], [-1, -1]], [[0, 1], [1, 1], [1, 2]],
+     "maximal cone [0, 1] is not unimodular (det 2)"),
+    ([[1, 0], [1, 2], [-1, -1]], [[1, 2], [0, 1], [0, 1]],
+     "maximal cone [0, 1] is not unimodular (det 2)"),
+    # ... and one listed after a malformed cone is not
+    ([[1, 0], [1, 2], [-1, -1]], [[1, 1], [0, 1], [1, 2]],
+     "maximal cone [1, 1] repeats a ray"),
+])
+def test_fan_errors_follow_the_listed_cones(rays, cones, message):
+    with pytest.raises(FanError) as info:
+        make_fan(rays, cones)
+    suffix = "; the variety would be singular" if "unimodular" in message else ""
+    assert str(info.value) == message + suffix
+
+
+@pytest.mark.parametrize("cones", [
+    [[1, 0], [0, 3], [3, 4], [4, 2], [2, 1]],
+    [[4, 2], [2, 1], [1, 0], [0, 3], [3, 4]],
+])
+def test_a_wall_with_both_cones_on_one_side_is_refused(cones):
+    # every cone is unimodular and every wall lies in two cones, but the
+    # cones on the wall of ray 1 both lie on the side of ray 0: x_u = +1
+    rays = [[1, 0], [0, 1], [1, 1], [0, -1], [-1, 0]]
+    with pytest.raises(FanError) as info:
+        make_fan(rays, cones)
+    assert str(info.value) == "wall [1] does not span a hyperplane"
 
 
 def test_rejects_duplicate_cones():
@@ -233,6 +284,69 @@ def test_unimodular_inverse_matches_the_rational_inverse():
     # a rational matrix has an integer unimodular inverse only if it is integral
     assert toric._unimodular_inverse([[Fraction(1, 2)]]) is None
     assert toric._unimodular_inverse([[Fraction(1), Fraction(1, 2)], [0, 1]]) is None
+
+
+def _walls(fan):
+    walls = {}
+    for cone in fan.max_cones:
+        for wall in combinations(cone, fan.dim - 1):
+            walls.setdefault(wall, []).append(cone)
+    return walls
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_walked_inverses_match_the_hermite_inverses(name):
+    # one Hermite inverse per fan: every other cone's inverse is the wall
+    # update of a neighbour's, and each must be the inverse of its rays
+    for data in same_fan_copies(name):
+        fan = make_fan(data["rays"], data["max_cones"], data.get("nef_basis"))
+        walls = _walls(fan)
+        inverses, crossed = toric._cone_inverses(fan.rays, fan.max_cones, walls)
+        assert set(inverses) == set(fan.max_cones) and set(crossed) == set(walls)
+        for sigma, cols in inverses.items():
+            inv = toric._unimodular_inverse([fan.rays[k] for k in sigma])
+            assert cols == dict(zip(sigma, zip(*inv))), (name, sigma)
+
+
+def test_a_cone_the_walk_cannot_reach_is_inverted_directly():
+    # with no walls to cross, every cone starts a walk of its own
+    fan = load_fan("dp3")
+    inverses, crossed = toric._cone_inverses(fan.rays, fan.max_cones, {})
+    assert crossed == {}
+    for sigma, cols in inverses.items():
+        inv = toric._unimodular_inverse([fan.rays[k] for k in sigma])
+        assert cols == dict(zip(sigma, zip(*inv)))
+
+
+def _as_sets(collections):
+    return {frozenset(c) for c in collections}
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_primitive_collections_match_the_subset_walk(name):
+    for data in same_fan_copies(name):
+        fan = make_fan(data["rays"], data["max_cones"], data.get("nef_basis"))
+        want = reference_primitive_collections(fan)
+        assert _as_sets(fan.primitive_collections) == set(want)
+        assert len(fan.primitive_collections) == len(want)
+        # sorted by size, then lexicographically, each a sorted tuple
+        assert list(fan.primitive_collections) == sorted(
+            fan.primitive_collections, key=lambda c: (len(c), c))
+        assert all(list(c) == sorted(c) and len(c) <= fan.dim + 1
+                   for c in fan.primitive_collections)
+
+
+def test_primitive_collections_of_the_benchmark_fans():
+    seen = set()
+    for name, seed, fan in seeded_bench_fans(range(4)):
+        assert _as_sets(fan.primitive_collections) == set(
+            reference_primitive_collections(fan)), (name, seed)
+        seen.add(name)
+    assert len(seen) == 10
+    p1_6 = product_fan(*["p1"] * 6)
+    got = _as_sets(p1_6.primitive_collections)
+    assert got == {frozenset((2 * i, 2 * i + 1)) for i in range(6)}
+    assert got == set(reference_primitive_collections(p1_6))
 
 
 @pytest.mark.parametrize("name", SHIPPED)

@@ -102,17 +102,11 @@ class CohomClass:
     __slots__ = ("ring", "num", "den", "_hash")
 
     def __init__(self, ring, num, den=1):
-        """The class num / den, normalized.  num maps monomials to ints, or to
-        any rationals, whose denominators are first cleared into den."""
+        """The class num / den, normalized.  num maps monomials to int
+        numerators over the int den; a rational class is built with
+        combination or scale."""
         num = {m: c for m, c in num.items() if c}
-        try:
-            g = gcd(den, *num.values())
-        except TypeError:  # rational entries
-            num = {m: Fraction(c) for m, c in num.items()}
-            scale = lcm(*(c.denominator for c in num.values()))
-            num = {m: c.numerator * (scale // c.denominator) for m, c in num.items()}
-            den *= scale
-            g = gcd(den, *num.values())
+        g = gcd(den, *num.values())
         if den < 0:
             g = -g
         if g != 1:

@@ -13,7 +13,7 @@ composition is theta -> theta + e at hbar = 1, with the weights added.  The
 box operators (gkz_operator) are composed in this operator algebra from
 theta, hbar and q^e.  Like a cohomology class, an operator holds integer
 numerators num = {e: {t: int}} over one denominator den > 0, in lowest
-terms; terms and coefficient are Fraction views for readers.
+terms, and walk() reads its terms in one sorted order.
 
 Acting on the series F, the term q^e P_e contributes to the coefficient of
 q^d the value P_e(omega + (d-e)*hbar, hbar) * R_{d-e}.  The series is
@@ -93,8 +93,8 @@ class DiffOp:
 
     def __init__(self, cm, weight, terms, den=1):
         """The operator terms / den, normalized.  terms is {e: {t: c}} with
-        int c, or any rationals, whose denominators are first cleared into
-        den."""
+        int numerators c over the int den; a rational operator is built with
+        scale."""
         self.cm = cm
         self.weight = weight
         num = {}
@@ -108,15 +108,7 @@ class DiffOp:
                     raise ValueError("a term of q^%r would carry a negative power of "
                                      "hbar at weight %d" % (list(e), weight))
                 num[e] = poly
-        try:
-            g = gcd(den, *(c for poly in num.values() for c in poly.values()))
-        except TypeError:  # rational entries
-            num = {e: {t: Fraction(c) for t, c in poly.items()} for e, poly in num.items()}
-            scale = lcm(*(c.denominator for poly in num.values() for c in poly.values()))
-            num = {e: {t: c.numerator * (scale // c.denominator) for t, c in poly.items()}
-                   for e, poly in num.items()}
-            den *= scale
-            g = gcd(den, *(c for poly in num.values() for c in poly.values()))
+        g = gcd(den, *(c for poly in num.values() for c in poly.values()))
         if den < 0:
             g = -g
         if g != 1:
@@ -147,13 +139,6 @@ class DiffOp:
     @classmethod
     def hbar(cls, cm):
         return cls(cm, 1, {(0,) * cm.l: {(0,) * cm.l: 1}})
-
-    @property
-    def terms(self):
-        """{e: {t: Fraction}}, a new dict on each access."""
-        den = self.den
-        return {e: {t: Fraction(c, den) for t, c in poly.items()}
-                for e, poly in self.num.items()}
 
     def hbar_power(self, e, t) -> int:
         return self.weight - self.cm.c1_degree(e) - sum(t)
@@ -220,16 +205,6 @@ class DiffOp:
         return sorted(((e, t, self.hbar_power(e, t), c)
                        for e, poly in self.num.items() for t, c in poly.items()),
                       key=lambda x: _ansatz_key(*x[:3]))
-
-    def support_triples(self):
-        """Sorted (q-exp, theta-exp, hbar-exp) triples carrying coefficients."""
-        return [term[:3] for term in self.walk()]
-
-    def coefficient(self, e, t, h) -> Fraction:
-        e, t = tuple(e), tuple(t)
-        if h != self.hbar_power(e, t):
-            return Fraction(0)
-        return Fraction(self.num.get(e, {}).get(t, 0), self.den)
 
     def classical_value(self, ring):
         """The q = 0, hbar-free terms at theta_j -> omega_j, in the classical

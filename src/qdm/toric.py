@@ -62,12 +62,16 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from . import linalg
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # the strings parse_frac reads
+
+# A degree box holds at most this many lattice points: enumerate_degrees
+# refuses a larger box before it lists any point.
+MAX_BOX_POINTS = 10**7
 
 
 class FanError(ValueError):
@@ -257,7 +261,7 @@ def parse_fan(text: str) -> FanData:
     "nef_basis": optional [["p/q" or int]]}."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise FanError("malformed fan file: %s" % exc) from None
     if not isinstance(data, dict):
         raise FanError("fan file must contain a JSON object")
@@ -560,6 +564,10 @@ def enumerate_degrees(cone: MoriCone, cm: ChargeMatrix, bound: int):
     box = [range(min([0] + [bound * g[j] // d for g, d in zip(gens, degs)]),
                  max([0] + [-(-bound * g[j] // d) for g, d in zip(gens, degs)]) + 1)
            for j in range(cm.l)]
+    points = prod(r.stop - r.start for r in box)  # len() overflows past sys.maxsize
+    if points > MAX_BOX_POINTS:
+        raise ValueError("the degree box at bound %d holds %d points, more than %d"
+                         % (bound, points, MAX_BOX_POINTS))
     out = []
     for d in product(*box):
         c1 = cm.c1_degree(d)

@@ -10,7 +10,7 @@ import pytest
 
 import qdm
 from qdm import linalg
-from qdm.cohomology import CohomClass, monomials, poly_mul
+from qdm.cohomology import monomials, poly_mul
 from qdm.dmodule import DiffOp, _ansatz_key
 from qdm.toric import FanError
 
@@ -197,8 +197,9 @@ def ratio_at(ring, cm, degree, hbar):
 def rescaled(cls, c1, hbar):
     """A weight-0 q^d value stored at hbar = 1, moved to another hbar by the
     weight rule: the monomial m carries hbar^(-c1 - deg m)."""
-    return CohomClass(cls.ring, {m: c * Fraction(hbar) ** (-c1 - sum(m))
-                                 for m, c in cls.coeffs.items()})
+    ring = cls.ring
+    return ring.combination(((Fraction(hbar) ** (-c1 - sum(m)) * c, ring.monomial_class(m))
+                             for m, c in cls.num.items()), cls.den)
 
 
 def _built(names):
@@ -413,6 +414,26 @@ def reference_primitive_collections(fan):
     return nonfaces
 
 
+# Batyrev's primitive relations, kept as an oracle for the Mori cone: the
+# rays of a primitive collection P sum to sum c_i v_i with c >= 0 on the rays
+# of a maximal cone, and the class beta_P has D_k . beta_P = [k in P] - c_k.
+
+def reference_primitive_relations(fan, cm):
+    """beta_P in charge coordinates, one per primitive collection P."""
+    out = []
+    for collection in reference_primitive_collections(fan):
+        target = [sum(fan.rays[k][nu] for k in collection) for nu in range(fan.dim)]
+        for cone in fan.max_cones:
+            c = linalg.solve_columns([list(fan.rays[i]) for i in cone], target)
+            if c is not None and min(c) >= 0:
+                break
+        rel = [int(k in collection) for k in range(fan.n_rays)]
+        for i, x in zip(cone, c):
+            rel[i] -= int(x)
+        out.append(reference_coords_in_basis(cm.m, rel))
+    return out
+
+
 # The per-wall derivation that one inverse per maximal cone replaced, kept
 # as the oracle: each wall's relation solved from its own rays, and each
 # class's coordinates solved against the whole lattice basis, by Fraction
@@ -529,14 +550,14 @@ def reference_gkz_operator(cm, degree):
     sum_{a_k>0} a_k."""
     l = cm.l
     one = (0,) * l
-    pos = {one: Fraction(1)}
-    neg = {one: Fraction(1)}
+    pos = {one: 1}
+    neg = {one: 1}
     weight = 0
     for k, a_k in enumerate(cm.pairings(degree)):
-        d_k = {tuple(1 if i == j else 0 for i in range(l)): Fraction(cm.m[j][k])
+        d_k = {tuple(1 if i == j else 0 for i in range(l)): cm.m[j][k]
                for j in range(l) if cm.m[j][k]}
         for nu in range(abs(a_k)):
-            factor = {**d_k, one: Fraction(-nu)} if nu else d_k
+            factor = {**d_k, one: -nu} if nu else d_k
             if a_k > 0:
                 pos = poly_mul(pos, factor)
             else:
@@ -547,11 +568,12 @@ def reference_gkz_operator(cm, degree):
 
 def spans(ops, targets):
     """Is every target a rational combination of the operators?  Decided at
-    once, by comparing ranks."""
-    keys = sorted({k for op in ops + targets for k in op.support_triples()},
-                  key=lambda k: _ansatz_key(*k))
+    once, by comparing ranks of the integer numerator rows: scaling a row by
+    its operator's den leaves the rank unchanged."""
+    rows = [{term[:3]: term[3] for term in op.walk()} for op in ops + targets]
+    keys = sorted({k for row in rows for k in row}, key=lambda k: _ansatz_key(*k))
 
     def rank(group):
-        rows = [[op.coefficient(*k) for k in keys] for op in group]
-        return len(linalg.rref(rows, len(keys))[1])
-    return rank(ops + targets) == rank(ops)
+        return len(linalg.rref([[row.get(k, 0) for k in keys] for row in group],
+                               len(keys))[1])
+    return rank(rows) == rank(rows[:len(ops)])

@@ -57,6 +57,23 @@ def test_malformed_fan_is_an_input_error(tmp_path, capsys):
     assert "not primitive" in capsys.readouterr().err
 
 
+def test_deeply_nested_fan_is_an_input_error(tmp_path, capsys):
+    # json gives up on deep nesting with a RecursionError, not a decode error
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert main(["cohomology", str(deep)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed fan file")
+
+
+@pytest.mark.parametrize("command", ["ifunction", "operators", "loop-model"])
+def test_degree_box_too_large_to_list(capsys, command):
+    # refused before a point of the box is listed
+    assert main([command, fan_path("p2"), "--max-degree", "99999999999"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the degree box at bound 99999999999 holds 33333333334 points, "
+        "more than 10000000\n")
+
+
 def test_bad_degree_option(capsys):
     assert main(["operators", fan_path("p1"), "--degree", "x"]) == 2
     assert "bad --degree" in capsys.readouterr().err

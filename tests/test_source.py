@@ -226,13 +226,36 @@ def test_exponent_tuples_are_added_by_one_helper():
 
 
 def test_package_reads_no_fraction_view():
-    # coeffs, terms and coefficient() rebuild Fractions from the integer
-    # numerators; they are kept for the tests, the README and the oracles
+    # coeffs rebuilds Fractions from the integer numerators and serves only
+    # the tests, the README and the oracles; an operator has no such view
     views = {"coeffs", "terms", "coefficient"}
     reads = {module: _owners(tree, lambda node: isinstance(node, ast.Attribute)
                              and node.attr in views)
              for module, tree in _trees().items()}
     assert not any(reads.values()), reads
+
+
+def _class_body(module, name):
+    """The statements of a class defined at the top of a package module."""
+    return next(node for node in _trees()[module].body
+                if isinstance(node, ast.ClassDef) and node.name == name).body
+
+
+def test_constructors_clear_no_denominators():
+    # a rational class or operator is built with combination or scale: the
+    # constructors take int numerators over den and only normalize them
+    for module, name in (("cohomology", "CohomClass"), ("dmodule", "DiffOp")):
+        init = next(node for node in _class_body(module, name)
+                    if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+        calls = {_callee(node) for node in ast.walk(init) if isinstance(node, ast.Call)}
+        assert not calls & {"Fraction", "lcm"}, (name, calls)
+
+
+def test_an_operator_is_read_through_num_den_and_walk():
+    defined = {node.name for node in _class_body("dmodule", "DiffOp")
+               if isinstance(node, ast.FunctionDef)}
+    assert "walk" in defined
+    assert not defined & {"terms", "coefficient", "support_triples"}, defined
 
 
 def test_serialize_builds_fractions_in_one_formatter():

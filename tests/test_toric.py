@@ -33,6 +33,7 @@ from conftest import (
     reference_in_cone,
     reference_mori_generators,
     reference_primitive_collections,
+    reference_primitive_relations,
     reference_wall_relations,
     same_fan_copies,
     seeded_bench_fans,
@@ -546,6 +547,31 @@ def test_mori_generators_match_the_pruning_reference(shipped, name):
     assert list(cone.generators) == reference_mori_generators(fan, cm)
 
 
+@pytest.mark.parametrize("name", SHIPPED + ["p1x6", "F2", "F3"])
+def test_mori_generators_are_primitive_relations(name):
+    # Batyrev 1991, Casagrande 2003: the primitive relations span the Mori
+    # cone, and every extremal ray holds one of them
+    if name == "p1x6":
+        fan = product_fan(*["p1"] * 6)
+    elif name in ("F2", "F3"):
+        fan = make_fan([[1, 0], [0, 1], [-1, int(name[1])], [0, -1]],
+                       [[0, 1], [1, 2], [2, 3], [3, 0]])
+    else:
+        fan = load_fan(name)
+    cm = charge_matrix(fan)
+    cone = mori_generators(fan, cm)
+    betas = reference_primitive_relations(fan, cm)
+    assert all(reference_in_cone(beta, cone.generators) for beta in betas), name
+    assert set(cone.generators) <= {linalg.primitive_vector(beta) for beta in betas}, name
+    # c1 > 0 on the primitive relations exactly when it is on the Mori cone
+    least = min(map(cm.c1_degree, betas))
+    assert (least > 0) == all(cm.c1_degree(g) > 0 for g in cone.generators), name
+    if name in ("F2", "F3"):
+        assert least == {"F2": 0, "F3": -1}[name]
+    else:
+        assert least > 0, name
+
+
 @pytest.mark.parametrize("name", [name for name in SHIPPED if load_fan(name).nef_basis is None]
                          + ["p1x4", "p2xp2"])
 def test_a_derived_nef_basis_makes_the_mori_cone_the_orthant(name):
@@ -577,6 +603,17 @@ def test_enumerate_degrees_projective_plane(corpus):
     _fan, cm, _ring, cone = corpus["p2"]
     assert enumerate_degrees(cone, cm, 6) == [(0,), (1,), (2,)]
     assert enumerate_degrees(cone, cm, 0) == [(0,)]
+
+
+def test_enumerate_degrees_caps_the_box(corpus, monkeypatch):
+    # p2 at bound 6 walks the box 0..2: three points
+    _fan, cm, _ring, cone = corpus["p2"]
+    assert toric.MAX_BOX_POINTS == 10**7
+    monkeypatch.setattr(toric, "MAX_BOX_POINTS", 3)
+    assert enumerate_degrees(cone, cm, 6) == [(0,), (1,), (2,)]
+    monkeypatch.setattr(toric, "MAX_BOX_POINTS", 2)
+    with pytest.raises(ValueError, match="bound 6 holds 3 points, more than 2"):
+        enumerate_degrees(cone, cm, 6)
 
 
 def test_enumerate_degrees_product(corpus):

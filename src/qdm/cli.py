@@ -64,6 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args):
     with open(args.fan, "r", encoding="utf-8") as fh:
         fan = toric.parse_fan(fh.read())
+    sys.set_int_max_str_digits(0)  # exact rationals past 4300 digits; main restores it
     cm = toric.charge_matrix(fan)
     ring = build_ring(fan, cm)
     return fan, cm, ring, toric.mori_generators(fan, cm)
@@ -198,6 +199,7 @@ def cmd_operators(args) -> tuple[dict, bool]:
     ok = True
     gkz_entries = []
     for d in degrees:
+        dmodule._window_cap(series, [d])
         op = dmodule.gkz_operator(cm, d)
         applied = dmodule.apply(op, series)
         annihilates = applied.is_zero()
@@ -267,16 +269,17 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    limit = sys.get_int_max_str_digits()
     try:
         _parse_int_options(args)
         report, ok = _COMMANDS[args.command](args)
+        render = serialize.render_json if args.format == "json" else serialize.render_text
+        text = render(report) + "\n"
     except (ValueError, OverflowError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    if args.format == "json":
-        text = serialize.render_json(report) + "\n"
-    else:
-        text = serialize.render_text(report) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

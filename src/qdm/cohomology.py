@@ -226,7 +226,6 @@ class CohomRing:
         self._omega_cache = {}
         self._linear_cache = {}
         self._pairing_cache = {}
-        self._dual_cache = None
         one = self.one()  # the Euler-ratio memos, see the ifunction module
         self.ratios = {(0,) * self.n: one}
         self.factor_products = {(k, 0): one for k in range(self.n)}
@@ -432,20 +431,17 @@ class CohomRing:
         complementary degrees, so the duals of the degree-deg basis classes
         are the basis classes of degree top - deg times the inverse of the
         degree-deg pairing block."""
-        if self._dual_cache is None:
-            t = [self.monomial_class(m) for m in self.basis]
-            duals = []
-            for deg in range(self.top + 1):
-                rows, den = self.pairing(deg)
-                co = [self.monomial_class(m) for m in self.basis_by_degree[self.top - deg]]
-                inv = linalg.invert(rows)
-                if inv is None:
-                    raise FanError("Poincare pairing block %d,%d is degenerate; "
-                                   "fan data is invalid" % (deg, self.top - deg))
-                duals += [self.combination((den * inv[k][j], c) for k, c in enumerate(co))
-                          for j in range(len(rows))]
-            self._dual_cache = (t, duals)
-        return self._dual_cache
+        duals = []
+        for deg in range(self.top + 1):
+            rows, den = self.pairing(deg)
+            co = [self.monomial_class(m) for m in self.basis_by_degree[self.top - deg]]
+            inv = linalg.invert(rows)
+            if inv is None:
+                raise FanError("Poincare pairing block %d,%d is degenerate; "
+                               "fan data is invalid" % (deg, self.top - deg))
+            duals += [self.combination((den * inv[k][j], c) for k, c in enumerate(co))
+                      for j in range(len(rows))]
+        return [self.monomial_class(m) for m in self.basis], duals
 
 
 def build_ring(fan: FanData, cm: ChargeMatrix) -> CohomRing:

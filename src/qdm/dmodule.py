@@ -45,7 +45,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import itemgetter
 
-from . import linalg
+from . import linalg, toric
 from .cohomology import add_exponents, monomials, poly_mul
 from .ifunction import Series
 
@@ -224,8 +224,10 @@ def _ansatz_key(e, t, h):
 
 def _theta_images(series):
     """image(d, t) = theta^t applied to q^d c_d, at hbar = 1 and up to the
-    factor q^d: prod_j (omega_j + d_j)^t_j * c_d.  It is memoized in
-    series.images, shared by every apply on the series and by the search."""
+    factor q^d: prod_j (omega_j + d_j)^t_j * c_d.  A miss walks the chain
+    up from t = 0 in a loop, raising the last exponent first, and memoizes
+    each step in series.images, shared by every apply on the series and by
+    the search."""
     ring, sources, cache = series.ring, series.coefficients, series.images
     omegas = [ring.omega_class(j) for j in range(ring.l)]
 
@@ -233,14 +235,15 @@ def _theta_images(series):
         try:
             return cache[d, t]
         except KeyError:
-            j = next((j for j, x in enumerate(t) if x), None)
-            if j is None:
-                out = sources[d]
-            else:
-                lower = t[:j] + (t[j] - 1,) + t[j + 1:]
-                out = ring.times_linear(image(d, lower), omegas[j], d[j])
-            cache[d, t] = out
-            return out
+            s = (0,) * len(t)
+            out = cache.setdefault((d, s), sources[d])
+        for j in reversed(range(len(t))):
+            for _ in range(t[j]):
+                s = s[:j] + (s[j] + 1,) + s[j + 1:]
+                if (d, s) not in cache:
+                    cache[d, s] = ring.times_linear(out, omegas[j], d[j])
+                out = cache[d, s]
+        return out
     return image
 
 
@@ -361,18 +364,25 @@ def find_annihilators(series: Series, theta_order: int, q_degree: int):
     and vanishes at every other vector's free column, so the vectors are
     the reduced rows already, and their pivots are their first nonzero
     entries.
+
+    An ansatz of more than toric.MAX_BOX_POINTS columns is refused with a
+    ValueError before its exponents are listed: the window alone cannot
+    bound q_degree where some c1(e) is zero.
     """
     if min(theta_order, q_degree) < 0:
         raise ValueError("ansatz bounds must be nonnegative")
     cm = series.ring.cm
     l = cm.l
+    width = comb(l + q_degree, l) * comb(l + theta_order, l)
+    if width > toric.MAX_BOX_POINTS:
+        raise ValueError("the ansatz has %d columns, more than %d"
+                         % (width, toric.MAX_BOX_POINTS))
     q_exps = [e for tot in range(q_degree + 1) for e in monomials(l, tot)]
     t_exps = [t for tot in range(theta_order + 1) for t in monomials(l, tot)]
     cap = _window_cap(series, q_exps)
     image = _theta_images(series)
     pre = {(e, t): cm.c1_degree(e) + sum(t) for e in q_exps for t in t_exps}
     columns = sorted(pre, key=lambda c: (-pre[c], _ansatz_key(*c, 0)))
-    width = len(columns)
     rows = {}  # (degree, monomial) -> {reversed column index: int}
     scales = []  # the lcm of each column's image denominators
     for i, (e, t) in enumerate(columns):

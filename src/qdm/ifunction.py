@@ -45,10 +45,10 @@ where it contributes polynomial terms in the formal symbols L_j = log q_j.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .cohomology import CohomClass, CohomRing, monomials
-from .toric import MoriCone, enumerate_degrees
+from .toric import MAX_BOX_POINTS, MoriCone, enumerate_degrees
 
 
 def euler_ratio(ring: CohomRing, degree) -> CohomClass:
@@ -57,13 +57,17 @@ def euler_ratio(ring: CohomRing, degree) -> CohomClass:
     Pairings of either sign are allowed: a negative one contributes the
     finite numerator product, including the nu = 0 factor alpha_k.  A new
     R_d is stepped from a cached R_p, p = d - e_j, or from R_0 = 1; see the
-    module docstring.
+    module docstring.  A degree whose R_d is more than toric.MAX_BOX_POINTS
+    linear passes from R_0, sum_k |a_k|, is refused with a ValueError.
     """
     cm = ring.cm
     target = cm.pairings(degree)
     ratios = ring.ratios
     if target not in ratios:
         start, cost = (0,) * cm.n, sum(map(abs, target))
+        if cost > MAX_BOX_POINTS:
+            raise ValueError("R_d of degree %r takes %d linear passes, more than %d"
+                             % (list(degree), cost, MAX_BOX_POINTS))
         for row in cm.m:
             step = sum(map(abs, row))
             if step >= cost:
@@ -157,38 +161,37 @@ def build_f(ring: CohomRing, cone: MoriCone, bound: int) -> Series:
 
 
 def component(series: Series, beta: int, log_order: int):
-    """Scalar component f_beta = <F, dual of the beta-th basis class>.
+    """Scalar component f_beta = <F, T^beta>, T^beta the dual of the
+    beta-th basis class T_beta.
 
     Expanding the prefactor exp(sum_j L_j omega_j / hbar) through the
     nilpotency order brings in monomials in the formal symbols L_j = log q_j.
     Returns {degree: {(log multi-exponent, hbar exponent): Fraction}} keeping
     log monomials up to total order log_order.
 
-    The dual class is homogeneous, so for each log monomial t only the part
-    of c_d of degree deg T_beta - |t| reaches the top degree.  Its hbar
-    exponent w - c1(d) - deg T_beta + |t|, for a series of weight w (0 for
-    F), shifted by the 1/hbar^|t| of the prefactor, is w - c1(d) - deg T_beta
-    for every t.
+    The integral of x * T^beta is the T_beta coordinate of x, so for each
+    log monomial t only the part of c_d of degree deg T_beta - |t| counts,
+    and a basis monomial b of that degree contributes the T_beta coordinate
+    of b * omega^t / t!.  Its hbar exponent w - c1(d) - deg T_beta + |t|,
+    for a series of weight w (0 for F), shifted by the 1/hbar^|t| of the
+    prefactor, is w - c1(d) - deg T_beta for every t.
     """
     if log_order < 0:
         raise ValueError("log_order must be nonnegative")
     ring = series.ring
-    basis_classes, duals = ring.dual_basis()
-    if not 0 <= beta < len(basis_classes):
+    if not 0 <= beta < len(ring.basis):
         raise IndexError("beta out of range for the cohomology basis")
-    dual = duals[beta]
-    deg_beta = sum(ring.basis[beta])
-    covectors = {}  # t -> ([(b, num)], den): integral of b * omega^t / t! * dual
+    target = ring.basis[beta]
+    deg_beta = sum(target)
+    covectors = {}  # t -> ([(b, num)], den): the T_beta coordinate of b * omega^t / t!
     for total in range(min(log_order, deg_beta) + 1):
-        # b has degree deg_beta - |t|: its covector is the pairing block's
-        # row times the coordinates of omega^t * dual
-        rows, pden = ring.pairing(deg_beta - total)
-        cols = ring.basis_by_degree[ring.top - deg_beta + total]
         for t in monomials(ring.l, total):
-            wcls = ring.omega_power(t) * dual
-            cov = [(b, v) for b, row in zip(ring.basis_by_degree[deg_beta - total], rows)
-                   if (v := sum(r * wcls.num.get(c, 0) for r, c in zip(row, cols)))]
-            covectors[t] = (cov, pden * wcls.den * prod(map(factorial, t)))
+            omega_t = ring.omega_power(t)
+            products = [(b, ring.monomial_class(b) * omega_t)
+                        for b in ring.basis_by_degree[deg_beta - total]]
+            den = lcm(*(p.den for _, p in products))
+            cov = [(b, v * (den // p.den)) for b, p in products if (v := p.num.get(target))]
+            covectors[t] = (cov, den * prod(map(factorial, t)))
     out = {}
     for d in series.degrees:
         h = series.weight - ring.cm.c1_degree(d) - deg_beta

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from itertools import islice
+from math import factorial
 
 import pytest
 
@@ -171,9 +172,48 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capfd, fan_text, arg
     assert message in lines[0]
 
 
+@pytest.mark.parametrize("argv, message", [
+    # the window refuses a degree before its box operator is composed
+    (["operators", "p2", "--degree", "99999999999"],
+     "operator q-support exceeds the series truncation (bound 6)"),
+    # the ansatz is counted before it is listed: the window would refuse
+    # this one only after listing it, and on dp3, where c1(e_1) = 0, never
+    (["operators", "p1xp1", "--q-degree", "100000"],
+     "the ansatz has 50001500010 columns, more than 10000000"),
+    # one R_d is refused before its linear passes from R_0
+    (["loop-model", "p2", "--degree", "99999999999"],
+     "R_d of degree [99999999999] takes 299999999997 linear passes, more than 10000000"),
+])
+def test_a_size_past_the_cap_is_refused_before_the_work(argv, message):
+    src = str(FAN_DIR.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "qdm.cli", argv[0], fan_path(argv[1])]
+                          + argv[2:], capture_output=True, text=True, env=env, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: %s\n" % message)
+
+
+def test_exact_rationals_print_past_the_digit_limit(tmp_path, capsys):
+    # R_900 on P^1 has the constant term 1/(900!)^2, a denominator of 4,540
+    # digits; the limit is lifted only after the fan is read, and restored
+    # after the run
+    limit = sys.get_int_max_str_digits()
+    code, report = run_json(capsys, ["loop-model", fan_path("p1"), "--degree", "900"])
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    (term,) = [e for e in report["reports"][0]["ratio"] if e["hbar"] == -1800]
+    sys.set_int_max_str_digits(0)
+    try:
+        assert term["class"] == {"1": "1/%d" % factorial(900) ** 2}
+    finally:
+        sys.set_int_max_str_digits(limit)
+    fan = tmp_path / "fan.json"
+    fan.write_text('{"rays": [[%s], [-1]], "max_cones": [[0], [1]]}' % ("9" * 5001))
+    assert main(["cohomology", str(fan)]) == 2
+    assert "Exceeds the limit (4300 digits)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, argv", [
     ("cohomology", []),
-    ("ifunction", ["--components", "1"]),
 ])
 def test_a_singular_pairing_block_is_an_input_error(monkeypatch, capfd, command, argv):
     # the dual basis inverts each block; a singular one names its degree

@@ -1,6 +1,7 @@
 """Normal-ordered difference-differential operators and annihilator search."""
 
 import random
+import sys
 from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
@@ -350,6 +351,23 @@ def test_each_series_starts_with_its_own_theta_memo(corpus):
     assert applied.images == {}
     again = build_f(ring, cone, 4)
     assert again.images == {}
+
+
+def test_theta_images_walk_a_chain_longer_than_the_recursion_limit(corpus):
+    # theta^t is |t| times_linear steps, walked in a loop and memoized per step
+    _fan, cm, ring, cone = corpus["p2"]
+    series = build_f(ring, cone, 6)
+    n = sys.getrecursionlimit() + 10
+    want = series.coefficients[(1,)]
+    for _ in range(n):
+        want = ring.times_linear(want, ring.omega_class(0), 1)
+    assert _theta_images(series)((1,), (n,)) == want
+    assert sorted(t for d, (t,) in series.images if d == (1,)) == list(range(n + 1))
+    # with two variables the chain lowers the first nonzero exponent
+    _fan, cm, ring, cone = corpus["p1xp1"]
+    series = build_f(ring, cone, 2)
+    _theta_images(series)((1, 0), (2, 1))
+    assert set(series.images) == {((1, 0), t) for t in ((0, 0), (0, 1), (1, 1), (2, 1))}
 
 
 # ---------------------------------------------------------------------------

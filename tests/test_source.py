@@ -267,16 +267,19 @@ def test_serialize_builds_fractions_in_one_formatter():
 
 def test_the_poincare_pairing_has_one_owner():
     # CohomRing.pairing reads each block off the reduction table; the dual
-    # basis, the cohomology report and the series components read the
-    # blocks, and no other module integrates a product or reads _pair
+    # basis and the cohomology report read the blocks, the series components
+    # read coordinates of products instead, and no other module integrates
+    # a product or reads _pair
     builds = {module: _owners(tree, lambda node: isinstance(node, ast.Call)
                               and _callee(node) in ("integrate", "_pair"))
               for module, tree in _trees().items() if module != "cohomology"}
     assert not any(builds.values()), builds
-    for module in ("cli", "ifunction"):
-        readers = _owners(_trees()[module], lambda node: isinstance(node, ast.Call)
-                          and _callee(node) == "pairing")
-        assert readers, "%s does not read CohomRing.pairing" % module
+    readers = _owners(_trees()["cli"], lambda node: isinstance(node, ast.Call)
+                      and _callee(node) == "pairing")
+    assert readers, "cli does not read CohomRing.pairing"
+    series_readers = _owners(_trees()["ifunction"], lambda node: isinstance(node, ast.Call)
+                             and _callee(node) in ("pairing", "dual_basis"))
+    assert not series_readers, series_readers
 
 
 def test_one_window_rule_reads_the_truncation():

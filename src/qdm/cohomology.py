@@ -18,7 +18,7 @@ gives.  No Groebner machinery is needed or used.
 
 Integration is normalized so that the class of a torus-fixed point, the
 product prod_{k in sigma} x_k over any maximal cone sigma, integrates to 1;
-consistency of that normalization across all maximal cones is checked.  The
+that every maximal cone gives the same point class is checked.  The
 Poincare pairing vanishes off complementary degrees, so it is the blocks
 pairing(deg), each read off the reduction table once per ring; the dual
 basis inverts them block by block.
@@ -26,10 +26,11 @@ basis inverts them block by block.
 A class is sparse: integer numerators num = {basis monomial: int} over one
 denominator den > 0, in lowest terms (gcd(den, *num) == 1, no zero entry;
 zero is ({}, 1)), so the kernels run on Python ints and normalize each
-result once, with one gcd.  coeffs is the Fraction view for readers.  The
-reduction table holds each free monomial as an integer row over its pivot
-entry; products of two basis monomials are read off it once per ring, over
-one ring-wide denominator, and memoized.
+result once, with one gcd.  A rational scalar is read through .numerator
+and .denominator, so an int or a Fraction will do.  The reduction table
+holds each free monomial as an integer row over its pivot entry; products
+of two basis monomials are read off it once per ring, over one ring-wide
+denominator, and memoized.
 Multiplication by a degree-one class L (a ray divisor alpha_k, a nef class
 omega_j) is a sparse integer matrix over one denominator, built lazily once
 per ring and L: its row for a basis monomial b is the reduced product L*b.
@@ -40,7 +41,6 @@ of the solution is x_i = (v_i - L*x_{i-1}) / nu.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import add, mul
@@ -116,12 +116,6 @@ class CohomClass:
         self.num = num
         self.den = den
 
-    @property
-    def coeffs(self):
-        """{monomial: Fraction}, a new dict on each access."""
-        den = self.den
-        return {m: Fraction(c, den) for m, c in self.num.items()}
-
     def is_zero(self) -> bool:
         return not self.num
 
@@ -140,8 +134,6 @@ class CohomClass:
         return CohomClass(self.ring, {m: -c for m, c in self.num.items()}, self.den)
 
     def scale(self, c):
-        if type(c) is not int:
-            c = Fraction(c)
         p = c.numerator
         return CohomClass(self.ring, {m: v * p for m, v in self.num.items()},
                           self.den * c.denominator)
@@ -170,11 +162,7 @@ class CohomClass:
             return self._hash
 
     def __repr__(self):
-        if not self.num:
-            return "CohomClass(0)"
-        return "CohomClass(%s)" % " + ".join(
-            "%s*%s" % (Fraction(self.num[m], self.den), m)
-            for m in sorted(self.num, key=mono_key))
+        return "CohomClass(%r, %d)" % (self.num, self.den)
 
 
 class CohomRing:
@@ -222,7 +210,7 @@ class CohomRing:
         self._point_mono = self.basis_by_degree[self.top][0]
         self._pairs = {}  # (basis mono, basis mono) -> ((mb, r), ...) over _den
         self._generators = tuple(CohomClass(self, num, den) for num, den in forms)
-        self._point_factor = self._normalize_point()
+        self._point = self._normalize_point()
         self._omega_cache = {}
         self._linear_cache = {}
         self._pairing_cache = {}
@@ -254,21 +242,24 @@ class CohomRing:
         return basis
 
     def _normalize_point(self):
-        """The integral of the point monomial, from prod_{k in sigma} x_k over
-        every maximal cone sigma, which must all agree.  Cones in sorted
-        order share prefixes, and each prefix product is formed once."""
-        vals = set()
+        """The point class prod_{k in sigma} x_k, the same nonzero class for
+        every maximal cone sigma, as its point-monomial coordinate (num, den).
+        The top degree has one basis monomial and a class is in lowest terms,
+        so two point classes are equal exactly when their integrals are.
+        Cones in sorted order share prefixes, and each prefix product is
+        formed once."""
+        points = set()
         gens = self._generators
         products = {(k,): g for k, g in enumerate(gens)}
         for cone in sorted(self.fan.max_cones):
             for i in range(2, len(cone) + 1):
                 if cone[:i] not in products:
                     products[cone[:i]] = self.multiply(products[cone[:i - 1]], gens[cone[i - 1]])
-            point = products[cone]
-            vals.add(Fraction(point.num.get(self._point_mono, 0), point.den))
-        if 0 in vals or len(vals) != 1:
+            points.add(products[cone])
+        point = points.pop()
+        if points or point.is_zero():
             raise FanError("inconsistent point normalization across maximal cones")
-        return vals.pop()
+        return point.num[self._point_mono], point.den
 
     # -- arithmetic ------------------------------------------------------
 
@@ -390,10 +381,6 @@ class CohomRing:
                     spill[mb] = spill.get(mb, 0) + c * r
         return CohomClass(self, out, cls.den * p * lift)
 
-    def integrate(self, a: CohomClass) -> Fraction:
-        """Integral over the fundamental class; fixed points integrate to 1."""
-        return Fraction(a.num.get(self._point_mono, 0), a.den) / self._point_factor
-
     def omega_class(self, j) -> CohomClass:
         """The j-th nef basis class, written in the ray divisor generators."""
         if j not in self._omega_cache:
@@ -402,7 +389,8 @@ class CohomRing:
             sol = linalg.solve_columns(cols, target)
             if sol is None:
                 raise ValueError("charge matrix rows are not independent")
-            self._omega_cache[j] = self.combination(zip(sol, self._generators))
+            x, den = sol
+            self._omega_cache[j] = self.combination(zip(x, self._generators), den)
         return self._omega_cache[j]
 
     def omega_power(self, t) -> CohomClass:
@@ -418,16 +406,17 @@ class CohomRing:
         reduction table, where its only basis monomial is the point's."""
         block = self._pairing_cache.get(deg)
         if block is None:
-            f = 1 / self._point_factor  # a Fraction: f.denominator > 0
+            p, q = self._point  # the point monomial integrates to q / p
+            s = q if p > 0 else -q
             cols = self.basis_by_degree[self.top - deg]
-            rows = tuple(tuple(f.numerator * sum(r for _, r in self._pair(a, b)) for b in cols)
+            rows = tuple(tuple(s * sum(r for _, r in self._pair(a, b)) for b in cols)
                          for a in self.basis_by_degree[deg])
-            block = self._pairing_cache[deg] = (rows, f.denominator * self._den)
+            block = self._pairing_cache[deg] = (rows, abs(p) * self._den)
         return block
 
     def dual_basis(self):
         """(T, T^) with T the graded monomial basis classes and
-        integrate(T_i * T^j) = delta_ij.  The pairing vanishes off
+        the integral of T_i * T^j is delta_ij.  The pairing vanishes off
         complementary degrees, so the duals of the degree-deg basis classes
         are the basis classes of degree top - deg times the inverse of the
         degree-deg pairing block."""
@@ -439,7 +428,8 @@ class CohomRing:
             if inv is None:
                 raise FanError("Poincare pairing block %d,%d is degenerate; "
                                "fan data is invalid" % (deg, self.top - deg))
-            duals += [self.combination((den * inv[k][j], c) for k, c in enumerate(co))
+            inv, inv_den = inv
+            duals += [self.combination(((den * inv[k][j], c) for k, c in enumerate(co)), inv_den)
                       for j in range(len(rows))]
         return [self.monomial_class(m) for m in self.basis], duals
 

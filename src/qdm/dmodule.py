@@ -41,7 +41,6 @@ back.  Scaling columns changes no pivot, so the reduced basis is the same.
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import itemgetter
 
@@ -166,8 +165,6 @@ class DiffOp:
         return self.scale(-1)
 
     def scale(self, c):
-        if type(c) is not int:
-            c = Fraction(c)
         p = c.numerator
         return DiffOp(self.cm, self.weight,
                       {e: {t: v * p for t, v in poly.items()} for e, poly in self.num.items()},

@@ -44,8 +44,7 @@ where it contributes polynomial terms in the formal symbols L_j = log q_j.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from .cohomology import CohomClass, CohomRing, monomials
 from .toric import MAX_BOX_POINTS, MoriCone, enumerate_degrees
@@ -166,7 +165,8 @@ def component(series: Series, beta: int, log_order: int):
 
     Expanding the prefactor exp(sum_j L_j omega_j / hbar) through the
     nilpotency order brings in monomials in the formal symbols L_j = log q_j.
-    Returns {degree: {(log multi-exponent, hbar exponent): Fraction}} keeping
+    Returns {degree: {(log multi-exponent, hbar exponent): (num, den)}},
+    each value the integer numerator over den > 0 in lowest terms, keeping
     log monomials up to total order log_order.
 
     The integral of x * T^beta is the T_beta coordinate of x, so for each
@@ -196,7 +196,8 @@ def component(series: Series, beta: int, log_order: int):
     for d in series.degrees:
         h = series.weight - ring.cm.c1_degree(d) - deg_beta
         num, den = series.coefficients[d].num, series.coefficients[d].den
-        entry = {(t, h): Fraction(val, cden * den) for t, (cov, cden) in covectors.items()
-                 if (val := sum(c * num.get(b, 0) for b, c in cov))}
+        entry = {(t, h): (val // g, cden * den // g) for t, (cov, cden) in covectors.items()
+                 if (val := sum(c * num.get(b, 0) for b, c in cov))
+                 and (g := gcd(val, cden * den))}
         out[d] = dict(sorted(entry.items()))
     return out

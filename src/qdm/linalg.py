@@ -1,7 +1,9 @@
 """Exact integer and rational linear algebra helpers.
 
-Everything operates on plain lists of Python ints or Fractions.  No floating
-point is introduced anywhere; results are exact.
+Everything operates on plain lists of Python ints, or of rationals read
+through .numerator and .denominator.  No floating point is introduced
+anywhere; results are exact.  A rational vector or matrix is returned as
+integer numerators over one denominator den > 0, in lowest terms.
 
 Rational elimination has one kernel, `_reduce`, on sparse rows
 {column: entry}.  It clears each nonzero input row to coprime integers.
@@ -18,12 +20,11 @@ rule; the rule only sets how large the integers grow on the way.  (The
 entries past width are unique unless a combination of the rows is zero on
 the first width columns but not past them; no caller reads the rows of
 such a matrix.)  `rref`, `solve_columns` and `invert` convert their
-dense rows to sparse ones and read their Fraction answers off the integer
-rows, dividing by a pivot entry only where an answer needs it.  `nullspace`
-takes sparse rows, as `_reduce` does, and stays on Python ints: each basis
-vector is integer numerators over one denominator, in lowest terms.
-`CohomRing` and the annihilator search build sparse rows themselves, and
-`CohomRing` keeps the integer rows.
+dense rows to sparse ones; `rref` returns the integer rows made dense, and
+`solve_columns` and `invert` read their answers off them over the lcm of
+the pivot entries they divide by.  `nullspace` takes sparse rows, as
+`_reduce` does.  `CohomRing` and the annihilator search build sparse rows
+themselves, and `CohomRing` keeps the integer rows.
 
 `hermite_form`, `integer_kernel` and `int_det` stay outside the kernel:
 lattice work needs unimodular row transforms and a signed determinant,
@@ -32,14 +33,13 @@ which rational row scaling does not preserve.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
 def primitive_vector(v):
     """The coprime integer vector on the ray of v, first nonzero entry positive.
 
-    Entries may be ints or Fractions.
+    Entries may be ints or rationals.
     """
     den = lcm(*(x.denominator for x in v))
     v = [x.numerator * (den // x.denominator) for x in v]
@@ -145,10 +145,10 @@ def _sparse(rows):
 
 def _reduce(rows, width):
     """Fraction-free Gauss-Jordan elimination of sparse rows {column: entry}
-    (ints or Fractions) on the first width columns.
+    (ints or rationals) on the first width columns.
 
     Returns (int_rows, pivot_columns): the rows of the reduced row echelon
-    form as sparse rows, each the coprime integer multiple of the Fraction
+    form as sparse rows, each the coprime integer multiple of the rational
     one with a positive pivot entry, in pivot order; zero rows are dropped.
     Both are unique, so they do not depend on the order of the input rows.
 
@@ -235,19 +235,25 @@ def _eliminate(row, prow, a, c):
 
 
 def rref(rows, width):
-    """Reduced row echelon form over exact rationals.
+    """Reduced row echelon form over exact rationals, as integer rows.
 
-    Returns (reduced_rows, pivot_columns); zero rows are dropped.
+    Returns (int_rows, pivot_columns); zero rows are dropped.  Row i divided
+    by its pivot entry int_rows[i][pivot_columns[i]] > 0 is the reduced row.
     """
     size = len(rows[0]) if rows else width
     red, pivots = _reduce(_sparse(rows), width)
-    return [[Fraction(row.get(j, 0), row[c]) for j in range(size)]
-            for row, c in zip(red, pivots)], pivots
+    return [[row.get(j, 0) for j in range(size)] for row in red], pivots
+
+
+def _lowest(x, den):
+    """The integer numerators x over den > 0, in lowest terms."""
+    g = gcd(den, *x)
+    return ([v // g for v in x], den // g) if g > 1 else (x, den)
 
 
 def nullspace(rows, width):
     """Basis of the rational nullspace {x : rows @ x = 0} of sparse rows
-    {column: entry} (ints or Fractions) on the first width columns.
+    {column: entry} (ints or rationals) on the first width columns.
 
     One vector per free column f, with x[f] = 1 and the other free
     coordinates 0, as (num, den): a list of width integer numerators over one
@@ -267,34 +273,33 @@ def nullspace(rows, width):
         x[f] = den
         for c, v, p in entries:
             x[c] = -v * (den // p)
-        g = gcd(*x)
-        if g > 1:
-            x = [v // g for v in x]
-        basis.append((x, x[f]))
+        basis.append(_lowest(x, den))
     return basis
 
 
 def solve_columns(cols, target):
-    """Exact x with sum_i x[i] * cols[i] = target, or None if inconsistent.
+    """Exact x with sum_i x[i] * cols[i] = target, as (num, den), or None if
+    inconsistent.
 
     When the solution is not unique the free coordinates are set to zero.
     """
     if not cols:
-        return [] if all(t == 0 for t in target) else None
+        return ([], 1) if all(t == 0 for t in target) else None
     n = len(cols)
     rows = [[col[i] for col in cols] + [target[i]] for i in range(len(cols[0]))]
     red, pivots = _reduce(_sparse(rows), n + 1)
     if n in pivots:
         return None
-    x = [Fraction(0)] * n
+    den = lcm(*(row[c] for row, c in zip(red, pivots)))
+    x = [0] * n
     for row, c in zip(red, pivots):
-        x[c] = Fraction(row.get(n, 0), row[c])
-    return x
+        x[c] = row.get(n, 0) * (den // row[c])
+    return _lowest(x, den)
 
 
 def invert(mat):
-    """Exact inverse of a square matrix over the rationals, or None if it is
-    singular or not square."""
+    """Exact inverse of a square matrix over the rationals, as (rows, den),
+    or None if it is singular or not square."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         return None
@@ -302,5 +307,7 @@ def invert(mat):
     red, pivots = _reduce(_sparse(aug), n)
     if len(pivots) < n:
         return None
-    return [[Fraction(row.get(n + j, 0), row[i]) for j in range(n)]
-            for i, row in enumerate(red)]
+    den = lcm(*(row[i] for i, row in enumerate(red)))
+    flat, den = _lowest([row.get(n + j, 0) * (den // row[i])
+                         for i, row in enumerate(red) for j in range(n)], den)
+    return [flat[i * n:(i + 1) * n] for i in range(n)], den

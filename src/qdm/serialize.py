@@ -56,8 +56,8 @@ def component_json(comp) -> list:
     """component() output, in its degree order, as
     [{degree, terms: [{log, hbar, coeff}]}]."""
     return [{"degree": list(d),
-             "terms": [{"log": list(t), "hbar": h, "coeff": frac_str(c)}
-                       for (t, h), c in sorted(entry.items())]}
+             "terms": [{"log": list(t), "hbar": h, "coeff": frac_str(num, den)}
+                       for (t, h), (num, den) in sorted(entry.items())]}
             for d, entry in comp.items()]
 
 

@@ -237,6 +237,10 @@ def make_fan(rays, max_cones, nef_basis=None) -> FanData:
 
     nef = None
     if nef_basis is not None:
+        # as for max_cones: a string or an object would be walked as a vector
+        if not isinstance(nef_basis, (list, tuple)) or not all(
+                isinstance(vec, (list, tuple)) for vec in nef_basis):
+            raise FanError("nef_basis must be a list of coefficient lists")
         try:
             rows = [tuple(c.numerator if c.denominator == 1 else c
                           for c in map(parse_frac, vec)) for vec in nef_basis]

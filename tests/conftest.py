@@ -2,8 +2,10 @@ import importlib.util
 import json
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import factorial, gcd, prod
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -43,6 +45,77 @@ def seeded_bench_fans(seeds=range(4)):
             seeded = checks.seeded_fan(name, data, seed)
             yield name, seed, qdm.make_fan(seeded["rays"], seeded["max_cones"],
                                            seeded.get("nef_basis"))
+
+
+# The Fraction views the package does without, kept for the tests: a class's
+# coordinates, and its integral normalized by one torus-fixed point.
+
+def coeffs(cls):
+    """{basis monomial: Fraction}, the coordinates of the class."""
+    return {m: Fraction(c, cls.den) for m, c in cls.num.items()}
+
+
+def integrate(ring, cls):
+    """The integral of cls: its top-degree coordinate over that of the point
+    class, the product of the generators over fan.max_cones[0].  The ring
+    checks that every maximal cone gives the same point class."""
+    top = ring.basis[-1]
+    point = reduce(mul, [ring.generator(k) for k in ring.fan.max_cones[0]])
+    return Fraction(cls.num.get(top, 0), cls.den) / Fraction(point.num[top], point.den)
+
+
+# A dense Fraction Gauss-Jordan, kept apart from linalg's integer kernel so
+# that the oracles which solve and invert do not run on the code they check.
+
+def reference_rref(rows, width):
+    """(rows, pivot_columns) of the reduced row echelon form, as Fractions,
+    on the first width columns; zero rows are dropped."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(width):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = mat[r][c]
+        mat[r] = [x / inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def reference_solve_columns(cols, target):
+    """Fraction x with sum_i x[i] * cols[i] = target, free coordinates zero,
+    or None if inconsistent."""
+    if not cols:
+        return [] if all(t == 0 for t in target) else None
+    height = len(cols[0])
+    rows = [[col[i] for col in cols] + [target[i]] for i in range(height)]
+    red, pivots = reference_rref(rows, len(cols) + 1)
+    if len(cols) in pivots:
+        return None
+    x = [Fraction(0)] * len(cols)
+    for row, c in zip(red, pivots):
+        x[c] = row[-1]
+    return x
+
+
+def reference_invert(mat):
+    """The Fraction inverse of a square matrix, or None if it is singular."""
+    n = len(mat)
+    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+           for i, row in enumerate(mat)]
+    red, pivots = reference_rref(aug, 2 * n)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in red[:n]]
 
 
 def same_fan_copies(name):
@@ -116,8 +189,8 @@ def _mono_product(m1, m2):
 def reference_multiply(table, top, a, b):
     """a * b, every product of basis monomials reduced through the table."""
     out = {}
-    for m1, c1 in a.coeffs.items():
-        for m2, c2 in b.coeffs.items():
+    for m1, c1 in coeffs(a).items():
+        for m2, c2 in coeffs(b).items():
             prod = _mono_product(m1, m2)
             if sum(prod) > top:
                 continue
@@ -132,7 +205,7 @@ def _reference_linear_rows(table, basis, lin):
     rows = {}
     for b in basis[:-1]:
         row = {}
-        for m, c in lin.coeffs.items():
+        for m, c in coeffs(lin).items():
             for mb, r in table[_mono_product(m, b)].items():
                 row[mb] = row.get(mb, Fraction(0)) + c * r
         rows[b] = tuple((mb, r) for mb, r in row.items() if r)
@@ -142,8 +215,8 @@ def _reference_linear_rows(table, basis, lin):
 def reference_times_linear(table, basis, cls, lin, nu):
     """(lin + nu) * cls for a degree-one class lin, in one sparse pass."""
     rows = _reference_linear_rows(table, basis, lin)
-    out = {b: nu * c for b, c in cls.coeffs.items()}
-    for b, c in cls.coeffs.items():
+    out = {b: nu * c for b, c in coeffs(cls).items()}
+    for b, c in coeffs(cls).items():
         for mb, r in rows.get(b, ()):
             out[mb] = out.get(mb, 0) + c * r
     return {m: Fraction(c) for m, c in out.items() if c}
@@ -152,11 +225,11 @@ def reference_times_linear(table, basis, cls, lin, nu):
 def reference_divide_linear(table, basis, cls, lin, nu):
     """(lin + nu)^-1 * cls, solved degree by degree up the graded basis."""
     rows = _reference_linear_rows(table, basis, lin)
-    coeffs = cls.coeffs
+    values = coeffs(cls)
     out = {}
     spill = {}
     for b in basis:
-        c = coeffs.get(b, 0) - spill.get(b, 0)
+        c = values.get(b, 0) - spill.get(b, 0)
         if c:
             out[b] = c = Fraction(c) / nu
             for mb, r in rows.get(b, ()):
@@ -234,8 +307,8 @@ def reference_dual_basis(ring):
     """(T, T^) from the inverse of the whole Gram matrix of integrals."""
     t = [ring.monomial_class(m) for m in ring.basis]
     size = len(t)
-    gram = [[ring.integrate(t[i] * t[j]) for j in range(size)] for i in range(size)]
-    inv = linalg.invert(gram)
+    gram = [[integrate(ring, t[i] * t[j]) for j in range(size)] for i in range(size)]
+    inv = reference_invert(gram)
     if inv is None:
         raise FanError("Poincare pairing is degenerate; fan data is invalid")
     return t, [ring.combination((inv[k][j], t[k]) for k in range(size))
@@ -256,14 +329,14 @@ def reference_component(series, beta, log_order, duals):
                 continue
             wcls = cls.scale(Fraction(1, prod(map(factorial, t)))) * dual
             covectors[t] = [(b, v) for b in ring.basis
-                            if (v := ring.integrate(ring.monomial_class(b) * wcls))]
+                            if (v := integrate(ring, ring.monomial_class(b) * wcls))]
     out = {}
     for d in series.degrees:
         h = series.weight - ring.cm.c1_degree(d) - deg_beta
-        coeffs = series.coefficients[d].coeffs
+        values = coeffs(series.coefficients[d])
         entry = {}
         for t, cov in covectors.items():
-            val = sum(v * coeffs.get(b, 0) for b, v in cov)
+            val = sum(v * values.get(b, 0) for b, v in cov)
             if val:
                 entry[(t, h)] = val
         out[d] = dict(sorted(entry.items()))
@@ -388,7 +461,7 @@ def reference_reduction_table(fan):
         pivset = set(pivots)
         basis = [alive[j] for j in range(len(alive)) if j not in pivset]
         for row, c in zip(red, pivots):
-            table[alive[c]] = {alive[j]: -row[j] for j in range(len(alive))
+            table[alive[c]] = {alive[j]: Fraction(-row[j], row[c]) for j in range(len(alive))
                                if j not in pivset and row[j]}
         for m in basis:
             table[m] = {m: Fraction(1)}
@@ -424,7 +497,7 @@ def reference_primitive_relations(fan, cm):
     for collection in reference_primitive_collections(fan):
         target = [sum(fan.rays[k][nu] for k in collection) for nu in range(fan.dim)]
         for cone in fan.max_cones:
-            c = linalg.solve_columns([list(fan.rays[i]) for i in cone], target)
+            c = reference_solve_columns([list(fan.rays[i]) for i in cone], target)
             if c is not None and min(c) >= 0:
                 break
         rel = [int(k in collection) for k in range(fan.n_rays)]
@@ -451,7 +524,7 @@ def reference_wall_relations(fan):
         u = next(k for k in fan.max_cones[ci] if k not in wall)
         up = next(k for k in fan.max_cones[cj] if k not in wall)
         target = [-(fan.rays[u][nu] + fan.rays[up][nu]) for nu in range(fan.dim)]
-        sol = linalg.solve_columns([list(fan.rays[k]) for k in wall], target) if wall else []
+        sol = reference_solve_columns([list(fan.rays[k]) for k in wall], target) if wall else []
         if sol is None:
             raise FanError("wall %r does not span a hyperplane" % (list(wall),))
         rel = [0] * fan.n_rays
@@ -467,7 +540,7 @@ def reference_wall_relations(fan):
 def reference_coords_in_basis(basis_rows, vec):
     """Integer coordinates of vec in the lattice basis given by basis_rows,
     or None."""
-    sol = linalg.solve_columns([list(r) for r in basis_rows], list(vec))
+    sol = reference_solve_columns([list(r) for r in basis_rows], list(vec))
     if sol is None or any(x.denominator != 1 for x in sol):
         return None
     return tuple(int(x) for x in sol)
@@ -517,7 +590,7 @@ def reference_in_cone(degree, gens):
     target = list(degree)
     for size in range(1, min(l, len(gens)) + 1):
         for sub in combinations(gens, size):
-            sol = linalg.solve_columns([list(g) for g in sub], target)
+            sol = reference_solve_columns([list(g) for g in sub], target)
             if sol is not None and all(x >= 0 for x in sol):
                 return True
     return False

@@ -8,7 +8,6 @@ in piped/tee'd runs even while pytest captures test output.
 import json
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -28,7 +27,7 @@ from qdm import (
 )
 from qdm.cli import main
 
-from conftest import (FAN_DIR, ratio_at, reference_euler_ratio_n,
+from conftest import (FAN_DIR, integrate, ratio_at, reference_euler_ratio_n,
                       reference_inverse_linear_factor, reference_linear_factor,
                       rescaled, spans)
 
@@ -64,7 +63,7 @@ def test_criterion_1_closed_form_series(corpus, report_line):
             f0 = component(series, 0, log_order=0)
             assert sorted(f0) == [(d,) for d in range(7)]
             for d in range(7):
-                want = {((0,), -(n + 1) * d): Fraction(1, factorial(d) ** (n + 1))}
+                want = {((0,), -(n + 1) * d): (1, factorial(d) ** (n + 1))}
                 assert f0[(d,)] == want, (name, d)
             elapsed = time.monotonic() - start
             assert elapsed < 10.0, (name, elapsed)
@@ -145,7 +144,7 @@ def test_criterion_5_ring_sanity(corpus, report_line):
             t, duals = ring.dual_basis()
             for i, ti in enumerate(t):
                 for j, dj in enumerate(duals):
-                    assert ring.integrate(ti * dj) == (1 if i == j else 0), name
+                    assert integrate(ring, ti * dj) == (1 if i == j else 0), name
             for nu in range(fan.dim):
                 rel = ring.zero()
                 for k in range(fan.n_rays):

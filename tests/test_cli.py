@@ -159,6 +159,15 @@ P1XP1_TEXT = ('{"rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],'
     (P2_TEXT, ["operators", "--q-degree=-2"], "--q-degree must be nonnegative, got '-2'"),
     (P2_TEXT, ["ifunction", "--components", "0", "--log-order=-1"],
      "--log-order must be nonnegative, got '-1'"),
+    # a nef_basis vector that is not a list is refused, not walked as one:
+    # "100" by its characters, {"100": 1} and the object by their keys
+    ('{"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]],'
+     ' "nef_basis": ["100"]}', ["cohomology"], "nef_basis must be a list"),
+    ('{"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]],'
+     ' "nef_basis": {"100": 1}}', ["cohomology"], "nef_basis must be a list"),
+    ('{"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]],'
+     ' "nef_basis": [{"1": 5, "0": 7, "00": 1}]}', ["cohomology"],
+     "nef_basis must be a list"),
 ])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capfd, fan_text, argv, message):
     monkeypatch.chdir(tmp_path)  # so relative --out paths resolve inside tmp_path
@@ -170,6 +179,17 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capfd, fan_text, arg
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
     assert message in lines[0]
+
+
+def test_a_rational_nef_basis_vector_is_read(tmp_path, capsys):
+    # on P^2, D1/2 + D2/2 = H: the same nef class as the derived basis
+    fan = tmp_path / "fan.json"
+    fan.write_text(P2_TEXT[:-1] + ', "nef_basis": [["1/2", "1/2", 0]]}')
+    plain = tmp_path / "plain.json"
+    plain.write_text(P2_TEXT)
+    code, report = run_json(capsys, ["cohomology", str(fan)])
+    assert code == 0
+    assert report == run_json(capsys, ["cohomology", str(plain)])[1]
 
 
 @pytest.mark.parametrize("argv, message", [

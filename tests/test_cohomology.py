@@ -12,7 +12,8 @@ from qdm import (CohomClass, CohomRing, build_ring, charge_matrix, linalg, make_
 from qdm.cohomology import _monomials_in, mono_key
 from qdm.toric import FanError
 
-from conftest import (SHIPPED, load_fan, product_fan, reference_divide_linear, reference_dual_basis,
+from conftest import (SHIPPED, coeffs, integrate, load_fan, product_fan,
+                      reference_divide_linear, reference_dual_basis,
                       reference_inverse_linear_factor, reference_linear_factor,
                       reference_multiply, reference_reduction_table,
                       reference_times_linear)
@@ -76,11 +77,11 @@ def test_fixed_points_integrate_to_one(corpus):
             cls = ring.one()
             for k in cone:
                 cls = cls * ring.generator(k)
-            assert ring.integrate(cls) == 1, (name, cone)
+            assert integrate(ring, cls) == 1, (name, cone)
             points.append(cls)
         # every fixed point gives the same point class
         assert all(p == points[0] for p in points), name
-        assert ring.integrate(ring.one()) == (1 if ring.top == 0 else 0), name
+        assert integrate(ring, ring.one()) == (1 if ring.top == 0 else 0), name
 
 
 def test_linear_relations_vanish(corpus):
@@ -111,14 +112,14 @@ def test_stanley_reisner_products_vanish(corpus):
 
 def test_hirzebruch_self_intersections(corpus):
     _fan, _cm, ring, _cone = corpus["hirzebruch1"]
-    squares = [ring.integrate(ring.generator(k) * ring.generator(k))
+    squares = [integrate(ring, ring.generator(k) * ring.generator(k))
                for k in range(4)]
     assert squares == [0, -1, 0, 1]
 
 
 def test_del_pezzo_self_intersections(corpus):
     _fan, _cm, ring, _cone = corpus["dp2"]
-    squares = [ring.integrate(ring.generator(k) * ring.generator(k))
+    squares = [integrate(ring, ring.generator(k) * ring.generator(k))
                for k in range(5)]
     assert squares == [0, -1, -1, -1, 0]
 
@@ -135,7 +136,7 @@ def test_anticanonical_degrees(shipped):
         power = ring.one()
         for _ in range(ring.top):
             power = power * c1
-        assert ring.integrate(power) == degree, name
+        assert integrate(ring, power) == degree, name
 
 
 def test_ray_classes_expand_in_nef_basis(corpus):
@@ -162,7 +163,7 @@ def test_dual_basis_pairing(corpus):
         for i, ti in enumerate(t):
             for j, dj in enumerate(duals):
                 want = Fraction(1 if i == j else 0)
-                assert ring.integrate(ti * dj) == want, (name, i, j)
+                assert integrate(ring, ti * dj) == want, (name, i, j)
 
 
 def test_ring_axioms_on_random_classes(corpus):
@@ -191,9 +192,9 @@ def test_degree_part_and_max_degree(corpus):
     _fan, _cm, ring, _cone = corpus["p2"]
     h = ring.generator(0)
     mixed = ring.one() + h + (h * h).scale(5)
-    assert max(sum(m) for m in mixed.coeffs) == 2
+    assert max(sum(m) for m in coeffs(mixed)) == 2
     assert degree_part(mixed, 2) == (h * h).scale(5)
-    assert not ring.zero().coeffs
+    assert not coeffs(ring.zero())
 
 
 def test_multiplication_truncates_above_top(corpus):
@@ -295,16 +296,16 @@ def test_linear_factors_match_the_reference_products(shipped, name):
             for cls in (ring.one(), random_class(ring, rng), random_class(ring, rng)):
                 prod = ring.times_linear(cls, lin, nu)
                 want = cls * reference_linear_factor(ring, lin, nu)
-                assert prod.coeffs == want.coeffs, (name, i, nu)
-                assert all(type(c) is Fraction for c in prod.coeffs.values())
+                assert coeffs(prod) == coeffs(want), (name, i, nu)
+                assert_canonical(prod)
                 if nu == 0:
                     with pytest.raises(ValueError, match="vanishing hbar part"):
                         ring.divide_linear(cls, lin, nu)
                     continue
                 quot = ring.divide_linear(cls, lin, nu)
                 want = cls * reference_inverse_linear_factor(ring, lin, nu)
-                assert quot.coeffs == want.coeffs, (name, i, nu)
-                assert all(type(c) is Fraction for c in quot.coeffs.values())
+                assert coeffs(quot) == coeffs(want), (name, i, nu)
+                assert_canonical(quot)
                 assert ring.divide_linear(prod, lin, nu) == cls, (name, i, nu)
 
 
@@ -353,16 +354,16 @@ def check_kernels_against_the_reference(fan, ring, name):
     classes = [ring.one()] + [random_class(ring, rng) for _ in range(4)]
     for a in classes:
         for b in classes:
-            assert (a * b).coeffs == reference_multiply(table, ring.top, a, b), name
+            assert coeffs(a * b) == reference_multiply(table, ring.top, a, b), name
     for i, lin in enumerate(lins):
         for nu in NUS:
             cls = rng.choice(classes)
             prod = ring.times_linear(cls, lin, nu)
             want = reference_times_linear(table, ring.basis, cls, lin, nu)
-            assert prod.coeffs == want, (name, i, nu)
+            assert coeffs(prod) == want, (name, i, nu)
             quot = ring.divide_linear(cls, lin, nu)
             want = reference_divide_linear(table, ring.basis, cls, lin, nu)
-            assert quot.coeffs == want, (name, i, nu)
+            assert coeffs(quot) == want, (name, i, nu)
             assert ring.divide_linear(prod, lin, nu) == cls, (name, i, nu)
 
 
@@ -386,7 +387,6 @@ def assert_canonical(cls):
     assert cls.den > 0
     assert math.gcd(cls.den, *cls.num.values()) == 1
     assert all(type(c) is int and c for c in cls.num.values())
-    assert all(type(c) is Fraction for c in cls.coeffs.values())
 
 
 @pytest.mark.parametrize("name", ["p2", "hirzebruch1", "dp3"])
@@ -409,7 +409,6 @@ def test_classes_are_in_lowest_terms(shipped, name):
         # the same class from scaled numerators and a negative denominator
         same = CohomClass(ring, {m: -6 * c for m, c in a.num.items()}, -6 * a.den)
         assert same == a and hash(same) == hash(a)
-        assert a.coeffs == {m: Fraction(c, a.den) for m, c in a.num.items()}
         assert ring.combination([(Fraction(2, 3), a), (-6, b)]) == (
             a.scale(Fraction(2, 3)) + b.scale(-6))
 
@@ -430,7 +429,7 @@ def test_pairing_blocks_are_the_integrals_of_basis_products(shipped, name):
         assert den > 0 and isinstance(den, int), (name, deg)
         assert all(isinstance(r, int) for row in rows for r in row), (name, deg)
         assert [[Fraction(r, den) for r in row] for row in rows] == [
-            [ring.integrate(ring.monomial_class(a) * ring.monomial_class(b))
+            [integrate(ring, ring.monomial_class(a) * ring.monomial_class(b))
              for b in ring.basis_by_degree[ring.top - deg]]
             for a in ring.basis_by_degree[deg]], (name, deg)
         assert ring.pairing(deg) is ring.pairing(deg)

@@ -7,7 +7,8 @@ import pytest
 import qdm
 from qdm import linalg
 
-from conftest import SHIPPED, load_bench_fan, load_fan, reference_reduce
+from conftest import (SHIPPED, load_bench_fan, load_fan, reference_invert, reference_reduce,
+                      reference_rref, reference_solve_columns)
 
 
 def mat_mul(a, b):
@@ -127,15 +128,21 @@ def assert_nullspace_contract(mat, width, pivots):
 
 def test_solve_columns():
     sol = linalg.solve_columns([[1, 0], [1, 1]], [3, 2])
-    assert sol == [Fraction(1), Fraction(2)]
+    assert sol == ([1, 2], 1)
+    # x = (1/2, 3/4) over the lcm 4 of the pivots
+    assert linalg.solve_columns([[2, 0], [0, 4]], [1, 3]) == ([2, 3], 4)
+    # lowest terms: 2/6 and 3/6 share no factor with 6, but 4/6 and 2/6 do
+    assert linalg.solve_columns([[3, 0], [0, 6]], [2, 2]) == ([2, 1], 3)
     assert linalg.solve_columns([[1, 0], [2, 0]], [0, 1]) is None
-    assert linalg.solve_columns([], [0, 0]) == []
+    assert linalg.solve_columns([], [0, 0]) == ([], 1)
     assert linalg.solve_columns([], [1]) is None
 
 
 def test_invert():
     inv = linalg.invert([[1, 1], [0, 1]])
-    assert inv == [[1, -1], [0, 1]]
+    assert inv == ([[1, -1], [0, 1]], 1)
+    assert linalg.invert([[2, 0], [0, 4]]) == ([[2, 0], [0, 1]], 4)
+    assert linalg.invert([[2, 1], [0, 1]]) == ([[1, -1], [0, 2]], 2)
     assert linalg.invert([[1, 2], [2, 4]]) is None
     # a block that is not square has no inverse
     assert linalg.invert([[1, 2]]) is None
@@ -158,28 +165,6 @@ def test_primitive_vector():
 
 # ---------------------------------------------------------------------------
 # the elimination kernel against the Fraction Gauss-Jordan it replaced
-
-
-def reference_rref(rows, width):
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(width):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
 
 
 def reference_nullspace(rows, width):
@@ -226,36 +211,20 @@ def reference_nullspace(rows, width):
     return basis
 
 
-def reference_solve_columns(cols, target):
-    if not cols:
-        return [] if all(t == 0 for t in target) else None
-    height = len(cols[0])
-    rows = [[col[i] for col in cols] + [target[i]] for i in range(height)]
-    red, pivots = reference_rref(rows, len(cols) + 1)
-    if len(cols) in pivots:
-        return None
-    x = [Fraction(0)] * len(cols)
-    for row, c in zip(red, pivots):
-        x[c] = row[-1]
-    return x
-
-
-def reference_invert(mat):
-    n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(mat)]
-    red, pivots = reference_rref(aug, 2 * n)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in red[:n]]
-
-
 def assert_same(got, want):
-    """Equal entry for entry, and every entry a Fraction, as the reference."""
-    assert got == want
-    if got is not None:
-        flat = [x for row in got for x in row] if got and isinstance(got[0], list) else got
-        assert all(type(x) is Fraction for x in flat)
+    """got is None where the Fraction reference want is, and else (num, den):
+    integer numerators over one den > 0, in lowest terms, that divided out
+    are want entry for entry."""
+    if want is None:
+        assert got is None
+        return
+    num, den = got
+    flat = [x for row in num for x in row] if num and isinstance(num[0], list) else num
+    want_flat = [x for row in want for x in row] if want and isinstance(want[0], list) else want
+    assert len(num) == len(want)
+    assert all(type(x) is int for x in flat + [den])
+    assert den > 0 and math.gcd(den, *flat) == 1
+    assert [Fraction(x, den) for x in flat] == want_flat
 
 
 def random_matrix(rng, height, width):
@@ -294,9 +263,9 @@ def test_kernel_matches_the_reference_eliminations():
         mat = random_matrix(rng, height, width)
         seen["tall" if height > width else "wide" if height < width else "square"] += 1
         red, pivots = linalg.rref(mat, width)
-        want_red, want_pivots = reference_rref(mat, width)
-        assert pivots == want_pivots
-        assert_same(red, want_red)
+        assert fraction_form(red, pivots) == reference_rref(mat, width)
+        assert all(type(x) is int for row in red for x in row)
+        assert all(row[c] > 0 for row, c in zip(red, pivots))
         assert_nullspace_contract(mat, width, pivots)
         seen["rank_deficient"] += len(pivots) < min(height, width)
 

@@ -265,6 +265,27 @@ def test_serialize_builds_fractions_in_one_formatter():
     assert owners == ["frac_str"]
 
 
+def _imports(tree, name):
+    """Does the syntax tree import the named module?"""
+    return any(isinstance(node, ast.ImportFrom) and node.module == name
+               or isinstance(node, ast.Import) and any(a.name == name for a in node.names)
+               for node in ast.walk(tree))
+
+
+def test_only_the_parser_and_the_printer_build_fractions():
+    # between the fan parser and the printer a rational is int numerators
+    # over one den > 0: toric reads the fan file's 'p/q' strings and
+    # serialize prints every rational, and no other module holds a Fraction
+    trees = _trees()
+    assert sorted(m for m, tree in trees.items() if _imports(tree, "fractions")) == [
+        "serialize", "toric"]
+    builds = {module: _owners(tree, lambda node: isinstance(node, ast.Call)
+                              and _callee(node) == "Fraction")
+              for module, tree in trees.items()}
+    assert {m: owners for m, owners in builds.items() if owners} == {
+        "serialize": ["frac_str"], "toric": ["parse_frac"]}
+
+
 def test_the_poincare_pairing_has_one_owner():
     # CohomRing.pairing reads each block off the reduction table; the dual
     # basis and the cohomology report read the blocks, the series components

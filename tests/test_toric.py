@@ -31,6 +31,7 @@ from conftest import (
     product_fan,
     reference_coords_in_basis,
     reference_in_cone,
+    reference_invert,
     reference_mori_generators,
     reference_primitive_collections,
     reference_primitive_relations,
@@ -274,7 +275,9 @@ def test_unimodular_inverse_matches_the_rational_inverse():
     for trial in range(60):
         n = 1 + trial % 5
         a = _random_unimodular(rng, n)
-        assert toric._unimodular_inverse(a) == linalg.invert(a), a
+        inverse = toric._unimodular_inverse(a)
+        assert inverse == reference_invert(a), a
+        assert linalg.invert(a) == (inverse, 1), a
         # determinant +-2: one row doubled; 0: one row a multiple of another
         r = rng.randrange(n)
         doubled = [[2 * x for x in row] if i == r else row for i, row in enumerate(a)]

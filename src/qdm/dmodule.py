@@ -20,9 +20,8 @@ q^d the value P_e(omega + (d-e)*hbar, hbar) * R_{d-e}.  The series is
 truncated at anticanonical degree B, so D.F is exact only on a window of
 degrees, stated once in _window_cap; apply and the search both read it.
 They read where q^e moves each coefficient inside the window off _shifted,
-which the series memoizes per e in series.windows: the c1 of each series
-degree is found once, and a window is a prefix of the degrees in ascending
-c1.
+which lists it straight from the series degrees; the search lists one
+window per q-exponent before its column loop.
 
 Series values have one weight too, so the weight of D.F is the sum of the
 two.  At hbar = 1, theta_j acting on q^d' cls gives q^d' (omega_j + d'_j)
@@ -40,9 +39,8 @@ back.  Scaling columns changes no pivot, so the reduced basis is the same.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from math import comb, gcd, lcm
-from operator import itemgetter
+from itertools import product
+from math import comb, gcd, lcm, prod
 
 from . import linalg, toric
 from .cohomology import add_exponents, monomials, poly_mul
@@ -56,28 +54,15 @@ class EmptyWindowError(ValueError):
 # -- commutative polynomials in theta_1..theta_l, at hbar = 1 -------------
 # represented as {theta exponent tuple: int}
 
-def _poly_add(p1, p2):
-    out = dict(p1)
-    for k, c in p2.items():
-        out[k] = out.get(k, 0) + c
-    return {k: c for k, c in out.items() if c}
-
-
 def _shift_poly(p, e):
-    """Substitute theta_j -> theta_j + e_j."""
-    if not any(e):
-        return dict(p)
-    l = len(e)
+    """Substitute theta_j -> theta_j + e_j: theta^t becomes
+    sum_{s <= t} prod_j C(t_j, s_j) e_j^(t_j - s_j) theta^s, where s_j = t_j
+    wherever e_j = 0.  Coefficients may cancel to zero; DiffOp drops them."""
     out = {}
     for t, c in p.items():
-        term = {(0,) * l: c}
-        for j in range(l):
-            if t[j]:
-                term = poly_mul(term, {
-                    tuple(i if jj == j else 0 for jj in range(l)):
-                    comb(t[j], i) * e[j] ** (t[j] - i)
-                    for i in range(t[j] + 1)})
-        out = _poly_add(out, term)
+        for s in product(*(range(k + 1) if x else (k,) for k, x in zip(t, e))):
+            v = c * prod(comb(k, i) * x ** (k - i) for k, i, x in zip(t, s, e))
+            out[s] = out.get(s, 0) + v
     return out
 
 
@@ -152,14 +137,19 @@ class DiffOp:
             raise ValueError("cannot add operators of weights %d and %d"
                              % (self.weight, other.weight))
         den = lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        out = {e: {t: a * c for t, c in p.items()} for e, p in self.num.items()}
-        for e, p in other.num.items():
-            out[e] = _poly_add(out.get(e, {}), {t: b * c for t, c in p.items()})
+        out = {}
+        for op in (self, other):
+            f = den // op.den
+            for e, poly in op.num.items():
+                acc = out.setdefault(e, {})
+                for t, c in poly.items():
+                    acc[t] = acc.get(t, 0) + f * c
         return DiffOp(self.cm, self.weight, out, den)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        if not isinstance(other, DiffOp) or other.cm != self.cm:
+            return NotImplemented
+        return self + -other
 
     def __neg__(self):
         return self.scale(-1)
@@ -178,9 +168,9 @@ class DiffOp:
             out = {}
             for e1, p1 in self.num.items():
                 for e2, p2 in other.num.items():
-                    prod = poly_mul(_shift_poly(p1, e2), p2)
-                    key = add_exponents(e1, e2)
-                    out[key] = _poly_add(out.get(key, {}), prod)
+                    acc = out.setdefault(add_exponents(e1, e2), {})
+                    for t, c in poly_mul(_shift_poly(p1, e2), p2).items():
+                        acc[t] = acc.get(t, 0) + c
             return DiffOp(self.cm, self.weight + other.weight, out, self.den * other.den)
         return self.scale(other)
 
@@ -264,25 +254,11 @@ def _window_cap(series, q_exps) -> int:
 def _shifted(series, e, cap):
     """The triples (c1(d), d', d = d' + e) over the series degrees d' with
     c1(d) <= cap: where q^e moves each coefficient of the series, inside the
-    window.
-
-    series.windows memoizes, per e, the triples of every series degree in
-    ascending c1(d), so a window is a prefix.  The zero shift's entry, made
-    first, holds the c1 of each series degree; another e adds c1(e) to it.
-    """
-    windows = series.windows
-    moved = windows.get(e)
-    if moved is None:
-        c1 = series.ring.cm.c1_degree
-        zero = (0,) * len(e)
-        base = windows.get(zero)
-        if base is None:
-            base = windows[zero] = sorted(((c1(d), d, d) for d in series.degrees),
-                                          key=itemgetter(0))
-        shift = c1(e)
-        moved = windows[e] = base if e == zero else [
-            (c + shift, dp, add_exponents(dp, e)) for c, dp, _ in base]
-    return moved[:bisect_right(moved, cap, key=itemgetter(0))]
+    window, in the order of series.degrees."""
+    c1 = series.ring.cm.c1_degree
+    shift = c1(e)
+    return [(c, dp, add_exponents(dp, e)) for dp in series.degrees
+            if (c := c1(dp) + shift) <= cap]
 
 
 def apply(op: DiffOp, series: Series) -> Series:
@@ -378,12 +354,13 @@ def find_annihilators(series: Series, theta_order: int, q_degree: int):
     t_exps = [t for tot in range(theta_order + 1) for t in monomials(l, tot)]
     cap = _window_cap(series, q_exps)
     image = _theta_images(series)
+    windows = {e: _shifted(series, e, cap) for e in q_exps}
     pre = {(e, t): cm.c1_degree(e) + sum(t) for e in q_exps for t in t_exps}
     columns = sorted(pre, key=lambda c: (-pre[c], _ansatz_key(*c, 0)))
     rows = {}  # (degree, monomial) -> {reversed column index: int}
     scales = []  # the lcm of each column's image denominators
     for i, (e, t) in enumerate(columns):
-        images = [(d, image(dp, t)) for _, dp, d in _shifted(series, e, cap)]
+        images = [(d, image(dp, t)) for _, dp, d in windows[e]]
         scale = lcm(*(cls.den for _, cls in images))
         scales.append(scale)
         col = width - 1 - i

@@ -130,12 +130,10 @@ class Series:
     weight rule above), possibly zero.  build_f gives the weight-0 series
     F = exp((t.omega)/hbar) sum_d q^d R_d, whose symbolic exponential
     prefactor is expanded only inside component(); dmodule.apply gives D.F.
-    images and windows, empty at first, are the memos dmodule fills with
-    theta-images and with the degree pairs each q-shift moves inside a window.
+    images, empty at first, is the memo dmodule fills with theta-images.
     """
 
-    __slots__ = ("ring", "bound", "degrees", "coefficients", "weight", "images",
-                 "windows")
+    __slots__ = ("ring", "bound", "degrees", "coefficients", "weight", "images")
 
     def __init__(self, ring: CohomRing, bound: int, degrees: tuple,
                  coefficients: dict, weight: int):
@@ -145,7 +143,6 @@ class Series:
         self.coefficients = coefficients
         self.weight = weight
         self.images = {}
-        self.windows = {}
 
     def is_zero(self) -> bool:
         return all(self.coefficients[d].is_zero() for d in self.degrees)

@@ -19,12 +19,13 @@ result does not depend on the order of the input rows or on the pivot
 rule; the rule only sets how large the integers grow on the way.  (The
 entries past width are unique unless a combination of the rows is zero on
 the first width columns but not past them; no caller reads the rows of
-such a matrix.)  `rref`, `solve_columns` and `invert` convert their
-dense rows to sparse ones; `rref` returns the integer rows made dense, and
-`solve_columns` and `invert` read their answers off them over the lcm of
-the pivot entries they divide by.  `nullspace` takes sparse rows, as
-`_reduce` does.  `CohomRing` and the annihilator search build sparse rows
-themselves, and `CohomRing` keeps the integer rows.
+such a matrix.)  `rref` and `_solve` convert their dense rows to sparse
+ones; `rref` returns the integer rows made dense.  `_solve` reduces the
+augmented matrix [a | b] and reads X off it, free coordinates zero, over
+the lcm of the pivot entries it divides by; `solve_columns` and `invert`
+are its two callers.  `nullspace` takes sparse rows, as `_reduce` does.
+`CohomRing` and the annihilator search build sparse rows themselves, and
+`CohomRing` keeps the integer rows.
 
 `hermite_form`, `integer_kernel` and `int_det` stay outside the kernel:
 lattice work needs unimodular row transforms and a signed determinant,
@@ -277,24 +278,40 @@ def nullspace(rows, width):
     return basis
 
 
+def _solve(a, b):
+    """X with sum_i X[i][j] * a[i] = b[j] for every j, the matrices a and b
+    given by their columns of one length, as (rows, den): len(a) rows of
+    len(b) integer numerators over one den > 0, in lowest terms, with the
+    free coordinates set to zero; None if the system is inconsistent.
+
+    [a | b] is reduced on all its columns, so the system is inconsistent
+    exactly when a pivot falls in b.
+    """
+    n, k = len(a), len(b)
+    red, pivots = _reduce(_sparse(zip(*a, *b)), n + k)
+    if pivots and pivots[-1] >= n:
+        return None
+    den = lcm(*(row[c] for row, c in zip(red, pivots)))
+    x = [[0] * k for _ in range(n)]
+    for row, c in zip(red, pivots):
+        x[c] = [row.get(n + j, 0) * (den // row[c]) for j in range(k)]
+    g = gcd(den, *(v for r in x for v in r))
+    return [[v // g for v in r] for r in x], den // g
+
+
 def solve_columns(cols, target):
     """Exact x with sum_i x[i] * cols[i] = target, as (num, den), or None if
     inconsistent.
 
     When the solution is not unique the free coordinates are set to zero.
+    A column whose length is not the target's is refused with a ValueError.
     """
-    if not cols:
-        return ([], 1) if all(t == 0 for t in target) else None
-    n = len(cols)
-    rows = [[col[i] for col in cols] + [target[i]] for i in range(len(cols[0]))]
-    red, pivots = _reduce(_sparse(rows), n + 1)
-    if n in pivots:
-        return None
-    den = lcm(*(row[c] for row, c in zip(red, pivots)))
-    x = [0] * n
-    for row, c in zip(red, pivots):
-        x[c] = row.get(n, 0) * (den // row[c])
-    return _lowest(x, den)
+    for col in cols:
+        if len(col) != len(target):
+            raise ValueError("a column of length %d does not match the target's "
+                             "length %d" % (len(col), len(target)))
+    sol = _solve(cols, [target])
+    return None if sol is None else ([r[0] for r in sol[0]], sol[1])
 
 
 def invert(mat):
@@ -303,11 +320,4 @@ def invert(mat):
     n = len(mat)
     if any(len(row) != n for row in mat):
         return None
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(mat)]
-    red, pivots = _reduce(_sparse(aug), n)
-    if len(pivots) < n:
-        return None
-    den = lcm(*(row[i] for i, row in enumerate(red)))
-    flat, den = _lowest([row.get(n + j, 0) * (den // row[i])
-                         for i, row in enumerate(red) for j in range(n)], den)
-    return [flat[i * n:(i + 1) * n] for i in range(n)], den
+    return _solve(list(zip(*mat)), [[int(i == j) for i in range(n)] for j in range(n)])

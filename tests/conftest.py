@@ -639,6 +639,32 @@ def reference_gkz_operator(cm, degree):
     return DiffOp(cm, weight, {one: pos, tuple(degree): {t: -c for t, c in neg.items()}})
 
 
+# Normal ordering one commutator at a time, kept apart from the operator
+# algebra's binomial shift: theta_j q^e = q^e (theta_j + e_j hbar), at
+# hbar = 1 a multiplication by the linear factor theta_j + e_j.
+
+def reference_compose(a, b):
+    """The composition a * b of two DiffOps: each theta_j of a term of a is
+    moved past q^e of a term of b on its own."""
+    out = {}
+    for e1, p1 in a.num.items():
+        for t1, c1 in p1.items():
+            for e2, p2 in b.num.items():
+                poly = dict(p2)
+                for j, tj in enumerate(t1):
+                    for _ in range(tj):
+                        moved = {}
+                        for s, c in poly.items():
+                            up = s[:j] + (s[j] + 1,) + s[j + 1:]
+                            moved[up] = moved.get(up, 0) + c
+                            moved[s] = moved.get(s, 0) + e2[j] * c
+                        poly = moved
+                acc = out.setdefault(tuple(x + y for x, y in zip(e1, e2)), {})
+                for s, c in poly.items():
+                    acc[s] = acc.get(s, 0) + c1 * c
+    return DiffOp(a.cm, a.weight + b.weight, out, a.den * b.den)
+
+
 def spans(ops, targets):
     """Is every target a rational combination of the operators?  Decided at
     once, by comparing ranks of the integer numerator rows: scaling a row by

@@ -25,7 +25,8 @@ from qdm.dmodule import _ansatz_key, _theta_images, _window_cap
 from qdm.serialize import laurent_json, op_str
 from qdm.toric import ChargeMatrix
 
-from conftest import SHIPPED, coeffs, reference_gkz_operator, reference_theta_values, spans
+from conftest import (SHIPPED, coeffs, reference_compose, reference_gkz_operator,
+                      reference_theta_values, spans)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +85,53 @@ def test_operator_ring_axioms(corpus):
         assert (a - a).is_zero()
         assert a * identity == a
         assert identity * a == a
+
+
+@pytest.mark.parametrize("name", ["p1xp1", "hirzebruch1", "dp2"])
+def test_shifts_match_one_commutator_at_a_time(corpus, name):
+    # theta^t q^e = q^e (theta + e hbar)^t with several variables shifted at
+    # once, against moving one theta_j past q^e at a time
+    cm = corpus[name][1]
+    l = cm.l
+    zero = (0,) * l
+    rng = random.Random(31 + l)
+
+    def exps():
+        # entries up to 3, at least two of them nonzero
+        while True:
+            x = tuple(rng.randrange(4) for _ in range(l))
+            if sum(map(bool, x)) >= 2:
+                return x
+
+    for _ in range(25):
+        t, e = exps(), exps()
+        theta_t = DiffOp(cm, sum(t), {zero: {t: 1}})
+        q_e = DiffOp.q_power(cm, e)
+        assert theta_t * q_e == reference_compose(theta_t, q_e), (t, e)
+
+    def rand_op():
+        terms = {exps(): {exps(): rng.randrange(-3, 4) or 1} for _ in range(3)}
+        weight = max(cm.c1_degree(e) + sum(t) for e, p in terms.items() for t in p)
+        op = DiffOp(cm, weight + rng.randrange(2), terms)
+        return op.scale(Fraction(1, rng.randrange(1, 4)))
+
+    for _ in range(8):
+        a, b = rand_op(), rand_op()
+        assert a * b == reference_compose(a, b)
+        assert (a * b).den == reference_compose(a, b).den
+
+
+def test_subtraction_refuses_what_addition_refuses(corpus):
+    # op - x is op + (-x) for an operator x and a TypeError otherwise, as
+    # op + x is: neither an int nor a class is scaled and then added
+    _fan, cm, ring, _cone = corpus["p1"]
+    op = DiffOp.identity(cm)
+    other_cm = DiffOp.identity(corpus["p1xp1"][1])
+    for other in (1, ring.one(), other_cm):
+        with pytest.raises(TypeError):
+            op - other
+        with pytest.raises(TypeError):
+            op + other
 
 
 def test_operator_accessors(corpus):

@@ -138,6 +138,21 @@ def test_solve_columns():
     assert linalg.solve_columns([], [1]) is None
 
 
+def test_solve_columns_refuses_mismatched_shapes():
+    # a target longer or shorter than the columns, or a ragged column list,
+    # is refused with both lengths named: a longer target used to lose its
+    # last entries, a shorter one raised a bare IndexError
+    for cols, target, lengths in (([[1], [2]], [1, 5], (1, 2)),
+                                  ([[1, 0, 7]], [2, 0], (3, 2)),
+                                  ([[1, 2], [1]], [1, 2], (1, 2))):
+        with pytest.raises(ValueError, match="length %d .*length %d" % lengths):
+            linalg.solve_columns(cols, target)
+    # the empty shapes keep their results
+    assert linalg.solve_columns([[], []], []) == ([0, 0], 1)
+    assert linalg.solve_columns([], []) == ([], 1)
+    assert linalg.invert([]) == ([], 1)
+
+
 def test_invert():
     inv = linalg.invert([[1, 1], [0, 1]])
     assert inv == ([[1, -1], [0, 1]], 1)

@@ -313,6 +313,21 @@ def test_one_window_rule_reads_the_truncation():
     assert not any(reads.values()), reads
 
 
+def test_linalg_reads_solutions_off_one_solve():
+    # solve_columns and invert both go through _solve's reduced [a | b]
+    owners = _owners(_trees()["linalg"], lambda node: isinstance(node, ast.Call)
+                     and _callee(node) == "_reduce")
+    assert sorted(owners) == ["_solve", "nullspace", "rref"]
+
+
+def test_a_series_holds_one_memo():
+    # the theta-images are the only memo; the windows are listed per call
+    slots = next(node.value for node in _class_body("ifunction", "Series")
+                 if isinstance(node, ast.Assign) and node.targets[0].id == "__slots__")
+    data = {"ring", "bound", "degrees", "coefficients", "weight"}
+    assert set(ast.literal_eval(slots)) - data == {"images"}
+
+
 def test_make_fan_runs_one_hermite_form(monkeypatch):
     # make_fan inverts its first maximal cone and reaches the others across
     # walls, and the ring reads the fan's primitive collections: neither

@@ -26,11 +26,12 @@ basis inverts them block by block.
 A class is sparse: integer numerators num = {basis monomial: int} over one
 denominator den > 0, in lowest terms (gcd(den, *num) == 1, no zero entry;
 zero is ({}, 1)), so the kernels run on Python ints and normalize each
-result once, with one gcd.  A rational scalar is read through .numerator
-and .denominator, so an int or a Fraction will do.  The reduction table
-holds each free monomial as an integer row over its pivot entry; products
-of two basis monomials are read off it once per ring, over one ring-wide
-denominator, and memoized.
+result once, with one gcd, in linalg.lowest, as operators and nullspace
+vectors are; a zero den is refused there.  A rational scalar is read
+through .numerator and .denominator, so an int or a Fraction will do.  The
+reduction table holds each free monomial as an integer row over its pivot
+entry; products of two basis monomials are read off it once per ring, over
+one ring-wide denominator, and memoized.
 Multiplication by a degree-one class L (a ray divisor alpha_k, a nef class
 omega_j) is a sparse integer matrix over one denominator, built lazily once
 per ring and L: its row for a basis monomial b is the reduced product L*b.
@@ -42,7 +43,7 @@ of the solution is x_i = (v_i - L*x_{i-1}) / nu.
 from __future__ import annotations
 
 from functools import reduce
-from math import gcd, lcm
+from math import lcm
 from operator import add, mul
 
 from . import linalg
@@ -105,16 +106,8 @@ class CohomClass:
         """The class num / den, normalized.  num maps monomials to int
         numerators over the int den; a rational class is built with
         combination or scale."""
-        num = {m: c for m, c in num.items() if c}
-        g = gcd(den, *num.values())
-        if den < 0:
-            g = -g
-        if g != 1:
-            num = {m: c // g for m, c in num.items()}
-            den //= g
         self.ring = ring
-        self.num = num
-        self.den = den
+        self.num, self.den = linalg.lowest(num, den)
 
     def is_zero(self) -> bool:
         return not self.num

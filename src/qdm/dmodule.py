@@ -1,9 +1,11 @@
 """Homogeneous polynomial differential operators in theta_j = hbar q_j d/dq_j.
 
 Operators are kept in normal order, q's to the left of theta's:
-D = sum_e q^e P_e(theta, hbar).  The commutator [theta_j, q_k] =
-delta_jk hbar q_k gives the composition rule P(theta) q^e =
-q^e P(theta + e*hbar), which is all the noncommutativity there is.
+D = sum c q^e theta^t hbar^h.  The commutator [theta_j, q_k] =
+delta_jk hbar q_k gives theta^t q^e = q^e (theta + e*hbar)^t, which is all
+the noncommutativity there is, so two operators compose term by term:
+q^e1 theta^t1 . q^e2 theta^t2 = q^(e1+e2) (theta + e2*hbar)^t1 theta^t2,
+with the shifted power expanded binomially.
 
 Operators are homogeneous, stored at hbar = 1.  By the weight rule (in the
 ifunction module) q^e theta^t hbar^h has weight c1(e) + |t| + h, so in an
@@ -11,17 +13,19 @@ operator of weight w the term q^e theta^t carries hbar^(w - c1(e) - |t|).
 Setting hbar = 1 is a ring homomorphism, one to one on each weight, so
 composition is theta -> theta + e at hbar = 1, with the weights added.  The
 box operators (gkz_operator) are composed in this operator algebra from
-theta, hbar and q^e.  Like a cohomology class, an operator holds integer
-numerators num = {e: {t: int}} over one denominator den > 0, in lowest
-terms, and walk() reads its terms in one sorted order.
+theta, hbar and q^e.  Like a cohomology class, an operator is one flat map
+of integer numerators, num = {(e, t): int}, over one denominator den > 0,
+put in lowest terms by linalg.lowest, and walk() reads its terms in one
+sorted order.
 
-Acting on the series F, the term q^e P_e contributes to the coefficient of
-q^d the value P_e(omega + (d-e)*hbar, hbar) * R_{d-e}.  The series is
-truncated at anticanonical degree B, so D.F is exact only on a window of
-degrees, stated once in _window_cap; apply and the search both read it.
+Acting on the series F, the term c q^e theta^t hbar^h contributes to the
+coefficient of q^d the value c hbar^h (omega + (d-e)*hbar)^t R_{d-e}.  The
+series is truncated at anticanonical degree B, so D.F is exact only on a
+window of degrees, stated once in _window_cap; apply and the search both
+read it.
 They read where q^e moves each coefficient inside the window off _shifted,
-which lists it straight from the series degrees; the search lists one
-window per q-exponent before its column loop.
+which lists it straight from the series degrees; both list one window per
+q-exponent before their loop over terms or columns.
 
 Series values have one weight too, so the weight of D.F is the sum of the
 two.  At hbar = 1, theta_j acting on q^d' cls gives q^d' (omega_j + d'_j)
@@ -34,16 +38,17 @@ and divides by its denominator once per degree.  The search scales each
 ansatz column by the lcm of its images' denominators, so the columns are
 integer vectors; they are transposed into the sparse integer rows that
 linalg.nullspace takes, and the scale is undone when an operator is read
-back.  Scaling columns changes no pivot, so the reduced basis is the same.
+back, straight into the flat map {(e, t): int}.  Scaling columns changes
+no pivot, so the reduced basis is the same.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import comb, gcd, lcm, prod
+from math import comb, lcm, prod
 
 from . import linalg, toric
-from .cohomology import add_exponents, monomials, poly_mul
+from .cohomology import add_exponents, monomials
 from .ifunction import Series
 
 
@@ -51,55 +56,30 @@ class EmptyWindowError(ValueError):
     """The operator's q-support exceeds the series truncation."""
 
 
-# -- commutative polynomials in theta_1..theta_l, at hbar = 1 -------------
-# represented as {theta exponent tuple: int}
-
-def _shift_poly(p, e):
-    """Substitute theta_j -> theta_j + e_j: theta^t becomes
-    sum_{s <= t} prod_j C(t_j, s_j) e_j^(t_j - s_j) theta^s, where s_j = t_j
-    wherever e_j = 0.  Coefficients may cancel to zero; DiffOp drops them."""
-    out = {}
-    for t, c in p.items():
-        for s in product(*(range(k + 1) if x else (k,) for k, x in zip(t, e))):
-            v = c * prod(comb(k, i) * x ** (k - i) for k, i, x in zip(t, s, e))
-            out[s] = out.get(s, 0) + v
-    return out
-
-
 class DiffOp:
-    """Normal-ordered operator sum_e q^e P_e(theta) of one weight, at hbar = 1.
+    """Normal-ordered operator sum c q^e theta^t of one weight, at hbar = 1.
 
-    num is {e: {t: int}} over the int den > 0, in lowest terms; the term
+    num is {(e, t): int} over the int den > 0, in lowest terms; the term
     q^e theta^t carries hbar^hbar_power(e, t), which must be nonnegative.
     """
 
     __slots__ = ("cm", "weight", "num", "den")
 
     def __init__(self, cm, weight, terms, den=1):
-        """The operator terms / den, normalized.  terms is {e: {t: c}} with
+        """The operator terms / den, normalized.  terms is {(e, t): c} with
         int numerators c over the int den; a rational operator is built with
         scale."""
         self.cm = cm
         self.weight = weight
-        num = {}
-        for e, poly in terms.items():
-            poly = {tuple(t): c for t, c in poly.items() if c}
-            if poly:
-                e = tuple(e)
-                if any(x < 0 for x in e):
-                    raise ValueError("q-exponents must be componentwise nonnegative")
-                if weight - cm.c1_degree(e) - max(map(sum, poly)) < 0:
-                    raise ValueError("a term of q^%r would carry a negative power of "
-                                     "hbar at weight %d" % (list(e), weight))
-                num[e] = poly
-        g = gcd(den, *(c for poly in num.values() for c in poly.values()))
-        if den < 0:
-            g = -g
-        if g != 1:
-            num = {e: {t: c // g for t, c in poly.items()} for e, poly in num.items()}
-            den //= g
-        self.num = num
-        self.den = den
+        self.num, self.den = linalg.lowest(terms, den)
+        for e, t in self.num:
+            if len(t) != cm.l:
+                raise ValueError("theta-exponent %r needs %d entries" % (list(t), cm.l))
+            if any(x < 0 for x in e):
+                raise ValueError("q-exponents must be componentwise nonnegative")
+            if self.hbar_power(e, t) < 0:
+                raise ValueError("a term of q^%r would carry a negative power of "
+                                 "hbar at weight %d" % (list(e), weight))
 
     @classmethod
     def zero(cls, cm):
@@ -107,22 +87,22 @@ class DiffOp:
 
     @classmethod
     def identity(cls, cm):
-        return cls(cm, 0, {(0,) * cm.l: {(0,) * cm.l: 1}})
+        return cls(cm, 0, {((0,) * cm.l, (0,) * cm.l): 1})
 
     @classmethod
     def theta(cls, cm, j):
         if not 0 <= j < cm.l:
             raise IndexError("theta index %d out of range for %d variables" % (j, cm.l))
         t = tuple(1 if i == j else 0 for i in range(cm.l))
-        return cls(cm, 1, {(0,) * cm.l: {t: 1}})
+        return cls(cm, 1, {((0,) * cm.l, t): 1})
 
     @classmethod
     def q_power(cls, cm, e):
-        return cls(cm, cm.c1_degree(e), {tuple(e): {(0,) * cm.l: 1}})
+        return cls(cm, cm.c1_degree(e), {(tuple(e), (0,) * cm.l): 1})
 
     @classmethod
     def hbar(cls, cm):
-        return cls(cm, 1, {(0,) * cm.l: {(0,) * cm.l: 1}})
+        return cls(cm, 1, {((0,) * cm.l, (0,) * cm.l): 1})
 
     def hbar_power(self, e, t) -> int:
         return self.weight - self.cm.c1_degree(e) - sum(t)
@@ -140,10 +120,8 @@ class DiffOp:
         out = {}
         for op in (self, other):
             f = den // op.den
-            for e, poly in op.num.items():
-                acc = out.setdefault(e, {})
-                for t, c in poly.items():
-                    acc[t] = acc.get(t, 0) + f * c
+            for k, c in op.num.items():
+                out[k] = out.get(k, 0) + f * c
         return DiffOp(self.cm, self.weight, out, den)
 
     def __sub__(self, other):
@@ -156,21 +134,28 @@ class DiffOp:
 
     def scale(self, c):
         p = c.numerator
-        return DiffOp(self.cm, self.weight,
-                      {e: {t: v * p for t, v in poly.items()} for e, poly in self.num.items()},
+        return DiffOp(self.cm, self.weight, {k: v * p for k, v in self.num.items()},
                       self.den * c.denominator)
 
     def __mul__(self, other):
-        """Composition (self applied after other), or a scalar multiple."""
+        """Composition (self applied after other), or a scalar multiple.
+
+        Per pair of terms, theta^t1 q^e2 = q^e2 (theta + e2)^t1 and
+        (theta + e2)^t1 = sum_{s <= t1} prod_j C(t1_j, s_j) e2_j^(t1_j - s_j)
+        theta^s, where s_j = t1_j wherever e2_j = 0; then theta^s theta^t2 =
+        theta^(s + t2).  Coefficients may cancel to zero; DiffOp drops them."""
         if isinstance(other, DiffOp):
             if other.cm != self.cm:
                 return NotImplemented
             out = {}
-            for e1, p1 in self.num.items():
-                for e2, p2 in other.num.items():
-                    acc = out.setdefault(add_exponents(e1, e2), {})
-                    for t, c in poly_mul(_shift_poly(p1, e2), p2).items():
-                        acc[t] = acc.get(t, 0) + c
+            for (e1, t1), c1 in self.num.items():
+                for (e2, t2), c2 in other.num.items():
+                    e = add_exponents(e1, e2)
+                    for s in product(*(range(k + 1) if x else (k,) for k, x in zip(t1, e2))):
+                        v = c1 * c2 * prod(comb(k, i) * x ** (k - i)
+                                           for k, i, x in zip(t1, s, e2))
+                        key = e, add_exponents(s, t2)
+                        out[key] = out.get(key, 0) + v
             return DiffOp(self.cm, self.weight + other.weight, out, self.den * other.den)
         return self.scale(other)
 
@@ -183,23 +168,19 @@ class DiffOp:
                 and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.weight, self.den, frozenset((e, frozenset(p.items()))
-                                                      for e, p in self.num.items())))
+        return hash((self.weight, self.den, frozenset(self.num.items())))
 
     def walk(self):
         """Sorted (q-exp, theta-exp, hbar-exp, numerator) quadruples, one per
         term; each coefficient is numerator / den."""
-        return sorted(((e, t, self.hbar_power(e, t), c)
-                       for e, poly in self.num.items() for t, c in poly.items()),
+        return sorted(((e, t, self.hbar_power(e, t), c) for (e, t), c in self.num.items()),
                       key=lambda x: _ansatz_key(*x[:3]))
 
     def classical_value(self, ring):
         """The q = 0, hbar-free terms at theta_j -> omega_j, in the classical
         ring; zero when the operator annihilates the series."""
-        zero = (0,) * self.cm.l
-        return ring.combination(((c, ring.omega_power(t))
-                                 for t, c in self.num.get(zero, {}).items()
-                                 if self.hbar_power(zero, t) == 0), self.den)
+        return ring.combination(((c, ring.omega_power(t)) for (e, t), c in self.num.items()
+                                 if not any(e) and self.hbar_power(e, t) == 0), self.den)
 
     def __repr__(self):
         return "DiffOp(%r, %d, %r, %d)" % (self.cm, self.weight, self.num, self.den)
@@ -270,15 +251,16 @@ def apply(op: DiffOp, series: Series) -> Series:
     ring, cm = series.ring, series.ring.cm
     if op.cm != cm:
         raise ValueError("the operator and the series have different charge matrices")
-    cap = _window_cap(series, op.num)
+    q_exps = {e for e, _ in op.num}
+    cap = _window_cap(series, q_exps)
     image = _theta_images(series)
+    windows = {e: _shifted(series, e, cap) for e in q_exps}
     c1 = {d: c for c, _, d in _shifted(series, (0,) * cm.l, cap)}
     terms = {d: [] for d in c1}
-    for e, poly in op.num.items():
-        poly = list(poly.items())
-        for c, dp, d in _shifted(series, e, cap):
+    for (e, t), v in op.num.items():
+        for c, dp, d in windows[e]:
             c1[d] = c
-            terms.setdefault(d, []).extend([(v, image(dp, t)) for t, v in poly])
+            terms.setdefault(d, []).append((v, image(dp, t)))
     valid = sorted(terms, key=lambda d: (c1[d], d))
     coeffs = {d: ring.combination(terms[d], op.den) for d in valid}
     return Series(ring, cap, tuple(valid), coeffs, series.weight + op.weight)
@@ -303,8 +285,8 @@ def gkz_operator(cm, degree) -> DiffOp:
     hbar = DiffOp.hbar(cm)
     pos = neg = DiffOp.identity(cm)
     for k, a_k in enumerate(cm.pairings(degree)):
-        d_k = DiffOp(cm, 1, {(0,) * l: {tuple(int(i == j) for i in range(l)): cm.m[j][k]
-                                        for j in range(l)}})
+        d_k = DiffOp(cm, 1, {((0,) * l, tuple(int(i == j) for i in range(l))): cm.m[j][k]
+                             for j in range(l)})
         for nu in range(abs(a_k)):
             if a_k > 0:
                 pos = pos * (d_k - hbar * nu)
@@ -377,10 +359,7 @@ def find_annihilators(series: Series, theta_order: int, q_degree: int):
     for vec, den in linalg.nullspace([rows[k] for k in sorted(rows)], width):
         vec.reverse()
         p = next(i for i, c in enumerate(vec) if c)  # vec[p] == den
-        terms = {}
-        for (e, t), c, scale in zip(columns, vec, scales):
-            if c:
-                terms.setdefault(e, {})[t] = c * scale
+        terms = {columns[i]: c * scales[i] for i, c in enumerate(vec) if c}
         lead = columns[p]
         found.append(((pre[lead], _ansatz_key(*lead, 0)),
                       DiffOp(cm, pre[lead], terms, den * scales[p])))
@@ -391,6 +370,5 @@ def semiclassical(op: DiffOp) -> DiffOp:
     """The relation in quantum cohomology left by the limit hbar -> 0: the
     terms of op free of hbar, as an operator of the same weight.  Read with
     theta_j -> p_j it is a polynomial in p and q."""
-    return DiffOp(op.cm, op.weight, {e: {t: c for t, c in poly.items()
-                                         if op.hbar_power(e, t) == 0}
-                                     for e, poly in op.num.items()}, op.den)
+    return DiffOp(op.cm, op.weight, {k: c for k, c in op.num.items()
+                                     if op.hbar_power(*k) == 0}, op.den)

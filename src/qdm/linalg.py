@@ -4,6 +4,8 @@ Everything operates on plain lists of Python ints, or of rationals read
 through .numerator and .denominator.  No floating point is introduced
 anywhere; results are exact.  A rational vector or matrix is returned as
 integer numerators over one denominator den > 0, in lowest terms.
+`lowest(num, den)` puts a sparse {key: int} over den in lowest terms, for
+nullspace vectors, classes and operators alike, and refuses a zero den.
 
 Rational elimination has one kernel, `_reduce`, on sparse rows
 {column: entry}.  It clears each nonzero input row to coprime integers.
@@ -246,10 +248,16 @@ def rref(rows, width):
     return [[row.get(j, 0) for j in range(size)] for row in red], pivots
 
 
-def _lowest(x, den):
-    """The integer numerators x over den > 0, in lowest terms."""
-    g = gcd(den, *x)
-    return ([v // g for v in x], den // g) if g > 1 else (x, den)
+def lowest(num, den):
+    """The int numerators num = {key: int} over the int den, in lowest terms:
+    (num without zero entries, den > 0) divided by gcd(den, *num).  Zero is
+    ({}, 1); a zero den raises ZeroDivisionError."""
+    if not den:
+        raise ZeroDivisionError("the denominator is 0")
+    g = gcd(den, *num.values())
+    if den < 0:
+        g = -g
+    return {k: v // g for k, v in num.items() if v}, den // g
 
 
 def nullspace(rows, width):
@@ -270,11 +278,11 @@ def nullspace(rows, width):
     basis = []
     for f, entries in hits.items():
         den = lcm(*(p for _, _, p in entries))
-        x = [0] * width
-        x[f] = den
+        x = {f: den}
         for c, v, p in entries:
             x[c] = -v * (den // p)
-        basis.append(_lowest(x, den))
+        x, den = lowest(x, den)
+        basis.append(([x.get(j, 0) for j in range(width)], den))
     return basis
 
 

@@ -190,25 +190,19 @@ def _inline(value, budget=60) -> str | None:
 def render_text(data, indent: int = 0) -> str:
     """Plain-text view of a JSON-ready structure, stable line order."""
     pad = "  " * indent
-    lines = []
     if isinstance(data, dict):
-        for key, value in data.items():
-            short = _inline(value)
-            if short is not None:
-                lines.append("%s%s: %s" % (pad, key, short))
-            else:
-                lines.append("%s%s:" % (pad, key))
-                lines.append(render_text(value, indent + 1))
+        items = [("%s:" % key, value) for key, value in data.items()]
     elif isinstance(data, list):
-        for value in data:
-            short = _inline(value)
-            if short is not None:
-                lines.append("%s- %s" % (pad, short))
-            else:
-                lines.append("%s-" % pad)
-                lines.append(render_text(value, indent + 1))
+        items = [("-", value) for value in data]
     else:
-        lines.append("%s%s" % (pad, _scalar_text(data)))
+        return pad + _scalar_text(data)
+    lines = []
+    for head, value in items:
+        short = _inline(value)
+        if short is not None:
+            lines.append("%s%s %s" % (pad, head, short))
+        else:
+            lines += [pad + head, render_text(value, indent + 1)]
     return "\n".join(lines)
 
 

@@ -636,7 +636,9 @@ def reference_gkz_operator(cm, degree):
             else:
                 neg = poly_mul(neg, factor)
         weight += max(a_k, 0)
-    return DiffOp(cm, weight, {one: pos, tuple(degree): {t: -c for t, c in neg.items()}})
+    terms = {(one, t): c for t, c in pos.items()}
+    terms.update({(tuple(degree), t): -c for t, c in neg.items()})
+    return DiffOp(cm, weight, terms)
 
 
 # Normal ordering one commutator at a time, kept apart from the operator
@@ -647,21 +649,20 @@ def reference_compose(a, b):
     """The composition a * b of two DiffOps: each theta_j of a term of a is
     moved past q^e of a term of b on its own."""
     out = {}
-    for e1, p1 in a.num.items():
-        for t1, c1 in p1.items():
-            for e2, p2 in b.num.items():
-                poly = dict(p2)
-                for j, tj in enumerate(t1):
-                    for _ in range(tj):
-                        moved = {}
-                        for s, c in poly.items():
-                            up = s[:j] + (s[j] + 1,) + s[j + 1:]
-                            moved[up] = moved.get(up, 0) + c
-                            moved[s] = moved.get(s, 0) + e2[j] * c
-                        poly = moved
-                acc = out.setdefault(tuple(x + y for x, y in zip(e1, e2)), {})
-                for s, c in poly.items():
-                    acc[s] = acc.get(s, 0) + c1 * c
+    for (e1, t1), c1 in a.num.items():
+        for (e2, t2), c2 in b.num.items():
+            poly = {t2: c2}
+            for j, tj in enumerate(t1):
+                for _ in range(tj):
+                    moved = {}
+                    for s, c in poly.items():
+                        up = s[:j] + (s[j] + 1,) + s[j + 1:]
+                        moved[up] = moved.get(up, 0) + c
+                        moved[s] = moved.get(s, 0) + e2[j] * c
+                    poly = moved
+            e = tuple(x + y for x, y in zip(e1, e2))
+            for s, c in poly.items():
+                out[e, s] = out.get((e, s), 0) + c1 * c
     return DiffOp(a.cm, a.weight + b.weight, out, a.den * b.den)
 
 

@@ -95,6 +95,17 @@ def test_nullspace_known():
     assert linalg.nullspace([{}, {0: 1, 2: 5}], 2) == [([0, 1], 1)]
 
 
+def test_lowest_terms():
+    # zero entries dropped, den > 0, divided by gcd(den, *num); zero is ({}, 1)
+    assert linalg.lowest({"a": 4, "b": 0, "c": -6}, -8) == ({"a": -2, "c": 3}, 4)
+    assert linalg.lowest({"a": 3}, 5) == ({"a": 3}, 5)
+    assert linalg.lowest({"a": 0}, -7) == ({}, 1)
+    assert linalg.lowest({}, 3) == ({}, 1)
+    for num in ({"a": 2}, {}):
+        with pytest.raises(ZeroDivisionError, match="denominator is 0"):
+            linalg.lowest(num, 0)
+
+
 def test_nullspace_random():
     rng = random.Random(3)
     for _ in range(30):

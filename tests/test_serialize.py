@@ -214,7 +214,8 @@ def test_inline_stops_at_the_first_part_that_cannot_inline(monkeypatch):
 
 def _rational_op(cm):
     """-3/2 hbar^2 + theta hbar - theta^2 + 2/3 q on P^1, of weight 2."""
-    return DiffOp(cm, 2, {(0,): {(0,): -9, (1,): 6, (2,): -6}, (1,): {(0,): 4}}, 6)
+    return DiffOp(cm, 2, {((0,), (0,)): -9, ((0,), (1,)): 6, ((0,), (2,)): -6,
+                          ((1,), (0,)): 4}, 6)
 
 
 def test_op_str_rational_coefficients(corpus):
@@ -223,10 +224,10 @@ def test_op_str_rational_coefficients(corpus):
     assert serialize.op_str(op) == "-3/2*hbar^2 + theta1*hbar - theta1^2 + 2/3*q1"
     assert serialize.op_str(op.scale(-1)) == \
         "3/2*hbar^2 - theta1*hbar + theta1^2 - 2/3*q1"
-    mixed = DiffOp(cm, 2, {(0,): {(1,): 5, (2,): -4}, (1,): {(0,): 4}}, 4)
+    mixed = DiffOp(cm, 2, {((0,), (1,)): 5, ((0,), (2,)): -4, ((1,), (0,)): 4}, 4)
     assert serialize.op_str(mixed) == "5/4*theta1*hbar - theta1^2 + q1"
     for c, den, text in ((-5, 3, "-5/3"), (7, 4, "7/4"), (-1, 1, "-1"), (1, 1, "1")):
-        assert serialize.op_str(DiffOp(cm, 0, {(0,): {(0,): c}}, den)) == text
+        assert serialize.op_str(DiffOp(cm, 0, {((0,), (0,)): c}, den)) == text
 
 
 def test_relation_str_rational_coefficients(corpus):
@@ -235,7 +236,7 @@ def test_relation_str_rational_coefficients(corpus):
     assert serialize.relation_str(semiclassical(_rational_op(cm).scale(-1))) == \
         "p1^2 - 2/3*q1"
     for c, den, text in ((-5, 3, "-5/3"), (7, 4, "7/4"), (-1, 1, "-1")):
-        assert serialize.relation_str(DiffOp(cm, 0, {(0,): {(0,): c}}, den)) == text
+        assert serialize.relation_str(DiffOp(cm, 0, {((0,), (0,)): c}, den)) == text
 
 
 def test_op_json_rational_coefficients(corpus):
@@ -246,7 +247,7 @@ def test_op_json_rational_coefficients(corpus):
                              {"theta": [2], "hbar": 0, "coeff": "-1"}]},
         {"q": [1], "terms": [{"theta": [0], "hbar": 0, "coeff": "2/3"}]},
     ]
-    assert serialize.op_json(DiffOp(cm, 0, {(0,): {(0,): -5}}, 3)) == [
+    assert serialize.op_json(DiffOp(cm, 0, {((0,), (0,)): -5}, 3)) == [
         {"q": [0], "terms": [{"theta": [0], "hbar": 0, "coeff": "-5/3"}]}]
     assert serialize.op_json(DiffOp.identity(cm).scale(-1)) == [
         {"q": [0], "terms": [{"theta": [0], "hbar": 0, "coeff": "-1"}]}]

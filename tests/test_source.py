@@ -258,6 +258,32 @@ def test_an_operator_is_read_through_num_den_and_walk():
     assert not defined & {"terms", "coefficient", "support_triples"}, defined
 
 
+def test_one_rule_puts_values_in_lowest_terms():
+    # linalg.lowest normalizes classes, operators and nullspace vectors; the
+    # constructors read no gcd of their own
+    trees = _trees()
+    for module in ("cohomology", "dmodule"):
+        assert "gcd" not in set(_names(trees[module])), module
+    defined = {node.name for node in trees["linalg"].body if isinstance(node, ast.FunctionDef)}
+    assert "lowest" in defined and "_lowest" not in defined
+    callers = {module: _owners(tree, lambda node: isinstance(node, ast.Call)
+                               and _callee(node) == "lowest")
+               for module, tree in trees.items()}
+    assert {m: sorted(owners) for m, owners in callers.items() if owners} == {
+        "cohomology": ["__init__"], "dmodule": ["__init__"], "linalg": ["nullspace"]}
+
+
+def test_an_operator_is_one_flat_map():
+    # DiffOp.num is {(e, t): int}: composition walks pairs of terms and needs
+    # neither a polynomial product nor a shift helper of its own
+    trees = _trees()
+    readers = sorted(m for m, tree in trees.items() if "poly_mul" in set(_names(tree)))
+    assert readers == ["cohomology"]
+    functions = {node.name for node in ast.walk(trees["dmodule"])
+                 if isinstance(node, ast.FunctionDef)}
+    assert "_shift_poly" not in functions
+
+
 def test_serialize_builds_fractions_in_one_formatter():
     tree = _trees()["serialize"]
     owners = _owners(tree, lambda node: isinstance(node, ast.Call)

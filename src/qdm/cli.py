@@ -156,7 +156,6 @@ def cmd_cohomology(args) -> tuple[dict, bool]:
                   for d in range(ring.top + 1)},
         "dual_basis": [serialize.class_json(c) for c in ring.dual_basis()[1]],
         "pairing": pairing_blocks,
-        "ok": True,
     }
     return report, True
 
@@ -185,7 +184,6 @@ def cmd_ifunction(args) -> tuple[dict, bool]:
             comp = ifunction.component(series, beta, log_order)
             comps[str(beta)] = serialize.component_json(comp)
         report["components"] = comps
-    report["ok"] = homogeneous
     return report, homogeneous
 
 
@@ -234,7 +232,6 @@ def cmd_operators(args) -> tuple[dict, bool]:
         "ansatz": {"theta_order": theta_order, "q_degree": args.q_degree},
         "gkz": gkz_entries,
         "annihilators": ann_entries,
-        "ok": ok,
     }
     return report, ok
 
@@ -253,9 +250,7 @@ def cmd_loop_model(args) -> tuple[dict, bool]:
     modes = _parse_modes(args.modes)
     reports = [loop_model.check_stabilization(ring, d, modes) for d in degrees]
     ok = all(rep["stable"] for rep in reports)
-    report = {"charge_matrix": [list(r) for r in cm.m],
-              "reports": reports, "ok": ok}
-    return report, ok
+    return {"charge_matrix": [list(r) for r in cm.m], "reports": reports}, ok
 
 
 _COMMANDS = {
@@ -273,6 +268,7 @@ def main(argv=None) -> int:
     try:
         _parse_int_options(args)
         report, ok = _COMMANDS[args.command](args)
+        report["ok"] = ok  # the last key of every report
         render = serialize.render_json if args.format == "json" else serialize.render_text
         text = render(report) + "\n"
     except (ValueError, OverflowError, OSError) as exc:

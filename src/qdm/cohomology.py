@@ -238,17 +238,9 @@ class CohomRing:
         """The point class prod_{k in sigma} x_k, the same nonzero class for
         every maximal cone sigma, as its point-monomial coordinate (num, den).
         The top degree has one basis monomial and a class is in lowest terms,
-        so two point classes are equal exactly when their integrals are.
-        Cones in sorted order share prefixes, and each prefix product is
-        formed once."""
-        points = set()
-        gens = self._generators
-        products = {(k,): g for k, g in enumerate(gens)}
-        for cone in sorted(self.fan.max_cones):
-            for i in range(2, len(cone) + 1):
-                if cone[:i] not in products:
-                    products[cone[:i]] = self.multiply(products[cone[:i - 1]], gens[cone[i - 1]])
-            points.add(products[cone])
+        so two point classes are equal exactly when their integrals are."""
+        points = {reduce(self.multiply, (self._generators[k] for k in cone))
+                  for cone in self.fan.max_cones}
         point = points.pop()
         if points or point.is_zero():
             raise FanError("inconsistent point normalization across maximal cones")

@@ -233,13 +233,13 @@ def _window_cap(series, q_exps) -> int:
 
 
 def _shifted(series, e, cap):
-    """The triples (c1(d), d', d = d' + e) over the series degrees d' with
+    """The pairs (d', d = d' + e) over the series degrees d' with
     c1(d) <= cap: where q^e moves each coefficient of the series, inside the
     window, in the order of series.degrees."""
     c1 = series.ring.cm.c1_degree
     shift = c1(e)
-    return [(c, dp, add_exponents(dp, e)) for dp in series.degrees
-            if (c := c1(dp) + shift) <= cap]
+    return [(dp, add_exponents(dp, e)) for dp in series.degrees
+            if c1(dp) + shift <= cap]
 
 
 def apply(op: DiffOp, series: Series) -> Series:
@@ -255,13 +255,11 @@ def apply(op: DiffOp, series: Series) -> Series:
     cap = _window_cap(series, q_exps)
     image = _theta_images(series)
     windows = {e: _shifted(series, e, cap) for e in q_exps}
-    c1 = {d: c for c, _, d in _shifted(series, (0,) * cm.l, cap)}
-    terms = {d: [] for d in c1}
+    terms = {d: [] for _, d in _shifted(series, (0,) * cm.l, cap)}
     for (e, t), v in op.num.items():
-        for c, dp, d in windows[e]:
-            c1[d] = c
+        for dp, d in windows[e]:
             terms.setdefault(d, []).append((v, image(dp, t)))
-    valid = sorted(terms, key=lambda d: (c1[d], d))
+    valid = sorted(terms, key=lambda d: (cm.c1_degree(d), d))
     coeffs = {d: ring.combination(terms[d], op.den) for d in valid}
     return Series(ring, cap, tuple(valid), coeffs, series.weight + op.weight)
 
@@ -342,18 +340,14 @@ def find_annihilators(series: Series, theta_order: int, q_degree: int):
     rows = {}  # (degree, monomial) -> {reversed column index: int}
     scales = []  # the lcm of each column's image denominators
     for i, (e, t) in enumerate(columns):
-        images = [(d, image(dp, t)) for _, dp, d in windows[e]]
+        images = [(d, image(dp, t)) for dp, d in windows[e]]
         scale = lcm(*(cls.den for _, cls in images))
         scales.append(scale)
         col = width - 1 - i
         for d, cls in images:
             f = scale // cls.den
             for mono, v in cls.num.items():
-                row = rows.get((d, mono))
-                if row is None:
-                    rows[d, mono] = {col: f * v}
-                else:
-                    row[col] = f * v
+                rows.setdefault((d, mono), {})[col] = f * v
     found = []  # ((weight, pivot's key), operator)
     # rows sorted by key: the elimination runs faster on them
     for vec, den in linalg.nullspace([rows[k] for k in sorted(rows)], width):

@@ -47,7 +47,12 @@ from __future__ import annotations
 from math import factorial, gcd, lcm, prod
 
 from .cohomology import CohomClass, CohomRing, monomials
-from .toric import MAX_BOX_POINTS, MoriCone, enumerate_degrees
+from .toric import MoriCone, enumerate_degrees
+
+# An R_d is refused, before any linear pass, when its numbers could pass
+# this many bits: its denominators grow like prod_k |a_k|!, whose bit length
+# is at most sum_k |a_k| * bit_length(|a_k|).
+MAX_RATIO_BITS = 2**17
 
 
 def euler_ratio(ring: CohomRing, degree) -> CohomClass:
@@ -56,17 +61,19 @@ def euler_ratio(ring: CohomRing, degree) -> CohomClass:
     Pairings of either sign are allowed: a negative one contributes the
     finite numerator product, including the nu = 0 factor alpha_k.  A new
     R_d is stepped from a cached R_p, p = d - e_j, or from R_0 = 1; see the
-    module docstring.  A degree whose R_d is more than toric.MAX_BOX_POINTS
-    linear passes from R_0, sum_k |a_k|, is refused with a ValueError.
+    module docstring.  A degree whose bound sum_k |a_k| * bit_length(|a_k|)
+    passes MAX_RATIO_BITS is refused with a ValueError before any pass; it
+    also bounds the sum_k |a_k| linear passes from R_0.
     """
     cm = ring.cm
     target = cm.pairings(degree)
     ratios = ring.ratios
     if target not in ratios:
+        bits = sum(abs(a) * abs(a).bit_length() for a in target)
+        if bits > MAX_RATIO_BITS:
+            raise ValueError("R_d of degree %r may reach numbers of %d bits, more than "
+                             "MAX_RATIO_BITS = %d" % (list(degree), bits, MAX_RATIO_BITS))
         start, cost = (0,) * cm.n, sum(map(abs, target))
-        if cost > MAX_BOX_POINTS:
-            raise ValueError("R_d of degree %r takes %d linear passes, more than %d"
-                             % (list(degree), cost, MAX_BOX_POINTS))
         for row in cm.m:
             step = sum(map(abs, row))
             if step >= cost:

@@ -5,7 +5,8 @@ through .numerator and .denominator.  No floating point is introduced
 anywhere; results are exact.  A rational vector or matrix is returned as
 integer numerators over one denominator den > 0, in lowest terms.
 `lowest(num, den)` puts a sparse {key: int} over den in lowest terms, for
-nullspace vectors, classes and operators alike, and refuses a zero den.
+nullspace vectors, solutions, classes and operators alike, and refuses a
+zero den.
 
 Rational elimination has one kernel, `_reduce`, on sparse rows
 {column: entry}.  It clears each nonzero input row to coprime integers.
@@ -23,9 +24,10 @@ entries past width are unique unless a combination of the rows is zero on
 the first width columns but not past them; no caller reads the rows of
 such a matrix.)  `rref` and `_solve` convert their dense rows to sparse
 ones; `rref` returns the integer rows made dense.  `_solve` reduces the
-augmented matrix [a | b] and reads X off it, free coordinates zero, over
-the lcm of the pivot entries it divides by; `solve_columns` and `invert`
-are its two callers.  `nullspace` takes sparse rows, as `_reduce` does.
+augmented matrix [a | b] and reads X off it, free coordinates zero, as
+{(i, j): int} over the lcm of the pivot entries it divides by, put in
+lowest terms by `lowest`; `solve_columns` and `invert` are its two
+callers.  `nullspace` takes sparse rows, as `_reduce` does.
 `CohomRing` and the annihilator search build sparse rows themselves, and
 `CohomRing` keeps the integer rows.
 
@@ -158,10 +160,10 @@ def _reduce(rows, width):
     The rows not yet used as pivots sit in buckets by leading column: when
     column c comes up, the columns before it are cleared, so its bucket
     holds every row with an entry there.  A cleared row moves to the bucket
-    of its new leading column, found by probing the next few columns and
-    else by min.  The pivot rows are back-substituted once at the end, last
-    pivot first: each is then cleared only by rows that hold no other pivot
-    column, so a clearing never brings a pivot column back.
+    of its new leading column, min(row).  The pivot rows are
+    back-substituted once at the end, last pivot first: each is then
+    cleared only by rows that hold no other pivot column, so a clearing
+    never brings a pivot column back.
     """
     rest = [_coprime(row) for row in rows if row]
     buckets = {}  # leading column -> indices into rest, lowest input first
@@ -185,13 +187,7 @@ def _reduce(rows, width):
                 if i != p:
                     row = rest[i] = _eliminate(rest[i], prow, a, c)
                     if row:
-                        lead = c + 1
-                        while lead not in row:
-                            lead += 1
-                            if lead > c + 8:
-                                lead = min(row)
-                                break
-                        buckets.setdefault(lead, []).append(i)
+                        buckets.setdefault(min(row), []).append(i)
         done.append(prow)
         pivots.append(c)
     index = {c: i for i, c in enumerate(pivots)}
@@ -300,11 +296,9 @@ def _solve(a, b):
     if pivots and pivots[-1] >= n:
         return None
     den = lcm(*(row[c] for row, c in zip(red, pivots)))
-    x = [[0] * k for _ in range(n)]
-    for row, c in zip(red, pivots):
-        x[c] = [row.get(n + j, 0) * (den // row[c]) for j in range(k)]
-    g = gcd(den, *(v for r in x for v in r))
-    return [[v // g for v in r] for r in x], den // g
+    x, den = lowest({(c, j): v * (den // row[c]) for row, c in zip(red, pivots)
+                     for j in range(k) if (v := row.get(n + j))}, den)
+    return [[x.get((i, j), 0) for j in range(k)] for i in range(n)], den
 
 
 def solve_columns(cols, target):

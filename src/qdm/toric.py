@@ -277,11 +277,6 @@ def parse_fan(text: str) -> FanData:
     return make_fan(data["rays"], data["max_cones"], data.get("nef_basis"))
 
 
-def _ray_matrix(fan: FanData):
-    """dim x n matrix whose columns are the ray generators."""
-    return [[ray[nu] for ray in fan.rays] for nu in range(fan.dim)]
-
-
 def _unimodular_inverse(rows):
     """The inverse of a square matrix as integer rows, when it is an integer
     matrix of determinant +-1, else None.
@@ -482,7 +477,7 @@ def charge_matrix(fan: FanData) -> ChargeMatrix:
     rays must form a lattice basis; otherwise a NefBasisError asks for an
     explicit basis.  A supplied nef_basis is validated instead.
     """
-    kernel = linalg.integer_kernel(_ray_matrix(fan))
+    kernel = linalg.integer_kernel(list(zip(*fan.rays)))
     l = fan.n_rays - fan.dim
     if fan.nef_basis is not None:
         y_rows = [[_dot(ker, vec) for ker in kernel] for vec in fan.nef_basis]

@@ -2,7 +2,7 @@ import importlib.util
 import json
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import factorial, gcd, prod
 from operator import mul
@@ -116,6 +116,39 @@ def reference_invert(mat):
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in red[:n]]
+
+
+# Integration by localization at the torus-fixed points (Atiyah-Bott), kept
+# as the oracle for the ring's integrals: it reads the rays and the maximal
+# cones alone, not the reduction table or the point normalization.
+
+@lru_cache(maxsize=None)
+def _fixed_point_weights(rays, max_cones, lam):
+    """For each maximal cone sigma, {k: x_k|sigma} over the rays k of sigma:
+    x_k|sigma = <u_{sigma,k}, lam>, with u_{sigma,k} the basis dual to the
+    rays of sigma, a column of their inverse."""
+    out = []
+    for cone in max_cones:
+        inv = reference_invert([rays[k] for k in cone])
+        weights = {k: sum(row[i] * x for row, x in zip(inv, lam)) for i, k in enumerate(cone)}
+        if not all(weights.values()):
+            raise ValueError("lam pairs to 0 with a dual ray of cone %r" % (cone,))
+        out.append(weights)
+    return out
+
+
+def reference_localized_integral(fan, exps, lam):
+    """The integral of prod_k x_k^exps[k] by localization: the sum over the
+    maximal cones sigma of prod_k x_k|sigma^exps[k] / prod_{k in sigma}
+    x_k|sigma, where x_k|sigma is <u_{sigma,k}, lam> for k in sigma and 0
+    elsewhere.  lam is a rational vector that pairs nonzero with every
+    u_{sigma,k}; on a monomial of top degree the sum does not depend on it."""
+    total = Fraction(0)
+    for weights in _fixed_point_weights(fan.rays, fan.max_cones, tuple(lam)):
+        if all(k in weights for k, e in enumerate(exps) if e):
+            total += (prod(weights[k] ** e for k, e in enumerate(exps) if e)
+                      / prod(weights.values()))
+    return total
 
 
 def same_fan_copies(name):

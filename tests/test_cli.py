@@ -200,9 +200,14 @@ def test_a_rational_nef_basis_vector_is_read(tmp_path, capsys):
     # this one only after listing it, and on dp3, where c1(e_1) = 0, never
     (["operators", "p1xp1", "--q-degree", "100000"],
      "the ansatz has 50001500010 columns, more than 10000000"),
-    # one R_d is refused before its linear passes from R_0
+    # one R_d is refused by the size of its numbers before its linear passes
     (["loop-model", "p2", "--degree", "99999999999"],
-     "R_d of degree [99999999999] takes 299999999997 linear passes, more than 10000000"),
+     "R_d of degree [99999999999] may reach numbers of 11099999999889 bits, "
+     "more than MAX_RATIO_BITS = 131072"),
+    # 90,000 passes, far under the old 10^7-pass cap, yet it ran past 15 s
+    (["loop-model", "p2", "--degree", "30000"],
+     "R_d of degree [30000] may reach numbers of 1350000 bits, "
+     "more than MAX_RATIO_BITS = 131072"),
 ])
 def test_a_size_past_the_cap_is_refused_before_the_work(argv, message):
     src = str(FAN_DIR.parent / "src")

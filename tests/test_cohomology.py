@@ -3,18 +3,21 @@
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, combinations_with_replacement
+from operator import mul
 
 import pytest
 
 from qdm import (CohomClass, CohomRing, build_ring, charge_matrix, linalg, make_fan,
                  monomials)
-from qdm.cohomology import _monomials_in, mono_key
+from qdm.cohomology import _monomials_in, add_exponents, mono_key
 from qdm.toric import FanError
 
 from conftest import (SHIPPED, coeffs, integrate, load_fan, product_fan,
                       reference_divide_linear, reference_dual_basis,
                       reference_inverse_linear_factor, reference_linear_factor,
+                      reference_localized_integral,
                       reference_multiply, reference_reduction_table,
                       reference_times_linear)
 
@@ -205,8 +208,8 @@ def test_multiplication_truncates_above_top(corpus):
 
 @pytest.mark.parametrize("bad", [(0, 1), (2, 3)])
 def test_point_normalization_reads_every_cone(corpus, bad):
-    # the cone products share prefixes but still cover every maximal cone:
-    # a listed "cone" whose rays meet in no point is caught wherever it sorts
+    # every maximal cone's product is checked: a listed "cone" whose rays
+    # meet in no point is caught wherever it is listed
     fan, cm = corpus["p1xp1"][:2]
     cones = tuple(c for c in fan.max_cones if c != (0, 3)) + (bad,)
     with pytest.raises(FanError, match="inconsistent point normalization"):
@@ -437,6 +440,40 @@ def test_pairing_blocks_are_the_integrals_of_basis_products(shipped, name):
         other, oden = ring.pairing(ring.top - deg)
         assert [[Fraction(r, oden) for r in row] for row in zip(*other)] == [
             [Fraction(r, den) for r in row] for row in rows], (name, deg)
+
+
+def _generic_point(fan, seed):
+    # a seeded rational point; localization refuses one on a weight's kernel
+    rng = random.Random("%d:%r" % (seed, fan.rays))
+    return [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 999)) for _ in range(fan.dim)]
+
+
+@pytest.mark.parametrize("name", SHIPPED + ["p1^6"])
+def test_pairing_blocks_match_fixed_point_localization(shipped, name):
+    if name == "p1^6":
+        fan = product_fan(*["p1"] * 6)
+        ring = _fresh_ring(fan)
+    else:
+        fan, _cm, ring, _cone = shipped[name]
+    lam = _generic_point(fan, 1)
+    for deg in range(ring.top + 1):
+        rows, den = ring.pairing(deg)
+        assert [[Fraction(r, den) for r in row] for row in rows] == [
+            [reference_localized_integral(fan, add_exponents(a, b), lam)
+             for b in ring.basis_by_degree[ring.top - deg]]
+            for a in ring.basis_by_degree[deg]], (name, deg)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_top_monomials_integrate_as_fixed_point_localization(shipped, name):
+    # every monomial of top degree in the ray divisors, not only the basis
+    # products, and at a second point lam: the sum does not depend on it
+    fan, _cm, ring, _cone = shipped[name]
+    lam = _generic_point(fan, 2)
+    for ks in combinations_with_replacement(range(ring.n), ring.top):
+        exps = [ks.count(k) for k in range(ring.n)]
+        cls = reduce(mul, [ring.generator(k) for k in ks])
+        assert integrate(ring, cls) == reference_localized_integral(fan, exps, lam), (name, ks)
 
 
 @pytest.mark.parametrize("name", SHIPPED)

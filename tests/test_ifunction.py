@@ -201,6 +201,21 @@ def test_step_through_a_vanishing_factor_is_refused(monkeypatch, shipped):
     assert got == reference_euler_ratio(ring, cm, (1, 1))
 
 
+def test_a_ratio_is_refused_by_the_size_of_its_numbers(monkeypatch, shipped):
+    # on P^2 the degree d pairs as (d, d, d): its bound is 3 * d * bit_length(d),
+    # 45 at d = 5 and 54 at d = 6; a refused degree is not stepped at all
+    fan, cm, _ring, _cone = shipped["p2"]
+    ring = cohomology.build_ring(fan, cm)
+    assert ifunction.MAX_RATIO_BITS == 2**17
+    monkeypatch.setattr(ifunction, "MAX_RATIO_BITS", 45)
+    assert euler_ratio(ring, (5,)) == reference_euler_ratio(ring, cm, (5,))
+    memo = dict(ring.ratios)
+    with pytest.raises(ValueError, match=r"^R_d of degree \[6\] may reach numbers of 54 "
+                                         r"bits, more than MAX_RATIO_BITS = 45$"):
+        euler_ratio(ring, (6,))
+    assert ring.ratios == memo
+
+
 def test_ratio_memo_does_not_keep_its_ring_alive(shipped):
     fan, cm, _ring, _cone = shipped["p2"]
     ring = cohomology.build_ring(fan, cm)

@@ -258,19 +258,47 @@ def test_an_operator_is_read_through_num_den_and_walk():
     assert not defined & {"terms", "coefficient", "support_triples"}, defined
 
 
+def _function(module, name):
+    """The definition of a top-level function of a package module."""
+    return next(node for node in _trees()[module].body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
 def test_one_rule_puts_values_in_lowest_terms():
-    # linalg.lowest normalizes classes, operators and nullspace vectors; the
-    # constructors read no gcd of their own
+    # linalg.lowest normalizes classes, operators, nullspace vectors and
+    # solutions; the constructors and _solve read no gcd of their own
     trees = _trees()
     for module in ("cohomology", "dmodule"):
         assert "gcd" not in set(_names(trees[module])), module
+    assert "gcd" not in set(_names(_function("linalg", "_solve")))
     defined = {node.name for node in trees["linalg"].body if isinstance(node, ast.FunctionDef)}
     assert "lowest" in defined and "_lowest" not in defined
     callers = {module: _owners(tree, lambda node: isinstance(node, ast.Call)
                                and _callee(node) == "lowest")
                for module, tree in trees.items()}
     assert {m: sorted(owners) for m, owners in callers.items() if owners} == {
-        "cohomology": ["__init__"], "dmodule": ["__init__"], "linalg": ["nullspace"]}
+        "cohomology": ["__init__"], "dmodule": ["__init__"], "linalg": ["_solve", "nullspace"]}
+
+
+def test_the_elimination_files_each_row_under_its_leading_column():
+    # a cleared row goes to the bucket of min(row), with no loop probing
+    # the columns after c
+    loops = [node.lineno for node in ast.walk(_function("linalg", "_reduce"))
+             if isinstance(node, ast.While)]
+    assert not loops, loops
+
+
+def _writes_ok(node):
+    """A dict display with an "ok" key, or a store to x["ok"]."""
+    if isinstance(node, ast.Dict):
+        return any(isinstance(k, ast.Constant) and k.value == "ok" for k in node.keys)
+    return (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.slice, ast.Constant) and node.slice.value == "ok")
+
+
+def test_only_main_writes_the_ok_key():
+    # each handler returns (report, ok), and main writes ok once, last
+    assert _owners(_trees()["cli"], _writes_ok) == ["main"]
 
 
 def test_an_operator_is_one_flat_map():

@@ -300,10 +300,13 @@ def find_annihilators(series: Series, theta_order: int, q_degree: int):
     Each column q^e theta^t, of pre-weight c1(e) + |t|, is evaluated once at
     hbar = 1 over (degree, monomial).  A relation among columns of highest
     pre-weight w is the weight-w annihilator sum c q^e theta^t at hbar = 1,
-    and every weight-w annihilator comes from one.  With columns in
-    descending pre-weight, then graded-lex order, each row of the reduced
-    nullspace has its weight at its pivot, and the rows of weight <= w span
-    all relations of pre-weight <= w.  The rows, sorted by (weight, pivot),
+    and every weight-w annihilator comes from one.  The columns are listed
+    in elimination order: ascending pre-weight, then descending graded-lex
+    order.  The nullspace vector of a free column f is nonzero only at f and
+    at pivot columns before f, so f, its last column, is its pivot: the
+    vector has its weight there, and the vectors of weight <= w span all
+    relations of pre-weight <= w.  No two vectors share a free column, so
+    they are the reduced basis already.  Sorted by (weight, pivot), they
     are the basis.
 
     A column is assembled from the theta-images' integer numerators, each
@@ -311,12 +314,6 @@ def find_annihilators(series: Series, theta_order: int, q_degree: int):
     into sparse integer rows keyed by (degree, monomial).  A nullspace vector
     y of the scaled columns is x = y * scale of the true ones, and scaling a
     column moves no pivot, so reading x back gives the same operators.
-
-    The nullspace is taken with the columns reversed: each basis vector,
-    read back in column order, then starts with a 1 at its own free column
-    and vanishes at every other vector's free column, so the vectors are
-    the reduced rows already, and their pivots are their first nonzero
-    entries.
 
     An ansatz of more than toric.MAX_BOX_POINTS columns is refused with a
     ValueError before its exponents are listed: the window alone cannot
@@ -336,24 +333,22 @@ def find_annihilators(series: Series, theta_order: int, q_degree: int):
     image = _theta_images(series)
     windows = {e: _shifted(series, e, cap) for e in q_exps}
     pre = {(e, t): cm.c1_degree(e) + sum(t) for e in q_exps for t in t_exps}
-    columns = sorted(pre, key=lambda c: (-pre[c], _ansatz_key(*c, 0)))
-    rows = {}  # (degree, monomial) -> {reversed column index: int}
+    columns = sorted(pre, key=lambda c: (-pre[c], _ansatz_key(*c, 0)), reverse=True)
+    rows = {}  # (degree, monomial) -> {column index: int}
     scales = []  # the lcm of each column's image denominators
     for i, (e, t) in enumerate(columns):
         images = [(d, image(dp, t)) for dp, d in windows[e]]
         scale = lcm(*(cls.den for _, cls in images))
         scales.append(scale)
-        col = width - 1 - i
         for d, cls in images:
             f = scale // cls.den
             for mono, v in cls.num.items():
-                rows.setdefault((d, mono), {})[col] = f * v
+                rows.setdefault((d, mono), {})[i] = f * v
     found = []  # ((weight, pivot's key), operator)
     # rows sorted by key: the elimination runs faster on them
     for vec, den in linalg.nullspace([rows[k] for k in sorted(rows)], width):
-        vec.reverse()
-        p = next(i for i, c in enumerate(vec) if c)  # vec[p] == den
-        terms = {columns[i]: c * scales[i] for i, c in enumerate(vec) if c}
+        p = max(vec)  # the free column: vec[p] == den
+        terms = {columns[i]: c * scales[i] for i, c in vec.items()}
         lead = columns[p]
         found.append(((pre[lead], _ansatz_key(*lead, 0)),
                       DiffOp(cm, pre[lead], terms, den * scales[p])))

@@ -55,6 +55,15 @@ from .toric import MoriCone, enumerate_degrees
 MAX_RATIO_BITS = 2**17
 
 
+def _refuse_oversized(degree, pairings):
+    """Refuse R_degree with a ValueError when its bound
+    sum_k |a_k| * bit_length(|a_k|) on the pairings passes MAX_RATIO_BITS."""
+    bits = sum(abs(a) * abs(a).bit_length() for a in pairings)
+    if bits > MAX_RATIO_BITS:
+        raise ValueError("R_d of degree %r may reach numbers of %d bits, more than "
+                         "MAX_RATIO_BITS = %d" % (list(degree), bits, MAX_RATIO_BITS))
+
+
 def euler_ratio(ring: CohomRing, degree) -> CohomClass:
     """The coefficient R_degree of the series, at hbar = 1, memoized per ring.
 
@@ -69,10 +78,7 @@ def euler_ratio(ring: CohomRing, degree) -> CohomClass:
     target = cm.pairings(degree)
     ratios = ring.ratios
     if target not in ratios:
-        bits = sum(abs(a) * abs(a).bit_length() for a in target)
-        if bits > MAX_RATIO_BITS:
-            raise ValueError("R_d of degree %r may reach numbers of %d bits, more than "
-                             "MAX_RATIO_BITS = %d" % (list(degree), bits, MAX_RATIO_BITS))
+        _refuse_oversized(degree, target)
         start, cost = (0,) * cm.n, sum(map(abs, target))
         for row in cm.m:
             step = sum(map(abs, row))
@@ -157,8 +163,13 @@ class Series:
 
 def build_f(ring: CohomRing, cone: MoriCone, bound: int) -> Series:
     """Assemble the series over all degrees of the Mori cone with c1-degree
-    <= bound, whatever the signs of their pairings with the divisors."""
+    <= bound, whatever the signs of their pairings with the divisors.
+
+    Every degree is checked against MAX_RATIO_BITS, in order, before the
+    first ratio is stepped, so an oversized window is refused at once."""
     degrees = tuple(enumerate_degrees(cone, ring.cm, bound))
+    for d in degrees:
+        _refuse_oversized(d, ring.cm.pairings(d))
     coeffs = {d: euler_ratio(ring, d) for d in degrees}
     return Series(ring, bound, degrees, coeffs, 0)
 

@@ -27,7 +27,8 @@ ones; `rref` returns the integer rows made dense.  `_solve` reduces the
 augmented matrix [a | b] and reads X off it, free coordinates zero, as
 {(i, j): int} over the lcm of the pivot entries it divides by, put in
 lowest terms by `lowest`; `solve_columns` and `invert` are its two
-callers.  `nullspace` takes sparse rows, as `_reduce` does.
+callers.  `nullspace` takes sparse rows, as `_reduce` does, and returns
+each basis vector sparse too, as {column: int} over its den.
 `CohomRing` and the annihilator search build sparse rows themselves, and
 `CohomRing` keeps the integer rows.
 
@@ -260,9 +261,11 @@ def nullspace(rows, width):
     """Basis of the rational nullspace {x : rows @ x = 0} of sparse rows
     {column: entry} (ints or rationals) on the first width columns.
 
-    One vector per free column f, with x[f] = 1 and the other free
-    coordinates 0, as (num, den): a list of width integer numerators over one
-    denominator den > 0, in lowest terms, so num[f] == den.
+    One vector per free column f, in column order, with x[f] = 1 and the
+    other free coordinates 0, as (num, den): integer numerators
+    num = {column: int} over one denominator den > 0, in lowest terms, so
+    num[f] == den.  Zero entries are left out, so num holds f and the pivot
+    columns below f whose rows reach f, and no other free column.
     """
     red, pivots = _reduce(rows, width)
     pivot_set = set(pivots)
@@ -274,11 +277,7 @@ def nullspace(rows, width):
     basis = []
     for f, entries in hits.items():
         den = lcm(*(p for _, _, p in entries))
-        x = {f: den}
-        for c, v, p in entries:
-            x[c] = -v * (den // p)
-        x, den = lowest(x, den)
-        basis.append(([x.get(j, 0) for j in range(width)], den))
+        basis.append(lowest({f: den} | {c: -v * (den // p) for c, v, p in entries}, den))
     return basis
 
 

@@ -460,7 +460,7 @@ def _dual_cone_rays(wall_coords, l):
         null = linalg.nullspace(linalg._sparse(sub), l)
         if len(null) != 1:
             continue
-        cand = linalg.primitive_vector(null[0][0])
+        cand = linalg.primitive_vector([null[0][0].get(j, 0) for j in range(l)])
         for sign in (1, -1):
             y = tuple(sign * x for x in cand)
             if all(_dot(y, c) >= 0 for c in wall_coords):

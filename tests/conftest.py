@@ -702,11 +702,12 @@ def reference_compose(a, b):
 def spans(ops, targets):
     """Is every target a rational combination of the operators?  Decided at
     once, by comparing ranks of the integer numerator rows: scaling a row by
-    its operator's den leaves the rank unchanged."""
+    its operator's den leaves the rank unchanged.  The ranks come from
+    reference_rref, so that the oracle does not run on linalg's kernel."""
     rows = [{term[:3]: term[3] for term in op.walk()} for op in ops + targets]
     keys = sorted({k for row in rows for k in row}, key=lambda k: _ansatz_key(*k))
 
     def rank(group):
-        return len(linalg.rref([[row.get(k, 0) for k in keys] for row in group],
-                               len(keys))[1])
+        return len(reference_rref([[row.get(k, 0) for k in keys] for row in group],
+                                  len(keys))[1])
     return rank(rows) == rank(rows[:len(ops)])

@@ -26,7 +26,7 @@ from qdm.serialize import laurent_json, op_str
 from qdm.toric import ChargeMatrix
 
 from conftest import (SHIPPED, coeffs, reference_compose, reference_gkz_operator,
-                      reference_theta_values, spans)
+                      reference_rref, reference_theta_values, spans)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +575,10 @@ def test_find_annihilators_empty_cases(corpus):
 def reference_find_annihilators(series, theta_order, q_degree, hbar_order):
     """The search as one global matrix, kept as the oracle: rows are
     (degree, hbar exponent, monomial), every column (e, t, h) repeats the
-    evaluation of q^e theta^t, and the whole nullspace is reduced at once."""
+    evaluation of q^e theta^t, and the whole nullspace is reduced at once.
+    Both eliminations are conftest.reference_rref, not linalg's kernel: the
+    nullspace is read off the free columns of the matrix's reduced form, and
+    a second reduction brings it to the reduced basis."""
     if min(theta_order, q_degree, hbar_order) < 0:
         raise ValueError("ansatz bounds must be nonnegative")
     cm = series.ring.cm
@@ -621,10 +624,16 @@ def reference_find_annihilators(series, theta_order, q_degree, hbar_order):
     rows = sorted(row_keys,
                   key=lambda k: (cm.c1_degree(k[0]), k[0], k[1], mono_key(k[2])))
     matrix = [[vec.get(rk, Fraction(0)) for vec in col_vectors] for rk in rows]
-    null = linalg.nullspace(linalg._sparse(matrix), len(columns))
-    if not null:
+    width = len(columns)
+    red, pivots = reference_rref(matrix, width)
+    free = [f for f in range(width) if f not in pivots]
+    if not free:
         return []
-    reduced, _ = linalg.rref([num for num, _ in null], len(columns))
+    null = [[Fraction(j == f) for j in range(width)] for f in free]
+    for row, c in zip(red, pivots):
+        for x, f in zip(null, free):
+            x[c] = -row[f]
+    reduced, _ = reference_rref(null, width)
     ops = []
     for vec in reduced:
         vec = linalg.primitive_vector(vec)  # a multiple: spans reads no scale
@@ -688,7 +697,7 @@ CHECKED_SEARCHES = [(name, None, 1) for name in SHIPPED] + [
 def test_found_operators_kill_the_series_on_the_window(shipped, name, theta_order,
                                                        q_degree):
     # the search and apply share the window, so each operator read back from
-    # the scaled, reversed nullspace columns must apply to zero
+    # the scaled nullspace columns must apply to zero
     _fan, _cm, ring, cone = shipped[name]
     series = build_f(ring, cone, 6)
     if theta_order is None:

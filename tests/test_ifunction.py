@@ -216,6 +216,25 @@ def test_a_ratio_is_refused_by_the_size_of_its_numbers(monkeypatch, shipped):
     assert ring.ratios == memo
 
 
+def test_build_f_refuses_an_oversized_window_before_any_ratio(monkeypatch, shipped):
+    # on P^1 the degree d pairs as (d, d); degree 5042 is the first of the
+    # window at bound 20000 past MAX_RATIO_BITS, and it is refused before the
+    # 5041 ratios below it are stepped
+    fan, cm, _ring, cone = shipped["p1"]
+    ring = cohomology.build_ring(fan, cm)
+    memo = dict(ring.ratios)
+
+    def refuse(*args):
+        raise AssertionError("a ratio was stepped")
+
+    for method in ("times_linear", "divide_linear"):
+        monkeypatch.setattr(cohomology.CohomRing, method, refuse)
+    with pytest.raises(ValueError, match=r"^R_d of degree \[5042\] may reach numbers of "
+                                         r"131092 bits, more than MAX_RATIO_BITS = 131072$"):
+        build_f(ring, cone, 20000)
+    assert ring.ratios == memo
+
+
 def test_ratio_memo_does_not_keep_its_ring_alive(shipped):
     fan, cm, _ring, _cone = shipped["p2"]
     ring = cohomology.build_ring(fan, cm)

@@ -79,20 +79,21 @@ def test_rref():
     assert red == [[1, 0, -1], [0, 1, 2]]
 
 
-def divided(basis):
-    """nullspace's (num, den) vectors as Fraction vectors."""
-    return [[Fraction(x, den) for x in num] for num, den in basis]
+def divided(basis, width):
+    """nullspace's sparse (num, den) vectors as dense Fraction vectors."""
+    return [[Fraction(num.get(j, 0), den) for j in range(width)] for num, den in basis]
 
 
 def test_nullspace_known():
     basis = linalg.nullspace([{0: 1, 1: 1, 2: 1}], 3)
-    assert basis == [([-1, 1, 0], 1), ([-1, 0, 1], 1)]
+    assert basis == [({0: -1, 1: 1}, 1), ({0: -1, 2: 1}, 1)]
     # x[2] = -2/3 and x[1] = -1/3 share the denominator 3, x[f] = 1 = 3/3
-    assert linalg.nullspace([{0: 3, 2: 1}, {1: 3, 2: 1}], 3) == [([-1, -1, 3], 3)]
+    assert linalg.nullspace([{0: 3, 2: 1}, {1: 3, 2: 1}], 3) == [({0: -1, 1: -1, 2: 3}, 3)]
     # lowest terms: -2/2 over the lcm 2 is -1 over 1
-    assert linalg.nullspace([{0: 2, 1: 2}], 2) == [([-1, 1], 1)]
-    # columns past width are ignored; a zero row is no constraint
-    assert linalg.nullspace([{}, {0: 1, 2: 5}], 2) == [([0, 1], 1)]
+    assert linalg.nullspace([{0: 2, 1: 2}], 2) == [({0: -1, 1: 1}, 1)]
+    # columns past width are ignored; a zero row is no constraint; the zero
+    # entry x[0] is left out
+    assert linalg.nullspace([{}, {0: 1, 2: 5}], 2) == [({1: 1}, 1)]
 
 
 def test_lowest_terms():
@@ -116,25 +117,27 @@ def test_nullspace_random():
         basis = linalg.nullspace(linalg._sparse(a), cols)
         for num, _ in basis:
             for row in a:
-                assert sum(x * y for x, y in zip(row, num)) == 0
+                assert sum(row[j] * x for j, x in num.items()) == 0
         rank = len(linalg.rref(a, cols)[1])
         assert len(basis) == cols - rank
 
 
 def assert_nullspace_contract(mat, width, pivots):
     """nullspace on the sparse rows of mat: one vector per free column, in
-    column order, as integer numerators over one positive denominator in
-    lowest terms with num[f] == den at its free column f and 0 at the other
-    free columns, and, divided out, the reference basis."""
+    column order, as integer numerators {column: int} over one positive
+    denominator in lowest terms, zero entries left out, with num[f] == den
+    at its free column f and no other free column a key, and, divided out,
+    the reference basis."""
     basis = linalg.nullspace(linalg._sparse(mat), width)
     free = [j for j in range(width) if j not in pivots]
     assert len(basis) == len(free)
     for (num, den), f in zip(basis, free):
-        assert len(num) == width
-        assert all(type(x) is int for x in num + [den])
-        assert den > 0 and math.gcd(den, *num) == 1
-        assert [num[j] for j in free] == [den if j == f else 0 for j in free]
-    assert divided(basis) == reference_nullspace(mat, width)
+        assert all(type(x) is int for x in [*num, *num.values(), den])
+        assert all(0 <= j < width and x for j, x in num.items())
+        assert den > 0 and math.gcd(den, *num.values()) == 1
+        assert num[f] == den
+        assert [j for j in free if j in num] == [f]
+    assert divided(basis, width) == reference_nullspace(mat, width)
 
 
 def test_solve_columns():

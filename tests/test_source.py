@@ -288,6 +288,28 @@ def test_the_elimination_files_each_row_under_its_leading_column():
     assert not loops, loops
 
 
+def _over_width(node):
+    """A range(...) call whose arguments read the name width."""
+    return (isinstance(node, ast.Call) and _callee(node) == "range"
+            and any(isinstance(n, ast.Name) and n.id == "width"
+                    for arg in node.args for n in ast.walk(arg)))
+
+
+def test_nullspace_vectors_stay_sparse():
+    # nullspace returns each vector as {column: int}, and find_annihilators
+    # lists its columns in elimination order and reads each vector off that
+    # map: no dense list over range(width) and no reversal of one
+    reversals = [node.lineno for node in ast.walk(_function("dmodule", "find_annihilators"))
+                 if isinstance(node, ast.Call) and _callee(node) in ("reverse", "reversed")]
+    assert not reversals, reversals
+    dense = [node.lineno for node in ast.walk(_function("linalg", "nullspace"))
+             if isinstance(node, ast.ListComp)
+             and any(_over_width(g.iter) for g in node.generators)
+             or isinstance(node, ast.Call) and _callee(node) == "list"
+             and any(_over_width(n) for n in ast.walk(node))]
+    assert not dense, dense
+
+
 def _writes_ok(node):
     """A dict display with an "ok" key, or a store to x["ok"]."""
     if isinstance(node, ast.Dict):

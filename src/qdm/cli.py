@@ -240,8 +240,7 @@ def cmd_loop_model(args) -> tuple[dict, bool]:
     _fan, cm, ring, cone = _load(args)
     degrees = _parse_degrees(args, cm)
     if degrees is None:
-        degrees = toric.enumerate_degrees(cone, cm, args.max_degree)
-        degrees = [d for d in degrees if any(d)]
+        degrees = [d for d in ifunction.build_f(ring, cone, args.max_degree).degrees if any(d)]
     else:
         for d in degrees:
             if not toric.in_cone(d, cone):

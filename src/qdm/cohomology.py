@@ -27,11 +27,12 @@ A class is sparse: integer numerators num = {basis monomial: int} over one
 denominator den > 0, in lowest terms (gcd(den, *num) == 1, no zero entry;
 zero is ({}, 1)), so the kernels run on Python ints and normalize each
 result once, with one gcd, in linalg.lowest, as operators and nullspace
-vectors are; a zero den is refused there.  A rational scalar is read
-through .numerator and .denominator, so an int or a Fraction will do.  The
-reduction table holds each free monomial as an integer row over its pivot
-entry; products of two basis monomials are read off it once per ring, over
-one ring-wide denominator, and memoized.
+vectors are; a zero den is refused there.  Sums and scalings of classes,
+combination and scale, go through linalg.combine, as operators' do.  A
+rational scalar is read through .numerator and .denominator, so an int or
+a Fraction will do.  The reduction table holds each free monomial as an
+integer row over its pivot entry; products of two basis monomials are read
+off it once per ring, over one ring-wide denominator, and memoized.
 Multiplication by a degree-one class L (a ray divisor alpha_k, a nef class
 omega_j) is a sparse integer matrix over one denominator, built lazily once
 per ring and L: its row for a basis monomial b is the reduced product L*b.
@@ -124,12 +125,10 @@ class CohomClass:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return CohomClass(self.ring, {m: -c for m, c in self.num.items()}, self.den)
+        return self.scale(-1)
 
     def scale(self, c):
-        p = c.numerator
-        return CohomClass(self.ring, {m: v * p for m, v in self.num.items()},
-                          self.den * c.denominator)
+        return CohomClass(self.ring, *linalg.combine([(c, self.num, self.den)]))
 
     def __mul__(self, other):
         if isinstance(other, CohomClass):
@@ -295,20 +294,12 @@ class CohomRing:
 
     def combination(self, terms, den=1) -> CohomClass:
         """sum c * cls over the (c, cls) pairs, int or Fraction c, divided by
-        the int den > 0, as one class over den times the lcm of the term
-        denominators."""
+        the int den > 0, as one class: linalg.combine over the nonzero c."""
         terms = [(c, cls) for c, cls in terms if c]
-        for _, cls in terms:
-            if cls.ring is not self:
-                raise ValueError("a term belongs to another ring")
-        common = lcm(*[c.denominator * cls.den for c, cls in terms])
-        out = {}
-        get = out.get
-        for c, cls in terms:
-            k = c.numerator * (common // (c.denominator * cls.den))
-            for m, v in cls.num.items():
-                out[m] = get(m, 0) + k * v
-        return CohomClass(self, out, common * den)
+        if any(cls.ring is not self for _, cls in terms):
+            raise ValueError("a term belongs to another ring")
+        return CohomClass(self, *linalg.combine([(c, cls.num, cls.den) for c, cls in terms],
+                                                den))
 
     def _linear(self, lin: CohomClass):
         """Multiplication by the degree-one class lin, built once per class:

@@ -15,8 +15,9 @@ composition is theta -> theta + e at hbar = 1, with the weights added.  The
 box operators (gkz_operator) are composed in this operator algebra from
 theta, hbar and q^e.  Like a cohomology class, an operator is one flat map
 of integer numerators, num = {(e, t): int}, over one denominator den > 0,
-put in lowest terms by linalg.lowest, and walk() reads its terms in one
-sorted order.
+put in lowest terms by linalg.lowest; sums and scalings go through
+linalg.combine, as a class's do, and walk() reads its terms in one sorted
+order.
 
 Acting on the series F, the term c q^e theta^t hbar^h contributes to the
 coefficient of q^d the value c hbar^h (omega + (d-e)*hbar)^t R_{d-e}.  The
@@ -116,13 +117,8 @@ class DiffOp:
         if other.weight != self.weight:
             raise ValueError("cannot add operators of weights %d and %d"
                              % (self.weight, other.weight))
-        den = lcm(self.den, other.den)
-        out = {}
-        for op in (self, other):
-            f = den // op.den
-            for k, c in op.num.items():
-                out[k] = out.get(k, 0) + f * c
-        return DiffOp(self.cm, self.weight, out, den)
+        return DiffOp(self.cm, self.weight,
+                      *linalg.combine([(1, op.num, op.den) for op in (self, other)]))
 
     def __sub__(self, other):
         if not isinstance(other, DiffOp) or other.cm != self.cm:
@@ -133,9 +129,7 @@ class DiffOp:
         return self.scale(-1)
 
     def scale(self, c):
-        p = c.numerator
-        return DiffOp(self.cm, self.weight, {k: v * p for k, v in self.num.items()},
-                      self.den * c.denominator)
+        return DiffOp(self.cm, self.weight, *linalg.combine([(c, self.num, self.den)]))
 
     def __mul__(self, other):
         """Composition (self applied after other), or a scalar multiple.

@@ -166,7 +166,8 @@ def build_f(ring: CohomRing, cone: MoriCone, bound: int) -> Series:
     <= bound, whatever the signs of their pairings with the divisors.
 
     Every degree is checked against MAX_RATIO_BITS, in order, before the
-    first ratio is stepped, so an oversized window is refused at once."""
+    first ratio is stepped, so an oversized window is refused at once.  The
+    three series subcommands, loop-model included, list their window here."""
     degrees = tuple(enumerate_degrees(cone, ring.cm, bound))
     for d in degrees:
         _refuse_oversized(d, ring.cm.pairings(d))

@@ -6,7 +6,9 @@ anywhere; results are exact.  A rational vector or matrix is returned as
 integer numerators over one denominator den > 0, in lowest terms.
 `lowest(num, den)` puts a sparse {key: int} over den in lowest terms, for
 nullspace vectors, solutions, classes and operators alike, and refuses a
-zero den.
+zero den.  `combine(terms, den)` is the one common-denominator sum beside
+it: sum c * num / d over (c, num, d) terms, over the lcm of the
+c.denominator * d, which classes and operators add and scale through.
 
 Rational elimination has one kernel, `_reduce`, on sparse rows
 {column: entry}.  It clears each nonzero input row to coprime integers.
@@ -34,7 +36,9 @@ each basis vector sparse too, as {column: int} over its den.
 
 `hermite_form`, `integer_kernel` and `int_det` stay outside the kernel:
 lattice work needs unimodular row transforms and a signed determinant,
-which rational row scaling does not preserve.
+which rational row scaling does not preserve.  `hermite_form` runs each
+row operation once, on the rows of [A | I], and splits off H and U at the
+end.
 """
 
 from __future__ import annotations
@@ -63,14 +67,13 @@ def hermite_form(rows):
     """Row Hermite normal form of an integer matrix.
 
     Returns (H, U) with U unimodular and U @ A = H.  H is in row echelon
-    form with positive pivots and entries above each pivot reduced.
+    form with positive pivots and entries above each pivot reduced.  Each
+    row operation runs once, on the rows of [A | I], whose two halves are
+    then H and U.
     """
-    h = [list(r) for r in rows]
-    m = len(h)
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    if m == 0 or not h[0]:
-        return h, u
-    width = len(h[0])
+    m = len(rows)
+    width = len(rows[0]) if m else 0
+    h = [[*row, *(int(i == j) for j in range(m))] for i, row in enumerate(rows)]
     r = 0
     for c in range(width):
         while True:
@@ -80,27 +83,23 @@ def hermite_form(rows):
             i0 = min(nz, key=lambda i: (abs(h[i][c]), i))
             if i0 != r:
                 h[r], h[i0] = h[i0], h[r]
-                u[r], u[i0] = u[i0], u[r]
             if len(nz) == 1:
                 break
             for i in range(r + 1, m):
                 if h[i][c]:
                     q = h[i][c] // h[r][c]
                     h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-        if r < m and h[r][c] != 0:
+        if h[r][c] != 0:
             if h[r][c] < 0:
                 h[r] = [-x for x in h[r]]
-                u[r] = [-x for x in u[r]]
             for i in range(r):
                 q = h[i][c] // h[r][c]
                 if q:
                     h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
             r += 1
             if r == m:
                 break
-    return h, u
+    return [row[:width] for row in h], [row[width:] for row in h]
 
 
 def integer_kernel(mat):
@@ -255,6 +254,21 @@ def lowest(num, den):
     if den < 0:
         g = -g
     return {k: v // g for k, v in num.items() if v}, den // g
+
+
+def combine(terms, den=1):
+    """sum c * num / d over the list of (c, num, d) terms, divided by the
+    int den: num = {key: int} over the int d > 0, c an int or a rational.
+    Returns (num, den), int numerators over den times the lcm of the
+    c.denominator * d, not yet in lowest terms; no terms give ({}, den)."""
+    common = lcm(*[c.denominator * d for c, _, d in terms])
+    out = {}
+    get = out.get
+    for c, num, d in terms:
+        k = c.numerator * (common // (c.denominator * d))
+        for key, v in num.items():
+            out[key] = get(key, 0) + k * v
+    return out, common * den
 
 
 def nullspace(rows, width):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 from operator import mul
 from pathlib import Path
 
@@ -64,13 +64,21 @@ def integrate(ring, cls):
     return Fraction(cls.num.get(top, 0), cls.den) / Fraction(point.num[top], point.den)
 
 
-# A dense Fraction Gauss-Jordan, kept apart from linalg's integer kernel so
-# that the oracles which solve and invert do not run on the code they check.
+# A dense fraction-free Gauss-Jordan, kept apart from linalg's sparse kernel
+# so that the oracles which solve and invert do not run on the code they
+# check.
 
 def reference_rref(rows, width):
     """(rows, pivot_columns) of the reduced row echelon form, as Fractions,
-    on the first width columns; zero rows are dropped."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+    on the first width columns; zero rows are dropped.
+
+    Each row is cleared to integers, eliminated by cross-multiplication
+    with one gcd per updated row, and divided by its pivot at the end."""
+    mat = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        mat.append([x.numerator * (den // x.denominator) for x in row])
     pivots = []
     r = 0
     for c in range(width):
@@ -78,17 +86,18 @@ def reference_rref(rows, width):
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
+        a = mat[r][c]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+                b = mat[i][c]
+                new = [a * x - b * y for x, y in zip(mat[i], mat[r])]
+                g = gcd(*new)
+                mat[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return mat[:r], pivots
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(mat, pivots)], pivots
 
 
 def reference_solve_columns(cols, target):

@@ -218,6 +218,20 @@ def test_a_size_past_the_cap_is_refused_before_the_work(argv, message):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: %s\n" % message)
 
 
+def test_loop_model_refuses_an_oversized_window_before_any_ratio(monkeypatch, capsys):
+    # the default loop-model window is build_f's, checked against
+    # MAX_RATIO_BITS before the first ratio: on P^2 at bound 30000 degree
+    # 3641 is the first past it, and none of the 3640 below it is stepped
+    def refuse(*args):
+        raise AssertionError("a ratio was stepped")
+
+    for method in ("times_linear", "divide_linear"):
+        monkeypatch.setattr(cohomology.CohomRing, method, refuse)
+    assert main(["loop-model", fan_path("p2"), "--max-degree", "30000"]) == 2
+    assert capsys.readouterr() == ("", "error: R_d of degree [3641] may reach numbers of "
+                                       "131076 bits, more than MAX_RATIO_BITS = 131072\n")
+
+
 def test_exact_rationals_print_past_the_digit_limit(tmp_path, capsys):
     # R_900 on P^1 has the constant term 1/(900!)^2, a denominator of 4,540
     # digits; the limit is lifted only after the fan is read, and restored

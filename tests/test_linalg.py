@@ -34,15 +34,26 @@ def test_hermite_form_random_properties():
         h, u = linalg.hermite_form(a)
         assert mat_mul(u, a) == h
         assert abs(linalg.int_det(u)) == 1
-        # echelon: pivot columns strictly increase, pivots positive
+        # echelon: pivot columns strictly increase, pivots positive, and each
+        # entry above a pivot lies in [0, pivot), which makes H unique
         last = -1
-        for row in h:
+        for r, row in enumerate(h):
             nz = [j for j, x in enumerate(row) if x]
             if not nz:
                 continue
-            assert nz[0] > last
-            assert row[nz[0]] > 0
-            last = nz[0]
+            c = nz[0]
+            assert c > last
+            assert row[c] > 0
+            assert all(0 <= h[i][c] < row[c] for i in range(r))
+            last = c
+        # the same matrix in Fractions, as _unimodular_inverse meets a
+        # rational nef_basis, has the same integral form and integer U
+        hf, uf = linalg.hermite_form([[Fraction(x) for x in row] for row in a])
+        assert (hf, uf) == (h, u)
+        assert all(type(x) is int for row in uf for x in row)
+    # no rows; rows of no columns, which U leaves alone
+    assert linalg.hermite_form([]) == ([], [])
+    assert linalg.hermite_form([[], []]) == ([[], []], [[1, 0], [0, 1]])
 
 
 def test_integer_kernel_known():
@@ -105,6 +116,26 @@ def test_lowest_terms():
     for num in ({"a": 2}, {}):
         with pytest.raises(ZeroDivisionError, match="denominator is 0"):
             linalg.lowest(num, 0)
+
+
+def test_combine_sums_over_one_common_denominator():
+    # sum c * num / d over the lcm of the c.denominator * d, times den, not
+    # yet in lowest terms
+    assert linalg.combine([(1, {"a": 1}, 2), (1, {"a": 1, "b": 3}, 3)]) == (
+        {"a": 5, "b": 6}, 6)
+    # a Fraction coefficient brings its denominator into the lcm:
+    # 3/4 * 2/3 / 5 = 6/60 and 2 / 5 = 24/60
+    assert linalg.combine([(Fraction(3, 4), {"a": 2}, 3), (2, {"b": 1}, 1)], 5) == (
+        {"a": 6, "b": 24}, 60)
+    # a zero coefficient adds nothing; the zero sum it leaves is lowest's to drop
+    total = linalg.combine([(0, {"a": 7}, 2), (1, {"b": 1}, 1)])
+    assert total == ({"a": 0, "b": 2}, 2)
+    assert linalg.lowest(*total) == ({"b": 1}, 1)
+    # no terms: the empty sum over den
+    assert linalg.combine([], 7) == ({}, 7)
+    # a float has no numerator or denominator, and is refused as scale(0.1) is
+    with pytest.raises(AttributeError):
+        linalg.combine([(0.1, {"a": 1}, 1)])
 
 
 def test_nullspace_random():
@@ -312,6 +343,27 @@ def test_kernel_matches_the_reference_eliminations():
             assert_same(inv, reference_invert(mat))
             seen["singular"] += inv is None
     assert min(seen.values()) >= 10, seen
+
+
+def test_the_reference_eliminations_agree():
+    # conftest.reference_rref (fraction-free Gauss-Jordan) and
+    # reference_nullspace (forward elimination, then Fraction back
+    # substitution) share no code: the nullspace read off the free columns
+    # of the one's reduced form is the other's basis
+    rng = random.Random(21)
+    for _ in range(300):
+        height, width = rng.randrange(1, 8), rng.randrange(1, 8)
+        mat = random_matrix(rng, height, width)
+        red, pivots = reference_rref(mat, width)
+        assert pivots == sorted(set(pivots))
+        assert [[row[c] for row in red] for c in pivots] == [
+            [int(i == j) for j in range(len(pivots))] for i in range(len(pivots))]
+        free = [f for f in range(width) if f not in pivots]
+        basis = [[Fraction(j == f) for j in range(width)] for f in free]
+        for row, c in zip(red, pivots):
+            for x, f in zip(basis, free):
+                x[c] = -row[f]
+        assert basis == reference_nullspace(mat, width)
 
 
 # ---------------------------------------------------------------------------

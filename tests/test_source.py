@@ -389,6 +389,46 @@ def test_one_window_rule_reads_the_truncation():
     assert not any(reads.values()), reads
 
 
+def test_only_build_f_lists_the_series_window():
+    # ifunction, operators and loop-model all take their window from
+    # build_f, so it is listed and priced against MAX_RATIO_BITS in one place
+    callers = {module: _owners(tree, lambda node: isinstance(node, ast.Call)
+                               and _callee(node) == "enumerate_degrees")
+               for module, tree in _trees().items()}
+    assert {m: owners for m, owners in callers.items() if owners} == {"ifunction": ["build_f"]}
+
+
+def _sums_by_hand(node):
+    """An lcm call, a store x[k] = x.get(k, 0) + ... or a dict comprehension:
+    a common denominator, a sum or a scaling built in place."""
+    if isinstance(node, ast.Call):
+        return _callee(node) == "lcm"
+    return isinstance(node, ast.DictComp) or (
+        isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp)
+        and isinstance(node.value.op, ast.Add) and isinstance(node.value.left, ast.Call)
+        and _callee(node.value.left) == "get")
+
+
+def test_classes_and_operators_add_and_scale_through_combine():
+    # linalg.combine is the one common-denominator sum: a class or an
+    # operator is added, subtracted, negated and scaled through it, and
+    # CohomRing.combination feeds it its terms
+    methods = {"%s.%s" % (name, node.name): node
+               for module, name in (("cohomology", "CohomClass"), ("cohomology", "CohomRing"),
+                                    ("dmodule", "DiffOp"))
+               for node in _class_body(module, name) if isinstance(node, ast.FunctionDef)}
+    guarded = [key for key in methods if not key.startswith("CohomRing.")
+               and key != "DiffOp.__mul__"]  # composition multiplies terms
+    by_hand = {key: [node.lineno for node in ast.walk(methods[key]) if _sums_by_hand(node)]
+               for key in guarded + ["CohomRing.combination"]}
+    assert not any(by_hand.values()), by_hand
+    callers = sorted(key for key, fn in methods.items()
+                     if any(isinstance(node, ast.Call) and _callee(node) == "combine"
+                            for node in ast.walk(fn)))
+    assert callers == ["CohomClass.scale", "CohomRing.combination", "DiffOp.__add__",
+                       "DiffOp.scale"]
+
+
 def test_linalg_reads_solutions_off_one_solve():
     # solve_columns and invert both go through _solve's reduced [a | b]
     owners = _owners(_trees()["linalg"], lambda node: isinstance(node, ast.Call)

@@ -30,9 +30,10 @@ result once, with one gcd, in linalg.lowest, as operators and nullspace
 vectors are; a zero den is refused there.  Sums and scalings of classes,
 combination and scale, go through linalg.combine, as operators' do.  A
 rational scalar is read through .numerator and .denominator, so an int or
-a Fraction will do.  The reduction table holds each free monomial as an
-integer row over its pivot entry; products of two basis monomials are read
-off it once per ring, over one ring-wide denominator, and memoized.
+a Fraction will do.  The reduction table holds each free monomial of
+degree at most top + 1 as an integer row over one ring-wide denominator,
+the lcm of the pivot entries; the product of two basis monomials is the
+row of their product monomial, read off it once per ring and memoized.
 Multiplication by a degree-one class L (a ray divisor alpha_k, a nef class
 omega_j) is a sparse integer matrix over one denominator, built lazily once
 per ring and L: its row for a basis monomial b is the reduced product L*b.
@@ -180,8 +181,8 @@ class CohomRing:
         relations = [(len(nf), reduce(poly_mul, [forms[k][0] for k in nf]))
                      for nf in fan.primitive_collections]
         free_monos = {deg: _monomials_in(self.n, free, deg) for deg in range(self.top + 2)}
-        self._table = {}  # free monomial -> (num, den), its reduced form
-        self._den = 1  # lcm of the table denominators
+        self._table = {}  # free monomial -> its reduced form, see _build_degree
+        self._den = 1  # lcm of the pivot entries, the table's one denominator
         self.basis_by_degree = {}
         for deg in range(self.top + 2):
             basis = self._build_degree(deg, free_monos, relations)
@@ -190,6 +191,9 @@ class CohomRing:
             elif basis:
                 raise FanError("cohomology does not vanish above the top degree; "
                                "fan data is inconsistent")
+        # free monomial -> ((mb, r), ...), its reduced form sum r / _den * mb
+        self._table = {m: tuple((mb, r * (self._den // den)) for mb, r in row)
+                       for m, (row, den) in self._table.items()}
         self.dims = tuple(len(self.basis_by_degree[d]) for d in range(self.top + 1))
         if self.dims[0] != 1 or self.dims[self.top] != 1:
             raise FanError("cohomology must be one dimensional in degrees 0 and %d"
@@ -217,7 +221,9 @@ class CohomRing:
         the Stanley-Reisner relations; returns the basis of the degree.  A
         multiple rel * mu is a sparse row: each monomial of rel, shifted by
         mu, is a column index.  A pivot monomial reduces to -row[j] / row[c]
-        on the free columns j of its integer row, whose pivot row[c] > 0."""
+        on the free columns j of its integer row, whose pivot row[c] > 0; the
+        table holds it as (((m_j, -row[j]), ...), row[c]) until __init__ puts
+        every row over _den."""
         cols = free_monos[deg]
         index = {m: j for j, m in enumerate(cols)}
         rows = [{index[add_exponents(m, mu)]: c for m, c in rel.items()}
@@ -226,11 +232,11 @@ class CohomRing:
         pivset = set(pivots)
         basis = [cols[j] for j in range(len(cols)) if j not in pivset]
         for row, c in zip(red, pivots):
-            self._table[cols[c]] = ({cols[j]: -row[j] for j in sorted(row) if j != c},
+            self._table[cols[c]] = (tuple((cols[j], -row[j]) for j in sorted(row) if j != c),
                                     row[c])
             self._den = lcm(self._den, row[c])
         for m in basis:
-            self._table[m] = ({m: 1}, 1)
+            self._table[m] = (((m, 1),), 1)
         return basis
 
     def _normalize_point(self):
@@ -261,22 +267,18 @@ class CohomRing:
         """The reduced class of a monomial in the free variables."""
         if sum(mono) > self.top:
             return self.zero()
-        return CohomClass(self, *self._table[tuple(mono)])
+        return CohomClass(self, dict(self._table[tuple(mono)]), self._den)
 
     def _pair(self, m1, m2):
         """The reduced product of two basis monomials as ((mb, r), ...) over
-        the ring-wide denominator _den, memoized."""
+        the ring-wide denominator _den: the table row of m1 * m2, memoized.
+        The table holds every free monomial up to degree top + 1, those of
+        degree top + 1 with empty rows, so a product missing from it has a
+        degree past top + 1 and is zero."""
         key = (m1, m2)
         row = self._pairs.get(key)
         if row is None:
-            prod = add_exponents(m1, m2)
-            if sum(prod) > self.top:
-                row = ()
-            else:
-                num, den = self._table[prod]
-                f = self._den // den
-                row = tuple((mb, r * f) for mb, r in num.items())
-            self._pairs[key] = row
+            row = self._pairs[key] = self._table.get(add_exponents(m1, m2), ())
         return row
 
     def multiply(self, a: CohomClass, b: CohomClass) -> CohomClass:

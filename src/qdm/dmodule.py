@@ -35,12 +35,12 @@ cls, so theta^t is a chain of |t| multiplications by degree-one classes
 
 Both apply and the search stay on Python ints from the theta-images to the
 operators.  apply feeds an operator's numerators to CohomRing.combination
-and divides by its denominator once per degree.  The search scales each
-ansatz column by the lcm of its images' denominators, so the columns are
-integer vectors; they are transposed into the sparse integer rows that
-linalg.nullspace takes, and the scale is undone when an operator is read
-back, straight into the flat map {(e, t): int}.  Scaling columns changes
-no pivot, so the reduced basis is the same.
+and divides by its denominator once per degree.  The search multiplies
+the whole ansatz matrix by one scale, the lcm of every image denominator,
+so its columns are integer vectors; they are transposed into the sparse
+integer rows that linalg.nullspace takes.  A nonzero scalar changes no
+nullspace vector, so each one is read back as it is, straight into the
+flat map {(e, t): int} over its den.
 """
 
 from __future__ import annotations
@@ -81,10 +81,6 @@ class DiffOp:
             if self.hbar_power(e, t) < 0:
                 raise ValueError("a term of q^%r would carry a negative power of "
                                  "hbar at weight %d" % (list(e), weight))
-
-    @classmethod
-    def zero(cls, cm):
-        return cls(cm, 0, {})
 
     @classmethod
     def identity(cls, cm):
@@ -303,11 +299,11 @@ def find_annihilators(series: Series, theta_order: int, q_degree: int):
     they are the reduced basis already.  Sorted by (weight, pivot), they
     are the basis.
 
-    A column is assembled from the theta-images' integer numerators, each
-    scaled to the lcm of the column's image denominators, and goes straight
-    into sparse integer rows keyed by (degree, monomial).  A nullspace vector
-    y of the scaled columns is x = y * scale of the true ones, and scaling a
-    column moves no pivot, so reading x back gives the same operators.
+    Each column's window images are listed once, and the whole matrix is
+    scaled by one lcm of every image denominator: the theta-images' integer
+    numerators, each times scale / den, go straight into sparse integer rows
+    keyed by (degree, monomial).  The scaled matrix has the nullspace of the
+    true one, so each vector (vec, den) is an operator as it stands.
 
     An ansatz of more than toric.MAX_BOX_POINTS columns is refused with a
     ValueError before its exponents are listed: the window alone cannot
@@ -328,24 +324,20 @@ def find_annihilators(series: Series, theta_order: int, q_degree: int):
     windows = {e: _shifted(series, e, cap) for e in q_exps}
     pre = {(e, t): cm.c1_degree(e) + sum(t) for e in q_exps for t in t_exps}
     columns = sorted(pre, key=lambda c: (-pre[c], _ansatz_key(*c, 0)), reverse=True)
+    images = [[(d, image(dp, t)) for dp, d in windows[e]] for e, t in columns]
+    scale = lcm(*(cls.den for column in images for _, cls in column))
     rows = {}  # (degree, monomial) -> {column index: int}
-    scales = []  # the lcm of each column's image denominators
-    for i, (e, t) in enumerate(columns):
-        images = [(d, image(dp, t)) for dp, d in windows[e]]
-        scale = lcm(*(cls.den for _, cls in images))
-        scales.append(scale)
-        for d, cls in images:
+    for i, column in enumerate(images):
+        for d, cls in column:
             f = scale // cls.den
             for mono, v in cls.num.items():
                 rows.setdefault((d, mono), {})[i] = f * v
     found = []  # ((weight, pivot's key), operator)
     # rows sorted by key: the elimination runs faster on them
     for vec, den in linalg.nullspace([rows[k] for k in sorted(rows)], width):
-        p = max(vec)  # the free column: vec[p] == den
-        terms = {columns[i]: c * scales[i] for i, c in vec.items()}
-        lead = columns[p]
+        lead = columns[max(vec)]  # the free column f: vec[f] == den
         found.append(((pre[lead], _ansatz_key(*lead, 0)),
-                      DiffOp(cm, pre[lead], terms, den * scales[p])))
+                      DiffOp(cm, pre[lead], {columns[i]: c for i, c in vec.items()}, den)))
     return [op for _, op in sorted(found, key=lambda f: f[0])]
 
 

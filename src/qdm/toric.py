@@ -32,7 +32,9 @@ Lattice work runs on Hermite forms, in integers.  A square integer matrix
 has determinant +-1 exactly when its Hermite form is the identity, and the
 transform is then its inverse (_unimodular_inverse): it inverts the first
 maximal cone, the nef basis, and one l x l block of the charge matrix.
-int_det only words the error for a cone that is not unimodular.
+int_det serves only a fan that is refused: once the walk finds a cone that
+is not unimodular, or a cone is malformed, the first listed cone whose
+determinant is not +-1 is named (_singular_cone).
 
 Relations are read in outside coordinates: their entries on the l rays
 outside the first maximal cone.  That cone's rays are a lattice basis, so a
@@ -210,17 +212,15 @@ def make_fan(rays, max_cones, nef_basis=None) -> FanData:
     except FanError as exc:
         # the cones are read in order, so a singular cone listed before the
         # bad one is named first
-        inverses = _cone_inverses(rays_t, [tuple(sorted(idx)) for idx in listed], {})[0]
-        raise (_singular_cone(rays_t, listed, inverses) or exc) from None
+        raise (_singular_cone(rays_t, listed) or exc) from None
     cones = [tuple(sorted(idx)) for idx in listed]
     walls = {}  # wall (codim-1 face) -> the maximal cones that hold it
     for cone in cones:
         for wall in combinations(cone, dim - 1):
             walls.setdefault(wall, []).append(cone)
     inverses, crossed = _cone_inverses(rays_t, cones, walls)
-    singular = _singular_cone(rays_t, listed, inverses)
-    if singular is not None:
-        raise singular
+    if None in inverses.values():  # the walk found a cone that is not unimodular
+        raise _singular_cone(rays_t, listed)
     if len(set(cones)) != len(cones):
         raise FanError("duplicate maximal cones")
 
@@ -361,12 +361,14 @@ def _cone_inverses(rays, cones, walls):
     return inverses, crossed
 
 
-def _singular_cone(rays, listed, inverses):
-    """The FanError naming the first listed cone that is not unimodular, with
-    its determinant in listed order, or None when there is none."""
+def _singular_cone(rays, listed):
+    """The FanError naming the first listed cone whose determinant, with its
+    rays in listed order, is not +-1, or None when there is none.  make_fan
+    calls it only on a fan it refuses, so a valid fan computes no
+    determinant."""
     for idx in listed:
-        if inverses[tuple(sorted(idx))] is None:
-            det = linalg.int_det([rays[k] for k in idx])
+        det = linalg.int_det([rays[k] for k in idx])
+        if det not in (1, -1):
             return FanError("maximal cone %r is not unimodular (det %d); the variety "
                             "would be singular" % (list(idx), det))
     return None

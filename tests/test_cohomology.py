@@ -275,6 +275,35 @@ def test_reduction_table_holds_only_free_monomials(shipped, name):
     assert len(ring._table) == math.comb(cm.l + fan.dim + 1, cm.l), name
 
 
+@pytest.mark.parametrize("name", SHIPPED + ["p1^6"])
+def test_reduction_table_rows_are_over_the_ring_denominator(shipped, name):
+    # each free monomial's row is ((basis monomial, int), ...) over ring._den,
+    # checked against the reduction over all n variables; on (P^1)^6 a free
+    # monomial reduces to itself when squarefree and to zero otherwise.
+    # The product of two basis monomials is the row of their product, empty
+    # above the top degree and missing from the table past top + 1.
+    if name == "p1^6":
+        ring = _fresh_ring(product_fan(*["p1"] * 6))
+        reduced = lambda m: {m: 1} if max(m) <= 1 else {}
+    else:
+        fan, _cm, ring, _cone = shipped[name]
+        reduced = reference_reduction_table(fan)[0].__getitem__
+    basis = set(ring.basis)
+    for m, row in ring._table.items():
+        assert type(row) is tuple, (name, m)
+        assert all(mb in basis and sum(mb) == sum(m) and type(r) is int and r
+                   for mb, r in row), (name, m)
+        assert {mb: Fraction(r, ring._den) for mb, r in row} == reduced(m), (name, m)
+    for a in ring.basis:
+        for b in ring.basis:
+            prod = add_exponents(a, b)
+            if sum(prod) > ring.top + 1:
+                assert ring._pair(a, b) == () and prod not in ring._table, (name, a, b)
+            else:
+                assert ring._pair(a, b) == ring._table[prod], (name, a, b)
+                assert sum(prod) <= ring.top or ring._pair(a, b) == (), (name, a, b)
+
+
 # ---------------------------------------------------------------------------
 # multiplication by degree-one classes through cached matrices
 

@@ -782,7 +782,7 @@ def test_in_span(corpus):
     assert spans(ops, [h * g + (theta * g).scale(Fraction(3, 2))])
     assert not spans(ops, [g])
     assert not spans([], [DiffOp.identity(cm)])
-    assert spans([], [DiffOp.zero(cm)])
+    assert spans([], [DiffOp(cm, 0, {})])
 
 
 # ---------------------------------------------------------------------------

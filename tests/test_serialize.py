@@ -94,7 +94,7 @@ def test_op_str(corpus):
     # triples are graded by (q, theta, hbar), so low theta powers come first
     assert serialize.op_str(gkz_operator(cm, (2,))) == \
         "theta1^2*hbar^2 - 2*theta1^3*hbar + theta1^4 - q1^2"
-    assert serialize.op_str(DiffOp.zero(cm)) == "0"
+    assert serialize.op_str(DiffOp(cm, 0, {})) == "0"
     assert serialize.op_str(DiffOp.identity(cm)) == "1"
     assert serialize.op_str(DiffOp.hbar(cm).scale(Fraction(1, 2))) == "1/2*hbar"
 
@@ -119,7 +119,7 @@ def test_relation_str(corpus):
     _fan, cm, _ring, _cone = corpus["p1"]
     assert serialize.relation_str(semiclassical(gkz_operator(cm, (1,)))) == \
         "p1^2 - q1"
-    assert serialize.relation_str(DiffOp.zero(cm)) == "0"
+    assert serialize.relation_str(DiffOp(cm, 0, {})) == "0"
     assert serialize.relation_str(DiffOp.identity(cm)) == "1"
     _fan, cm, _ring, _cone = corpus["hirzebruch1"]
     assert serialize.relation_str(semiclassical(gkz_operator(cm, (1, 0)))) == \
@@ -251,7 +251,7 @@ def test_op_json_rational_coefficients(corpus):
         {"q": [0], "terms": [{"theta": [0], "hbar": 0, "coeff": "-5/3"}]}]
     assert serialize.op_json(DiffOp.identity(cm).scale(-1)) == [
         {"q": [0], "terms": [{"theta": [0], "hbar": 0, "coeff": "-1"}]}]
-    assert serialize.op_json(DiffOp.zero(cm)) == []
+    assert serialize.op_json(DiffOp(cm, 0, {})) == []
 
 
 def test_class_and_laurent_json_rational_coefficients(corpus):

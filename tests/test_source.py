@@ -465,3 +465,43 @@ def test_make_fan_runs_one_hermite_form(monkeypatch):
     product_fan(*["p1"] * 6)
     assert calls == [6]
     assert not hasattr(cohomology.CohomRing, "_minimal_nonfaces")
+
+
+def _calls(node, name):
+    """The calls under node to a function or method of that name."""
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call) and _callee(n) == name]
+
+
+def test_the_annihilator_matrix_has_one_scale():
+    # one lcm of every image denominator scales the whole matrix, outside
+    # the column loop, so each nullspace vector is an operator as it stands:
+    # no per-column scale list is kept, and none is undone on read-back
+    fn = _function("dmodule", "find_annihilators")
+    outside = [call for stmt in fn.body if not isinstance(stmt, (ast.For, ast.While))
+               for call in _calls(stmt, "lcm")]
+    assert len(_calls(fn, "lcm")) == len(outside) == 1
+    lists = [target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+             and isinstance(node.value, ast.List) and not node.value.elts
+             for target in node.targets]
+    assert lists == ["found"], lists
+    dens = [call.args[-1] for call in _calls(fn, "DiffOp")]
+    assert dens and all(isinstance(den, ast.Name) for den in dens), dens
+
+
+def test_a_basis_product_is_one_table_lookup():
+    # the reduction table is over the ring's one denominator and holds every
+    # free monomial up to degree top + 1, so _pair only reads it and memoizes
+    pair = next(node for node in _class_body("cohomology", "CohomRing")
+                if isinstance(node, ast.FunctionDef) and node.name == "_pair")
+    arithmetic = [node.lineno for node in ast.walk(pair)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign, ast.UnaryOp))]
+    assert not arithmetic, arithmetic
+    attributes = {node.attr for node in ast.walk(pair) if isinstance(node, ast.Attribute)}
+    assert attributes == {"_pairs", "_table", "get"}, attributes
+    calls = {_callee(node) for node in ast.walk(pair) if isinstance(node, ast.Call)}
+    assert calls == {"get", "add_exponents"}, calls
+
+
+def test_make_fan_walks_the_walls_once():
+    # a malformed cone's error reads determinants, not a second wall walk
+    assert len(_calls(_function("toric", "make_fan"), "_cone_inverses")) == 1

@@ -165,6 +165,34 @@ def test_fan_errors_follow_the_listed_cones(rays, cones, message):
     assert str(info.value) == message + suffix
 
 
+def test_a_malformed_cone_names_an_earlier_singular_one_without_a_walk(monkeypatch):
+    # the malformed-cone path reads the determinants of the cones listed
+    # before it, in order, and walks no walls
+    calls = []
+    walk = toric._cone_inverses
+    monkeypatch.setattr(toric, "_cone_inverses", lambda *args: calls.append(args) or walk(*args))
+    with pytest.raises(FanError) as info:
+        make_fan([[1, 0], [1, 2], [-1, -1]], [[0, 1], [1, 5], [1, 2]])
+    assert str(info.value) == ("maximal cone [0, 1] is not unimodular (det 2); "
+                               "the variety would be singular")
+    assert calls == []
+
+
+def test_a_valid_fan_computes_no_determinant(monkeypatch):
+    # the wall walk decides that every cone is unimodular; int_det only
+    # names the cone of a fan that is refused
+    calls = []
+    det = linalg.int_det
+    monkeypatch.setattr(linalg, "int_det", lambda mat: calls.append(mat) or det(mat))
+    for name in SHIPPED:
+        load_fan(name)
+    product_fan(*["p1"] * 6)
+    assert calls == []
+    with pytest.raises(FanError, match=r"\[0, 1\] is not unimodular"):
+        make_fan([[1, 0], [1, 2], [-1, -1]], [[0, 1], [1, 2], [2, 0]])
+    assert calls
+
+
 @pytest.mark.parametrize("cones", [
     [[1, 0], [0, 3], [3, 4], [4, 2], [2, 1]],
     [[4, 2], [2, 1], [1, 0], [0, 3], [3, 4]],

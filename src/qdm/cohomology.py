@@ -20,7 +20,7 @@ Integration is normalized so that the class of a torus-fixed point, the
 product prod_{k in sigma} x_k over any maximal cone sigma, integrates to 1;
 that every maximal cone gives the same point class is checked.  The
 Poincare pairing vanishes off complementary degrees, so it is the blocks
-pairing(deg), each read off the reduction table once per ring; the dual
+pairing(deg), each read off the reduction table on every call; the dual
 basis inverts them block by block.
 
 A class is sparse: integer numerators num = {basis monomial: int} over one
@@ -209,9 +209,8 @@ class CohomRing:
         self._point = self._normalize_point()
         self._omega_cache = {}
         self._linear_cache = {}
-        self._pairing_cache = {}
         one = self.one()  # the Euler-ratio memos, see the ifunction module
-        self.ratios = {(0,) * self.n: one}
+        self.ratios = {(0,) * self.l: one}
         self.factor_products = {(k, 0): one for k in range(self.n)}
 
     # -- construction ---------------------------------------------------
@@ -378,19 +377,16 @@ class CohomRing:
                       self.one())
 
     def pairing(self, deg):
-        """The Poincare pairing block (rows, den), memoized: rows[i][j] / den
-        is the integral of b_i * b'_j over the basis monomials b_i of degree
-        deg and b'_j of degree top - deg.  Each product is read off the
-        reduction table, where its only basis monomial is the point's."""
-        block = self._pairing_cache.get(deg)
-        if block is None:
-            p, q = self._point  # the point monomial integrates to q / p
-            s = q if p > 0 else -q
-            cols = self.basis_by_degree[self.top - deg]
-            rows = tuple(tuple(s * sum(r for _, r in self._pair(a, b)) for b in cols)
-                         for a in self.basis_by_degree[deg])
-            block = self._pairing_cache[deg] = (rows, abs(p) * self._den)
-        return block
+        """The Poincare pairing block (rows, den): rows[i][j] / den is the
+        integral of b_i * b'_j over the basis monomials b_i of degree deg and
+        b'_j of degree top - deg.  Each product is read off the reduction
+        table, where its only basis monomial is the point's."""
+        p, q = self._point  # the point monomial integrates to q / p
+        s = q if p > 0 else -q
+        cols = self.basis_by_degree[self.top - deg]
+        rows = tuple(tuple(s * sum(r for _, r in self._pair(a, b)) for b in cols)
+                     for a in self.basis_by_degree[deg])
+        return rows, abs(p) * self._den
 
     def dual_basis(self):
         """(T, T^) with T the graded monomial basis classes and

@@ -22,8 +22,9 @@ Sharing work across degrees.  R_d depends on d only through its pairings,
 and moving d by a unit vector e_j of the curve lattice gains or loses a few
 factors per ray: from pairings a to b, R is divided by (alpha_k + nu) for
 nu in (a_k, b_k] and multiplied by it for nu in (b_k, a_k].  euler_ratio
-memoizes R per ring and builds a new one from the cached R_{d - e_j} that
-needs the fewest linear passes, or from R_0 = 1, the direct product.  A step
+memoizes R per ring by degree and builds a new one from the cached
+R_{d - e_j}, whose pairings are those of d minus row j of m, that needs the
+fewest linear passes, or from R_0 = 1, the direct product.  A step
 with a_k < 0 <= b_k on some ray is refused: it would divide by alpha_k,
 which is nilpotent.  check_ratio multiplies R_d by the products
 P+_k(a) = prod_{nu=1}^{a} (alpha_k + nu) for each a_k > 0 and compares with
@@ -33,9 +34,11 @@ predecessor, so the check costs one product per nonzero pairing and still
 never reads the multiplication matrices that build R_d.
 
 The ring owns both memos, which hold classes returned without copying:
-ring.ratios maps a pairing vector (a_k)_k to R_d for any d with those
-pairings, and ring.factor_products maps (k, a) to P+_k(a) for a >= 0 and to
-P-_k(a) for a <= 0.  The ring seeds them with 1, at (0, ..., 0) and at a = 0.
+ring.ratios maps a curve degree d, a tuple of l ints, to R_d, and
+ring.factor_products maps (k, a) to P+_k(a) for a >= 0 and to P-_k(a) for
+a <= 0.  The ring seeds them with 1, at d = (0, ..., 0) and at a = 0.  The
+charge matrix m has rank l, so distinct degrees have distinct pairings and
+keying by degree loses no sharing.
 
 The full series F = exp((t.omega)/hbar) sum_d q^d R_d carries a symbolic
 exponential prefactor; it is kept unexpanded, and only enters component(),
@@ -65,7 +68,8 @@ def _refuse_oversized(degree, pairings):
 
 
 def euler_ratio(ring: CohomRing, degree) -> CohomClass:
-    """The coefficient R_degree of the series, at hbar = 1, memoized per ring.
+    """The coefficient R_degree of the series, at hbar = 1, memoized per ring
+    under tuple(degree); a memo hit computes no pairings.
 
     Pairings of either sign are allowed: a negative one contributes the
     finite numerator product, including the nu = 0 factor alpha_k.  A new
@@ -74,28 +78,28 @@ def euler_ratio(ring: CohomRing, degree) -> CohomClass:
     passes MAX_RATIO_BITS is refused with a ValueError before any pass; it
     also bounds the sum_k |a_k| linear passes from R_0.
     """
-    cm = ring.cm
-    target = cm.pairings(degree)
+    key = tuple(degree)
     ratios = ring.ratios
-    if target not in ratios:
+    if key not in ratios:
+        target = ring.cm.pairings(degree)
         _refuse_oversized(degree, target)
-        start, cost = (0,) * cm.n, sum(map(abs, target))
-        for row in cm.m:
+        # shift: the pairings of key minus those of the degree stepped from
+        out, shift, cost = ratios[(0,) * len(key)], target, sum(map(abs, target))
+        for j, row in enumerate(ring.cm.m):
             step = sum(map(abs, row))
             if step >= cost:
                 continue
-            near = tuple(b - r for b, r in zip(target, row))
-            if near in ratios and not any(a < 0 <= b for a, b in zip(near, target)):
-                start, cost = near, step
-        out = ratios[start]
-        for k, (a, b) in enumerate(zip(start, target)):
+            near = key[:j] + (key[j] - 1,) + key[j + 1:]
+            if near in ratios and not any(b - r < 0 <= b for b, r in zip(target, row)):
+                out, shift, cost = ratios[near], row, step
+        for k, (b, r) in enumerate(zip(target, shift)):
             alpha = ring.generator(k)
-            for nu in range(a + 1, b + 1):
+            for nu in range(b - r + 1, b + 1):
                 out = ring.divide_linear(out, alpha, nu)
-            for nu in range(b + 1, a + 1):
+            for nu in range(b + 1, b - r + 1):
                 out = ring.times_linear(out, alpha, nu)
-        ratios[target] = out
-    return ratios[target]
+        ratios[key] = out
+    return ratios[key]
 
 
 def _factor_product(ring: CohomRing, k: int, a: int) -> CohomClass:

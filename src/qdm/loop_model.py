@@ -45,21 +45,20 @@ def min_modes(cm: ChargeMatrix, degree) -> int:
     return max(map(abs, cm.pairings(degree)), default=0)
 
 
-def _require_modes(cm: ChargeMatrix, degree, modes: int) -> None:
+def critical_component(cm: ChargeMatrix, degree, modes: int) -> CriticalData:
+    """Critical value sum_j d_j (the symplectic form is the sum of the nef
+    basis classes) and transverse weight intervals of the degree-d component.
+
+    The degree's entries, then the cutoff, then the degree's length are
+    checked; a cutoff below N(d) raises ComponentAbsentError."""
     _int_tuple(degree)
     _int_tuple((modes,))
-    needed = min_modes(cm, degree)
+    frozen = cm.pairings(degree)
+    needed = max(map(abs, frozen), default=0)
     if modes < needed:
         raise ComponentAbsentError(
             "component of degree %r needs at least N = %d modes, got %d"
             % (list(degree), needed, modes))
-
-
-def critical_component(cm: ChargeMatrix, degree, modes: int) -> CriticalData:
-    """Critical value sum_j d_j (the symplectic form is the sum of the nef
-    basis classes) and transverse weight intervals of the degree-d component."""
-    _require_modes(cm, degree, modes)
-    frozen = cm.pairings(degree)
     return CriticalData(sum(degree),
                         tuple((a_k + 1, modes) for a_k in frozen),
                         tuple((-modes, a_k - 1) for a_k in frozen))
@@ -71,9 +70,11 @@ def euler_ratio_n(ring: CohomRing, degree, modes: int) -> CohomClass:
 
     Per ray, [a_k+1, N] divided by [1, N] leaves (alpha_k + nu*hbar)^-1 for
     nu in [1, a_k] and (alpha_k + nu*hbar) for nu in [a_k+1, 0], whatever
-    N >= N(d) is: the factors of R_d, so the ratio is euler_ratio's.
+    N >= N(d) is: the factors of R_d, so the ratio is euler_ratio's.  The
+    inputs are checked as critical_component checks them, with the same
+    errors.
     """
-    _require_modes(ring.cm, degree, modes)
+    critical_component(ring.cm, degree, modes)
     return euler_ratio(ring, degree)
 
 

@@ -369,7 +369,7 @@ def test_corrupted_memoized_ratio_fails_the_ratio_check(monkeypatch, capsys,
                                                         command, key):
     def corrupt(ring):
         exact = ifunction.euler_ratio(ring, (2,))
-        ring.ratios[ring.cm.pairings((2,))] = exact + ring.generator(0)
+        ring.ratios[(2,)] = exact + ring.generator(0)
 
     _corrupt_memo_on_build(monkeypatch, corrupt)
     code, report = run_json(capsys, [command, fan_path("p1")])

@@ -246,10 +246,43 @@ def test_ratio_memo_does_not_keep_its_ring_alive(shipped):
 
 
 def test_ratio_memo_hit_is_the_cached_class(corpus):
-    _fan, cm, ring, _cone = corpus["p1xp1"]
+    _fan, _cm, ring, _cone = corpus["p1xp1"]
     r = euler_ratio(ring, (1, 1))
     assert euler_ratio(ring, (1, 1)) is r
-    assert ring.ratios[cm.pairings((1, 1))] is r
+    assert ring.ratios[(1, 1)] is r
+
+
+def test_ratio_memo_is_keyed_by_curve_degree(shipped):
+    # the window's degrees are the memo's keys, the zero degree seeded
+    fan, cm, _ring, cone = shipped["dp3"]
+    ring = cohomology.build_ring(fan, cm)
+    assert set(ring.ratios) == {(0,) * cm.l}
+    series = build_f(ring, cone, 6)
+    assert (0,) * cm.l in series.degrees
+    assert set(ring.ratios) == set(series.degrees)
+
+
+def test_ratio_memo_hit_computes_no_pairings(monkeypatch, corpus):
+    _fan, _cm, ring, _cone = corpus["hirzebruch1"]
+    r = euler_ratio(ring, (2, 1))
+    calls = []
+    pairings = toric.ChargeMatrix.pairings
+
+    def spy(self, degree):
+        calls.append(degree)
+        return pairings(self, degree)
+
+    monkeypatch.setattr(toric.ChargeMatrix, "pairings", spy)
+    assert euler_ratio(ring, (2, 1)) is r
+    assert calls == []
+
+
+def test_ratio_memo_reads_a_list_degree_as_its_tuple(corpus):
+    _fan, _cm, ring, _cone = corpus["p1xp1"]
+    r = euler_ratio(ring, [1, 1])
+    assert ring.ratios[(1, 1)] is r
+    assert euler_ratio(ring, (1, 1)) is r
+    assert euler_ratio(ring, [1, 1]) is r
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from conftest import (FAN_DIR, reference_euler_ratio_n, reference_linear_factor,
                       reference_weight_pairs)
 from qdm import (
+    ChargeMatrix,
     ComponentAbsentError,
     check_stabilization,
     critical_component,
@@ -215,3 +216,40 @@ def test_degree_entries_must_be_integers(corpus):
         check_stabilization(ring, (True,), [2])
     with pytest.raises(ValueError, match="expected integers"):
         euler_ratio_n(ring, (1.5,), 2)
+
+
+@pytest.mark.parametrize("degree, modes, error, message", [
+    ((True,), 3, ValueError, "expected integers, got [True]"),
+    ((1.5,), 3, ValueError, "expected integers, got [1.5]"),
+    ((1, 0, 0), True, ValueError, "expected integers, got [True]"),
+    ((1,), 0, ValueError, "degree needs 4 coordinates, got (1,)"),
+    ((1, 0, 0, 0), 0, ComponentAbsentError,
+     "component of degree [1, 0, 0, 0] needs at least N = 1 modes, got 0"),
+])
+def test_checks_run_entries_then_cutoff_then_length(shipped, degree, modes,
+                                                    error, message):
+    # an input bad in two ways reports the first check it fails, the same
+    # through critical_component and euler_ratio_n
+    _fan, cm, ring, _cone = shipped["dp3"]
+    for call, first in ((critical_component, cm), (euler_ratio_n, ring)):
+        with pytest.raises(error) as raised:
+            call(first, degree, modes)
+        assert type(raised.value) is error and str(raised.value) == message, call
+
+
+def test_a_component_computes_its_pairings_once(monkeypatch, corpus):
+    _fan, cm, ring, _cone = corpus["dp2"]
+    euler_ratio(ring, (1, 0, 0))
+    calls = []
+    pairings = ChargeMatrix.pairings
+
+    def spy(self, degree):
+        calls.append(degree)
+        return pairings(self, degree)
+
+    monkeypatch.setattr(ChargeMatrix, "pairings", spy)
+    critical_component(cm, (1, 0, 0), 3)
+    assert calls == [(1, 0, 0)]
+    calls.clear()
+    euler_ratio_n(ring, (1, 0, 0), 3)
+    assert calls == [(1, 0, 0)]

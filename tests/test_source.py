@@ -505,3 +505,39 @@ def test_a_basis_product_is_one_table_lookup():
 def test_make_fan_walks_the_walls_once():
     # a malformed cone's error reads determinants, not a second wall walk
     assert len(_calls(_function("toric", "make_fan"), "_cone_inverses")) == 1
+
+
+def test_the_loop_model_checks_its_modes_once():
+    # critical_component is the one check; euler_ratio_n calls it
+    defined = {node.name for node in _trees()["loop_model"].body
+               if isinstance(node, ast.FunctionDef)}
+    assert "_require_modes" not in defined
+    assert _calls(_function("loop_model", "euler_ratio_n"), "critical_component")
+
+
+def test_pairing_blocks_are_not_memoized():
+    # each call reads its block off the _pair rows; the ring keeps no block memo
+    body = _class_body("cohomology", "CohomRing")
+    bound = {node.attr for stmt in body for node in ast.walk(stmt)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+    assert "_pairing_cache" not in bound
+    pairing = next(node for node in body
+                   if isinstance(node, ast.FunctionDef) and node.name == "pairing")
+    reads = {node.attr for node in ast.walk(pairing) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    assert reads == {"_point", "basis_by_degree", "top", "_pair", "_den"}, reads
+    stores = [node.lineno for node in ast.walk(pairing)
+              if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)]
+    assert not stores, stores
+
+
+def test_a_ratio_memo_hit_computes_no_pairings():
+    # the memo is keyed by the degree itself, so pairings are computed only
+    # in the branch taken when the degree is not yet in ring.ratios
+    fn = _function("ifunction", "euler_ratio")
+    misses = [node for node in ast.walk(fn) if isinstance(node, ast.If)
+              and isinstance(node.test, ast.Compare)
+              and [type(op) for op in node.test.ops] == [ast.NotIn]]
+    inside = [call for branch in misses for stmt in branch.body
+              for call in _calls(stmt, "pairings")]
+    assert inside and inside == _calls(fn, "pairings"), ast.unparse(fn)

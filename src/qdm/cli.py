@@ -76,7 +76,7 @@ def _int_field(part, option, raw):
     limit).  int() alone would also take '_', '+' and spaces."""
     if "/" not in part:
         try:
-            value = int(toric.parse_frac(part))
+            value = toric.parse_frac(part)
         except ValueError:
             pass
         else:

@@ -8,18 +8,24 @@ JSON by render_json and as text by render_text.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import groupby, repeat
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from operator import itemgetter
 
 from .cohomology import mono_key
 
 
 def frac_str(num, den=1) -> str:
-    """num / den in lowest terms as 'p/q', or 'p' when integral; every
-    rational in a report is printed here."""
-    return str(Fraction(num, den))
+    """The int ratio num / den in lowest terms as 'p/q', the sign on p, or
+    'p' when integral; every rational in a report is printed here."""
+    if not den:
+        raise ZeroDivisionError("frac_str(%d, 0)" % num)
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    num, den = num // g, den // g
+    return "%d/%d" % (num, den) if den != 1 else "%d" % num
 
 
 def mono_str(mono) -> str:

@@ -52,17 +52,19 @@ a ChargeMatrix built by hand.
 
 The Mori cone has one description, derived once per fan: the facet normals
 y of the cone the wall classes span, i.e. the nef cone's extreme rays.
-make_fan finds them in outside coordinates; a derived nef basis is read off
-them, and mori_generators maps them to charge coordinates for in_cone and
-enumerate_degrees, which test classes d by y . d >= 0.
+make_fan finds them in outside coordinates, by a double description that
+adds one wall class at a time and also checks that the classes span; a
+derived nef basis is read off them, and mori_generators maps them to charge
+coordinates for in_cone and enumerate_degrees, which test classes d by
+y . d >= 0.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, prod
 from operator import mul
@@ -156,16 +158,26 @@ class ChargeMatrix:
         return sum(map(mul, self._c1_row, degree))
 
 
-def parse_frac(value) -> Fraction:
-    """Accepts ints, Fractions and 'p/q' strings (as used in the JSON formats):
-    ASCII digits with an optional minus sign and an optional '/' denominator."""
-    if (isinstance(value, bool) or not isinstance(value, (int, Fraction, str))
-            or isinstance(value, str) and not _RATIONAL.fullmatch(value)):
+def parse_frac(value):
+    """The rational an int, a Fraction or a 'p/q' string (as used in the
+    JSON formats: ASCII digits with an optional minus sign and an optional
+    '/' denominator) stands for: an int when it is integral, else a
+    Fraction.  Only a non-integral 'p/q' loads the fractions module."""
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        num, _, den = value.partition("/")
+        num, den = int(num), int(den or 1)
+        if not den:
+            raise ValueError("zero denominator in %r" % (value,))
+        if num % den:
+            from fractions import Fraction
+            return Fraction(num, den)
+        return num // den
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    fractions = sys.modules.get("fractions")  # loaded wherever a Fraction exists
+    if fractions is None or not isinstance(value, fractions.Fraction):
         raise ValueError("expected an integer or 'p/q' string, got %r" % (value,))
-    try:
-        return Fraction(value)
-    except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % (value,)) from None
+    return value.numerator if value.denominator == 1 else value
 
 
 def _int_tuple(values):
@@ -242,8 +254,7 @@ def make_fan(rays, max_cones, nef_basis=None) -> FanData:
                 isinstance(vec, (list, tuple)) for vec in nef_basis):
             raise FanError("nef_basis must be a list of coefficient lists")
         try:
-            rows = [tuple(c.numerator if c.denominator == 1 else c
-                          for c in map(parse_frac, vec)) for vec in nef_basis]
+            rows = [tuple(map(parse_frac, vec)) for vec in nef_basis]
         except (TypeError, ValueError):
             raise FanError("nef_basis entries must be integers or 'p/q' strings") from None
         if any(len(r) != n for r in rows):
@@ -253,8 +264,6 @@ def make_fan(rays, max_cones, nef_basis=None) -> FanData:
         nef = tuple(rows)
     l = n - dim
     wall_coords = sorted(set(map(tuple, _columns(relations, _outside(n, cones[0])))))
-    if _rank(wall_coords, l) < l:
-        raise FanError("the wall curve classes do not span the relation lattice")
     return FanData(rays_t, tuple(cones), nef, relations,
                    tuple(_dual_cone_rays(wall_coords, l)),
                    _primitive_collections(cones, n, dim))
@@ -455,20 +464,63 @@ def _rank(classes, l):
 
 
 def _dual_cone_rays(wall_coords, l):
-    """Primitive extreme rays of {y : y . c >= 0 for all wall classes c};
-    the classes must span."""
-    found = set()
-    for sub in combinations(wall_coords, l - 1):
-        null = linalg.nullspace(linalg._sparse(sub), l)
-        if len(null) != 1:
+    """The sorted primitive extreme rays of {y : y . c >= 0 for every wall
+    class c}, in integers; a FanError unless the classes span Q^l.
+
+    Double description (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda
+    and Prodon, Double description method revisited, 1996): the cone is
+    lin(L) + cone(R), and the classes are added one at a time, starting
+    from L = e_1..e_l and no rays.  Each ray carries the set of added
+    classes it is tight on.  A class a with a . v != 0 for some v in L
+    pivots on v, signed so that a . v > 0: every other u in L or R becomes
+    (a . v) u - (a . u) v, and v becomes a ray.  Otherwise the rays with
+    a . r < 0 are cut, and each adjacent pair (r+, r-) across a gives the
+    ray (a . r+) r- - (a . r-) r+.  Two rays are adjacent when their common
+    tight set lies in no other ray's and has at least l - dim L - 2
+    classes: the face they span is two-dimensional modulo L.  A vector of L
+    left after the last class means the classes do not span.
+    """
+    lineality = [tuple(int(i == j) for j in range(l)) for i in range(l)]
+    rays = []  # (ray, bitmask of the added classes it is tight on)
+    for i, a in enumerate(wall_coords):
+        bit = 1 << i
+        dots = [_dot(a, v) for v in lineality]
+        k = next((k for k, x in enumerate(dots) if x), None)
+        if k is not None:
+            av = dots.pop(k)
+            piv = lineality.pop(k)
+            if av < 0:
+                av, piv = -av, tuple(-x for x in piv)
+            lineality = [_combination(av, u, x, piv) for u, x in zip(lineality, dots)]
+            rays = [(_combination(av, u, _dot(a, u), piv), z | bit) for u, z in rays]
+            rays.append((piv, bit - 1))
             continue
-        cand = linalg.primitive_vector([null[0][0].get(j, 0) for j in range(l)])
-        for sign in (1, -1):
-            y = tuple(sign * x for x in cand)
-            if all(_dot(y, c) >= 0 for c in wall_coords):
-                found.add(y)
-                break
-    return sorted(found)
+        sides = [(_dot(a, u), u, z) for u, z in rays]
+        pos = [(j, s, u, z) for j, (s, u, z) in enumerate(sides) if s > 0]
+        neg = [(j, s, u, z) for j, (s, u, z) in enumerate(sides) if s < 0]
+        tight = [z for _, _, z in sides]
+        rays = [(u, z | bit if s == 0 else z) for s, u, z in sides if s >= 0]
+        need = l - len(lineality) - 2
+        for jp, sp, up, zp in pos:
+            for jn, sn, un, zn in neg:
+                common = zp & zn
+                if common.bit_count() >= need and not any(
+                        common & z == common for j, z in enumerate(tight)
+                        if j != jp and j != jn):
+                    rays.append((_combination(sp, un, sn, up), common | bit))
+    if lineality:
+        raise FanError("the wall curve classes do not span the relation lattice")
+    return sorted(u for u, _ in rays)
+
+
+def _combination(p, u, q, v):
+    """p u - q v divided by the gcd of its entries, sign kept: u itself when
+    q is 0, as p > 0 and u is primitive."""
+    if not q:
+        return u
+    w = [p * x - q * y for x, y in zip(u, v)]
+    g = gcd(*w)
+    return tuple([x // g for x in w])
 
 
 def charge_matrix(fan: FanData) -> ChargeMatrix:

@@ -387,16 +387,22 @@ def reference_component(series, beta, log_order, duals):
 
 def product_fan(*names):
     """The fan of the product of shipped fans: block rays, and the products
-    of their maximal cones."""
+    of their maximal cones.  When every factor supplies a nef basis, the
+    product supplies their union, each vector zero on the other factors'
+    rays."""
     datas = [json.loads((FAN_DIR / (name + ".json")).read_text()) for name in names]
     dims = [len(data["rays"][0]) for data in datas]
-    rays, cones = [], [[]]
+    sizes = [len(data["rays"]) for data in datas]
+    rays, cones, nef = [], [[]], []
     for i, data in enumerate(datas):
         shift = len(rays)
         rays += [[0] * sum(dims[:i]) + list(ray) + [0] * sum(dims[i + 1:])
                  for ray in data["rays"]]
         cones = [c + [shift + k for k in cone] for c in cones for cone in data["max_cones"]]
-    return qdm.make_fan(rays, cones)
+        nef += [[0] * shift + list(vec) + [0] * sum(sizes[i + 1:])
+                for vec in data.get("nef_basis", ())]
+    supplied = all("nef_basis" in data for data in datas)
+    return qdm.make_fan(rays, cones, nef if supplied else None)
 
 
 # The quantum period from the rays alone: it reads no charge matrix, Mori
@@ -653,6 +659,28 @@ def reference_mori_generators(fan, cm):
                 changed = True
     extremal.sort(key=lambda d: (cm.c1_degree(d), d))
     return extremal
+
+
+# The nef cone's extreme rays by one nullspace per (l - 1)-subset of wall
+# classes, which the double description replaced, kept as the oracle.
+
+def reference_dual_cone_rays(wall_coords, l):
+    """Primitive extreme rays of {y : y . c >= 0 for all classes c}, sorted:
+    each (l - 1)-subset with a one-dimensional nullspace gives a candidate,
+    kept with the sign on which every class is nonnegative.  The classes
+    must span."""
+    found = set()
+    for sub in combinations(wall_coords, l - 1):
+        null = linalg.nullspace(linalg._sparse(sub), l)
+        if len(null) != 1:
+            continue
+        cand = linalg.primitive_vector([null[0][0].get(j, 0) for j in range(l)])
+        for sign in (1, -1):
+            y = tuple(sign * x for x in cand)
+            if all(sum(a * b for a, b in zip(y, c)) >= 0 for c in wall_coords):
+                found.add(y)
+                break
+    return sorted(found)
 
 
 # The box operator as dict-polynomial products, which the operator algebra

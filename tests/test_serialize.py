@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,23 +13,50 @@ from qdm.toric import parse_frac
 
 
 def test_frac_str():
-    assert serialize.frac_str(Fraction(3, 6)) == "1/2"
+    assert serialize.frac_str(3, 6) == "1/2"
     assert serialize.frac_str(4) == "4"
-    assert serialize.frac_str(Fraction(-2, 1)) == "-2"
-    assert serialize.frac_str(Fraction(-5, 10)) == "-1/2"
+    assert serialize.frac_str(-2, 1) == "-2"
+    assert serialize.frac_str(-5, 10) == "-1/2"
+    assert serialize.frac_str(5, -10) == "-1/2"
+    assert serialize.frac_str(0, -3) == "0"
+    with pytest.raises(ZeroDivisionError):
+        serialize.frac_str(1, 0)
+
+
+def test_frac_str_prints_as_fraction_does():
+    # frac_str prints from ints; Fraction's own str is the oracle, on signs
+    # of either side and on numbers past the 4,300-digit str limit, which
+    # the CLI lifts
+    rng = random.Random(0)
+    big = 10 ** 4400 + 7
+    cases = [(0, 1), (0, -5), (-6, -4), (6, -4), (big, 3 * big), (-big, 2)]
+    for _ in range(300):
+        den = 0
+        while not den:
+            den = rng.randint(-10 ** rng.randint(0, 30), 10 ** rng.randint(0, 30))
+        cases.append((rng.randint(-10 ** rng.randint(0, 30), 10 ** rng.randint(0, 30)), den))
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for num, den in cases:
+            assert serialize.frac_str(num, den) == str(Fraction(num, den)), (num, den)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_parse_frac():
-    assert parse_frac(3) == Fraction(3)
+    assert parse_frac(3) == 3 and type(parse_frac(3)) is int
     assert parse_frac("2/5") == Fraction(2, 5)
-    assert parse_frac("-7") == Fraction(-7)
-    assert parse_frac("10/10") == Fraction(1)
+    assert parse_frac("-7") == -7 and type(parse_frac("-7")) is int
+    assert parse_frac("10/10") == 1 and type(parse_frac("10/10")) is int
+    assert parse_frac("-9/6") == Fraction(-3, 2)
+    assert parse_frac(Fraction(4, 6)) == Fraction(2, 3)
+    assert type(parse_frac(Fraction(-4, 2))) is int
     for bad in (True, 1.5, None, [1], "x", "1/0",
                 "1.0", "1e0", " 1 ", "+1", "1_0", "1/-2", "\u0663"):
         with pytest.raises(ValueError):
             parse_frac(bad)
-    value = Fraction(-22, 7)
-    assert parse_frac(serialize.frac_str(value)) == value
+    assert parse_frac(serialize.frac_str(-22, 7)) == Fraction(-22, 7)
 
 
 @pytest.mark.parametrize("value", [

@@ -46,6 +46,22 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     assert out.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv", [["cohomology", "fans/p4.json"],
+                                  ["loop-model", "fans/dp3.json"]],
+                         ids=["cohomology-p4", "loop-model-dp3"])
+def test_cli_run_on_an_integer_fan_leaves_out_fractions_and_decimal(argv):
+    # an integer fan is parsed and printed from ints, so the process need
+    # not load fractions, nor the decimal module fractions imports
+    code = ("import io, sys, contextlib, qdm.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = qdm.cli.main(%r)\n"
+            "print(code, sorted({'fractions', 'decimal'} & set(sys.modules)))" % (argv,))
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, cwd=ROOT,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "0 []"
+
+
 def _names(tree):
     """The names a syntax tree reads, looks up as attributes or imports."""
     for node in ast.walk(tree):
@@ -295,6 +311,27 @@ def _over_width(node):
                     for arg in node.args for n in ast.walk(arg)))
 
 
+def test_the_nef_rays_come_from_no_subset_enumeration():
+    # _dual_cone_rays adds one wall class at a time (double description);
+    # neither it nor a toric function it reaches eliminates once per subset
+    # of classes, nor checks the span by a separate rank
+    tree = _trees()["toric"]
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo, calls = set(), ["_dual_cone_rays"], set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Call):
+                calls.add(_callee(node))
+                if _callee(node) in defs and _callee(node) not in reached:
+                    todo.append(_callee(node))
+    assert not calls & {"nullspace", "_reduce", "combinations", "_rank"}, calls
+    make_fan = {_callee(node) for node in ast.walk(defs["make_fan"])
+                if isinstance(node, ast.Call)}
+    assert "_rank" not in make_fan
+
+
 def test_nullspace_vectors_stay_sparse():
     # nullspace returns each vector as {column: int}, and find_annihilators
     # lists its columns in elimination order and reads each vector off that
@@ -335,9 +372,11 @@ def test_an_operator_is_one_flat_map():
 
 
 def test_serialize_builds_fractions_in_one_formatter():
+    # frac_str puts every printed rational in lowest terms from its ints
     tree = _trees()["serialize"]
+    assert not _imports(tree, "fractions")
     owners = _owners(tree, lambda node: isinstance(node, ast.Call)
-                     and _callee(node) == "Fraction")
+                     and _callee(node) in ("Fraction", "gcd"))
     assert owners == ["frac_str"]
 
 
@@ -350,16 +389,19 @@ def _imports(tree, name):
 
 def test_only_the_parser_and_the_printer_build_fractions():
     # between the fan parser and the printer a rational is int numerators
-    # over one den > 0: toric reads the fan file's 'p/q' strings and
-    # serialize prints every rational, and no other module holds a Fraction
+    # over one den > 0: toric.parse_frac alone builds a Fraction, for a fan
+    # file's non-integral 'p/q', and imports fractions only to build it;
+    # serialize prints every rational from ints
     trees = _trees()
     assert sorted(m for m, tree in trees.items() if _imports(tree, "fractions")) == [
-        "serialize", "toric"]
+        "toric"]
+    assert _owners(trees["toric"], lambda node: isinstance(node, ast.ImportFrom)
+                   and node.module == "fractions") == ["parse_frac"]
     builds = {module: _owners(tree, lambda node: isinstance(node, ast.Call)
                               and _callee(node) == "Fraction")
               for module, tree in trees.items()}
     assert {m: owners for m, owners in builds.items() if owners} == {
-        "serialize": ["frac_str"], "toric": ["parse_frac"]}
+        "toric": ["parse_frac"]}
 
 
 def test_the_poincare_pairing_has_one_owner():

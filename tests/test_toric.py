@@ -30,6 +30,7 @@ from conftest import (
     load_fan,
     product_fan,
     reference_coords_in_basis,
+    reference_dual_cone_rays,
     reference_in_cone,
     reference_invert,
     reference_mori_generators,
@@ -421,6 +422,81 @@ def test_setup_matches_the_per_wall_reference(monkeypatch, name):
         # normals, not the cone they give in charge coordinates
         want = want or (cm, cone)
         assert (cm, cone) == want
+
+
+# The four products whose wall classes leave a lineality space standing
+# while rays are cut: an adjacency threshold without its lineality term
+# loses rays on two of them.
+PRODUCTS = [("dp3", "dp3"), ("dp3", "p2"), ("dp2", "p1", "p1"), ("p1", "p1", "p1", "dp2")]
+
+
+def _wall_coords(fan):
+    """The fan's distinct wall classes in outside coordinates, sorted, as
+    make_fan hands them to _dual_cone_rays, and l."""
+    out = toric._outside(fan.n_rays, fan.max_cones[0])
+    return sorted({tuple(rel[k] for k in out) for rel in fan.wall_relations}), len(out)
+
+
+def _oracle_fans():
+    yield from ((name, load_fan(name)) for name in SHIPPED)
+    yield from (("%s seed %d" % (name, seed), fan)
+                for name, seed, fan in seeded_bench_fans(range(6)))
+    yield from (("x".join(names), product_fan(*names)) for names in PRODUCTS)
+
+
+def test_nef_rays_match_the_subset_reference_on_fans():
+    # every shipped fan, the benchmark's fans at seeds 0-5, and the products
+    for label, fan in _oracle_fans():
+        coords, l = _wall_coords(fan)
+        want = reference_dual_cone_rays(coords, l)
+        assert list(fan.mori_normals) == want, label
+    # the product of dp3's nef bases is one of dP3 x dP3
+    fan = product_fan("dp3", "dp3")
+    cm = charge_matrix(fan)
+    assert len(fan.mori_normals) == 10 and cm.l == 8
+    assert len(mori_generators(fan, cm).generators) == 12
+
+
+def _random_class_sets(count=200, seed=0):
+    """(l, classes) for l = 2..6: small classes leaning to the positive
+    side, unit classes until they span, then a duplicate, a multiple or a
+    negative of some class, in shuffled order."""
+    rng = random.Random(seed)
+    for t in range(count):
+        l = 2 + t % 5
+        classes = [c for c in (tuple(rng.choice((-1, 0, 0, 1, 1, 2)) for _ in range(l))
+                               for _ in range(l + rng.randint(0, 5))) if any(c)]
+        for j in range(l):
+            if toric._rank(classes, l) == l:
+                break
+            classes.append(tuple(int(i == j) for i in range(l)))
+        for _ in range(rng.randint(0, 2)):
+            scale = rng.choice((1, 2, 3, -1, -2))
+            classes.append(tuple(scale * x for x in rng.choice(classes)))
+        rng.shuffle(classes)
+        yield l, classes
+
+
+def test_nef_rays_match_the_subset_reference_on_random_classes():
+    kinds = {"no rays": 0, "simplicial": 0, "non-simplicial": 0,
+             "repeated": 0, "antiparallel": 0}
+    for l, classes in _random_class_sets():
+        want = reference_dual_cone_rays(classes, l)
+        assert toric._dual_cone_rays(classes, l) == want, (l, classes)
+        kinds["no rays" if not want else
+              "simplicial" if len(want) == l else "non-simplicial"] += 1
+        kinds["repeated"] += len(set(classes)) < len(classes)
+        kinds["antiparallel"] += any(tuple(-x for x in c) in classes for c in classes)
+    # the sample reaches every kind of case
+    assert min(kinds.values()) >= 10, kinds
+
+
+@pytest.mark.parametrize("classes", [[], [(1, 0, 0), (0, 1, 0)], [(1, 1), (2, 2), (-1, -1)]],
+                         ids=["empty", "a plane", "a line"])
+def test_classes_that_do_not_span_are_refused(classes):
+    with pytest.raises(FanError, match="the wall curve classes do not span the "
+                                       "relation lattice"):
+        toric._dual_cone_rays(classes, len(classes[0]) if classes else 2)
 
 
 # ---------------------------------------------------------------------------

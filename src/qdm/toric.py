@@ -56,7 +56,9 @@ make_fan finds them in outside coordinates, by a double description that
 adds one wall class at a time and also checks that the classes span; a
 derived nef basis is read off them, and mori_generators maps them to charge
 coordinates for in_cone and enumerate_degrees, which test classes d by
-y . d >= 0.
+y . d >= 0.  The nef and Mori cones are each other's double description:
+mori_generators reads the cone's generators off a second run, on the
+normals.
 """
 
 from __future__ import annotations
@@ -459,13 +461,11 @@ def _columns(rows, cols):
     return [[row[k] for k in cols] for row in rows]
 
 
-def _rank(classes, l):
-    return len(linalg._reduce(linalg._sparse(classes), l)[1])
-
-
-def _dual_cone_rays(wall_coords, l):
-    """The sorted primitive extreme rays of {y : y . c >= 0 for every wall
-    class c}, in integers; a FanError unless the classes span Q^l.
+def _dual_cone_rays(classes, l):
+    """The sorted primitive extreme rays of {y : y . c >= 0 for every class
+    c}, in integers; a FanError unless the classes span Q^l.  Run on the
+    wall classes it gives the Mori cone's facet normals (the nef rays), and
+    run on those normals the Mori cone's generators.
 
     Double description (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda
     and Prodon, Double description method revisited, 1996): the cone is
@@ -482,7 +482,7 @@ def _dual_cone_rays(wall_coords, l):
     """
     lineality = [tuple(int(i == j) for j in range(l)) for i in range(l)]
     rays = []  # (ray, bitmask of the added classes it is tight on)
-    for i, a in enumerate(wall_coords):
+    for i, a in enumerate(classes):
         bit = 1 << i
         dots = [_dot(a, v) for v in lineality]
         k = next((k for k, x in enumerate(dots) if x), None)
@@ -575,26 +575,26 @@ def mori_generators(fan: FanData, cm: ChargeMatrix) -> MoriCone:
 
     A wall class c has outside coordinates r_N = c . m_N, so a fan normal y
     pairs with it as y . r_N = (m_N y) . c: the cone's normals are the m_N y,
-    primitive as m_N is unimodular.  A primitive wall class is kept when it
-    lies on an extremal ray: the normals vanishing on it have rank l - 1.
+    primitive as m_N is unimodular.  The cone is {d : y . d >= 0} over them,
+    so its generators are the extreme rays of that cone, by the double
+    description that found the normals.  Normals that do not span leave a
+    line in the cone: the fan is not projective.  Each generator is a
+    multiple of a wall class, and each wall class a nonnegative sum of
+    generators, so a negative entry in a generator is a wall class that
+    pairs negatively with the nef basis the rows are dual to.
     """
-    out = _outside(fan.n_rays, fan.max_cones[0])
-    m_out = _columns(cm.m, out)
-    m_inv = _unimodular_inverse(m_out)
-    if m_inv is None:
+    m_out = _columns(cm.m, _outside(fan.n_rays, fan.max_cones[0]))
+    if _unimodular_inverse(m_out) is None:
         raise FanError("charge matrix rows are not a basis of the relation lattice")
-    coords = set()
-    for rel in _columns(wall_relations(fan), out):
-        c = tuple(_dot(rel, col) for col in zip(*m_inv))
-        if any(x < 0 for x in c):
-            raise FanError("wall curve class pairs negatively with the nef basis")
-        coords.add(linalg.primitive_vector(c))
-    l = cm.l
     normals = sorted(tuple(_dot(row, y) for row in m_out) for y in fan.mori_normals)
-    extremal = [g for g in coords
-                if _rank([y for y in normals if _dot(y, g) == 0], l) == l - 1]
-    extremal.sort(key=lambda d: (cm.c1_degree(d), d))
-    return MoriCone(tuple(extremal), tuple(normals))
+    try:
+        gens = _dual_cone_rays(normals, cm.l)
+    except FanError:
+        raise FanError("the Mori cone contains a line, so the fan is not projective") from None
+    if any(x < 0 for g in gens for x in g):
+        raise FanError("wall curve class pairs negatively with the nef basis")
+    gens.sort(key=lambda d: (cm.c1_degree(d), d))
+    return MoriCone(tuple(gens), tuple(normals))
 
 
 def enumerate_degrees(cone: MoriCone, cm: ChargeMatrix, bound: int):

@@ -311,13 +311,12 @@ def _over_width(node):
                     for arg in node.args for n in ast.walk(arg)))
 
 
-def test_the_nef_rays_come_from_no_subset_enumeration():
-    # _dual_cone_rays adds one wall class at a time (double description);
-    # neither it nor a toric function it reaches eliminates once per subset
-    # of classes, nor checks the span by a separate rank
+def _toric_calls(start):
+    """The names called by the toric function start and by every toric
+    function it reaches."""
     tree = _trees()["toric"]
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    reached, todo, calls = set(), ["_dual_cone_rays"], set()
+    reached, todo, calls = set(), [start], set()
     while todo:
         name = todo.pop()
         reached.add(name)
@@ -326,10 +325,25 @@ def test_the_nef_rays_come_from_no_subset_enumeration():
                 calls.add(_callee(node))
                 if _callee(node) in defs and _callee(node) not in reached:
                     todo.append(_callee(node))
+    return calls
+
+
+def test_the_nef_rays_come_from_no_subset_enumeration():
+    # _dual_cone_rays adds one wall class at a time (double description);
+    # neither it nor a toric function it reaches eliminates once per subset
+    # of classes, nor checks the span by a separate rank
+    calls = _toric_calls("_dual_cone_rays")
     assert not calls & {"nullspace", "_reduce", "combinations", "_rank"}, calls
-    make_fan = {_callee(node) for node in ast.walk(defs["make_fan"])
-                if isinstance(node, ast.Call)}
-    assert "_rank" not in make_fan
+    assert "_rank" not in _toric_calls("make_fan")
+
+
+def test_the_mori_generators_come_from_the_normals_alone():
+    # mori_generators runs the double description on the facet normals:
+    # it maps no wall class and tests no rank by elimination
+    calls = _toric_calls("mori_generators")
+    assert "_dual_cone_rays" in calls
+    banned = {"_reduce", "_rank", "nullspace", "wall_relations", "primitive_vector"}
+    assert not calls & banned, calls & banned
 
 
 def test_nullspace_vectors_stay_sparse():

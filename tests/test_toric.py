@@ -1,7 +1,6 @@
 """Fan validation, charge matrices, Mori generators, degree enumeration."""
 
 import random
-import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor
@@ -13,6 +12,7 @@ from qdm import (
     FanError,
     MoriCone,
     NefBasisError,
+    build_ring,
     charge_matrix,
     enumerate_degrees,
     in_cone,
@@ -36,6 +36,7 @@ from conftest import (
     reference_mori_generators,
     reference_primitive_collections,
     reference_primitive_relations,
+    reference_rref,
     reference_wall_relations,
     same_fan_copies,
     seeded_bench_fans,
@@ -383,24 +384,17 @@ def test_primitive_collections_of_the_benchmark_fans():
 
 
 @pytest.mark.parametrize("name", SHIPPED)
-def test_wall_coordinates_match_the_lattice_solve(monkeypatch, name):
-    # mori_generators reads each wall class's coordinates off its entries on
-    # the rays outside the first maximal cone; shuffled cones change that cone
-    primitive = linalg.primitive_vector
+def test_wall_coordinates_match_the_lattice_solve(name):
+    # mori_generators reads the generators off the facet normals in outside
+    # coordinates; shuffled cones change the first maximal cone, and each
+    # generator stays the primitive class of some wall
     for data in same_fan_copies(name):
         fan = make_fan(data["rays"], data["max_cones"], data.get("nef_basis"))
         cm = charge_matrix(fan)
-        seen = []
-
-        def spy(vec):
-            if sys._getframe(1).f_code is toric.mori_generators.__code__:
-                seen.append(tuple(vec))
-            return primitive(vec)
-
-        with monkeypatch.context() as patched:
-            patched.setattr(linalg, "primitive_vector", spy)
-            mori_generators(fan, cm)
-        assert seen == [reference_coords_in_basis(cm.m, rel) for rel in wall_relations(fan)]
+        walls = {linalg.primitive_vector(reference_coords_in_basis(cm.m, rel))
+                 for rel in wall_relations(fan)}
+        gens = mori_generators(fan, cm).generators
+        assert gens and set(gens) <= walls, (name, gens, walls)
 
 
 @pytest.mark.parametrize("name", SHIPPED)
@@ -445,11 +439,19 @@ def _oracle_fans():
 
 
 def test_nef_rays_match_the_subset_reference_on_fans():
-    # every shipped fan, the benchmark's fans at seeds 0-5, and the products
+    # every shipped fan, the benchmark's fans at seeds 0-5, and the products;
+    # the generators read off the normals match the pruned wall classes
+    # wherever the fan gives a charge matrix
     for label, fan in _oracle_fans():
         coords, l = _wall_coords(fan)
         want = reference_dual_cone_rays(coords, l)
         assert list(fan.mori_normals) == want, label
+        try:
+            cm = charge_matrix(fan)
+        except NefBasisError:
+            continue
+        gens = mori_generators(fan, cm).generators
+        assert list(gens) == reference_mori_generators(fan, cm), label
     # the product of dp3's nef bases is one of dP3 x dP3
     fan = product_fan("dp3", "dp3")
     cm = charge_matrix(fan)
@@ -467,7 +469,7 @@ def _random_class_sets(count=200, seed=0):
         classes = [c for c in (tuple(rng.choice((-1, 0, 0, 1, 1, 2)) for _ in range(l))
                                for _ in range(l + rng.randint(0, 5))) if any(c)]
         for j in range(l):
-            if toric._rank(classes, l) == l:
+            if len(reference_rref(classes, l)[1]) == l:
                 break
             classes.append(tuple(int(i == j) for i in range(l)))
         for _ in range(rng.randint(0, 2)):
@@ -646,6 +648,30 @@ def test_mori_generators_reject_a_charge_matrix_of_a_sublattice():
     fan = load_fan("p1xp1")
     with pytest.raises(FanError, match="not a basis of the relation lattice"):
         mori_generators(fan, ChargeMatrix(((2, 2, 0, 0), (0, 0, 1, 1))))
+
+
+def test_mori_generators_reject_rows_not_dual_to_a_nef_basis():
+    # a lattice basis of the relations, but the second row is no nef class:
+    # the wall class (1, 1, 0, 0) has coordinates (1, -1)
+    fan = load_fan("p1xp1")
+    cm = ChargeMatrix(((0, 0, 1, 1), (-1, -1, 1, 1)))
+    with pytest.raises(FanError, match="wall curve class pairs negatively with the nef basis"):
+        mori_generators(fan, cm)
+    assert build_ring(fan, cm).basis
+
+
+def test_mori_generators_refuse_a_fan_that_is_not_projective():
+    # a smooth complete 3-fold whose nef cone has two rays in Picard rank 4
+    rays = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [-1, -1, 0], [0, -1, -1],
+            [-1, 0, -1]]
+    cones = [[0, 1, 2], [0, 1, 5], [0, 2, 4], [0, 4, 5], [1, 2, 6], [1, 5, 6], [2, 4, 6],
+             [3, 4, 5], [3, 4, 6], [3, 5, 6]]
+    fan = make_fan(rays, cones)
+    assert len(fan.mori_normals) == 2
+    cm = ChargeMatrix(tuple(linalg.integer_kernel([list(col) for col in zip(*fan.rays)])))
+    with pytest.raises(FanError, match="the Mori cone contains a line, so the fan is "
+                                       "not projective"):
+        mori_generators(fan, cm)
 
 
 @pytest.mark.parametrize("name", SHIPPED)

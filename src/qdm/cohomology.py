@@ -31,9 +31,12 @@ vectors are; a zero den is refused there.  Sums and scalings of classes,
 combination and scale, go through linalg.combine, as operators' do.  A
 rational scalar is read through .numerator and .denominator, so an int or
 a Fraction will do.  The reduction table holds each free monomial of
-degree at most top + 1 as an integer row over one ring-wide denominator,
-the lcm of the pivot entries; the product of two basis monomials is the
-row of their product monomial, read off it once per ring and memoized.
+degree at most top as an integer row over one ring-wide denominator, the
+lcm of the pivot entries; the product of two basis monomials is the row of
+their product monomial, read off it once per ring and memoized, and is
+zero when the table lacks it.  Nothing is built above the top degree:
+make_fan refuses cones that do not form a complete fan, whose ring
+vanishes there (Danilov-Jurkiewicz; Fulton 1993, 5.2).
 Multiplication by a degree-one class L (a ray divisor alpha_k, a nef class
 omega_j) is a sparse integer matrix over one denominator, built lazily once
 per ring and L: its row for a basis monomial b is the reduced product L*b.
@@ -180,17 +183,11 @@ class CohomRing:
         # a relation times a nonzero constant spans the same rows
         relations = [(len(nf), reduce(poly_mul, [forms[k][0] for k in nf]))
                      for nf in fan.primitive_collections]
-        free_monos = {deg: _monomials_in(self.n, free, deg) for deg in range(self.top + 2)}
+        free_monos = {deg: _monomials_in(self.n, free, deg) for deg in range(self.top + 1)}
         self._table = {}  # free monomial -> its reduced form, see _build_degree
         self._den = 1  # lcm of the pivot entries, the table's one denominator
-        self.basis_by_degree = {}
-        for deg in range(self.top + 2):
-            basis = self._build_degree(deg, free_monos, relations)
-            if deg <= self.top:
-                self.basis_by_degree[deg] = basis
-            elif basis:
-                raise FanError("cohomology does not vanish above the top degree; "
-                               "fan data is inconsistent")
+        self.basis_by_degree = {deg: self._build_degree(deg, free_monos, relations)
+                                for deg in range(self.top + 1)}
         # free monomial -> ((mb, r), ...), its reduced form sum r / _den * mb
         self._table = {m: tuple((mb, r * (self._den // den)) for mb, r in row)
                        for m, (row, den) in self._table.items()}
@@ -271,9 +268,8 @@ class CohomRing:
     def _pair(self, m1, m2):
         """The reduced product of two basis monomials as ((mb, r), ...) over
         the ring-wide denominator _den: the table row of m1 * m2, memoized.
-        The table holds every free monomial up to degree top + 1, those of
-        degree top + 1 with empty rows, so a product missing from it has a
-        degree past top + 1 and is zero."""
+        The table holds every free monomial up to the top degree, so a
+        product missing from it lies above the top and is zero."""
         key = (m1, m2)
         row = self._pairs.get(key)
         if row is None:

@@ -2,8 +2,19 @@
 
 A fan is given by its primitive ray generators v_1..v_n in Z^dim and the
 index sets of its maximal cones.  Smoothness means every maximal cone is
-unimodular; completeness is checked through its combinatorial shadow (every
-wall, i.e. codimension-one face, is shared by exactly two maximal cones).
+unimodular.  make_fan alone decides whether the cones form a complete fan.
+Every wall, i.e. codimension-one face, must lie in exactly two maximal
+cones, on opposite sides of it.  Then the cones cover each direction off
+their boundaries the same number of times: crossing a wall keeps the
+count, and the faces of codimension two disconnect nothing.  That number
+is the degree of a multi-fan (Hattori-Masuda, Theory of multi-fans, 2003);
+a cycle of unimodular cones that winds twice around the origin has degree
+2 and passes every local check.  One exact test settles it: make_fan takes
+c, the sum of the first maximal cone's rays, a point inside that cone, and
+reads its coordinates in every other cone off the cone inverses of the
+wall walk.  No other cone holds c (some coordinate is negative) exactly
+when the degree is 1, and then the cones form a complete fan; else the
+first cone listed that holds c is named as overlapping the first.
 
 The charge matrix m is an l x n integer matrix (l = n - dim) whose rows form
 a basis of the relation lattice {r in Z^n : sum_k r_k v_k = 0}.  The rows are
@@ -192,7 +203,9 @@ def _int_tuple(values):
 
 
 def make_fan(rays, max_cones, nef_basis=None) -> FanData:
-    """Validate raw fan data and freeze it into a FanData."""
+    """Validate raw fan data and freeze it into a FanData: a FanError
+    unless the rays and cones form a smooth complete fan (see the module
+    docstring), overlapping cones included."""
     if not rays:
         raise FanError("fan has no rays")
     try:
@@ -248,6 +261,13 @@ def make_fan(rays, max_cones, nef_basis=None) -> FanData:
         raise FanError("fan is not complete: wall %r lies in %d maximal cones"
                        % (list(bad[0]), len(walls[bad[0]])))
     relations = _wall_relations(n, walls, crossed)
+    # the cones cover each direction equally often (see the module
+    # docstring): once, unless another cone holds a point inside the first
+    point = [sum(x) for x in zip(*[rays_t[k] for k in cones[0]])]
+    for idx, cone in zip(listed[1:], cones[1:]):
+        if all(_dot(point, col) >= 0 for col in inverses[cone].values()):
+            raise FanError("maximal cones %r and %r overlap: the cones are not a fan"
+                           % (list(listed[0]), list(idx)))
 
     nef = None
     if nef_basis is not None:
@@ -547,7 +567,10 @@ def charge_matrix(fan: FanData) -> ChargeMatrix:
         # K_N is unimodular, so it stays primitive
         kernel_out = _columns(kernel, _outside(fan.n_rays, fan.max_cones[0]))
         y_rows = sorted([_dot(ker, y) for ker in kernel_out] for y in fan.mori_normals)
-        if len(y_rows) != l:
+        if len(y_rows) < l:  # the nef cone is not full dimensional
+            raise NefBasisError("nef cone has %d extreme rays, fewer than %d: "
+                                "the fan is not projective" % (len(y_rows), l))
+        if len(y_rows) > l:
             raise NefBasisError("nef cone is not simplicial (%d extreme rays, need %d); "
                                 "supply an explicit nef_basis" % (len(y_rows), l))
         y_inv = _unimodular_inverse(y_rows)

@@ -127,6 +127,38 @@ def reference_invert(mat):
     return [row[n:] for row in red[:n]]
 
 
+# Cones that are unimodular, with each wall in two of them on opposite
+# sides, but that wind twice around the origin: a multi-fan of degree two
+# (Hattori-Masuda 2003), and a nef basis of ten of its 46 nef rays.
+DOUBLE_CYCLE_RAYS = [[1, 0], [-2, 1], [-1, 0], [-2, -1], [-1, -1], [-1, -2], [0, -1],
+                     [1, 1], [0, 1], [-1, 1], [1, -2], [1, -1]]
+DOUBLE_CYCLE_CONES = [[i, (i + 1) % 12] for i in range(12)]
+DOUBLE_CYCLE_NEF = [[0, 0, 0, 1, 1, 2, 1, -1, -1, -1, 2, 1],
+                    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1],
+                    [0, 0, 1, 4, 3, 5, 2, -3, -1, 1, 0, 0],
+                    [0, 0, 0, 0, 1, 3, 2, 0, 0, 0, 0, 0],
+                    [0, 0, 0, 1, 1, 2, 2, 0, 0, 0, 0, 0],
+                    [0, 0, 0, 0, 1, 3, 2, -1, -2, -3, 6, 3],
+                    [0, 0, 0, 0, 0, 1, 1, 0, -1, -1, 2, 1],
+                    [0, 0, 0, 0, 0, 0, 2, 2, 1, 0, 0, 0],
+                    [0, 0, 1, 4, 3, 6, 3, -3, -3, -3, 6, 3],
+                    [0, 0, 0, 0, 0, 1, 1, 0, -1, 0, 1, 0]]
+
+
+def reference_cover_count(rays, max_cones, seed):
+    """The number of maximal cones that hold a seeded point inside the first
+    one, sum_k c_k v_k over its rays with rational c_k > 0: each cone's
+    coordinates of the point are solved for by the dense reduction above,
+    not read off make_fan's cone inverses.  Generic points of a multi-fan
+    are held by its degree's worth of cones, of a fan by one."""
+    rng = random.Random(seed)
+    weights = [Fraction(rng.randint(1, 10**6), rng.randint(1, 10**3)) for _ in max_cones[0]]
+    point = [sum(c * rays[k][i] for c, k in zip(weights, max_cones[0]))
+             for i in range(len(rays[0]))]
+    solutions = [reference_solve_columns([rays[k] for k in cone], point) for cone in max_cones]
+    return sum(x is not None and min(x) >= 0 for x in solutions)
+
+
 # Integration by localization at the torus-fixed points (Atiyah-Bott), kept
 # as the oracle for the ring's integrals: it reads the rays and the maximal
 # cones alone, not the reduction table or the point normalization.

@@ -14,7 +14,8 @@ import pytest
 from qdm import cli, cohomology, ifunction, serialize, toric
 from qdm.cli import main
 
-from conftest import BENCH_FANS, FAN_DIR, SHIPPED, same_fan_copies
+from conftest import (BENCH_FANS, DOUBLE_CYCLE_CONES, DOUBLE_CYCLE_NEF, DOUBLE_CYCLE_RAYS,
+                      FAN_DIR, SHIPPED, same_fan_copies)
 
 LAYERS = FAN_DIR.parent / "perfbench" / "layers.py"
 BENCHMARK = FAN_DIR.parent / "perfbench" / "run.py"
@@ -130,6 +131,16 @@ P1XP1_TEXT = ('{"rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],'
     # wall [0]: only the wall relation catches it
     ('{"rays": [[1, 0], [1, 1], [0, 1]], "max_cones": [[0, 1], [1, 2], [0, 2]]}',
      ["cohomology"], "wall [0] does not span a hyperplane"),
+    # each local check passes, but the cones wind twice around the origin;
+    # the nef basis would carry them past charge_matrix to a ring
+    (json.dumps({"rays": DOUBLE_CYCLE_RAYS, "max_cones": DOUBLE_CYCLE_CONES,
+                 "nef_basis": DOUBLE_CYCLE_NEF}), ["cohomology"],
+     "maximal cones [0, 1] and [8, 9] overlap: the cones are not a fan"),
+    # a smooth complete fan with 2 nef rays in Picard rank 4 has no nef basis
+    ('{"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [-1, -1, 0], [0, -1, -1],'
+     ' [-1, 0, -1]], "max_cones": [[0, 1, 2], [0, 1, 5], [0, 2, 4], [0, 4, 5], [1, 2, 6],'
+     ' [1, 5, 6], [2, 4, 6], [3, 4, 5], [3, 4, 6], [3, 5, 6]]}', ["cohomology"],
+     "nef cone has 2 extreme rays, fewer than 4: the fan is not projective"),
     ('{"rays": [], "max_cones": [[0]]}', ["cohomology"], "fan has no rays"),
     ('{"rays": [[]], "max_cones": [[0]]}', ["cohomology"],
      "rays must have at least one coordinate"),

@@ -9,8 +9,8 @@ from operator import mul
 
 import pytest
 
-from qdm import (CohomClass, CohomRing, build_ring, charge_matrix, linalg, make_fan,
-                 monomials)
+from qdm import (ChargeMatrix, CohomClass, CohomRing, build_ring, charge_matrix, linalg,
+                 make_fan, monomials)
 from qdm.cohomology import _monomials_in, add_exponents, mono_key
 from qdm.toric import FanError
 
@@ -216,6 +216,13 @@ def test_point_normalization_reads_every_cone(corpus, bad):
         CohomRing(fan._replace(max_cones=cones), cm)
 
 
+def test_omega_classes_need_independent_rows():
+    # rows that are relations among the rays, but twice the same one
+    ring = CohomRing(load_fan("p2"), ChargeMatrix(((1, 1, 1), (1, 1, 1))))
+    with pytest.raises(ValueError, match="charge matrix rows are not independent"):
+        ring.omega_class(0)
+
+
 def test_mismatched_charge_matrix_rejected(corpus):
     fan_p2 = corpus["p2"][0]
     cm_p1 = corpus["p1"][1]
@@ -266,13 +273,13 @@ def test_free_variable_ring_matches_the_reference_reduction(shipped, name):
 @pytest.mark.parametrize("name", SHIPPED)
 def test_reduction_table_holds_only_free_monomials(shipped, name):
     # the rref pivots of the ray matrix lead the linear relations; the table
-    # has every monomial of degree <= dim + 1 in the l others, and no more
+    # has every monomial of degree <= dim in the l others, and no more
     fan, cm, ring, _cone = shipped[name]
     _red, lead = linalg.rref([[ray[nu] for ray in fan.rays] for nu in range(fan.dim)],
                              fan.n_rays)
     assert len(lead) == fan.dim, name
     assert not [m for m in ring._table if any(m[p] for p in lead)], name
-    assert len(ring._table) == math.comb(cm.l + fan.dim + 1, cm.l), name
+    assert len(ring._table) == math.comb(cm.l + fan.dim, cm.l), name
 
 
 @pytest.mark.parametrize("name", SHIPPED + ["p1^6"])
@@ -280,8 +287,9 @@ def test_reduction_table_rows_are_over_the_ring_denominator(shipped, name):
     # each free monomial's row is ((basis monomial, int), ...) over ring._den,
     # checked against the reduction over all n variables; on (P^1)^6 a free
     # monomial reduces to itself when squarefree and to zero otherwise.
-    # The product of two basis monomials is the row of their product, empty
-    # above the top degree and missing from the table past top + 1.
+    # The product of two basis monomials is the row of their product, which
+    # the table holds up to the top degree; above it the product is missing
+    # from the table and _pair reads it as zero.
     if name == "p1^6":
         ring = _fresh_ring(product_fan(*["p1"] * 6))
         reduced = lambda m: {m: 1} if max(m) <= 1 else {}
@@ -297,11 +305,10 @@ def test_reduction_table_rows_are_over_the_ring_denominator(shipped, name):
     for a in ring.basis:
         for b in ring.basis:
             prod = add_exponents(a, b)
-            if sum(prod) > ring.top + 1:
+            if sum(prod) > ring.top:
                 assert ring._pair(a, b) == () and prod not in ring._table, (name, a, b)
             else:
                 assert ring._pair(a, b) == ring._table[prod], (name, a, b)
-                assert sum(prod) <= ring.top or ring._pair(a, b) == (), (name, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -546,7 +546,8 @@ def test_the_annihilator_matrix_has_one_scale():
 
 def test_a_basis_product_is_one_table_lookup():
     # the reduction table is over the ring's one denominator and holds every
-    # free monomial up to degree top + 1, so _pair only reads it and memoizes
+    # free monomial up to the top degree, so _pair only reads it, reads a
+    # missing product as zero, and memoizes
     pair = next(node for node in _class_body("cohomology", "CohomRing")
                 if isinstance(node, ast.FunctionDef) and node.name == "_pair")
     arithmetic = [node.lineno for node in ast.walk(pair)

@@ -25,11 +25,15 @@ from qdm import (
 from qdm import linalg, toric
 
 from conftest import (
+    DOUBLE_CYCLE_CONES,
+    DOUBLE_CYCLE_NEF,
+    DOUBLE_CYCLE_RAYS,
     SHIPPED,
     load_bench_fan,
     load_fan,
     product_fan,
     reference_coords_in_basis,
+    reference_cover_count,
     reference_dual_cone_rays,
     reference_in_cone,
     reference_invert,
@@ -165,6 +169,37 @@ def test_fan_errors_follow_the_listed_cones(rays, cones, message):
         make_fan(rays, cones)
     suffix = "; the variety would be singular" if "unimodular" in message else ""
     assert str(info.value) == message + suffix
+
+
+# two copies of P^2, one with the rays negated, listed as one fan
+TWO_P2_RAYS = [[1, 0], [0, 1], [-1, -1], [-1, 0], [0, -1], [1, 1]]
+TWO_P2_CONES = [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]]
+
+
+@pytest.mark.parametrize("rays, cones, nef, message", [
+    # the double cycle passes every local check, with or without a nef basis
+    (DOUBLE_CYCLE_RAYS, DOUBLE_CYCLE_CONES, None, "[0, 1] and [8, 9]"),
+    (DOUBLE_CYCLE_RAYS, DOUBLE_CYCLE_CONES, DOUBLE_CYCLE_NEF, "[0, 1] and [8, 9]"),
+    # the cones are named with their rays in listed order
+    (DOUBLE_CYCLE_RAYS, [[1, 0]] + DOUBLE_CYCLE_CONES[1:], None, "[1, 0] and [8, 9]"),
+    (DOUBLE_CYCLE_RAYS, DOUBLE_CYCLE_CONES[5:] + DOUBLE_CYCLE_CONES[:5], None,
+     "[5, 6] and [9, 10]"),
+    (TWO_P2_RAYS, TWO_P2_CONES, None, "[0, 1] and [4, 5]"),
+])
+def test_overlapping_cones_are_refused(rays, cones, nef, message):
+    with pytest.raises(FanError) as info:
+        make_fan(rays, cones, nef)
+    assert str(info.value) == "maximal cones %s overlap: the cones are not a fan" % message
+
+
+def test_an_accepted_fan_covers_each_direction_once():
+    # the independent count behind make_fan's overlap test: a generic point
+    # inside the first cone lies in that cone alone, and in two cones of the
+    # double cycle
+    for i, (label, fan) in enumerate(_oracle_fans()):
+        assert reference_cover_count(fan.rays, fan.max_cones, i) == 1, label
+    for seed in range(6):
+        assert reference_cover_count(DOUBLE_CYCLE_RAYS, DOUBLE_CYCLE_CONES, seed) == 2
 
 
 def test_a_malformed_cone_names_an_earlier_singular_one_without_a_walk(monkeypatch):
@@ -575,6 +610,22 @@ def test_non_simplicial_nef_cone_needs_explicit_basis():
         charge_matrix(fan)
 
 
+def test_too_few_nef_rays_mean_the_fan_is_not_projective():
+    # no nef basis exists, so none is asked for
+    fan = make_fan(NON_PROJECTIVE_RAYS, NON_PROJECTIVE_CONES)
+    with pytest.raises(NefBasisError) as info:
+        charge_matrix(fan)
+    assert str(info.value) == ("nef cone has 2 extreme rays, fewer than 4: "
+                               "the fan is not projective")
+
+
+def test_nef_rays_that_are_no_lattice_basis_are_refused():
+    # l rays, but (1, 1) and (1, -1) span an index-2 sublattice
+    fan = load_fan("p1xp1")._replace(mori_normals=((1, 1), (1, -1)))
+    with pytest.raises(NefBasisError, match="nef cone generators do not form a lattice basis"):
+        charge_matrix(fan)
+
+
 def test_degree_six_del_pezzo_with_explicit_basis():
     fan = make_fan(DP3_RAYS, DP3_CONES, nef_basis=DP3_NEF)
     cm = charge_matrix(fan)
@@ -660,13 +711,15 @@ def test_mori_generators_reject_rows_not_dual_to_a_nef_basis():
     assert build_ring(fan, cm).basis
 
 
+# a smooth complete 3-fold whose nef cone has two rays in Picard rank 4
+NON_PROJECTIVE_RAYS = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [-1, -1, 0],
+                       [0, -1, -1], [-1, 0, -1]]
+NON_PROJECTIVE_CONES = [[0, 1, 2], [0, 1, 5], [0, 2, 4], [0, 4, 5], [1, 2, 6], [1, 5, 6],
+                        [2, 4, 6], [3, 4, 5], [3, 4, 6], [3, 5, 6]]
+
+
 def test_mori_generators_refuse_a_fan_that_is_not_projective():
-    # a smooth complete 3-fold whose nef cone has two rays in Picard rank 4
-    rays = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [-1, -1, 0], [0, -1, -1],
-            [-1, 0, -1]]
-    cones = [[0, 1, 2], [0, 1, 5], [0, 2, 4], [0, 4, 5], [1, 2, 6], [1, 5, 6], [2, 4, 6],
-             [3, 4, 5], [3, 4, 6], [3, 5, 6]]
-    fan = make_fan(rays, cones)
+    fan = make_fan(NON_PROJECTIVE_RAYS, NON_PROJECTIVE_CONES)
     assert len(fan.mori_normals) == 2
     cm = ChargeMatrix(tuple(linalg.integer_kernel([list(col) for col in zip(*fan.rays)])))
     with pytest.raises(FanError, match="the Mori cone contains a line, so the fan is "

@@ -66,8 +66,9 @@ def _load(args):
         fan = toric.parse_fan(fh.read())
     sys.set_int_max_str_digits(0)  # exact rationals past 4300 digits; main restores it
     cm = toric.charge_matrix(fan)
-    ring = build_ring(fan, cm)
-    return fan, cm, ring, toric.mori_generators(fan, cm)
+    # mori_generators alone judges a supplied nef basis, before any ring work
+    cone = toric.mori_generators(fan, cm)
+    return fan, cm, build_ring(fan, cm), cone
 
 
 def _int_field(part, option, raw):

@@ -51,7 +51,7 @@ def critical_component(cm: ChargeMatrix, degree, modes: int) -> CriticalData:
 
     The degree's entries, then the cutoff, then the degree's length are
     checked; a cutoff below N(d) raises ComponentAbsentError."""
-    _int_tuple(degree)
+    degree = _int_tuple(degree)
     _int_tuple((modes,))
     frozen = cm.pairings(degree)
     needed = max(map(abs, frozen), default=0)
@@ -74,6 +74,7 @@ def euler_ratio_n(ring: CohomRing, degree, modes: int) -> CohomClass:
     inputs are checked as critical_component checks them, with the same
     errors.
     """
+    degree = _int_tuple(degree)
     critical_component(ring.cm, degree, modes)
     return euler_ratio(ring, degree)
 
@@ -88,7 +89,8 @@ def check_stabilization(ring: CohomRing, degree, mode_values=None) -> dict:
     satisfies the product identity of R_d; a failure, or no usable cutoff,
     is recorded, not raised.
     """
-    needed = min_modes(ring.cm, _int_tuple(degree))
+    degree = _int_tuple(degree)
+    needed = min_modes(ring.cm, degree)
     if mode_values is None:
         mode_values = range(needed, needed + 4)
     mode_values = sorted(set(_int_tuple(mode_values)))

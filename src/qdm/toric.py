@@ -26,13 +26,14 @@ the divisor class alpha_k of the k-th ray satisfies
 Every wall tau, shared by the maximal cones cone(u, tau) and cone(u', tau),
 gives a relation u + u' + sum_i b_i v_i = 0 among the rays.  make_fan
 computes these wall relations once per fan, in integers, and the fan holds
-them; charge_matrix and mori_generators read them.  One walk across the
-walls gives both the relations and every cone's inverse: it inverts the
-first maximal cone, and crossing a wall from sigma to sigma' reads the
-coordinates x of u' in sigma, which give the wall's relation and sigma''s
-inverse by an exact integer update (_cone_inverses).  A cone the walk
-cannot reach is inverted directly.  Errors keep the order in which the
-cones are listed: the first listed cone that is not unimodular is named.
+them; they feed only the nef rays below and the wall_relations() wrapper.
+One walk across the walls gives both the relations and every cone's
+inverse: it inverts the first maximal cone, and crossing a wall from sigma
+to sigma' reads the coordinates x of u' in sigma, which give the wall's
+relation and sigma''s inverse by an exact integer update (_cone_inverses).
+A cone the walk cannot reach is inverted directly.  Errors keep the order
+in which the cones are listed: the first listed cone that is not
+unimodular is named.
 
 The fan also holds its primitive collections, the minimal sets of rays
 that span no cone (Batyrev 1991).  They are read off the face set, level
@@ -70,6 +71,16 @@ coordinates for in_cone and enumerate_degrees, which test classes d by
 y . d >= 0.  The nef and Mori cones are each other's double description:
 mori_generators reads the cone's generators off a second run, on the
 normals.
+
+A nef basis exists only when the nef cone is full dimensional, that is when
+the fan is projective (Cox-Little-Schenck, Toric Varieties, 2011, ch. 6).
+charge_matrix checks only that a supplied basis is a lattice basis of the
+divisor classes; mori_generators alone judges it against the curves.  A
+generator's j-th coordinate is its pairing with the j-th basis class, and
+the wall classes span the Mori cone, so a generator has a negative
+coordinate exactly when some wall class pairs negatively with a basis
+class.  On a fan that is not projective the normals do not span, and
+mori_generators refuses whatever basis is supplied.
 """
 
 from __future__ import annotations
@@ -544,12 +555,18 @@ def _combination(p, u, q, v):
 
 
 def charge_matrix(fan: FanData) -> ChargeMatrix:
-    """Charge matrix of the fan, rows dual to a nef lattice basis.
+    """Charge matrix of the fan, rows dual to a lattice basis of the
+    divisor classes: the supplied nef_basis, or one derived from the nef
+    cone.
 
-    With no nef_basis in the fan data, the nef cone (dual to the cone spanned
-    by the wall curve classes) must be simplicial and its primitive extreme
-    rays must form a lattice basis; otherwise a NefBasisError asks for an
-    explicit basis.  A supplied nef_basis is validated instead.
+    A supplied basis must be a lattice basis (a NefBasisError otherwise);
+    whether it is nef is judged by mori_generators (see the module
+    docstring).  A derived basis is the nef cone's primitive extreme rays,
+    which must be l rays forming a lattice basis.  When they are not, their
+    rank r, read off a Hermite form, decides the NefBasisError: r < l means
+    the nef cone spans r of l dimensions and the fan is not projective;
+    else more than l rays make the cone not simplicial, and l rays are not
+    a lattice basis.  Both of these ask for an explicit basis.
     """
     kernel = linalg.integer_kernel(list(zip(*fan.rays)))
     l = fan.n_rays - fan.dim
@@ -559,22 +576,20 @@ def charge_matrix(fan: FanData) -> ChargeMatrix:
         if y_inv is None:
             raise NefBasisError("supplied nef_basis is not a lattice basis "
                                 "of the divisor class lattice")
-        if any(_dot(vec, r) < 0 for vec in fan.nef_basis for r in wall_relations(fan)):
-            raise NefBasisError("supplied nef_basis is not nef: a wall "
-                                "curve pairs negatively")
     else:
         # a nef ray y_N in outside coordinates is the class K_N . y_N, and
         # K_N is unimodular, so it stays primitive
         kernel_out = _columns(kernel, _outside(fan.n_rays, fan.max_cones[0]))
         y_rows = sorted([_dot(ker, y) for ker in kernel_out] for y in fan.mori_normals)
-        if len(y_rows) < l:  # the nef cone is not full dimensional
-            raise NefBasisError("nef cone has %d extreme rays, fewer than %d: "
-                                "the fan is not projective" % (len(y_rows), l))
-        if len(y_rows) > l:
-            raise NefBasisError("nef cone is not simplicial (%d extreme rays, need %d); "
-                                "supply an explicit nef_basis" % (len(y_rows), l))
-        y_inv = _unimodular_inverse(y_rows)
+        y_inv = _unimodular_inverse(y_rows) if len(y_rows) == l else None
         if y_inv is None:
+            rank = sum(map(any, linalg.hermite_form(y_rows)[0]))
+            if rank < l:
+                raise NefBasisError("nef cone spans %d of %d dimensions: "
+                                    "the fan is not projective" % (rank, l))
+            if len(y_rows) > l:
+                raise NefBasisError("nef cone is not simplicial (%d extreme rays, need %d); "
+                                    "supply an explicit nef_basis" % (len(y_rows), l))
             raise NefBasisError("nef cone generators do not form a lattice basis; "
                                 "supply an explicit nef_basis")
     # m = (Y^-1)^T K, in integers
@@ -601,10 +616,11 @@ def mori_generators(fan: FanData, cm: ChargeMatrix) -> MoriCone:
     primitive as m_N is unimodular.  The cone is {d : y . d >= 0} over them,
     so its generators are the extreme rays of that cone, by the double
     description that found the normals.  Normals that do not span leave a
-    line in the cone: the fan is not projective.  Each generator is a
-    multiple of a wall class, and each wall class a nonnegative sum of
-    generators, so a negative entry in a generator is a wall class that
-    pairs negatively with the nef basis the rows are dual to.
+    line in the cone: the fan is not projective, and no basis is nef.  Each
+    generator is a multiple of a wall class, and each wall class a
+    nonnegative sum of generators, so a negative entry in a generator is a
+    wall class that pairs negatively with the basis the rows are dual to:
+    this is the one test that a supplied nef_basis is nef.
     """
     m_out = _columns(cm.m, _outside(fan.n_rays, fan.max_cones[0]))
     if _unimodular_inverse(m_out) is None:

@@ -34,12 +34,20 @@ def load_bench_fan(name):
     return qdm.make_fan(data["rays"], data["max_cones"], data.get("nef_basis"))
 
 
-def seeded_bench_fans(seeds=range(4)):
-    """(name, seed, fan) for every fan of the benchmark's fans.json, as the
-    benchmark hands it to the program at each seed (checks.seeded_fan)."""
+@lru_cache(maxsize=None)
+def bench_checks():
+    """The benchmark's checks.py, which imports nothing of qdm: its seeded
+    fans and its Betti numbers from the h-vector."""
     spec = importlib.util.spec_from_file_location("perfbench_checks", BENCH_CHECKS)
     checks = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(checks)
+    return checks
+
+
+def seeded_bench_fans(seeds=range(4)):
+    """(name, seed, fan) for every fan of the benchmark's fans.json, as the
+    benchmark hands it to the program at each seed (checks.seeded_fan)."""
+    checks = bench_checks()
     for name, data in json.loads(BENCH_FANS.read_text()).items():
         for seed in seeds:
             seeded = checks.seeded_fan(name, data, seed)
@@ -157,6 +165,38 @@ def reference_cover_count(rays, max_cones, seed):
              for i in range(len(rays[0]))]
     solutions = [reference_solve_columns([rays[k] for k in cone], point) for cone in max_cones]
     return sum(x is not None and min(x) >= 0 for x in solutions)
+
+
+def star_subdivide(rays, cones, face):
+    """(rays, cones) of the star subdivision at a face of at least two rays,
+    the blow-up along its orbit closure: the new ray is the sum of the
+    face's rays, and each maximal cone that holds the face becomes one cone
+    per face ray, with that ray swapped for the new one.  A smooth
+    projective fan stays smooth and projective (Fulton 1993, 2.4)."""
+    new = len(rays)
+    out = []
+    for cone in cones:
+        if set(face) <= set(cone):
+            out += [[new if k == f else k for k in cone] for f in face]
+        else:
+            out.append(list(cone))
+    return [list(r) for r in rays] + [[sum(x) for x in zip(*[rays[k] for k in face])]], out
+
+
+def seeded_blow_ups(count, seed):
+    """count seeded fans, each P^2 or P^3 star-subdivided 1 to 3 times at a
+    random face of a random maximal cone, as (rays, cones)."""
+    rng = random.Random(seed)
+    starts = [([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [0, 2]]),
+              ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+               [list(c) for c in combinations(range(4), 3)])]
+    for _ in range(count):
+        rays, cones = rng.choice(starts)
+        for _ in range(rng.randint(1, 3)):
+            cone = rng.choice(cones)
+            face = rng.sample(cone, rng.randint(2, len(cone)))
+            rays, cones = star_subdivide(rays, cones, face)
+        yield rays, cones
 
 
 # Integration by localization at the torus-fixed points (Atiyah-Bott), kept
@@ -418,11 +458,12 @@ def reference_component(series, beta, log_order, duals):
 
 
 def product_fan(*names):
-    """The fan of the product of shipped fans: block rays, and the products
-    of their maximal cones.  When every factor supplies a nef basis, the
-    product supplies their union, each vector zero on the other factors'
-    rays."""
-    datas = [json.loads((FAN_DIR / (name + ".json")).read_text()) for name in names]
+    """The fan of the product of fans, each a shipped fan's name or a dict of
+    fan data: block rays, and the products of their maximal cones.  When
+    every factor supplies a nef basis, the product supplies their union,
+    each vector zero on the other factors' rays."""
+    datas = [json.loads((FAN_DIR / (name + ".json")).read_text())
+             if isinstance(name, str) else name for name in names]
     dims = [len(data["rays"][0]) for data in datas]
     sizes = [len(data["rays"]) for data in datas]
     rays, cones, nef = [], [[]], []
@@ -615,6 +656,13 @@ def reference_wall_relations(fan):
         if tuple(rel) not in rels:
             rels.append(tuple(rel))
     return rels
+
+
+def reference_basis_is_nef(fan, basis):
+    """Does each basis vector, a divisor's coefficients on the rays, pair
+    >= 0 with every wall relation?  The rule charge_matrix once checked."""
+    rels = reference_wall_relations(fan)
+    return all(sum(map(mul, vec, rel)) >= 0 for vec in basis for rel in rels)
 
 
 def reference_coords_in_basis(basis_rows, vec):

@@ -97,6 +97,10 @@ def test_bad_modes_option(capsys):
 P2_TEXT = '{"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]}'
 P1XP1_TEXT = ('{"rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],'
               ' "max_cones": [[0, 2], [2, 1], [1, 3], [3, 0]]}')
+NON_PROJECTIVE_TEXT = (
+    '{"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [-1, -1, 0], [0, -1, -1],'
+    ' [-1, 0, -1]], "max_cones": [[0, 1, 2], [0, 1, 5], [0, 2, 4], [0, 4, 5], [1, 2, 6],'
+    ' [1, 5, 6], [2, 4, 6], [3, 4, 5], [3, 4, 6], [3, 5, 6]]}')
 
 
 @pytest.mark.parametrize("fan_text, argv, message", [
@@ -137,10 +141,15 @@ P1XP1_TEXT = ('{"rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],'
                  "nef_basis": DOUBLE_CYCLE_NEF}), ["cohomology"],
      "maximal cones [0, 1] and [8, 9] overlap: the cones are not a fan"),
     # a smooth complete fan with 2 nef rays in Picard rank 4 has no nef basis
-    ('{"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [-1, -1, 0], [0, -1, -1],'
-     ' [-1, 0, -1]], "max_cones": [[0, 1, 2], [0, 1, 5], [0, 2, 4], [0, 4, 5], [1, 2, 6],'
-     ' [1, 5, 6], [2, 4, 6], [3, 4, 5], [3, 4, 6], [3, 5, 6]]}', ["cohomology"],
-     "nef cone has 2 extreme rays, fewer than 4: the fan is not projective"),
+    (NON_PROJECTIVE_TEXT, ["cohomology"],
+     "nef cone spans 2 of 4 dimensions: the fan is not projective"),
+    # the same fan with a supplied basis: a lattice basis, but the Mori cone
+    # its curves span holds a line, so no basis can be nef
+    (NON_PROJECTIVE_TEXT[:-1] + ', "nef_basis": [[0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0],'
+     ' [0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, 1]]}', ["cohomology"],
+     "the Mori cone contains a line, so the fan is not projective"),
+    (P2_TEXT[:-1] + ', "nef_basis": [[-1, 0, 0]]}', ["cohomology"],
+     "wall curve class pairs negatively with the nef basis"),
     ('{"rays": [], "max_cones": [[0]]}', ["cohomology"], "fan has no rays"),
     ('{"rays": [[]], "max_cones": [[0]]}', ["cohomology"],
      "rays must have at least one coordinate"),
@@ -190,6 +199,18 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capfd, fan_text, arg
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
     assert message in lines[0]
+
+
+def test_a_basis_that_is_not_nef_is_refused_before_the_ring(tmp_path, monkeypatch, capsys):
+    # mori_generators judges the supplied basis, and the ring is never built
+    fan = tmp_path / "fan.json"
+    fan.write_text(P2_TEXT[:-1] + ', "nef_basis": [[-1, 0, 0]]}')
+    built = []
+    monkeypatch.setattr(cli, "build_ring", lambda *args: built.append(args))
+    assert main(["cohomology", str(fan)]) == 2
+    assert capsys.readouterr().err == ("error: wall curve class pairs negatively "
+                                       "with the nef basis\n")
+    assert built == []
 
 
 def test_a_rational_nef_basis_vector_is_read(tmp_path, capsys):

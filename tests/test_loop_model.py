@@ -253,3 +253,11 @@ def test_a_component_computes_its_pairings_once(monkeypatch, corpus):
     calls.clear()
     euler_ratio_n(ring, (1, 0, 0), 3)
     assert calls == [(1, 0, 0)]
+
+
+def test_an_iterator_degree_is_read_once(corpus):
+    # the validated tuple, not the argument, is what the functions read
+    _fan, cm, ring, _cone = corpus["p2"]
+    assert critical_component(cm, iter([1]), 3) == critical_component(cm, (1,), 3)
+    assert euler_ratio_n(ring, iter([1]), 3) == euler_ratio_n(ring, (1,), 3)
+    assert check_stabilization(ring, iter([1])) == check_stabilization(ring, (1,))

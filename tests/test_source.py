@@ -346,6 +346,12 @@ def test_the_mori_generators_come_from_the_normals_alone():
     assert not calls & banned, calls & banned
 
 
+def test_only_mori_generators_judges_a_nef_basis_against_the_curves():
+    # charge_matrix checks that a supplied basis is a lattice basis; the
+    # curves, through the Mori cone's generators, judge whether it is nef
+    assert "wall_relations" not in _toric_calls("charge_matrix")
+
+
 def test_nullspace_vectors_stay_sparse():
     # nullspace returns each vector as {column: int}, and find_annihilators
     # lists its columns in elimination order and reads each vector off that

@@ -1,6 +1,7 @@
 """Fan validation, charge matrices, Mori generators, degree enumeration."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor
@@ -29,9 +30,11 @@ from conftest import (
     DOUBLE_CYCLE_NEF,
     DOUBLE_CYCLE_RAYS,
     SHIPPED,
+    bench_checks,
     load_bench_fan,
     load_fan,
     product_fan,
+    reference_basis_is_nef,
     reference_coords_in_basis,
     reference_cover_count,
     reference_dual_cone_rays,
@@ -44,6 +47,7 @@ from conftest import (
     reference_wall_relations,
     same_fan_copies,
     seeded_bench_fans,
+    seeded_blow_ups,
 )
 
 
@@ -588,9 +592,11 @@ def test_integral_nef_basis_entries_are_ints():
 
 
 def test_supplied_nef_basis_must_be_nef():
+    # a lattice basis, so charge_matrix takes it; the curves judge it nef
     fan = make_fan(P2_RAYS, P2_CONES, nef_basis=[[-1, 0, 0]])
-    with pytest.raises(NefBasisError, match="pairs negatively"):
-        charge_matrix(fan)
+    cm = charge_matrix(fan)
+    with pytest.raises(FanError, match="pairs negatively"):
+        mori_generators(fan, cm)
 
 
 def test_supplied_nef_basis_must_be_lattice_basis():
@@ -615,7 +621,7 @@ def test_too_few_nef_rays_mean_the_fan_is_not_projective():
     fan = make_fan(NON_PROJECTIVE_RAYS, NON_PROJECTIVE_CONES)
     with pytest.raises(NefBasisError) as info:
         charge_matrix(fan)
-    assert str(info.value) == ("nef cone has 2 extreme rays, fewer than 4: "
+    assert str(info.value) == ("nef cone spans 2 of 4 dimensions: "
                                "the fan is not projective")
 
 
@@ -725,6 +731,97 @@ def test_mori_generators_refuse_a_fan_that_is_not_projective():
     with pytest.raises(FanError, match="the Mori cone contains a line, so the fan is "
                                        "not projective"):
         mori_generators(fan, cm)
+
+
+NON_PROJECTIVE = {"rays": NON_PROJECTIVE_RAYS, "max_cones": NON_PROJECTIVE_CONES}
+DP3 = {"rays": DP3_RAYS, "max_cones": DP3_CONES}
+
+
+@pytest.mark.parametrize("factors, message", [
+    ((NON_PROJECTIVE, DP3), "nef cone spans 6 of 8 dimensions: the fan is not projective"),
+    ((NON_PROJECTIVE, DP3, DP3), "nef cone spans 10 of 12 dimensions: the fan is not projective"),
+    ((NON_PROJECTIVE, DP3, DP3, DP3),
+     "nef cone spans 14 of 16 dimensions: the fan is not projective"),
+    ((DP3, DP3), "nef cone is not simplicial (10 extreme rays, need 8); "
+                 "supply an explicit nef_basis"),
+])
+def test_a_derived_basis_is_refused_by_the_rank_of_the_nef_rays(factors, message):
+    # a nef cone of rank r < l says the fan is not projective, whatever the
+    # number of its rays: 12 rays of rank 10, or 17 of rank 14
+    fan = product_fan(*factors)
+    with pytest.raises(NefBasisError) as info:
+        charge_matrix(fan)
+    assert str(info.value) == message
+
+
+def _seeded_bases(fan, count, seed):
+    """count seeded unimodular bases of the divisor classes, each vector
+    supported on the rays outside the first maximal cone: a signed
+    permutation of the unit vectors there, mixed by elementary row steps."""
+    rng = random.Random(seed)
+    out = toric._outside(fan.n_rays, fan.max_cones[0])
+    l = len(out)
+    for _ in range(count):
+        mat = [[rng.choice((1, -1)) * int(i == j) for j in range(l)] for i in range(l)]
+        rng.shuffle(mat)
+        for _ in range(rng.randint(0, l) if l > 1 else 0):
+            i, j = rng.sample(range(l), 2)
+            c = rng.choice((1, -1))
+            mat[i] = [a + c * b for a, b in zip(mat[i], mat[j])]
+        cols = dict(zip(out, zip(*mat)))
+        yield [[cols[k][i] if k in cols else 0 for k in range(fan.n_rays)] for i in range(l)]
+
+
+def test_mori_generators_alone_judge_a_supplied_basis():
+    # charge_matrix takes every lattice basis; mori_generators refuses one
+    # exactly when a wall relation pairs negatively with a basis vector, and
+    # every basis of a fan that is not projective
+    counts = {True: 0, False: 0}
+    for name in SHIPPED + ["nonprojective"]:
+        if name == "nonprojective":
+            fan = make_fan(NON_PROJECTIVE_RAYS, NON_PROJECTIVE_CONES)
+        else:
+            fan = load_fan(name)
+        for basis in _seeded_bases(fan, 60, name):
+            supplied = fan._replace(nef_basis=tuple(map(tuple, basis)))
+            cm = charge_matrix(supplied)
+            nef = reference_basis_is_nef(fan, basis)
+            if name == "nonprojective":
+                assert not nef
+                with pytest.raises(FanError, match="not projective"):
+                    mori_generators(supplied, cm)
+                continue
+            counts[nef] += 1
+            if nef:
+                assert mori_generators(supplied, cm).generators
+            else:
+                with pytest.raises(FanError, match="pairs negatively"):
+                    mori_generators(supplied, cm)
+    # both verdicts are reached, so neither side of the rule goes untested
+    assert min(counts.values()) > 0, counts
+
+
+def test_seeded_blow_ups_of_projective_space():
+    # star subdivisions of P^2 and P^3 are smooth projective fans: make_fan
+    # takes each, and a point covered once shows a fan.  With a charge
+    # matrix, the ring's Betti numbers are the h-vector's, and the Fano test
+    # on the Mori generators is Batyrev's on the primitive relations; else
+    # the refusal names the hypothesis that failed.
+    kinds = []
+    for i, (rays, cones) in enumerate(seeded_blow_ups(40, 7)):
+        fan = make_fan(rays, cones)
+        assert reference_cover_count(fan.rays, fan.max_cones, i) == 1, (rays, cones)
+        try:
+            cm = charge_matrix(fan)
+        except NefBasisError as exc:
+            assert re.search("not simplicial|not projective|lattice basis", str(exc)), exc
+            kinds.append("refused")
+            continue
+        assert list(build_ring(fan, cm).dims) == bench_checks().h_vector(cones, fan.dim)
+        fano = all(cm.c1_degree(g) > 0 for g in mori_generators(fan, cm).generators)
+        assert fano == all(cm.c1_degree(b) > 0 for b in reference_primitive_relations(fan, cm))
+        kinds.append("fano" if fano else "not fano")
+    assert sorted(set(kinds)) == ["fano", "not fano", "refused"], kinds
 
 
 @pytest.mark.parametrize("name", SHIPPED)

@@ -57,14 +57,20 @@ from .toric import MoriCone, enumerate_degrees
 # is at most sum_k |a_k| * bit_length(|a_k|).
 MAX_RATIO_BITS = 2**17
 
+# A series window is refused, before any linear pass, when the bounds of its
+# R_d sum past this many bits: a window of thousands of R_d, each under
+# MAX_RATIO_BITS, can run for minutes.
+MAX_WINDOW_BITS = 2**26
+
 
 def _refuse_oversized(degree, pairings):
-    """Refuse R_degree with a ValueError when its bound
-    sum_k |a_k| * bit_length(|a_k|) on the pairings passes MAX_RATIO_BITS."""
+    """The bound sum_k |a_k| * bit_length(|a_k|) of R_degree on the
+    pairings; a ValueError when it passes MAX_RATIO_BITS."""
     bits = sum(abs(a) * abs(a).bit_length() for a in pairings)
     if bits > MAX_RATIO_BITS:
         raise ValueError("R_d of degree %r may reach numbers of %d bits, more than "
                          "MAX_RATIO_BITS = %d" % (list(degree), bits, MAX_RATIO_BITS))
+    return bits
 
 
 def euler_ratio(ring: CohomRing, degree) -> CohomClass:
@@ -169,12 +175,15 @@ def build_f(ring: CohomRing, cone: MoriCone, bound: int) -> Series:
     """Assemble the series over all degrees of the Mori cone with c1-degree
     <= bound, whatever the signs of their pairings with the divisors.
 
-    Every degree is checked against MAX_RATIO_BITS, in order, before the
-    first ratio is stepped, so an oversized window is refused at once.  The
-    three series subcommands, loop-model included, list their window here."""
+    Every degree is checked against MAX_RATIO_BITS, in order, and then the
+    sum of their bounds against MAX_WINDOW_BITS, before the first ratio is
+    stepped, so an oversized window is refused at once.  The three series
+    subcommands, loop-model included, list their window here."""
     degrees = tuple(enumerate_degrees(cone, ring.cm, bound))
-    for d in degrees:
-        _refuse_oversized(d, ring.cm.pairings(d))
+    bits = sum(_refuse_oversized(d, ring.cm.pairings(d)) for d in degrees)
+    if bits > MAX_WINDOW_BITS:
+        raise ValueError("the R_d of the series window at bound %d may reach %d bits in "
+                         "all, more than MAX_WINDOW_BITS = %d" % (bound, bits, MAX_WINDOW_BITS))
     coeffs = {d: euler_ratio(ring, d) for d in degrees}
     return Series(ring, bound, degrees, coeffs, 0)
 

@@ -38,7 +38,10 @@ each basis vector sparse too, as {column: int} over its den.
 lattice work needs unimodular row transforms and a signed determinant,
 which rational row scaling does not preserve.  `hermite_form` runs each
 row operation once, on the rows of [A | I], and splits off H and U at the
-end.
+end.  No run computes an `integer_kernel`: the charge matrix reads its
+relation basis off the Hermite form of the wall relations.
+`integer_kernel` serves only as the tests' oracle for that basis and as an
+entry point the frozen benchmark traces.
 """
 
 from __future__ import annotations

@@ -26,7 +26,11 @@ the divisor class alpha_k of the k-th ray satisfies
 Every wall tau, shared by the maximal cones cone(u, tau) and cone(u', tau),
 gives a relation u + u' + sum_i b_i v_i = 0 among the rays.  make_fan
 computes these wall relations once per fan, in integers, and the fan holds
-them; they feed only the nef rays below and the wall_relations() wrapper.
+them.  They are the torus-invariant curves, which generate the relation
+lattice (Fulton 1993, 5.1-5.2), so they are the one source of every
+lattice object: the nef rays below, and the relation basis K that
+charge_matrix reads off their Hermite form, whose nonzero rows are the
+lattice's unique Hermite basis.
 One walk across the walls gives both the relations and every cone's
 inverse: it inverts the first maximal cone, and crossing a wall from sigma
 to sigma' reads the coordinates x of u' in sigma, which give the wall's
@@ -43,7 +47,9 @@ at most dim + 1 rays; they are the Stanley-Reisner generators of the ring.
 Lattice work runs on Hermite forms, in integers.  A square integer matrix
 has determinant +-1 exactly when its Hermite form is the identity, and the
 transform is then its inverse (_unimodular_inverse): it inverts the first
-maximal cone, the nef basis, and one l x l block of the charge matrix.
+maximal cone, the nef basis, and one l x l block of the charge matrix.  The
+one other Hermite form a run computes is that of the wall relations, whose
+nonzero rows are K.
 int_det serves only a fan that is refused: once the walk finds a cone that
 is not unimodular, or a cone is malformed, the first listed cone whose
 determinant is not +-1 is named (_singular_cone).
@@ -52,13 +58,13 @@ Relations are read in outside coordinates: their entries on the l rays
 outside the first maximal cone.  That cone's rays are a lattice basis, so a
 relation is fixed by those entries, and any l integers are the entries of
 one (the other divisors are a basis of Pic; Fulton 1993, 3.4).  So the
-kernel's block K_N on the outside rays is unimodular, and so is the charge
+basis K's block K_N on the outside rays is unimodular, and so is the charge
 matrix's block m_N exactly when its rows are a basis of the relation
 lattice; a wall class r has coordinates r_N . m_N^-1.
 
 Three checks could not fail and are not made: make_fan's unimodular cones
 make the rays span the lattice, the wall relations are integer relations by
-construction, and m = (Y^-1)^T K is an integer combination of kernel rows.
+construction, and m = (Y^-1)^T K is an integer combination of K's rows.
 CohomRing alone checks that charge matrix rows are relations, which guards
 a ChargeMatrix built by hand.
 
@@ -557,7 +563,8 @@ def _combination(p, u, q, v):
 def charge_matrix(fan: FanData) -> ChargeMatrix:
     """Charge matrix of the fan, rows dual to a lattice basis of the
     divisor classes: the supplied nef_basis, or one derived from the nef
-    cone.
+    cone.  The relation basis K it starts from is the Hermite basis of the
+    lattice the wall relations generate (see the module docstring).
 
     A supplied basis must be a lattice basis (a NefBasisError otherwise);
     whether it is nef is judged by mori_generators (see the module
@@ -568,7 +575,7 @@ def charge_matrix(fan: FanData) -> ChargeMatrix:
     else more than l rays make the cone not simplicial, and l rays are not
     a lattice basis.  Both of these ask for an explicit basis.
     """
-    kernel = linalg.integer_kernel(list(zip(*fan.rays)))
+    kernel = [row for row in linalg.hermite_form(fan.wall_relations)[0] if any(row)]
     l = fan.n_rays - fan.dim
     if fan.nef_basis is not None:
         y_rows = [[_dot(ker, vec) for ker in kernel] for vec in fan.nef_basis]

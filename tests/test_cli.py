@@ -240,6 +240,13 @@ def test_a_rational_nef_basis_vector_is_read(tmp_path, capsys):
     (["loop-model", "p2", "--degree", "30000"],
      "R_d of degree [30000] may reach numbers of 1350000 bits, "
      "more than MAX_RATIO_BITS = 131072"),
+    # 5,001 ratios, each under that cap, yet it ran past 100 s
+    (["ifunction", "p1", "--max-degree", "10000"],
+     "the R_d of the series window at bound 10000 may reach 302703570 bits in all, "
+     "more than MAX_WINDOW_BITS = 67108864"),
+    (["loop-model", "p1", "--max-degree", "10000"],
+     "the R_d of the series window at bound 10000 may reach 302703570 bits in all, "
+     "more than MAX_WINDOW_BITS = 67108864"),
 ])
 def test_a_size_past_the_cap_is_refused_before_the_work(argv, message):
     src = str(FAN_DIR.parent / "src")
@@ -582,11 +589,14 @@ def test_out_file_suppresses_stdout(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    src = str(FAN_DIR.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from qdm.cli import main; sys.exit(main())",
          "cohomology", fan_path("p3")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["total_dimension"] == 4
 

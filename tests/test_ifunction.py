@@ -235,6 +235,39 @@ def test_build_f_refuses_an_oversized_window_before_any_ratio(monkeypatch, shipp
     assert ring.ratios == memo
 
 
+def test_build_f_refuses_a_window_past_its_budget(monkeypatch, shipped):
+    # on P^1 at bound 10000 each of the 5001 ratios is under MAX_RATIO_BITS,
+    # but their bounds 2 d bit_length(d) sum past MAX_WINDOW_BITS, and the
+    # window is refused before the first ratio is stepped
+    fan, cm, _ring, cone = shipped["p1"]
+    ring = cohomology.build_ring(fan, cm)
+    memo = dict(ring.ratios)
+
+    def refuse(*args):
+        raise AssertionError("a ratio was stepped")
+
+    with monkeypatch.context() as patched:
+        for method in ("times_linear", "divide_linear"):
+            patched.setattr(cohomology.CohomRing, method, refuse)
+        assert ifunction.MAX_WINDOW_BITS == 2**26
+        with pytest.raises(ValueError, match=r"^the R_d of the series window at bound 10000 "
+                                             r"may reach 302703570 bits in all, more than "
+                                             r"MAX_WINDOW_BITS = 67108864$"):
+            build_f(ring, cone, 10000)
+    assert ring.ratios == memo
+    # on P^2 the degrees 0, 1, 2 of the window at bound 6 pair as (d, d, d):
+    # their bounds 0, 3 and 12 sum to 15, which the budget admits
+    fan, cm, _ring, cone = shipped["p2"]
+    ring = cohomology.build_ring(fan, cm)
+    monkeypatch.setattr(ifunction, "MAX_WINDOW_BITS", 15)
+    assert build_f(ring, cone, 6).degrees == ((0,), (1,), (2,))
+    monkeypatch.setattr(ifunction, "MAX_WINDOW_BITS", 14)
+    with pytest.raises(ValueError, match=r"^the R_d of the series window at bound 6 may "
+                                         r"reach 15 bits in all, more than "
+                                         r"MAX_WINDOW_BITS = 14$"):
+        build_f(ring, cone, 6)
+
+
 def test_ratio_memo_does_not_keep_its_ring_alive(shipped):
     fan, cm, _ring, _cone = shipped["p2"]
     ring = cohomology.build_ring(fan, cm)

@@ -529,6 +529,34 @@ def test_make_fan_runs_one_hermite_form(monkeypatch):
     assert not hasattr(cohomology.CohomRing, "_minimal_nonfaces")
 
 
+def test_a_cohomology_run_makes_four_hermite_forms(monkeypatch):
+    # the first maximal cone, the wall relations, the nef basis and the
+    # charge matrix's outside block: no integer kernel of the rays adds two
+    from qdm import linalg
+    from qdm.cli import main
+    calls = []
+    hermite = linalg.hermite_form
+
+    def counting(rows):
+        calls.append(len(rows))
+        return hermite(rows)
+
+    monkeypatch.setattr(linalg, "hermite_form", counting)
+    for name in ("p2", "dp3", "p1x3"):
+        calls.clear()
+        assert main(["cohomology", str(ROOT / "fans" / (name + ".json"))]) == 0
+        assert len(calls) == 4, (name, calls)
+
+
+def test_no_function_computes_an_integer_kernel():
+    # charge_matrix reads the relation basis off the wall relations' Hermite
+    # form; integer_kernel serves the tests and the frozen benchmark alone
+    callers = {module: _owners(tree, lambda node: isinstance(node, ast.Call)
+                               and _callee(node) == "integer_kernel")
+               for module, tree in _trees().items()}
+    assert not any(callers.values()), callers
+
+
 def _calls(node, name):
     """The calls under node to a function or method of that name."""
     return [n for n in ast.walk(node) if isinstance(n, ast.Call) and _callee(n) == name]

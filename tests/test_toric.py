@@ -437,9 +437,11 @@ def test_wall_coordinates_match_the_lattice_solve(name):
 
 
 @pytest.mark.parametrize("name", SHIPPED)
-def test_setup_matches_the_per_wall_reference(monkeypatch, name):
+def test_setup_matches_the_per_wall_reference(name):
     # wall relations from one inverse per cone agree with the per-wall
-    # solves they replaced
+    # solves they replaced, and a fan holding the solved relations, and the
+    # normals the reference double description finds from them, gives the
+    # same charge matrix and Mori cone
     want = None
     for data in same_fan_copies(name):
         fan = make_fan(data["rays"], data["max_cones"], data.get("nef_basis"))
@@ -447,10 +449,10 @@ def test_setup_matches_the_per_wall_reference(monkeypatch, name):
         cm = charge_matrix(fan)
         cone = mori_generators(fan, cm)
         assert list(cone.generators) == reference_mori_generators(fan, cm)
-        with monkeypatch.context() as patched:
-            patched.setattr(toric, "wall_relations", reference_wall_relations)
-            assert charge_matrix(fan) == cm
-            assert mori_generators(fan, cm) == cone
+        solved = fan._replace(wall_relations=tuple(reference_wall_relations(fan)))
+        solved = solved._replace(
+            mori_normals=tuple(reference_dual_cone_rays(*_wall_coords(solved))))
+        assert (charge_matrix(solved), mori_generators(solved, cm)) == (cm, cone)
         # a shuffled first cone changes the outside coordinates of the fan's
         # normals, not the cone they give in charge coordinates
         want = want or (cm, cone)
@@ -731,6 +733,31 @@ def test_mori_generators_refuse_a_fan_that_is_not_projective():
     with pytest.raises(FanError, match="the Mori cone contains a line, so the fan is "
                                        "not projective"):
         mori_generators(fan, cm)
+
+
+def _lattice_fans():
+    yield from ((name, load_fan(name)) for name in SHIPPED)
+    yield from (("x".join(names), product_fan(*names)) for names in PRODUCTS)
+    yield "p1^6", product_fan(*["p1"] * 6)
+    yield from (("blow-up %d" % i, make_fan(rays, cones))
+                for i, (rays, cones) in enumerate(seeded_blow_ups(40, 7)))
+    yield "not projective", make_fan(NON_PROJECTIVE_RAYS, NON_PROJECTIVE_CONES)
+
+
+def test_the_wall_relations_generate_the_relation_lattice():
+    # the torus-invariant curves generate H_2(X, Z) (Fulton 1993, 5.1-5.2),
+    # so the nonzero Hermite rows of the wall relations, which charge_matrix
+    # starts from, are the Hermite basis of the integer kernel of the rays;
+    # a charge matrix, where the fan gives one, is a basis of it too
+    for label, fan in _lattice_fans():
+        kernel = linalg.integer_kernel([list(col) for col in zip(*fan.rays)])
+        walls = [tuple(row) for row in linalg.hermite_form(fan.wall_relations)[0] if any(row)]
+        assert walls == kernel, label
+        try:
+            cm = charge_matrix(fan)
+        except NefBasisError:
+            continue
+        assert [tuple(row) for row in linalg.hermite_form(cm.m)[0]] == kernel, label
 
 
 NON_PROJECTIVE = {"rays": NON_PROJECTIVE_RAYS, "max_cones": NON_PROJECTIVE_CONES}

@@ -28,8 +28,8 @@ _EXPORTS = {
     "ifunction": ("Series", "euler_ratio", "check_ratio", "build_f", "component"),
     "dmodule": ("DiffOp", "EmptyWindowError", "apply",
                 "gkz_operator", "find_annihilators", "semiclassical"),
-    "loop_model": ("CriticalData", "ComponentAbsentError", "min_modes",
-                   "critical_component", "euler_ratio_n", "check_stabilization"),
+    "loop_model": ("CriticalData", "ComponentAbsentError", "critical_component",
+                   "euler_ratio_n", "check_stabilization"),
 }
 _HOME = {name: layer for layer, names in _EXPORTS.items() for name in names}
 

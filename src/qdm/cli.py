@@ -169,7 +169,7 @@ def cmd_ifunction(args) -> tuple[dict, bool]:
     series = ifunction.build_f(ring, cone, args.max_degree)
     # reported as "homogeneous": a value at hbar = 1 is homogeneous by
     # construction, so what is checked is the identity defining each R_d
-    homogeneous = all(ifunction.check_ratio(ring, d, series.coefficients[d])
+    homogeneous = all(ifunction.check_ratio(ring, cm.pairings(d), series.coefficients[d])
                       for d in series.degrees)
     report = {
         "charge_matrix": [list(r) for r in cm.m],
@@ -180,11 +180,8 @@ def cmd_ifunction(args) -> tuple[dict, bool]:
     }
     if components is not None:
         log_order = ring.top if args.log_order is None else args.log_order
-        comps = {}
-        for beta in components:
-            comp = ifunction.component(series, beta, log_order)
-            comps[str(beta)] = serialize.component_json(comp)
-        report["components"] = comps
+        report["components"] = {str(beta): serialize.component_json(
+            ifunction.component(series, beta, log_order)) for beta in components}
     return report, homogeneous
 
 
@@ -202,7 +199,6 @@ def cmd_operators(args) -> tuple[dict, bool]:
         op = dmodule.gkz_operator(cm, d)
         applied = dmodule.apply(op, series)
         annihilates = applied.is_zero()
-        ok = ok and annihilates
         rel = dmodule.semiclassical(op)
         classical = rel.classical_value(ring)
         gkz_entries.append({
@@ -214,7 +210,7 @@ def cmd_operators(args) -> tuple[dict, bool]:
             "relation_classical_at_q0": serialize.class_json(classical),
             "classical_check": classical.is_zero(),
         })
-        ok = ok and classical.is_zero()
+        ok = ok and annihilates and classical.is_zero()
     anns = dmodule.find_annihilators(series, theta_order, args.q_degree)
     ann_entries = []
     for op in anns:

@@ -21,12 +21,15 @@ the monomial m carries hbar^(w - c1(d) - deg m).  At hbar = 1 each factor
 Sharing work across degrees.  R_d depends on d only through its pairings,
 and moving d by a unit vector e_j of the curve lattice gains or loses a few
 factors per ray: from pairings a to b, R is divided by (alpha_k + nu) for
-nu in (a_k, b_k] and multiplied by it for nu in (b_k, a_k].  euler_ratio
-memoizes R per ring by degree and builds a new one from the cached
-R_{d - e_j}, whose pairings are those of d minus row j of m, that needs the
-fewest linear passes, or from R_0 = 1, the direct product.  A step
-with a_k < 0 <= b_k on some ray is refused: it would divide by alpha_k,
-which is nilpotent.  check_ratio multiplies R_d by the products
+nu in (a_k, b_k] and multiplied by it for nu in (b_k, a_k].  R is memoized
+per ring by degree, and a new one is stepped, given its pairings, from the
+cached R_{d - e_j}, whose pairings are those of d minus row j of m, that
+needs the fewest linear passes, or from R_0 = 1, the direct product.  A
+step with a_k < 0 <= b_k on some ray is refused: it would divide by
+alpha_k, which is nilpotent.  build_f lists its window's pairings once and
+steps each R_d from them; euler_ratio computes the pairings of a degree only
+when it is not yet in the memo.  check_ratio, given the pairings a_k of d,
+multiplies R_d by the products
 P+_k(a) = prod_{nu=1}^{a} (alpha_k + nu) for each a_k > 0 and compares with
 the product of P-_k(a) = prod_{nu=a+1}^{0} (alpha_k + nu) over a_k < 0.
 These are cached per ring too, each entry one CohomRing.multiply from its
@@ -57,9 +60,12 @@ from .toric import MoriCone, enumerate_degrees
 # is at most sum_k |a_k| * bit_length(|a_k|).
 MAX_RATIO_BITS = 2**17
 
-# A series window is refused, before any linear pass, when the bounds of its
-# R_d sum past this many bits: a window of thousands of R_d, each under
-# MAX_RATIO_BITS, can run for minutes.
+# A series window is refused, before any linear pass, when its numbers could
+# pass this many bits in all: each R_d holds one numerator per basis class,
+# chi of them, each priced at the R_d's bound above.  A window of thousands
+# of R_d, each under MAX_RATIO_BITS, can run for minutes; at this value the
+# last bound admitted on p1, hirzebruch1, p1xp1 and dp3 takes 1.5 to 6 s
+# (on a 2-core x86-64 VM).
 MAX_WINDOW_BITS = 2**26
 
 
@@ -73,39 +79,46 @@ def _refuse_oversized(degree, pairings):
     return bits
 
 
+def _step_ratio(ring: CohomRing, key: tuple, target) -> CohomClass:
+    """R_key on its pairings target, stepped from the cached R_p, p = key - e_j,
+    with the fewest linear passes, or from R_0 = 1 (see the module docstring),
+    and stored in ring.ratios; key must not be there yet."""
+    ratios = ring.ratios
+    # shift: the pairings of key minus those of the degree stepped from
+    out, shift, cost = ratios[(0,) * len(key)], target, sum(map(abs, target))
+    for j, row in enumerate(ring.cm.m):
+        step = sum(map(abs, row))
+        if step >= cost:
+            continue
+        near = key[:j] + (key[j] - 1,) + key[j + 1:]
+        if near in ratios and not any(b - r < 0 <= b for b, r in zip(target, row)):
+            out, shift, cost = ratios[near], row, step
+    for k, (b, r) in enumerate(zip(target, shift)):
+        alpha = ring.generator(k)
+        for nu in range(b - r + 1, b + 1):
+            out = ring.divide_linear(out, alpha, nu)
+        for nu in range(b + 1, b - r + 1):
+            out = ring.times_linear(out, alpha, nu)
+    ratios[key] = out
+    return out
+
+
 def euler_ratio(ring: CohomRing, degree) -> CohomClass:
     """The coefficient R_degree of the series, at hbar = 1, memoized per ring
     under tuple(degree); a memo hit computes no pairings.
 
     Pairings of either sign are allowed: a negative one contributes the
-    finite numerator product, including the nu = 0 factor alpha_k.  A new
-    R_d is stepped from a cached R_p, p = d - e_j, or from R_0 = 1; see the
-    module docstring.  A degree whose bound sum_k |a_k| * bit_length(|a_k|)
-    passes MAX_RATIO_BITS is refused with a ValueError before any pass; it
-    also bounds the sum_k |a_k| linear passes from R_0.
+    finite numerator product, including the nu = 0 factor alpha_k.  A
+    degree whose bound sum_k |a_k| * bit_length(|a_k|) passes
+    MAX_RATIO_BITS is refused with a ValueError before any pass; it also
+    bounds the sum_k |a_k| linear passes from R_0.
     """
     key = tuple(degree)
-    ratios = ring.ratios
-    if key not in ratios:
+    if key not in ring.ratios:
         target = ring.cm.pairings(degree)
         _refuse_oversized(degree, target)
-        # shift: the pairings of key minus those of the degree stepped from
-        out, shift, cost = ratios[(0,) * len(key)], target, sum(map(abs, target))
-        for j, row in enumerate(ring.cm.m):
-            step = sum(map(abs, row))
-            if step >= cost:
-                continue
-            near = key[:j] + (key[j] - 1,) + key[j + 1:]
-            if near in ratios and not any(b - r < 0 <= b for b, r in zip(target, row)):
-                out, shift, cost = ratios[near], row, step
-        for k, (b, r) in enumerate(zip(target, shift)):
-            alpha = ring.generator(k)
-            for nu in range(b - r + 1, b + 1):
-                out = ring.divide_linear(out, alpha, nu)
-            for nu in range(b + 1, b - r + 1):
-                out = ring.times_linear(out, alpha, nu)
-        ratios[key] = out
-    return ratios[key]
+        return _step_ratio(ring, key, target)
+    return ring.ratios[key]
 
 
 def _factor_product(ring: CohomRing, k: int, a: int) -> CohomClass:
@@ -124,8 +137,9 @@ def _factor_product(ring: CohomRing, k: int, a: int) -> CohomClass:
     return out
 
 
-def check_ratio(ring: CohomRing, degree, ratio: CohomClass) -> bool:
-    """Does ratio satisfy the defining identity of R_degree?
+def check_ratio(ring: CohomRing, pairings, ratio: CohomClass) -> bool:
+    """Does ratio satisfy the defining identity of R_d, d the degree whose
+    pairings a_k = <alpha_k, d> are given?
 
         R_d * prod_{a_k>0} P+_k(a_k) = prod_{a_k<0} P-_k(a_k)
 
@@ -136,7 +150,7 @@ def check_ratio(ring: CohomRing, degree, ratio: CohomClass) -> bool:
     ratio, so a wrong matrix entry cannot cancel out of the check.
     """
     lhs, rhs = ratio, None
-    for k, a in enumerate(ring.cm.pairings(degree)):
+    for k, a in enumerate(pairings):
         if a > 0:
             lhs = lhs * _factor_product(ring, k, a)
         elif a < 0:
@@ -175,17 +189,20 @@ def build_f(ring: CohomRing, cone: MoriCone, bound: int) -> Series:
     """Assemble the series over all degrees of the Mori cone with c1-degree
     <= bound, whatever the signs of their pairings with the divisors.
 
-    Every degree is checked against MAX_RATIO_BITS, in order, and then the
-    sum of their bounds against MAX_WINDOW_BITS, before the first ratio is
-    stepped, so an oversized window is refused at once.  The three series
-    subcommands, loop-model included, list their window here."""
-    degrees = tuple(enumerate_degrees(cone, ring.cm, bound))
-    bits = sum(_refuse_oversized(d, ring.cm.pairings(d)) for d in degrees)
+    The three series subcommands, loop-model included, list their window
+    here, once, as (d, a(d)) pairs that the budget and the ratio steps both
+    read.  Every degree is checked against MAX_RATIO_BITS, in order, and then
+    the sum of their bounds, times the chi numerators of each R_d, against
+    MAX_WINDOW_BITS, before the first ratio is stepped, so an oversized
+    window is refused at once."""
+    window = [(d, ring.cm.pairings(d)) for d in enumerate_degrees(cone, ring.cm, bound)]
+    bits = len(ring.basis) * sum(_refuse_oversized(d, a) for d, a in window)
     if bits > MAX_WINDOW_BITS:
         raise ValueError("the R_d of the series window at bound %d may reach %d bits in "
                          "all, more than MAX_WINDOW_BITS = %d" % (bound, bits, MAX_WINDOW_BITS))
-    coeffs = {d: euler_ratio(ring, d) for d in degrees}
-    return Series(ring, bound, degrees, coeffs, 0)
+    ratios = ring.ratios
+    coeffs = {d: ratios[d] if d in ratios else _step_ratio(ring, d, a) for d, a in window}
+    return Series(ring, bound, tuple(coeffs), coeffs, 0)
 
 
 def component(series: Series, beta: int, log_order: int):

@@ -16,6 +16,11 @@ is computed once per degree by ifunction.euler_ratio, the series' formula.  The
 "stable" flag of a stabilization report is ifunction.check_ratio: the
 product identity defining R_d, multiplied out through CohomRing.multiply
 and so independent of the multiplication matrices that built the ratio.
+
+N(d), the weight intervals and that identity are all functions of the
+frozen modes a(d), so check_stabilization computes a(d) once and reads
+them off it; the ratio comes from euler_ratio_n, whose critical_component
+call is the degree's one check of its inputs and cutoff.
 """
 
 from __future__ import annotations
@@ -40,9 +45,11 @@ class CriticalData(namedtuple("CriticalData", ("value", "positive", "negative"))
     __slots__ = ()
 
 
-def min_modes(cm: ChargeMatrix, degree) -> int:
-    """Smallest cutoff N whose model contains the component of this degree."""
-    return max(map(abs, cm.pairings(degree)), default=0)
+def _critical_data(degree: tuple, frozen, modes: int) -> CriticalData:
+    """The degree-d component's critical value and its weight intervals at
+    cutoff modes, read off its pairings frozen = a(d)."""
+    return CriticalData(sum(degree), tuple((a_k + 1, modes) for a_k in frozen),
+                        tuple((-modes, a_k - 1) for a_k in frozen))
 
 
 def critical_component(cm: ChargeMatrix, degree, modes: int) -> CriticalData:
@@ -59,9 +66,7 @@ def critical_component(cm: ChargeMatrix, degree, modes: int) -> CriticalData:
         raise ComponentAbsentError(
             "component of degree %r needs at least N = %d modes, got %d"
             % (list(degree), needed, modes))
-    return CriticalData(sum(degree),
-                        tuple((a_k + 1, modes) for a_k in frozen),
-                        tuple((-modes, a_k - 1) for a_k in frozen))
+    return _critical_data(degree, frozen, modes)
 
 
 def euler_ratio_n(ring: CohomRing, degree, modes: int) -> CohomClass:
@@ -90,7 +95,8 @@ def check_stabilization(ring: CohomRing, degree, mode_values=None) -> dict:
     is recorded, not raised.
     """
     degree = _int_tuple(degree)
-    needed = min_modes(ring.cm, degree)
+    frozen = ring.cm.pairings(degree)
+    needed = max(map(abs, frozen), default=0)
     if mode_values is None:
         mode_values = range(needed, needed + 4)
     mode_values = sorted(set(_int_tuple(mode_values)))
@@ -102,13 +108,13 @@ def check_stabilization(ring: CohomRing, degree, mode_values=None) -> dict:
         return {"degree": list(degree), "min_modes": needed, "skipped_modes": skipped,
                 "stable": False, "error": "all requested cutoffs below N(d)"}
     ratio = euler_ratio_n(ring, degree, usable[0])
-    data = critical_component(ring.cm, degree, usable[-1])
+    data = _critical_data(degree, frozen, usable[-1])
     report = {
         "degree": list(degree),
         "min_modes": needed,
         "N_list": usable,
         "critical_value": serialize.frac_str(data.value),
-        "stable": check_ratio(ring, degree, ratio),
+        "stable": check_ratio(ring, frozen, ratio),
         "ratio": serialize.laurent_json(ratio, ring.cm.c1_degree(degree)),
         "weights": {"positive": [list(w) for w in data.positive],
                     "negative": [list(w) for w in data.negative]},

@@ -22,7 +22,6 @@ from qdm import (
     euler_ratio_n,
     find_annihilators,
     gkz_operator,
-    min_modes,
     semiclassical,
 )
 from qdm.cli import main
@@ -114,7 +113,7 @@ def test_criterion_4_loop_space_stabilization(corpus, report_line):
             start = time.monotonic()
             _fan, cm, ring, cone = corpus[name]
             for d in enumerate_degrees(cone, cm, 6):
-                n_min = min_modes(cm, d)
+                n_min = max(map(abs, cm.pairings(d)), default=0)
                 report = check_stabilization(ring, d, range(n_min, n_min + 4))
                 assert report["stable"] is True, (name, d)
                 for n_cut in range(n_min, n_min + 4):

@@ -11,7 +11,7 @@ from math import factorial
 
 import pytest
 
-from qdm import cli, cohomology, ifunction, serialize, toric
+from qdm import cli, cohomology, ifunction, loop_model, serialize, toric
 from qdm.cli import main
 
 from conftest import (BENCH_FANS, DOUBLE_CYCLE_CONES, DOUBLE_CYCLE_NEF, DOUBLE_CYCLE_RAYS,
@@ -240,12 +240,20 @@ def test_a_rational_nef_basis_vector_is_read(tmp_path, capsys):
     (["loop-model", "p2", "--degree", "30000"],
      "R_d of degree [30000] may reach numbers of 1350000 bits, "
      "more than MAX_RATIO_BITS = 131072"),
-    # 5,001 ratios, each under that cap, yet it ran past 100 s
+    # 5,001 ratios, each under that cap, yet it ran past 100 s: their
+    # bounds sum to 302703570 bits, times the chi = 2 numerators of each R_d
     (["ifunction", "p1", "--max-degree", "10000"],
-     "the R_d of the series window at bound 10000 may reach 302703570 bits in all, "
+     "the R_d of the series window at bound 10000 may reach 605407140 bits in all, "
      "more than MAX_WINDOW_BITS = 67108864"),
     (["loop-model", "p1", "--max-degree", "10000"],
-     "the R_d of the series window at bound 10000 may reach 302703570 bits in all, "
+     "the R_d of the series window at bound 10000 may reach 605407140 bits in all, "
+     "more than MAX_WINDOW_BITS = 67108864"),
+    # the last bounds the window budget admits on p1 and dp3 are 3565 and 25
+    (["ifunction", "p1", "--max-degree", "3566"],
+     "the R_d of the series window at bound 3566 may reach 67187076 bits in all, "
+     "more than MAX_WINDOW_BITS = 67108864"),
+    (["ifunction", "dp3", "--max-degree", "26"],
+     "the R_d of the series window at bound 26 may reach 76550580 bits in all, "
      "more than MAX_WINDOW_BITS = 67108864"),
 ])
 def test_a_size_past_the_cap_is_refused_before_the_work(argv, message):
@@ -336,13 +344,15 @@ def test_general_sign_flag_changes_nothing(capsys, argv):
 
 
 def test_corrupted_coefficient_fails_the_ratio_check(monkeypatch, capsys):
-    exact = ifunction.euler_ratio
+    # the step build_f and euler_ratio share returns a wrong R_2; the check
+    # reads the degree's pairings afresh, so it cannot pass by construction
+    exact = ifunction._step_ratio
 
-    def corrupted(ring, degree):
-        r = exact(ring, degree)
-        return r + ring.generator(0) if degree == (2,) else r
+    def corrupted(ring, key, target):
+        r = exact(ring, key, target)
+        return r + ring.generator(0) if key == (2,) else r
 
-    monkeypatch.setattr(ifunction, "euler_ratio", corrupted)
+    monkeypatch.setattr(ifunction, "_step_ratio", corrupted)
     code, report = run_json(capsys, ["ifunction", fan_path("p1")])
     assert code == 1
     assert report["homogeneous"] is False
@@ -628,6 +638,33 @@ def test_one_mori_cone_derivation_per_run(monkeypatch, capsys, name, command):
     assert sorted(calls) == ["make_fan", "mori_generators"]
 
 
+@pytest.mark.parametrize("argv, pairings, components", [
+    # build_f's window pass, then the ratio check, over the 462 window degrees
+    (["ifunction", "--components", "0,1,2"], 462 + 462, 0),
+    # build_f's window pass, then, for each of the 461 nonzero degrees,
+    # check_stabilization's one pass and the critical_component check that
+    # euler_ratio_n makes
+    (["loop-model"], 462 + 461 + 461, 461),
+], ids=["ifunction", "loop-model"])
+def test_a_series_run_computes_each_degree_pairings_once_per_reader(
+        monkeypatch, capsys, argv, pairings, components):
+    calls = {"pairings": 0, "critical_component": 0}
+
+    def counted(name, fn):
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+        return spy
+
+    monkeypatch.setattr(toric.ChargeMatrix, "pairings",
+                        counted("pairings", toric.ChargeMatrix.pairings))
+    monkeypatch.setattr(loop_model, "critical_component",
+                        counted("critical_component", loop_model.critical_component))
+    assert main([argv[0], fan_path("dp3")] + argv[1:]) == 0
+    capsys.readouterr()
+    assert calls == {"pairings": pairings, "critical_component": components}
+
+
 def test_benchmark_tracer_still_wraps_the_entry_points(capsys):
     # the traced benchmark wraps module entry points by name; a renamed or
     # deleted one must fail here, not silently drop out of its spans
@@ -765,6 +802,9 @@ GOLDEN = [
     # derive their nef basis, so the nef-ray sort fixes their row order
     ("cohomology", ["p1x4"], 0, "3721e7176af9a47ce6d0aa397eb7a135e5f4839b5d9cdd9ce637872de3d4a62a"),
     ("cohomology", ["p2xp2"], 0, "06b2f8158d5409921a8d67e8d94665e0c2232aec8d5ecb3c921514a4629c54d4"),
+    # the series-loop benchmark's long window
+    ("ifunction", ["p3", "--max-degree", "32", "--components", "0"], 0,
+     "265d0702722788ed6b210c90a33463a8866bdd0e3ab731163191b1e83635e7bb"),
 ]
 
 
@@ -789,12 +829,13 @@ def test_report_writer_matches_json_dumps(tmp_path, command, args):
 
 
 def test_benchmark_entry_point_gives_the_golden_reports(monkeypatch, tmp_path):
-    # the benchmark spawns `python -m qdm.cli`, not main(): run its
-    # annihilator-search invocations that way, flags included, against the
-    # digests above (--allow-general-sign changes no byte)
+    # the benchmark spawns `python -m qdm.cli`, not main(): run each of its
+    # invocations that way, flags included, against the digests above
+    # (--allow-general-sign changes no byte)
     golden = {(command, tuple(args)): (code, digest) for command, args, code, digest in GOLDEN}
-    invocations = load_benchmark(monkeypatch).WORKLOADS["annihilator-search"]
-    assert len(invocations) == 5
+    invocations = [inv for invs in load_benchmark(monkeypatch).WORKLOADS.values()
+                   for inv in invs]
+    assert len(invocations) == 13
     src = str(FAN_DIR.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -1,6 +1,7 @@
 """Euler-class ratios and the hypergeometric series built from them."""
 
 import gc
+import json
 import random
 import weakref
 from fractions import Fraction
@@ -17,9 +18,11 @@ from qdm import (
     enumerate_degrees,
     euler_ratio,
 )
+from qdm.cli import main
 from qdm.serialize import laurent_json
 
 from conftest import (
+    FAN_DIR,
     SHIPPED,
     coeffs,
     load_fan,
@@ -75,9 +78,9 @@ def test_homogeneity_flag(corpus):
     # check_ratio holds for the true ratio and fails once a coefficient changes
     _fan, cm, ring, _cone = corpus["p1"]
     r1 = euler_ratio(ring, (1,))
-    assert check_ratio(ring, (1,), r1)
-    assert not check_ratio(ring, (1,), r1 + ring.generator(0))
-    assert not check_ratio(ring, (2,), r1)
+    assert check_ratio(ring, cm.pairings((1,)), r1)
+    assert not check_ratio(ring, cm.pairings((1,)), r1 + ring.generator(0))
+    assert not check_ratio(ring, cm.pairings((2,)), r1)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +139,7 @@ def test_ratio_multiplies_back_to_sign_product(corpus):
         _fan, cm, ring, cone = corpus[name]
         for d in enumerate_degrees(cone, cm, 4):
             lhs = euler_ratio(ring, d)
-            assert check_ratio(ring, d, lhs), (name, d)
+            assert check_ratio(ring, cm.pairings(d), lhs), (name, d)
             rhs = ring.one()
             for k in range(cm.n):
                 a_k = cm.pairings(d)[k]
@@ -237,8 +240,9 @@ def test_build_f_refuses_an_oversized_window_before_any_ratio(monkeypatch, shipp
 
 def test_build_f_refuses_a_window_past_its_budget(monkeypatch, shipped):
     # on P^1 at bound 10000 each of the 5001 ratios is under MAX_RATIO_BITS,
-    # but their bounds 2 d bit_length(d) sum past MAX_WINDOW_BITS, and the
-    # window is refused before the first ratio is stepped
+    # but their bounds 2 d bit_length(d) sum to 302703570, times the chi = 2
+    # numerators of each R_d past MAX_WINDOW_BITS, and the window is refused
+    # before the first ratio is stepped
     fan, cm, _ring, cone = shipped["p1"]
     ring = cohomology.build_ring(fan, cm)
     memo = dict(ring.ratios)
@@ -251,27 +255,28 @@ def test_build_f_refuses_a_window_past_its_budget(monkeypatch, shipped):
             patched.setattr(cohomology.CohomRing, method, refuse)
         assert ifunction.MAX_WINDOW_BITS == 2**26
         with pytest.raises(ValueError, match=r"^the R_d of the series window at bound 10000 "
-                                             r"may reach 302703570 bits in all, more than "
+                                             r"may reach 605407140 bits in all, more than "
                                              r"MAX_WINDOW_BITS = 67108864$"):
             build_f(ring, cone, 10000)
     assert ring.ratios == memo
     # on P^2 the degrees 0, 1, 2 of the window at bound 6 pair as (d, d, d):
-    # their bounds 0, 3 and 12 sum to 15, which the budget admits
+    # their bounds 0, 3 and 12 sum to 15, times chi = 3 numerators 45, which
+    # the budget admits
     fan, cm, _ring, cone = shipped["p2"]
     ring = cohomology.build_ring(fan, cm)
-    monkeypatch.setattr(ifunction, "MAX_WINDOW_BITS", 15)
+    monkeypatch.setattr(ifunction, "MAX_WINDOW_BITS", 45)
     assert build_f(ring, cone, 6).degrees == ((0,), (1,), (2,))
-    monkeypatch.setattr(ifunction, "MAX_WINDOW_BITS", 14)
+    monkeypatch.setattr(ifunction, "MAX_WINDOW_BITS", 44)
     with pytest.raises(ValueError, match=r"^the R_d of the series window at bound 6 may "
-                                         r"reach 15 bits in all, more than "
-                                         r"MAX_WINDOW_BITS = 14$"):
+                                         r"reach 45 bits in all, more than "
+                                         r"MAX_WINDOW_BITS = 44$"):
         build_f(ring, cone, 6)
 
 
 def test_ratio_memo_does_not_keep_its_ring_alive(shipped):
     fan, cm, _ring, _cone = shipped["p2"]
     ring = cohomology.build_ring(fan, cm)
-    assert check_ratio(ring, (2,), euler_ratio(ring, (2,)))
+    assert check_ratio(ring, cm.pairings((2,)), euler_ratio(ring, (2,)))
     dead = weakref.ref(ring)
     del ring
     gc.collect()
@@ -430,8 +435,8 @@ def test_component_argument_errors(corpus):
 
 
 def test_series_build_takes_the_sparse_paths(monkeypatch):
-    # building the dP3 series at B = 6 neither multiplies full classes inside
-    # euler_ratio nor solves a linear system inside enumerate_degrees
+    # building the dP3 series at B = 6 neither multiplies full classes while
+    # stepping a ratio nor solves a linear system inside enumerate_degrees
     fan = load_fan("dp3")
     cm = toric.charge_matrix(fan)
     ring = cohomology.build_ring(fan, cm)
@@ -459,7 +464,7 @@ def test_series_build_takes_the_sparse_paths(monkeypatch):
                         counted("multiply", cohomology.CohomRing.multiply))
     monkeypatch.setattr(linalg, "solve_columns",
                         counted("solve_columns", linalg.solve_columns))
-    monkeypatch.setattr(ifunction, "euler_ratio", entered(ifunction.euler_ratio))
+    monkeypatch.setattr(ifunction, "_step_ratio", entered(ifunction._step_ratio))
     monkeypatch.setattr(ifunction, "enumerate_degrees", entered(toric.enumerate_degrees))
     series = ifunction.build_f(ring, cone, 6)
     assert len(series.degrees) == 462
@@ -488,7 +493,7 @@ def test_ratio_sweep_shares_work_across_degrees(monkeypatch):
     series = ifunction.build_f(ring, cone, 6)
     monkeypatch.setattr(cohomology.CohomRing, "multiply",
                         counted("multiply", cohomology.CohomRing.multiply))
-    assert all(ifunction.check_ratio(ring, d, series.coefficients[d])
+    assert all(ifunction.check_ratio(ring, cm.pairings(d), series.coefficients[d])
                for d in series.degrees)
     assert len(series.degrees) == 462
     assert counts["linear"] <= 2646, counts
@@ -538,3 +543,30 @@ def test_quantum_period_fails_without_a_window_degree(shipped, name):
                   if d != (0,) * ring.l and unit in series.coefficients[d].num)
     mutated = [d for d in series.degrees if d != dropped]
     assert period_terms(series, mutated) != want
+
+
+def test_a_corrupted_window_pairing_fails_both_checks(monkeypatch, capsys, shipped):
+    # build_f's window lists dP3's degree (1, 0, 1, 1) with a_1 = 2, not 1:
+    # the ratio check reads a(d) afresh from the charge matrix and fails,
+    # and the quantum period, read off the rays alone, disagrees with the
+    # series' unit coefficients (R_d's is 1/2, not 1, at c1(d) = 2)
+    exact = toric.ChargeMatrix.pairings
+    armed = []
+
+    def corrupted(self, degree):
+        a = exact(self, degree)
+        if armed and tuple(degree) == (1, 0, 1, 1):
+            armed.clear()
+            return a[:1] + (a[1] + 1,) + a[2:]
+        return a
+
+    monkeypatch.setattr(toric.ChargeMatrix, "pairings", corrupted)
+    armed.append(True)
+    assert main(["ifunction", str(FAN_DIR / "dp3.json")]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (armed, report["homogeneous"], report["ok"]) == ([], False, False)
+    fan, cm, _ring, cone = shipped["dp3"]
+    armed.append(True)
+    series = build_f(cohomology.build_ring(fan, cm), cone, PERIOD_ORDER)
+    assert not armed
+    assert period_terms(series, series.degrees) != reference_quantum_period(fan, PERIOD_ORDER)

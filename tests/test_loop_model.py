@@ -14,7 +14,6 @@ from qdm import (
     enumerate_degrees,
     euler_ratio,
     euler_ratio_n,
-    min_modes,
 )
 from qdm.cli import main
 from qdm.serialize import class_json, laurent_json
@@ -24,16 +23,21 @@ from qdm.serialize import class_json, laurent_json
 # component bookkeeping
 
 
+def n_min(cm, degree):
+    """N(d) = max_k |a_k(d)|, the smallest cutoff whose model holds d."""
+    return max(map(abs, cm.pairings(degree)), default=0)
+
+
 def test_min_modes(corpus):
-    _fan, cm, _ring, _cone = corpus["p1"]
-    assert min_modes(cm, (0,)) == 0
-    assert min_modes(cm, (1,)) == 1
-    assert min_modes(cm, (3,)) == 3
-    _fan, cm, _ring, _cone = corpus["hirzebruch1"]
-    assert min_modes(cm, (1, 0)) == 1
-    assert min_modes(cm, (2, 1)) == 2
-    _fan, cm, _ring, _cone = corpus["dp2"]
-    assert min_modes(cm, (1, 1, 0)) == 2
+    # a report's "min_modes" is N(d), read off the degree's frozen modes
+    for name, degree, needed in (("p1", (0,), 0), ("p1", (1,), 1), ("p1", (3,), 3),
+                                 ("hirzebruch1", (1, 0), 1), ("hirzebruch1", (2, 1), 2),
+                                 ("dp2", (1, 1, 0), 2)):
+        _fan, cm, ring, _cone = corpus[name]
+        assert n_min(cm, degree) == needed, (name, degree)
+        report = check_stabilization(ring, degree)
+        assert report["min_modes"] == needed, (name, degree)
+        assert report["N_list"] == list(range(needed, needed + 4)), (name, degree)
 
 
 def test_critical_component_projective_plane(corpus):
@@ -50,7 +54,7 @@ def test_critical_component_weight_count(corpus):
     for name in ("p2", "p1xp1", "hirzebruch1", "dp2"):
         _fan, cm, _ring, cone = corpus[name]
         for d in enumerate_degrees(cone, cm, 4):
-            n_cut = min_modes(cm, d) + 1
+            n_cut = n_min(cm, d) + 1
             data = critical_component(cm, d, n_cut)
             for k, (pos, neg) in enumerate(zip(data.positive, data.negative)):
                 a_k = cm.pairings(d)[k]
@@ -80,7 +84,7 @@ def _degrees_and_cutoffs(shipped, extra):
     """(name, cm, ring, d, N) for c1(d) <= 4 and N = N(d)..N(d)+extra."""
     for name, (_fan, cm, ring, cone) in shipped.items():
         for d in enumerate_degrees(cone, cm, 4):
-            base = min_modes(cm, d)
+            base = n_min(cm, d)
             for n_cut in range(base, base + extra + 1):
                 yield name, cm, ring, d, n_cut
 
@@ -179,7 +183,7 @@ def test_check_stabilization_default_cutoffs_are_the_cli_entry(corpus, capsys):
     degrees = [d for d in enumerate_degrees(cone, cm, 3) if any(d)]
     assert reports == [check_stabilization(ring, d) for d in degrees]
     assert [r["N_list"] for r in reports] == \
-        [list(range(min_modes(cm, d), min_modes(cm, d) + 4)) for d in degrees]
+        [list(range(n_min(cm, d), n_min(cm, d) + 4)) for d in degrees]
 
 
 # a float, a string or a bool cutoff is refused, never truncated

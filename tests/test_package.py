@@ -30,8 +30,8 @@ PUBLIC = [
     ("ifunction", ["Series", "euler_ratio", "check_ratio", "build_f", "component"]),
     ("dmodule", ["DiffOp", "EmptyWindowError", "apply",
                  "gkz_operator", "find_annihilators", "semiclassical"]),
-    ("loop_model", ["CriticalData", "ComponentAbsentError", "min_modes",
-                    "critical_component", "euler_ratio_n", "check_stabilization"]),
+    ("loop_model", ["CriticalData", "ComponentAbsentError", "critical_component",
+                    "euler_ratio_n", "check_stabilization"]),
 ]
 
 

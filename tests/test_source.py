@@ -632,3 +632,21 @@ def test_a_ratio_memo_hit_computes_no_pairings():
     inside = [call for branch in misses for stmt in branch.body
               for call in _calls(stmt, "pairings")]
     assert inside and inside == _calls(fn, "pairings"), ast.unparse(fn)
+
+
+def test_each_series_degree_has_its_pairings_computed_once():
+    # build_f lists its window as (d, a(d)) pairs in one pairings pass, and
+    # the budget and the shared step read that list; the ratio check takes
+    # a(d) from its caller, and check_stabilization computes a(d) once and
+    # reads N(d), the weight intervals and the check off it
+    assert len(_calls(_function("ifunction", "build_f"), "pairings")) == 1
+    assert not _calls(_function("ifunction", "build_f"), "euler_ratio")
+    assert not _calls(_function("ifunction", "_step_ratio"), "pairings")
+    for name in ("build_f", "euler_ratio"):
+        assert _calls(_function("ifunction", name), "_step_ratio"), name
+    assert not _calls(_function("ifunction", "check_ratio"), "pairings")
+    stabilization = _function("loop_model", "check_stabilization")
+    assert len(_calls(stabilization, "pairings")) == 1
+    assert not _calls(stabilization, "critical_component")
+    for name in ("check_stabilization", "critical_component"):
+        assert _calls(_function("loop_model", name), "_critical_data"), name
